@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DivergentMomentError, ParameterError, QuadratureError
+from .logsum import log_add
 from .quadrature import QuadratureSpec
 from .scaledcore import ModelParams, PeriodicProfile, ScaledSum, SequenceSpec
 from .measures import MixtureDistribution, phi_integral_log
@@ -73,9 +74,11 @@ class RunConfig:
             raise ParameterError(f"unknown config sections: {sorted(unknown)}")
         params = ModelParams(**doc.get("model", {}))
         qdoc = dict(doc.get("quadrature", {}))
+        unknown = set(qdoc) - {"rel_tol", "abs_floor", "max_depth"}
+        if unknown:
+            raise ParameterError(f"unknown quadrature keys: {sorted(unknown)}")
         qdoc.setdefault("rel_tol", 1e-7)
-        quad = QuadratureSpec(**{k: v for k, v in qdoc.items()
-                                 if k in ("rel_tol", "abs_floor", "max_depth")})
+        quad = QuadratureSpec(**qdoc)
         odoc = doc.get("output", {})
         return cls(
             params=params, quad=quad, probe=doc.get("probe", {}),
@@ -119,6 +122,10 @@ def _clip_ratio(row: dict) -> dict:
         if isinstance(v, float) and math.isfinite(v):
             out[key] = max(min(v, _CLIP), -_CLIP)
     return out
+
+
+def _exp_clipped(v: float) -> float:
+    return math.exp(v) if v < math.log(_CLIP) else _CLIP
 
 
 def write_rows(rows, columns, fmt: str, out_path: str | None, params: ModelParams):
@@ -448,10 +455,12 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, args)
     except QuadratureError as exc:
-        # partial results: the accumulated value and its error bound, flagged
-        row = {"probe": "partial", "flag": "partial",
-               "log_num": exc.partial_log, "bracket_lo": exc.partial_log,
-               "bracket_hi": exc.bound_log, **_param_cols(cfg.params)}
+        # partial results: the accumulated value and, in the linear bracket
+        # columns, [partial, partial + error bound], flagged
+        row = {"probe": "partial", "flag": "partial", "log_num": exc.partial_log,
+               "bracket_lo": _exp_clipped(exc.partial_log),
+               "bracket_hi": _exp_clipped(log_add(exc.partial_log, exc.bound_log)),
+               **_param_cols(cfg.params)}
         out_path = cfg.out
         if out_path and args.command == "gallery":
             out_path = str(Path(out_path) / f"{args.report}.partial.{cfg.fmt}")

@@ -34,6 +34,7 @@ from .measures import (
     PhiAC,
     PiecewiseLinearDensity,
     UniformAC,
+    dip_centres,
     dip_hints,
 )
 
@@ -141,7 +142,8 @@ def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
         if 2.0 * L >= math.exp(min(xlog, 700.0)):
             raise ParameterError("split point exceeds x/2; point too small for split mode")
         hints = dip_hints(p, 1.0, L)
-        numeric = math.log(2.0) + integrate_log(integrand, 1.0, L, quad, hints=hints)
+        numeric = math.log(2.0) + integrate_log(integrand, 1.0, L, quad, hints=hints,
+                                                singular=dip_centres(p, 1.0, L))
         k_log = math.log(profile.plateau)
         bound = (math.log(2.0) + 2.0 * k_log
                  + (1.0 + p.alpha) * (math.log(2.0) - xlog)
@@ -157,8 +159,10 @@ def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
     L = xlog ** p.beta
     if 1.0 < L < half:
         hints.append(L)
+    singular = dip_centres(p, 1.0, half) + [xv - u for u in dip_centres(p, half, xv)]
     return math.log(2.0) + integrate_log(
-        integrand, 1.0, half, quad, hints=[t for t in hints if 1.0 < t < half])
+        integrand, 1.0, half, quad, hints=[t for t in hints if 1.0 < t < half],
+        singular=singular)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +246,9 @@ def _pair_window_mass(c1, c2, x: ScaledSum, c: float, quad, plan):
         hints.extend(_inner_cross_hints(inner, xv, c, olo, ohi))
         hints.append(xv + c - ilo)
         hints.append(xv - ilo)
+    singular = dip_centres(outer.params, olo, ohi) if isinstance(outer, PhiAC) else ()
     return integrate_log(f, olo, ohi, quad,
-                         hints=[t for t in hints if olo < t < ohi])
+                         hints=[t for t in hints if olo < t < ohi], singular=singular)
 
 
 def _structure_points(comp, xv, c, olo, ohi):
@@ -320,7 +325,8 @@ def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, c: float, quad, plan):
 
     hints = dip_hints(p, 1.0, L)
     numeric = math.log(2.0) + integrate_log(f, 1.0, L, quad,
-                                            hints=[t for t in hints if 1.0 < t < L])
+                                            hints=[t for t in hints if 1.0 < t < L],
+                                            singular=dip_centres(p, 1.0, L))
     k_log = math.log(c1.profile.plateau)
     log_x_minus_c = xlog + math.log1p(-c * math.exp(-min(xlog, 700.0)))
     bound = (math.log(2.0) + math.log(c) + 2.0 * k_log - c1.m_log - c2.m_log

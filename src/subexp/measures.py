@@ -22,11 +22,13 @@ from .quadrature import QuadratureSpec, integrate_log
 from .scaledcore import (
     ModelParams,
     PeriodicProfile,
+    PointPhase,
     ScaledSum,
     phi_window_log_eval,
 )
 
 _FLOAT_SAFE = 2.0 ** 50
+_END_SNAP = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,8 @@ def dip_hints(params: ModelParams, lo: float, hi: float, phases=None) -> list:
         return []
     if not phases:
         phases = (params.x0 - params.delta, params.x0, params.x0 + params.delta)
-    lo_eff = max(lo, 0.5)
-    m_lo = int(math.floor(math.log(lo_eff) / params.log_b)) - 1
-    m_hi = int(math.floor(math.log(hi) / params.log_b)) + 1
     pts = []
-    for m in range(m_lo, m_hi + 1):
+    for m in _scales(params, lo, hi):
         scale = params.b ** m
         for y in phases:
             u = scale * y
@@ -84,6 +83,21 @@ def dip_hints(params: ModelParams, lo: float, hi: float, phases=None) -> list:
     if lo < 1.0 < hi:
         pts.append(1.0)
     return pts
+
+
+def dip_centres(params: ModelParams, lo: float, hi: float) -> list:
+    """Dip centres ``b^m x0`` within [lo, hi], the integrands' singular points."""
+    if hi <= 0:
+        return []
+    return [u for u in (params.b ** m * params.x0 for m in _scales(params, lo, hi))
+            if lo <= u <= hi]
+
+
+def _scales(params: ModelParams, lo: float, hi: float) -> range:
+    """Scales m whose period cell [b^m, b^(m+1)) can meet [lo, hi] (hi > 0)."""
+    m_lo = int(math.floor(math.log(max(lo, 0.5)) / params.log_b)) - 1
+    m_hi = int(math.floor(math.log(hi) / params.log_b)) + 1
+    return range(m_lo, m_hi + 1)
 
 
 def normalizer_M(params: ModelParams, quad: QuadratureSpec,
@@ -177,31 +191,64 @@ class PhiAC(Component):
         return (1.0, math.inf)
 
     def window_hints(self, x: ScaledSum, c: float) -> list:
+        return self._window_cuts(PointPhase(x), c)[0]
+
+    def _window_cuts(self, ph: PointPhase, c: float):
+        """Structure of the window (x, x+c] in offsets from x.
+
+        Returns (hints, centres, rings): the branch changes of the profile
+        strictly inside the window, the dip centres in the closed window, and
+        the dip rings near the window as (lo, hi) offset ranges, so that a
+        segment between hints lies in a ring exactly when its midpoint does.
+        ``rings`` is None where the structure is not resolved.  Offsets are
+        taken from the head term and the exact remainder of x, so a centre
+        lands where the evaluator puts it even when the float value of x rounds.
+        """
         p = self.params
-        xv = x.value()
-        hints = []
+        xv = ph.value
+        info = ph.info
+        if info is not None and info.rem is None:
+            return [], [], None
+        edges, centres, rings = [], [], []
         if math.isfinite(xv) and abs(xv) < _FLOAT_SAFE:
-            for u in dip_hints(p, xv, xv + c):
-                hints.append(u - xv)
-            if xv < 1.0 < xv + c:
-                hints.append(1.0 - xv)
-            return hints
-        if x.sign() < 0:
-            return hints
-        info = x.phase()
-        scale = p.b ** info.scale if info.scale < 500 else math.inf
-        if info.rem is None:
-            return hints
-        centers = []
-        if info.mantissa == p.x0:
-            centers.append(-info.rem)
-        elif math.isfinite(scale):
-            centers.append((p.x0 - info.mantissa) * scale - info.rem)
-        for t0 in centers:
-            for t in (t0, t0 - p.delta * scale, t0 + p.delta * scale):
-                if math.isfinite(t) and 0.0 < t < c:
-                    hints.append(t)
-        return hints
+            if info is None:
+                origin, shift = xv, 0.0
+            else:
+                origin, shift = p.b ** info.scale * info.mantissa, info.rem
+            edges.append((1.0 - origin) - shift)  # the support edge
+            if xv + c >= 1.0:
+                # padded by one: xv rounds the remainder
+                for m in _scales(p, xv - 1.0, xv + c + 1.0):
+                    scale = p.b ** m
+                    centre = (scale * p.x0 - origin) - shift
+                    ring = ((scale * (p.x0 - p.delta) - origin) - shift,
+                            (scale * (p.x0 + p.delta) - origin) - shift)
+                    edges += [ring[0], centre, ring[1]]
+                    centres.append(centre)
+                    rings.append(ring)
+        elif info is None:
+            return [], [], None
+        else:
+            scale = p.b ** info.scale if info.scale < 500 else math.inf
+            if info.mantissa == p.x0:
+                t0 = -info.rem
+            elif math.isfinite(scale):
+                t0 = (p.x0 - info.mantissa) * scale - info.rem
+            else:
+                # the window sits at the head mantissa to float precision
+                in_ring = abs(info.mantissa - p.x0) < p.delta
+                return [], [], [(-math.inf, math.inf)] if in_ring else []
+            ring = (t0 - p.delta * scale, t0 + p.delta * scale)
+            edges += [ring[0], t0, ring[1]]
+            centres.append(t0)
+            # only the head cell's ring is resolved here; the next cell's
+            # ring starts (x0 - delta - 1) b^(scale+1) away
+            rings = [ring] if c < (p.x0 - p.delta - 1.0) * scale * p.b else None
+        hints = [t for t in edges if 0.0 < t < c]
+        # a centre within rounding of a window end is that end
+        tol = _END_SNAP * (1.0 + c)
+        centres = [min(max(t, 0.0), c) for t in centres if -tol <= t <= c + tol]
+        return hints, centres, rings
 
     def density_hints(self, base: ScaledSum, lo: float, hi: float) -> list:
         return self.window_hints(base, hi)  # same branch-change structure
@@ -210,7 +257,9 @@ class PhiAC(Component):
         return self.log_density_eval(x, quad, gamma)(0.0)
 
     def log_density_eval(self, base, quad, gamma=0.0):
-        ev = phi_window_log_eval(self.profile, base)
+        return self._density(phi_window_log_eval(self.profile, base), base, gamma)
+
+    def _density(self, ev, base, gamma):
         m_log = self.m_log
         if gamma == 0.0:
             return lambda t: ev(t) - m_log
@@ -218,8 +267,55 @@ class PhiAC(Component):
         return lambda t: ev(t) - m_log + gamma * (xv + t)
 
     def log_window_mass(self, x, c, quad, gamma=0.0):
-        f = self.log_density_eval(x, quad, gamma)
-        return integrate_log(f, 0.0, c, quad, hints=self.window_hints(x, c))
+        """Window mass by segments between the window's structure points.
+
+        Plateau segments take the exact antiderivative; the rest run through
+        :func:`integrate_log`, with the tanh-sinh rule at dip centres.  The
+        ``phi`` evaluator is built only when some segment needs it.
+        """
+        ph = PointPhase(x)
+        hints, centres, rings = self._window_cuts(ph, c)
+        closed = rings is not None and gamma == 0.0
+        inner = hints + [t for t in centres if 0.0 < t < c]
+        cuts = [0.0, *sorted(set(inner)), c] if inner else [0.0, c]
+        in_support = ph.value >= 1.0
+        terms = []
+        runs = []  # maximal runs of consecutive numeric segments, as [lo, hi]
+        joined = False
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            mid = 0.5 * (a + b)
+            if not in_support and ph.log_point(mid) < 0.0:  # below the support edge at 1
+                joined = False
+            elif closed and not any(lo < mid < hi for lo, hi in rings):
+                terms.append(self._log_plateau_mass(ph, a, b))
+                joined = False
+            elif joined:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+                joined = True
+        if runs:
+            f = self._density(phi_window_log_eval(self.profile, x, ph), ph.base, gamma)
+            for lo, hi in runs:
+                terms.append(integrate_log(
+                    f, lo, hi, quad, hints=[t for t in cuts if lo < t < hi],
+                    singular=[t for t in centres if lo <= t <= hi]))
+        return terms[0] if len(terms) == 1 else log_sum(terms)
+
+    def _log_plateau_mass(self, ph: PointPhase, a: float, b: float) -> float:
+        """log of the plateau mass over (x+a, x+b], exact.
+
+        K/M int u^(-alpha-1) du = K/(alpha M) X^-alpha (1 - (1+r)^-alpha) with
+        X = x + a and r = (b-a)/X; once r underflows, the bracket is alpha r.
+        """
+        alpha = self.params.alpha
+        log_x = ph.log_point(a)
+        log_r = math.log(b - a) - log_x
+        if log_r > -700.0:
+            body = math.log(-math.expm1(-alpha * math.log1p(math.exp(log_r)))) - math.log(alpha)
+        else:
+            body = log_r
+        return math.log(self.profile.plateau) - self.m_log - alpha * log_x + body
 
     def log_tail(self, x, quad, gamma=0.0):
         p = self.params
@@ -236,7 +332,8 @@ class PhiAC(Component):
             m_hi = int(math.ceil(math.log(xv) / p.log_b)) + 1
             x_cut = p.b ** m_hi
             f = self.log_density_eval(ScaledSum.zero(p.b), quad)
-            part = integrate_log(f, xv, x_cut, quad, hints=dip_hints(p, xv, x_cut))
+            part = integrate_log(f, xv, x_cut, quad, hints=dip_hints(p, xv, x_cut),
+                                 singular=dip_centres(p, xv, x_cut))
             rem = -p.alpha * m_hi * p.log_b  # self-similar remainder: b^{-alpha m} * M / M
             return log_add(part, rem)
         # gamma < 0: extend until the envelope remainder is negligible
@@ -244,7 +341,8 @@ class PhiAC(Component):
         t_hi = xv + max(8.0 / -gamma, 4.0)
         while True:
             part = integrate_log(lambda u: f(u) + gamma * u, xv, t_hi, quad,
-                                 hints=dip_hints(p, xv, t_hi))
+                                 hints=dip_hints(p, xv, t_hi),
+                                 singular=dip_centres(p, xv, t_hi))
             bound = (math.log(self.profile.plateau) - (p.alpha + 1.0) * math.log(t_hi)
                      + gamma * t_hi - math.log(-gamma) - self.m_log)
             if bound <= math.log(quad.rel_tol) + part or t_hi > 1e12:

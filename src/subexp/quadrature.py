@@ -1,29 +1,56 @@
-"""Adaptive Simpson quadrature for log-scale integrands.
+"""Segment quadrature for log-scale integrands.
 
 The integrands here span hundreds of orders of magnitude across a run but only
 a handful within any single integral, so each integral is evaluated in a
-linear domain scaled by the largest sampled log-value.  Singular structure
-(the dip centers of the periodic profile, support edges, kernel knots) is
-handled by forcing initial subdivisions at caller-supplied hint points;
-between hints the integrands are smooth and bisection converges quickly.
+linear domain scaled by the largest sampled log-value.  Structure points (the
+dip centers and ring edges of the periodic profile, support edges, kernel
+knots) are passed as hints and split the range into segments; between hints
+the integrands are smooth, and each segment gets the rule that fits it:
+
+- A segment with an endpoint in ``singular`` runs the tanh-sinh rule of
+  Takahasi & Mori (1974).  The dip profile ``-1/log|y - x0|`` has an
+  unbounded derivative at a dip center; the double-exponential change of
+  variables makes it a rapidly decaying analytic integrand, so halving the
+  step until two levels agree converges in a few dozen evaluations where
+  bisection would crawl toward the center.
+- Every other segment runs adaptive Simpson with Richardson extrapolation.
+  Its exhaustion floor accepts a panel whose whole possible contribution is
+  negligible, so a jump or an unflagged singular derivative still ends.
+
+Plateau segments of a dip-density window never come here: ``PhiAC`` in
+:mod:`measures` integrates them in closed form.
 
 Refinement is budgeted: the total error target ``rel_tol * I`` is distributed
-over the initial segments proportionally to their first-pass mass (with a
-floor so empty-looking segments still get attention), and each bisection
-passes half its budget to each child.  Accepted panel sums are combined with
-compensated summation in a fixed order, so results do not depend on thread
-count or platform scheduling.
+over the segments proportionally to their first-pass mass (with a floor so
+empty-looking segments still get attention); each bisection passes half its
+budget to each child, and a tanh-sinh segment stops once the change between
+two step levels fits its budget.  Accepted sums are combined with compensated
+summation in a fixed order, so results do not depend on thread count or
+platform scheduling.  ``max_depth`` bounds the nodes of a segment for both
+rules: bisection depth ``d`` and tanh-sinh level ``d - 2`` each reach about
+``2^(d+1)`` nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParameterError, QuadratureError
 from .logsum import LOG_ZERO, NeumaierSum
 
 _ONE_THIRD = 1.0 / 3.0
+
+# tanh-sinh nodes run over |t| <= _DE_T.  Beyond it the weights fall below
+# 1e-20 of the peak, so for the bounded integrands here the truncation is far
+# below any tolerance.
+_DE_T = 3.5
+# Step halvings past this level only chase rounding noise in double precision.
+_DE_MAX_LEVEL = 8
+# Level k has about 2^(k+3) nodes, as many as bisection reaches at depth
+# k + 2, so ``max_depth`` allows levels up to max_depth - 2.
+_DE_DEPTH_OFFSET = 2
 
 
 @dataclass(frozen=True)
@@ -53,12 +80,59 @@ def _simpson(fa, fm, fb, width):
     return width * (fa + 4.0 * fm + fb) / 6.0
 
 
-def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=()) -> float:
+@lru_cache(maxsize=None)
+def _de_nodes(level: int) -> tuple:
+    """Nodes of tanh-sinh level ``level`` on [-1, 1], for t >= 0 only.
+
+    Each node is ``(q, w)``: the node lies ``q`` half-widths inside the
+    nearer endpoint (so nodes crowding an endpoint keep full precision), and
+    ``w`` is its weight per half-width and unit step.  Level 0 has step 1
+    and holds t = 0 first; level k > 0 holds the new odd multiples of 2^-k.
+    """
+    h = 2.0 ** -level
+    if level == 0:
+        ts = [float(j) for j in range(int(_DE_T) + 1)]
+    else:
+        ts = [j * h for j in range(1, int(_DE_T / h) + 1, 2)]
+    nodes = []
+    for t in ts:
+        s = 0.5 * math.pi * math.sinh(t)
+        e = math.exp(-2.0 * s)
+        nodes.append((2.0 * e / (1.0 + e),
+                      0.5 * math.pi * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2))
+    return tuple(nodes)
+
+
+def _de_points(a: float, b: float, level: int) -> list:
+    """(abscissa, weight) of the new nodes of one tanh-sinh level on [a, b].
+
+    Weights are per unit step; the level's step ``2^-level`` is applied by
+    the caller.
+    """
+    hw = 0.5 * (b - a)
+    nodes = _de_nodes(level)
+    out = []
+    if level == 0:
+        _q, w = nodes[0]
+        out.append((a + hw, hw * w))
+        nodes = nodes[1:]
+    for q, w in nodes:
+        d = hw * q
+        out.append((a + d, hw * w))
+        out.append((b - d, hw * w))
+    return out
+
+
+def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
+                  singular=()) -> float:
     """Return log of the integral of exp(f_log(t)) over [lo, hi].
 
-    ``f_log`` may return -inf where the integrand vanishes.  Raises
-    :class:`QuadratureError` when the depth budget is exhausted before the
-    error bound falls below tolerance.
+    ``hints`` split the range into segments.  ``singular`` lists points
+    (inside the range or at its ends) where the integrand has an unbounded
+    derivative; they split the range too, and every segment ending at one is
+    integrated with the tanh-sinh rule.  ``f_log`` may return -inf where the
+    integrand vanishes.  Raises :class:`QuadratureError` when the depth budget
+    is exhausted before the error estimate falls below tolerance.
     """
     if not (hi > lo):
         return LOG_ZERO
@@ -67,52 +141,75 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=()) -
     for h in hints:
         if lo < h < hi:
             cuts.add(float(h))
+    ends = set()
+    for s in singular:
+        if lo <= s <= hi:
+            ends.add(float(s))
+            if s < hi:
+                cuts.add(float(s))
     pts = sorted(cuts)
 
-    # First pass: 5-point composite Simpson per segment, shared scale.
-    seg_nodes = []
+    # First pass: 5-point composite Simpson, or tanh-sinh level 0 at a
+    # singular end; the values stay in log space until the shared scale is known.
+    first = []
     ref = LOG_ZERO
     for a, b in zip(pts[:-1], pts[1:]):
-        width = b - a
-        xs = (a, a + 0.25 * width, a + 0.5 * width, a + 0.75 * width, b)
-        fs = tuple(f_log(x) for x in xs)
-        seg_nodes.append((a, b, xs, fs))
+        de = a in ends or b in ends
+        if de:
+            nodes = _de_points(a, b, 0)
+            fs = tuple(f_log(x) for x, _w in nodes)
+        else:
+            width = b - a
+            nodes = (a, a + 0.25 * width, a + 0.5 * width, a + 0.75 * width, b)
+            fs = tuple(f_log(x) for x in nodes)
+        first.append((a, b, de, nodes, fs))
         m = max(fs)
         if m > ref:
             ref = m
     if ref == LOG_ZERO:
         return LOG_ZERO
 
+    def f(t):
+        v = f_log(t)
+        return 0.0 if v == LOG_ZERO else math.exp(v - ref)
+
     seg_est = []
     total0 = 0.0
-    for a, b, xs, fs in seg_nodes:
-        g = tuple(0.0 if v == LOG_ZERO else math.exp(v - ref) for v in fs)
-        half = 0.5 * (b - a)
-        s2 = _simpson(g[0], g[1], g[2], half) + _simpson(g[2], g[3], g[4], half)
-        seg_est.append(s2)
-        total0 += s2
+    for a, b, de, nodes, fs in first:
+        if de:
+            s0 = math.fsum(0.0 if v == LOG_ZERO else w * math.exp(v - ref)
+                           for (_x, w), v in zip(nodes, fs))
+        else:
+            g = tuple(0.0 if v == LOG_ZERO else math.exp(v - ref) for v in fs)
+            half = 0.5 * (b - a)
+            s0 = _simpson(g[0], g[1], g[2], half) + _simpson(g[2], g[3], g[4], half)
+        seg_est.append(s0)
+        total0 += s0
 
     if total0 <= 0.0:
         return LOG_ZERO
 
     budget_total = quad.rel_tol * total0
-    floor_share = 1.0 / (8.0 * len(seg_nodes))
-    # Exhaustion floor: panels whose entire possible contribution is below
-    # this are accepted outright.  Needed at dip centers, where the integrand
-    # has a log-type singular derivative and the Simpson error only halves
-    # per bisection level, so budget-halving alone would never terminate.
+    floor_share = 1.0 / (8.0 * len(first))
+    # Exhaustion floor: a Simpson panel whose whole possible contribution is
+    # below this is accepted outright.  At a jump, or at a singular
+    # derivative that no ``singular`` point flags, the Simpson error only
+    # halves per bisection level, as the budget does, so refinement alone
+    # would never end.
     floor_abs = budget_total / 64.0
     acc = NeumaierSum()
     err_acc = NeumaierSum()
     failed = False
 
-    for (a, b, xs, fs), est in zip(seg_nodes, seg_est):
+    for (a, b, de, xs, fs), est in zip(first, seg_est):
         budget = budget_total * max(est / total0, floor_share)
+        if de:
+            s, err, ok = _tanh_sinh(f, a, b, est, budget, quad)
+            acc.add(s)
+            err_acc.add(err)
+            failed = failed or not ok
+            continue
         g = tuple(0.0 if v == LOG_ZERO else math.exp(v - ref) for v in fs)
-
-        def f(t):
-            v = f_log(t)
-            return 0.0 if v == LOG_ZERO else math.exp(v - ref)
 
         # Iterative adaptive bisection over (a, fa, m, fm, b, fb, S, budget, depth).
         half = 0.5 * (b - a)
@@ -160,12 +257,32 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=()) -
     return log_total
 
 
-def integrate_linear(f, lo: float, hi: float, quad: QuadratureSpec, hints=()) -> float:
-    """Adaptive Simpson for plain nonnegative integrands (convenience wrapper)."""
+def _tanh_sinh(f, a: float, b: float, s0: float, budget: float, quad: QuadratureSpec):
+    """Refine a tanh-sinh level-0 sum ``s0`` on [a, b] by halving the step.
+
+    Returns (integral, error estimate, converged).  The estimate is the
+    change from the previous level, which for a double-exponential rule
+    bounds the error of the previous, coarser level.
+    """
+    raw = s0  # weighted node sum at unit step
+    prev, err = s0, s0
+    for level in range(1, min(quad.max_depth - _DE_DEPTH_OFFSET, _DE_MAX_LEVEL) + 1):
+        raw += math.fsum(w * f(x) for x, w in _de_points(a, b, level))
+        cur = raw * 2.0 ** -level
+        err = abs(cur - prev)
+        if err <= budget or err <= quad.abs_floor:
+            return cur, err, True
+        prev = cur
+    return prev, err, False
+
+
+def integrate_linear(f, lo: float, hi: float, quad: QuadratureSpec, hints=(),
+                     singular=()) -> float:
+    """:func:`integrate_log` for plain nonnegative integrands (convenience wrapper)."""
 
     def f_log(t):
         v = f(t)
         return LOG_ZERO if v <= 0.0 else math.log(v)
 
-    r = integrate_log(f_log, lo, hi, quad, hints=hints)
+    r = integrate_log(f_log, lo, hi, quad, hints=hints, singular=singular)
     return 0.0 if r == LOG_ZERO else math.exp(r)

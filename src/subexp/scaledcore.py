@@ -443,18 +443,58 @@ def phi_log_value(profile: PeriodicProfile, x) -> float:
     return ev(0.0)
 
 
-def phi_window_log_eval(profile: PeriodicProfile, base: ScaledSum):
+class PointPhase:
+    """Phase decomposition of a point, made once and shared.
+
+    A window mass reads it for the structure points of the window, for the
+    closed-form plateau pieces and to build the ``phi`` evaluator.  ``base``
+    is the canonical point, ``value`` its float value (+-inf beyond float
+    range) and ``info`` its :class:`PhaseInfo`, or None when the point is not
+    positive-headed.
+    """
+
+    __slots__ = ("base", "value", "info", "head_log")
+
+    def __init__(self, base: ScaledSum):
+        if not base.is_canonical():
+            base = base.normalize()
+        self.base = base
+        self.value = base.value()
+        self.info = info = base.phase() if base.terms and base.terms[0][0] > 0 else None
+        self.head_log = (None if info is None else
+                         info.scale * math.log(base.b) + math.log(info.mantissa))
+
+    def log_point(self, t: float) -> float:
+        """log(base + t); -inf where base + t <= 0."""
+        info = self.info
+        if info is None:
+            u = self.value + t
+            return math.log(u) if u > 0.0 else _LOG_ZERO
+        if info.rem is None:
+            return self.head_log  # O(1) offsets are below the remainder's resolution
+        v = info.rem + t
+        if v == 0.0:
+            return self.head_log
+        e = math.log(abs(v)) - self.head_log
+        if e < -745.0:
+            return self.head_log
+        rel = math.copysign(math.exp(e), v)
+        return self.head_log + math.log1p(rel) if rel > -1.0 else _LOG_ZERO
+
+
+def phi_window_log_eval(profile: PeriodicProfile, base: ScaledSum,
+                        phase: PointPhase | None = None):
     """Specialized evaluator ``t -> log phi(base + t)``.
 
     This is the hot kernel behind every window mass and convolution: the
-    phase decomposition of ``base`` is done once, after which each call costs
-    a couple of logs.  The remainder of ``base`` is carried in absolute units
-    so the dip distance of ``base + t`` is exact for scales far beyond
-    float64 ulp resolution.
+    phase decomposition of ``base`` is done once (or passed in as ``phase``),
+    after which each call costs a couple of logs.  The remainder of ``base``
+    is carried in absolute units so the dip distance of ``base + t`` is exact
+    for scales far beyond float64 ulp resolution.
     """
     p = profile.params
-    if not base.is_canonical():
-        base = base.normalize()
+    if phase is None:
+        phase = PointPhase(base)
     alpha1 = p.alpha + 1.0
     lnb = p.log_b
     ln_delta = math.log(p.delta)
@@ -462,8 +502,8 @@ def phi_window_log_eval(profile: PeriodicProfile, base: ScaledSum):
     x0 = p.x0
     b = p.b
 
-    if not base.terms or base.terms[0][0] < 0:
-        xv = base.offset if not base.terms else base.value()
+    if phase.info is None:
+        xv = phase.value
         if xv == -math.inf:
             return lambda t: _LOG_ZERO  # far below the support for any window offset
 
@@ -482,7 +522,7 @@ def phi_window_log_eval(profile: PeriodicProfile, base: ScaledSum):
 
         return f_plain
 
-    info = base.phase()  # raises for negative bases
+    info = phase.info
     M = info.scale
     y1 = info.mantissa
     Mlnb = M * lnb

@@ -65,6 +65,15 @@ class TestConfig:
         assert run_cli("eval", "--x", "3", "--config", str(path)) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_quadrature_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"quadrature": {"reltol": 1e-12}}))
+        out = tmp_path / "out.csv"
+        assert run_cli("eval", "--x", "3", "--config", str(path),
+                       "--out", str(out)) == 2
+        assert "reltol" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_partial_output_on_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": {"x0": 9.0}}))
@@ -152,6 +161,21 @@ class TestCommands:
         assert "quadrature failure" in capsys.readouterr().err
         text = out.read_text()
         assert "partial" in text  # flagged partial row still written
+
+
+    def test_partial_row_brackets_are_linear(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quadrature": {"max_depth": 1}}))
+        out = tmp_path / "ev.csv"
+        assert run_cli("eval", "--x", "4^6*2+0.3", "--window", "1",
+                       "--config", str(cfg), "--out", str(out)) == 3
+        lines = out.read_text().strip().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["flag"] == "partial"
+        lo, hi = float(row["bracket_lo"]), float(row["bracket_hi"])
+        # [partial, partial + error bound] in linear units
+        assert 0.0 < lo < hi
+        assert math.isclose(math.log(lo), float(row["log_num"]), rel_tol=1e-12)
 
 
 class TestDeterminism:

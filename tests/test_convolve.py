@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subexp import (
+    ConvPlan,
     LogBracket,
     MixtureDistribution,
     ParameterError,
@@ -98,6 +99,27 @@ class TestSelfConvOracle:
 
 def m_norm_window(mu, m_norm, x, quad):
     return local_mass(mu, x, 1.0, quad) + math.log(m_norm)
+
+
+class TestSplitBracketsContainFullNumeric:
+    """Split mode forced below its threshold brackets the full-numeric value."""
+
+    @pytest.mark.parametrize("n, y", [(7, 3.0), (8, 3.0), (8, 2.0), (9, 2.0)])
+    def test_self_conv(self, params, profile, quad_fast, n, y):
+        x = ScaledSum.scaled(n, y)
+        split = phi_self_conv_at(profile, x, quad_fast, ConvPlan(params, split_threshold=1e3))
+        full = phi_self_conv_at(profile, x, quad_fast)
+        assert isinstance(split, LogBracket)
+        assert split.lo <= full <= split.hi
+
+    @pytest.mark.parametrize("y", [3.0, 2.0])
+    def test_conv_window(self, params, mu, quad_fast, y):
+        x = ScaledSum.scaled(6, y)
+        split = conv_local_mass(mu, mu, x, 1.0, quad_fast,
+                                ConvPlan(params, split_threshold=1e3))
+        full = conv_local_mass(mu, mu, x, 1.0, quad_fast)
+        assert isinstance(split, LogBracket)
+        assert split.lo <= full <= split.hi
 
 
 class TestConvWindows:

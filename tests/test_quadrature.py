@@ -29,16 +29,44 @@ def test_exponential():
 
 
 def test_log_singular_derivative_endpoint():
-    # integrand -1/log(t) near 0: continuous, infinite slope at the endpoint
+    # integrand -1/log(t) near 0: continuous, infinite slope at the endpoint;
+    # bisection alone, and the tanh-sinh rule once 0 is flagged singular
     spec = QuadratureSpec()
-    val = integrate_linear(lambda t: 0.0 if t <= 0 else -1.0 / math.log(t),
-                           0.0, 0.5, spec)
     # reference: 200k-panel midpoint rule refined near 0 (geometric grid)
     import numpy as np
     edges = np.concatenate([[0.0], np.geomspace(1e-18, 0.5, 400_000)])
     mids = 0.5 * (edges[:-1] + edges[1:])
     ref = float(np.sum(-1.0 / np.log(mids) * np.diff(edges)))
-    assert abs(val / ref - 1.0) < 1e-8
+    for singular in ((), (0.0,)):
+        val = integrate_linear(lambda t: 0.0 if t <= 0 else -1.0 / math.log(t),
+                               0.0, 0.5, spec, singular=singular)
+        assert abs(val / ref - 1.0) < 1e-8, singular
+
+
+def test_singular_end_uses_few_evaluations():
+    # the tanh-sinh rule needs a few dozen evaluations where bisection
+    # crawls toward the singular end
+    counts = {}
+    for singular in ((), (0.0,)):
+        n = [0]
+
+        def f(t):
+            n[0] += 1
+            return 0.0 if t <= 0 else -1.0 / math.log(t)
+
+        integrate_linear(f, 0.0, 0.5, QuadratureSpec(), singular=singular)
+        counts[singular] = n[0]
+    assert counts[(0.0,)] <= 64
+    assert counts[(0.0,)] * 4 < counts[()]
+
+
+def test_singular_point_inside_range():
+    # -1/log|t| on [-0.5, 0.5], singular in the middle: twice the half integral
+    spec = QuadratureSpec()
+    f = lambda t: 0.0 if t == 0 else -1.0 / math.log(abs(t))
+    whole = integrate_linear(f, -0.5, 0.5, spec, singular=(0.0,))
+    half = integrate_linear(f, 0.0, 0.5, spec, singular=(0.0,))
+    assert math.isclose(whole, 2.0 * half, rel_tol=1e-12)
 
 
 def test_zero_integrand():
@@ -60,9 +88,12 @@ def test_hints_allow_narrow_support():
 
 
 def test_depth_exhaustion_raises():
-    spec = QuadratureSpec(rel_tol=1e-9, max_depth=4)
-    f = lambda t: math.log(1e-30 + abs(math.sin(200.0 * t)))
-    with pytest.raises(QuadratureError) as exc:
-        integrate_log(f, 0.0, 3.0, spec)
-    assert math.isfinite(exc.value.partial_log)
-    assert exc.value.bound_log > -math.inf
+    # max_depth bounds bisection and, at a singular end, the step halvings
+    wiggle = lambda t: math.log(1e-30 + abs(math.sin(200.0 * t)))
+    dip = lambda t: -math.inf if t <= 0 else math.log(-1.0 / math.log(t))
+    for f, hi, singular, depth in ((wiggle, 3.0, (), 4), (dip, 0.5, (0.0,), 3)):
+        spec = QuadratureSpec(rel_tol=1e-9, max_depth=depth)
+        with pytest.raises(QuadratureError) as exc:
+            integrate_log(f, 0.0, hi, spec, singular=singular)
+        assert math.isfinite(exc.value.partial_log)
+        assert exc.value.bound_log > -math.inf
