@@ -21,7 +21,6 @@ from .scaledcore import (
     SequenceSpec,
     make_sequence,
     phi_log_value,
-    profile_value,
 )
 from .quadrature import QuadratureSpec, integrate_log
 from .measures import (

@@ -6,12 +6,11 @@ Usage:
     subexp gallery REPORT [--out DIR]
     subexp oracle  CASE
 
-Common flags: [--config PATH] [--out PATH] [--format csv|json] [--threads N].
+Common flags: [--config PATH] [--out PATH] [--format csv|json].
 
 Exit codes: 0 success, 2 configuration/usage error, 3 quadrature failure
 (partial rows are still written, flagged in the ``flag`` column).  A given
-configuration always produces byte-identical output files, independent of
-thread count.
+configuration always produces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DivergentMomentError, ParameterError, QuadratureError
@@ -41,13 +40,12 @@ from .gallery import (
     GallerySpec,
     PhiDensityHandle,
     build_mu,
+    series_rows,
 )
 
 COLUMNS = ("probe", "n", "m", "c", "log_num", "log_den", "log_ratio", "ratio",
            "bracket_lo", "bracket_hi", "flag",
            "b", "x0", "delta", "alpha", "beta", "x1", "x2")
-
-_CLIP = 1e300
 
 
 @dataclass(frozen=True)
@@ -59,10 +57,9 @@ class RunConfig:
     probe: dict = field(default_factory=dict)
     out: str | None = None
     fmt: str = "csv"
-    threads: int = 1
 
     @classmethod
-    def load(cls, path: str | None, out=None, fmt=None, threads=None) -> "RunConfig":
+    def load(cls, path: str | None, out=None, fmt=None) -> "RunConfig":
         doc = {}
         if path:
             with open(path, "r", encoding="utf-8") as fh:
@@ -84,7 +81,6 @@ class RunConfig:
             params=params, quad=quad, probe=doc.get("probe", {}),
             out=out if out is not None else odoc.get("path"),
             fmt=fmt if fmt is not None else odoc.get("format", "csv"),
-            threads=threads if threads is not None else 1,
         )
 
     def gallery_spec(self) -> GallerySpec:
@@ -93,8 +89,7 @@ class RunConfig:
             kwargs["k_max"] = int(self.probe["k_max"])
         if "n_range" in self.probe:
             kwargs["n_range"] = tuple(int(n) for n in self.probe["n_range"])
-        return GallerySpec(params=self.params, quad=self.quad,
-                           threads=self.threads, **kwargs)
+        return GallerySpec(params=self.params, quad=self.quad, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +115,12 @@ def _clip_ratio(row: dict) -> dict:
     for key in ("ratio", "bracket_lo", "bracket_hi"):
         v = out.get(key)
         if isinstance(v, float) and math.isfinite(v):
-            out[key] = max(min(v, _CLIP), -_CLIP)
+            out[key] = max(min(v, probes_mod.CLIP), -probes_mod.CLIP)
     return out
 
 
 def _exp_clipped(v: float) -> float:
-    return math.exp(v) if v < math.log(_CLIP) else _CLIP
+    return math.exp(v) if v < math.log(probes_mod.CLIP) else probes_mod.CLIP
 
 
 def write_rows(rows, columns, fmt: str, out_path: str | None, params: ModelParams):
@@ -137,9 +132,7 @@ def write_rows(rows, columns, fmt: str, out_path: str | None, params: ModelParam
         text = "\n".join(lines) + "\n"
     else:
         doc = {
-            "model": {"b": params.b, "x0": params.x0, "delta": params.delta,
-                      "alpha": params.alpha, "beta": params.beta,
-                      "x1": params.x1, "x2": params.x2},
+            "model": asdict(params),
             "rows": [{col: r.get(col) for col in columns} for r in rows],
         }
         text = json.dumps(doc, indent=1, allow_nan=True) + "\n"
@@ -149,11 +142,6 @@ def write_rows(rows, columns, fmt: str, out_path: str | None, params: ModelParam
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _param_cols(p: ModelParams) -> dict:
-    return {"b": p.b, "x0": p.x0, "delta": p.delta, "alpha": p.alpha,
-            "beta": p.beta, "x1": p.x1, "x2": p.x2}
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +185,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                "log_num": log_phi, "log_den": 0.0,
                "log_ratio": log_phi, "ratio": h,
                "bracket_lo": None, "bracket_hi": None, "flag": "",
-               **_param_cols(cfg.params)}
+               **asdict(cfg.params)}
         if args.window:
             row["log_num"] = mu.log_window_mass(x, args.window, cfg.quad)
             row["log_ratio"] = row["log_num"]
@@ -211,21 +199,6 @@ _PROBES = ("long_tail", "sd", "scaling", "uniformity", "sandwich", "tilt",
            "truncated_density", "truncated_local")
 
 
-def _series_rows(series, params) -> list:
-    rows = []
-    for e in series.entries:
-        lo, hi = e.ratio_bounds()
-        rows.append({"probe": series.name, "n": e.n, "m": e.m, "c": e.c,
-                     "log_num": e.log_num, "log_den": e.log_den,
-                     "log_ratio": e.log_ratio, "ratio": e.ratio,
-                     "bracket_lo": lo if e.num_bracket else None,
-                     "bracket_hi": hi if e.num_bracket else None,
-                     "flag": "flagged" if e.flagged else
-                             ("bracketed" if e.num_bracket else ""),
-                     **_param_cols(params)})
-    return rows
-
-
 def cmd_probe(cfg: RunConfig, args) -> int:
     spec = cfg.gallery_spec()
     mu = build_mu(spec)
@@ -236,16 +209,16 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     rows: list
     if args.name == "long_tail":
         s = probes_mod.long_tail_probe(mu, args.a, seq, quad, params=p, c=args.c[0])
-        rows = _series_rows(s, p)
+        rows = series_rows(s, p)
     elif args.name == "sd":
         handle = PhiDensityHandle(spec, mu)
-        rows = _series_rows(probes_mod.sd_probe(handle, seq, quad, params=p), p)
+        rows = series_rows(probes_mod.sd_probe(handle, seq, quad, params=p), p)
     elif args.name == "scaling":
-        rows = _series_rows(probes_mod.scaling_probe(mu, args.c, seq, quad, params=p), p)
+        rows = series_rows(probes_mod.scaling_probe(mu, args.c, seq, quad, params=p), p)
     elif args.name == "uniformity":
         s = probes_mod.uniformity_probe(mu, ns, tuple(int(round(c)) for c in args.c)
                                         or (2,), quad, params=p)
-        rows = _series_rows(s, p)
+        rows = series_rows(s, p)
     elif args.name == "sandwich":
         entries = probes_mod.sandwich_probe(mu, args.c[0], args.c1, args.a, seq,
                                             quad, params=p)
@@ -254,7 +227,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
                  "log_ratio": math.log(e.mid), "ratio": e.mid,
                  "bracket_lo": e.j1, "bracket_hi": e.j2,
                  "flag": "" if e.ordered else "order-violation",
-                 **_param_cols(p)} for e in entries]
+                 **asdict(p)} for e in entries]
     elif args.name == "tilt":
         from .measures import ParetoAC, tilt as tilt_op
         rho = tilt_op(MixtureDistribution.single(ParetoAC(1.0)), -args.gamma, quad)
@@ -262,7 +235,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
                                            tuple(float(x) for x in (args.x_grid or
                                                                     range(20, 61, 10))),
                                            quad)
-        rows = _series_rows(s, p)
+        rows = series_rows(s, p)
     elif args.name == "truncated_density":
         handle = PhiDensityHandle(spec, mu)
         rows = []
@@ -275,7 +248,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
                              "log_ratio": None, "ratio": val,
                              "bracket_lo": None, "bracket_hi": None,
                              "flag": "flagged" if flagged else "",
-                             **_param_cols(p)})
+                             **asdict(p)})
     else:  # truncated_local
         rows = []
         for n in ns:
@@ -286,7 +259,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
                              "c": a_cut, "log_num": None, "log_den": None,
                              "log_ratio": None, "ratio": val,
                              "bracket_lo": None, "bracket_hi": None, "flag": "",
-                             **_param_cols(p)})
+                             **asdict(p)})
     write_rows(rows, COLUMNS, cfg.fmt, cfg.out, cfg.params)
     return 0
 
@@ -382,7 +355,7 @@ def _oracle_row(p, case, x, adaptive, oracle):
             "log_den": math.log(oracle) if oracle > 0 else None,
             "log_ratio": None, "ratio": adaptive,
             "bracket_lo": None, "bracket_hi": None, "flag": "",
-            "oracle": oracle, "rel_err": rel, **_param_cols(p)}
+            "oracle": oracle, "rel_err": rel, **asdict(p)}
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None)
     common.add_argument("--out", default=None)
     common.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    common.add_argument("--threads", type=int, default=None)
 
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -435,8 +407,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig.load(args.config, out=args.out, fmt=args.fmt,
-                             threads=args.threads)
+        cfg = RunConfig.load(args.config, out=args.out, fmt=args.fmt)
     except (ParameterError, OSError, json.JSONDecodeError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -460,7 +431,7 @@ def main(argv=None) -> int:
         row = {"probe": "partial", "flag": "partial", "log_num": exc.partial_log,
                "bracket_lo": _exp_clipped(exc.partial_log),
                "bracket_hi": _exp_clipped(log_add(exc.partial_log, exc.bound_log)),
-               **_param_cols(cfg.params)}
+               **asdict(cfg.params)}
         out_path = cfg.out
         if out_path and args.command == "gallery":
             out_path = str(Path(out_path) / f"{args.report}.partial.{cfg.fmt}")

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParameterError
 from .logsum import LOG_ZERO, log_add, log_sum
 from .quadrature import QuadratureSpec, integrate_log
-from .scaledcore import ModelParams, PeriodicProfile, ScaledSum, phi_window_log_eval
+from .scaledcore import ModelParams, PeriodicProfile, ScaledSum, as_point, phi_window_log_eval
 from .measures import (
     KernelAC,
     MixtureDistribution,
@@ -34,6 +34,7 @@ from .measures import (
     PhiAC,
     PiecewiseLinearDensity,
     UniformAC,
+    _as_width,
     dip_centres,
     dip_hints,
 )
@@ -94,17 +95,6 @@ class ConvPlan:
         return math.log(self.split_threshold)
 
 
-def _as_point(x, b: float) -> ScaledSum:
-    return x if isinstance(x, ScaledSum) else ScaledSum.from_float(float(x), b)
-
-
-def _width(w) -> float:
-    c = w.c if hasattr(w, "c") else float(w)
-    if not (c > 0.0):
-        raise ParameterError("window width must be positive")
-    return c
-
-
 # ---------------------------------------------------------------------------
 # dip-density self-convolution at a point
 # ---------------------------------------------------------------------------
@@ -118,7 +108,7 @@ def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
     """
     p = profile.params
     plan = plan or ConvPlan(p)
-    x = _as_point(x, p.b)
+    x = as_point(x, p.b)
     if x.sign() <= 0:
         return LOG_ZERO
     xlog = x.log_abs()
@@ -172,9 +162,8 @@ def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
 def conv_local_mass(d1: MixtureDistribution, d2: MixtureDistribution, x, w,
                     quad: QuadratureSpec, plan: ConvPlan | None = None):
     """log of (d1 * d2)((x, x+c]); LogBracket when a far-tail bound is active."""
-    c = _width(w)
-    b = d1.base
-    x = _as_point(x, b)
+    c = _as_width(w)
+    x = as_point(x, d1.base)
     terms = []
     for w1, c1 in d1.components:
         if w1 == 0.0:
@@ -189,14 +178,10 @@ def conv_local_mass(d1: MixtureDistribution, d2: MixtureDistribution, x, w,
     return _combine_log_terms(terms) if terms else LOG_ZERO
 
 
-def _atoms_of(comp):
-    return comp.atoms()
-
-
 def _pair_window_mass(c1, c2, x: ScaledSum, c: float, quad, plan):
     if c1.is_atomic:
         terms = []
-        for loc, aw in _atoms_of(c1):
+        for loc, aw in c1.atoms():
             if aw <= 0.0:
                 continue
             pt = x.sub(loc) if isinstance(loc, ScaledSum) else x.add_offset(-loc)
@@ -340,8 +325,8 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
     """log of dist^{n*}((x, x+c]) for n in {1, 2, 3}."""
     if n not in (1, 2, 3):
         raise ParameterError(f"n-fold masses support n in {{1,2,3}}, got {n}")
-    c = _width(w)
-    x = _as_point(x, dist.base)
+    c = _as_width(w)
+    x = as_point(x, dist.base)
     if n == 1:
         return dist.log_window_mass(x, c, quad)
     if n == 2:
@@ -353,7 +338,7 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
             continue
         lw = math.log(wt)
         if comp.is_atomic:
-            for loc, aw in _atoms_of(comp):
+            for loc, aw in comp.atoms():
                 if aw <= 0.0:
                     continue
                 pt = x.sub(loc) if isinstance(loc, ScaledSum) else x.add_offset(-loc)
@@ -391,8 +376,7 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
 def smoothed_density(kernel: PiecewiseLinearDensity, base: MixtureDistribution,
                      x, quad: QuadratureSpec) -> float:
     """log q(x) with q(x) = int q1(x-u) base(du) (compact continuous kernel)."""
-    pt = _as_point(x, base.base)
-    return KernelAC(kernel=kernel, base=base).log_density(pt, quad)
+    return KernelAC(kernel=kernel, base=base).log_density(as_point(x, base.base), quad)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ headline phenomenon:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +32,9 @@ from .scaledcore import (
     PeriodicProfile,
     ScaledSum,
     SequenceSpec,
+    as_point,
     make_sequence,
+    phi_log_value,
     phi_window_log_eval,
     point_lambda,
 )
@@ -46,13 +48,14 @@ from .measures import (
     PointMass,
     UniformAC,
     dip_hints,
+    local_density,
     normalizer_M,
     tilt,
 )
 from .convolve import ConvPlan, LogBracket, bracket_pair, conv_local_mass, phi_self_conv_at
 from .probes import (
-    ProbeEntry,
     RatioSeries,
+    _entry,
     classify_limit,
     long_tail_probe,
     sandwich_probe,
@@ -60,7 +63,6 @@ from .probes import (
     tilt_identity_probe,
     uniformity_probe,
 )
-from ._parallel import ordered_map
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,6 @@ class GallerySpec:
     k_max: int = 4
     n_range: tuple = (4, 5, 6, 7, 8)
     quad: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(rel_tol=1e-7))
-    threads: int = 1
 
     def __post_init__(self):
         if not (1 <= self.k_max <= 6):
@@ -198,10 +199,7 @@ class PhiDensityHandle:
         self._plain = phi_window_log_eval(self.profile, ScaledSum.zero(spec.params.b))
 
     def log_value(self, x) -> float:
-        if not isinstance(x, ScaledSum):
-            return self.log_value_plain(float(x))
-        ev = phi_window_log_eval(self.profile, x)
-        return ev(0.0) - self.phi.m_log
+        return phi_log_value(self.profile, x) - self.phi.m_log
 
     def log_value_plain(self, u: float) -> float:
         v = self._plain(u)
@@ -248,9 +246,7 @@ class BridgeDensityHandle:
         self.plan = ConvPlan(spec.params)
 
     def log_value(self, x) -> float:
-        pt = x if isinstance(x, ScaledSum) else ScaledSum.from_float(float(x), self.params.b)
-        return self.mu.log_window_mass(pt.add_offset(-self.c), self.c, self.quad) \
-            - math.log(self.c)
+        return local_density(self.mu, x, self.c, self.quad)
 
     def log_self_conv(self, x: ScaledSum):
         # density of X1 + X2 + U1 + U2 at x: triangle (width 2c) smoothing of
@@ -300,8 +296,7 @@ class SmoothedDensityHandle:
         self.component = KernelAC(kernel=kernel, base=base)
 
     def log_value(self, x) -> float:
-        pt = x if isinstance(x, ScaledSum) else ScaledSum.from_float(float(x), self.params.b)
-        return self.component.log_density(pt, self.quad)
+        return self.component.log_density(as_point(x, self.params.b), self.quad)
 
     def value(self, x) -> float:
         v = self.log_value(x)
@@ -333,22 +328,9 @@ class Report:
 
     def rows(self) -> list:
         out = []
-        pp = self.params
-        pcols = {"b": pp.b, "x0": pp.x0, "delta": pp.delta, "alpha": pp.alpha,
-                 "beta": pp.beta, "x1": pp.x1, "x2": pp.x2}
         for s in self.series:
-            for e in s.entries:
-                lo, hi = e.ratio_bounds()
-                out.append({
-                    "probe": s.name, "n": e.n, "m": e.m, "c": e.c,
-                    "log_num": e.log_num, "log_den": e.log_den,
-                    "log_ratio": e.log_ratio, "ratio": e.ratio,
-                    "bracket_lo": lo if e.num_bracket else None,
-                    "bracket_hi": hi if e.num_bracket else None,
-                    "flag": "flagged" if e.flagged else
-                            ("bracketed" if e.num_bracket else ""),
-                    **pcols,
-                })
+            out += series_rows(s, self.params)
+        pcols = asdict(self.params)
         for tname, rows in self.tables.items():
             for r in rows:
                 base = {k: None for k in _COLUMNS}
@@ -359,25 +341,33 @@ class Report:
         return out
 
 
+def series_rows(series: RatioSeries, params: ModelParams) -> list:
+    """One output row per entry of a ratio series, with the model constants."""
+    pcols = asdict(params)
+    rows = []
+    for e in series.entries:
+        lo, hi = e.ratio_bounds()
+        rows.append({
+            "probe": series.name, "n": e.n, "m": e.m, "c": e.c,
+            "log_num": e.log_num, "log_den": e.log_den,
+            "log_ratio": e.log_ratio, "ratio": e.ratio,
+            "bracket_lo": lo if e.num_bracket else None,
+            "bracket_hi": hi if e.num_bracket else None,
+            "flag": "flagged" if e.flagged else ("bracketed" if e.num_bracket else ""),
+            **pcols,
+        })
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
-def _conv_ratio_series(name, mu, pts, ns, c, quad, plan, threads=1) -> RatioSeries:
-    def one(item):
-        n, x = item
-        num = conv_local_mass(mu, mu, x, c, quad, plan)
-        den = mu.log_window_mass(x, c, quad)
-        bracket = None
-        log_num = num
-        if isinstance(num, LogBracket):
-            bracket = (num.lo, num.hi)
-            log_num = num.mid
-        return ProbeEntry(x_label=x.describe(), log_num=log_num, log_den=den,
-                          n=n, c=c, num_bracket=bracket, x_log=x.log_abs())
-
-    entries = ordered_map(one, list(zip(ns, pts)), threads)
-    return RatioSeries(name=name, entries=tuple(entries), meta={"c": c, "target": 2.0})
+def _conv_ratio_series(name, mu, pts, ns, c, quad, plan) -> RatioSeries:
+    entries = tuple(_entry(x, conv_local_mass(mu, mu, x, c, quad, plan),
+                           mu.log_window_mass(x, c, quad), n=n, c=c)
+                    for n, x in zip(ns, pts))
+    return RatioSeries(name=name, entries=entries, meta={"c": c, "target": 2.0})
 
 
 def _std_notes(spec: GallerySpec) -> tuple:
@@ -414,10 +404,10 @@ def thm11_report(spec: GallerySpec) -> Report:
     pts_y3 = make_sequence(SequenceSpec("fixed-y", 3.0, tuple(ns)), p)
     for c in (0.5, 1.0, 2.0):
         series.append(_conv_ratio_series(f"conv2[y=3,c={c:g}]", mu, pts_y3, ns, c,
-                                         quad, plan, spec.threads))
+                                         quad, plan))
     pts_l0 = make_sequence(SequenceSpec("lambda", 0.0, tuple(ns)), p)
     series.append(_conv_ratio_series("conv2[lam=0,c=1]", mu, pts_l0, ns, 1.0,
-                                     quad, plan, spec.threads))
+                                     quad, plan))
 
     handle = PhiDensityHandle(spec, mu)
     sd_ns = tuple(range(2, max(ns) + 1))
@@ -451,8 +441,7 @@ def thm12_report(spec: GallerySpec) -> Report:
     lead_coeff = (p.x0 / (p.x0 + mid)) ** (p.alpha + 1.0) \
         * prof.value(ScaledSum.from_float(p.x0 + mid, p.b)) * p.log_b
 
-    def r_k(item):
-        k, anchor = item
+    def r_k(k, anchor):
         num = conv_local_mass(mu, mu1, anchor, 1.0, quad, plan)
         den = mu.log_window_mass(anchor, 1.0, quad)
         num_shift = conv_local_mass(mu, mu1, anchor.add_offset(1.0), 1.0, quad, plan)
@@ -466,7 +455,7 @@ def thm12_report(spec: GallerySpec) -> Report:
                 "log_num": num, "log_den": den,
                 "log_ratio": num - den}
 
-    rk_rows = ordered_map(r_k, list(enumerate(fam.d_anchor, start=1)), spec.threads)
+    rk_rows = [r_k(k, anchor) for k, anchor in enumerate(fam.d_anchor, start=1)]
 
     # smoothed pair: window-integrated self-convolution ratios on D_k
     lo_k, hi_k = kernel.knots[0], kernel.knots[-1]
@@ -513,8 +502,7 @@ def thm12_report(spec: GallerySpec) -> Report:
 
     atom_comp: AtomSeries = mu1.components[0][1]
 
-    def pair_rows(item):
-        k, anchor = item
+    def pair_rows(k, anchor):
         den = f_quadrature(lambda u: mu.log_window_mass(anchor.add_offset(-u), 1.0, quad))
 
         def g_mu_mu1(v):
@@ -549,8 +537,7 @@ def thm12_report(spec: GallerySpec) -> Report:
                 "p1_sd_lo": math.exp(sd1_lo), "p1_sd_hi": math.exp(sd1_hi),
                 "_flag": "bracketed" if c_hi > c_lo + 1e-15 else ""}
 
-    pair_table = ordered_map(pair_rows, list(enumerate(fam.d_anchor, start=1)),
-                             spec.threads)
+    pair_table = [pair_rows(k, anchor) for k, anchor in enumerate(fam.d_anchor, start=1)]
 
     return Report(
         name="thm12", params=p, series=(),
@@ -621,8 +608,7 @@ def prop11_report(spec: GallerySpec) -> Report:
     ns = [int(n) for n in spec.n_range]
     pts = make_sequence(SequenceSpec("fixed-y", 3.0, tuple(ns)), p)
 
-    series = [_conv_ratio_series("window_conv2[c=1]", mu, pts, ns, 1.0, quad, plan,
-                                 spec.threads)]
+    series = [_conv_ratio_series("window_conv2[c=1]", mu, pts, ns, 1.0, quad, plan)]
 
     bridge = BridgeDensityHandle(spec, 1.0, mu)
     bridge_ns = tuple(n for n in ns if n % 2 == 0) or tuple(ns[-1:])
@@ -635,10 +621,8 @@ def prop11_report(spec: GallerySpec) -> Report:
     ker = KernelAC(kernel=kernel2, base=mu)
     entries = []
     for n, x in zip(ns, pts):
-        num = ker.log_density(x, quad)
-        den = mu.log_window_mass(x.add_offset(-1.0), 1.0, quad)
-        entries.append(ProbeEntry(x_label=x.describe(), log_num=num, log_den=den,
-                                  n=n, x_log=x.log_abs()))
+        entries.append(_entry(x, ker.log_density(x, quad),
+                              mu.log_window_mass(x.add_offset(-1.0), 1.0, quad), n=n))
     series.append(RatioSeries(name="smoothing", entries=tuple(entries)))
 
     sandwich = sandwich_probe(mu, 0.25, 1.0, 1.0,

@@ -24,6 +24,7 @@ from .scaledcore import (
     PeriodicProfile,
     PointPhase,
     ScaledSum,
+    as_point,
     phi_window_log_eval,
 )
 
@@ -43,11 +44,11 @@ class WindowSpec:
 
 
 def _as_width(w) -> float:
-    return w.c if isinstance(w, WindowSpec) else float(w)
-
-
-def _as_point(x, b: float) -> ScaledSum:
-    return x if isinstance(x, ScaledSum) else ScaledSum.from_float(float(x), b)
+    """The width of a :class:`WindowSpec` or a number, checked positive."""
+    c = w.c if isinstance(w, WindowSpec) else float(w)
+    if not (c > 0.0):
+        raise ParameterError("window width must be positive")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -59,20 +60,15 @@ def phi_integral_log(profile: PeriodicProfile, lo: float, hi: float,
     """log of the integral of the raw dip density over a finite [lo, hi]."""
     p = profile.params
     ev = phi_window_log_eval(profile, ScaledSum.zero(p.b))
-    return integrate_log(ev, lo, hi, quad,
-                         hints=dip_hints(p, lo, hi, quad.phase_hints))
+    return integrate_log(ev, lo, hi, quad, hints=dip_hints(p, lo, hi))
 
 
-def dip_hints(params: ModelParams, lo: float, hi: float, phases=None) -> list:
-    """Concrete abscissae where the profile changes branch within [lo, hi].
-
-    ``phases`` overrides the mantissa-space hint points; by default they are
-    the dip boundary and center phases of the model.
-    """
+def dip_hints(params: ModelParams, lo: float, hi: float) -> list:
+    """Concrete abscissae where the profile changes branch within [lo, hi]:
+    the dip boundaries and centres, and the support edge at 1."""
     if not (hi > lo) or hi <= 0:
         return []
-    if not phases:
-        phases = (params.x0 - params.delta, params.x0, params.x0 + params.delta)
+    phases = (params.x0 - params.delta, params.x0, params.x0 + params.delta)
     pts = []
     for m in _scales(params, lo, hi):
         scale = params.b ** m
@@ -166,6 +162,7 @@ class Component:
         return []
 
     def density_hints(self, base: ScaledSum, lo: float, hi: float) -> list:
+        """Offsets t in (lo, hi) where the density at base + t changes formula."""
         return []
 
 
@@ -251,7 +248,7 @@ class PhiAC(Component):
         return hints, centres, rings
 
     def density_hints(self, base: ScaledSum, lo: float, hi: float) -> list:
-        return self.window_hints(base, hi)  # same branch-change structure
+        return [lo + t for t in self.window_hints(base.add_offset(lo), hi - lo)]
 
     def log_density(self, x, quad, gamma=0.0):
         return self.log_density_eval(x, quad, gamma)(0.0)
@@ -373,13 +370,13 @@ class UniformAC(Component):
         return (self.left, self.left + self.width)
 
     def window_hints(self, x, c):
-        xv = x.value()
-        if not math.isfinite(xv):
-            return []
-        return [e - xv for e in self.support_bounds() if 0.0 < e - xv < c]
+        return self.density_hints(x, 0.0, c)
 
     def density_hints(self, base, lo, hi):
-        return self.window_hints(base, hi)
+        xv = base.value()
+        if not math.isfinite(xv):
+            return []
+        return [e - xv for e in self.support_bounds() if lo < e - xv < hi]
 
     def _segment(self, xv, c):
         o1 = max(xv, self.left)
@@ -688,6 +685,21 @@ class PiecewiseLinearDensity:
         return total
 
 
+def _atom_terms(x: ScaledSum, lw: float, comp, frac_of) -> list:
+    """``lw + log aw + log frac_of(v)`` for each atom (location, aw) of ``comp``,
+    with ``v`` the float value of ``x - location``; zero fractions drop out."""
+    terms = []
+    for loc, aw in comp.atoms():
+        if aw <= 0.0:
+            continue
+        v = x.sub(loc if isinstance(loc, ScaledSum)
+                  else ScaledSum.from_float(loc, x.b)).value()
+        frac = frac_of(v)
+        if frac > 0.0:
+            terms.append(lw + math.log(aw) + math.log(frac))
+    return terms
+
+
 @dataclass(frozen=True)
 class KernelAC(Component):
     """The measure q(x) dx with q(x) = int q1(x-u) base(du).
@@ -716,17 +728,8 @@ class KernelAC(Component):
                 continue
             lw = math.log(w)
             if comp.is_atomic:
-                for loc, aw in comp.atoms():
-                    if aw <= 0.0:
-                        continue
-                    sh = x.sub(loc if isinstance(loc, ScaledSum)
-                               else ScaledSum.from_float(loc, x.b))
-                    shv = sh.value()
-                    if not math.isfinite(shv):
-                        continue
-                    frac = self.kernel.cdf(shv + c) - self.kernel.cdf(shv)
-                    if frac > 0.0:
-                        terms.append(lw + math.log(aw) + math.log(frac))
+                terms += _atom_terms(x, lw, comp, lambda v: (
+                    self.kernel.cdf(v + c) - self.kernel.cdf(v) if math.isfinite(v) else 0.0))
             else:
                 # int f(u) [Q1(x+c-u) - Q1(x-u)] du, u = x + s, s in [-N-?, c]
                 dens = comp.log_density_eval(x, quad)
@@ -766,16 +769,8 @@ class KernelAC(Component):
                     continue
                 lw = math.log(w)
                 if comp.is_atomic:
-                    for loc, aw in comp.atoms():
-                        if aw <= 0.0:
-                            continue
-                        sh = pt.sub(loc if isinstance(loc, ScaledSum)
-                                    else ScaledSum.from_float(loc, pt.b))
-                        shv = sh.value()
-                        if math.isfinite(shv):
-                            val = kernel.value(shv)
-                            if val > 0.0:
-                                terms.append(lw + math.log(aw) + math.log(val))
+                    terms += _atom_terms(pt, lw, comp, lambda v: (
+                        kernel.value(v) if math.isfinite(v) else 0.0))
                 else:
                     dens = comp.log_density_eval(pt, quad)
 
@@ -806,16 +801,8 @@ class KernelAC(Component):
                 continue
             lw = math.log(w)
             if comp.is_atomic:
-                for loc, aw in comp.atoms():
-                    if aw <= 0.0:
-                        continue
-                    sh = x.sub(loc if isinstance(loc, ScaledSum)
-                               else ScaledSum.from_float(loc, x.b))
-                    shv = sh.value()
-                    frac = 1.0 - self.kernel.cdf(shv) if math.isfinite(shv) else \
-                        (1.0 if shv == -math.inf else 0.0)
-                    if frac > 0.0:
-                        terms.append(lw + math.log(aw) + math.log(frac))
+                terms += _atom_terms(x, lw, comp, lambda v: (
+                    1.0 - self.kernel.cdf(v) if math.isfinite(v) else float(v == -math.inf)))
             else:
                 terms.append(lw + comp.log_tail(x.add_offset(-n_lo), quad))
                 dens = comp.log_density_eval(x, quad)
@@ -970,23 +957,19 @@ class MixtureDistribution:
 
 def local_mass(dist: MixtureDistribution, x, w, quad: QuadratureSpec) -> float:
     """log of dist((x, x+c])."""
-    c = _as_width(w)
-    if not (c > 0.0):
-        raise ParameterError("window width must be positive")
-    return dist.log_window_mass(_as_point(x, dist.base), c, quad)
+    return dist.log_window_mass(as_point(x, dist.base), _as_width(w), quad)
 
 
 def local_density(dist: MixtureDistribution, x, c: float, quad: QuadratureSpec) -> float:
     """log of c^-1 dist((x-c, x]), the window density anchored at x."""
-    if not (c > 0.0):
-        raise ParameterError("window width must be positive")
-    pt = _as_point(x, dist.base).add_offset(-c)
+    c = _as_width(c)
+    pt = as_point(x, dist.base).add_offset(-c)
     return dist.log_window_mass(pt, c, quad) - math.log(c)
 
 
 def tail(dist: MixtureDistribution, x, quad: QuadratureSpec) -> float:
     """log of dist((x, inf))."""
-    return dist.log_tail(_as_point(x, dist.base), quad)
+    return dist.log_tail(as_point(x, dist.base), quad)
 
 
 def exp_moment(dist: MixtureDistribution, gamma: float, quad: QuadratureSpec) -> float:

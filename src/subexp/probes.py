@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParameterError, ProbePreconditionError
 from .logsum import LOG_ZERO, log_sum
 from .quadrature import QuadratureSpec, integrate_log
-from .scaledcore import ModelParams, ScaledSum, SequenceSpec, make_sequence
+from .scaledcore import ModelParams, ScaledSum, SequenceSpec, as_point, make_sequence
 from .measures import MixtureDistribution
 from .convolve import LogBracket
 
@@ -28,13 +28,14 @@ __all__ = [
     "sandwich_probe", "tilt_identity_probe", "classify_limit",
 ]
 
-_CLIP = 1e300
+# Linear forms of log values are clipped at 1e+-300; the log form is authoritative.
+CLIP = 1e300
 
 
 def _clip_exp(v: float) -> float:
     if v == LOG_ZERO:
         return 0.0
-    return math.exp(min(max(v, -math.log(_CLIP)), math.log(_CLIP)))
+    return math.exp(min(max(v, -math.log(CLIP)), math.log(CLIP)))
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,6 @@ class RatioSeries:
     entries: tuple
     meta: dict = field(default_factory=dict)
 
-    def ratios(self) -> list:
-        return [e.ratio for e in self.entries]
-
-    def last(self) -> ProbeEntry:
-        return self.entries[-1]
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -106,8 +101,7 @@ def _entry(x: ScaledSum, log_num, log_den, **kw) -> ProbeEntry:
 def _points(seq, params: ModelParams) -> list:
     if isinstance(seq, SequenceSpec):
         return make_sequence(seq, params)
-    return [x if isinstance(x, ScaledSum) else ScaledSum.from_float(float(x), params.b)
-            for x in seq]
+    return [as_point(x, params.b) for x in seq]
 
 
 def _seq_ns(seq, pts) -> list:
@@ -193,6 +187,7 @@ def truncated_tail_density(handle, A: float, x: ScaledSum, quad: QuadratureSpec,
     """
     if A < 1.0:
         raise ParameterError("truncation point A must be >= 1")
+    x = as_point(x, handle.params.b)
     xv = x.value()
     if not math.isfinite(xv):
         raise ParameterError("truncated functionals need float-representable points")
@@ -225,6 +220,7 @@ def truncated_tail_local(dist: MixtureDistribution, A: float, x: ScaledSum,
     normalized by rho((x, x+c])."""
     if A < 1.0:
         raise ParameterError("truncation point A must be >= 1")
+    x = as_point(x, dist.base)
     xv = x.value()
     if not math.isfinite(xv):
         raise ParameterError("truncated functionals need float-representable points")

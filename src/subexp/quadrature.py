@@ -25,10 +25,9 @@ over the segments proportionally to their first-pass mass (with a floor so
 empty-looking segments still get attention); each bisection passes half its
 budget to each child, and a tanh-sinh segment stops once the change between
 two step levels fits its budget.  Accepted sums are combined with compensated
-summation in a fixed order, so results do not depend on thread count or
-platform scheduling.  ``max_depth`` bounds the nodes of a segment for both
-rules: bisection depth ``d`` and tanh-sinh level ``d - 2`` each reach about
-``2^(d+1)`` nodes.
+summation in a fixed order, so a given integral always returns the same bits.
+``max_depth`` bounds the nodes of a segment for both rules: bisection depth
+``d`` and tanh-sinh level ``d - 2`` each reach about ``2^(d+1)`` nodes.
 """
 
 from __future__ import annotations
@@ -55,17 +54,11 @@ _DE_DEPTH_OFFSET = 2
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and subdivision policy for all adaptive integrals.
-
-    ``phase_hints`` are mantissa-space points (within one period cell) at
-    which the integrand may lose smoothness; integration routines translate
-    them into concrete abscissae per integral.
-    """
+    """Tolerance and subdivision policy for all adaptive integrals."""
 
     rel_tol: float = 1e-9
     abs_floor: float = 1e-300
     max_depth: int = 48
-    phase_hints: tuple = ()
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-3):

@@ -410,7 +410,7 @@ class PeriodicProfile:
                 raise ParameterError("profile phase undefined for non-positive x")
             x = ScaledSum.from_float(xf, self.params.b)
         elif not x.is_canonical():
-            raise ContractViolationError("profile_value requires a normalized ScaledSum")
+            raise ContractViolationError("the profile requires a normalized ScaledSum")
         p = self.params
         info = x.phase()
         lnb = p.log_b
@@ -431,16 +431,21 @@ class PeriodicProfile:
         return self._eval_phase(info.scale, info.mantissa + rel)
 
 
-def profile_value(profile: PeriodicProfile, x) -> float:
-    """Value of the periodic profile at the phase of ``x`` (always >= 0)."""
-    return profile.value(x)
+def as_point(x, b: float) -> ScaledSum:
+    """The canonical point for ``x``: a float via :meth:`ScaledSum.from_float`
+    in base ``b``, a ``ScaledSum`` (which keeps its own base) in normalized form.
+
+    Public entry points call this once; past it, points stay canonical
+    because ``ScaledSum`` arithmetic returns canonical sums.
+    """
+    if isinstance(x, ScaledSum):
+        return x.normalize()
+    return ScaledSum.from_float(float(x), b)
 
 
 def phi_log_value(profile: PeriodicProfile, x) -> float:
     """log phi(x) = -(alpha+1) log x + log h(log x); -inf for x < 1 or h = 0."""
-    ev = phi_window_log_eval(profile, x if isinstance(x, ScaledSum)
-                             else ScaledSum.from_float(float(x), profile.params.b))
-    return ev(0.0)
+    return phi_window_log_eval(profile, as_point(x, profile.params.b))(0.0)
 
 
 class PointPhase:
@@ -448,16 +453,16 @@ class PointPhase:
 
     A window mass reads it for the structure points of the window, for the
     closed-form plateau pieces and to build the ``phi`` evaluator.  ``base``
-    is the canonical point, ``value`` its float value (+-inf beyond float
-    range) and ``info`` its :class:`PhaseInfo`, or None when the point is not
+    must be canonical and is taken as given: public entry points canonicalize
+    their input with :func:`as_point`, and ``ScaledSum`` arithmetic returns
+    canonical sums.  ``value`` is its float value (+-inf beyond float range)
+    and ``info`` its :class:`PhaseInfo`, or None when the point is not
     positive-headed.
     """
 
     __slots__ = ("base", "value", "info", "head_log")
 
     def __init__(self, base: ScaledSum):
-        if not base.is_canonical():
-            base = base.normalize()
         self.base = base
         self.value = base.value()
         self.info = info = base.phase() if base.terms and base.terms[0][0] > 0 else None

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -181,15 +182,24 @@ class TestCommands:
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run_cli("gallery", "tilt", "--out", str(a)) == 0
-        assert run_cli("gallery", "tilt", "--out", str(b)) == 0
-        assert (a / "tilt.csv").read_bytes() == (b / "tilt.csv").read_bytes()
+        for report in ("tilt", "prop11"):
+            assert run_cli("gallery", report, "--out", str(a)) == 0
+            assert run_cli("gallery", report, "--out", str(b)) == 0
+            assert (a / f"{report}.csv").read_bytes() == (b / f"{report}.csv").read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "t1", tmp_path / "t4"
-        assert run_cli("gallery", "prop11", "--out", str(a), "--threads", "1") == 0
-        assert run_cli("gallery", "prop11", "--out", str(b), "--threads", "4") == 0
-        assert (a / "prop11.csv").read_bytes() == (b / "prop11.csv").read_bytes()
+        # the lab itself is single-threaded; the size of numpy's BLAS/OpenMP
+        # pools, set from the environment, must not reach the output either
+        out = {}
+        for n in ("1", "4"):
+            env = dict(os.environ, OMP_NUM_THREADS=n, OPENBLAS_NUM_THREADS=n,
+                       MKL_NUM_THREADS=n)
+            proc = subprocess.run([sys.executable, "-m", "subexp.cli", "gallery", "prop11",
+                                   "--out", str(tmp_path / f"t{n}")],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            out[n] = (tmp_path / f"t{n}" / "prop11.csv").read_bytes()
+        assert out["1"] == out["4"]
 
 
 def test_console_entry_point():

@@ -139,10 +139,3 @@ class TestReports:
     def test_report_determinism(self, spec_default, thm12):
         again = thm12_report(spec_default)
         assert again.rows() == thm12.rows()
-
-    def test_threads_do_not_change_rows(self, spec_default):
-        spec2 = GallerySpec(params=spec_default.params, quad=spec_default.quad,
-                            threads=3)
-        a = thm12_report(spec_default).rows()
-        b = thm12_report(spec2).rows()
-        assert a == b

@@ -23,7 +23,9 @@ from subexp import (
     tilt,
 )
 from subexp.measures import phi_integral_log
-from subexp.convolve import oracle_window_mass, phi_values
+from subexp.convolve import conv_local_mass, oracle_window_mass, phi_values
+from subexp.probes import long_tail_probe
+from subexp.scaledcore import phi_log_value
 
 LN4 = math.log(4.0)
 
@@ -255,3 +257,31 @@ class TestKernel:
         got = math.exp(local_mass(ker, 1.0, 0.5, quad))
         want = tri.cdf(1.0) - tri.cdf(0.5)
         assert math.isclose(got, want, rel_tol=1e-12)
+
+
+class TestDensityHints:
+    def test_negative_offsets_see_the_structure(self, mu):
+        # the dip centre 4^6*2 lies at offset -0.5 from x
+        x = ScaledSum.scaled(6, 2.0, offset=0.5)
+        assert -0.5 in mu.components[0][1].density_hints(x, -1.0, 0.0)
+        uni = UniformAC(0.0, 1.0)
+        assert uni.density_hints(ScaledSum.from_float(0.5, 4.0), -1.0, 0.0) == [-0.5]
+
+
+class TestCanonicalBoundary:
+    def test_hand_built_point_matches_its_normal_form(self, mu, profile, quad):
+        raw = ScaledSum(b=4.0, terms=((1, 6, 2.0), (1, 6, 1.0)), offset=0.5)
+        canon = raw.normalize()
+        assert canon.terms != raw.terms
+        uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
+        calls = {
+            "local_mass": lambda x: local_mass(mu, x, 1.0, quad),
+            "local_density": lambda x: local_density(mu, x, 1.0, quad),
+            "tail": lambda x: tail(mu, x, quad),
+            "conv_local_mass": lambda x: conv_local_mass(mu, uni, x, 1.0, quad),
+            "phi_log_value": lambda x: phi_log_value(profile, x),
+            "long_tail_probe": lambda x: [(e.log_num, e.log_den) for e in
+                                          long_tail_probe(mu, 1.0, [x], quad).entries],
+        }
+        for name, call in calls.items():
+            assert call(raw) == call(canon), name

@@ -13,7 +13,6 @@ from subexp import (
     SequenceSpec,
     make_sequence,
     phi_log_value,
-    profile_value,
 )
 from subexp.scaledcore import point_gamma, point_lambda
 
@@ -92,36 +91,36 @@ class TestScaledSum:
 
 class TestProfile:
     def test_dip_value(self, profile):
-        assert math.isclose(profile_value(profile, 2.1), -1.0 / math.log(0.1),
+        assert math.isclose(profile.value(2.1), -1.0 / math.log(0.1),
                             rel_tol=1e-14)
 
     def test_center_zero(self, profile):
-        assert profile_value(profile, 2.0) == 0.0
+        assert profile.value(2.0) == 0.0
 
     def test_periodicity(self, profile):
-        assert math.isclose(profile_value(profile, 8.4), profile_value(profile, 2.1),
+        assert math.isclose(profile.value(8.4), profile.value(2.1),
                             rel_tol=1e-14)
 
     def test_periodicity_scaled_points(self, profile):
         # exact at representable points across ten scales
         base = ScaledSum.from_float(2.1, 4.0)
-        ref = profile_value(profile, base)
+        ref = profile.value(base)
         for k in range(1, 11):
-            v = profile_value(profile, base.scale_pow_b(k))
+            v = profile.value(base.scale_pow_b(k))
             assert abs(v / ref - 1.0) < 1e-12
 
     def test_huge_scale_dip_distance(self, profile):
         x = ScaledSum.scaled(64, 2.0, offset=1.0)
-        assert math.isclose(profile_value(profile, x), 1.0 / (64 * LN4),
+        assert math.isclose(profile.value(x), 1.0 / (64 * LN4),
                             rel_tol=1e-14)
 
     def test_plateau_value(self, profile):
         assert math.isclose(profile.plateau, 1.0 / LN4, rel_tol=1e-15)
-        assert profile_value(profile, 3.0) == profile.plateau
+        assert profile.value(3.0) == profile.plateau
 
     def test_positive_away_from_center(self, profile):
         for x in (1.0, 1.5, 1.76, 1.9999, 2.0001, 2.24, 3.0, 4.0):
-            assert profile_value(profile, x) > 0.0
+            assert profile.value(x) > 0.0
 
     def test_continuity_grid(self, profile):
         # phase grid of spacing 1e-6 over one period; excursions allowed only
@@ -154,7 +153,7 @@ class TestProfile:
     def test_non_normalized_rejected(self, profile):
         raw = ScaledSum(b=4.0, terms=((1, 3, 2.0), (1, 3, 1.0)), offset=0.0)
         with pytest.raises(ContractViolationError):
-            profile_value(profile, raw)
+            profile.value(raw)
 
     def test_plateau_override_must_match(self, params):
         with pytest.raises(ContractViolationError):
