@@ -60,7 +60,8 @@ def phi_integral_log(profile: PeriodicProfile, lo: float, hi: float,
     """log of the integral of the raw dip density over a finite [lo, hi]."""
     p = profile.params
     ev = phi_window_log_eval(profile, ScaledSum.zero(p.b))
-    return integrate_log(ev, lo, hi, quad, hints=dip_hints(p, lo, hi))
+    return integrate_log(ev, lo, hi, quad, hints=dip_hints(p, lo, hi),
+                         singular=dip_centres(p, lo, hi))
 
 
 def dip_hints(params: ModelParams, lo: float, hi: float) -> list:
@@ -161,9 +162,18 @@ class Component:
     def window_hints(self, x: ScaledSum, c: float) -> list:
         return []
 
+    def density_cuts(self, base: ScaledSum, lo: float, hi: float) -> tuple:
+        """Structure of the density at base + t for t in [lo, hi], as
+        (hints, centres): the offsets in (lo, hi) where it changes formula,
+        and the offsets in [lo, hi] where its derivative is unbounded, the
+        ``singular`` points of its integrals."""
+        return [], []
+
     def density_hints(self, base: ScaledSum, lo: float, hi: float) -> list:
-        """Offsets t in (lo, hi) where the density at base + t changes formula."""
-        return []
+        return self.density_cuts(base, lo, hi)[0]
+
+    def density_centres(self, base: ScaledSum, lo: float, hi: float) -> list:
+        return self.density_cuts(base, lo, hi)[1]
 
 
 def _finite_value(x: ScaledSum, what: str) -> float:
@@ -247,8 +257,9 @@ class PhiAC(Component):
         centres = [min(max(t, 0.0), c) for t in centres if -tol <= t <= c + tol]
         return hints, centres, rings
 
-    def density_hints(self, base: ScaledSum, lo: float, hi: float) -> list:
-        return [lo + t for t in self.window_hints(base.add_offset(lo), hi - lo)]
+    def density_cuts(self, base: ScaledSum, lo: float, hi: float) -> tuple:
+        hints, centres, _rings = self._window_cuts(PointPhase(base.add_offset(lo)), hi - lo)
+        return [lo + t for t in hints], [lo + t for t in centres]
 
     def log_density(self, x, quad, gamma=0.0):
         return self.log_density_eval(x, quad, gamma)(0.0)
@@ -372,11 +383,11 @@ class UniformAC(Component):
     def window_hints(self, x, c):
         return self.density_hints(x, 0.0, c)
 
-    def density_hints(self, base, lo, hi):
+    def density_cuts(self, base, lo, hi):
         xv = base.value()
         if not math.isfinite(xv):
-            return []
-        return [e - xv for e in self.support_bounds() if lo < e - xv < hi]
+            return [], []
+        return [e - xv for e in self.support_bounds() if lo < e - xv < hi], []
 
     def _segment(self, xv, c):
         o1 = max(xv, self.left)
@@ -741,10 +752,11 @@ class KernelAC(Component):
                     return dens(s) + math.log(frac)
 
                 lo, hi = -n_hi, c - n_lo
-                hints = [c - k for k in self.kernel.knots] + [-k for k in self.kernel.knots]
-                hints += comp.density_hints(x, lo, hi)
+                hints, centres = comp.density_cuts(x, lo, hi)
+                hints += [c - k for k in self.kernel.knots] + [-k for k in self.kernel.knots]
                 terms.append(lw + integrate_log(f, lo, hi, quad,
-                                                hints=[t for t in hints if lo < t < hi]))
+                                                hints=[t for t in hints if lo < t < hi],
+                                                singular=centres))
         return log_sum(terms)
 
     def window_hints(self, x, c):
@@ -780,10 +792,11 @@ class KernelAC(Component):
                             return LOG_ZERO
                         return dens(s) + math.log(val)
 
-                    hints = [-k for k in kernel.knots] + comp.density_hints(pt, -n_hi, -n_lo)
+                    hints, centres = comp.density_cuts(pt, -n_hi, -n_lo)
+                    hints += [-k for k in kernel.knots]
                     terms.append(lw + integrate_log(
                         f, -n_hi, -n_lo, quad,
-                        hints=[s for s in hints if -n_hi < s < -n_lo]))
+                        hints=[s for s in hints if -n_hi < s < -n_lo], singular=centres))
             out = log_sum(terms)
             if gamma != 0.0 and out != LOG_ZERO:
                 out += gamma * pt.value()
@@ -814,9 +827,11 @@ class KernelAC(Component):
                     return dens(s) + math.log(frac)
 
                 lo, hi = -n_hi, -n_lo
+                hints, centres = comp.density_cuts(x, lo, hi)
+                hints += [-k for k in self.kernel.knots]
                 terms.append(lw + integrate_log(f, lo, hi, quad,
-                                                hints=[-k for k in self.kernel.knots
-                                                       if lo < -k < hi]))
+                                                hints=[t for t in hints if lo < t < hi],
+                                                singular=centres))
         return log_sum(terms)
 
     def log_exp_moment(self, gamma, quad):
@@ -874,8 +889,8 @@ class Tilted(Component):
     def window_hints(self, x, c):
         return self.base.window_hints(x, c)
 
-    def density_hints(self, base, lo, hi):
-        return self.base.density_hints(base, lo, hi)
+    def density_cuts(self, base, lo, hi):
+        return self.base.density_cuts(base, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -943,12 +958,14 @@ class MixtureDistribution:
                 out.extend(comp.window_hints(x, c))
         return out
 
-    def density_hints(self, base, lo, hi):
-        out = []
+    def density_cuts(self, base, lo, hi):
+        hints, centres = [], []
         for w, comp in self.components:
             if w > 0.0:
-                out.extend(comp.density_hints(base, lo, hi))
-        return out
+                h, c = comp.density_cuts(base, lo, hi)
+                hints += h
+                centres += c
+        return hints, centres
 
 
 # ---------------------------------------------------------------------------

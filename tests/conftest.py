@@ -60,6 +60,25 @@ def mu(profile, m_norm):
     return MixtureDistribution.single(PhiAC(profile=profile, m_log=math.log(m_norm)))
 
 
+@pytest.fixture
+def eval_count(monkeypatch):
+    """A one-item list that counts every integrand evaluation of the
+    integrals run by ``measures`` and ``convolve``, nested ones included."""
+    from subexp import convolve, measures, quadrature
+
+    count = [0]
+
+    def counting(f, *args, **kwargs):
+        def g(t):
+            count[0] += 1
+            return f(t)
+        return quadrature.integrate_log(g, *args, **kwargs)
+
+    monkeypatch.setattr(convolve, "integrate_log", counting)
+    monkeypatch.setattr(measures, "integrate_log", counting)
+    return count
+
+
 @pytest.fixture(scope="session")
 def spec_default():
     return GallerySpec()

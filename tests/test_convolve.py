@@ -180,6 +180,47 @@ class TestConvWindows:
         assert lo < 2.0 < hi or abs(lo / 2.0 - 1.0) < 0.02
 
 
+def _riemann_self_conv_window(profile, m_norm, x, c, step):
+    """Midpoint-Riemann (A*A)((x, x+c]) over the whole strip, unfolded: the
+    outer density on a grid against window masses read off a cumulative grid."""
+    n = int(round((x + c) / step))
+    edges = np.linspace(0.0, x + c, n + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    dens = phi_values(profile, mids) / m_norm
+    cdf = np.concatenate([[0.0], np.cumsum(dens) * step])
+    inner = np.interp(x + c - mids, edges, cdf) - np.interp(x - mids, edges, cdf)
+    return float(np.sum(dens * inner) * step)
+
+
+class TestSelfPairFold:
+    """Identical absolutely continuous pairs integrate the outer variable up
+    to (x+c)/2 only: a near term up to x/2 and a diagonal triangle beyond."""
+
+    @pytest.mark.parametrize("y", [2.0, 3.0])
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_vs_riemann(self, mu, profile, m_norm, quad, y, c):
+        # the oracle's error is below 1e-6 at this step (4e-7 at half the step)
+        got = math.exp(conv_local_mass(mu, mu, ScaledSum.scaled(4, y), c, quad))
+        oracle = _riemann_self_conv_window(profile, m_norm, 256.0 * y, c, 2e-4)
+        assert abs(got / oracle - 1.0) < 5e-6
+
+    def test_diagonal_term_alone(self, mu, m_norm, quad):
+        # x/2 lies below the support edge at 1, so only the diagonal term is
+        # left; both sides sit on the plateau K u^-2 / M of [1, 1.5] (alpha = 1)
+        mp = pytest.importorskip("mpmath")
+        got = conv_local_mass(mu, mu, 1.5, 1.0, quad)
+        k_over_m = (-1.0 / math.log(0.25)) / m_norm
+        with mp.workdps(30):
+            # unfolded: int_1^1.5 a(u) A((1, 2.5-u]) du with A((1, v]) = K/M (1 - 1/v)
+            ref = mp.quad(lambda u: k_over_m ** 2 * u ** -2 * (1 - 1 / (2.5 - u)), [1, 1.5])
+        assert abs(got - float(mp.log(ref))) < 1e-9
+
+    def test_evaluation_count(self, mu, quad_fast, eval_count):
+        # unfolded, this window took 50,531 integrand evaluations
+        conv_local_mass(mu, mu, ScaledSum.scaled(6, 3.0), 1.0, quad_fast)
+        assert eval_count[0] <= 10_000
+
+
 class TestNFold:
     def test_n1_equals_local(self, uni, quad):
         assert nfold_local_mass(uni, 1, 0.25, 0.5, quad) == \

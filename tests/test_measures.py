@@ -267,6 +267,40 @@ class TestDensityHints:
         uni = UniformAC(0.0, 1.0)
         assert uni.density_hints(ScaledSum.from_float(0.5, 4.0), -1.0, 0.0) == [-0.5]
 
+    def test_density_centres(self, mu, quad):
+        x = ScaledSum.scaled(6, 2.0, offset=0.5)
+        phi = mu.components[0][1]
+        assert phi.density_centres(x, -1.0, 0.0) == [-0.5]
+        assert phi.density_cuts(x, -1.0, 0.0) == (phi.density_hints(x, -1.0, 0.0), [-0.5])
+        assert mu.density_cuts(x, -1.0, 0.0)[1] == [-0.5]
+        assert tilt(mu, -0.5, quad).components[0][1].density_centres(x, -1.0, 0.0) == [-0.5]
+        assert UniformAC(0.0, 1.0).density_centres(x, -1.0, 0.0) == []
+        assert phi.density_centres(ScaledSum.scaled(6, 3.0, offset=0.5), -1.0, 0.0) == []
+
+
+class TestKernelCentres:
+    """``KernelAC`` integrals over the kernel offsets flag the base's dip
+    centres, so a dip anchor costs a small multiple of a plateau point."""
+
+    @pytest.mark.parametrize("query, bound", [
+        ("log_window_mass", 4.0),
+        ("log_tail", 4.0),
+        # two tanh-sinh segments of 57 nodes each against two Simpson
+        # segments of 9: the rule's own cost at a centre, 6.3x
+        ("log_density", 8.0),
+    ])
+    def test_anchor_cost(self, mu, quad_fast, eval_count, query, bound):
+        base = MixtureDistribution(components=((0.5, PointMass(0.0)),
+                                               (0.5, mu.components[0][1])))
+        ker = KernelAC(kernel=PiecewiseLinearDensity.triangle(0.0, 1.0), base=base)
+        args = {"log_window_mass": (1.0, quad_fast)}.get(query, (quad_fast,))
+        cost = {}
+        for y in (2.0, 3.0):  # the dip centre 4^6*2 lies at offset -0.5
+            eval_count[0] = 0
+            getattr(ker, query)(ScaledSum.scaled(6, y, offset=0.5), *args)
+            cost[y] = eval_count[0]
+        assert cost[2.0] <= bound * cost[3.0], cost
+
 
 class TestCanonicalBoundary:
     def test_hand_built_point_matches_its_normal_form(self, mu, profile, quad):

@@ -7,6 +7,7 @@ exact antiderivative; both must agree with ``mpmath.quad`` to ``rel_tol``.
 import pytest
 
 from subexp import ScaledSum, integrate_log
+from subexp.measures import phi_integral_log
 from subexp.scaledcore import phi_window_log_eval
 
 mp = pytest.importorskip("mpmath")
@@ -70,3 +71,12 @@ def test_anchor_window(mu, params, quad, n):
 
         ref = mp.log(mp.quad(f, [0, 1])) - a1 * log_x - mp.mpf(phi.m_log)
     assert abs(got - float(ref)) <= quad.rel_tol
+
+
+def test_normalizer_cell(params, profile, quad_fast):
+    # the period cell [1, b] holds the dip centre x0, flagged like any other
+    got = phi_integral_log(profile, 1.0, params.b, quad_fast)
+    x0, delta = params.x0, params.delta
+    with mp.workdps(DPS):
+        ref = mp.log(mp.quad(_mp_phi(params), [1, x0 - delta, x0, x0 + delta, params.b]))
+    assert abs(got - float(ref)) <= 1e-9
