@@ -6,7 +6,12 @@ Window masses of a convolution expand bilinearly over component pairs.
 Atoms shift the window; absolutely continuous pairs reduce to an outer
 integral of one side's density against the other side's shifted window
 masses, with the shifted evaluation point kept in scale-split form so dip
-phases survive the subtraction exactly.  A component paired with itself
+phases survive the subtraction exactly.  Every such integral takes its cuts
+from the components' one structure query, ``density_cuts``: the outer
+density's own hints and dip centres, and the inner measure's hints reflected
+through each window end ``x + s - u`` (see :func:`_crossings`).  The
+dip-density self-convolution takes the same cuts of the raw profile from
+:func:`~subexp.measures.dip_pair_cuts`.  A component paired with itself
 folds the outer range at x/2 by the exchange symmetry u <-> v (see
 :func:`_self_pair_window_mass`): every inner window then starts at x/2 or
 beyond, which cut one ``mu*mu`` window at 4^6*3 from 50,531 integrand
@@ -39,8 +44,8 @@ from .measures import (
     PiecewiseLinearDensity,
     UniformAC,
     _as_width,
-    dip_centres,
-    dip_hints,
+    dip_cuts,
+    dip_pair_cuts,
 )
 
 
@@ -135,9 +140,9 @@ def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
         L = xlog ** p.beta
         if 2.0 * L >= math.exp(min(xlog, 700.0)):
             raise ParameterError("split point exceeds x/2; point too small for split mode")
-        hints = dip_hints(p, 1.0, L)
+        hints, centres = dip_cuts(p, 1.0, L)
         numeric = math.log(2.0) + integrate_log(integrand, 1.0, L, quad, hints=hints,
-                                                singular=dip_centres(p, 1.0, L))
+                                                singular=centres)
         k_log = math.log(profile.plateau)
         bound = (math.log(2.0) + 2.0 * k_log
                  + (1.0 + p.alpha) * (math.log(2.0) - xlog)
@@ -148,15 +153,10 @@ def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
     half = 0.5 * xv
     if half <= 1.0:
         return LOG_ZERO
-    hints = dip_hints(p, 1.0, half)
-    hints += [xv - u for u in dip_hints(p, half, xv) ]
-    L = xlog ** p.beta
-    if 1.0 < L < half:
-        hints.append(L)
-    singular = dip_centres(p, 1.0, half) + [xv - u for u in dip_centres(p, half, xv)]
-    return math.log(2.0) + integrate_log(
-        integrand, 1.0, half, quad, hints=[t for t in hints if 1.0 < t < half],
-        singular=singular)
+    hints, centres = dip_pair_cuts(p, 1.0, half, xv)
+    hints.append(xlog ** p.beta)
+    return math.log(2.0) + integrate_log(integrand, 1.0, half, quad, hints=hints,
+                                         singular=centres)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +222,27 @@ def _pair_window_mass(c1, c2, x: ScaledSum, c: float, quad, plan):
     if ohi <= olo:
         return LOG_ZERO
 
+    return _outer_integral(outer, inner, x, xv, c, olo, ohi, quad)
+
+
+def _outer_integral(outer, inner, x: ScaledSum, xv: float, c: float, olo: float,
+                    ohi: float, quad) -> float:
+    """log of int_olo^ohi a(u) B((x-u, x+c-u]) du, a the outer density and B
+    the inner measure, cut where the density or either window end meets
+    structure (see :func:`_crossings`)."""
     f = _shifted_window_integrand(outer, inner, x, c, quad)
     hints, centres = outer.density_cuts(ScaledSum.zero(x.b), olo, ohi)
-    if math.isfinite(xv):
-        hints.extend(_inner_cross_hints(inner, xv, c, olo, ohi))
-        hints.append(xv + c - ilo)
-        hints.append(xv - ilo)
-    return integrate_log(f, olo, ohi, quad, hints=[t for t in hints if olo < t < ohi],
-                         singular=centres)
+    hints += _crossings(inner, x, xv, olo, ohi, (0.0, c))
+    return integrate_log(f, olo, ohi, quad, hints=hints, singular=centres)
+
+
+def _crossings(inner, x: ScaledSum, xv: float, olo: float, ohi: float, shifts) -> list:
+    """Outer abscissae u in (olo, ohi) where a window end x + s - u, s in
+    ``shifts``, meets the inner measure's structure: u = s - t for each cut t
+    of ``inner.density_cuts(x, s - ohi, s - olo)``.  None beyond float range."""
+    if not math.isfinite(xv):
+        return []
+    return [s - t for s in shifts for t in inner.density_cuts(x, s - ohi, s - olo)[0]]
 
 
 def _shifted_window_integrand(outer, inner, x: ScaledSum, c: float, quad):
@@ -266,7 +279,6 @@ def _self_pair_window_mass(comp, x: ScaledSum, xv: float, c: float, quad):
     lo, hi = comp.support_bounds()
     zero = ScaledSum.zero(x.b)
     dens = comp.log_density_eval(zero, quad)
-    near = _shifted_window_integrand(comp, comp, x, c, quad)
     terms = []
 
     def diagonal(u):
@@ -284,66 +296,16 @@ def _self_pair_window_mass(comp, x: ScaledSum, xv: float, c: float, quad):
     half = 0.5 * xv
     n_hi = min(half, hi)
     if n_hi > lo:
-        hints, centres = comp.density_cuts(zero, lo, n_hi)
-        hints += _inner_cross_hints(comp, xv, c, lo, n_hi)
-        terms.append(integrate_log(near, lo, n_hi, quad,
-                                   hints=[t for t in hints if lo < t < n_hi],
-                                   singular=centres))
+        terms.append(_outer_integral(comp, comp, x, xv, c, lo, n_hi, quad))
     d_lo, d_hi = max(half, lo), min(0.5 * (xv + c), hi)
     if d_hi > d_lo:
-        # the moving end x+c-u of the inner window crosses its structure
+        # the inner window starts at u, on the density's own structure, and
+        # its moving end x+c-u crosses the structure reflected
         hints, centres = comp.density_cuts(zero, d_lo, d_hi)
-        hints += [xv + c - s for s in _structure_points(comp, xv, c, d_lo, d_hi)]
-        terms.append(integrate_log(diagonal, d_lo, d_hi, quad,
-                                   hints=[t for t in hints if d_lo < t < d_hi],
+        hints += _crossings(comp, x, xv, d_lo, d_hi, (c,))
+        terms.append(integrate_log(diagonal, d_lo, d_hi, quad, hints=hints,
                                    singular=centres))
     return math.log(2.0) + log_sum(terms)
-
-
-def _structure_points(comp, xv, c, olo, ohi):
-    """Absolute x-points where a component's mass changes character."""
-    from .measures import Tilted
-
-    pts = []
-    if isinstance(comp, Tilted):
-        for w, sub in comp.base.components:
-            if w > 0.0:
-                pts.extend(_structure_points(sub, xv, c, olo, ohi))
-        return pts
-    if comp.is_atomic:
-        for loc, aw in comp.atoms():
-            if aw <= 0.0:
-                continue
-            lv = loc.value() if isinstance(loc, ScaledSum) else loc
-            if math.isfinite(lv):
-                pts.append(lv)
-        return pts
-    if isinstance(comp, PhiAC):
-        lo_inner = max(xv - ohi, 0.25)
-        pts.extend(dip_hints(comp.params, lo_inner, xv + c - olo + 1.0))
-        pts.append(1.0)
-        return pts
-    lo, hi = comp.support_bounds()
-    if math.isfinite(lo):
-        pts.append(lo)
-    if math.isfinite(hi):
-        pts.append(hi)
-    if isinstance(comp, KernelAC):
-        blo, _ = comp.base.support_bounds()
-        if math.isfinite(blo):
-            pts.extend(blo + k for k in comp.kernel.knots)
-    return pts
-
-
-def _inner_cross_hints(inner, xv, c, olo, ohi):
-    """Outer abscissae where (x - u) lands on the inner component's structure."""
-    pts = []
-    for s in _structure_points(inner, xv, c, olo, ohi):
-        for shift in (0.0, c):
-            u = xv + shift - s
-            if olo < u < ohi:
-                pts.append(u)
-    return pts
 
 
 def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, c: float, quad, plan):
@@ -362,10 +324,8 @@ def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, c: float, quad, plan):
         raise ParameterError("split point too large relative to the threshold")
 
     f = _shifted_window_integrand(c1, c2, x, c, quad)
-    hints = dip_hints(p, 1.0, L)
-    numeric = math.log(2.0) + integrate_log(f, 1.0, L, quad,
-                                            hints=[t for t in hints if 1.0 < t < L],
-                                            singular=dip_centres(p, 1.0, L))
+    hints, centres = dip_cuts(p, 1.0, L)
+    numeric = math.log(2.0) + integrate_log(f, 1.0, L, quad, hints=hints, singular=centres)
     k_log = math.log(c1.profile.plateau)
     log_x_minus_c = xlog + math.log1p(-c * math.exp(-min(xlog, 700.0)))
     bound = (math.log(2.0) + math.log(c) + 2.0 * k_log - c1.m_log - c2.m_log
@@ -422,8 +382,8 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
                     return LOG_ZERO
                 return a + m2
 
-            terms.append(lw + integrate_log(
-                f, lo, hi, quad, hints=comp.density_hints(ScaledSum.zero(x.b), lo, hi)))
+            hints, centres = comp.density_cuts(ScaledSum.zero(x.b), lo, hi)
+            terms.append(lw + integrate_log(f, lo, hi, quad, hints=hints, singular=centres))
     return log_sum(terms) if terms else LOG_ZERO
 
 

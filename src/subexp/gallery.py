@@ -47,7 +47,7 @@ from .measures import (
     PiecewiseLinearDensity,
     PointMass,
     UniformAC,
-    dip_hints,
+    dip_pair_cuts,
     local_density,
     normalizer_M,
     tilt,
@@ -210,10 +210,9 @@ class PhiDensityHandle:
         m_log = self.phi.m_log
         return lambda t: (lambda v: v if v == LOG_ZERO else v - m_log)(ev(t))
 
-    def integrand_hints(self, lo: float, hi: float, xv: float) -> list:
-        pts = dip_hints(self.params, lo, hi)
-        pts += [xv - u for u in dip_hints(self.params, xv - hi, xv - lo)]
-        return [t for t in pts if lo < t < hi]
+    def integrand_cuts(self, lo: float, hi: float, xv: float) -> tuple:
+        """(hints, centres) of ``u -> phi(u) phi(xv - u)`` over [lo, hi]."""
+        return dip_pair_cuts(self.params, lo, hi, xv)
 
     def log_self_conv(self, x):
         raw = phi_self_conv_at(self.profile, x, self.quad, self.plan)

@@ -60,41 +60,49 @@ def phi_integral_log(profile: PeriodicProfile, lo: float, hi: float,
     """log of the integral of the raw dip density over a finite [lo, hi]."""
     p = profile.params
     ev = phi_window_log_eval(profile, ScaledSum.zero(p.b))
-    return integrate_log(ev, lo, hi, quad, hints=dip_hints(p, lo, hi),
-                         singular=dip_centres(p, lo, hi))
+    hints, centres = dip_cuts(p, lo, hi)
+    return integrate_log(ev, lo, hi, quad, hints=hints, singular=centres)
 
 
-def dip_hints(params: ModelParams, lo: float, hi: float) -> list:
-    """Concrete abscissae where the profile changes branch within [lo, hi]:
-    the dip boundaries and centres, and the support edge at 1."""
+def dip_cuts(params: ModelParams, lo: float, hi: float) -> tuple:
+    """Structure of the raw profile over [lo, hi] in absolute float units, as
+    (hints, centres): the dip boundaries and centres and the support edge 1
+    inside (lo, hi), and the dip centres ``b^m x0`` in [lo, hi].
+
+    Integrals over absolute ranges beyond a single window use this; a window
+    resolves only its head cell beyond 2^50 (see ``PhiAC._window_cuts``).
+    """
     if not (hi > lo) or hi <= 0:
-        return []
-    phases = (params.x0 - params.delta, params.x0, params.x0 + params.delta)
-    pts = []
+        return [], []
+    hints, centres = [], []
     for m in _scales(params, lo, hi):
         scale = params.b ** m
-        for y in phases:
+        for y in (params.x0 - params.delta, params.x0, params.x0 + params.delta):
             u = scale * y
             if lo < u < hi:
-                pts.append(u)
+                hints.append(u)
+        u = scale * params.x0
+        if lo <= u <= hi:
+            centres.append(u)
     if lo < 1.0 < hi:
-        pts.append(1.0)
-    return pts
+        hints.append(1.0)
+    return hints, centres
 
 
-def dip_centres(params: ModelParams, lo: float, hi: float) -> list:
-    """Dip centres ``b^m x0`` within [lo, hi], the integrands' singular points."""
-    if hi <= 0:
-        return []
-    return [u for u in (params.b ** m * params.x0 for m in _scales(params, lo, hi))
-            if lo <= u <= hi]
+def dip_pair_cuts(params: ModelParams, lo: float, hi: float, xv: float) -> tuple:
+    """:func:`dip_cuts` of ``u -> phi(u) phi(xv - u)`` over [lo, hi]: the
+    structure of both factors, the second reflected through ``xv / 2``."""
+    hints, centres = dip_cuts(params, lo, hi)
+    r_hints, r_centres = dip_cuts(params, xv - hi, xv - lo)
+    return hints + [xv - t for t in r_hints], centres + [xv - t for t in r_centres]
 
 
 def _scales(params: ModelParams, lo: float, hi: float) -> range:
-    """Scales m whose period cell [b^m, b^(m+1)) can meet [lo, hi] (hi > 0)."""
-    m_lo = int(math.floor(math.log(max(lo, 0.5)) / params.log_b)) - 1
+    """Scales m >= 0 whose period cell [b^m, b^(m+1)) can meet [lo, hi]
+    (hi > 0); the profile has no structure below its support edge 1."""
+    m_lo = int(math.floor(math.log(max(lo, 1.0)) / params.log_b)) - 1
     m_hi = int(math.floor(math.log(hi) / params.log_b)) + 1
-    return range(m_lo, m_hi + 1)
+    return range(max(m_lo, 0), m_hi + 1)
 
 
 def normalizer_M(params: ModelParams, quad: QuadratureSpec,
@@ -159,21 +167,27 @@ class Component:
         """(lo, hi) as floats; hi may be inf, lo may be -inf."""
         raise NotImplementedError
 
-    def window_hints(self, x: ScaledSum, c: float) -> list:
-        return []
-
     def density_cuts(self, base: ScaledSum, lo: float, hi: float) -> tuple:
-        """Structure of the density at base + t for t in [lo, hi], as
-        (hints, centres): the offsets in (lo, hi) where it changes formula,
-        and the offsets in [lo, hi] where its derivative is unbounded, the
-        ``singular`` points of its integrals."""
+        """Structure of the measure at base + t for t in [lo, hi], as
+        (hints, centres): the offsets in (lo, hi) where its density changes
+        formula, and the offsets in [lo, hi] where the derivative of its
+        density is unbounded, the ``singular`` points of its integrals.
+
+        This is the one structure query on a measure: every integral over a
+        density or over shifted windows takes its cuts from it, reflected
+        where the integration variable enters as ``x - u``.  Atomic
+        components report their atom offsets, where a window mass jumps.
+        """
         return [], []
 
-    def density_hints(self, base: ScaledSum, lo: float, hi: float) -> list:
-        return self.density_cuts(base, lo, hi)[0]
 
-    def density_centres(self, base: ScaledSum, lo: float, hi: float) -> list:
-        return self.density_cuts(base, lo, hi)[1]
+def _offsets(base: ScaledSum, points, lo: float, hi: float) -> list:
+    """The offsets ``p - base`` in (lo, hi) of absolute float points; none
+    when ``base`` is beyond float range."""
+    xv = base.value()
+    if not math.isfinite(xv):
+        return []
+    return [t for t in (p - xv for p in points) if lo < t < hi]
 
 
 def _finite_value(x: ScaledSum, what: str) -> float:
@@ -197,16 +211,16 @@ class PhiAC(Component):
     def support_bounds(self):
         return (1.0, math.inf)
 
-    def window_hints(self, x: ScaledSum, c: float) -> list:
-        return self._window_cuts(PointPhase(x), c)[0]
-
     def _window_cuts(self, ph: PointPhase, c: float):
         """Structure of the window (x, x+c] in offsets from x.
 
         Returns (hints, centres, rings): the branch changes of the profile
-        strictly inside the window, the dip centres in the closed window, and
-        the dip rings near the window as (lo, hi) offset ranges, so that a
-        segment between hints lies in a ring exactly when its midpoint does.
+        strictly inside the window, the dip centres in the closed window as a
+        dict from offset to the scale m of the centre ``b^m x0`` (None for the
+        head term of x, where x's own evaluator measures the dip distance
+        exactly), and the dip rings near the window as (lo, hi) offset ranges,
+        so that a segment between hints lies in a ring exactly when its
+        midpoint does.
         ``rings`` is None where the structure is not resolved.  Offsets are
         taken from the head term and the exact remainder of x, so a centre
         lands where the evaluator puts it even when the float value of x rounds.
@@ -215,14 +229,17 @@ class PhiAC(Component):
         xv = ph.value
         info = ph.info
         if info is not None and info.rem is None:
-            return [], [], None
-        edges, centres, rings = [], [], []
+            return [], {}, None
+        # a centre within rounding of a window end is that end
+        tol = _END_SNAP * (1.0 + c)
+        edges, centres, rings = [], {}, []
         if math.isfinite(xv) and abs(xv) < _FLOAT_SAFE:
             if info is None:
                 origin, shift = xv, 0.0
             else:
                 origin, shift = p.b ** info.scale * info.mantissa, info.rem
             edges.append((1.0 - origin) - shift)  # the support edge
+            head = None if info is None or info.mantissa != p.x0 else info.scale
             if xv + c >= 1.0:
                 # padded by one: xv rounds the remainder
                 for m in _scales(p, xv - 1.0, xv + c + 1.0):
@@ -231,10 +248,11 @@ class PhiAC(Component):
                     ring = ((scale * (p.x0 - p.delta) - origin) - shift,
                             (scale * (p.x0 + p.delta) - origin) - shift)
                     edges += [ring[0], centre, ring[1]]
-                    centres.append(centre)
+                    if -tol <= centre <= c + tol:
+                        centres[min(max(centre, 0.0), c)] = None if m == head else m
                     rings.append(ring)
         elif info is None:
-            return [], [], None
+            return [], {}, None
         else:
             scale = p.b ** info.scale if info.scale < 500 else math.inf
             if info.mantissa == p.x0:
@@ -244,17 +262,15 @@ class PhiAC(Component):
             else:
                 # the window sits at the head mantissa to float precision
                 in_ring = abs(info.mantissa - p.x0) < p.delta
-                return [], [], [(-math.inf, math.inf)] if in_ring else []
+                return [], {}, [(-math.inf, math.inf)] if in_ring else []
             ring = (t0 - p.delta * scale, t0 + p.delta * scale)
             edges += [ring[0], t0, ring[1]]
-            centres.append(t0)
+            if -tol <= t0 <= c + tol:
+                centres[min(max(t0, 0.0), c)] = None if info.mantissa == p.x0 else info.scale
             # only the head cell's ring is resolved here; the next cell's
             # ring starts (x0 - delta - 1) b^(scale+1) away
             rings = [ring] if c < (p.x0 - p.delta - 1.0) * scale * p.b else None
         hints = [t for t in edges if 0.0 < t < c]
-        # a centre within rounding of a window end is that end
-        tol = _END_SNAP * (1.0 + c)
-        centres = [min(max(t, 0.0), c) for t in centres if -tol <= t <= c + tol]
         return hints, centres, rings
 
     def density_cuts(self, base: ScaledSum, lo: float, hi: float) -> tuple:
@@ -278,8 +294,13 @@ class PhiAC(Component):
         """Window mass by segments between the window's structure points.
 
         Plateau segments take the exact antiderivative; the rest run through
-        :func:`integrate_log`, with the tanh-sinh rule at dip centres.  The
-        ``phi`` evaluator is built only when some segment needs it.
+        :func:`integrate_log`, with the tanh-sinh rule at dip centres.  A run
+        of numeric segments that holds a dip centre other than the head term
+        of x is integrated in offsets from that centre, with the evaluator
+        built there: the dip distance is then exact down to the centre, where
+        offsets from a head that absorbed the rest of x would lose it to
+        rounding (a window narrower than ``ulp(x) / rel_tol`` never
+        converged).  The evaluator at x is built only when some run needs it.
         """
         ph = PointPhase(x)
         hints, centres, rings = self._window_cuts(ph, c)
@@ -302,12 +323,21 @@ class PhiAC(Component):
             else:
                 runs.append([a, b])
                 joined = True
-        if runs:
-            f = self._density(phi_window_log_eval(self.profile, x, ph), ph.base, gamma)
-            for lo, hi in runs:
+        f = None
+        for lo, hi in runs:
+            singular = [t for t in centres if lo <= t <= hi]
+            t0 = next((t for t in singular if centres[t] is not None), None) if singular else None
+            if t0 is None:
+                if f is None:
+                    f = self._density(phi_window_log_eval(self.profile, x, ph), ph.base, gamma)
+                terms.append(integrate_log(f, lo, hi, quad, hints=[t for t in cuts if lo < t < hi],
+                                           singular=singular))
+            else:
+                base = ScaledSum(b=x.b, terms=((1, centres[t0], self.params.x0),))
+                g = self._density(phi_window_log_eval(self.profile, base), base, gamma)
                 terms.append(integrate_log(
-                    f, lo, hi, quad, hints=[t for t in cuts if lo < t < hi],
-                    singular=[t for t in centres if lo <= t <= hi]))
+                    g, lo - t0, hi - t0, quad, hints=[t - t0 for t in cuts if lo < t < hi],
+                    singular=[t - t0 for t in singular]))
         return terms[0] if len(terms) == 1 else log_sum(terms)
 
     def _log_plateau_mass(self, ph: PointPhase, a: float, b: float) -> float:
@@ -340,17 +370,17 @@ class PhiAC(Component):
             m_hi = int(math.ceil(math.log(xv) / p.log_b)) + 1
             x_cut = p.b ** m_hi
             f = self.log_density_eval(ScaledSum.zero(p.b), quad)
-            part = integrate_log(f, xv, x_cut, quad, hints=dip_hints(p, xv, x_cut),
-                                 singular=dip_centres(p, xv, x_cut))
+            hints, centres = dip_cuts(p, xv, x_cut)
+            part = integrate_log(f, xv, x_cut, quad, hints=hints, singular=centres)
             rem = -p.alpha * m_hi * p.log_b  # self-similar remainder: b^{-alpha m} * M / M
             return log_add(part, rem)
         # gamma < 0: extend until the envelope remainder is negligible
         f = self.log_density_eval(ScaledSum.zero(p.b), quad, gamma=0.0)
         t_hi = xv + max(8.0 / -gamma, 4.0)
         while True:
+            hints, centres = dip_cuts(p, xv, t_hi)
             part = integrate_log(lambda u: f(u) + gamma * u, xv, t_hi, quad,
-                                 hints=dip_hints(p, xv, t_hi),
-                                 singular=dip_centres(p, xv, t_hi))
+                                 hints=hints, singular=centres)
             bound = (math.log(self.profile.plateau) - (p.alpha + 1.0) * math.log(t_hi)
                      + gamma * t_hi - math.log(-gamma) - self.m_log)
             if bound <= math.log(quad.rel_tol) + part or t_hi > 1e12:
@@ -380,14 +410,8 @@ class UniformAC(Component):
     def support_bounds(self):
         return (self.left, self.left + self.width)
 
-    def window_hints(self, x, c):
-        return self.density_hints(x, 0.0, c)
-
     def density_cuts(self, base, lo, hi):
-        xv = base.value()
-        if not math.isfinite(xv):
-            return [], []
-        return [e - xv for e in self.support_bounds() if lo < e - xv < hi], []
+        return _offsets(base, self.support_bounds(), lo, hi), []
 
     def _segment(self, xv, c):
         o1 = max(xv, self.left)
@@ -458,11 +482,8 @@ class ParetoAC(Component):
     def support_bounds(self):
         return (0.0, math.inf)
 
-    def window_hints(self, x, c):
-        xv = x.value()
-        if math.isfinite(xv) and 0.0 < -xv < c:
-            return [-xv]
-        return []
+    def density_cuts(self, base, lo, hi):
+        return _offsets(base, (0.0,), lo, hi), []
 
     def log_window_mass(self, x, c, quad, gamma=0.0):
         xv = x.value()
@@ -543,6 +564,9 @@ class PointMass(Component):
     def atoms(self):
         return ((self.location, 1.0),)
 
+    def density_cuts(self, base, lo, hi):
+        return _offsets(base, (self.location,), lo, hi), []
+
     def log_window_mass(self, x, c, quad, gamma=0.0):
         below = x.add_offset(-self.location)  # x - loc < 0  <=>  loc > x
         above = x.add_offset(c - self.location)  # x + c - loc >= 0  <=>  loc <= x+c
@@ -580,6 +604,9 @@ class AtomSeries(Component):
 
     def atoms(self):
         return tuple(zip(self.locations, self.weights))
+
+    def density_cuts(self, base, lo, hi):
+        return _offsets(base, [loc.value() for loc, w in self.atoms() if w > 0.0], lo, hi), []
 
     def _gamma_term(self, loc: ScaledSum, w: float, gamma: float) -> float:
         if gamma == 0.0:
@@ -731,7 +758,8 @@ class KernelAC(Component):
     def log_window_mass(self, x, c, quad, gamma=0.0):
         if gamma != 0.0:
             f = self.log_density_eval(x, quad, gamma)
-            return integrate_log(f, 0.0, c, quad, hints=self.window_hints(x, c))
+            hints, centres = self.density_cuts(x, 0.0, c)
+            return integrate_log(f, 0.0, c, quad, hints=hints, singular=centres)
         terms = []
         n_lo, n_hi = self.kernel.knots[0], self.kernel.knots[-1]
         for w, comp in self.base.components:
@@ -759,12 +787,10 @@ class KernelAC(Component):
                                                 singular=centres))
         return log_sum(terms)
 
-    def window_hints(self, x, c):
-        xv = x.value()
-        if not math.isfinite(xv):
-            return []
-        blo, _bhi = self.base.support_bounds()
-        return [blo + k - xv for k in self.kernel.knots if 0.0 < blo + k - xv < c]
+    def density_cuts(self, base, lo, hi):
+        # the kernel's knots placed at either end of the base's support
+        ends = self.base.support_bounds()
+        return _offsets(base, [e + k for e in ends for k in self.kernel.knots], lo, hi), []
 
     def log_density(self, x, quad, gamma=0.0):
         return self.log_density_eval(x, quad, gamma)(0.0)
@@ -886,9 +912,6 @@ class Tilted(Component):
     def log_exp_moment(self, gamma, quad):
         return self.base.log_exp_moment(self.gamma + gamma, quad) - self.log_norm
 
-    def window_hints(self, x, c):
-        return self.base.window_hints(x, c)
-
     def density_cuts(self, base, lo, hi):
         return self.base.density_cuts(base, lo, hi)
 
@@ -950,13 +973,6 @@ class MixtureDistribution:
 
     def log_exp_moment(self, gamma, quad):
         return self._combine(lambda comp: comp.log_exp_moment(gamma, quad))
-
-    def window_hints(self, x, c):
-        out = []
-        for w, comp in self.components:
-            if w > 0.0:
-                out.extend(comp.window_hints(x, c))
-        return out
 
     def density_cuts(self, base, lo, hi):
         hints, centres = [], []

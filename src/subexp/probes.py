@@ -19,7 +19,7 @@ from .logsum import LOG_ZERO, log_sum
 from .quadrature import QuadratureSpec, integrate_log
 from .scaledcore import ModelParams, ScaledSum, SequenceSpec, as_point, make_sequence
 from .measures import MixtureDistribution
-from .convolve import LogBracket
+from .convolve import LogBracket, _outer_integral
 
 __all__ = [
     "ProbeEntry", "RatioSeries", "Verdict", "SequenceSpec",
@@ -209,8 +209,8 @@ def truncated_tail_density(handle, A: float, x: ScaledSum, quad: QuadratureSpec,
             return LOG_ZERO
         return a + b
 
-    hints = handle.integrand_hints(A, xv - A, xv)
-    val = integrate_log(f, A, xv - A, quad, hints=hints)
+    hints, centres = handle.integrand_cuts(A, xv - A, xv)
+    val = integrate_log(f, A, xv - A, quad, hints=hints, singular=centres)
     return _clip_exp(val - den), flagged
 
 
@@ -245,20 +245,7 @@ def truncated_tail_local(dist: MixtureDistribution, A: float, x: ScaledSum,
                     if m != LOG_ZERO:
                         terms.append(lw + math.log(aw) + m)
         else:
-            dens = comp.log_density_eval(ScaledSum.zero(x.b), quad)
-
-            def f(u):
-                a = dens(u)
-                if a == LOG_ZERO:
-                    return LOG_ZERO
-                m = dist.log_window_mass(x.add_offset(-u), c, quad)
-                if m == LOG_ZERO:
-                    return LOG_ZERO
-                return a + m
-
-            hints = comp.density_hints(ScaledSum.zero(x.b), A, xv - A)
-            terms.append(lw + integrate_log(f, A, xv - A, quad,
-                                            hints=[t for t in hints if A < t < xv - A]))
+            terms.append(lw + _outer_integral(comp, dist, x, xv, c, A, xv - A, quad))
     total = log_sum(terms) if terms else LOG_ZERO
     return _clip_exp(total - den)
 

@@ -63,8 +63,9 @@ def mu(profile, m_norm):
 @pytest.fixture
 def eval_count(monkeypatch):
     """A one-item list that counts every integrand evaluation of the
-    integrals run by ``measures`` and ``convolve``, nested ones included."""
-    from subexp import convolve, measures, quadrature
+    integrals run by ``measures``, ``convolve`` and ``probes``, nested ones
+    included."""
+    from subexp import convolve, measures, probes, quadrature
 
     count = [0]
 
@@ -76,6 +77,7 @@ def eval_count(monkeypatch):
 
     monkeypatch.setattr(convolve, "integrate_log", counting)
     monkeypatch.setattr(measures, "integrate_log", counting)
+    monkeypatch.setattr(probes, "integrate_log", counting)
     return count
 
 

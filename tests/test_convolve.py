@@ -215,6 +215,16 @@ class TestSelfPairFold:
             ref = mp.quad(lambda u: k_over_m ** 2 * u ** -2 * (1 - 1 / (2.5 - u)), [1, 1.5])
         assert abs(got - float(mp.log(ref))) < 1e-9
 
+    @pytest.mark.parametrize("x, c, want", [
+        (63.0, 1.0, -7.4458000944),
+        (62.0, 2.0, -6.7364048487),
+        (63.5, 0.5, -8.1470135990),
+    ])
+    def test_diagonal_ends_at_a_dip_centre(self, mu, quad_fast, x, c, want):
+        # (x+c)/2 = 32 is the dip centre 4^2*2: the diagonal's inner windows
+        # shrink onto it, below ulp(x) / rel_tol wide; want is the unfolded value
+        assert abs(conv_local_mass(mu, mu, x, c, quad_fast) - want) < 1e-6
+
     def test_evaluation_count(self, mu, quad_fast, eval_count):
         # unfolded, this window took 50,531 integrand evaluations
         conv_local_mass(mu, mu, ScaledSum.scaled(6, 3.0), 1.0, quad_fast)

@@ -263,19 +263,45 @@ class TestDensityHints:
     def test_negative_offsets_see_the_structure(self, mu):
         # the dip centre 4^6*2 lies at offset -0.5 from x
         x = ScaledSum.scaled(6, 2.0, offset=0.5)
-        assert -0.5 in mu.components[0][1].density_hints(x, -1.0, 0.0)
+        assert -0.5 in mu.components[0][1].density_cuts(x, -1.0, 0.0)[0]
         uni = UniformAC(0.0, 1.0)
-        assert uni.density_hints(ScaledSum.from_float(0.5, 4.0), -1.0, 0.0) == [-0.5]
+        assert uni.density_cuts(ScaledSum.from_float(0.5, 4.0), -1.0, 0.0)[0] == [-0.5]
 
     def test_density_centres(self, mu, quad):
         x = ScaledSum.scaled(6, 2.0, offset=0.5)
         phi = mu.components[0][1]
-        assert phi.density_centres(x, -1.0, 0.0) == [-0.5]
-        assert phi.density_cuts(x, -1.0, 0.0) == (phi.density_hints(x, -1.0, 0.0), [-0.5])
+        hints, centres = phi.density_cuts(x, -1.0, 0.0)
+        assert centres == [-0.5]
+        assert -0.5 in hints
         assert mu.density_cuts(x, -1.0, 0.0)[1] == [-0.5]
-        assert tilt(mu, -0.5, quad).components[0][1].density_centres(x, -1.0, 0.0) == [-0.5]
-        assert UniformAC(0.0, 1.0).density_centres(x, -1.0, 0.0) == []
-        assert phi.density_centres(ScaledSum.scaled(6, 3.0, offset=0.5), -1.0, 0.0) == []
+        assert tilt(mu, -0.5, quad).components[0][1].density_cuts(x, -1.0, 0.0)[1] == [-0.5]
+        assert UniformAC(0.0, 1.0).density_cuts(x, -1.0, 0.0)[1] == []
+        assert phi.density_cuts(ScaledSum.scaled(6, 3.0, offset=0.5), -1.0, 0.0)[1] == []
+
+    def test_pareto_support_edge(self):
+        cuts = ParetoAC(1.0).density_cuts(ScaledSum.from_float(0.25, 4.0), -1.0, 1.0)
+        assert cuts == ([-0.25], [])
+
+    def test_atoms_report_their_offsets(self):
+        x = ScaledSum.from_float(0.5, 4.0)
+        assert PointMass(1.5).density_cuts(x, 0.0, 2.0) == ([1.0], [])
+        atoms = AtomSeries(locations=(ScaledSum.from_float(1.0, 4.0),
+                                      ScaledSum.from_float(3.0, 4.0)), weights=(0.5, 0.5))
+        assert atoms.density_cuts(x, 0.0, 2.0) == ([0.5], [])
+        assert atoms.density_cuts(x, 0.0, 3.0) == ([0.5, 2.5], [])
+
+    def test_phi_has_no_cut_below_its_support_edge(self, mu):
+        phi = mu.components[0][1]
+        hints, centres = phi.density_cuts(ScaledSum.zero(4.0), 0.0, 3.0)
+        assert hints and min(hints) == 1.0
+        assert centres == [2.0]
+
+    def test_tilted_mixture_reports_its_atom(self, mu, quad):
+        rho = MixtureDistribution(components=((0.5, PointMass(0.0)),
+                                              (0.5, mu.components[0][1])))
+        tilted = tilt(rho, -0.5, quad).components[0][1]
+        hints, _centres = tilted.density_cuts(ScaledSum.from_float(0.5, 4.0), -1.0, 0.0)
+        assert -0.5 in hints
 
 
 class TestKernelCentres:

@@ -6,7 +6,7 @@ exact antiderivative; both must agree with ``mpmath.quad`` to ``rel_tol``.
 
 import pytest
 
-from subexp import ScaledSum, integrate_log
+from subexp import QuadratureSpec, ScaledSum, integrate_log, local_mass
 from subexp.measures import phi_integral_log
 from subexp.scaledcore import phi_window_log_eval
 
@@ -71,6 +71,23 @@ def test_anchor_window(mu, params, quad, n):
 
         ref = mp.log(mp.quad(f, [0, 1])) - a1 * log_x - mp.mpf(phi.m_log)
     assert abs(got - float(ref)) <= quad.rel_tol
+
+
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
+def test_window_narrower_than_rounding_at_a_centre(mu, params, rel_tol):
+    # (x, x+c] holds the centre b^2 x0 = 32 and c is below ulp(x) / rel_tol:
+    # in offsets from x the dip distance near the centre rounds to ulp(x)
+    x, c = 31.999999999785675, 4.2864911620199564e-10
+    got = local_mass(mu, x, c, QuadratureSpec(rel_tol=rel_tol))
+    with mp.workdps(DPS):
+        scale = mp.mpf(params.b) ** 2
+
+        def f(u):
+            return u ** (-(params.alpha + 1)) * (-1 / mp.log(abs(u / scale - params.x0)))
+
+        lo = mp.mpf(x)
+        ref = mp.log(mp.quad(f, [lo, scale * params.x0, lo + mp.mpf(c)]))
+    assert abs(got - float(ref - mp.mpf(mu.components[0][1].m_log))) <= rel_tol
 
 
 def test_normalizer_cell(params, profile, quad_fast):

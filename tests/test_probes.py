@@ -108,8 +108,8 @@ class TestTruncatedTail:
                 xv = x.value()
                 return lambda t: self.log_value_plain(xv + t)
 
-            def integrand_hints(self, lo, hi, xv):
-                return []
+            def integrand_cuts(self, lo, hi, xv):
+                return [], []
 
         val, flagged = truncated_tail_density(UniHandle(), 2.0,
                                               ScaledSum.from_float(6.0, 4.0), quad_fast)
@@ -129,12 +129,17 @@ class TestTruncatedTail:
                 xv = x.value()
                 return lambda t: self.log_value_plain(xv + t)
 
-            def integrand_hints(self, lo, hi, xv):
-                return []
+            def integrand_cuts(self, lo, hi, xv):
+                return [], []
 
         val, flagged = truncated_tail_density(UniHandle(), 2.0,
                                               ScaledSum.from_float(9.5, 4.0), quad_fast)
         assert flagged
+
+    def test_density_version_flags_centres(self, phi_handle, quad_fast, eval_count):
+        # with hints but no centres, this integral took 3,789 evaluations
+        truncated_tail_density(phi_handle, 4.0, ScaledSum.scaled(6, 3.0), quad_fast)
+        assert 0 < eval_count[0] <= 2_600
 
     def test_matrix_rows_decrease_in_A(self, phi_handle, quad_fast):
         rows = {}
