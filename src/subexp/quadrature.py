@@ -11,20 +11,25 @@ the integrands are smooth, and each segment gets the rule that fits it:
   Takahasi & Mori (1974).  The dip profile ``-1/log|y - x0|`` has an
   unbounded derivative at a dip center; the double-exponential change of
   variables makes it a rapidly decaying analytic integrand, so halving the
-  step until two levels agree converges in a few dozen evaluations where
-  bisection would crawl toward the center.
+  step converges in a few dozen evaluations where bisection would crawl
+  toward the center.  The halving stops once two levels agree, or once the
+  changes between levels shrink fast enough that the next one would fit
+  the budget.
 - Every other segment runs adaptive Simpson with Richardson extrapolation.
   Its exhaustion floor accepts a panel whose whole possible contribution is
   negligible, so a jump or an unflagged singular derivative still ends.
 
-Plateau segments of a dip-density window never come here: ``PhiAC`` in
-:mod:`measures` integrates them in closed form.
+Most segments of untilted dip-density windows never come here: ``PhiAC``
+in :mod:`measures` integrates plateau segments, and dip segments near their
+center or far from it, in closed form.  Dip segments that reach far from
+their center at small scales, tilted windows and unresolved windows still
+run here.
 
 Refinement is budgeted: the total error target ``rel_tol * I`` is distributed
 over the segments proportionally to their first-pass mass (with a floor so
 empty-looking segments still get attention); each bisection passes half its
-budget to each child, and a tanh-sinh segment stops once the change between
-two step levels fits its budget.  Accepted sums are combined with compensated
+budget to each child, and a tanh-sinh segment stops once its error estimate
+fits its budget.  Accepted sums are combined with compensated
 summation in a fixed order, so a given integral always returns the same bits.
 ``max_depth`` bounds the nodes of a segment for both rules: bisection depth
 ``d`` and tanh-sinh level ``d - 2`` each reach about ``2^(d+1)`` nodes.
@@ -253,19 +258,25 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
 def _tanh_sinh(f, a: float, b: float, s0: float, budget: float, quad: QuadratureSpec):
     """Refine a tanh-sinh level-0 sum ``s0`` on [a, b] by halving the step.
 
-    Returns (integral, error estimate, converged).  The estimate is the
-    change from the previous level, which for a double-exponential rule
-    bounds the error of the previous, coarser level.
+    Returns (integral, error estimate, converged).  Level k is accepted when
+    its change ``d_k`` from the previous level fits the budget, which for a
+    double-exponential rule bounds the error of the coarser level, or, from
+    level 2 on, when the changes shrink and ``d_k^2 / d_(k-1)`` fits it: the
+    error of a double-exponential rule falls about quadratically per level,
+    so that ratio estimates the error of level k itself (Bailey, Jeyabalan &
+    Li, Exp. Math. 14, 2005).
     """
     raw = s0  # weighted node sum at unit step
-    prev, err = s0, s0
+    prev, err, d_prev = s0, s0, math.inf
     for level in range(1, min(quad.max_depth - _DE_DEPTH_OFFSET, _DE_MAX_LEVEL) + 1):
         raw += math.fsum(w * f(x) for x, w in _de_points(a, b, level))
         cur = raw * 2.0 ** -level
         err = abs(cur - prev)
         if err <= budget or err <= quad.abs_floor:
             return cur, err, True
-        prev = cur
+        if level >= 2 and err < d_prev and err * err / d_prev <= budget:
+            return cur, err * err / d_prev, True
+        prev, d_prev = cur, err
     return prev, err, False
 
 

@@ -317,7 +317,20 @@ class ScaledSum:
     # -- arithmetic ----------------------------------------------------------
 
     def add_offset(self, t: float) -> "ScaledSum":
-        return ScaledSum(b=self.b, terms=self.terms, offset=self.offset + t).normalize()
+        offset = self.offset + t
+        if len(self.terms) > 1 or (self.terms and not 1.0 <= self.terms[0][2] < self.b):
+            return ScaledSum(b=self.b, terms=self.terms, offset=offset).normalize()
+        if self.terms and offset != 0.0:
+            # what normalize does to a canonical one-term sum: it keeps an
+            # offset below the dominance threshold of the head, and folds a
+            # larger one into a head within 2^50 through from_float
+            s1, m1, y1 = self.terms[0]
+            head_mag = m1 * math.log(self.b) + math.log(y1)
+            if math.log(abs(offset)) - head_mag >= math.log(DOMINANCE):
+                if head_mag > 50.0 * math.log(2.0):
+                    return ScaledSum(b=self.b, terms=self.terms, offset=offset).normalize()
+                return ScaledSum.from_float(s1 * y1 * self.b ** m1 + offset, self.b)
+        return ScaledSum(b=self.b, terms=self.terms, offset=offset)
 
     def add(self, other: "ScaledSum") -> "ScaledSum":
         if other.b != self.b:

@@ -311,9 +311,9 @@ class TestKernelCentres:
     @pytest.mark.parametrize("query, bound", [
         ("log_window_mass", 4.0),
         ("log_tail", 4.0),
-        # two tanh-sinh segments of 57 nodes each against two Simpson
-        # segments of 9: the rule's own cost at a centre, 6.3x
-        ("log_density", 8.0),
+        # two tanh-sinh segments of 29 nodes each against two Simpson
+        # segments of 9: the rule's own cost at a centre, 3.2x
+        ("log_density", 4.0),
     ])
     def test_anchor_cost(self, mu, quad_fast, eval_count, query, bound):
         base = MixtureDistribution(components=((0.5, PointMass(0.0)),
@@ -326,6 +326,17 @@ class TestKernelCentres:
             getattr(ker, query)(ScaledSum.scaled(6, y, offset=0.5), *args)
             cost[y] = eval_count[0]
         assert cost[2.0] <= bound * cost[3.0], cost
+
+
+def test_untilted_dip_window_runs_no_quadrature(mu, quad, eval_count):
+    # the window (4^8 x0 - 0.5, 4^8 x0 + 0.5] holds a centre: closed form
+    # untilted, quadrature once tilted
+    phi = mu.components[0][1]
+    x = ScaledSum.scaled(8, 2.0, offset=-0.5)
+    phi.log_window_mass(x, 1.0, quad)
+    assert eval_count[0] == 0
+    phi.log_window_mass(x, 1.0, quad, gamma=-0.01)
+    assert eval_count[0] > 0
 
 
 class TestCanonicalBoundary:

@@ -1,14 +1,18 @@
 """The segment rules of window masses against mpmath at 50 digits.
 
-Dip-centre segments run the tanh-sinh rule and plateau windows take the
-exact antiderivative; both must agree with ``mpmath.quad`` to ``rel_tol``.
+Dip-centre segments run the tanh-sinh rule, plateau windows take the exact
+power-law antiderivative, and dip segments the exponential-integral one or a
+Gauss-Legendre rule; all must agree with ``mpmath.quad`` to ``rel_tol`` or
+better.
 """
+
+import math
 
 import pytest
 
 from subexp import QuadratureSpec, ScaledSum, integrate_log, local_mass
-from subexp.measures import phi_integral_log
-from subexp.scaledcore import phi_window_log_eval
+from subexp.measures import PiecewiseLinearDensity, exp_e1, phi_integral_log
+from subexp.scaledcore import PointPhase, phi_window_log_eval
 
 mp = pytest.importorskip("mpmath")
 
@@ -96,4 +100,106 @@ def test_normalizer_cell(params, profile, quad_fast):
     x0, delta = params.x0, params.delta
     with mp.workdps(DPS):
         ref = mp.log(mp.quad(_mp_phi(params), [1, x0 - delta, x0, x0 + delta, params.b]))
+    assert abs(got - float(ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("z", [1e-8, 0.3, 1.0, 1.5, 4.85, 40.0, 2800.0])
+def test_exp_e1(z):
+    with mp.workdps(DPS):
+        ref = mp.exp(z) * mp.e1(z)
+    assert abs(exp_e1(z) / float(ref) - 1.0) <= 1e-14
+
+
+def _mp_dip_window(params, phi, m, off, c):
+    """log mu((x, x+c]) at ``x = b^m x0 + off``, inside one dip ring, as an
+    integral over the offset d from the centre."""
+    with mp.workdps(DPS):
+        lnbm = m * mp.log(params.b)
+        centre = mp.mpf(params.b) ** m * params.x0
+
+        def f(d):
+            if d == 0:
+                return mp.mpf(0)
+            return (centre + d) ** (-(params.alpha + 1)) * (-1 / (mp.log(abs(d)) - lnbm))
+
+        lo, hi = mp.mpf(off), mp.mpf(off) + mp.mpf(c)
+        mass = mp.quad(f, [lo, 0, hi] if lo < 0 < hi else [lo, hi])
+        return float(mp.log(mass) - mp.mpf(phi.m_log))
+
+
+@pytest.mark.parametrize("m, off, c", [
+    (8, 0.25, 1.0),  # dip offset s > 0
+    (8, -1.25, 1.0),  # s < 0
+    (8, -0.5, 1.0),  # holds the centre
+    (8, 1e-296, 1.0),  # starts 1.5e-301 from the centre in s
+    (1024, 1e-10, 1.0),  # starts 1e-627 from the centre in s
+    (1024, -1.0, 1.0),  # ends at the centre
+    (1024, -0.75, 2.0),
+    (1024, -3.0, 2.5),
+    # one-sided, a width and more from the centre: Gauss-Legendre rules
+    (4, 1.0, 1.0),
+    (8, 16.0, 1.0),
+    (8, -17.0, 1.0),
+    (1024, -14.834430405213574, 1e-3),
+    (600, 8.848955145648752, 1e-3),
+    (200, -39.77310821269575, 1e-3),
+])
+def test_dip_window_closed_form(mu, params, quad, monkeypatch, m, off, c):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a dip window near its centre ran a quadrature")
+
+    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
+    phi = mu.components[0][1]
+    x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
+    got = phi.log_window_mass(x, c, quad)
+    assert abs(got - _mp_dip_window(params, phi, m, off, c)) <= 1e-11
+
+
+def test_narrow_window_far_from_its_centre(mu, params, quad):
+    # 4^499 * 1.9 lies in a ring 3e299 from its centre: the window is
+    # 5e309 half-widths from it, and one Gauss node integrates it
+    phi = mu.components[0][1]
+    got = phi.log_window_mass(ScaledSum.scaled(499, 1.9), 1e-10, quad)
+    with mp.workdps(DPS):
+        log_x = 499 * mp.log(params.b) + mp.log(mp.mpf(1.9))
+        h = -1 / mp.log(abs(mp.mpf(1.9) - params.x0))
+        ref = mp.log(mp.mpf(1e-10) * h) - (params.alpha + 1) * log_x - mp.mpf(phi.m_log)
+    assert abs(got - float(ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [8, 1024])
+def test_dip_segment_across_a_centre(mu, params, m):
+    # window ends are cuts at every centre, so only a direct call straddles one
+    phi = mu.components[0][1]
+    x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=-0.5).normalize()
+    ring = next(r for r in phi._window_cuts(PointPhase(x), 1.0)[2] if r[0] < 0.5 < r[1])
+    got = phi._log_dip_mass(ring, 0.0, 1.0)
+    assert abs(got - _mp_dip_window(params, phi, m, -0.5, 1.0)) <= 1e-11
+
+
+def test_tanh_sinh_stops_when_the_next_level_would_fit(mu, params, quad_fast):
+    # the kernel-smoothed density at 4^6 x0 + 0.5 over its centre segment:
+    # level 2 (7 + 8 + 14 nodes) already meets the budget, so level 3 does not run
+    phi = mu.components[0][1]
+    dens = phi.log_density_eval(ScaledSum.scaled(6, params.x0, offset=0.5), quad_fast)
+    kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
+    nodes = []
+
+    def f(s):
+        nodes.append(s)
+        return dens(s) + math.log(kernel.value(-s))
+
+    got = integrate_log(f, -0.5, 0.0, quad_fast, singular=[-0.5])
+    assert len(nodes) == 29
+    with mp.workdps(DPS):
+        centre = mp.mpf(params.b) ** 6 * params.x0
+        scale = mp.mpf(params.b) ** 6
+
+        def g(u):  # u = x + s from the centre to x = centre + 0.5; kernel(-s) = 4 (x - u)
+            if u == centre:
+                return mp.mpf(0)
+            h = -1 / mp.log(abs(u / scale - params.x0))
+            return u ** (-(params.alpha + 1)) * h * 4 * (centre + mp.mpf(0.5) - u)
+
+        ref = mp.log(mp.quad(g, [centre, centre + mp.mpf(0.5)])) - mp.mpf(phi.m_log)
     assert abs(got - float(ref)) <= 1e-9

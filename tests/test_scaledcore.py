@@ -54,6 +54,18 @@ class TestScaledSum:
         assert s.normalize() == s
         assert s.is_canonical()
 
+    @given(st.integers(min_value=-8, max_value=1100),
+           st.floats(min_value=1.0, max_value=4.0, exclude_max=True),
+           st.sampled_from([1, -1]),
+           st.floats(min_value=-1e6, max_value=1e6),
+           st.floats(min_value=-1e300, max_value=1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_add_offset_is_normalize(self, m, y, sign, offset, t):
+        for s in (ScaledSum(b=4.0, terms=((sign, m, y),), offset=offset).normalize(),
+                  ScaledSum.zero(4.0)):
+            assert s.add_offset(t) == ScaledSum(b=4.0, terms=s.terms,
+                                                offset=s.offset + t).normalize()
+
     def test_dominance_invariant(self):
         s = ScaledSum(b=4.0, terms=((1, 10, 2.0), (1, 9, 1.0)), offset=0.0).normalize()
         # second term within 2^-20 of the head gets folded
