@@ -33,6 +33,7 @@ from .measures import (
     PointMass,
     Tilted,
     UniformAC,
+    Weight,
     WindowSpec,
     exp_moment,
     local_density,

@@ -2,27 +2,30 @@
 of convolutions of mixtures, n-fold powers, kernel smoothing, and a
 brute-force Riemann oracle for cross-validation.
 
-Window masses of a convolution expand bilinearly over component pairs.
-Atoms shift the window; absolutely continuous pairs reduce to an outer
-integral of one side's density against the other side's shifted window
-masses, with the shifted evaluation point kept in scale-split form so dip
-phases survive the subtraction exactly.  Every such integral takes its cuts
-from the components' one structure query, ``density_cuts``: the outer
-density's own hints and dip centres, and the inner measure's hints reflected
-through each window end ``x + s - u`` (see :func:`_crossings`).  The
-dip-density self-convolution takes the same cuts of the raw profile from
+Window masses of a convolution expand bilinearly over component pairs, and
+each takes a :class:`~subexp.measures.Weight` in place of its window: the
+window (x, x+c] is the weight's one-piece constant case, and ``int w(t)
+(A*B)(x + dt)`` is one integral however many shifted windows the weight
+averages.  Atoms shift the weight; absolutely continuous pairs reduce to an
+outer integral of one side's density against the other side's weighted
+masses at the shifted point, kept in scale-split form so dip phases survive
+the subtraction exactly.  Every such integral takes its cuts from the
+components' one structure query, ``density_cuts``: the outer density's own
+hints and dip centres, and the inner measure's hints reflected through each
+knot of the weight ``x + s - u`` (see :func:`_crossings`).  The dip-density
+self-convolution takes the same cuts of the raw profile from
 :func:`~subexp.measures.dip_pair_cuts`.  A component paired with itself
-folds the outer range at x/2 by the exchange symmetry u <-> v (see
-:func:`_self_pair_window_mass`): every inner window then starts at x/2 or
-beyond, which cut one ``mu*mu`` window at 4^6*3 from 50,531 integrand
-evaluations to 3,756 at ``rel_tol = 1e-7``.
+folds the outer range at (x + t_lo)/2, x/2 for a window, by the exchange
+symmetry u <-> v (see :func:`_self_pair_window_mass`): every inner weight
+then starts there or beyond, which cut one ``mu*mu`` window at 4^6*3 from
+50,531 integrand evaluations to 3,756 at ``rel_tol = 1e-7``.
 
 For the dip-density pair at points too large to traverse numerically the
 integral is split at ``L = (log x)^beta``: the two near-edge pieces are
 computed numerically (they are equal by symmetry) and the middle piece is
-covered by the envelope bound ``2 K^2 (2/x)^(1+alpha) L^(-alpha) / alpha``,
-so the result is a certified (lower, upper) bracket rather than a point
-value.  Downstream ratio probes propagate such brackets.
+covered by the envelope bound ``2 (int w) K^2 (2/(x + t_lo))^(1+alpha)
+L^(-alpha) / alpha``, so the result is a certified (lower, upper) bracket
+rather than a point value.  Downstream ratio probes propagate such brackets.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from .measures import (
     PhiAC,
     PiecewiseLinearDensity,
     UniformAC,
-    _as_width,
+    Weight,
+    as_weight,
     dip_cuts,
     dip_pair_cuts,
 )
@@ -165,8 +169,10 @@ def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
 
 def conv_local_mass(d1: MixtureDistribution, d2: MixtureDistribution, x, w,
                     quad: QuadratureSpec, plan: ConvPlan | None = None):
-    """log of (d1 * d2)((x, x+c]); LogBracket when a far-tail bound is active."""
-    c = _as_width(w)
+    """log of (d1 * d2)((x, x+c]) for a width c, or of ``int w(t) (d1 *
+    d2)(x + dt)`` for a :class:`~subexp.measures.Weight` w; LogBracket when a
+    far-tail bound is active."""
+    w = as_weight(w)
     x = as_point(x, d1.base)
     terms = []
     for w1, c1 in d1.components:
@@ -175,35 +181,35 @@ def conv_local_mass(d1: MixtureDistribution, d2: MixtureDistribution, x, w,
         for w2, c2 in d2.components:
             if w2 == 0.0:
                 continue
-            pair = _pair_window_mass(c1, c2, x, c, quad, plan)
+            pair = _pair_window_mass(c1, c2, x, w, quad, plan)
             if pair == LOG_ZERO:
                 continue
             terms.append(_shift_terms(pair, math.log(w1) + math.log(w2)))
     return _combine_log_terms(terms) if terms else LOG_ZERO
 
 
-def _pair_window_mass(c1, c2, x: ScaledSum, c: float, quad, plan):
+def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad, plan):
     if c1.is_atomic:
         terms = []
         for loc, aw in c1.atoms():
             if aw <= 0.0:
                 continue
             pt = x.sub(loc) if isinstance(loc, ScaledSum) else x.add_offset(-loc)
-            m = c2.log_window_mass(pt, c, quad)
+            m = c2.log_window_mass(pt, w, quad)
             if m != LOG_ZERO:
                 terms.append(_shift_terms(m, math.log(aw)))
         return _combine_log_terms(terms) if terms else LOG_ZERO
     if c2.is_atomic:
-        return _pair_window_mass(c2, c1, x, c, quad, plan)
+        return _pair_window_mass(c2, c1, x, w, quad, plan)
 
     if isinstance(c1, PhiAC) and isinstance(c2, PhiAC):
         plan = plan or ConvPlan(c1.params)
         if x.sign() > 0 and x.log_abs() > plan.log_split:
-            return _phi_pair_split(c1, c2, x, c, quad, plan)
+            return _phi_pair_split(c1, c2, x, w, quad, plan)
 
     xv = x.value()
     if c1 == c2 and math.isfinite(xv):
-        return _self_pair_window_mass(c1, x, xv, c, quad)
+        return _self_pair_window_mass(c1, x, xv, w, quad)
 
     lo1, hi1 = c1.support_bounds()
     lo2, hi2 = c2.support_bounds()
@@ -214,7 +220,7 @@ def _pair_window_mass(c1, c2, x: ScaledSum, c: float, quad, plan):
         olo, ohi, ilo = lo2, hi2, lo1
 
     if math.isfinite(xv):
-        ohi = min(ohi, xv + c - ilo)
+        ohi = min(ohi, xv + w.hi - ilo)
     if not math.isfinite(ohi):
         raise ParameterError(
             "convolution pair with two unbounded supports beyond float range "
@@ -222,38 +228,39 @@ def _pair_window_mass(c1, c2, x: ScaledSum, c: float, quad, plan):
     if ohi <= olo:
         return LOG_ZERO
 
-    return _outer_integral(outer, inner, x, xv, c, olo, ohi, quad)
+    return _outer_integral(outer, inner, x, xv, w, olo, ohi, quad)
 
 
-def _outer_integral(outer, inner, x: ScaledSum, xv: float, c: float, olo: float,
+def _outer_integral(outer, inner, x: ScaledSum, xv: float, w: Weight, olo: float,
                     ohi: float, quad) -> float:
-    """log of int_olo^ohi a(u) B((x-u, x+c-u]) du, a the outer density and B
-    the inner measure, cut where the density or either window end meets
-    structure (see :func:`_crossings`)."""
-    f = _shifted_window_integrand(outer, inner, x, c, quad)
+    """log of int_olo^ohi a(u) B_w(x-u) du, a the outer density and B_w(z) =
+    int w(t) B(z + dt) the inner measure's weighted mass, cut where the
+    density or a knot of the weight meets structure (see :func:`_crossings`)."""
+    f = _shifted_window_integrand(outer, inner, x, w, quad)
     hints, centres = outer.density_cuts(ScaledSum.zero(x.b), olo, ohi)
-    hints += _crossings(inner, x, xv, olo, ohi, (0.0, c))
+    hints += _crossings(inner, x, xv, olo, ohi, w.knots)
     return integrate_log(f, olo, ohi, quad, hints=hints, singular=centres)
 
 
 def _crossings(inner, x: ScaledSum, xv: float, olo: float, ohi: float, shifts) -> list:
-    """Outer abscissae u in (olo, ohi) where a window end x + s - u, s in
-    ``shifts``, meets the inner measure's structure: u = s - t for each cut t
+    """Outer abscissae u in (olo, ohi) where a window end or knot x + s - u,
+    s in ``shifts``, meets the inner measure's structure: u = s - t for each cut t
     of ``inner.density_cuts(x, s - ohi, s - olo)``.  None beyond float range."""
     if not math.isfinite(xv):
         return []
     return [s - t for s in shifts for t in inner.density_cuts(x, s - ohi, s - olo)[0]]
 
 
-def _shifted_window_integrand(outer, inner, x: ScaledSum, c: float, quad):
-    """u -> log of a(u) B((x-u, x+c-u]), a the outer density, B the inner measure."""
+def _shifted_window_integrand(outer, inner, x: ScaledSum, w: Weight, quad):
+    """u -> log of a(u) B_w(x-u), a the outer density, B_w the inner measure's
+    weighted mass."""
     dens = outer.log_density_eval(ScaledSum.zero(x.b), quad)
 
     def f(u):
         a = dens(u)
         if a == LOG_ZERO:
             return LOG_ZERO
-        m = inner.log_window_mass(x.add_offset(-u), c, quad)
+        m = inner.log_window_mass(x.add_offset(-u), w, quad)
         if m == LOG_ZERO:
             return LOG_ZERO
         return a + m
@@ -261,20 +268,21 @@ def _shifted_window_integrand(outer, inner, x: ScaledSum, c: float, quad):
     return f
 
 
-def _self_pair_window_mass(comp, x: ScaledSum, xv: float, c: float, quad):
-    """(A*A)((x, x+c]) for one absolutely continuous component, folded at x/2.
+def _self_pair_window_mass(comp, x: ScaledSum, xv: float, w: Weight, quad):
+    """``int w(t) (A*A)(x + dt)`` for one absolutely continuous component,
+    folded at ``(x + t_lo)/2``, with w supported on ``(t_lo, t_hi]``.
 
-    The exchange u <-> v maps the window's strip onto itself, so it is twice
+    The exchange u <-> v maps the weight's strip onto itself, so it is twice
     the part with u < v:
 
-        2 [ int_lo^{x/2} a(u) A((x-u, x+c-u]) du
-            + int_{x/2}^{(x+c)/2} a(u) A((u, x+c-u]) du ].
+        2 [ int_lo^{(x+t_lo)/2} a(u) A_w(x-u) du
+            + int_{(x+t_lo)/2}^{(x+t_hi)/2} a(u) int_{v>u} w(u+v-x) A(dv) du ].
 
-    In the first integral v > x - u >= u holds already; the second covers the
-    triangle next to the diagonal, where the inner window starts at u and
-    shrinks to nothing at u = (x+c)/2.  Every inner window thus starts at x/2
-    or beyond, away from the small points where a unit window crosses many
-    dip rings.
+    In the first integral v > x + t_lo - u >= u holds already; the second
+    covers the triangle next to the diagonal, where the inner weight, cut at
+    v = u, shrinks to nothing at u = (x+t_hi)/2.  Every inner weight thus
+    starts at (x+t_lo)/2 or beyond, away from the small points where a unit
+    window crosses many dip rings.
     """
     lo, hi = comp.support_bounds()
     zero = ScaledSum.zero(x.b)
@@ -282,40 +290,42 @@ def _self_pair_window_mass(comp, x: ScaledSum, xv: float, c: float, quad):
     terms = []
 
     def diagonal(u):
-        w = (xv - 2.0 * u) + c
-        if w <= 0.0:
+        inner = w.shift(xv - 2.0 * u, above=0.0)  # t -> w(t + 2u - x), v = u + t > u
+        if inner is None:
             return LOG_ZERO
         a = dens(u)
         if a == LOG_ZERO:
             return LOG_ZERO
-        m = comp.log_window_mass(zero.add_offset(u), w, quad)
+        m = comp.log_window_mass(zero.add_offset(u), inner, quad)
         if m == LOG_ZERO:
             return LOG_ZERO
         return a + m
 
-    half = 0.5 * xv
+    half = 0.5 * (xv + w.lo)
     n_hi = min(half, hi)
     if n_hi > lo:
-        terms.append(_outer_integral(comp, comp, x, xv, c, lo, n_hi, quad))
-    d_lo, d_hi = max(half, lo), min(0.5 * (xv + c), hi)
+        terms.append(_outer_integral(comp, comp, x, xv, w, lo, n_hi, quad))
+    d_lo, d_hi = max(half, lo), min(0.5 * (xv + w.hi), hi)
     if d_hi > d_lo:
-        # the inner window starts at u, on the density's own structure, and
-        # its moving end x+c-u crosses the structure reflected
+        # the inner weight starts at u, on the density's own structure, and
+        # its moving knots x+s-u cross the structure reflected
         hints, centres = comp.density_cuts(zero, d_lo, d_hi)
-        hints += _crossings(comp, x, xv, d_lo, d_hi, (c,))
+        hints += _crossings(comp, x, xv, d_lo, d_hi, w.knots[1:])
         terms.append(integrate_log(diagonal, d_lo, d_hi, quad, hints=hints,
                                    singular=centres))
     return math.log(2.0) + log_sum(terms)
 
 
-def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, c: float, quad, plan):
-    """Split-plus-bracket window mass for the dip-density pair at huge x.
+def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, w: Weight, quad, plan):
+    """Split-plus-bracket weighted mass for the dip-density pair at huge x.
 
-    (phi1*phi2)((x, x+c]) = 2 * int_1^L f1(u) F2((x-u, x+c-u]) du + middle,
-    where L = (log x)^beta, the doubling is exact because {u <= L} and
-    {v <= L} contribute symmetrically and cannot overlap inside the window,
-    and 0 <= middle <= 2 c K^2 (2/(x-c))^(1+alpha) L^(-alpha) / alpha in
-    normalized units.
+    ``int w(t) (phi1*phi2)(x + dt) = 2 int_1^L f1(u) F2_w(x-u) du + middle``,
+    with w supported on ``(t_lo, t_hi]``, ``F2_w(z) = int w(t) F2(z + dt)``
+    and L = (log x)^beta.  The doubling is exact because {u <= L} and {v <=
+    L} contribute symmetrically and cannot overlap where u + v > x + t_lo,
+    and ``0 <= middle <= 2 (int w) K^2 (2/(x+t_lo))^(1+alpha) L^(-alpha) /
+    alpha`` in normalized units, since the larger of u and v exceeds
+    ``(x+t_lo)/2`` there.
     """
     p = c1.params
     xlog = x.log_abs()
@@ -323,28 +333,29 @@ def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, c: float, quad, plan):
     if 2.0 * L >= plan.split_threshold:
         raise ParameterError("split point too large relative to the threshold")
 
-    f = _shifted_window_integrand(c1, c2, x, c, quad)
+    f = _shifted_window_integrand(c1, c2, x, w, quad)
     hints, centres = dip_cuts(p, 1.0, L)
     numeric = math.log(2.0) + integrate_log(f, 1.0, L, quad, hints=hints, singular=centres)
     k_log = math.log(c1.profile.plateau)
-    log_x_minus_c = xlog + math.log1p(-c * math.exp(-min(xlog, 700.0)))
-    bound = (math.log(2.0) + math.log(c) + 2.0 * k_log - c1.m_log - c2.m_log
-             + (1.0 + p.alpha) * (math.log(2.0) - log_x_minus_c)
+    log_left = xlog + math.log1p(w.lo * math.exp(-min(xlog, 700.0)))
+    bound = (math.log(2.0) + math.log(w.mass()) + 2.0 * k_log - c1.m_log - c2.m_log
+             + (1.0 + p.alpha) * (math.log(2.0) - log_left)
              - math.log(p.alpha) - p.alpha * math.log(L))
     return LogBracket(numeric, log_add(numeric, bound))
 
 
 def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
                      quad: QuadratureSpec, plan: ConvPlan | None = None):
-    """log of dist^{n*}((x, x+c]) for n in {1, 2, 3}."""
+    """log of dist^{n*}((x, x+c]) for n in {1, 2, 3}, or of its weighted mass
+    for a :class:`~subexp.measures.Weight` w."""
     if n not in (1, 2, 3):
         raise ParameterError(f"n-fold masses support n in {{1,2,3}}, got {n}")
-    c = _as_width(w)
+    w = as_weight(w)
     x = as_point(x, dist.base)
     if n == 1:
-        return dist.log_window_mass(x, c, quad)
+        return dist.log_window_mass(x, w, quad)
     if n == 2:
-        return conv_local_mass(dist, dist, x, c, quad, plan)
+        return conv_local_mass(dist, dist, x, w, quad, plan)
 
     terms = []
     for wt, comp in dist.components:
@@ -356,7 +367,7 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
                 if aw <= 0.0:
                     continue
                 pt = x.sub(loc) if isinstance(loc, ScaledSum) else x.add_offset(-loc)
-                m2 = conv_local_mass(dist, dist, pt, c, quad, plan)
+                m2 = conv_local_mass(dist, dist, pt, w, quad, plan)
                 if isinstance(m2, LogBracket):
                     raise ParameterError("3-fold masses do not propagate far-tail brackets")
                 if m2 != LOG_ZERO:
@@ -366,7 +377,7 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
             xv = x.value()
             if not math.isfinite(xv):
                 raise ParameterError("3-fold masses need float-representable points")
-            hi = min(hi, xv + c)
+            hi = min(hi, xv + w.hi)
             if hi <= lo:
                 continue
             dens = comp.log_density_eval(ScaledSum.zero(x.b), quad)
@@ -375,7 +386,7 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
                 a = dens(u)
                 if a == LOG_ZERO:
                     return LOG_ZERO
-                m2 = conv_local_mass(dist, dist, x.add_offset(-u), c, quad, plan)
+                m2 = conv_local_mass(dist, dist, x.add_offset(-u), w, quad, plan)
                 if isinstance(m2, LogBracket):
                     raise ParameterError("3-fold masses do not propagate far-tail brackets")
                 if m2 == LOG_ZERO:

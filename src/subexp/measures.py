@@ -6,7 +6,9 @@ locations, point masses, and exponential-tilt wrappers.  Every component
 integrates to 1 on its own; mixtures carry the weights.
 
 All masses, tails, and moments are computed and returned in natural-log
-space.  Each component accepts an extra exponent ``gamma`` so that tilted
+space.  A window mass takes either a width c, for (x, x+c], or a
+piecewise-polynomial :class:`Weight` w, for ``int w(t) (x + dt)``.  Each
+component accepts an extra exponent ``gamma`` so that tilted
 wrappers can delegate ``int e^{gamma u} (du)`` to their base components; the
 plain (untilted) quantities are the ``gamma = 0`` case.
 """
@@ -14,7 +16,7 @@ plain (untilted) quantities are the ``gamma = 0`` case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DivergentMomentError, ParameterError
@@ -68,6 +70,143 @@ def _as_width(w) -> float:
     return c
 
 
+def _poly_value(coeffs: tuple, tau: float) -> float:
+    """sum_j coeffs[j] tau^j by Horner's rule."""
+    v = 0.0
+    for a in reversed(coeffs):
+        v = v * tau + a
+    return v
+
+
+def _poly_shift(coeffs: tuple, h: float) -> tuple:
+    """The coefficients of ``tau -> p(tau + h)`` (Taylor shift by repeated
+    synthetic division); a constant stays exact."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += h * c[j + 1]
+    return tuple(c)
+
+
+def _poly_integral(coeffs: tuple) -> tuple:
+    """The antiderivative of p vanishing at 0."""
+    return (0.0, *(a / (j + 1) for j, a in enumerate(coeffs)))
+
+
+@dataclass(frozen=True)
+class Weight:
+    """A piecewise-polynomial weight ``w(t) >= 0`` in offsets t from a point.
+
+    ``pieces`` are contiguous ``(t_lo, t_hi, coeffs)``: on ``(t_lo, t_hi]``
+    the weight is ``sum_j coeffs[j] (t - t_lo)^j``, and zero outside them.
+    ``log_window_mass(x, w, ...)`` of any measure takes a weight in place of a
+    width and returns ``log int w(t) (x + dt)``; the window ``(x, x+c]`` is
+    the one-piece constant case :meth:`window`, and passes as its width.
+    """
+
+    pieces: tuple
+    # c for the window (0, c]; None for any other weight
+    width: float | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.pieces or any(not (hi > lo) for lo, hi, _c in self.pieces) or any(
+                a[1] != b[0] for a, b in zip(self.pieces[:-1], self.pieces[1:])):
+            raise ParameterError("weight pieces must be nonempty, ordered and contiguous")
+        lo, hi, coeffs = self.pieces[0]
+        window = len(self.pieces) == 1 and lo == 0.0 and coeffs == (1.0,)
+        object.__setattr__(self, "width", hi if window else None)
+
+    @classmethod
+    def window(cls, c: float) -> "Weight":
+        return cls(((0.0, _as_width(c), (1.0,)),))
+
+    @property
+    def lo(self) -> float:
+        return self.pieces[0][0]
+
+    @property
+    def hi(self) -> float:
+        return self.pieces[-1][1]
+
+    @property
+    def knots(self) -> tuple:
+        return (self.lo, *(hi for _lo, hi, _c in self.pieces))
+
+    def mass(self) -> float:
+        """``int w``."""
+        return math.fsum(_poly_value(_poly_integral(c), hi - lo) for lo, hi, c in self.pieces)
+
+    def value(self, t: float) -> float:
+        for lo, hi, coeffs in self.pieces:
+            if lo < t <= hi:
+                return _poly_value(coeffs, t - lo)
+        return 0.0
+
+    def log_value(self, t: float) -> float:
+        v = self.value(t)
+        return math.log(v) if v > 0.0 else LOG_ZERO
+
+    def shift(self, s: float, above: float = -math.inf):
+        """``t -> w(t - s)`` restricted to ``t > above``; None where nothing is left."""
+        pieces = []
+        for lo, hi, coeffs in self.pieces:
+            lo, hi = lo + s, hi + s
+            if hi <= above:
+                continue
+            if lo < above:
+                lo, coeffs = above, _poly_shift(coeffs, above - lo)
+            pieces.append((lo, hi, coeffs))
+        return Weight(tuple(pieces)) if pieces else None
+
+    def smoothed(self, kernel: "PiecewiseLinearDensity") -> "Weight":
+        """``t -> int w(t + u) kernel(u) du``: the weight of ``int kernel(u)
+        M((x - u) + dt) w(t) du`` as one weight against ``M(x + dt)``.
+
+        The kernel, vanishing at its ends, is ``sum_i beta_i (u - k_i)_+``
+        with ``beta_i`` its slope change at knot ``k_i``, so the result is
+        ``sum_i beta_i R(t + k_i)`` with ``R(z) = int_z^inf (r - z) w(r) dr``,
+        a polynomial of two degrees more on each piece of ``w``.
+        """
+        ks, vs = kernel.knots, kernel.values
+        if vs[0] != 0.0 or vs[-1] != 0.0:
+            raise ParameterError("smoothing needs a kernel that vanishes at its support ends")
+        slopes = [0.0, *((v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in
+                         zip(ks[:-1], ks[1:], vs[:-1], vs[1:])), 0.0]
+        betas = [b - a for a, b in zip(slopes[:-1], slopes[1:])]
+        # R on each piece of w, right to left, as (lo, hi, coeffs in z - lo)
+        r_pieces, mass, r_hi = [], 0.0, 0.0
+        for lo, hi, coeffs in reversed(self.pieces):
+            h = hi - lo
+            i1 = _poly_integral(coeffs)
+            i2 = _poly_integral(i1)
+            tail = mass + _poly_value(i1, h)  # int_lo^inf w
+            r_lo = r_hi + tail * h - _poly_value(i2, h)
+            r_pieces.append((lo, hi, (r_lo, -tail, *i2[2:])))
+            mass, r_hi = tail, r_lo
+        r_pieces.append((-math.inf, self.lo, (r_hi, -mass)))  # linear below the support
+        lo, hi = self.lo - ks[-1], self.hi - ks[0]
+        knots = sorted({t for t in (a - k for a in self.knots for k in ks) if lo <= t <= hi})
+        n_coeffs = max(len(p[2]) for p in r_pieces)
+        pieces = []
+        for t0, t1 in zip(knots[:-1], knots[1:]):
+            acc = [0.0] * n_coeffs
+            for k, beta in zip(ks, betas):
+                z_mid = 0.5 * (t0 + t1) + k
+                piece = next((p for p in r_pieces if p[0] < z_mid <= p[1]), None)
+                if piece is None or beta == 0.0:
+                    continue
+                origin = self.lo if piece[0] == -math.inf else piece[0]
+                for j, a in enumerate(_poly_shift(piece[2], t0 + k - origin)):
+                    acc[j] += beta * a
+            pieces.append((t0, t1, tuple(acc)))
+        return Weight(tuple(pieces))
+
+
+def as_weight(w) -> Weight:
+    """A :class:`Weight` as given; a width or :class:`WindowSpec` as its window."""
+    return w if isinstance(w, Weight) else Weight.window(w)
+
+
 # ---------------------------------------------------------------------------
 # normalizer of the dip density
 # ---------------------------------------------------------------------------
@@ -115,10 +254,13 @@ def dip_pair_cuts(params: ModelParams, lo: float, hi: float, xv: float) -> tuple
 
 
 def _scales(params: ModelParams, lo: float, hi: float) -> range:
-    """Scales m >= 0 whose period cell [b^m, b^(m+1)) can meet [lo, hi]
-    (hi > 0); the profile has no structure below its support edge 1."""
-    m_lo = int(math.floor(math.log(max(lo, 1.0)) / params.log_b)) - 1
-    m_hi = int(math.floor(math.log(hi) / params.log_b)) + 1
+    """Scales m >= 0 whose period cell [b^m, b^(m+1)) meets [lo, hi] (hi > 0),
+    with a margin of 1e-9 in ``log_b`` for the rounding of the logs.  Every
+    dip ring lies inside its own cell (``delta < min(x0 - 1, b - x0)``), so
+    no other cell can hold structure in [lo, hi]; the profile has none below
+    its support edge 1."""
+    m_lo = math.floor(math.log(max(lo, 1.0)) / params.log_b - 1e-9)
+    m_hi = math.floor(math.log(hi) / params.log_b + 1e-9)
     return range(max(m_lo, 0), m_hi + 1)
 
 
@@ -173,6 +315,20 @@ def _gauss_legendre(n: int) -> tuple:
     return tuple(rule)
 
 
+def _gauss_nodes(ratio: float) -> int:
+    """Nodes of the Gauss-Legendre rule that takes an integrand analytic out
+    to ``ratio`` half-widths from the segment's midpoint to 2^-56: its error
+    falls like ``rho^-2n``, ``rho = ratio + sqrt(ratio^2 - 1)``.  A polynomial
+    weight of degree d needs ``ceil(d/2)`` more."""
+    rho = ratio + math.sqrt(ratio * ratio - 1.0)
+    return max(1, math.ceil(28.0 * math.log(2.0) / math.log(rho)))
+
+
+def _times_weight(f, w: Weight, t0: float):
+    """``s -> f(s) + log w(s + t0)``."""
+    return lambda s: f(s) + w.log_value(s + t0)
+
+
 def exp_e1(z: float, tol: float = 2e-16) -> float:
     """``e^z E1(z)`` for z > 0, to about 1e-15 relative.
 
@@ -215,9 +371,33 @@ class Component:
 
     is_atomic = False
 
-    def log_window_mass(self, x: ScaledSum, c: float, quad: QuadratureSpec,
+    def log_window_mass(self, x: ScaledSum, w, quad: QuadratureSpec,
                         gamma: float = 0.0) -> float:
+        """log of the mass of (x, x+c] for a width c, or of ``int w(t) (x +
+        dt)`` for a :class:`Weight` w: ``_log_window_mass`` or
+        ``_log_weighted_mass`` of the component."""
+        if type(w) is Weight:
+            c = w.width
+            if c is None:
+                return self._log_weighted_mass(x, w, quad, gamma)
+            w = c
+        return self._log_window_mass(x, w, quad, gamma)
+
+    def _log_window_mass(self, x: ScaledSum, c: float, quad: QuadratureSpec,
+                         gamma: float = 0.0) -> float:
         raise NotImplementedError
+
+    def _log_weighted_mass(self, x: ScaledSum, w: Weight, quad: QuadratureSpec,
+                           gamma: float = 0.0) -> float:
+        """The plain default: the weight times the density by quadrature, or
+        summed over the atoms."""
+        if self.is_atomic:
+            return log_sum(_atom_terms(x, 0.0, self, lambda v: (
+                w.value(-v) if math.isfinite(v) else 0.0), gamma))
+        hints, centres = self.density_cuts(x, w.lo, w.hi)
+        return integrate_log(_times_weight(self.log_density_eval(x, quad, gamma), w, 0.0),
+                             w.lo, w.hi, quad, hints=hints + list(w.knots[1:-1]),
+                             singular=centres)
 
     def log_density(self, x: ScaledSum, quad: QuadratureSpec,
                     gamma: float = 0.0) -> float:
@@ -363,40 +543,59 @@ class PhiAC(Component):
         return lambda t: ev(t) - m_log + gamma * (xv + t)
 
     def log_window_mass(self, x, c, quad, gamma=0.0):
-        """Window mass by segments between the window's structure points.
+        """Mass of (x, x+c], or under a :class:`Weight` in place of c, by
+        segments between the window's structure points and the weight's
+        knots.  A weight is taken in offsets from its lower end: from then
+        on ``w`` is the weight on (0, c], or None for the window itself.
 
         Untilted windows integrate in closed form: plateau segments take the
         power-law antiderivative and dip segments the exponential-integral
         one or, a width or more from their centre, a Gauss-Legendre rule
-        exact to rounding (:meth:`_log_dip_mass`).  Dip segments nearer their
-        centre that reach beyond ``2^-8 x0`` of it in mantissa units, tilted
-        windows and windows whose structure is not resolved run through
-        :func:`integrate_log`, with the tanh-sinh rule at dip centres.  A run
-        of numeric segments that holds a dip centre other than the head term
-        of x is integrated in offsets from that centre, with the evaluator
-        built there: the dip distance is then exact down to the centre, where
-        offsets from a head that absorbed the rest of x would lose it to
-        rounding (a window narrower than ``ulp(x) / rel_tol`` never
-        converged).  The evaluator at x is built only when some run needs it.
+        exact to rounding (:meth:`_log_dip_mass`).  A weight's polynomial
+        enters each form: a Gauss-Legendre rule with more nodes on plateau
+        segments and far dip segments, and one exponential-integral series
+        per power near a centre.  Dip segments nearer their centre that reach
+        beyond ``2^-8 x0`` of it in mantissa units, tilted windows and windows
+        whose structure is not resolved run through :func:`integrate_log`,
+        with the tanh-sinh rule at dip centres.  A run of numeric segments
+        that holds a dip centre other than the head term of x is integrated
+        in offsets from that centre, with the evaluator built there: the dip
+        distance is then exact down to the centre, where offsets from a head
+        that absorbed the rest of x would lose it to rounding (a window
+        narrower than ``ulp(x) / rel_tol`` never converged).  The evaluator
+        at x is built only when some run needs it.
         """
+        w = None
+        if type(c) is Weight:
+            if c.width is None:
+                x = x if c.lo == 0.0 else x.add_offset(c.lo)
+                w = c.shift(-c.lo)
+                c = w.hi
+            else:
+                c = c.width
         ph = PointPhase(x)
         hints, centres, rings = self._window_cuts(ph, c)
         closed = rings is not None and gamma == 0.0
         inner = hints + [t for t in centres if 0.0 < t < c]
+        if w is not None:
+            inner += w.knots[1:-1]
         cuts = [0.0, *sorted(set(inner)), c] if inner else [0.0, c]
         in_support = ph.value >= 1.0
         terms = []
         runs = []  # maximal runs of consecutive numeric segments, as [lo, hi]
         joined = False
+        piece = None
         for a, b in zip(cuts[:-1], cuts[1:]):
             mid = 0.5 * (a + b)
             if not in_support and ph.log_point(mid) < 0.0:  # below the support edge at 1
                 joined = False
                 continue
             if closed:
+                if w is not None:
+                    piece = next(p for p in w.pieces if mid <= p[1])
                 ring = next((r for r in rings if r[0] < mid < r[1]), None)
-                term = (self._log_plateau_mass(ph, a, b) if ring is None
-                        else self._log_dip_mass(ring, a, b))
+                term = (self._log_plateau_mass(ph, a, b, piece) if ring is None
+                        else self._log_dip_mass(ring, a, b, piece))
                 if term is not None:
                     terms.append(term)
                     joined = False
@@ -412,20 +611,22 @@ class PhiAC(Component):
             t0 = next((t for t in singular if centres[t] is not None), None) if singular else None
             if t0 is None:
                 if f is None:
-                    f = self._density(phi_window_log_eval(self.profile, x, ph), ph.base, gamma)
-                terms.append(integrate_log(f, lo, hi, quad, hints=[t for t in cuts if lo < t < hi],
-                                           singular=singular))
+                    f = self._density(phi_window_log_eval(self.profile, x, ph), x, gamma)
+                g, t0 = f, 0.0
             else:
                 base = ScaledSum(b=x.b, terms=((1, centres[t0], self.params.x0),))
                 g = self._density(phi_window_log_eval(self.profile, base), base, gamma)
-                terms.append(integrate_log(
-                    g, lo - t0, hi - t0, quad, hints=[t - t0 for t in cuts if lo < t < hi],
-                    singular=[t - t0 for t in singular]))
+            if w is not None:
+                g = _times_weight(g, w, t0)
+            terms.append(integrate_log(
+                g, lo - t0, hi - t0, quad, hints=[t - t0 for t in cuts if lo < t < hi],
+                singular=[t - t0 for t in singular]))
         return terms[0] if len(terms) == 1 else log_sum(terms)
 
-    def _log_dip_mass(self, ring: tuple, a: float, b: float):
-        """log of the mass over (x+a, x+b] inside the dip ring ``ring``; None
-        where the segment is left to quadrature.
+    def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None):
+        """log of the mass over (x+a, x+b] inside the dip ring ``ring``, under
+        the weight piece ``piece`` (None for the unit weight); None where the
+        segment is left to quadrature.
 
         With ``x + t = b^m (x0 + s)`` the density is ``b^(-m alpha)/M (x0 +
         s)^(-alpha-1) (-1/log|s|)`` in ``s``, and ``G(s) = x0^(-alpha-1)
@@ -434,10 +635,11 @@ class PhiAC(Component):
         ``E1(z) = e^-z exp_e1(z)`` factors out the far end's ``e^-L = |d|
         b^-m`` (d the offset from the centre); the near end then enters
         through the exact ratio of the offsets, so neither end's ``L`` is
-        exponentiated and nothing underflows up to ``b^1024``.  The series
-        runs while ``|s| <= 2^-8 x0``; a segment a width or more from its
-        centre takes a Gauss-Legendre rule instead (see
-        ``_DIP_GAUSS_MIN_RATIO``).
+        exponentiated and nothing underflows up to ``b^1024``.  A weight
+        ``sum_j p_j d^j`` in offsets from the centre turns ``E1((k+1) L)``
+        into ``sum_j p_j d^j E1((k+j+1) L)``.  The series runs while ``|s| <=
+        2^-8 x0``; a segment a width or more from its centre takes a
+        Gauss-Legendre rule instead (see ``_DIP_GAUSS_MIN_RATIO``).
         """
         _lo, _hi, t0, m = ring
         if t0 is None:
@@ -455,15 +657,22 @@ class PhiAC(Component):
             pole = math.exp(lnbm) - abs(mid) if lnbm < 700.0 else math.inf
             ratio = min(abs(mid), pole) / h
             if ratio >= _DIP_GAUSS_MIN_RATIO:
-                rho = ratio + math.sqrt(ratio * ratio - 1.0)
-                n = max(1, math.ceil(28.0 * math.log(2.0) / math.log(rho)))
+                n = _gauss_nodes(ratio)
                 log_q = math.log(abs(mid)) - lnbm - log_x0
                 q = math.exp(log_q) / abs(mid) if log_q > -745.0 else 0.0  # s / (x0 d)
                 total = 0.0
-                for z, wt in _gauss_legendre(n):
-                    d = mid + h * z
-                    total += wt * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d)))
-                return head + math.log(h * total)
+                if piece is None:
+                    for z, wt in _gauss_legendre(n):
+                        d = mid + h * z
+                        total += wt * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d)))
+                else:
+                    p_lo, _p_hi, coeffs = piece
+                    tau = 0.5 * (a + b) - p_lo
+                    for z, wt in _gauss_legendre(n + len(coeffs) // 2):
+                        d = mid + h * z
+                        total += (wt * _poly_value(coeffs, tau + h * z)
+                                  * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
+                return head + math.log(h * total) if total > 0.0 else LOG_ZERO
         log_far = math.log(abs(far))
         log_q = log_far - lnbm - log_x0  # log |s_far / x0|
         if log_q > _DIP_SERIES_LOG_RATIO or abs(far) > 2.0 * w:
@@ -471,40 +680,64 @@ class PhiAC(Component):
         q = math.copysign(math.exp(log_q), far) if log_q > -745.0 else 0.0
         r = abs(near) / abs(far)
         tol = 2.0 ** -54 * min(1.0, w / abs(far))
-        s_far = math.copysign(self._dip_series(q, lnbm - log_far, tol), far)
-        s_near = (0.0 if near == 0.0 else math.copysign(
-            self._dip_series(q * (near / far), lnbm - math.log(abs(near)), tol / r), near))
+        if piece is None:
+            p_far = p_near = (1.0,)
+        else:
+            coeffs = _poly_shift(piece[2], t0 - piece[0])  # in offsets from the centre
+            p_far = tuple(c * far ** j for j, c in enumerate(coeffs))
+            p_near = tuple(c * near ** j for j, c in enumerate(coeffs))
+        s_far = math.copysign(self._dip_series(q, lnbm - log_far, tol, p_far), far)
+        s_near = (0.0 if near == 0.0 else math.copysign(self._dip_series(
+            q * (near / far), lnbm - math.log(abs(near)), tol / r, p_near), near))
         body = s_far - r * s_near if far == d2 else r * s_near - s_far
-        return head + log_far + math.log(body)
+        return head + log_far + math.log(body) if body > 0.0 else LOG_ZERO
 
-    def _dip_series(self, q: float, L: float, tol: float) -> float:
-        """``sum_k C(-alpha-1, k) q^k exp_e1((k+1) L)`` for the dip offset
-        ``s = x0 q`` with ``L = -log|s|``, summed until a term falls below
-        ``tol`` of the first."""
+    def _dip_series(self, q: float, L: float, tol: float, p: tuple) -> float:
+        """``sum_j p_j sum_k C(-alpha-1, k) q^k exp_e1((k+j+1) L)`` for the dip
+        offset ``s = x0 q`` with ``L = -log|s|``, each inner sum taken until a
+        term falls below ``tol`` of its first."""
         neg_a1 = -self.params.alpha - 1.0
-        total = exp_e1(L)
-        coef, k = 1.0, 0
-        while True:
-            k += 1
-            coef *= q * (neg_a1 - (k - 1)) / k
-            if abs(coef) <= tol:
-                return total
-            total += coef * exp_e1((k + 1) * L, max(2e-16, tol / abs(coef)))
+        out = 0.0
+        for j, pj in enumerate(p):
+            total = exp_e1((j + 1) * L)
+            coef, k = 1.0, 0
+            while True:
+                k += 1
+                coef *= q * (neg_a1 - (k - 1)) / k
+                if abs(coef) <= tol:
+                    break
+                total += coef * exp_e1((k + j + 1) * L, max(2e-16, tol / abs(coef)))
+            out += pj * total
+        return out
 
-    def _log_plateau_mass(self, ph: PointPhase, a: float, b: float) -> float:
-        """log of the plateau mass over (x+a, x+b], exact.
+    def _log_plateau_mass(self, ph: PointPhase, a: float, b: float, piece=None) -> float:
+        """log of the plateau mass over (x+a, x+b] under the weight piece
+        ``piece`` (None for the unit weight).
 
         K/M int u^(-alpha-1) du = K/(alpha M) X^-alpha (1 - (1+r)^-alpha) with
         X = x + a and r = (b-a)/X; once r underflows, the bracket is alpha r.
+        Under a polynomial weight a Gauss-Legendre rule, with the pole of
+        ``u^(-alpha-1)`` at ``u = 0`` the nearest singularity.
         """
         alpha = self.params.alpha
+        k_log = math.log(self.profile.plateau) - self.m_log
+        if piece is not None:
+            h, mid = 0.5 * (b - a), 0.5 * (a + b)
+            log_x = ph.log_point(mid)
+            r = math.exp(max(math.log(h) - log_x, -700.0))  # half-widths per distance to u = 0
+            p_lo, _p_hi, coeffs = piece
+            tau = mid - p_lo
+            total = 0.0
+            for z, wt in _gauss_legendre(_gauss_nodes(1.0 / r) + len(coeffs) // 2):
+                total += wt * _poly_value(coeffs, tau + h * z) * (1.0 + r * z) ** (-alpha - 1.0)
+            return k_log - (alpha + 1.0) * log_x + math.log(h * total) if total > 0.0 else LOG_ZERO
         log_x = ph.log_point(a)
         log_r = math.log(b - a) - log_x
         if log_r > -700.0:
             body = math.log(-math.expm1(-alpha * math.log1p(math.exp(log_r)))) - math.log(alpha)
         else:
             body = log_r
-        return math.log(self.profile.plateau) - self.m_log - alpha * log_x + body
+        return k_log - alpha * log_x + body
 
     def log_tail(self, x, quad, gamma=0.0):
         p = self.params
@@ -569,7 +802,7 @@ class UniformAC(Component):
         o2 = min(xv + c, self.left + self.width)
         return o1, o2
 
-    def log_window_mass(self, x, c, quad, gamma=0.0):
+    def _log_window_mass(self, x, c, quad, gamma=0.0):
         xv = x.value()
         if not math.isfinite(xv):
             return LOG_ZERO
@@ -636,7 +869,7 @@ class ParetoAC(Component):
     def density_cuts(self, base, lo, hi):
         return _offsets(base, (0.0,), lo, hi), []
 
-    def log_window_mass(self, x, c, quad, gamma=0.0):
+    def _log_window_mass(self, x, c, quad, gamma=0.0):
         xv = x.value()
         if not math.isfinite(xv):
             return LOG_ZERO
@@ -718,7 +951,7 @@ class PointMass(Component):
     def density_cuts(self, base, lo, hi):
         return _offsets(base, (self.location,), lo, hi), []
 
-    def log_window_mass(self, x, c, quad, gamma=0.0):
+    def _log_window_mass(self, x, c, quad, gamma=0.0):
         below = x.add_offset(-self.location)  # x - loc < 0  <=>  loc > x
         above = x.add_offset(c - self.location)  # x + c - loc >= 0  <=>  loc <= x+c
         if below.sign() < 0 and above.sign() >= 0:
@@ -768,7 +1001,7 @@ class AtomSeries(Component):
                 "exponential weight overflows at a scaled atom", gamma)
         return g + (math.log(w) if w > 0 else LOG_ZERO)
 
-    def log_window_mass(self, x, c, quad, gamma=0.0):
+    def _log_window_mass(self, x, c, quad, gamma=0.0):
         terms = []
         for loc, w in zip(self.locations, self.weights):
             d = loc.sub(x)
@@ -874,18 +1107,19 @@ class PiecewiseLinearDensity:
         return total
 
 
-def _atom_terms(x: ScaledSum, lw: float, comp, frac_of) -> list:
-    """``lw + log aw + log frac_of(v)`` for each atom (location, aw) of ``comp``,
-    with ``v`` the float value of ``x - location``; zero fractions drop out."""
+def _atom_terms(x: ScaledSum, lw: float, comp, frac_of, gamma: float = 0.0) -> list:
+    """``lw + log aw + log frac_of(v)``, plus ``gamma location`` when tilted,
+    for each atom (location, aw) of ``comp``, with ``v`` the float value of
+    ``x - location``; zero fractions drop out."""
     terms = []
     for loc, aw in comp.atoms():
         if aw <= 0.0:
             continue
-        v = x.sub(loc if isinstance(loc, ScaledSum)
-                  else ScaledSum.from_float(loc, x.b)).value()
-        frac = frac_of(v)
+        loc = loc if isinstance(loc, ScaledSum) else ScaledSum.from_float(loc, x.b)
+        frac = frac_of(x.sub(loc).value())
         if frac > 0.0:
-            terms.append(lw + math.log(aw) + math.log(frac))
+            term = lw + math.log(aw) + math.log(frac)
+            terms.append(term + gamma * loc.value() if gamma else term)
     return terms
 
 
@@ -906,7 +1140,7 @@ class KernelAC(Component):
         blo, bhi = self.base.support_bounds()
         return (blo + self.kernel.knots[0], bhi + self.kernel.knots[-1])
 
-    def log_window_mass(self, x, c, quad, gamma=0.0):
+    def _log_window_mass(self, x, c, quad, gamma=0.0):
         if gamma != 0.0:
             f = self.log_density_eval(x, quad, gamma)
             hints, centres = self.density_cuts(x, 0.0, c)
@@ -1046,8 +1280,8 @@ class Tilted(Component):
     def support_bounds(self):
         return self.base.support_bounds()
 
-    def log_window_mass(self, x, c, quad, gamma=0.0):
-        return self.base.log_window_mass(x, c, quad, gamma=self.gamma + gamma) - self.log_norm
+    def log_window_mass(self, x, w, quad, gamma=0.0):
+        return self.base.log_window_mass(x, w, quad, gamma=self.gamma + gamma) - self.log_norm
 
     def log_density(self, x, quad, gamma=0.0):
         return self.base.log_density(x, quad, gamma=self.gamma + gamma) - self.log_norm
@@ -1105,8 +1339,8 @@ class MixtureDistribution:
         return log_sum([math.log(w) + fn(comp)
                         for w, comp in self.components if w > 0.0])
 
-    def log_window_mass(self, x, c, quad, gamma=0.0):
-        return self._combine(lambda comp: comp.log_window_mass(x, c, quad, gamma))
+    def log_window_mass(self, x, w, quad, gamma=0.0):
+        return self._combine(lambda comp: comp.log_window_mass(x, w, quad, gamma))
 
     def log_density(self, x, quad, gamma=0.0):
         return self._combine(lambda comp: comp.log_density(x, quad, gamma))
@@ -1140,8 +1374,10 @@ class MixtureDistribution:
 # ---------------------------------------------------------------------------
 
 def local_mass(dist: MixtureDistribution, x, w, quad: QuadratureSpec) -> float:
-    """log of dist((x, x+c])."""
-    return dist.log_window_mass(as_point(x, dist.base), _as_width(w), quad)
+    """log of dist((x, x+c]) for a width c, or of ``int w(t) dist(x + dt)``
+    for a :class:`Weight` w."""
+    w = w if isinstance(w, Weight) else _as_width(w)
+    return dist.log_window_mass(as_point(x, dist.base), w, quad)
 
 
 def local_density(dist: MixtureDistribution, x, c: float, quad: QuadratureSpec) -> float:

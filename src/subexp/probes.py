@@ -18,7 +18,7 @@ from .errors import ParameterError, ProbePreconditionError
 from .logsum import LOG_ZERO, log_sum
 from .quadrature import QuadratureSpec, integrate_log
 from .scaledcore import ModelParams, ScaledSum, SequenceSpec, as_point, make_sequence
-from .measures import MixtureDistribution
+from .measures import MixtureDistribution, Weight
 from .convolve import LogBracket, _outer_integral
 
 __all__ = [
@@ -245,7 +245,7 @@ def truncated_tail_local(dist: MixtureDistribution, A: float, x: ScaledSum,
                     if m != LOG_ZERO:
                         terms.append(lw + math.log(aw) + m)
         else:
-            terms.append(lw + _outer_integral(comp, dist, x, xv, c, A, xv - A, quad))
+            terms.append(lw + _outer_integral(comp, dist, x, xv, Weight.window(c), A, xv - A, quad))
     total = log_sum(terms) if terms else LOG_ZERO
     return _clip_exp(total - den)
 

@@ -139,3 +139,54 @@ class TestReports:
     def test_report_determinism(self, spec_default, thm12):
         again = thm12_report(spec_default)
         assert again.rows() == thm12.rows()
+
+
+class TestSmoothedPairWeight:
+    """The smoothed pair's self-convolution term as one weighted mass per k."""
+
+    def test_four_dip_pair_integrals(self, spec_default, monkeypatch):
+        from subexp import gallery
+        from subexp.measures import PhiAC
+        calls = []
+        conv = gallery.conv_local_mass
+
+        def counted(d1, d2, *args, **kwargs):
+            if all(any(isinstance(c, PhiAC) for _w, c in d.components) for d in (d1, d2)):
+                calls.append(args[0])
+            return conv(d1, d2, *args, **kwargs)
+
+        monkeypatch.setattr(gallery, "conv_local_mass", counted)
+        report = thm12_report(spec_default)
+        assert len(report.tables["smoothed_pair"]) == spec_default.k_max == 4
+        assert len(calls) == 4  # one per k; the 5-node f2 rule took 20 per k
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_weighted_term_matches_the_f2_rule(self, spec_default, k):
+        # int f2(v) (mu*mu)((x-v, x-v+1]) dv by the 5-node Gauss-Legendre rule
+        # per piece of f2 = kernel * kernel, from unit-window masses, against
+        # the weighted mass of mu*mu under G2; k = 1 runs full numeric, k = 2
+        # the split bracket
+        from subexp.convolve import ConvPlan, bracket_pair, conv_local_mass
+        from subexp.gallery import default_kernel
+        from subexp.logsum import log_sum
+        from subexp.measures import Weight, _gauss_legendre
+        mu = build_mu(spec_default)
+        quad, plan = spec_default.quad, ConvPlan(spec_default.params)
+        kernel = default_kernel()
+        anchor = interval_family(spec_default).d_anchor[k - 1]
+        terms_lo, terms_hi = [], []
+        for lo in (0.0, 0.5, 1.0, 1.5):
+            for z, wt in _gauss_legendre(5):
+                v = lo + 0.25 + 0.25 * z
+                m_lo, m_hi = bracket_pair(conv_local_mass(mu, mu, anchor.add_offset(-v), 1.0,
+                                                          quad, plan))
+                base = math.log(wt * 0.25 * kernel.self_convolution_value(v))
+                terms_lo.append(base + m_lo)
+                terms_hi.append(base + m_hi)
+        old_lo, old_hi = log_sum(terms_lo), log_sum(terms_hi)
+        g2 = Weight.window(1.0).smoothed(kernel).smoothed(kernel)
+        new_lo, new_hi = bracket_pair(conv_local_mass(mu, mu, anchor, g2, quad, plan))
+        assert abs(new_lo - old_lo) <= 5e-9 and abs(new_hi - old_hi) <= 5e-9
+        assert (new_hi > new_lo) == (old_hi > old_lo) == (k > 1)
+        if k > 1:
+            assert new_lo <= old_hi and old_lo <= new_hi

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from subexp import (
     ParetoAC,
     PiecewiseLinearDensity,
     PointMass,
+    QuadratureSpec,
     ScaledSum,
     UniformAC,
     WindowSpec,
@@ -22,7 +24,7 @@ from subexp import (
     tail,
     tilt,
 )
-from subexp.measures import phi_integral_log
+from subexp.measures import Weight, dip_cuts, phi_integral_log
 from subexp.convolve import conv_local_mass, oracle_window_mass, phi_values
 from subexp.probes import long_tail_probe
 from subexp.scaledcore import phi_log_value
@@ -339,6 +341,40 @@ def test_untilted_dip_window_runs_no_quadrature(mu, quad, eval_count):
     assert eval_count[0] > 0
 
 
+def test_scale_walk_meets_every_ring(mu, params, quad, monkeypatch):
+    # the cells walked by _scales against a walk three cells wider on each
+    # side: windows at anchors, in rings and on plateaus, 4^0 to 4^1024,
+    # widths 1e-6 to 37, and dip_cuts ranges, all bit for bit
+    phi = mu.components[0][1]
+    rng = random.Random(11)
+    windows = []
+    for _ in range(2000):
+        n = rng.choice([rng.randint(0, 30), rng.randint(0, 1024)])
+        y = rng.choice([params.x0, params.x0 + rng.uniform(-params.delta, params.delta),
+                        rng.uniform(1.0, params.b)])
+        t = rng.choice([0.0, rng.uniform(-40.0, 40.0), -rng.uniform(0.0, 1e-3)])
+        c = math.exp(rng.uniform(math.log(1e-6), math.log(37.0)))
+        windows.append((ScaledSum.scaled(n, y, offset=t).normalize(), c))
+    ranges = []
+    for _ in range(2000):
+        lo = math.exp(rng.uniform(0.0, 30.0)) * rng.choice([1.0, params.x0, params.b])
+        lo += rng.uniform(-3.0, 3.0)
+        ranges.append((lo, lo + math.exp(rng.uniform(math.log(1e-6), math.log(1e4)))))
+
+    def run():
+        return ([phi.log_window_mass(x, c, quad) for x, c in windows],
+                [dip_cuts(params, lo, hi) for lo, hi in ranges])
+
+    trimmed = run()
+
+    def brute(p, lo, hi):
+        m_lo = math.floor(math.log(max(lo, 1.0)) / p.log_b) - 3
+        return range(max(m_lo, 0), math.floor(math.log(hi) / p.log_b) + 4)
+
+    monkeypatch.setattr("subexp.measures._scales", brute)
+    assert run() == trimmed
+
+
 class TestCanonicalBoundary:
     def test_hand_built_point_matches_its_normal_form(self, mu, profile, quad):
         raw = ScaledSum(b=4.0, terms=((1, 6, 2.0), (1, 6, 1.0)), offset=0.5)
@@ -356,3 +392,92 @@ class TestCanonicalBoundary:
         }
         for name, call in calls.items():
             assert call(raw) == call(canon), name
+
+
+class TestWeight:
+    kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
+
+    def g1(self):
+        return Weight.window(1.0).smoothed(self.kernel)
+
+    def test_smoothed_window_is_the_cdf_difference(self):
+        # G1(t) = F(1-t) - F(-t), G2(t) = F2(1-t) - F2(-t) with F2 the CDF of
+        # kernel * kernel, exact per piece by 2-node Gauss on its cubic pieces
+        g1 = self.g1()
+        g2 = g1.smoothed(self.kernel)
+        ts = [i / 64.0 - 2.0 for i in range(1, 193)] + [-1.3, 0.1, 0.77]
+        for t in ts:
+            assert abs(g1.value(t) - (self.kernel.cdf(1.0 - t) - self.kernel.cdf(-t))) < 1e-15
+
+        def f2_cdf(v):
+            total = 0.0
+            for lo in (0.0, 0.5, 1.0, 1.5):
+                hi = min(lo + 0.5, v)
+                if hi > lo:
+                    for z in (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)):
+                        s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * z
+                        total += 0.5 * (hi - lo) * self.kernel.self_convolution_value(s)
+            return total
+
+        for t in ts:
+            assert abs(g2.value(t) - (f2_cdf(1.0 - t) - f2_cdf(-t))) < 1e-14, t
+        assert g1.knots == (-1.0, -0.5, 0.0, 0.5, 1.0)
+        assert g2.knots == (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0)
+        assert abs(g2.mass() - 1.0) < 1e-15
+        assert Weight.window(2.5).mass() == 2.5
+
+    def test_shift_cuts_and_moves(self):
+        g1 = self.g1()
+        cut = g1.shift(0.4, above=0.0)
+        assert cut.lo == 0.0 and cut.hi == 1.4
+        for t in (1e-9, 0.05, 0.1, 0.6, 0.9, 1.39):
+            assert abs(cut.value(t) - g1.value(t - 0.4)) < 1e-15
+        assert g1.shift(-2.0, above=0.0) is None
+        assert Weight.window(1.0).shift(-0.25, above=0.0).width == 0.75
+
+    def test_rejects_bad_pieces_and_kernels(self):
+        with pytest.raises(ParameterError):
+            Weight(((0.0, 0.5, (1.0,)), (0.6, 1.0, (1.0,))))
+        with pytest.raises(ParameterError):
+            Weight.window(1.0).smoothed(PiecewiseLinearDensity((0.0, 1.0), (1.0, 1.0)))
+
+    def test_default_weighted_masses(self, quad):
+        g1 = self.g1()
+        # uniform: the weight's exact integral over the support, t in [-x, 1-x)
+        uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
+        x = 0.3
+        exact = 0.0
+        for lo, hi, c in g1.pieces:
+            a, b = max(lo, -x), min(hi, 1.0 - x)
+            if b > a:
+                exact += sum(cj * ((b - lo) ** (j + 1) - (a - lo) ** (j + 1)) / (j + 1)
+                             for j, cj in enumerate(c))
+        assert abs(local_mass(uni, x, g1, quad) - math.log(exact)) < 1e-9
+        # atoms: the weight at each atom's offset, tilts included
+        atoms = MixtureDistribution(components=((0.5, PointMass(0.3)), (0.5, AtomSeries(
+            locations=(ScaledSum.from_float(-0.2), ScaledSum.from_float(0.9)),
+            weights=(0.25, 0.75)))))
+        want = 0.5 * g1.value(0.3) + 0.5 * (0.25 * g1.value(-0.2) + 0.75 * g1.value(0.9))
+        assert abs(local_mass(atoms, 0.0, g1, quad) - math.log(want)) < 1e-15
+        tp = tilt(MixtureDistribution.single(PointMass(0.3)), 0.7, quad)
+        assert abs(local_mass(tp, 0.0, g1, quad) - math.log(g1.value(0.3))) < 1e-15
+        # a mixture is the weighted sum of its components
+        mix = MixtureDistribution(components=((0.4, UniformAC(0.0, 1.0)), (0.6, ParetoAC(1.0))))
+        parts = (0.4 * math.exp(local_mass(uni, 0.5, g1, quad))
+                 + 0.6 * math.exp(local_mass(MixtureDistribution.single(ParetoAC(1.0)), 0.5,
+                                             g1, quad)))
+        assert abs(math.exp(local_mass(mix, 0.5, g1, quad)) / parts - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.01])
+    def test_dip_weighted_mass_matches_the_plain_default(self, mu, gamma):
+        # closed forms (untilted) and the weighted quadrature runs (tilted, or
+        # near a centre at small scales) against weight times density by
+        # quadrature, Component's default
+        from subexp.measures import Component
+        phi = mu.components[0][1]
+        quad = QuadratureSpec(rel_tol=1e-10)
+        g2 = self.g1().smoothed(self.kernel)
+        for x in (ScaledSum.scaled(3, 2.0), ScaledSum.scaled(2, 2.0, offset=0.3),
+                  ScaledSum.from_float(1.5), ScaledSum.scaled(5, 3.0), ScaledSum.scaled(9, 2.0)):
+            got = phi.log_window_mass(x, g2, quad, gamma)
+            assert abs(got - Component._log_weighted_mass(phi, x, g2, quad, gamma)) < 1e-9, x

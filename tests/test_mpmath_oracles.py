@@ -2,8 +2,8 @@
 
 Dip-centre segments run the tanh-sinh rule, plateau windows take the exact
 power-law antiderivative, and dip segments the exponential-integral one or a
-Gauss-Legendre rule; all must agree with ``mpmath.quad`` to ``rel_tol`` or
-better.
+Gauss-Legendre rule, under a unit window or a polynomial weight; all must
+agree with ``mpmath.quad`` to ``rel_tol`` or better.
 """
 
 import math
@@ -11,7 +11,7 @@ import math
 import pytest
 
 from subexp import QuadratureSpec, ScaledSum, integrate_log, local_mass
-from subexp.measures import PiecewiseLinearDensity, exp_e1, phi_integral_log
+from subexp.measures import PiecewiseLinearDensity, Weight, exp_e1, phi_integral_log
 from subexp.scaledcore import PointPhase, phi_window_log_eval
 
 mp = pytest.importorskip("mpmath")
@@ -203,3 +203,101 @@ def test_tanh_sinh_stops_when_the_next_level_would_fit(mu, params, quad_fast):
 
         ref = mp.log(mp.quad(g, [centre, centre + mp.mpf(0.5)])) - mp.mpf(phi.m_log)
     assert abs(got - float(ref)) <= 1e-9
+
+
+def _mp_weighted(params, phi, m, off, weight):
+    """log int w(t) mu(x + dt) at ``x = b^m x0 + off`` as an integral over the
+    offset d = t + off from the centre ``b^m x0``, plateau included, relative
+    to the density's scale ``centre^(-alpha-1)`` (mp.quad loses digits on
+    integrands near 1e-300)."""
+    with mp.workdps(DPS):
+        lnbm = m * mp.log(params.b)
+        centre = mp.mpf(params.b) ** m * params.x0
+        plateau = -1 / mp.log(mp.mpf(params.delta))
+        off = mp.mpf(off)
+        a1 = params.alpha + 1
+
+        def dens(d):
+            if d == 0:
+                return mp.mpf(0)
+            s = abs(d) / mp.exp(lnbm)  # mantissa distance
+            h = -1 / mp.log(s) if s < params.delta else plateau
+            return (1 + d / centre) ** -a1 * h
+
+        total = 0
+        for lo, hi, coeffs in weight.pieces:
+            a, b = off + lo, off + hi
+
+            def f(d, lo=lo, coeffs=coeffs):
+                tau = d - off - lo
+                return sum(mp.mpf(c) * tau ** j for j, c in enumerate(coeffs)) * dens(d)
+
+            total += mp.quad(f, [a, 0, b] if a < 0 < b else [a, b])
+        return float(mp.log(total) - a1 * mp.log(centre) - mp.mpf(phi.m_log))
+
+
+def _smoothed_window_weights():
+    kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
+    g1 = Weight.window(1.0).smoothed(kernel)
+    return g1, g1.smoothed(kernel)
+
+
+_PIECE = (0.3, 1.1, -0.7, 0.4, 0.2)  # positive on [0, 0.5]
+
+
+@pytest.mark.parametrize("m, off, weight", [
+    # the smoothed-pair weight G = G2 over (-2, 1], and G1 over (-1, 1]
+    (8, 0.0, "g2"),  # a knot at the centre
+    (8, -0.25, "g2"),  # a piece across the centre
+    (8, 0.0, "g1"),
+    (256, -1.3, "g2"),  # the centre 0.3 beyond the support
+    (1024, 0.7, "g2"),
+    (1024, -0.4, "g1"),
+    # single pieces of degree 0..4: across the centre, touching it, and one
+    # and sixteen widths from it
+    *((m, off, (lo, lo + 0.5, _PIECE[:deg + 1]))
+      for deg in range(5) for m, off, lo in ((8, 0.25, -0.5), (8, 0.0, 0.0),
+                                              (1024, 0.0, 0.5), (8, 0.0, 8.0))),
+    (1024, -0.25, (0.0, 0.5, _PIECE)),
+    (256, -8.75, (0.0, 0.5, _PIECE)),
+])
+def test_weighted_dip_mass(mu, params, quad, monkeypatch, m, off, weight):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("an untilted weighted dip mass ran a quadrature")
+
+    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
+    g1, g2 = _smoothed_window_weights()
+    w = {"g1": g1, "g2": g2}.get(weight) or Weight((weight,))
+    phi = mu.components[0][1]
+    x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
+    got = phi.log_window_mass(x, w, quad)
+    assert abs(got - _mp_weighted(params, phi, m, off, w)) <= 1e-11
+
+
+def test_weighted_plateau_mass(mu, params, quad, monkeypatch):
+    # 4^8 * 3 + t, t in (-2, 1], lies on the plateau: a Gauss-Legendre rule
+    # per piece of G under x^(-alpha-1)
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a weighted plateau mass ran a quadrature")
+
+    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
+    _g1, g2 = _smoothed_window_weights()
+    phi = mu.components[0][1]
+    got = phi.log_window_mass(ScaledSum.scaled(8, 3.0), g2, quad)
+    with mp.workdps(DPS):
+        x = mp.mpf(params.b) ** 8 * 3
+        plateau = -1 / mp.log(mp.mpf(params.delta))
+        mass = sum(mp.quad(lambda t, lo=lo, c=c: sum(
+            mp.mpf(a) * (t - lo) ** j for j, a in enumerate(c)) * (x + t) ** (-(params.alpha + 1)),
+            [lo, hi]) for lo, hi, c in g2.pieces)
+        ref = mp.log(plateau * mass) - mp.mpf(phi.m_log)
+    assert abs(got - float(ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("m, off, c", [(8, 0.25, 1.0), (8, -0.5, 1.0), (40, 0.0, 3.0),
+                                       (1024, -14.834430405213574, 1e-3), (8, 3.0, 0.5)])
+def test_unit_weight_is_the_window(mu, params, quad, m, off, c):
+    phi = mu.components[0][1]
+    x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
+    assert phi.log_window_mass(x, Weight(((0.0, c, (1.0,)),)), quad) == \
+        phi.log_window_mass(x, c, quad)
