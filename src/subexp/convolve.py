@@ -8,8 +8,12 @@ window (x, x+c] is the weight's one-piece constant case, and ``int w(t)
 (A*B)(x + dt)`` is one integral however many shifted windows the weight
 averages.  Atoms shift the weight; absolutely continuous pairs reduce to an
 outer integral of one side's density against the other side's weighted
-masses at the shifted point, kept in scale-split form so dip phases survive
-the subtraction exactly.  Every such integral takes its cuts from the
+masses at the shifted point.  Those come from one evaluator per outer
+integral, ``log_window_mass_eval(x, -ohi, -olo, w)``, which sets up the
+inner measure's windows over the whole range once and takes offsets from
+x's head and exact remainder, so near x dip phases survive the
+subtraction exactly; a node then costs its closed forms and a bisection
+into the range's structure.  Every such integral takes its cuts from the
 components' one structure query, ``density_cuts``: the outer density's own
 hints and dip centres, and the inner measure's hints reflected through each
 knot of the weight ``x + s - u`` (see :func:`_crossings`).  The dip-density
@@ -236,7 +240,7 @@ def _outer_integral(outer, inner, x: ScaledSum, xv: float, w: Weight, olo: float
     """log of int_olo^ohi a(u) B_w(x-u) du, a the outer density and B_w(z) =
     int w(t) B(z + dt) the inner measure's weighted mass, cut where the
     density or a knot of the weight meets structure (see :func:`_crossings`)."""
-    f = _shifted_window_integrand(outer, inner, x, w, quad)
+    f = _shifted_window_integrand(outer, inner, x, w, olo, ohi, quad)
     hints, centres = outer.density_cuts(ScaledSum.zero(x.b), olo, ohi)
     hints += _crossings(inner, x, xv, olo, ohi, w.knots)
     return integrate_log(f, olo, ohi, quad, hints=hints, singular=centres)
@@ -251,16 +255,18 @@ def _crossings(inner, x: ScaledSum, xv: float, olo: float, ohi: float, shifts) -
     return [s - t for s in shifts for t in inner.density_cuts(x, s - ohi, s - olo)[0]]
 
 
-def _shifted_window_integrand(outer, inner, x: ScaledSum, w: Weight, quad):
-    """u -> log of a(u) B_w(x-u), a the outer density, B_w the inner measure's
-    weighted mass."""
+def _shifted_window_integrand(outer, inner, x: ScaledSum, w: Weight, olo: float,
+                              ohi: float, quad):
+    """u -> log of a(u) B_w(x-u) for u in [olo, ohi], a the outer density, B_w
+    the inner measure's weighted mass from one evaluator over the span."""
     dens = outer.log_density_eval(ScaledSum.zero(x.b), quad)
+    mass = inner.log_window_mass_eval(x, -ohi, -olo, w, quad)
 
     def f(u):
         a = dens(u)
         if a == LOG_ZERO:
             return LOG_ZERO
-        m = inner.log_window_mass(x.add_offset(-u), w, quad)
+        m = mass(-u)
         if m == LOG_ZERO:
             return LOG_ZERO
         return a + m
@@ -333,7 +339,7 @@ def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, w: Weight, quad, plan):
     if 2.0 * L >= plan.split_threshold:
         raise ParameterError("split point too large relative to the threshold")
 
-    f = _shifted_window_integrand(c1, c2, x, w, quad)
+    f = _shifted_window_integrand(c1, c2, x, w, 1.0, L, quad)
     hints, centres = dip_cuts(p, 1.0, L)
     numeric = math.log(2.0) + integrate_log(f, 1.0, L, quad, hints=hints, singular=centres)
     k_log = math.log(c1.profile.plateau)

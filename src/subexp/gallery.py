@@ -45,7 +45,6 @@ from .measures import (
     PointMass,
     UniformAC,
     Weight,
-    _gauss_legendre,
     dip_pair_cuts,
     local_density,
     normalizer_M,
@@ -226,9 +225,9 @@ class PhiDensityHandle:
 class BridgeDensityHandle:
     """The window density p(x) = c^-1 mu((x-c, x]) as a pointwise object.
 
-    Its self-convolution is the dip-density self-convolution smoothed by the
-    triangle of two window uniforms, evaluated with fixed Gauss-Legendre
-    nodes per smooth piece.
+    Its self-convolution, the density of X1 + X2 + U1 + U2 with U uniform on
+    [0, c], is one weighted mass of ``mu * mu``: the triangle of two window
+    uniforms, reflected, as the weight.
     """
 
     denominator_form = "point"
@@ -242,38 +241,15 @@ class BridgeDensityHandle:
         self.phi: PhiAC = self.mu.components[0][1]
         self.quad = spec.quad
         self.plan = ConvPlan(spec.params)
+        # (p * p)(x) = int tri(s) (mu*mu)(x - s) ds = int tri(-t) (mu*mu)(x + dt)
+        self.triangle = Weight(((-2.0 * c, -c, (0.0, 1.0 / c ** 2)),
+                                (-c, 0.0, (1.0 / c, -1.0 / c ** 2))))
 
     def log_value(self, x) -> float:
         return local_density(self.mu, x, self.c, self.quad)
 
     def log_self_conv(self, x: ScaledSum):
-        # density of X1 + X2 + U1 + U2 at x: triangle (width 2c) smoothing of
-        # the dip-density self-convolution
-        c = self.c
-        profile = self.phi.profile
-        terms_lo, terms_hi = [], []
-        bracketed = False
-        for piece_lo, piece_hi, tri in (((0.0), c, lambda s: s / c ** 2),
-                                        (c, 2 * c, lambda s: (2 * c - s) / c ** 2)):
-            half = 0.5 * (piece_hi - piece_lo)
-            midp = 0.5 * (piece_hi + piece_lo)
-            for t, w in _gauss_legendre(8):
-                s = midp + half * t
-                dens = tri(s)
-                if dens <= 0.0:
-                    continue
-                raw = phi_self_conv_at(profile, x.add_offset(-s), self.quad, self.plan)
-                lo, hi = bracket_pair(raw)
-                if lo == LOG_ZERO:
-                    continue
-                bracketed = bracketed or (hi > lo)
-                base = math.log(w * half * dens) - 2 * self.phi.m_log
-                terms_lo.append(base + lo)
-                terms_hi.append(base + hi)
-        if not terms_lo:
-            return LOG_ZERO
-        lo, hi = log_sum(terms_lo), log_sum(terms_hi)
-        return LogBracket(lo, hi) if bracketed else lo
+        return conv_local_mass(self.mu, self.mu, x, self.triangle, self.quad, self.plan)
 
     def log_sd_denominator(self, x: ScaledSum) -> float:
         return self.log_value(x)

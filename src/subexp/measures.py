@@ -16,8 +16,9 @@ plain (untilted) quantities are the ``gamma = 0`` case.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import DivergentMomentError, ParameterError
 from .logsum import LOG_ZERO, log_add, log_sub, log_sum
@@ -383,6 +384,13 @@ class Component:
             w = c
         return self._log_window_mass(x, w, quad, gamma)
 
+    def log_window_mass_eval(self, base: ScaledSum, lo: float, hi: float, w,
+                             quad: QuadratureSpec, gamma: float = 0.0):
+        """``t -> log_window_mass(base + t, w)`` for offsets t in [lo, hi]: the
+        inner masses of an outer integral.  By default each node is a window
+        at its own point; :class:`PhiAC` sets up the span once."""
+        return lambda t: self.log_window_mass(base.add_offset(t), w, quad, gamma)
+
     def _log_window_mass(self, x: ScaledSum, c: float, quad: QuadratureSpec,
                          gamma: float = 0.0) -> float:
         raise NotImplementedError
@@ -454,6 +462,18 @@ class PhiAC(Component):
 
     profile: PeriodicProfile
     m_log: float  # log of the normalizer
+    # logs the closed forms take on every segment
+    _k_log: float = field(init=False, repr=False, compare=False)  # log(plateau / M)
+    _log_x0: float = field(init=False, repr=False, compare=False)
+    _log_b: float = field(init=False, repr=False, compare=False)
+    # (b^m x0, its phi evaluator) by m, built once per scale
+    _centres: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_k_log", math.log(self.profile.plateau) - self.m_log)
+        object.__setattr__(self, "_log_x0", math.log(self.params.x0))
+        object.__setattr__(self, "_log_b", self.params.log_b)
+        object.__setattr__(self, "_centres", {})
 
     @property
     def params(self) -> ModelParams:
@@ -462,46 +482,40 @@ class PhiAC(Component):
     def support_bounds(self):
         return (1.0, math.inf)
 
-    def _window_cuts(self, ph: PointPhase, c: float):
-        """Structure of the window (x, x+c] in offsets from x.
+    def _window_cuts(self, ph: PointPhase, hi: float, lo: float = 0.0):
+        """Structure of the offsets [lo, hi] from x, for the windows inside it.
 
-        Returns (hints, centres, rings): the branch changes of the profile
-        strictly inside the window, the dip centres in the closed window as a
-        dict from offset to the scale m of the centre ``b^m x0`` (None for the
-        head term of x, where x's own evaluator measures the dip distance
-        exactly), and the dip rings near the window as (lo, hi, t0, m): the
-        ring's offset range, so that a segment between hints lies in a ring
-        exactly when its midpoint does, and the offset t0 and scale m of its
-        centre ``b^m x0`` (both None where the centre is beyond float range).
-        ``rings`` is None where the structure is not resolved.  Offsets are
-        taken from the head term and the exact remainder of x, so a centre
-        lands where the evaluator puts it even when the float value of x rounds.
+        Returns (edges, centres, rings): the support edge, the ring edges and
+        the dip centres as one list, ascending by construction (the hints of
+        a window are those strictly inside it); the dip centres as a dict
+        from offset to the scale m of the centre ``b^m x0``; and the dip
+        rings, ascending, as (lo, hi, t0, m): the ring's offset range, so
+        that a segment between hints lies in a ring exactly when its midpoint
+        does, and the offset t0 and scale m of its centre (both None where
+        the centre is beyond float range).  ``rings`` is None where the
+        structure is not resolved.
+        Offsets are taken from the head term and the exact remainder of x, so
+        a centre lands where the evaluator puts it even when the float value
+        of x rounds.
         """
         p = self.params
         xv = ph.value
         info = ph.info
         if info is not None and info.rem is None:
             return [], {}, None
-        # a centre within rounding of a window end is that end
-        tol = _END_SNAP * (1.0 + c)
         edges, centres, rings = [], {}, []
         if math.isfinite(xv) and abs(xv) < _FLOAT_SAFE:
-            if info is None:
-                origin, shift = xv, 0.0
-            else:
-                origin, shift = p.b ** info.scale * info.mantissa, info.rem
-            edges.append((1.0 - origin) - shift)  # the support edge
-            head = None if info is None or info.mantissa != p.x0 else info.scale
-            if xv + c >= 1.0:
+            origin, shift = (xv, 0.0) if info is None else (ph.head, info.rem)
+            edges.append((1.0 - origin) - shift)  # the support edge, below every ring
+            if xv + hi >= 1.0:
                 # padded by one: xv rounds the remainder
-                for m in _scales(p, xv - 1.0, xv + c + 1.0):
+                for m in _scales(p, xv + lo - 1.0, xv + hi + 1.0):
                     scale = p.b ** m
                     centre = (scale * p.x0 - origin) - shift
                     ring = ((scale * (p.x0 - p.delta) - origin) - shift,
                             (scale * (p.x0 + p.delta) - origin) - shift)
                     edges += [ring[0], centre, ring[1]]
-                    if -tol <= centre <= c + tol:
-                        centres[min(max(centre, 0.0), c)] = None if m == head else m
+                    centres[centre] = m
                     rings.append((*ring, centre, m))
         elif info is None:
             return [], {}, None
@@ -517,17 +531,20 @@ class PhiAC(Component):
                 return [], {}, [(-math.inf, math.inf, None, None)] if in_ring else []
             ring = (t0 - p.delta * scale, t0 + p.delta * scale)
             edges += [ring[0], t0, ring[1]]
-            if -tol <= t0 <= c + tol:
-                centres[min(max(t0, 0.0), c)] = None if info.mantissa == p.x0 else info.scale
-            # only the head cell's ring is resolved here; the next cell's
-            # ring starts (x0 - delta - 1) b^(scale+1) away
-            rings = [(*ring, t0, info.scale)] if c < (p.x0 - p.delta - 1.0) * scale * p.b else None
-        hints = [t for t in edges if 0.0 < t < c]
-        return hints, centres, rings
+            centres[t0] = info.scale
+            # only the head cell's ring is resolved here: the next cell's ring
+            # starts (x0 - delta - 1) b^(scale+1) above x at the nearest, the
+            # previous one's ends (b - x0 - delta) b^(scale-1) below it
+            near = hi < (p.x0 - p.delta - 1.0) * scale * p.b and -lo < (
+                p.b - p.x0 - p.delta) * scale / p.b
+            rings = [(*ring, t0, info.scale)] if near else None
+        return edges, centres, rings
 
     def density_cuts(self, base: ScaledSum, lo: float, hi: float) -> tuple:
-        hints, centres, _rings = self._window_cuts(PointPhase(base.add_offset(lo)), hi - lo)
-        return [lo + t for t in hints], [lo + t for t in centres]
+        edges, centres, _rings = self._window_cuts(PointPhase(base), hi, lo)
+        tol = _END_SNAP * (1.0 + (hi - lo))  # as for a window's ends
+        snapped = {min(max(t, lo), hi): m for t, m in centres.items() if lo - tol <= t <= hi + tol}
+        return [t for t in edges if lo < t < hi], list(snapped)
 
     def log_density(self, x, quad, gamma=0.0):
         return self.log_density_eval(x, quad, gamma)(0.0)
@@ -543,10 +560,25 @@ class PhiAC(Component):
         return lambda t: ev(t) - m_log + gamma * (xv + t)
 
     def log_window_mass(self, x, c, quad, gamma=0.0):
-        """Mass of (x, x+c], or under a :class:`Weight` in place of c, by
-        segments between the window's structure points and the weight's
-        knots.  A weight is taken in offsets from its lower end: from then
-        on ``w`` is the weight on (0, c], or None for the window itself.
+        """Mass of (x, x+c], or under a :class:`Weight` in place of c: the
+        evaluator of :meth:`log_window_mass_eval` at offset 0."""
+        return self._node_mass(self._window_plan(x, 0.0, 0.0, c, quad, gamma), 0.0)
+
+    def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
+        """``t -> log_window_mass(base + t, w)`` for t in [lo, hi], by segments
+        between each window's structure points and the weight's knots.
+
+        The set-up is made once: the phase of base, one structure query
+        (:meth:`_window_cuts`) over every window of the span, and a weight in
+        offsets from its lower end (from then on ``shape`` is the weight on
+        (0, c], or None for the window itself).  A node then costs a
+        bisection into the span's structure and the closed forms.  The
+        structure's offsets are taken from the head and exact remainder of
+        base, less t, so near base the dip distance is exact up to
+        ``b^1024``; a node far below a base within float range has each
+        offset rounded at ``ulp(base)``, where ``base.add_offset(t)`` rounds
+        the point itself there.  A span that crosses ``2^50``, where the
+        structure changes form, takes a window per node.
 
         Untilted windows integrate in closed form: plateau segments take the
         power-law antiderivative and dip segments the exponential-integral
@@ -558,44 +590,83 @@ class PhiAC(Component):
         beyond ``2^-8 x0`` of it in mantissa units, tilted windows and windows
         whose structure is not resolved run through :func:`integrate_log`,
         with the tanh-sinh rule at dip centres.  A run of numeric segments
-        that holds a dip centre other than the head term of x is integrated
-        in offsets from that centre, with the evaluator built there: the dip
-        distance is then exact down to the centre, where offsets from a head
-        that absorbed the rest of x would lose it to rounding (a window
-        narrower than ``ulp(x) / rel_tol`` never converged).  The evaluator
-        at x is built only when some run needs it.
+        that holds a dip centre is integrated in offsets from that centre,
+        with the evaluator built there: the dip distance is then exact down
+        to the centre, where offsets from a head that absorbed the rest of
+        the point would lose it to rounding (a window narrower than ``ulp(x)
+        / rel_tol`` never converged), and a centre snapped to a window end
+        stays the evaluator's centre whichever node the window belongs to.
+        The evaluator at a centre is built once per scale.
         """
-        w = None
-        if type(c) is Weight:
-            if c.width is None:
-                x = x if c.lo == 0.0 else x.add_offset(c.lo)
-                w = c.shift(-c.lo)
-                c = w.hi
-            else:
-                c = c.width
-        ph = PointPhase(x)
-        hints, centres, rings = self._window_cuts(ph, c)
-        closed = rings is not None and gamma == 0.0
-        inner = hints + [t for t in centres if 0.0 < t < c]
-        if w is not None:
-            inner += w.knots[1:-1]
-        cuts = [0.0, *sorted(set(inner)), c] if inner else [0.0, c]
-        in_support = ph.value >= 1.0
+        plan = self._window_plan(base, lo, hi, w, quad, gamma)
+        if plan is None:
+            return super().log_window_mass_eval(base, lo, hi, w, quad, gamma)
+        return partial(self._node_mass, plan)
+
+    def _window_plan(self, base, lo, hi, w, quad, gamma):
+        """The set-up of :meth:`log_window_mass_eval` as one tuple; None where
+        the span crosses ``2^50``."""
+        shape, w0 = None, 0.0
+        c = w
+        if type(w) is Weight:
+            c = w.width
+            if c is None:
+                shape, w0 = w.shift(-w.lo), w.lo
+                c = shape.hi
+        ph = PointPhase(base)
+        xv = ph.value
+        if (abs(xv + lo) < _FLOAT_SAFE) != (abs(xv + hi) < _FLOAT_SAFE):
+            return None
+        edges, centres, rings = self._window_cuts(ph, hi + w0 + c, lo + w0)
+        if gamma != 0.0:
+            rings = None  # tilted windows run the quadrature
+        return (ph, w0, c, shape, edges, centres, rings, quad, gamma)
+
+    def _node_mass(self, plan, t):
+        """The window mass at ``base + t`` from its evaluator's set-up."""
+        ph, w0, c, shape, edges, centres, rings, quad, gamma = plan
+        s = t + w0
+        end = s + c
+        tol = _END_SNAP * (1.0 + c)  # a centre within rounding of a window end is that end
+        hints, at_centre = [], {}  # edges ascend, and so do hints
+        for e in edges[bisect_left(edges, s - tol):bisect_right(edges, end + tol)]:
+            h = e - s
+            if 0.0 < h < c:
+                hints.append(h)
+            if e in centres and -tol <= h <= c + tol:
+                at_centre[min(max(h, 0.0), c)] = centres[e]
+        if shape is None:
+            cuts = [0.0, *hints, c]
+        else:
+            cuts = [0.0, *sorted(set(hints).union(shape.knots[1:-1])), c]
+        near = []  # the rings that meet the window, in its offsets
+        if rings is not None:
+            for r_lo, r_hi, t0, m in rings:
+                if r_lo >= end:
+                    break
+                if r_hi > s:
+                    near.append((r_lo - s, r_hi - s, None if t0 is None else t0 - s, m))
+        in_support = ph.value + s >= 1.0
         terms = []
         runs = []  # maximal runs of consecutive numeric segments, as [lo, hi]
         joined = False
         piece = None
         for a, b in zip(cuts[:-1], cuts[1:]):
+            if a == b:  # edges that round together, as the support edge and x0 - delta can
+                continue
             mid = 0.5 * (a + b)
-            if not in_support and ph.log_point(mid) < 0.0:  # below the support edge at 1
+            if not in_support and ph.log_point(s + mid) < 0.0:  # below the support edge at 1
                 joined = False
                 continue
-            if closed:
-                if w is not None:
-                    piece = next(p for p in w.pieces if mid <= p[1])
-                ring = next((r for r in rings if r[0] < mid < r[1]), None)
-                term = (self._log_plateau_mass(ph, a, b, piece) if ring is None
-                        else self._log_dip_mass(ring, a, b, piece))
+            if rings is not None:
+                if shape is not None:
+                    piece = next(q for q in shape.pieces if mid <= q[1])
+                for ring in near:
+                    if ring[0] < mid < ring[1]:
+                        term = self._log_dip_mass(ring, a, b, piece)
+                        break
+                else:
+                    term = self._log_plateau_mass(ph, s, a, b, piece)
                 if term is not None:
                     terms.append(term)
                     joined = False
@@ -605,22 +676,26 @@ class PhiAC(Component):
             else:
                 runs.append([a, b])
                 joined = True
-        f = None
-        for lo, hi in runs:
-            singular = [t for t in centres if lo <= t <= hi]
-            t0 = next((t for t in singular if centres[t] is not None), None) if singular else None
-            if t0 is None:
-                if f is None:
-                    f = self._density(phi_window_log_eval(self.profile, x, ph), x, gamma)
-                g, t0 = f, 0.0
+        for r_lo, r_hi in runs:
+            singular = [t0 for t0 in at_centre if r_lo <= t0 <= r_hi]
+            if singular:
+                t0 = singular[0]
+                m = at_centre[t0]
+                centre = self._centres.get(m)
+                if centre is None:
+                    at = ScaledSum(b=self.params.b, terms=((1, m, self.params.x0),))
+                    centre = self._centres[m] = (at, phi_window_log_eval(self.profile, at))
+                g = self._density(centre[1], centre[0], gamma)
             else:
-                base = ScaledSum(b=x.b, terms=((1, centres[t0], self.params.x0),))
-                g = self._density(phi_window_log_eval(self.profile, base), base, gamma)
-            if w is not None:
-                g = _times_weight(g, w, t0)
+                t0 = 0.0
+                g = self._density(phi_window_log_eval(self.profile, ph.base, ph), ph.base, gamma)
+                if s != 0.0:
+                    g = lambda r, f=g, s=s: f(s + r)
+            if shape is not None:
+                g = _times_weight(g, shape, t0)
             terms.append(integrate_log(
-                g, lo - t0, hi - t0, quad, hints=[t - t0 for t in cuts if lo < t < hi],
-                singular=[t - t0 for t in singular]))
+                g, r_lo - t0, r_hi - t0, quad, hints=[u - t0 for u in cuts if r_lo < u < r_hi],
+                singular=[u - t0 for u in singular]))
         return terms[0] if len(terms) == 1 else log_sum(terms)
 
     def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None):
@@ -644,12 +719,11 @@ class PhiAC(Component):
         _lo, _hi, t0, m = ring
         if t0 is None:
             return None
-        p = self.params
-        a1 = p.alpha + 1.0
+        a1 = self.params.alpha + 1.0
         d1, d2 = a - t0, b - t0
         far, near = (d2, d1) if abs(d2) >= abs(d1) else (d1, d2)
-        lnbm = m * p.log_b
-        log_x0 = math.log(p.x0)
+        lnbm = m * self._log_b
+        log_x0 = self._log_x0
         head = -a1 * (lnbm + log_x0) - self.m_log
         w = b - a
         if near * far > 0.0:
@@ -710,9 +784,11 @@ class PhiAC(Component):
             out += pj * total
         return out
 
-    def _log_plateau_mass(self, ph: PointPhase, a: float, b: float, piece=None) -> float:
+    def _log_plateau_mass(self, ph: PointPhase, s: float, a: float, b: float,
+                          piece=None) -> float:
         """log of the plateau mass over (x+a, x+b] under the weight piece
-        ``piece`` (None for the unit weight).
+        ``piece`` (None for the unit weight), for the point ``x = base + s``
+        of the phase ``ph`` of base.
 
         K/M int u^(-alpha-1) du = K/(alpha M) X^-alpha (1 - (1+r)^-alpha) with
         X = x + a and r = (b-a)/X; once r underflows, the bracket is alpha r.
@@ -720,10 +796,10 @@ class PhiAC(Component):
         ``u^(-alpha-1)`` at ``u = 0`` the nearest singularity.
         """
         alpha = self.params.alpha
-        k_log = math.log(self.profile.plateau) - self.m_log
+        k_log = self._k_log
         if piece is not None:
             h, mid = 0.5 * (b - a), 0.5 * (a + b)
-            log_x = ph.log_point(mid)
+            log_x = ph.log_point(s + mid)
             r = math.exp(max(math.log(h) - log_x, -700.0))  # half-widths per distance to u = 0
             p_lo, _p_hi, coeffs = piece
             tau = mid - p_lo
@@ -731,7 +807,7 @@ class PhiAC(Component):
             for z, wt in _gauss_legendre(_gauss_nodes(1.0 / r) + len(coeffs) // 2):
                 total += wt * _poly_value(coeffs, tau + h * z) * (1.0 + r * z) ** (-alpha - 1.0)
             return k_log - (alpha + 1.0) * log_x + math.log(h * total) if total > 0.0 else LOG_ZERO
-        log_x = ph.log_point(a)
+        log_x = ph.log_point(s + a)
         log_r = math.log(b - a) - log_x
         if log_r > -700.0:
             body = math.log(-math.expm1(-alpha * math.log1p(math.exp(log_r)))) - math.log(alpha)
@@ -1283,6 +1359,11 @@ class Tilted(Component):
     def log_window_mass(self, x, w, quad, gamma=0.0):
         return self.base.log_window_mass(x, w, quad, gamma=self.gamma + gamma) - self.log_norm
 
+    def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
+        f = self.base.log_window_mass_eval(base, lo, hi, w, quad, gamma=self.gamma + gamma)
+        ln = self.log_norm
+        return lambda t: f(t) - ln
+
     def log_density(self, x, quad, gamma=0.0):
         return self.base.log_density(x, quad, gamma=self.gamma + gamma) - self.log_norm
 
@@ -1341,6 +1422,11 @@ class MixtureDistribution:
 
     def log_window_mass(self, x, w, quad, gamma=0.0):
         return self._combine(lambda comp: comp.log_window_mass(x, w, quad, gamma))
+
+    def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
+        evs = [(math.log(wt), comp.log_window_mass_eval(base, lo, hi, w, quad, gamma))
+               for wt, comp in self.components if wt > 0.0]
+        return lambda t: log_sum([lw + f(t) for lw, f in evs])
 
     def log_density(self, x, quad, gamma=0.0):
         return self._combine(lambda comp: comp.log_density(x, quad, gamma))

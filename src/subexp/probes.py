@@ -319,10 +319,8 @@ def sandwich_probe(dist: MixtureDistribution, c: float, c1: float, a: float,
 
     def smoothed(x: ScaledSum, width: float) -> float:
         # P(x < X + U <= x + width) = (1/c) int_0^c dist((x-s, x-s+width]) ds
-        def f(s):
-            return dist.log_window_mass(x.add_offset(-s), width, quad)
-
-        return integrate_log(f, 0.0, c, quad) - math.log(c)
+        mass = dist.log_window_mass_eval(x, -c, 0.0, width, quad)
+        return integrate_log(lambda s: mass(-s), 0.0, c, quad) - math.log(c)
 
     out = []
     for n, x in zip(ns, pts):

@@ -470,20 +470,26 @@ class PointPhase:
     their input with :func:`as_point`, and ``ScaledSum`` arithmetic returns
     canonical sums.  ``value`` is its float value (+-inf beyond float range)
     and ``info`` its :class:`PhaseInfo`, or None when the point is not
-    positive-headed.
+    positive-headed.  ``head`` is the head term ``b^scale mantissa`` as a
+    float, None when there is no head or it is beyond float range.
     """
 
-    __slots__ = ("base", "value", "info", "head_log")
+    __slots__ = ("base", "value", "info", "head", "head_log")
 
     def __init__(self, base: ScaledSum):
         self.base = base
         self.value = base.value()
         self.info = info = base.phase() if base.terms and base.terms[0][0] > 0 else None
-        self.head_log = (None if info is None else
-                         info.scale * math.log(base.b) + math.log(info.mantissa))
+        self.head = self.head_log = None
+        if info is not None:
+            self.head_log = info.scale * math.log(base.b) + math.log(info.mantissa)
+            if self.head_log < 709.0:
+                self.head = base.b ** info.scale * info.mantissa
 
     def log_point(self, t: float) -> float:
-        """log(base + t); -inf where base + t <= 0."""
+        """log(base + t); -inf where base + t <= 0.  Within float range the
+        head and remainder are added as floats, so the point is rounded once
+        even where it is much smaller than base."""
         info = self.info
         if info is None:
             u = self.value + t
@@ -491,6 +497,9 @@ class PointPhase:
         if info.rem is None:
             return self.head_log  # O(1) offsets are below the remainder's resolution
         v = info.rem + t
+        if self.head is not None:
+            u = self.head + v
+            return math.log(u) if u > 0.0 else _LOG_ZERO
         if v == 0.0:
             return self.head_log
         e = math.log(abs(v)) - self.head_log

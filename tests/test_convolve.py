@@ -230,6 +230,23 @@ class TestSelfPairFold:
         conv_local_mass(mu, mu, ScaledSum.scaled(6, 3.0), 1.0, quad_fast)
         assert eval_count[0] <= 10_000
 
+    def test_one_window_set_up_per_outer_integral(self, mu, quad_fast, eval_count, monkeypatch):
+        # the outer integral's inner windows share one set-up of the span,
+        # with one phase of x; a PointPhase per outer node would be about 1,000
+        from subexp.scaledcore import PointPhase
+
+        built = [0]
+        init = PointPhase.__init__
+
+        def counting(self, base):
+            built[0] += 1
+            init(self, base)
+
+        monkeypatch.setattr(PointPhase, "__init__", counting)
+        conv_local_mass(mu, mu, ScaledSum.scaled(6, 3.0), 1.0, quad_fast)
+        assert eval_count[0] >= 500  # outer nodes, each an inner window
+        assert built[0] <= 20  # the diagonal's few nodes take a window each
+
 
 class TestNFold:
     def test_n1_equals_local(self, uni, quad):

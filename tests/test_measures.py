@@ -3,16 +3,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subexp import (
     AtomSeries,
     DivergentMomentError,
     KernelAC,
     MixtureDistribution,
+    ModelParams,
     ParameterError,
     ParetoAC,
+    PeriodicProfile,
+    PhiAC,
     PiecewiseLinearDensity,
     PointMass,
+    QuadratureError,
     QuadratureSpec,
     ScaledSum,
     UniformAC,
@@ -481,3 +487,130 @@ class TestWeight:
                   ScaledSum.from_float(1.5), ScaledSum.scaled(5, 3.0), ScaledSum.scaled(9, 2.0)):
             got = phi.log_window_mass(x, g2, quad, gamma)
             assert abs(got - Component._log_weighted_mass(phi, x, g2, quad, gamma)) < 1e-9, x
+
+
+@pytest.fixture(scope="module")
+def phi_non_dyadic(quad):
+    p = ModelParams(x0=1.7, delta=0.3, x1=0.4, x2=1.2)
+    return PhiAC(profile=PeriodicProfile(p), m_log=math.log(normalizer_M(p, quad)))
+
+
+class TestWindowEvaluator:
+    """``PhiAC.log_window_mass_eval``: one set-up for the windows of a span."""
+
+    kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
+    g1 = Weight.window(1.0).smoothed(kernel)
+    g2 = g1.smoothed(kernel)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_node_is_the_window_at_its_point(self, mu, quad, data):
+        # bases 4^0 to 4^1024, in and out of the dip ring, below the support
+        # edge at 1; nodes that put a dip centre, cell edge or the support
+        # edge inside the window or within 2^-39 of one of its ends, down to
+        # the scale-0 rings of a base 4^12 above them, in spans that may
+        # reach down to the support edge; all inputs dyadic, so that base + t
+        # is exact on both paths
+        phi = mu.components[0][1]
+        n = data.draw(st.one_of(st.integers(0, 12), st.integers(0, 1024)), label="n")
+        y = data.draw(st.one_of(st.just(2.0), st.integers(1024, 4095).map(lambda k: k / 1024),
+                                st.integers(-255, 255).map(lambda k: 2.0 + k / 1024)), label="y")
+        off = data.draw(st.integers(-2560 if n <= 12 else -512, 2560 if n <= 12 else 512),
+                        label="off") / 64
+        base = ScaledSum.scaled(n, y, offset=off)
+        w = data.draw(st.one_of(
+            st.builds(lambda m, e: m * 2.0 ** e, st.integers(1, 37), st.integers(-20, 0)),
+            st.sampled_from([self.g1, self.g2])), label="w")
+        if n <= 12:
+            xv = base.value()
+            m = data.draw(st.one_of(st.integers(max(n - 1, 0), n + 1), st.integers(0, n)),
+                          label="m")
+            anchor = data.draw(st.sampled_from(
+                [0.0, 2.0 * 4.0 ** m - xv, 4.0 ** m - xv, 1.0 - xv]), label="anchor")
+        else:
+            anchor = data.draw(st.sampled_from([0.0, -off]), label="anchor")  # -off: 4^n x0
+        ends = (w.lo, w.hi) if isinstance(w, Weight) else (0.0, w)
+        ulp = 2.0 ** -44 if n <= 2 or n > 12 else 0.0  # where base + t stays exact
+        t = anchor + data.draw(st.one_of(
+            st.integers(-4096, 4096).map(lambda j: j / 1024),
+            st.tuples(st.sampled_from(ends), st.integers(-32, 32)).map(
+                lambda e: -e[0] + e[1] * ulp)), label="shift")
+        below = data.draw(st.sampled_from(
+            [0.0, 0.125, 40.0] + ([max(base.value() + t - 1.0, 0.0)] if n <= 12 else [])),
+            label="below")  # the last one reaches the support edge at 1
+        above = data.draw(st.sampled_from([0.0, 0.125, 40.0]), label="above")
+        gamma = data.draw(st.sampled_from([0.0, 0.0, -0.01]), label="gamma") if n <= 8 else 0.0
+        got = _value_or_error(
+            lambda: phi.log_window_mass_eval(base, t - below, t + above, w, quad, gamma)(t))
+        want = _value_or_error(lambda: phi.log_window_mass(base.add_offset(t), w, quad, gamma))
+        assert got == want or abs(got - want) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_non_dyadic_node_is_the_window_to_rounding(self, phi_non_dyadic, quad, data):
+        # x0 = 1.7, bases and offsets of full precision: a node far below a
+        # float-range base takes each structure point's offset from the base's
+        # head, rounded at ulp(base), where base.add_offset(t) rounds the
+        # point itself at ulp(base).  So the node is the window at base + t
+        # to what a move of a few ulp(base) does to that window, and to the
+        # quadrature tolerance, since the two paths cut a numeric run at
+        # points that round differently.  Beyond 2^50 the offsets stay near
+        # the base.
+        phi = phi_non_dyadic
+        p = phi.params
+        n = data.draw(st.one_of(st.integers(0, 12), st.integers(13, 1024)), label="n")
+        y = data.draw(st.floats(1.0, 3.99), label="y")
+        base = ScaledSum.scaled(n, y, offset=data.draw(st.floats(-40.0, 40.0), label="off"))
+        xv = base.value()
+        w = data.draw(st.one_of(st.floats(1e-6, 37.0), st.sampled_from([self.g1, self.g2])),
+                      label="w")
+        if n <= 12:
+            # nodes at the structure of every scale up to the base's, in a
+            # span from the support edge at 1 to above the base
+            m = data.draw(st.integers(0, n), label="m")
+            anchor = data.draw(st.sampled_from(
+                [0.0, p.x0 * 4.0 ** m, (p.x0 - p.delta) * 4.0 ** m, 1.0]), label="anchor")
+            t = (anchor - xv if anchor else 0.0) + data.draw(st.floats(-4.0, 4.0), label="shift")
+            lo, hi = min(t, 1.0 - xv), max(t, 0.0) + 40.0
+        else:
+            t = data.draw(st.floats(-40.0, 40.0), label="t")
+            lo, hi = t - 40.0, t + 40.0
+        got = phi.log_window_mass_eval(base, lo, hi, w, quad)(t)
+        want = phi.log_window_mass(base.add_offset(t), w, quad)
+        ulp = math.ulp(xv) if xv < 2.0 ** 50 else 0.0
+        moved = max(abs(phi.log_window_mass(base.add_offset(t + k * ulp), w, quad) - want)
+                    for k in (-4, 4))
+        assert got == want or abs(got - want) <= 2.0 * quad.rel_tol + 2.0 * moved
+
+    def test_edges_that_round_together(self, quad):
+        # x0 - delta rounds to the support edge 1: the zero-width segment
+        # between them is skipped, and the masses are those of deduplicated
+        # cuts
+        p = ModelParams(x0=1.5, delta=0.49999999999999994, x1=0.5, x2=1.5)
+        assert p.x0 - p.delta == 1.0
+        phi = PhiAC(profile=PeriodicProfile(p), m_log=math.log(normalizer_M(p, quad)))
+        for x, c, want in ((0.5, 1.0, -1.2863902172401467), (0.9, 0.25, -1.8717967956805226),
+                           (0.9, 1.0, -1.0225539788906723)):
+            got = phi.log_window_mass(ScaledSum.from_float(x, 4.0), c, quad)
+            assert abs(got - want) < 1e-12
+            assert phi.log_window_mass_eval(ScaledSum.from_float(1.0, 4.0), -1.0, 0.0, c, quad)(
+                x - 1.0) == got
+
+    def test_span_across_float_range(self, mu, quad):
+        # nodes on both sides of 2^50 = 4^25, where the structure changes
+        # form, take a window each
+        phi = mu.components[0][1]
+        base = ScaledSum.scaled(25, 1.0, offset=0.5)
+        mass = phi.log_window_mass_eval(base, -2.0, 1.0, 1.0, quad)
+        for t in (-2.0, -0.5, 0.0, 1.0):
+            assert mass(t) == phi.log_window_mass(base.add_offset(t), 1.0, quad)
+
+
+def _value_or_error(f):
+    """f() or the QuadratureError it raises: a tilted weighted window with the
+    support edge within about 1e-13 of its end does not converge on either
+    path."""
+    try:
+        return f()
+    except QuadratureError as e:
+        return type(e)
