@@ -89,6 +89,13 @@ def _poly_shift(coeffs: tuple, h: float) -> tuple:
     return tuple(c)
 
 
+def _nearer_end(piece: tuple, z: float) -> tuple:
+    """``(origin, coeffs)`` of a weight piece ``(lo, hi, coeffs, upper)``: its
+    polynomial in offsets from the end nearer z."""
+    lo, hi, coeffs, upper = piece
+    return (lo, coeffs) if z - lo <= hi - z else (hi, upper)
+
+
 def _poly_integral(coeffs: tuple) -> tuple:
     """The antiderivative of p vanishing at 0."""
     return (0.0, *(a / (j + 1) for j, a in enumerate(coeffs)))
@@ -98,11 +105,15 @@ def _poly_integral(coeffs: tuple) -> tuple:
 class Weight:
     """A piecewise-polynomial weight ``w(t) >= 0`` in offsets t from a point.
 
-    ``pieces`` are contiguous ``(t_lo, t_hi, coeffs)``: on ``(t_lo, t_hi]``
-    the weight is ``sum_j coeffs[j] (t - t_lo)^j``, and zero outside them.
-    ``log_window_mass(x, w, ...)`` of any measure takes a weight in place of a
-    width and returns ``log int w(t) (x + dt)``; the window ``(x, x+c]`` is
-    the one-piece constant case :meth:`window`, and passes as its width.
+    ``pieces`` are contiguous ``(t_lo, t_hi, coeffs, upper)``: on ``(t_lo,
+    t_hi]`` the weight is ``sum_j coeffs[j] (t - t_lo)^j``, or equally ``sum_j
+    upper[j] (t - t_hi)^j``, and zero outside them.  A piece given as ``(t_lo,
+    t_hi, coeffs)`` takes ``upper`` by a Taylor shift.  Values are taken from
+    the end nearer the point, so a weight that vanishes at a piece end keeps
+    its digits next to it.  ``log_window_mass(x, w, ...)`` of any measure
+    takes a weight in place of a width and returns ``log int w(t) (x +
+    dt)``; the window ``(x, x+c]`` is the one-piece constant case
+    :meth:`window`, and passes as its width.
     """
 
     pieces: tuple
@@ -110,10 +121,12 @@ class Weight:
     width: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.pieces or any(not (hi > lo) for lo, hi, _c in self.pieces) or any(
+        if not self.pieces or any(not (p[1] > p[0]) for p in self.pieces) or any(
                 a[1] != b[0] for a, b in zip(self.pieces[:-1], self.pieces[1:])):
             raise ParameterError("weight pieces must be nonempty, ordered and contiguous")
-        lo, hi, coeffs = self.pieces[0]
+        object.__setattr__(self, "pieces", tuple(
+            p if len(p) == 4 else (*p, _poly_shift(p[2], p[1] - p[0])) for p in self.pieces))
+        lo, hi, coeffs, _upper = self.pieces[0]
         window = len(self.pieces) == 1 and lo == 0.0 and coeffs == (1.0,)
         object.__setattr__(self, "width", hi if window else None)
 
@@ -131,16 +144,17 @@ class Weight:
 
     @property
     def knots(self) -> tuple:
-        return (self.lo, *(hi for _lo, hi, _c in self.pieces))
+        return (self.lo, *(p[1] for p in self.pieces))
 
     def mass(self) -> float:
         """``int w``."""
-        return math.fsum(_poly_value(_poly_integral(c), hi - lo) for lo, hi, c in self.pieces)
+        return math.fsum(_poly_value(_poly_integral(c), hi - lo) for lo, hi, c, _u in self.pieces)
 
     def value(self, t: float) -> float:
-        for lo, hi, coeffs in self.pieces:
-            if lo < t <= hi:
-                return _poly_value(coeffs, t - lo)
+        for piece in self.pieces:
+            if piece[0] < t <= piece[1]:
+                origin, coeffs = _nearer_end(piece, t)
+                return _poly_value(coeffs, t - origin)
         return 0.0
 
     def log_value(self, t: float) -> float:
@@ -150,13 +164,14 @@ class Weight:
     def shift(self, s: float, above: float = -math.inf):
         """``t -> w(t - s)`` restricted to ``t > above``; None where nothing is left."""
         pieces = []
-        for lo, hi, coeffs in self.pieces:
+        for lo, hi, coeffs, upper in self.pieces:
             lo, hi = lo + s, hi + s
             if hi <= above:
                 continue
             if lo < above:
-                lo, coeffs = above, _poly_shift(coeffs, above - lo)
-            pieces.append((lo, hi, coeffs))
+                origin, coeffs = _nearer_end((lo, hi, coeffs, upper), above)
+                lo, coeffs = above, _poly_shift(coeffs, above - origin)
+            pieces.append((lo, hi, coeffs, upper))
         return Weight(tuple(pieces)) if pieces else None
 
     def smoothed(self, kernel: "PiecewiseLinearDensity") -> "Weight":
@@ -168,39 +183,48 @@ class Weight:
         ``sum_i beta_i R(t + k_i)`` with ``R(z) = int_z^inf (r - z) w(r) dr``,
         a polynomial of two degrees more on each piece of ``w``.
         """
-        ks, vs = kernel.knots, kernel.values
-        if vs[0] != 0.0 or vs[-1] != 0.0:
-            raise ParameterError("smoothing needs a kernel that vanishes at its support ends")
-        slopes = [0.0, *((v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in
-                         zip(ks[:-1], ks[1:], vs[:-1], vs[1:])), 0.0]
+        ks = kernel.knots
+        slopes = [0.0, *_kernel_slopes(kernel), 0.0]
         betas = [b - a for a, b in zip(slopes[:-1], slopes[1:])]
-        # R on each piece of w, right to left, as (lo, hi, coeffs in z - lo)
+        # R on each piece of w, right to left, as (lo, hi, coeffs in z - lo,
+        # coeffs in z - hi): R(hi + s) = R(hi) - s int_hi^inf w + int int w
         r_pieces, mass, r_hi = [], 0.0, 0.0
-        for lo, hi, coeffs in reversed(self.pieces):
+        for lo, hi, coeffs, upper in reversed(self.pieces):
             h = hi - lo
             i1 = _poly_integral(coeffs)
             i2 = _poly_integral(i1)
             tail = mass + _poly_value(i1, h)  # int_lo^inf w
             r_lo = r_hi + tail * h - _poly_value(i2, h)
-            r_pieces.append((lo, hi, (r_lo, -tail, *i2[2:])))
+            r_pieces.append((lo, hi, (r_lo, -tail, *i2[2:]),
+                             (r_hi, -mass, *_poly_integral(_poly_integral(upper))[2:])))
             mass, r_hi = tail, r_lo
-        r_pieces.append((-math.inf, self.lo, (r_hi, -mass)))  # linear below the support
+        r_pieces.append((-math.inf, self.lo, None, (r_hi, -mass)))  # linear below the support
         lo, hi = self.lo - ks[-1], self.hi - ks[0]
         knots = sorted({t for t in (a - k for a in self.knots for k in ks) if lo <= t <= hi})
-        n_coeffs = max(len(p[2]) for p in r_pieces)
+        n_coeffs = max(len(p[3]) for p in r_pieces)
         pieces = []
         for t0, t1 in zip(knots[:-1], knots[1:]):
-            acc = [0.0] * n_coeffs
+            ends = ([0.0] * n_coeffs, [0.0] * n_coeffs)  # in offsets from t0 and from t1
             for k, beta in zip(ks, betas):
                 z_mid = 0.5 * (t0 + t1) + k
                 piece = next((p for p in r_pieces if p[0] < z_mid <= p[1]), None)
                 if piece is None or beta == 0.0:
                     continue
-                origin = self.lo if piece[0] == -math.inf else piece[0]
-                for j, a in enumerate(_poly_shift(piece[2], t0 + k - origin)):
-                    acc[j] += beta * a
-            pieces.append((t0, t1, tuple(acc)))
+                for acc, z in zip(ends, (t0 + k, t1 + k)):
+                    origin, coeffs = _nearer_end(piece, z)
+                    for j, a in enumerate(_poly_shift(coeffs, z - origin)):
+                        acc[j] += beta * a
+            pieces.append((t0, t1, *map(tuple, ends)))
         return Weight(tuple(pieces))
+
+
+def _kernel_slopes(kernel: "PiecewiseLinearDensity") -> list:
+    """The slope of each linear piece of a kernel that vanishes at its
+    support ends; any other kernel raises."""
+    ks, vs = kernel.knots, kernel.values
+    if vs[0] != 0.0 or vs[-1] != 0.0:
+        raise ParameterError("smoothing needs a kernel that vanishes at its support ends")
+    return [(v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in zip(ks[:-1], ks[1:], vs[:-1], vs[1:])]
 
 
 def as_weight(w) -> Weight:
@@ -397,13 +421,21 @@ class Component:
 
     def _log_weighted_mass(self, x: ScaledSum, w: Weight, quad: QuadratureSpec,
                            gamma: float = 0.0) -> float:
-        """The plain default: the weight times the density by quadrature, or
-        summed over the atoms."""
+        """The plain default: the weight times the density by quadrature (a
+        window's density alone), or summed over the atoms."""
         if self.is_atomic:
-            return log_sum(_atom_terms(x, 0.0, self, lambda v: (
-                w.value(-v) if math.isfinite(v) else 0.0), gamma))
+            terms = []
+            for loc, aw in self.atoms():
+                loc = loc if isinstance(loc, ScaledSum) else ScaledSum.from_float(loc, x.b)
+                v = x.sub(loc).value()  # the atom lies at offset -v
+                wv = w.value(-v) if math.isfinite(v) else 0.0
+                if aw > 0.0 and wv > 0.0:
+                    term = math.log(aw) + math.log(wv)
+                    terms.append(term + gamma * loc.value() if gamma else term)
+            return log_sum(terms)
+        f = self.log_density_eval(x, quad, gamma)
         hints, centres = self.density_cuts(x, w.lo, w.hi)
-        return integrate_log(_times_weight(self.log_density_eval(x, quad, gamma), w, 0.0),
+        return integrate_log(f if w.width is not None else _times_weight(f, w, 0.0),
                              w.lo, w.hi, quad, hints=hints + list(w.knots[1:-1]),
                              singular=centres)
 
@@ -660,7 +692,7 @@ class PhiAC(Component):
                 continue
             if rings is not None:
                 if shape is not None:
-                    piece = next(q for q in shape.pieces if mid <= q[1])
+                    piece = _nearer_end(next(q for q in shape.pieces if mid <= q[1]), mid)
                 for ring in near:
                     if ring[0] < mid < ring[1]:
                         term = self._log_dip_mass(ring, a, b, piece)
@@ -700,8 +732,9 @@ class PhiAC(Component):
 
     def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None):
         """log of the mass over (x+a, x+b] inside the dip ring ``ring``, under
-        the weight piece ``piece`` (None for the unit weight); None where the
-        segment is left to quadrature.
+        the weight piece ``piece``, as ``(origin, coeffs)`` in offsets from
+        ``origin`` (None for the unit weight); None where the segment is left
+        to quadrature.
 
         With ``x + t = b^m (x0 + s)`` the density is ``b^(-m alpha)/M (x0 +
         s)^(-alpha-1) (-1/log|s|)`` in ``s``, and ``G(s) = x0^(-alpha-1)
@@ -740,8 +773,8 @@ class PhiAC(Component):
                         d = mid + h * z
                         total += wt * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d)))
                 else:
-                    p_lo, _p_hi, coeffs = piece
-                    tau = 0.5 * (a + b) - p_lo
+                    origin, coeffs = piece
+                    tau = 0.5 * (a + b) - origin
                     for z, wt in _gauss_legendre(n + len(coeffs) // 2):
                         d = mid + h * z
                         total += (wt * _poly_value(coeffs, tau + h * z)
@@ -757,12 +790,14 @@ class PhiAC(Component):
         if piece is None:
             p_far = p_near = (1.0,)
         else:
-            coeffs = _poly_shift(piece[2], t0 - piece[0])  # in offsets from the centre
+            coeffs = _poly_shift(piece[1], t0 - piece[0])  # in offsets from the centre
             p_far = tuple(c * far ** j for j, c in enumerate(coeffs))
             p_near = tuple(c * near ** j for j, c in enumerate(coeffs))
-        s_far = math.copysign(self._dip_series(q, lnbm - log_far, tol, p_far), far)
-        s_near = (0.0 if near == 0.0 else math.copysign(self._dip_series(
-            q * (near / far), lnbm - math.log(abs(near)), tol / r, p_near), near))
+        # sgn(d) from G's sgn(s)^(k+1); under a weight of mixed signs the
+        # series itself may be negative
+        s_far = math.copysign(1.0, far) * self._dip_series(q, lnbm - log_far, tol, p_far)
+        s_near = 0.0 if near == 0.0 else math.copysign(1.0, near) * self._dip_series(
+            q * (near / far), lnbm - math.log(abs(near)), tol / r, p_near)
         body = s_far - r * s_near if far == d2 else r * s_near - s_far
         return head + log_far + math.log(body) if body > 0.0 else LOG_ZERO
 
@@ -787,8 +822,8 @@ class PhiAC(Component):
     def _log_plateau_mass(self, ph: PointPhase, s: float, a: float, b: float,
                           piece=None) -> float:
         """log of the plateau mass over (x+a, x+b] under the weight piece
-        ``piece`` (None for the unit weight), for the point ``x = base + s``
-        of the phase ``ph`` of base.
+        ``piece`` (as for :meth:`_log_dip_mass`), for the point ``x = base +
+        s`` of the phase ``ph`` of base.
 
         K/M int u^(-alpha-1) du = K/(alpha M) X^-alpha (1 - (1+r)^-alpha) with
         X = x + a and r = (b-a)/X; once r underflows, the bracket is alpha r.
@@ -801,8 +836,8 @@ class PhiAC(Component):
             h, mid = 0.5 * (b - a), 0.5 * (a + b)
             log_x = ph.log_point(s + mid)
             r = math.exp(max(math.log(h) - log_x, -700.0))  # half-widths per distance to u = 0
-            p_lo, _p_hi, coeffs = piece
-            tau = mid - p_lo
+            origin, coeffs = piece
+            tau = mid - origin
             total = 0.0
             for z, wt in _gauss_legendre(_gauss_nodes(1.0 / r) + len(coeffs) // 2):
                 total += wt * _poly_value(coeffs, tau + h * z) * (1.0 + r * z) ** (-alpha - 1.0)
@@ -1183,70 +1218,53 @@ class PiecewiseLinearDensity:
         return total
 
 
-def _atom_terms(x: ScaledSum, lw: float, comp, frac_of, gamma: float = 0.0) -> list:
-    """``lw + log aw + log frac_of(v)``, plus ``gamma location`` when tilted,
-    for each atom (location, aw) of ``comp``, with ``v`` the float value of
-    ``x - location``; zero fractions drop out."""
-    terms = []
-    for loc, aw in comp.atoms():
-        if aw <= 0.0:
-            continue
-        loc = loc if isinstance(loc, ScaledSum) else ScaledSum.from_float(loc, x.b)
-        frac = frac_of(x.sub(loc).value())
-        if frac > 0.0:
-            term = lw + math.log(aw) + math.log(frac)
-            terms.append(term + gamma * loc.value() if gamma else term)
-    return terms
-
-
 @dataclass(frozen=True)
 class KernelAC(Component):
     """The measure q(x) dx with q(x) = int q1(x-u) base(du).
 
-    ``q1`` is a continuous piecewise-linear density with compact support;
-    smoothing any base mixture with it yields an absolutely continuous
-    measure whose windows reduce to exact kernel-CDF differences against the
-    base.
+    ``q1`` is a continuous piecewise-linear density on ``[n_lo, n_hi]`` that
+    vanishes at its ends.  Every untilted query is one query on the base,
+    under a weight built from the kernel: a window or weight w is
+    ``w.smoothed(q1)``, the density is ``R(t) = q1(-t)``, and the tail is
+    the base's tail at ``x - n_lo`` plus the base under ``T(t) = 1 -
+    Q1(-t)``, with R and T on ``(-n_hi, -n_lo]``.  Tilted windows integrate
+    the tilted density.
     """
 
     kernel: PiecewiseLinearDensity
     base: "MixtureDistribution"
+    # R and T above, each piece's coefficients at both ends from the knot values
+    _density_weight: Weight = field(init=False, repr=False, compare=False)
+    _tail_weight: Weight = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ks, vs = self.kernel.knots, self.kernel.values
+        r_pieces, t_pieces, above = [], [], 0.0  # above: int_(k1)^(n_hi) q1
+        for k0, k1, v0, v1, slope in reversed(tuple(zip(
+                ks[:-1], ks[1:], vs[:-1], vs[1:], _kernel_slopes(self.kernel)))):
+            # t in (-k1, -k0], where q1(-t) runs from v1 down the piece to v0
+            r_pieces.append((-k1, -k0, (v1, -slope), (v0, -slope)))
+            total = above + 0.5 * (v0 + v1) * (k1 - k0)
+            t_pieces.append((-k1, -k0, (above, v1, -0.5 * slope), (total, v0, -0.5 * slope)))
+            above = total
+        object.__setattr__(self, "_density_weight", Weight(tuple(r_pieces)))
+        object.__setattr__(self, "_tail_weight", Weight(tuple(t_pieces)))
 
     def support_bounds(self):
         blo, bhi = self.base.support_bounds()
         return (blo + self.kernel.knots[0], bhi + self.kernel.knots[-1])
 
-    def _log_window_mass(self, x, c, quad, gamma=0.0):
+    def log_window_mass(self, x, w, quad, gamma=0.0):
+        w = as_weight(w)
         if gamma != 0.0:
-            f = self.log_density_eval(x, quad, gamma)
-            hints, centres = self.density_cuts(x, 0.0, c)
-            return integrate_log(f, 0.0, c, quad, hints=hints, singular=centres)
-        terms = []
-        n_lo, n_hi = self.kernel.knots[0], self.kernel.knots[-1]
-        for w, comp in self.base.components:
-            if w == 0.0:
-                continue
-            lw = math.log(w)
-            if comp.is_atomic:
-                terms += _atom_terms(x, lw, comp, lambda v: (
-                    self.kernel.cdf(v + c) - self.kernel.cdf(v) if math.isfinite(v) else 0.0))
-            else:
-                # int f(u) [Q1(x+c-u) - Q1(x-u)] du, u = x + s, s in [-N-?, c]
-                dens = comp.log_density_eval(x, quad)
+            return self._log_weighted_mass(x, w, quad, gamma)
+        return self.base.log_window_mass(x, w.smoothed(self.kernel), quad)
 
-                def f(s):
-                    frac = self.kernel.cdf(c - s) - self.kernel.cdf(-s)
-                    if frac <= 0.0:
-                        return LOG_ZERO
-                    return dens(s) + math.log(frac)
-
-                lo, hi = -n_hi, c - n_lo
-                hints, centres = comp.density_cuts(x, lo, hi)
-                hints += [c - k for k in self.kernel.knots] + [-k for k in self.kernel.knots]
-                terms.append(lw + integrate_log(f, lo, hi, quad,
-                                                hints=[t for t in hints if lo < t < hi],
-                                                singular=centres))
-        return log_sum(terms)
+    def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
+        if gamma != 0.0:
+            return super().log_window_mass_eval(base, lo, hi, w, quad, gamma)
+        return self.base.log_window_mass_eval(base, lo, hi, as_weight(w).smoothed(self.kernel),
+                                              quad)
 
     def density_cuts(self, base, lo, hi):
         # the kernel's knots placed at either end of the base's support
@@ -1257,34 +1275,11 @@ class KernelAC(Component):
         return self.log_density_eval(x, quad, gamma)(0.0)
 
     def log_density_eval(self, base, quad, gamma=0.0):
-        kernel = self.kernel
-        n_lo, n_hi = kernel.knots[0], kernel.knots[-1]
+        r = self._density_weight
 
         def q_log(t):
             pt = base.add_offset(t) if t != 0.0 else base
-            terms = []
-            for w, comp in self.base.components:
-                if w == 0.0:
-                    continue
-                lw = math.log(w)
-                if comp.is_atomic:
-                    terms += _atom_terms(pt, lw, comp, lambda v: (
-                        kernel.value(v) if math.isfinite(v) else 0.0))
-                else:
-                    dens = comp.log_density_eval(pt, quad)
-
-                    def f(s):
-                        val = kernel.value(-s)
-                        if val <= 0.0:
-                            return LOG_ZERO
-                        return dens(s) + math.log(val)
-
-                    hints, centres = comp.density_cuts(pt, -n_hi, -n_lo)
-                    hints += [-k for k in kernel.knots]
-                    terms.append(lw + integrate_log(
-                        f, -n_hi, -n_lo, quad,
-                        hints=[s for s in hints if -n_hi < s < -n_lo], singular=centres))
-            out = log_sum(terms)
+            out = self.base.log_window_mass(pt, r, quad)
             if gamma != 0.0 and out != LOG_ZERO:
                 out += gamma * pt.value()
             return out
@@ -1294,32 +1289,8 @@ class KernelAC(Component):
     def log_tail(self, x, quad, gamma=0.0):
         if gamma != 0.0:
             raise ParameterError("tilted tails of smoothed measures are not supported")
-        terms = []
-        n_lo, n_hi = self.kernel.knots[0], self.kernel.knots[-1]
-        for w, comp in self.base.components:
-            if w == 0.0:
-                continue
-            lw = math.log(w)
-            if comp.is_atomic:
-                terms += _atom_terms(x, lw, comp, lambda v: (
-                    1.0 - self.kernel.cdf(v) if math.isfinite(v) else float(v == -math.inf)))
-            else:
-                terms.append(lw + comp.log_tail(x.add_offset(-n_lo), quad))
-                dens = comp.log_density_eval(x, quad)
-
-                def f(s):
-                    frac = 1.0 - self.kernel.cdf(-s)
-                    if frac <= 0.0:
-                        return LOG_ZERO
-                    return dens(s) + math.log(frac)
-
-                lo, hi = -n_hi, -n_lo
-                hints, centres = comp.density_cuts(x, lo, hi)
-                hints += [-k for k in self.kernel.knots]
-                terms.append(lw + integrate_log(f, lo, hi, quad,
-                                                hints=[t for t in hints if lo < t < hi],
-                                                singular=centres))
-        return log_sum(terms)
+        return log_add(self.base.log_tail(x.add_offset(-self.kernel.knots[0]), quad),
+                       self.base.log_window_mass(x, self._tail_weight, quad))
 
     def log_exp_moment(self, gamma, quad):
         if gamma == 0.0:

@@ -313,8 +313,10 @@ class TestDensityHints:
 
 
 class TestKernelCentres:
-    """``KernelAC`` integrals over the kernel offsets flag the base's dip
-    centres, so a dip anchor costs a small multiple of a plateau point."""
+    """A ``KernelAC`` query is one query on its base under a weight built
+    from the kernel, so a dip anchor costs a small multiple of a plateau
+    point: untilted windows and densities take the dip density's closed
+    forms, and tails add the base's own tail."""
 
     @pytest.mark.parametrize("query, bound", [
         ("log_window_mass", 4.0),
@@ -334,6 +336,31 @@ class TestKernelCentres:
             getattr(ker, query)(ScaledSum.scaled(6, y, offset=0.5), *args)
             cost[y] = eval_count[0]
         assert cost[2.0] <= bound * cost[3.0], cost
+
+    @pytest.mark.parametrize("query", ["log_window_mass", "log_density"])
+    @pytest.mark.parametrize("n", [6, 1024])
+    def test_untilted_anchor_runs_no_quadrature(self, mu, quad_fast, eval_count, query, n):
+        base = MixtureDistribution(components=((0.5, PointMass(0.0)),
+                                               (0.5, mu.components[0][1])))
+        ker = KernelAC(kernel=PiecewiseLinearDensity.triangle(0.0, 1.0), base=base)
+        args = {"log_window_mass": (1.0, quad_fast)}.get(query, (quad_fast,))
+        assert getattr(ker, query)(ScaledSum.scaled(n, 2.0, offset=0.5), *args) > -math.inf
+        assert eval_count[0] == 0
+
+    def test_tilted_window_of_smoothed_atom(self, quad):
+        # int_(0.7)^(1.7) e^(-y/2) q1(y - 0.5) dy with q1 the triangle on [0, 2]
+        tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
+        ker = KernelAC(kernel=tri, base=MixtureDistribution.single(PointMass(0.5)))
+        ys = np.linspace(0.7, 1.7, 200_001)
+        mids = 0.5 * (ys[1:] + ys[:-1])
+        want = float(np.sum(np.exp(-0.5 * mids) * np.array([tri.value(y - 0.5) for y in mids])
+                            * np.diff(ys)))
+        got = ker.log_window_mass(ScaledSum.from_float(0.7), 1.0, quad, -0.5)
+        assert abs(got - math.log(want)) < 1e-9
+
+    def test_rejects_a_kernel_that_does_not_vanish_at_its_ends(self, mu):
+        with pytest.raises(ParameterError):
+            KernelAC(kernel=PiecewiseLinearDensity((0.0, 1.0), (1.0, 1.0)), base=mu)
 
 
 def test_untilted_dip_window_runs_no_quadrature(mu, quad, eval_count):
@@ -453,7 +480,7 @@ class TestWeight:
         uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
         x = 0.3
         exact = 0.0
-        for lo, hi, c in g1.pieces:
+        for lo, hi, c, _upper in g1.pieces:
             a, b = max(lo, -x), min(hi, 1.0 - x)
             if b > a:
                 exact += sum(cj * ((b - lo) ** (j + 1) - (a - lo) ** (j + 1)) / (j + 1)
@@ -487,6 +514,24 @@ class TestWeight:
                   ScaledSum.from_float(1.5), ScaledSum.scaled(5, 3.0), ScaledSum.scaled(9, 2.0)):
             got = phi.log_window_mass(x, g2, quad, gamma)
             assert abs(got - Component._log_weighted_mass(phi, x, g2, quad, gamma)) < 1e-9, x
+
+    @pytest.mark.parametrize("times, gamma, x", [
+        (times, gamma, x) for times in (1, 2) for gamma in (0.0, -0.01)
+        for x in (2.0 ** -44, 8 * 2.0 ** -44)
+        # a tilted G2 there runs Simpson on a sliver 128 ulps wide and does
+        # not converge
+        if (times, gamma, x) != (2, -0.01, 2.0 ** -44)])
+    def test_weight_vanishing_at_the_support_edge(self, mu, quad, times, gamma, x):
+        # G1 and G2 meet the dip density's support only on (1 - x, 1], where
+        # they are 2 (t - 1)^2 and (2/3) (t - 1)^4 and the density K/M to O(x):
+        # the masses are (2/3) x^3 and (2/15) x^5 times K/M e^gamma, which
+        # offsets from the last piece's lower end cancel to nothing
+        phi = mu.components[0][1]
+        w = self.g1() if times == 1 else self.g1().smoothed(self.kernel)
+        mass = 2.0 / 3.0 * x ** 3 if times == 1 else 2.0 / 15.0 * x ** 5
+        want = math.log(mass * phi.profile.plateau) - phi.m_log + gamma
+        got = phi.log_window_mass(ScaledSum.from_float(x), w, quad, gamma)
+        assert abs(got - want) < (1e-11 if gamma == 0.0 else quad.rel_tol)
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from subexp import QuadratureSpec, ScaledSum, integrate_log, local_mass
+from subexp import KernelAC, QuadratureSpec, ScaledSum, integrate_log, local_mass
 from subexp.measures import PiecewiseLinearDensity, Weight, exp_e1, phi_integral_log
 from subexp.scaledcore import PointPhase, phi_window_log_eval
 
@@ -225,7 +225,7 @@ def _mp_weighted(params, phi, m, off, weight):
             return (1 + d / centre) ** -a1 * h
 
         total = 0
-        for lo, hi, coeffs in weight.pieces:
+        for lo, hi, coeffs, _upper in weight.pieces:
             a, b = off + lo, off + hi
 
             def f(d, lo=lo, coeffs=coeffs):
@@ -260,6 +260,14 @@ _PIECE = (0.3, 1.1, -0.7, 0.4, 0.2)  # positive on [0, 0.5]
                                               (1024, 0.0, 0.5), (8, 0.0, 8.0))),
     (1024, -0.25, (0.0, 0.5, _PIECE)),
     (256, -8.75, (0.0, 0.5, _PIECE)),
+    # one-sided pieces between touching a centre and one width from it whose
+    # polynomial is negative at the centre, so that the series is negative
+    (8, 0.0, (-1.7, -0.7, (1.0, -1.0))),
+    (256, 0.0, (-1.7, -0.7, (1.0, -1.0))),
+    (8, 0.0, (0.25, 0.75, (0.0, 2.0))),
+    (1024, 0.0, (0.1, 1.1, (0.0, 1.0))),
+    (8, 0.0, (-0.9, -0.4, (0.0, 4.0, -8.0))),
+    (64, 0.0, (0.3, 0.8, (0.0, 1.0, 0.5, 0.25))),
 ])
 def test_weighted_dip_mass(mu, params, quad, monkeypatch, m, off, weight):
     def no_quadrature(*args, **kwargs):
@@ -272,6 +280,15 @@ def test_weighted_dip_mass(mu, params, quad, monkeypatch, m, off, weight):
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
     got = phi.log_window_mass(x, w, quad)
     assert abs(got - _mp_weighted(params, phi, m, off, w)) <= 1e-11
+
+
+def test_smoothed_density(mu, params, quad):
+    # the triangle(0, 2) smoothing of mu is mu under R(t) = q1(-t) on (-2, 0]
+    phi = mu.components[0][1]
+    ker = KernelAC(kernel=PiecewiseLinearDensity.triangle(0.0, 2.0), base=mu)
+    x = ScaledSum(b=params.b, terms=((1, 8, params.x0),), offset=-0.7).normalize()
+    r = Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))
+    assert abs(ker.log_density(x, quad) - _mp_weighted(params, phi, 8, -0.7, r)) <= 1e-11
 
 
 def test_weighted_plateau_mass(mu, params, quad, monkeypatch):
@@ -289,7 +306,7 @@ def test_weighted_plateau_mass(mu, params, quad, monkeypatch):
         plateau = -1 / mp.log(mp.mpf(params.delta))
         mass = sum(mp.quad(lambda t, lo=lo, c=c: sum(
             mp.mpf(a) * (t - lo) ** j for j, a in enumerate(c)) * (x + t) ** (-(params.alpha + 1)),
-            [lo, hi]) for lo, hi, c in g2.pieces)
+            [lo, hi]) for lo, hi, c, _upper in g2.pieces)
         ref = mp.log(plateau * mass) - mp.mpf(phi.m_log)
     assert abs(got - float(ref)) <= 1e-11
 
