@@ -44,12 +44,17 @@ _EULER_GAMMA = 0.5772156649015329
 # centre, within two widths at its far end so that the one-sided difference
 # cancels at most one bit, takes the exponential-integral antiderivative
 # when that end lies within 2^-8 x0 of the centre in mantissa units, where
-# the binomial series shrinks by 2^-8 per term or faster; the rest run the
-# quadrature.  On unit windows at 4^4 and 4^8 the rule took 8 us against the
+# the binomial series shrinks by 2^-8 per term or faster; a segment that
+# reaches further is cut at 2^k times that reach into pieces of these two
+# kinds.  On unit windows at 4^4 and 4^8 the rule took 8 us against the
 # series' 24-44 us one width from the centre, and about as long at half a
 # width.
 _DIP_GAUSS_MIN_RATIO = 3.0
-_DIP_SERIES_LOG_RATIO = -8.0 * math.log(2.0)
+_DIP_SERIES_REACH = 2.0 ** -8
+# A tilted Pareto window takes a Gauss-Legendre rule whose node count comes
+# from the bound of ``_tilted_gauss_nodes``; a window that would need more
+# nodes than this is halved.
+_TILT_MAX_NODES = 24
 
 
 @dataclass(frozen=True)
@@ -349,6 +354,35 @@ def _gauss_nodes(ratio: float) -> int:
     return max(1, math.ceil(28.0 * math.log(2.0) / math.log(rho)))
 
 
+def _tilted_gauss_nodes(ratio: float, gh: float, a1: float):
+    """Nodes of the Gauss-Legendre rule that takes ``f(z) = (1 + z/ratio)^-a1
+    e^(gh z)`` on [-1, 1] to 2^-56 of its integral; None where that takes
+    more than ``_TILT_MAX_NODES``.
+
+    On the Bernstein ellipse ``rho = e^eta`` inside the pole at ``z =
+    -ratio`` (``cosh eta < ratio``), ``|f| <= M = (1 - cosh eta / ratio)^-a1
+    e^(|gh| cosh eta)``, and the n-node rule errs by at most ``64 M / (15
+    (1 - rho^-2) rho^2n)`` (Trefethen, SIAM Rev. 50, 2008, Thm 4.5, whose
+    rule has n + 1 nodes); the integral is at least ``2 (1 + 1/ratio)^-a1
+    e^-|gh|``.  The least n over the ellipses ``eta = j/8`` of the pole's,
+    j = 1..7, is taken.
+    """
+    eta_pole = math.acosh(ratio)
+    g = abs(gh)
+    fixed = 56.0 * math.log(2.0) + math.log(32.0 / 15.0) + g + a1 * math.log1p(1.0 / ratio)
+    best = math.inf
+    for j in range(1, 8):
+        eta = eta_pole * (j / 8.0)
+        ch = math.cosh(eta)
+        n = (fixed - a1 * math.log1p(-ch / ratio) + g * ch
+             - math.log(-math.expm1(-2.0 * eta))) / (2.0 * eta)
+        if n >= best:  # past the best ellipse: the pole's growth takes over
+            break
+        best = n
+    n = max(1, math.ceil(best))
+    return n if n <= _TILT_MAX_NODES else None
+
+
 def _times_weight(f, w: Weight, t0: float):
     """``s -> f(s) + log w(s + t0)``."""
     return lambda s: f(s) + w.log_value(s + t0)
@@ -618,17 +652,18 @@ class PhiAC(Component):
         exact to rounding (:meth:`_log_dip_mass`).  A weight's polynomial
         enters each form: a Gauss-Legendre rule with more nodes on plateau
         segments and far dip segments, and one exponential-integral series
-        per power near a centre.  Dip segments nearer their centre that reach
-        beyond ``2^-8 x0`` of it in mantissa units, tilted windows and windows
-        whose structure is not resolved run through :func:`integrate_log`,
-        with the tanh-sinh rule at dip centres.  A run of numeric segments
-        that holds a dip centre is integrated in offsets from that centre,
-        with the evaluator built there: the dip distance is then exact down
-        to the centre, where offsets from a head that absorbed the rest of
-        the point would lose it to rounding (a window narrower than ``ulp(x)
-        / rel_tol`` never converged), and a centre snapped to a window end
-        stays the evaluator's centre whichever node the window belongs to.
-        The evaluator at a centre is built once per scale.
+        per power near a centre; a dip segment near its centre that reaches
+        beyond ``2^-8 x0`` of it in mantissa units is cut into pieces of
+        these kinds.  Tilted windows and windows whose structure is not
+        resolved run through :func:`integrate_log`, with the tanh-sinh rule
+        at dip centres.  A run of numeric segments that holds a dip centre is
+        integrated in offsets from that centre, with the evaluator built
+        there: the dip distance is then exact down to the centre, where
+        offsets from a head that absorbed the rest of the point would lose it
+        to rounding (a window narrower than ``ulp(x) / rel_tol`` never
+        converged), and a centre snapped to a window end stays the
+        evaluator's centre whichever node the window belongs to.  The
+        evaluator at a centre is built once per scale.
         """
         plan = self._window_plan(base, lo, hi, w, quad, gamma)
         if plan is None:
@@ -737,56 +772,104 @@ class PhiAC(Component):
         to quadrature.
 
         With ``x + t = b^m (x0 + s)`` the density is ``b^(-m alpha)/M (x0 +
-        s)^(-alpha-1) (-1/log|s|)`` in ``s``, and ``G(s) = x0^(-alpha-1)
-        sum_k C(-alpha-1, k) x0^-k sgn(s)^(k+1) E1((k+1) L)`` with ``L =
-        -log|s|`` is its exact antiderivative across the centre.  Writing
-        ``E1(z) = e^-z exp_e1(z)`` factors out the far end's ``e^-L = |d|
-        b^-m`` (d the offset from the centre); the near end then enters
-        through the exact ratio of the offsets, so neither end's ``L`` is
-        exponentiated and nothing underflows up to ``b^1024``.  A weight
-        ``sum_j p_j d^j`` in offsets from the centre turns ``E1((k+1) L)``
-        into ``sum_j p_j d^j E1((k+j+1) L)``.  The series runs while ``|s| <=
-        2^-8 x0``; a segment a width or more from its centre takes a
-        Gauss-Legendre rule instead (see ``_DIP_GAUSS_MIN_RATIO``).
+        s)^(-alpha-1) (-1/log|s|)`` in ``s``.  A segment a width or more from
+        its centre takes a Gauss-Legendre rule (see ``_DIP_GAUSS_MIN_RATIO``),
+        one within ``r0 = 2^-8 x0 b^m`` of it the exponential-integral series
+        (:meth:`_dip_series_mass`).  Any other segment is cut at the offsets
+        ``±2^k r0`` from its centre: the piece at the centre lies within r0,
+        and every other piece lies within ``[2^k r0, 2^(k+1) r0]`` on one
+        side, three half-widths or more from the centre, and takes the rule.
+        Its pole at ``|s| = 1`` lies at least ``4/delta - 3`` half-widths
+        away, so for ``delta <= 0.8`` no segment is left to quadrature but
+        those whose centre is beyond float range.
         """
         _lo, _hi, t0, m = ring
         if t0 is None:
             return None
-        a1 = self.params.alpha + 1.0
-        d1, d2 = a - t0, b - t0
-        far, near = (d2, d1) if abs(d2) >= abs(d1) else (d1, d2)
         lnbm = m * self._log_b
-        log_x0 = self._log_x0
-        head = -a1 * (lnbm + log_x0) - self.m_log
-        w = b - a
-        if near * far > 0.0:
-            h, mid = 0.5 * w, 0.5 * (d1 + d2)
-            pole = math.exp(lnbm) - abs(mid) if lnbm < 700.0 else math.inf
-            ratio = min(abs(mid), pole) / h
+        bm = math.exp(lnbm) if lnbm < 700.0 else math.inf  # |d| at the pole, |s| = 1
+        d1, d2 = a - t0, b - t0
+        h = 0.5 * (b - a)
+        if d1 * d2 > 0.0:
+            d_mid = 0.5 * (d1 + d2)
+            ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if ratio >= _DIP_GAUSS_MIN_RATIO:
-                n = _gauss_nodes(ratio)
-                log_q = math.log(abs(mid)) - lnbm - log_x0
-                q = math.exp(log_q) / abs(mid) if log_q > -745.0 else 0.0  # s / (x0 d)
-                total = 0.0
-                if piece is None:
-                    for z, wt in _gauss_legendre(n):
-                        d = mid + h * z
-                        total += wt * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d)))
-                else:
-                    origin, coeffs = piece
-                    tau = 0.5 * (a + b) - origin
-                    for z, wt in _gauss_legendre(n + len(coeffs) // 2):
-                        d = mid + h * z
-                        total += (wt * _poly_value(coeffs, tau + h * z)
-                                  * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
-                return head + math.log(h * total) if total > 0.0 else LOG_ZERO
+                return self._dip_gauss_mass(lnbm, d_mid, h, ratio, 0.5 * (a + b), piece)
+        r0 = bm * self.params.x0 * _DIP_SERIES_REACH
+        if max(-d1, d2) <= r0:
+            return self._dip_series_mass(lnbm, t0, d1, d2, h, piece)
+        cuts, k = [], r0
+        while k < max(-d1, d2):
+            cuts += [c for c in (-k, k) if d1 < c < d2]
+            k *= 2.0
+        ends = [d1, *sorted(cuts), d2]
+        terms = []
+        for p, q in zip(ends[:-1], ends[1:]):
+            h, d_mid = 0.5 * (q - p), 0.5 * (p + q)
+            ratio = min(abs(d_mid), bm - abs(d_mid)) / h
+            if q <= -r0 or p >= r0 or (p * q > 0.0 and ratio >= _DIP_GAUSS_MIN_RATIO):
+                # off the centre piece the ratio is 3 less rounding, unless
+                # the pole is nearer (delta > 0.8)
+                if ratio < 2.0:
+                    return None
+                terms.append(self._dip_gauss_mass(lnbm, d_mid, h, ratio, t0 + d_mid, piece))
+            else:
+                terms.append(self._dip_series_mass(lnbm, t0, p, q, h, piece))
+        return log_sum(terms)
+
+    def _dip_gauss_mass(self, lnbm: float, d_mid: float, h: float, ratio: float, mid: float,
+                        piece):
+        """The mass over the offsets ``d_mid ± h`` from the centre, on one side
+        of it, by a Gauss-Legendre rule of :func:`_gauss_nodes` nodes for
+        ``ratio``, the distance in half-widths to the nearer of the centre and
+        the pole of ``-1/log|s|`` at ``|s| = 1``.  The midpoint ``mid`` is in
+        window offsets, where the weight piece takes its argument: far from
+        a centre ``t0 + d`` loses it."""
+        a1 = self.params.alpha + 1.0
+        log_x0 = self._log_x0
+        n = _gauss_nodes(ratio)
+        log_q = math.log(abs(d_mid)) - lnbm - log_x0
+        q = math.exp(log_q) / abs(d_mid) if log_q > -745.0 else 0.0  # s / (x0 d)
+        total = 0.0
+        if piece is None:
+            for z, wt in _gauss_legendre(n):
+                d = d_mid + h * z
+                total += wt * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d)))
+        else:
+            origin, coeffs = piece
+            tau = mid - origin
+            for z, wt in _gauss_legendre(n + len(coeffs) // 2):
+                d = d_mid + h * z
+                total += (wt * _poly_value(coeffs, tau + h * z)
+                          * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
+        head = -a1 * (lnbm + log_x0) - self.m_log
+        return head + math.log(h) + math.log(total) if total > 0.0 else LOG_ZERO
+
+    def _dip_series_mass(self, lnbm: float, t0: float, d1: float, d2: float, h: float,
+                         piece):
+        """The mass over the offsets (d1, d2] from the centre at window offset
+        t0, of half-width h, within ``2^-8 x0 b^m`` of it and within two
+        widths of it at the far end, so that the one-sided difference cancels
+        at most one bit.
+
+        ``G(s) = x0^(-alpha-1) sum_k C(-alpha-1, k) x0^-k sgn(s)^(k+1)
+        E1((k+1) L)`` with ``L = -log|s|`` is an exact antiderivative of the
+        density across the centre.  Writing ``E1(z) = e^-z exp_e1(z)``
+        factors out the far end's ``e^-L = |d| b^-m``; the near end then
+        enters through the exact ratio of the offsets, so neither end's ``L``
+        is exponentiated and nothing underflows up to ``b^1024``.  A weight
+        ``sum_j p_j d^j`` in offsets from the centre turns ``E1((k+1) L)``
+        into ``sum_j p_j d^j E1((k+j+1) L)``; the binomial series shrinks by
+        ``2^-8`` per term or faster.
+        """
+        a1 = self.params.alpha + 1.0
+        log_x0 = self._log_x0
+        far, near = (d2, d1) if abs(d2) >= abs(d1) else (d1, d2)
         log_far = math.log(abs(far))
         log_q = log_far - lnbm - log_x0  # log |s_far / x0|
-        if log_q > _DIP_SERIES_LOG_RATIO or abs(far) > 2.0 * w:
-            return None
         q = math.copysign(math.exp(log_q), far) if log_q > -745.0 else 0.0
         r = abs(near) / abs(far)
-        tol = 2.0 ** -54 * min(1.0, w / abs(far))
+        tol = 2.0 ** -54 * min(1.0, 2.0 * h / abs(far))
         if piece is None:
             p_far = p_near = (1.0,)
         else:
@@ -799,6 +882,7 @@ class PhiAC(Component):
         s_near = 0.0 if near == 0.0 else math.copysign(1.0, near) * self._dip_series(
             q * (near / far), lnbm - math.log(abs(near)), tol / r, p_near)
         body = s_far - r * s_near if far == d2 else r * s_near - s_far
+        head = -a1 * (lnbm + log_x0) - self.m_log
         return head + log_far + math.log(body) if body > 0.0 else LOG_ZERO
 
     def _dip_series(self, q: float, L: float, tol: float, p: tuple) -> float:
@@ -841,7 +925,9 @@ class PhiAC(Component):
             total = 0.0
             for z, wt in _gauss_legendre(_gauss_nodes(1.0 / r) + len(coeffs) // 2):
                 total += wt * _poly_value(coeffs, tau + h * z) * (1.0 + r * z) ** (-alpha - 1.0)
-            return k_log - (alpha + 1.0) * log_x + math.log(h * total) if total > 0.0 else LOG_ZERO
+            if total <= 0.0:
+                return LOG_ZERO
+            return k_log - (alpha + 1.0) * log_x + math.log(h) + math.log(total)
         log_x = ph.log_point(s + a)
         log_r = math.log(b - a) - log_x
         if log_r > -700.0:
@@ -990,8 +1076,38 @@ class ParetoAC(Component):
         a = self.shape
         if gamma == 0.0:
             return log_sub(-a * math.log1p(o1), -a * math.log1p(o2))
-        f = self.log_density_eval(ScaledSum.zero(x.b), quad, gamma)
-        return integrate_log(f, o1, o2, quad)
+        return self._log_tilted_mass(o1, o2, gamma)
+
+    def _log_tilted_mass(self, o1: float, o2: float, gamma: float) -> float:
+        """log int_o1^o2 a (1+u)^(-a-1) e^(gamma u) du for 0 <= o1 < o2, by a
+        Gauss-Legendre rule on the integrand factored at the midpoint m,
+        ``a (1+m)^(-a-1) e^(gamma m) (1 + z/ratio)^(-a-1) e^(gamma h z)`` with
+        ``ratio = (1+m)/h``.  A window too wide for a bounded rule is halved.
+        The integrand is log-convex, so a half holds at most its width times
+        its larger end value: the half with the larger outer end goes first,
+        and the other is dropped where that bound is below 2^-56 of it."""
+        a1 = self.shape + 1.0
+        h, mid = 0.5 * (o2 - o1), 0.5 * (o1 + o2)
+        ratio = (1.0 + mid) / h
+        gh = gamma * h
+        n = _tilted_gauss_nodes(ratio, gh, a1)
+        if n is None:
+            def log_f(u):  # the integrand's log, less log a
+                return gamma * u - a1 * math.log1p(u)
+
+            (p1, q1), (p2, q2) = ((mid, o2), (o1, mid)) if log_f(o2) >= log_f(o1) \
+                else ((o1, mid), (mid, o2))
+            big = self._log_tilted_mass(p1, q1, gamma)
+            bound = math.log(self.shape * h) + max(log_f(p2), log_f(q2))
+            if bound < big - 56.0 * math.log(2.0):
+                return big
+            return log_add(big, self._log_tilted_mass(p2, q2, gamma))
+        r = 1.0 / ratio
+        total = 0.0
+        for z, wt in _gauss_legendre(n):
+            total += wt * (1.0 + r * z) ** -a1 * math.exp(gh * z)
+        return (math.log(self.shape) - a1 * math.log1p(mid) + gamma * mid
+                + math.log(h) + math.log(total))
 
     def log_density(self, x, quad, gamma=0.0):
         xv = _finite_value(x, "pareto density")

@@ -19,10 +19,10 @@ the integrands are smooth, and each segment gets the rule that fits it:
   Its exhaustion floor accepts a panel whose whole possible contribution is
   negligible, so a jump or an unflagged singular derivative still ends.
 
-Most segments of untilted dip-density windows never come here: ``PhiAC``
-in :mod:`measures` integrates plateau segments, and dip segments near their
-center or far from it, in closed form.  Dip segments that reach far from
-their center at small scales, tilted windows and unresolved windows still
+Untilted dip-density windows whose structure is resolved never come here:
+``PhiAC`` in :mod:`measures` integrates plateau and dip segments in closed
+form or by fixed Gauss-Legendre rules, and tilted Pareto windows take a
+fixed rule too.  Tilted dip-density windows and unresolved windows still
 run here.
 
 Refinement is budgeted: the total error target ``rel_tol * I`` is distributed
@@ -171,17 +171,22 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
         v = f_log(t)
         return 0.0 if v == LOG_ZERO else math.exp(v - ref)
 
+    # each segment's first estimate and, for Simpson, the linear values and
+    # half sums its refinement starts from
     seg_est = []
     total0 = 0.0
     for a, b, de, nodes, fs in first:
         if de:
             s0 = math.fsum(0.0 if v == LOG_ZERO else w * math.exp(v - ref)
                            for (_x, w), v in zip(nodes, fs))
+            seg_est.append((s0, None, None, None))
         else:
             g = tuple(0.0 if v == LOG_ZERO else math.exp(v - ref) for v in fs)
             half = 0.5 * (b - a)
-            s0 = _simpson(g[0], g[1], g[2], half) + _simpson(g[2], g[3], g[4], half)
-        seg_est.append(s0)
+            s_left = _simpson(g[0], g[1], g[2], half)
+            s_right = _simpson(g[2], g[3], g[4], half)
+            s0 = s_left + s_right
+            seg_est.append((s0, g, s_left, s_right))
         total0 += s0
 
     if total0 <= 0.0:
@@ -199,7 +204,7 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
     err_acc = NeumaierSum()
     failed = False
 
-    for (a, b, de, xs, fs), est in zip(first, seg_est):
+    for (a, b, de, xs, _fs), (est, g, s_left, s_right) in zip(first, seg_est):
         budget = budget_total * max(est / total0, floor_share)
         if de:
             s, err, ok = _tanh_sinh(f, a, b, est, budget, quad)
@@ -207,12 +212,8 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
             err_acc.add(err)
             failed = failed or not ok
             continue
-        g = tuple(0.0 if v == LOG_ZERO else math.exp(v - ref) for v in fs)
 
         # Iterative adaptive bisection over (a, fa, m, fm, b, fb, S, budget, depth).
-        half = 0.5 * (b - a)
-        s_left = _simpson(g[0], g[1], g[2], half)
-        s_right = _simpson(g[2], g[3], g[4], half)
         stack = [
             (a, g[0], xs[1], g[1], xs[2], g[2], s_left, 0.5 * budget, 1),
             (xs[2], g[2], xs[3], g[3], b, g[4], s_right, 0.5 * budget, 1),

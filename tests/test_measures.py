@@ -364,13 +364,20 @@ class TestKernelCentres:
 
 
 def test_untilted_dip_window_runs_no_quadrature(mu, quad, eval_count):
-    # the window (4^8 x0 - 0.5, 4^8 x0 + 0.5] holds a centre: closed form
-    # untilted, quadrature once tilted
+    # windows that hold a centre or end beside it: closed form untilted,
+    # quadrature once tilted.  At small scales a segment beside the centre
+    # reaches beyond 2^-8 x0 b^m of it: windows across the ring, from the
+    # centre, and ending just below it
     phi = mu.components[0][1]
-    x = ScaledSum.scaled(8, 2.0, offset=-0.5)
-    phi.log_window_mass(x, 1.0, quad)
-    assert eval_count[0] == 0
-    phi.log_window_mass(x, 1.0, quad, gamma=-0.01)
+    windows = [(8, -0.5, 1.0), (1, -1.0 - 1.2e-7, 1.0)]
+    for m in range(4):
+        ring = 0.25 * 4.0 ** m
+        windows += [(m, -ring, 2.0 * ring), (m, 0.0, ring), (m, -0.9 * ring, 0.9 * ring - 1.2e-7)]
+    for m, off, c in windows:
+        x = ScaledSum.scaled(m, 2.0, offset=off).normalize()
+        phi.log_window_mass(x, c, quad)
+        assert eval_count[0] == 0, (m, off, c)
+    phi.log_window_mass(ScaledSum.scaled(8, 2.0, offset=-0.5), 1.0, quad, gamma=-0.01)
     assert eval_count[0] > 0
 
 
@@ -626,6 +633,15 @@ class TestWindowEvaluator:
         moved = max(abs(phi.log_window_mass(base.add_offset(t + k * ulp), w, quad) - want)
                     for k in (-4, 4))
         assert got == want or abs(got - want) <= 2.0 * quad.rel_tol + 2.0 * moved
+
+    def test_plateau_piece_whose_mass_underflows(self, phi_non_dyadic, quad):
+        # base = 1 - 5.7e-139 and G1 on (-1, 1] at base + 1: the piece from the
+        # window's start to the support edge is 5.7e-139 wide under a weight
+        # of about 1e-277, so its mass underflows in linear units
+        phi = phi_non_dyadic
+        base = ScaledSum.scaled(0, 1.0, offset=-5.6715435122405205e-139)
+        got = phi.log_window_mass_eval(base, 0.0, 41.0, self.g1, quad)(1.0)
+        assert got == phi.log_window_mass(base.add_offset(1.0), self.g1, quad)
 
     def test_edges_that_round_together(self, quad):
         # x0 - delta rounds to the support edge 1: the zero-width segment

@@ -10,7 +10,9 @@ import math
 
 import pytest
 
-from subexp import KernelAC, QuadratureSpec, ScaledSum, integrate_log, local_mass
+from subexp import (GallerySpec, KernelAC, ParetoAC, QuadratureSpec, ScaledSum, build_mu,
+                    integrate_log, local_density, local_mass)
+from subexp import measures
 from subexp.measures import PiecewiseLinearDensity, Weight, exp_e1, phi_integral_log
 from subexp.scaledcore import PointPhase, phi_window_log_eval
 
@@ -167,9 +169,10 @@ def test_narrow_window_far_from_its_centre(mu, params, quad):
     assert abs(got - float(ref)) <= 1e-11
 
 
-@pytest.mark.parametrize("m", [8, 1024])
+@pytest.mark.parametrize("m", [0, 1, 8, 1024])
 def test_dip_segment_across_a_centre(mu, params, m):
-    # window ends are cuts at every centre, so only a direct call straddles one
+    # window ends are cuts at every centre, so only a direct call straddles
+    # one; at scales 0 and 1 it reaches beyond 2^-8 x0 b^m and is cut
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=-0.5).normalize()
     ring = next(r for r in phi._window_cuts(PointPhase(x), 1.0)[2] if r[0] < 0.5 < r[1])
@@ -232,7 +235,8 @@ def _mp_weighted(params, phi, m, off, weight):
                 tau = d - off - lo
                 return sum(mp.mpf(c) * tau ** j for j, c in enumerate(coeffs)) * dens(d)
 
-            total += mp.quad(f, [a, 0, b] if a < 0 < b else [a, b])
+            ring = params.delta * mp.exp(lnbm)  # where the profile meets the plateau
+            total += mp.quad(f, [a, *(t for t in (-ring, 0, ring) if a < t < b), b])
         return float(mp.log(total) - a1 * mp.log(centre) - mp.mpf(phi.m_log))
 
 
@@ -318,3 +322,121 @@ def test_unit_weight_is_the_window(mu, params, quad, m, off, c):
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
     assert phi.log_window_mass(x, Weight(((0.0, c, (1.0,)),)), quad) == \
         phi.log_window_mass(x, c, quad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_window_density_ending_beside_a_centre(n):
+    # the window (x - 1, x] ends 1.2e-7 b^(n-1) below the centre b^n x0: its
+    # segment beside the centre reaches beyond 2^-8 x0 b^n of it for n < 4
+    spec = GallerySpec()
+    mu = build_mu(spec)
+    p = spec.params
+    phi = mu.components[0][1]
+    x = 4.0 ** n * 1.9999999696019541
+    got = local_density(mu, x, 1.0, spec.quad)
+    with mp.workdps(DPS):
+        centre = mp.mpf(p.b) ** n * p.x0
+        plateau = -1 / mp.log(mp.mpf(p.delta))
+
+        def f(u):
+            s = abs(u - centre) / mp.mpf(p.b) ** n
+            h = -1 / mp.log(s) if s < p.delta else plateau
+            return u ** (-(p.alpha + 1)) * h
+
+        lo, ring_lo = mp.mpf(x) - 1, centre - p.delta * mp.mpf(p.b) ** n
+        cuts = [lo, ring_lo, mp.mpf(x)] if lo < ring_lo else [lo, mp.mpf(x)]
+        ref = mp.log(mp.quad(f, cuts)) - mp.mpf(phi.m_log)
+    assert abs(got - float(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("m, off, weight", [
+    # windows inside the ring: across it, from the centre, beside it, and
+    # ending 1.2e-7 below it
+    *((m, -0.25 * 4.0 ** m, 0.5 * 4.0 ** m) for m in range(4)),
+    *((m, 0.0, 0.25 * 4.0 ** m) for m in range(4)),
+    *((m, 1e-9, 0.2 * 4.0 ** m) for m in range(4)),
+    *((m, -0.2 * 4.0 ** m, 0.2 * 4.0 ** m - 1.2e-7) for m in range(4)),
+    (1, -0.37, 0.9),
+    (3, -10.0, 9.9),
+    # the smoothed-pair weights and a reflected triangle over the centre
+    (0, 0.0, "g1"),
+    (0, 1.0, "g2"),
+    (1, 0.0, "g1"),
+    (1, -0.5, "g2"),
+    (1, 0.3, "g2"),
+    (2, 0.5, "g1"),
+    (2, -1.0, "g2"),
+    (3, -0.7, "g1"),
+    (3, 0.0, "g2"),
+    (0, 1.5, "triangle"),
+    (1, 0.5, "triangle"),
+])
+def test_near_centre_dip_window_at_small_scales(mu, params, quad, monkeypatch, m, off, weight):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a dip window near its centre ran a quadrature")
+
+    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
+    phi = mu.components[0][1]
+    x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
+    if isinstance(weight, float):
+        got = phi.log_window_mass(x, weight, quad)
+        assert abs(got - _mp_dip_window(params, phi, m, off, weight)) <= 1e-11
+        return
+    g1, g2 = _smoothed_window_weights()
+    triangle = Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))
+    w = {"g1": g1, "g2": g2, "triangle": triangle}[weight]
+    got = phi.log_window_mass(x, w, quad)
+    assert abs(got - _mp_weighted(params, phi, m, off, w)) <= 1e-11
+
+
+def _mp_tilted_pareto(a, gamma, o1, o2):
+    """log int_o1^o2 a (1+u)^(-a-1) e^(gamma u) du at 30 digits, with the
+    integrand scaled at the midpoint.  For gamma < 0 and shapes 0.3 and 2.5
+    it agrees with the incomplete gamma function ``a e^-gamma (-gamma)^a
+    Gamma(-a, -gamma (1 + o1), -gamma (1 + o2))`` to 1e-16 on the windows
+    below 1e6."""
+    with mp.workdps(30):
+        o1, o2 = mp.mpf(o1), mp.mpf(o2)
+        mid = (o1 + o2) / 2
+
+        def f(u):
+            return a * ((1 + u) / (1 + mid)) ** (-a - 1) * mp.exp(gamma * (u - mid))
+
+        return mp.log(mp.quad(f, [o1, o2])) - (a + 1) * mp.log1p(mid) + gamma * mid
+
+
+@pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 8.0, -0.5, -1.0, -2.0, -8.0])
+def test_tilted_pareto_window(shape, gamma, quad, monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a tilted Pareto window ran a quadrature")
+
+    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
+    comp = ParetoAC(shape)
+    windows = [(0.0, 2.0 ** -20), (0.0, 40.0), (0.2, 2.0), (3.7, 40.0), (10.0, 0.5),
+               (123.4, 7.0), (1e6, 2.0 ** -20), (1e6, 40.0),
+               (-0.5, 1.0), (-3.0, 5.0)]  # the last two start below 0
+    for x, c in windows:
+        pt = ScaledSum.from_float(x, 4.0) if x else ScaledSum.zero(4.0)
+        got = comp.log_window_mass(pt, c, quad, gamma)
+        ref = float(_mp_tilted_pareto(shape, gamma, max(x, 0.0), x + c))
+        # at 1e6 the log itself is near 8e6, whose ulp is 9e-10
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (x, c)
+
+
+@pytest.mark.parametrize("shape", [0.3, 2.5])
+@pytest.mark.parametrize("gamma", [-8.0, -1.0, 0.5])
+def test_wide_tilted_pareto_window(shape, gamma, quad, monkeypatch):
+    # 1e5 wide: a half whose bound falls below 2^-56 of the other half's mass
+    # is dropped, so a handful of rules integrate the window, where halving
+    # every half took thousands
+    rules = []
+    rule = measures._gauss_legendre
+    monkeypatch.setattr(measures, "_gauss_legendre", lambda n: rules.append(n) or rule(n))
+    got = ParetoAC(shape).log_window_mass(ScaledSum.zero(4.0), 1e5, quad, gamma)
+    assert len(rules) <= 20
+    if gamma < 0.0:
+        with mp.workdps(DPS):
+            ref = mp.log(shape * mp.exp(-gamma) * (-gamma) ** shape
+                         * mp.gammainc(-shape, -gamma, -gamma * (1 + mp.mpf(1e5))))
+        assert abs(got - float(ref)) <= 1e-12
