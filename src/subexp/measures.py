@@ -28,6 +28,7 @@ from .scaledcore import (
     PeriodicProfile,
     PointPhase,
     ScaledSum,
+    _range_fix,
     as_point,
     phi_window_log_eval,
 )
@@ -55,6 +56,14 @@ _DIP_SERIES_REACH = 2.0 ** -8
 # from the bound of ``_tilted_gauss_nodes``; a window that would need more
 # nodes than this is halved.
 _TILT_MAX_NODES = 24
+# Under a tilt e^(gamma u) the exponential-integral series reaches at most
+# this over |gamma| from its centre, and takes the tilt's Taylor polynomial in
+# the offset d as a factor of the weight: its piece is at most 1/(8 |gamma|)
+# wide, and the polynomial's terms shrink by 2^-4 per power or faster.
+_TILT_SERIES_REACH = 1.0 / 16.0
+# A tilted tail is first the window of this many e-folds of its tilt.
+_TILT_TAIL_FOLDS = 44.0
+_LOG_2_56 = 56.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -295,33 +304,19 @@ def _scales(params: ModelParams, lo: float, hi: float) -> range:
 
 
 def normalizer_M(params: ModelParams, quad: QuadratureSpec,
-                 profile: PeriodicProfile | None = None,
-                 return_detail: bool = False):
+                 profile: PeriodicProfile | None = None) -> float:
     """Total integral of the raw dip density over [1, inf).
 
-    One period cell is integrated adaptively; the integral up to any ``b^m``
-    follows from exact log-periodic self-similarity, and the remainder beyond
-    the cut is covered by the plateau envelope ``plateau * X_cut^-alpha /
-    alpha``.  The cut is the smallest power of ``b`` that pushes this bound
-    below ``rel_tol`` of the partial sum.
+    The raw density is log-periodic, ``phi(b u) = b^(-alpha-1) phi(u)``, so
+    the cell [b^m, b^(m+1)] holds ``b^(-alpha m) I1`` with ``I1`` the mass of
+    [1, b], and the cells sum to ``I1 / (1 - b^-alpha)`` exactly.  ``I1`` is
+    the closed-form window (1, b] of the raw density (a :class:`PhiAC` with
+    unit normalizer).
     """
     profile = profile or PeriodicProfile(params)
-    p = params
-    i1 = math.exp(phi_integral_log(profile, 1.0, p.b, quad))
-    r = p.b ** (-p.alpha)
-    geom = 1.0 / (1.0 - r)
-
-    m = 1
-    while True:
-        partial = i1 * (1.0 - r ** m) * geom
-        bound = profile.plateau * p.b ** (-p.alpha * m) / p.alpha
-        if bound < quad.rel_tol * partial or m >= 100_000:
-            break
-        m += 1
-    total = partial + bound
-    if return_detail:
-        return total, p.b ** m, bound
-    return total
+    raw = PhiAC(profile=profile, m_log=0.0)
+    log_i1 = raw.log_window_mass(ScaledSum.from_float(1.0, params.b), params.b - 1.0, quad)
+    return math.exp(log_i1) / -math.expm1(-params.alpha * params.log_b)
 
 
 @lru_cache(maxsize=None)
@@ -381,6 +376,81 @@ def _tilted_gauss_nodes(ratio: float, gh: float, a1: float):
         best = n
     n = max(1, math.ceil(best))
     return n if n <= _TILT_MAX_NODES else None
+
+
+def _log_tilted_power(a1: float, gamma: float, v: float, e: float, h: float,
+                      poly=None) -> float:
+    """log of ``int_-h^h (v + r)^-a1 e^(gamma (e + r)) p(r) dr`` for ``v > h >
+    0``: a power law tilted by an exponential, under ``p(r) = sum_j
+    coeffs[j] (tau + r)^j`` for ``poly = (tau, coeffs)``, or 1 for None.
+
+    A Gauss-Legendre rule on the integrand factored at the midpoint, ``v^-a1
+    e^(gamma e) (1 + z/ratio)^-a1 e^(gamma h z)`` with ``ratio = v/h``, of
+    :func:`_tilted_gauss_nodes` nodes (``ceil(deg/2)`` more under p).  A span
+    too wide for a bounded rule is halved.  Without p the integrand is
+    log-convex, so a half holds at most its width times its larger end
+    value: the half with the larger outer end goes first, and the other is
+    dropped where that bound is below 2^-56 of it.
+    """
+    n = _tilted_gauss_nodes(v / h, gamma * h, a1)
+    if n is None:
+        g = 0.5 * h
+        if poly is not None:
+            tau, coeffs = poly
+            return log_add(_log_tilted_power(a1, gamma, v - g, e - g, g, (tau - g, coeffs)),
+                           _log_tilted_power(a1, gamma, v + g, e + g, g, (tau + g, coeffs)))
+
+        def log_f(r):  # the integrand's log at v + r
+            return gamma * (e + r) - a1 * math.log(v + r)
+
+        if log_f(h) >= log_f(-h):
+            first, other, ends = g, -g, (-h, 0.0)
+        else:
+            first, other, ends = -g, g, (0.0, h)
+        big = _log_tilted_power(a1, gamma, v + first, e + first, g)
+        bound = math.log(h) + max(log_f(r) for r in ends)
+        if bound < big - _LOG_2_56:
+            return big
+        return log_add(big, _log_tilted_power(a1, gamma, v + other, e + other, g))
+    r = h / v
+    gh = gamma * h
+    total = 0.0
+    if poly is None:
+        for z, wt in _gauss_legendre(n):
+            total += wt * (1.0 + r * z) ** -a1 * math.exp(gh * z)
+    else:
+        tau, coeffs = poly
+        for z, wt in _gauss_legendre(n + len(coeffs) // 2):
+            total += (wt * _poly_value(coeffs, tau + h * z)
+                      * (1.0 + r * z) ** -a1 * math.exp(gh * z))
+    if total <= 0.0:
+        return LOG_ZERO
+    return gamma * e - a1 * math.log(v) + math.log(h) + math.log(total)
+
+
+def _exp_taylor(gamma: float, reach: float) -> tuple:
+    """The Taylor coefficients of ``e^(gamma d)`` in d, up to the last power
+    whose term exceeds 2^-56 somewhere in ``|d| <= reach``."""
+    coeffs, term, j = [1.0], 1.0, 0
+    while True:
+        j += 1
+        term *= gamma / j
+        if abs(term) * reach ** j <= 2.0 ** -56:
+            return tuple(coeffs)
+        coeffs.append(term)
+
+
+def _poly_mul(p: tuple, q: tuple) -> tuple:
+    """The coefficients of the product of two polynomials."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, c in enumerate(q):
+            out[i + j] += a * c
+    return tuple(out)
+
+
+def _float_point(v: float, b: float) -> ScaledSum:
+    return ScaledSum.from_float(v, b) if v != 0.0 else ScaledSum.zero(b)
 
 
 def _times_weight(f, w: Weight, t0: float):
@@ -485,6 +555,24 @@ class Component:
                  gamma: float = 0.0) -> float:
         raise NotImplementedError
 
+    def _log_tilted_tail(self, xv: float, b: float, quad: QuadratureSpec,
+                         gamma: float) -> float:
+        """log of ``int_xv^inf e^(gamma u) (du)`` for gamma < 0, with xv at or
+        above the support's lower end: the window of ``44/|gamma|`` from xv,
+        then windows that double the span until the component's envelope
+        (:meth:`_log_tail_envelope`) bounds the rest below 2^-56 of the sum."""
+        span = _TILT_TAIL_FOLDS / -gamma
+        total = self.log_window_mass(_float_point(xv, b), span, quad, gamma)
+        while self._log_tail_envelope(xv + span, gamma) > total - _LOG_2_56:
+            total = log_add(total, self.log_window_mass(_float_point(xv + span, b), span,
+                                                        quad, gamma))
+            span *= 2.0
+        return total
+
+    def _log_tail_envelope(self, x: float, gamma: float) -> float:
+        """log of a bound on ``int_x^inf e^(gamma u) (du)`` for gamma < 0."""
+        raise NotImplementedError
+
     def log_exp_moment(self, gamma: float, quad: QuadratureSpec) -> float:
         raise NotImplementedError
 
@@ -532,14 +620,11 @@ class PhiAC(Component):
     _k_log: float = field(init=False, repr=False, compare=False)  # log(plateau / M)
     _log_x0: float = field(init=False, repr=False, compare=False)
     _log_b: float = field(init=False, repr=False, compare=False)
-    # (b^m x0, its phi evaluator) by m, built once per scale
-    _centres: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_k_log", math.log(self.profile.plateau) - self.m_log)
         object.__setattr__(self, "_log_x0", math.log(self.params.x0))
         object.__setattr__(self, "_log_b", self.params.log_b)
-        object.__setattr__(self, "_centres", {})
 
     @property
     def params(self) -> ModelParams:
@@ -584,7 +669,8 @@ class PhiAC(Component):
                     centres[centre] = m
                     rings.append((*ring, centre, m))
         elif info is None:
-            return [], {}, None
+            # a negative point: no structure where no window reaches the support
+            return [], {}, [] if xv + hi < 1.0 else None
         else:
             scale = p.b ** info.scale if info.scale < 500 else math.inf
             if info.mantissa == p.x0:
@@ -616,9 +702,7 @@ class PhiAC(Component):
         return self.log_density_eval(x, quad, gamma)(0.0)
 
     def log_density_eval(self, base, quad, gamma=0.0):
-        return self._density(phi_window_log_eval(self.profile, base), base, gamma)
-
-    def _density(self, ev, base, gamma):
+        ev = phi_window_log_eval(self.profile, base)
         m_log = self.m_log
         if gamma == 0.0:
             return lambda t: ev(t) - m_log
@@ -627,8 +711,12 @@ class PhiAC(Component):
 
     def log_window_mass(self, x, c, quad, gamma=0.0):
         """Mass of (x, x+c], or under a :class:`Weight` in place of c: the
-        evaluator of :meth:`log_window_mass_eval` at offset 0."""
-        return self._node_mass(self._window_plan(x, 0.0, 0.0, c, quad, gamma), 0.0)
+        evaluator of :meth:`log_window_mass_eval` at offset 0, or the
+        density by quadrature where the structure is not resolved."""
+        plan = self._window_plan(x, 0.0, 0.0, c, quad, gamma)
+        if plan is None:
+            return Component._log_weighted_mass(self, x, as_weight(c), quad, gamma)
+        return self._node_mass(plan, 0.0)
 
     def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
         """``t -> log_window_mass(base + t, w)`` for t in [lo, hi], by segments
@@ -644,9 +732,10 @@ class PhiAC(Component):
         ``b^1024``; a node far below a base within float range has each
         offset rounded at ``ulp(base)``, where ``base.add_offset(t)`` rounds
         the point itself there.  A span that crosses ``2^50``, where the
-        structure changes form, takes a window per node.
+        structure changes form, or whose structure is not resolved (see
+        :meth:`_window_cuts`) takes a window per node.
 
-        Untilted windows integrate in closed form: plateau segments take the
+        Every segment integrates in closed form: plateau segments take the
         power-law antiderivative and dip segments the exponential-integral
         one or, a width or more from their centre, a Gauss-Legendre rule
         exact to rounding (:meth:`_log_dip_mass`).  A weight's polynomial
@@ -654,16 +743,11 @@ class PhiAC(Component):
         segments and far dip segments, and one exponential-integral series
         per power near a centre; a dip segment near its centre that reaches
         beyond ``2^-8 x0`` of it in mantissa units is cut into pieces of
-        these kinds.  Tilted windows and windows whose structure is not
-        resolved run through :func:`integrate_log`, with the tanh-sinh rule
-        at dip centres.  A run of numeric segments that holds a dip centre is
-        integrated in offsets from that centre, with the evaluator built
-        there: the dip distance is then exact down to the centre, where
-        offsets from a head that absorbed the rest of the point would lose it
-        to rounding (a window narrower than ``ulp(x) / rel_tol`` never
-        converged), and a centre snapped to a window end stays the
-        evaluator's centre whichever node the window belongs to.  The
-        evaluator at a centre is built once per scale.
+        these kinds.  A tilt ``e^(gamma u)`` enters the same forms: the
+        Gauss-Legendre rules take it as a factor, with node counts from
+        :func:`_tilted_gauss_nodes`, and near a centre its Taylor polynomial
+        joins the weight's.  In a ring whose centre is beyond float range
+        the dip distance is the head mantissa's over the whole window.
         """
         plan = self._window_plan(base, lo, hi, w, quad, gamma)
         if plan is None:
@@ -672,7 +756,7 @@ class PhiAC(Component):
 
     def _window_plan(self, base, lo, hi, w, quad, gamma):
         """The set-up of :meth:`log_window_mass_eval` as one tuple; None where
-        the span crosses ``2^50``."""
+        the span crosses ``2^50`` or its structure is not resolved."""
         shape, w0 = None, 0.0
         c = w
         if type(w) is Weight:
@@ -682,110 +766,81 @@ class PhiAC(Component):
                 c = shape.hi
         ph = PointPhase(base)
         xv = ph.value
+        if gamma != 0.0:
+            _finite_value(base, "tilted dip density")
         if (abs(xv + lo) < _FLOAT_SAFE) != (abs(xv + hi) < _FLOAT_SAFE):
             return None
-        edges, centres, rings = self._window_cuts(ph, hi + w0 + c, lo + w0)
-        if gamma != 0.0:
-            rings = None  # tilted windows run the quadrature
-        return (ph, w0, c, shape, edges, centres, rings, quad, gamma)
+        edges, _centres, rings = self._window_cuts(ph, hi + w0 + c, lo + w0)
+        if rings is None:
+            return None
+        return (ph, w0, c, shape, edges, rings, gamma)
 
     def _node_mass(self, plan, t):
         """The window mass at ``base + t`` from its evaluator's set-up."""
-        ph, w0, c, shape, edges, centres, rings, quad, gamma = plan
+        ph, w0, c, shape, edges, rings, gamma = plan
         s = t + w0
         end = s + c
-        tol = _END_SNAP * (1.0 + c)  # a centre within rounding of a window end is that end
-        hints, at_centre = [], {}  # edges ascend, and so do hints
-        for e in edges[bisect_left(edges, s - tol):bisect_right(edges, end + tol)]:
-            h = e - s
-            if 0.0 < h < c:
-                hints.append(h)
-            if e in centres and -tol <= h <= c + tol:
-                at_centre[min(max(h, 0.0), c)] = centres[e]
+        tol = _END_SNAP * (1.0 + c)  # for edges that round into the window
+        hints = [e - s for e in edges[bisect_left(edges, s - tol):bisect_right(edges, end + tol)]
+                 if 0.0 < e - s < c]  # edges ascend, and so do hints
         if shape is None:
             cuts = [0.0, *hints, c]
         else:
             cuts = [0.0, *sorted(set(hints).union(shape.knots[1:-1])), c]
         near = []  # the rings that meet the window, in its offsets
-        if rings is not None:
-            for r_lo, r_hi, t0, m in rings:
-                if r_lo >= end:
-                    break
-                if r_hi > s:
-                    near.append((r_lo - s, r_hi - s, None if t0 is None else t0 - s, m))
+        for r_lo, r_hi, t0, m in rings:
+            if r_lo >= end:
+                break
+            if r_hi > s:
+                near.append((r_lo - s, r_hi - s, None if t0 is None else t0 - s, m))
         in_support = ph.value + s >= 1.0
+        tilt = (gamma, ph.value + s) if gamma != 0.0 else None
         terms = []
-        runs = []  # maximal runs of consecutive numeric segments, as [lo, hi]
-        joined = False
         piece = None
         for a, b in zip(cuts[:-1], cuts[1:]):
             if a == b:  # edges that round together, as the support edge and x0 - delta can
                 continue
             mid = 0.5 * (a + b)
             if not in_support and ph.log_point(s + mid) < 0.0:  # below the support edge at 1
-                joined = False
                 continue
-            if rings is not None:
-                if shape is not None:
-                    piece = _nearer_end(next(q for q in shape.pieces if mid <= q[1]), mid)
-                for ring in near:
-                    if ring[0] < mid < ring[1]:
-                        term = self._log_dip_mass(ring, a, b, piece)
-                        break
-                else:
-                    term = self._log_plateau_mass(ph, s, a, b, piece)
-                if term is not None:
-                    terms.append(term)
-                    joined = False
-                    continue
-            if joined:
-                runs[-1][1] = b
-            else:
-                runs.append([a, b])
-                joined = True
-        for r_lo, r_hi in runs:
-            singular = [t0 for t0 in at_centre if r_lo <= t0 <= r_hi]
-            if singular:
-                t0 = singular[0]
-                m = at_centre[t0]
-                centre = self._centres.get(m)
-                if centre is None:
-                    at = ScaledSum(b=self.params.b, terms=((1, m, self.params.x0),))
-                    centre = self._centres[m] = (at, phi_window_log_eval(self.profile, at))
-                g = self._density(centre[1], centre[0], gamma)
-            else:
-                t0 = 0.0
-                g = self._density(phi_window_log_eval(self.profile, ph.base, ph), ph.base, gamma)
-                if s != 0.0:
-                    g = lambda r, f=g, s=s: f(s + r)
             if shape is not None:
-                g = _times_weight(g, shape, t0)
-            terms.append(integrate_log(
-                g, r_lo - t0, r_hi - t0, quad, hints=[u - t0 for u in cuts if r_lo < u < r_hi],
-                singular=[u - t0 for u in singular]))
+                piece = _nearer_end(next(q for q in shape.pieces if mid <= q[1]), mid)
+            for ring in near:
+                if ring[0] < mid < ring[1]:
+                    if ring[2] is None:
+                        terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt)
+                                     + self._far_ring_log(ph))
+                    else:
+                        terms.append(self._log_dip_mass(ring, a, b, piece, tilt))
+                    break
+            else:
+                terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt))
         return terms[0] if len(terms) == 1 else log_sum(terms)
 
-    def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None):
+    def _far_ring_log(self, ph: PointPhase) -> float:
+        """log of the dip profile over the plateau at the head mantissa of
+        ``ph``, in a ring whose centre is beyond float range: over any float
+        offset the dip distance there is constant to rounding."""
+        p = self.params
+        return math.log(math.log(p.delta) / math.log(abs(ph.info.mantissa - p.x0)))
+
+    def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None, tilt=None):
         """log of the mass over (x+a, x+b] inside the dip ring ``ring``, under
         the weight piece ``piece``, as ``(origin, coeffs)`` in offsets from
-        ``origin`` (None for the unit weight); None where the segment is left
-        to quadrature.
+        ``origin`` (None for the unit weight), and the tilt ``e^(gamma u)``
+        of ``tilt = (gamma, x)`` (None for none).
 
         With ``x + t = b^m (x0 + s)`` the density is ``b^(-m alpha)/M (x0 +
         s)^(-alpha-1) (-1/log|s|)`` in ``s``.  A segment a width or more from
         its centre takes a Gauss-Legendre rule (see ``_DIP_GAUSS_MIN_RATIO``),
         one within ``r0 = 2^-8 x0 b^m`` of it the exponential-integral series
-        (:meth:`_dip_series_mass`).  Any other segment is cut at the offsets
-        ``±2^k r0`` from its centre: the piece at the centre lies within r0,
-        and every other piece lies within ``[2^k r0, 2^(k+1) r0]`` on one
-        side, three half-widths or more from the centre, and takes the rule.
-        Its pole at ``|s| = 1`` lies at least ``4/delta - 3`` half-widths
-        away, so for ``delta <= 0.8`` no segment is left to quadrature but
-        those whose centre is beyond float range.
+        (:meth:`_dip_series_mass`); under a tilt r0 is at most ``1/(16
+        |gamma|)``.  Any other segment is cut at the offsets ``±2^k r0`` from
+        its centre: the piece at the centre lies within r0, and every other
+        piece lies within ``[2^k r0, 2^(k+1) r0]`` on one side, three
+        half-widths or more from the centre, and takes the rule.
         """
         _lo, _hi, t0, m = ring
-        if t0 is None:
-            return None
         lnbm = m * self._log_b
         bm = math.exp(lnbm) if lnbm < 700.0 else math.inf  # |d| at the pole, |s| = 1
         d1, d2 = a - t0, b - t0
@@ -794,10 +849,12 @@ class PhiAC(Component):
             d_mid = 0.5 * (d1 + d2)
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if ratio >= _DIP_GAUSS_MIN_RATIO:
-                return self._dip_gauss_mass(lnbm, d_mid, h, ratio, 0.5 * (a + b), piece)
+                return self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, 0.5 * (a + b), piece, tilt)
         r0 = bm * self.params.x0 * _DIP_SERIES_REACH
+        if tilt is not None:
+            r0 = min(r0, _TILT_SERIES_REACH / abs(tilt[0]))
         if max(-d1, d2) <= r0:
-            return self._dip_series_mass(lnbm, t0, d1, d2, h, piece)
+            return self._dip_series_mass(lnbm, t0, d1, d2, h, piece, tilt)
         cuts, k = [], r0
         while k < max(-d1, d2):
             cuts += [c for c in (-k, k) if d1 < c < d2]
@@ -808,45 +865,69 @@ class PhiAC(Component):
             h, d_mid = 0.5 * (q - p), 0.5 * (p + q)
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if q <= -r0 or p >= r0 or (p * q > 0.0 and ratio >= _DIP_GAUSS_MIN_RATIO):
-                # off the centre piece the ratio is 3 less rounding, unless
-                # the pole is nearer (delta > 0.8)
-                if ratio < 2.0:
-                    return None
-                terms.append(self._dip_gauss_mass(lnbm, d_mid, h, ratio, t0 + d_mid, piece))
+                terms.append(self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, t0 + d_mid, piece,
+                                                  tilt))
             else:
-                terms.append(self._dip_series_mass(lnbm, t0, p, q, h, piece))
+                terms.append(self._dip_series_mass(lnbm, t0, p, q, h, piece, tilt))
         return log_sum(terms)
 
-    def _dip_gauss_mass(self, lnbm: float, d_mid: float, h: float, ratio: float, mid: float,
-                        piece):
+    def _dip_gauss_mass(self, lnbm: float, bm: float, d_mid: float, h: float, ratio: float,
+                        mid: float, piece, tilt):
         """The mass over the offsets ``d_mid ± h`` from the centre, on one side
         of it, by a Gauss-Legendre rule of :func:`_gauss_nodes` nodes for
         ``ratio``, the distance in half-widths to the nearer of the centre and
-        the pole of ``-1/log|s|`` at ``|s| = 1``.  The midpoint ``mid`` is in
-        window offsets, where the weight piece takes its argument: far from
-        a centre ``t0 + d`` loses it."""
+        the pole of ``-1/log|s|`` at ``|s| = 1``, ``|d| = bm``; under a tilt,
+        of at least the nodes :func:`_tilted_gauss_nodes` takes for a pole
+        there.  The midpoint ``mid`` is in window offsets, where the weight
+        piece takes its argument: far from a centre ``t0 + d`` loses it.
+
+        A segment within two half-widths of the pole (``delta > 0.8``), or
+        too wide for a bounded rule under its tilt, is halved.  Off a
+        centre piece the distance to the centre is three half-widths less
+        rounding."""
+        n = _gauss_nodes(ratio) if ratio >= 2.0 else None
+        if tilt is not None and n is not None:
+            n_tilt = _tilted_gauss_nodes(ratio, tilt[0] * h, 1.0)
+            n = None if n_tilt is None else max(n, n_tilt)
+        if n is None:
+            g = 0.5 * h
+            halves = []
+            for k in (-g, g):
+                d = d_mid + k
+                halves.append(self._dip_gauss_mass(lnbm, bm, d, g, min(abs(d), bm - abs(d)) / g,
+                                                   mid + k, piece, tilt))
+            return log_add(*halves)
         a1 = self.params.alpha + 1.0
         log_x0 = self._log_x0
-        n = _gauss_nodes(ratio)
         log_q = math.log(abs(d_mid)) - lnbm - log_x0
         q = math.exp(log_q) / abs(d_mid) if log_q > -745.0 else 0.0  # s / (x0 d)
+        head = -a1 * (lnbm + log_x0) - self.m_log
         total = 0.0
-        if piece is None:
+        if piece is None and tilt is None:
             for z, wt in _gauss_legendre(n):
                 d = d_mid + h * z
                 total += wt * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d)))
         else:
-            origin, coeffs = piece
+            origin, coeffs = (0.0, (1.0,)) if piece is None else piece
             tau = mid - origin
-            for z, wt in _gauss_legendre(n + len(coeffs) // 2):
-                d = d_mid + h * z
-                total += (wt * _poly_value(coeffs, tau + h * z)
-                          * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
-        head = -a1 * (lnbm + log_x0) - self.m_log
+            rule = _gauss_legendre(n + len(coeffs) // 2)
+            if tilt is None:
+                for z, wt in rule:
+                    d = d_mid + h * z
+                    total += (wt * _poly_value(coeffs, tau + h * z)
+                              * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
+            else:
+                gamma, x = tilt
+                gh = gamma * h
+                head += gamma * (x + mid)
+                for z, wt in rule:
+                    d = d_mid + h * z
+                    total += (wt * _poly_value(coeffs, tau + h * z) * math.exp(gh * z)
+                              * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
         return head + math.log(h) + math.log(total) if total > 0.0 else LOG_ZERO
 
     def _dip_series_mass(self, lnbm: float, t0: float, d1: float, d2: float, h: float,
-                         piece):
+                         piece, tilt):
         """The mass over the offsets (d1, d2] from the centre at window offset
         t0, of half-width h, within ``2^-8 x0 b^m`` of it and within two
         widths of it at the far end, so that the one-sided difference cancels
@@ -860,7 +941,9 @@ class PhiAC(Component):
         is exponentiated and nothing underflows up to ``b^1024``.  A weight
         ``sum_j p_j d^j`` in offsets from the centre turns ``E1((k+1) L)``
         into ``sum_j p_j d^j E1((k+j+1) L)``; the binomial series shrinks by
-        ``2^-8`` per term or faster.
+        ``2^-8`` per term or faster.  A tilt ``e^(gamma (x_c + d))`` about
+        the centre ``x_c`` is ``e^(gamma x_c)`` times its Taylor polynomial
+        in d, a factor of the weight.
         """
         a1 = self.params.alpha + 1.0
         log_x0 = self._log_x0
@@ -870,10 +953,16 @@ class PhiAC(Component):
         q = math.copysign(math.exp(log_q), far) if log_q > -745.0 else 0.0
         r = abs(near) / abs(far)
         tol = 2.0 ** -54 * min(1.0, 2.0 * h / abs(far))
-        if piece is None:
+        head = -a1 * (lnbm + log_x0) - self.m_log
+        if piece is None and tilt is None:
             p_far = p_near = (1.0,)
         else:
-            coeffs = _poly_shift(piece[1], t0 - piece[0])  # in offsets from the centre
+            # the weight in offsets from the centre
+            coeffs = (1.0,) if piece is None else _poly_shift(piece[1], t0 - piece[0])
+            if tilt is not None:
+                gamma, x = tilt
+                head += gamma * (x + t0)
+                coeffs = _poly_mul(coeffs, _exp_taylor(gamma, abs(far)))
             p_far = tuple(c * far ** j for j, c in enumerate(coeffs))
             p_near = tuple(c * near ** j for j, c in enumerate(coeffs))
         # sgn(d) from G's sgn(s)^(k+1); under a weight of mixed signs the
@@ -882,7 +971,6 @@ class PhiAC(Component):
         s_near = 0.0 if near == 0.0 else math.copysign(1.0, near) * self._dip_series(
             q * (near / far), lnbm - math.log(abs(near)), tol / r, p_near)
         body = s_far - r * s_near if far == d2 else r * s_near - s_far
-        head = -a1 * (lnbm + log_x0) - self.m_log
         return head + log_far + math.log(body) if body > 0.0 else LOG_ZERO
 
     def _dip_series(self, q: float, L: float, tol: float, p: tuple) -> float:
@@ -904,18 +992,24 @@ class PhiAC(Component):
         return out
 
     def _log_plateau_mass(self, ph: PointPhase, s: float, a: float, b: float,
-                          piece=None) -> float:
+                          piece=None, tilt=None) -> float:
         """log of the plateau mass over (x+a, x+b] under the weight piece
-        ``piece`` (as for :meth:`_log_dip_mass`), for the point ``x = base +
-        s`` of the phase ``ph`` of base.
+        ``piece`` and the tilt ``tilt`` (as for :meth:`_log_dip_mass`), for
+        the point ``x = base + s`` of the phase ``ph`` of base.
 
         K/M int u^(-alpha-1) du = K/(alpha M) X^-alpha (1 - (1+r)^-alpha) with
         X = x + a and r = (b-a)/X; once r underflows, the bracket is alpha r.
         Under a polynomial weight a Gauss-Legendre rule, with the pole of
-        ``u^(-alpha-1)`` at ``u = 0`` the nearest singularity.
+        ``u^(-alpha-1)`` at ``u = 0`` the nearest singularity; under a tilt
+        the tilted power-law rule of :func:`_log_tilted_power`.
         """
         alpha = self.params.alpha
         k_log = self._k_log
+        if tilt is not None:
+            gamma, x = tilt
+            h, mid = 0.5 * (b - a), 0.5 * (a + b)
+            poly = None if piece is None else (mid - piece[0], piece[1])
+            return k_log + _log_tilted_power(alpha + 1.0, gamma, x + mid, x + mid, h, poly)
         if piece is not None:
             h, mid = 0.5 * (b - a), 0.5 * (a + b)
             log_x = ph.log_point(s + mid)
@@ -937,36 +1031,34 @@ class PhiAC(Component):
         return k_log - alpha * log_x + body
 
     def log_tail(self, x, quad, gamma=0.0):
+        """Mass above x, a float-representable point.  Untilted, by
+        self-similarity: for ``x = b^m y`` with y in [1, b), the mass above x
+        is ``b^(-alpha m)`` times the mass above y, which is the window (y, b]
+        plus ``b^-alpha`` above b.  The window lies in one cell at scale 0
+        for every x; a point on a cell boundary takes ``b^(-alpha m)``
+        alone."""
         p = self.params
         if gamma > 0.0:
             raise DivergentMomentError(
                 "power-law tail has no positive exponential moment", gamma)
-        xlog = x.log_abs()
-        if x.sign() <= 0 or xlog < 0.0:
-            xv = 1.0
-        else:
-            xv = _finite_value(x, "tail")
-            xv = max(xv, 1.0)
-        if gamma == 0.0:
-            m_hi = int(math.ceil(math.log(xv) / p.log_b)) + 1
-            x_cut = p.b ** m_hi
-            f = self.log_density_eval(ScaledSum.zero(p.b), quad)
-            hints, centres = dip_cuts(p, xv, x_cut)
-            part = integrate_log(f, xv, x_cut, quad, hints=hints, singular=centres)
-            rem = -p.alpha * m_hi * p.log_b  # self-similar remainder: b^{-alpha m} * M / M
-            return log_add(part, rem)
-        # gamma < 0: extend until the envelope remainder is negligible
-        f = self.log_density_eval(ScaledSum.zero(p.b), quad, gamma=0.0)
-        t_hi = xv + max(8.0 / -gamma, 4.0)
-        while True:
-            hints, centres = dip_cuts(p, xv, t_hi)
-            part = integrate_log(lambda u: f(u) + gamma * u, xv, t_hi, quad,
-                                 hints=hints, singular=centres)
-            bound = (math.log(self.profile.plateau) - (p.alpha + 1.0) * math.log(t_hi)
-                     + gamma * t_hi - math.log(-gamma) - self.m_log)
-            if bound <= math.log(quad.rel_tol) + part or t_hi > 1e12:
-                return log_add(part, bound)
-            t_hi *= 2.0
+        below = x.sign() <= 0 or x.log_abs() < 0.0  # below the support edge at 1
+        xv = 1.0 if below else _finite_value(x, "tail")
+        if gamma < 0.0:
+            return self._log_tilted_tail(xv, p.b, quad, gamma)
+        if below:
+            return 0.0
+        info = x.phase()
+        m, y = _range_fix(info.scale, info.mantissa + info.rem_sign * math.exp(
+            info.rem_log - info.scale * self._log_b), p.b)
+        head = -p.alpha * m * self._log_b
+        if y == 1.0:
+            return head
+        window = self.log_window_mass(ScaledSum.from_float(y, p.b), p.b - y, quad)
+        return log_add(head + window, head - p.alpha * self._log_b)
+
+    def _log_tail_envelope(self, x, gamma):
+        return self._k_log - (self.params.alpha + 1.0) * math.log(x) + gamma * x \
+            - math.log(-gamma)
 
     def log_exp_moment(self, gamma, quad):
         if gamma == 0.0:
@@ -1036,8 +1128,7 @@ class UniformAC(Component):
         right = self.left + self.width
         if xv >= right:
             return LOG_ZERO
-        pt = ScaledSum.from_float(xv, x.b) if xv != 0.0 else ScaledSum.zero(x.b)
-        return self.log_window_mass(pt, right - xv, quad, gamma)
+        return self.log_window_mass(_float_point(xv, x.b), right - xv, quad, gamma)
 
     def log_exp_moment(self, gamma, quad):
         if gamma == 0.0:
@@ -1076,38 +1167,9 @@ class ParetoAC(Component):
         a = self.shape
         if gamma == 0.0:
             return log_sub(-a * math.log1p(o1), -a * math.log1p(o2))
-        return self._log_tilted_mass(o1, o2, gamma)
-
-    def _log_tilted_mass(self, o1: float, o2: float, gamma: float) -> float:
-        """log int_o1^o2 a (1+u)^(-a-1) e^(gamma u) du for 0 <= o1 < o2, by a
-        Gauss-Legendre rule on the integrand factored at the midpoint m,
-        ``a (1+m)^(-a-1) e^(gamma m) (1 + z/ratio)^(-a-1) e^(gamma h z)`` with
-        ``ratio = (1+m)/h``.  A window too wide for a bounded rule is halved.
-        The integrand is log-convex, so a half holds at most its width times
-        its larger end value: the half with the larger outer end goes first,
-        and the other is dropped where that bound is below 2^-56 of it."""
-        a1 = self.shape + 1.0
+        # the tilted power-law rule in v = 1 + u
         h, mid = 0.5 * (o2 - o1), 0.5 * (o1 + o2)
-        ratio = (1.0 + mid) / h
-        gh = gamma * h
-        n = _tilted_gauss_nodes(ratio, gh, a1)
-        if n is None:
-            def log_f(u):  # the integrand's log, less log a
-                return gamma * u - a1 * math.log1p(u)
-
-            (p1, q1), (p2, q2) = ((mid, o2), (o1, mid)) if log_f(o2) >= log_f(o1) \
-                else ((o1, mid), (mid, o2))
-            big = self._log_tilted_mass(p1, q1, gamma)
-            bound = math.log(self.shape * h) + max(log_f(p2), log_f(q2))
-            if bound < big - 56.0 * math.log(2.0):
-                return big
-            return log_add(big, self._log_tilted_mass(p2, q2, gamma))
-        r = 1.0 / ratio
-        total = 0.0
-        for z, wt in _gauss_legendre(n):
-            total += wt * (1.0 + r * z) ** -a1 * math.exp(gh * z)
-        return (math.log(self.shape) - a1 * math.log1p(mid) + gamma * mid
-                + math.log(h) + math.log(total))
+        return math.log(a) + _log_tilted_power(a + 1.0, gamma, 1.0 + mid, mid, h)
 
     def log_density(self, x, quad, gamma=0.0):
         xv = _finite_value(x, "pareto density")
@@ -1144,14 +1206,11 @@ class ParetoAC(Component):
                 "power-law tail has no positive exponential moment", gamma)
         if gamma == 0.0:
             return -a * math.log1p(xv)
-        f = self.log_density_eval(ScaledSum.zero(x.b), quad, gamma)
-        t_hi = xv + max(8.0 / -gamma, 4.0)
-        while True:
-            part = integrate_log(f, xv, t_hi, quad)
-            bound = math.log(a) - (a + 1.0) * math.log1p(t_hi) + gamma * t_hi - math.log(-gamma)
-            if bound <= math.log(quad.rel_tol) + part or t_hi > 1e12:
-                return log_add(part, bound)
-            t_hi *= 2.0
+        return self._log_tilted_tail(xv, x.b, quad, gamma)
+
+    def _log_tail_envelope(self, x, gamma):
+        a = self.shape
+        return math.log(a) - (a + 1.0) * math.log1p(x) + gamma * x - math.log(-gamma)
 
     def log_exp_moment(self, gamma, quad):
         if gamma == 0.0:

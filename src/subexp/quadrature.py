@@ -19,11 +19,11 @@ the integrands are smooth, and each segment gets the rule that fits it:
   Its exhaustion floor accepts a panel whose whole possible contribution is
   negligible, so a jump or an unflagged singular derivative still ends.
 
-Untilted dip-density windows whose structure is resolved never come here:
-``PhiAC`` in :mod:`measures` integrates plateau and dip segments in closed
-form or by fixed Gauss-Legendre rules, and tilted Pareto windows take a
-fixed rule too.  Tilted dip-density windows and unresolved windows still
-run here.
+No single-level query of :mod:`measures` comes here: windows, tails and the
+normalizer take closed forms or fixed Gauss-Legendre rules, tilted or not.
+What runs here is the outer integrals of convolutions and probes, and the
+generic ``Component`` default (weight times density), which a dip-density
+window takes only where its structure is not resolved.
 
 Refinement is budgeted: the total error target ``rel_tol * I`` is distributed
 over the segments proportionally to their first-pass mass (with a floor so

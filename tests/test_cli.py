@@ -155,8 +155,10 @@ class TestCommands:
     def test_quadrature_failure_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"quadrature": {"rel_tol": 1e-9, "max_depth": 3}}))
-        out = tmp_path / "ev.csv"
-        code = run_cli("eval", "--x", "32", "--window", "1.0",
+        out = tmp_path / "sd.csv"
+        # windows and tails are closed forms: the self-convolution density's
+        # outer integral is what fails here
+        code = run_cli("probe", "sd", "--n-lo", "4", "--n-hi", "4",
                        "--config", str(cfg), "--out", str(out))
         assert code == 3
         assert "quadrature failure" in capsys.readouterr().err
@@ -167,8 +169,8 @@ class TestCommands:
     def test_partial_row_brackets_are_linear(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"quadrature": {"max_depth": 1}}))
-        out = tmp_path / "ev.csv"
-        assert run_cli("eval", "--x", "4^6*2+0.3", "--window", "1",
+        out = tmp_path / "sd.csv"
+        assert run_cli("probe", "sd", "--n-lo", "4", "--n-hi", "4",
                        "--config", str(cfg), "--out", str(out)) == 3
         lines = out.read_text().strip().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))

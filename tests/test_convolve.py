@@ -308,6 +308,35 @@ class TestSmoothing:
         assert rs[1] < rs[0] < 0.01
 
 
+def test_no_quadrature_runs_inside_another(mu, quad, uni, monkeypatch):
+    # the convolution pairs whose outer integral is a quadrature: the inner
+    # masses it asks for are closed forms or fixed rules
+    from subexp import ParetoAC, convolve, measures, probes, quadrature
+
+    depth, calls = [0], [0]
+
+    def guarded(*args, **kwargs):
+        assert depth[0] == 0, "quadrature inside another"
+        depth[0] += 1
+        calls[0] += 1
+        try:
+            return quadrature.integrate_log(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for module in (convolve, measures, probes):
+        monkeypatch.setattr(module, "integrate_log", guarded)
+    mix = MixtureDistribution(components=((0.5, UniformAC(0.0, 1.0)), (0.5, PointMass(1.5))))
+    tp = tilt(MixtureDistribution.single(ParetoAC(1.0)), -1.0, quad)
+    for x in (0.7, 3.2, 40.0):
+        for a in (1.0, 2.5):
+            conv_local_mass(uni, MixtureDistribution.single(ParetoAC(a)), x, 0.5, quad)
+        conv_local_mass(mix, tp, x, 0.5, quad)
+    for n, t in ((1, 0.0), (6, -3.0), (40, 0.0)):
+        conv_local_mass(uni, mu, ScaledSum.scaled(n, 1.9, offset=t), 1.0, quad)
+    assert calls[0] > 0
+
+
 class TestBruteForceOracle:
     def test_uniform_table(self, uni):
         rows = brute_force_conv_oracle(uni, uni, (0.5, 1.0, 1.5), 1e-3)

@@ -1,17 +1,18 @@
-"""The segment rules of window masses against mpmath at 50 digits.
+"""The segment rules of window masses, and the tails and normalizers built
+from them, against mpmath at 50 digits.
 
 Dip-centre segments run the tanh-sinh rule, plateau windows take the exact
 power-law antiderivative, and dip segments the exponential-integral one or a
-Gauss-Legendre rule, under a unit window or a polynomial weight; all must
-agree with ``mpmath.quad`` to ``rel_tol`` or better.
+Gauss-Legendre rule, under a unit window or a polynomial weight and a tilt;
+all must agree with ``mpmath.quad`` to ``rel_tol`` or better.
 """
 
 import math
 
 import pytest
 
-from subexp import (GallerySpec, KernelAC, ParetoAC, QuadratureSpec, ScaledSum, build_mu,
-                    integrate_log, local_density, local_mass)
+from subexp import (GallerySpec, KernelAC, MixtureDistribution, ParetoAC, QuadratureSpec,
+                    ScaledSum, build_mu, integrate_log, local_density, local_mass, tilt)
 from subexp import measures
 from subexp.measures import PiecewiseLinearDensity, Weight, exp_e1, phi_integral_log
 from subexp.scaledcore import PointPhase, phi_window_log_eval
@@ -440,3 +441,153 @@ def test_wide_tilted_pareto_window(shape, gamma, quad, monkeypatch):
             ref = mp.log(shape * mp.exp(-gamma) * (-gamma) ** shape
                          * mp.gammainc(-shape, -gamma, -gamma * (1 + mp.mpf(1e5))))
         assert abs(got - float(ref)) <= 1e-12
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("a single-level query ran a quadrature")
+
+
+def _tail_tol(gamma, x):
+    """1e-12 plus the conditioning of ``e^(gamma x)`` at a point rounded to
+    its ulp."""
+    return 1e-12 + 4.0 * abs(gamma * x) * 2.0 ** -53
+
+
+def _mp_pareto_tail(a, gamma, x):
+    """log int_x^inf a (1+u)^(-a-1) e^(gamma u) du for gamma < 0, by the
+    upper incomplete gamma function."""
+    with mp.workdps(DPS):
+        g = -mp.mpf(gamma)
+        return float(mp.log(a * mp.exp(g) * g ** a * mp.gammainc(-a, g * (1 + mp.mpf(x)))))
+
+
+def _mp_raw_dip(params):
+    """The raw dip density at any u >= 1, with the breakpoints of a range."""
+    b, x0, delta = mp.mpf(params.b), mp.mpf(params.x0), mp.mpf(params.delta)
+    plateau = -1 / mp.log(delta)
+
+    def f(u):
+        m = int(mp.floor(mp.log(u) / mp.log(b)))
+        y = u / b ** m
+        if y >= b:
+            y, m = y / b, m + 1
+        elif y < 1:
+            y, m = y * b, m - 1
+        d = abs(y - x0)
+        if d == 0:
+            return mp.mpf(0)
+        return u ** -(params.alpha + 1) * (-1 / mp.log(d) if d < delta else plateau)
+
+    def cuts(lo, hi):
+        pts, m = [lo], 0
+        while b ** m < hi:
+            pts += [u for u in (b ** m * y for y in (x0 - delta, x0, x0 + delta, b)) if lo < u < hi]
+            m += 1
+        return pts + [hi]
+
+    return f, cuts
+
+
+def _mp_dip_tilted_tail(params, phi, gamma, x):
+    """log int_x^inf e^(gamma u) mu(du), taken to 60 e-folds of the tilt."""
+    f, cuts = _mp_raw_dip(params)
+    with mp.workdps(DPS):
+        x = mp.mpf(max(x, 1.0))
+        hi = x + 60 / abs(mp.mpf(gamma)) + 10
+        mass = mp.quad(lambda u: f(u) * mp.exp(gamma * (u - x)), cuts(x, hi))
+        return float(mp.log(mass) + gamma * x - mp.mpf(phi.m_log))
+
+
+@pytest.mark.parametrize("gamma", [-0.5, -1.0, -2.0])
+def test_tilted_normalizers(mu, params, quad_fast, monkeypatch, gamma):
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    pareto = tilt(MixtureDistribution.single(ParetoAC(1.0)), gamma, quad_fast)
+    assert abs(pareto.components[0][1].log_norm - _mp_pareto_tail(1.0, gamma, 0.0)) <= 1e-12
+    tmu = tilt(mu, gamma, quad_fast)
+    want = _mp_dip_tilted_tail(params, mu.components[0][1], gamma, 1.0)
+    assert abs(tmu.components[0][1].log_norm - want) <= 1e-12
+
+
+_TILTED_TAIL_GAMMAS = [-0.01, -0.5, -1.0, -2.0, -8.0]
+
+
+@pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("gamma", _TILTED_TAIL_GAMMAS)
+def test_tilted_pareto_tail(shape, gamma, quad, monkeypatch):
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    comp = ParetoAC(shape)
+    for x in (0.0, 0.5, 3.7, 30.0, 1e3, 1e6):
+        got = comp.log_tail(ScaledSum.from_float(x) if x else ScaledSum.zero(), quad, gamma)
+        assert abs(got - _mp_pareto_tail(shape, gamma, x)) <= _tail_tol(gamma, x), x
+
+
+@pytest.mark.parametrize("gamma", _TILTED_TAIL_GAMMAS)
+def test_tilted_dip_tail(mu, params, quad, monkeypatch, gamma):
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    phi = mu.components[0][1]
+    for x in (0.0, 1.0, 2.0, 3.7, 30.0) + ((1e3,) if gamma != -0.01 else ()):
+        got = phi.log_tail(ScaledSum.from_float(x) if x else ScaledSum.zero(), quad, gamma)
+        want = _mp_dip_tilted_tail(params, phi, gamma, x)
+        assert abs(got - want) <= _tail_tol(gamma, x), x
+
+
+@pytest.mark.parametrize("n", [1, 64, 256])
+@pytest.mark.parametrize("y", [2.0, 3.0, 2.1, 1.0])  # anchor, plateau, ring, cell edge
+def test_untilted_dip_tail(mu, params, quad, monkeypatch, n, y):
+    # the density at u = b^n v integrated over v up to b^2 relative to
+    # b^(-n (alpha+1)) (mp.quad loses digits on integrands near 1e-300), with
+    # the mass beyond b^(n+2) b^(-alpha (n+2)) by self-similarity
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    phi = mu.components[0][1]
+    got = phi.log_tail(ScaledSum.scaled(n, y), quad)
+    f, cuts = _mp_raw_dip(params)
+    with mp.workdps(DPS):
+        b = mp.mpf(params.b)
+        scale = b ** (n * (params.alpha + 1))
+        mass = mp.quad(lambda v: f(b ** n * v) * scale, cuts(mp.mpf(y), b ** 2)) * b ** -(
+            n * params.alpha)
+        ref = mp.log(mass / mp.exp(mp.mpf(phi.m_log)) + b ** (-params.alpha * (n + 2)))
+    assert abs(got - float(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [500, 700, 1024])
+@pytest.mark.parametrize("y, c", [(2.1, 1.0), (1.8, 1e-3), (2.2, 37.0), (2.0 + 2.0 ** -40, 1.0)])
+def test_window_in_a_ring_beyond_float_range(mu, params, quad, monkeypatch, n, y, c):
+    # the centre is beyond float range: over the window the dip distance is
+    # the head mantissa's to far below rounding
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    phi = mu.components[0][1]
+    got = phi.log_window_mass(ScaledSum.scaled(n, y), c, quad)
+    with mp.workdps(DPS):
+        x = mp.mpf(params.b) ** n * mp.mpf(y)
+        h = -1 / mp.log(abs(mp.mpf(y) - params.x0))
+        mass = mp.quad(lambda t: (x + t) ** -(params.alpha + 1), [0, c])
+        ref = mp.log(h * mass) - mp.mpf(phi.m_log)
+    assert abs(got - float(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [-0.01, -0.5, -8.0])
+@pytest.mark.parametrize("m, off, weight", [
+    (0, 0.0, 1.0), (1, -0.3, 7.0), (3, 1e-9, 0.05), (5, 0.0, 1.0),
+    (1, 0.2, "g1"), (3, 0.0, "g2"), (2, -0.3, "g2")])
+def test_tilted_dip_window(mu, params, quad, monkeypatch, gamma, m, off, weight):
+    # plateau segments by the tilted power-law rule, far dip segments by
+    # Gauss rules with the tilt as a factor, near-centre pieces by the
+    # weighted series with the tilt's Taylor polynomial
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    g1, g2 = _smoothed_window_weights()
+    w = {"g1": g1, "g2": g2}.get(weight, weight)
+    phi = mu.components[0][1]
+    x = 4.0 ** m * (params.x0 + off)
+    got = phi.log_window_mass(ScaledSum.from_float(x), w, quad, gamma)
+    f, cuts = _mp_raw_dip(params)
+    with mp.workdps(DPS):
+        xm, total = mp.mpf(x), 0
+        for lo, hi, coeffs, _upper in (w if isinstance(w, Weight) else Weight.window(w)).pieces:
+            a, b = max(xm + lo, mp.mpf(1)), xm + hi
+            if b > a:
+                total += mp.quad(lambda u, lo=lo, coeffs=coeffs: sum(
+                    mp.mpf(c) * (u - xm - lo) ** j for j, c in enumerate(coeffs))
+                    * f(u) * mp.exp(gamma * (u - xm)), cuts(a, b))
+        ref = float(mp.log(total) + gamma * xm - mp.mpf(phi.m_log))
+    assert abs(got - ref) <= _tail_tol(gamma, x)
