@@ -242,17 +242,25 @@ def _outer_integral(outer, inner, x: ScaledSum, xv: float, w: Weight, olo: float
     density or a knot of the weight meets structure (see :func:`_crossings`)."""
     f = _shifted_window_integrand(outer, inner, x, w, olo, ohi, quad)
     hints, centres = outer.density_cuts(ScaledSum.zero(x.b), olo, ohi)
-    hints += _crossings(inner, x, xv, olo, ohi, w.knots)
-    return integrate_log(f, olo, ohi, quad, hints=hints, singular=centres)
+    c_hints, c_centres = _crossings(inner, x, xv, olo, ohi, w.knots)
+    return integrate_log(f, olo, ohi, quad, hints=hints + c_hints,
+                         singular=centres + c_centres)
 
 
-def _crossings(inner, x: ScaledSum, xv: float, olo: float, ohi: float, shifts) -> list:
-    """Outer abscissae u in (olo, ohi) where a window end or knot x + s - u,
-    s in ``shifts``, meets the inner measure's structure: u = s - t for each cut t
-    of ``inner.density_cuts(x, s - ohi, s - olo)``.  None beyond float range."""
-    if not math.isfinite(xv):
-        return []
-    return [s - t for s in shifts for t in inner.density_cuts(x, s - ohi, s - olo)[0]]
+def _crossings(inner, x: ScaledSum, xv: float, olo: float, ohi: float, shifts) -> tuple:
+    """Outer abscissae u in [olo, ohi] where a window end or knot x + s - u,
+    s in ``shifts``, meets the inner measure's structure, as (hints,
+    centres): u = s - t for each cut t of ``inner.density_cuts(x, s - ohi, s
+    - olo)``.  Where x + s - u crosses a dip centre the mass is C^1 with an
+    unbounded second derivative, so those are singular points of the outer
+    integral.  None beyond float range."""
+    hints, centres = [], []
+    if math.isfinite(xv):
+        for s in shifts:
+            edges, cs = inner.density_cuts(x, s - ohi, s - olo)
+            hints += [s - t for t in edges]
+            centres += [s - t for t in cs]
+    return hints, centres
 
 
 def _shifted_window_integrand(outer, inner, x: ScaledSum, w: Weight, olo: float,
@@ -295,30 +303,33 @@ def _self_pair_window_mass(comp, x: ScaledSum, xv: float, w: Weight, quad):
     dens = comp.log_density_eval(zero, quad)
     terms = []
 
-    def diagonal(u):
-        inner = w.shift(xv - 2.0 * u, above=0.0)  # t -> w(t + 2u - x), v = u + t > u
-        if inner is None:
-            return LOG_ZERO
-        a = dens(u)
-        if a == LOG_ZERO:
-            return LOG_ZERO
-        m = comp.log_window_mass(zero.add_offset(u), inner, quad)
-        if m == LOG_ZERO:
-            return LOG_ZERO
-        return a + m
-
     half = 0.5 * (xv + w.lo)
     n_hi = min(half, hi)
     if n_hi > lo:
         terms.append(_outer_integral(comp, comp, x, xv, w, lo, n_hi, quad))
     d_lo, d_hi = max(half, lo), min(0.5 * (xv + w.hi), hi)
     if d_hi > d_lo:
+        # every inner weight lies in (d_lo, x + t_hi - d_lo], one set-up
+        mass = comp.log_weight_mass_eval(zero, d_lo, xv + w.hi - d_lo, quad)
+
+        def diagonal(u):
+            inner = w.shift(xv - u, above=u)  # v -> w(u + v - x), v > u
+            if inner is None:
+                return LOG_ZERO
+            a = dens(u)
+            if a == LOG_ZERO:
+                return LOG_ZERO
+            m = mass(inner)
+            if m == LOG_ZERO:
+                return LOG_ZERO
+            return a + m
+
         # the inner weight starts at u, on the density's own structure, and
         # its moving knots x+s-u cross the structure reflected
         hints, centres = comp.density_cuts(zero, d_lo, d_hi)
-        hints += _crossings(comp, x, xv, d_lo, d_hi, w.knots[1:])
-        terms.append(integrate_log(diagonal, d_lo, d_hi, quad, hints=hints,
-                                   singular=centres))
+        c_hints, c_centres = _crossings(comp, x, xv, d_lo, d_hi, w.knots[1:])
+        terms.append(integrate_log(diagonal, d_lo, d_hi, quad, hints=hints + c_hints,
+                                   singular=centres + c_centres))
     return math.log(2.0) + log_sum(terms)
 
 
@@ -399,8 +410,12 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
                     return LOG_ZERO
                 return a + m2
 
+            # the pair's density changes formula where its argument x + s - u
+            # is a cut of the component shifted by its support's lower edge
             hints, centres = comp.density_cuts(ScaledSum.zero(x.b), lo, hi)
-            terms.append(lw + integrate_log(f, lo, hi, quad, hints=hints, singular=centres))
+            p_hints, _ = _crossings(comp, x.add_offset(-lo), xv - lo, lo, hi, w.knots)
+            terms.append(lw + integrate_log(f, lo, hi, quad, hints=hints + p_hints,
+                                            singular=centres))
     return log_sum(terms) if terms else LOG_ZERO
 
 

@@ -519,6 +519,15 @@ class Component:
         at its own point; :class:`PhiAC` sets up the span once."""
         return lambda t: self.log_window_mass(base.add_offset(t), w, quad, gamma)
 
+    def log_weight_mass_eval(self, base: ScaledSum, lo: float, hi: float,
+                             quad: QuadratureSpec, gamma: float = 0.0):
+        """``w -> log_window_mass(base, w)`` for weights w supported in [lo,
+        hi]: the inner masses of an integral whose weight moves with its
+        variable.  By default each is a window of its own at ``base + w.lo``,
+        so a constant weight takes the closed form of a width;
+        :class:`PhiAC` sets up the span once."""
+        return lambda w: self.log_window_mass(base.add_offset(w.lo), w.shift(-w.lo), quad, gamma)
+
     def _log_window_mass(self, x: ScaledSum, c: float, quad: QuadratureSpec,
                          gamma: float = 0.0) -> float:
         raise NotImplementedError
@@ -592,6 +601,19 @@ class Component:
         components report their atom offsets, where a window mass jumps.
         """
         return [], []
+
+
+def _weight_shape(w) -> tuple:
+    """A width or :class:`Weight` as ``(w0, c, shape)``: the weight's lower
+    end, and its width and shape on (0, c] (None for the window itself)."""
+    if type(w) is not Weight:
+        return 0.0, w, None
+    if w.width is not None:
+        return 0.0, w.width, None
+    shape = w.shift(-w.lo)
+    if shape.width is not None:
+        return w.lo, shape.width, None
+    return w.lo, shape.hi, shape
 
 
 def _offsets(base: ScaledSum, points, lo: float, hi: float) -> list:
@@ -754,30 +776,34 @@ class PhiAC(Component):
             return super().log_window_mass_eval(base, lo, hi, w, quad, gamma)
         return partial(self._node_mass, plan)
 
+    def log_weight_mass_eval(self, base, lo, hi, quad, gamma=0.0):
+        """``w -> log_window_mass(base, w)`` for weights w supported in [lo,
+        hi], from the set-up of the window (base + lo, base + hi], which
+        holds the structure of every such weight."""
+        plan = self._window_plan(base, lo, lo, hi - lo, quad, gamma)
+        if plan is None:
+            return super().log_weight_mass_eval(base, lo, hi, quad, gamma)
+        span = plan[:4]  # (ph, edges, rings, gamma); each weight brings its own (w0, c, shape)
+        return lambda w: self._node_mass(span + _weight_shape(w), 0.0)
+
     def _window_plan(self, base, lo, hi, w, quad, gamma):
         """The set-up of :meth:`log_window_mass_eval` as one tuple; None where
         the span crosses ``2^50`` or its structure is not resolved."""
-        shape, w0 = None, 0.0
-        c = w
-        if type(w) is Weight:
-            c = w.width
-            if c is None:
-                shape, w0 = w.shift(-w.lo), w.lo
-                c = shape.hi
         ph = PointPhase(base)
         xv = ph.value
         if gamma != 0.0:
             _finite_value(base, "tilted dip density")
         if (abs(xv + lo) < _FLOAT_SAFE) != (abs(xv + hi) < _FLOAT_SAFE):
             return None
+        w0, c, shape = _weight_shape(w)
         edges, _centres, rings = self._window_cuts(ph, hi + w0 + c, lo + w0)
         if rings is None:
             return None
-        return (ph, w0, c, shape, edges, rings, gamma)
+        return (ph, edges, rings, gamma, w0, c, shape)
 
     def _node_mass(self, plan, t):
         """The window mass at ``base + t`` from its evaluator's set-up."""
-        ph, w0, c, shape, edges, rings, gamma = plan
+        ph, edges, rings, gamma, w0, c, shape = plan
         s = t + w0
         end = s + c
         tol = _END_SNAP * (1.0 + c)  # for edges that round into the window

@@ -4,19 +4,23 @@ The integrands here span hundreds of orders of magnitude across a run but only
 a handful within any single integral, so each integral is evaluated in a
 linear domain scaled by the largest sampled log-value.  Structure points (the
 dip centers and ring edges of the periodic profile, support edges, kernel
-knots) are passed as hints and split the range into segments; between hints
-the integrands are smooth, and each segment gets the rule that fits it:
+knots, and where a window end of one factor crosses them) are passed as
+hints and split the range into segments; between hints the integrands are
+analytic, and each segment gets the rule that fits it:
 
 - A segment with an endpoint in ``singular`` runs the tanh-sinh rule of
   Takahasi & Mori (1974).  The dip profile ``-1/log|y - x0|`` has an
-  unbounded derivative at a dip center; the double-exponential change of
-  variables makes it a rapidly decaying analytic integrand, so halving the
-  step converges in a few dozen evaluations where bisection would crawl
+  unbounded derivative at a dip center, and a window mass whose end crosses
+  one an unbounded second derivative; the double-exponential change of
+  variables makes either a rapidly decaying analytic integrand, so halving
+  the step converges in a few dozen evaluations where bisection would crawl
   toward the center.  The halving stops once two levels agree, or once the
   changes between levels shrink fast enough that the next one would fit
   the budget.
-- Every other segment runs adaptive Simpson with Richardson extrapolation.
-  Its exhaustion floor accepts a panel whose whole possible contribution is
+- Every other segment is a 15-point Gauss-Kronrod panel (QUADPACK's qk15,
+  Piessens et al. 1983), bisected while ``|K15 - G7|``, the difference from
+  its embedded 7-point Gauss rule, exceeds the panel's budget.  Its
+  exhaustion floor accepts a panel whose whole possible contribution is
   negligible, so a jump or an unflagged singular derivative still ends.
 
 No single-level query of :mod:`measures` comes here: windows, tails and the
@@ -25,14 +29,16 @@ What runs here is the outer integrals of convolutions and probes, and the
 generic ``Component`` default (weight times density), which a dip-density
 window takes only where its structure is not resolved.
 
-Refinement is budgeted: the total error target ``rel_tol * I`` is distributed
-over the segments proportionally to their first-pass mass (with a floor so
-empty-looking segments still get attention); each bisection passes half its
-budget to each child, and a tanh-sinh segment stops once its error estimate
-fits its budget.  Accepted sums are combined with compensated
-summation in a fixed order, so a given integral always returns the same bits.
-``max_depth`` bounds the nodes of a segment for both rules: bisection depth
-``d`` and tanh-sinh level ``d - 2`` each reach about ``2^(d+1)`` nodes.
+The first pass is the first panel of each segment (tanh-sinh level 0 at a
+singular end), and it sets both the shared scale and the budgets: the
+total error target ``rel_tol * I`` is distributed over the segments
+proportionally to their first-pass mass (with a floor so empty-looking
+segments still get attention); each bisection passes half its budget to
+each child, and a tanh-sinh segment stops once its error estimate fits its
+budget.  Accepted sums are combined with compensated summation in a fixed
+order, so a given integral always returns the same bits.  ``max_depth``
+bounds both rules: the bisection depth of a panel and, less two, the
+tanh-sinh level.
 """
 
 from __future__ import annotations
@@ -44,7 +50,39 @@ from functools import lru_cache
 from .errors import ParameterError, QuadratureError
 from .logsum import LOG_ZERO, NeumaierSum
 
-_ONE_THIRD = 1.0 / 3.0
+# The 15-point Gauss-Kronrod rule and its embedded 7-point Gauss rule on
+# [-1, 1] (QUADPACK's qk15, Piessens et al. 1983).  _GK_NODES holds the
+# distances 1 - x of the positive Kronrod nodes from the end, so nodes near
+# an end keep full precision; the Gauss nodes are the second, fourth and
+# sixth of them and the centre.
+_GK_NODES = (
+    1.0 - 0.991455371120812639206854697526329,
+    1.0 - 0.949107912342758524526189684047851,
+    1.0 - 0.864864423359769072789712788640926,
+    1.0 - 0.741531185599394439863864773280788,
+    1.0 - 0.586087235467691130294144845693013,
+    1.0 - 0.405845151377397166906606412076961,
+    1.0 - 0.207784955007898467600689403773245,
+)
+_GK_WEIGHTS = (  # the centre's first
+    0.209482141084727828012999174891714,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_G7_WEIGHTS = (  # aligned with _GK_WEIGHTS, zero at the Kronrod-only nodes
+    0.417959183673469387755102040816327, 0.0,
+    0.129484966168869693270611432679082, 0.0,
+    0.279705391489276667901467771423780, 0.0,
+    0.381830050505118944950369775488975, 0.0,
+)
+# both weight sets in the order of _gk_points
+_GK_PAIR_WEIGHTS, _G7_PAIR_WEIGHTS = (
+    (ws[0],) + tuple(w for w in ws[1:] for _ in (0, 1)) for ws in (_GK_WEIGHTS, _G7_WEIGHTS))
 
 # tanh-sinh nodes run over |t| <= _DE_T.  Beyond it the weights fall below
 # 1e-20 of the peak, so for the bounded integrands here the truncation is far
@@ -52,8 +90,8 @@ _ONE_THIRD = 1.0 / 3.0
 _DE_T = 3.5
 # Step halvings past this level only chase rounding noise in double precision.
 _DE_MAX_LEVEL = 8
-# Level k has about 2^(k+3) nodes, as many as bisection reaches at depth
-# k + 2, so ``max_depth`` allows levels up to max_depth - 2.
+# Level k has about 2^(k+3) nodes, and ``max_depth`` allows levels up to
+# max_depth - 2.
 _DE_DEPTH_OFFSET = 2
 
 
@@ -74,8 +112,23 @@ class QuadratureSpec:
             raise ParameterError("abs_floor must be nonnegative")
 
 
-def _simpson(fa, fm, fb, width):
-    return width * (fa + 4.0 * fm + fb) / 6.0
+def _gk_points(a: float, b: float) -> list:
+    """The 15 Gauss-Kronrod nodes on [a, b]: the centre, then pairs from the
+    ends inward."""
+    hw = 0.5 * (b - a)
+    out = [a + hw]
+    for q in _GK_NODES:
+        d = hw * q  # the node lies q half-widths inside the nearer end
+        out += (a + d, b - d)
+    return out
+
+
+def _gk_sums(g, hw: float) -> tuple:
+    """(K15, |K15 - G7|, largest value) of a panel of half-width ``hw`` from
+    its 15 values ``g``, in :func:`_gk_points` order."""
+    k = math.fsum(w * v for w, v in zip(_GK_PAIR_WEIGHTS, g))
+    g7 = math.fsum(w * v for w, v in zip(_G7_PAIR_WEIGHTS, g))
+    return hw * k, hw * abs(k - g7), max(g)
 
 
 @lru_cache(maxsize=None)
@@ -147,20 +200,16 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
                 cuts.add(float(s))
     pts = sorted(cuts)
 
-    # First pass: 5-point composite Simpson, or tanh-sinh level 0 at a
-    # singular end; the values stay in log space until the shared scale is known.
+    # First pass: a Gauss-Kronrod panel on each segment, or tanh-sinh level 0
+    # at a singular end; the values stay in log space until the shared scale
+    # is known.
     first = []
     ref = LOG_ZERO
     for a, b in zip(pts[:-1], pts[1:]):
         de = a in ends or b in ends
-        if de:
-            nodes = _de_points(a, b, 0)
-            fs = tuple(f_log(x) for x, _w in nodes)
-        else:
-            width = b - a
-            nodes = (a, a + 0.25 * width, a + 0.5 * width, a + 0.75 * width, b)
-            fs = tuple(f_log(x) for x in nodes)
-        first.append((a, b, de, nodes, fs))
+        xs, ws = zip(*_de_points(a, b, 0)) if de else (_gk_points(a, b), None)
+        fs = [f_log(x) for x in xs]
+        first.append((a, b, de, ws, fs))
         m = max(fs)
         if m > ref:
             ref = m
@@ -171,78 +220,61 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
         v = f_log(t)
         return 0.0 if v == LOG_ZERO else math.exp(v - ref)
 
-    # each segment's first estimate and, for Simpson, the linear values and
-    # half sums its refinement starts from
+    # each segment's first estimate, and for a panel its error estimate and
+    # largest value
     seg_est = []
     total0 = 0.0
-    for a, b, de, nodes, fs in first:
+    for a, b, de, ws, fs in first:
+        g = [0.0 if v == LOG_ZERO else math.exp(v - ref) for v in fs]
         if de:
-            s0 = math.fsum(0.0 if v == LOG_ZERO else w * math.exp(v - ref)
-                           for (_x, w), v in zip(nodes, fs))
-            seg_est.append((s0, None, None, None))
+            seg_est.append((math.fsum(w * v for w, v in zip(ws, g)), None))
         else:
-            g = tuple(0.0 if v == LOG_ZERO else math.exp(v - ref) for v in fs)
-            half = 0.5 * (b - a)
-            s_left = _simpson(g[0], g[1], g[2], half)
-            s_right = _simpson(g[2], g[3], g[4], half)
-            s0 = s_left + s_right
-            seg_est.append((s0, g, s_left, s_right))
-        total0 += s0
+            seg_est.append(_gk_sums(g, 0.5 * (b - a)))
+        total0 += seg_est[-1][0]
 
     if total0 <= 0.0:
         return LOG_ZERO
 
     budget_total = quad.rel_tol * total0
     floor_share = 1.0 / (8.0 * len(first))
-    # Exhaustion floor: a Simpson panel whose whole possible contribution is
-    # below this is accepted outright.  At a jump, or at a singular
-    # derivative that no ``singular`` point flags, the Simpson error only
-    # halves per bisection level, as the budget does, so refinement alone
-    # would never end.
+    # Exhaustion floor: a panel whose whole possible contribution is below
+    # this is accepted outright.  At a jump, or at a singular derivative that
+    # no ``singular`` point flags, the panel error only halves per bisection
+    # level, as the budget does, so refinement alone would never end.
     floor_abs = budget_total / 64.0
     acc = NeumaierSum()
     err_acc = NeumaierSum()
     failed = False
 
-    for (a, b, de, xs, _fs), (est, g, s_left, s_right) in zip(first, seg_est):
-        budget = budget_total * max(est / total0, floor_share)
+    for (a, b, de, _ws, _fs), est in zip(first, seg_est):
+        budget = budget_total * max(est[0] / total0, floor_share)
         if de:
-            s, err, ok = _tanh_sinh(f, a, b, est, budget, quad)
+            s, err, ok = _tanh_sinh(f, a, b, est[0], budget, quad)
             acc.add(s)
             err_acc.add(err)
             failed = failed or not ok
             continue
 
-        # Iterative adaptive bisection over (a, fa, m, fm, b, fb, S, budget, depth).
-        stack = [
-            (a, g[0], xs[1], g[1], xs[2], g[2], s_left, 0.5 * budget, 1),
-            (xs[2], g[2], xs[3], g[3], b, g[4], s_right, 0.5 * budget, 1),
-        ]
+        # Iterative bisection over (a, b, (K15, |K15 - G7|, max value), budget, depth).
+        stack = [(a, b, est, budget, 0)]
         while stack:
-            a0, fa, m0, fm, b0, fb, s1, bud, depth = stack.pop()
-            lm = 0.5 * (a0 + m0)
-            rm = 0.5 * (m0 + b0)
-            flm = f(lm)
-            frm = f(rm)
-            half_w = 0.5 * (b0 - a0)
-            sl = _simpson(fa, flm, fm, half_w)
-            sr = _simpson(fm, frm, fb, half_w)
-            s2 = sl + sr
-            err = (s2 - s1) * _ONE_THIRD * 0.2  # |S2-S1|/15
-            cap = (b0 - a0) * max(fa, flm, fm, frm, fb)
-            if abs(err) <= bud or abs(err) <= quad.abs_floor:
-                acc.add(s2 + err)  # Richardson extrapolation
-                err_acc.add(abs(err))
+            a0, b0, (k, err, top), bud, depth = stack.pop()
+            cap = (b0 - a0) * top
+            if err <= bud or err <= quad.abs_floor:
+                acc.add(k)
+                err_acc.add(err)
             elif cap <= floor_abs:
-                acc.add(s2)
+                acc.add(k)
                 err_acc.add(cap)
             elif depth >= quad.max_depth:
-                acc.add(s2)
-                err_acc.add(abs(err))
+                acc.add(k)
+                err_acc.add(err)
                 failed = True
             else:
-                stack.append((a0, fa, lm, flm, m0, fm, sl, 0.5 * bud, depth + 1))
-                stack.append((m0, fm, rm, frm, b0, fb, sr, 0.5 * bud, depth + 1))
+                m0 = 0.5 * (a0 + b0)
+                for p, q in ((a0, m0), (m0, b0)):
+                    g = [f(x) for x in _gk_points(p, q)]
+                    stack.append((p, q, _gk_sums(g, 0.5 * (q - p)), 0.5 * bud, depth + 1))
 
     total = acc.total
     log_total = LOG_ZERO if total <= 0.0 else ref + math.log(total)

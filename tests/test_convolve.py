@@ -8,8 +8,10 @@ from subexp import (
     LogBracket,
     MixtureDistribution,
     ParameterError,
+    ParetoAC,
     PiecewiseLinearDensity,
     PointMass,
+    QuadratureSpec,
     ScaledSum,
     UniformAC,
     brute_force_conv_oracle,
@@ -160,6 +162,14 @@ class TestConvWindows:
         g_lo = np.interp(x - mids, fine, cdf)
         oracle = float(np.sum(g_hi - g_lo) * step)
         assert abs(got / oracle - 1.0) < 1e-5
+
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    @pytest.mark.parametrize("x", [0.7, 3.2, 40.0])
+    def test_smooth_pair_takes_few_evaluations(self, uni, eval_count, x, a):
+        # between the kinks of a uniform-Pareto pair the outer integrand is
+        # analytic, so one Gauss-Kronrod panel per segment meets the tolerance
+        conv_local_mass(uni, MixtureDistribution.single(ParetoAC(a)), x, 0.5, QuadratureSpec())
+        assert eval_count[0] <= 60
 
     def test_ratio_to_two_trend(self, mu, quad_fast):
         rs = []

@@ -331,8 +331,6 @@ class TestKernelCentres:
     @pytest.mark.parametrize("query, bound", [
         ("log_window_mass", 4.0),
         ("log_tail", 4.0),
-        # two tanh-sinh segments of 29 nodes each against two Simpson
-        # segments of 9: the rule's own cost at a centre, 3.2x
         ("log_density", 4.0),
     ])
     def test_anchor_cost(self, mu, quad_fast, eval_count, query, bound):
@@ -626,6 +624,23 @@ class TestWindowEvaluator:
         got = phi.log_window_mass_eval(base, t - below, t + above, w, quad, gamma)(t)
         want = phi.log_window_mass(base.add_offset(t), w, quad, gamma)
         assert got == want or abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("base", [ScaledSum.from_float(-1.0), ScaledSum.from_float(1.5),
+                                      ScaledSum.from_float(6.5), ScaledSum.scaled(3, 2.0),
+                                      ScaledSum.scaled(640, 2.0)])
+    def test_moving_weight_is_the_window_at_its_lower_end(self, mu, quad, base):
+        # ``log_weight_mass_eval``: one set-up of the span for weights that
+        # move through it, as on a self-convolution's diagonal; each is the
+        # window at its own lower end, within rounding of the dyadic offsets
+        phi = mu.components[0][1]
+        ev = phi.log_weight_mass_eval(base, 0.0, 4.0, quad)
+        for w in (Weight.window(1.0), self.g1, self.g2):
+            for s in (0.0, 0.5, 1.25, 1.5 - 2.0 ** -30):
+                moved = w.shift(s - w.lo - 0.5, above=s)  # cut to (s, s - 0.5 + width]
+                want = phi.log_window_mass(base.add_offset(moved.lo), moved.shift(-moved.lo),
+                                           quad)
+                got = ev(moved)
+                assert got == want or abs(got - want) <= 1e-12, (w, s)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

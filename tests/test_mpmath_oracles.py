@@ -12,7 +12,8 @@ import math
 import pytest
 
 from subexp import (GallerySpec, KernelAC, MixtureDistribution, ParetoAC, QuadratureSpec,
-                    ScaledSum, build_mu, integrate_log, local_density, local_mass, tilt)
+                    ScaledSum, UniformAC, build_mu, conv_local_mass, integrate_log,
+                    local_density, local_mass, tilt)
 from subexp import measures
 from subexp.measures import PiecewiseLinearDensity, Weight, exp_e1, phi_integral_log
 from subexp.scaledcore import PointPhase, phi_window_log_eval
@@ -486,6 +487,28 @@ def _mp_raw_dip(params):
         return pts + [hi]
 
     return f, cuts
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 20])
+@pytest.mark.parametrize("t", [0.0, -1.7])
+@pytest.mark.parametrize("c", [0.25, 1.0, 2.0])
+def test_uniform_dip_convolution(mu, params, quad, n, t, c):
+    # (U(0,1) * mu)((x, x+c]) at x = b^n x0 + t: the outer integral's window
+    # ends cross the dip centre, where the inner mass has an unbounded
+    # second derivative; in mpmath the overlap of the two windows weights mu
+    uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
+    got = conv_local_mass(uni, mu, ScaledSum.scaled(n, params.x0).add_offset(t), c, quad)
+    f, cuts = _mp_raw_dip(params)
+    with mp.workdps(DPS):
+        x = mp.mpf(params.b) ** n * params.x0 + t
+
+        def overlap(u):  # length of {s in [0, 1]: x - s < u <= x - s + c}
+            return max(0, min(1, x + c - u) - max(0, x - u))
+
+        pts = sorted(set(cuts(x - 1, x + c)) | {x, x + c - 1})
+        mass = mp.quad(lambda u: overlap(u) * f(u), pts)
+        ref = float(mp.log(mass) - mp.mpf(mu.components[0][1].m_log))
+    assert abs(got - ref) <= 1e-9
 
 
 def _mp_dip_tilted_tail(params, phi, gamma, x):

@@ -14,7 +14,7 @@ def test_spec_validation():
 
 
 def test_polynomial_exact():
-    # Simpson integrates cubics exactly
+    # a Gauss-Kronrod panel integrates polynomials of degree 22 exactly
     spec = QuadratureSpec()
     val = integrate_linear(lambda t: 3 * t ** 2, 0.0, 2.0, spec)
     assert math.isclose(val, 8.0, rel_tol=1e-12)
@@ -80,7 +80,7 @@ def test_empty_range():
 
 
 def test_hints_allow_narrow_support():
-    # without the hint the 5-point presample misses the bump entirely
+    # without the hint the first panel's 15 nodes miss the bump entirely
     spec = QuadratureSpec()
     f = lambda t: 0.0 if 0.1001 < t < 0.1002 else -math.inf
     with_hint = integrate_log(f, 0.0, 1.0, spec, hints=(0.1001, 0.1002))
