@@ -180,7 +180,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     for text in args.x:
         x = parse_point(text, cfg.params.b)
         h = profile.value(x)
-        log_phi = handle.log_value(x) + handle.phi.m_log
+        log_phi = handle.log_value(x) + handle.component.m_log
         row = {"probe": "eval", "n": None, "m": None, "c": args.window,
                "log_num": log_phi, "log_den": 0.0,
                "log_ratio": log_phi, "ratio": h,
@@ -302,8 +302,7 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     elif args.case == "phi-conv":
         g = lambda u: phi_values(profile, u)
         for x in (10.0, 100.0, 1000.0):
-            v = phi_self_conv_at(profile, x, quad)
-            adaptive = math.exp(v if not hasattr(v, "mid") else v.mid)
+            adaptive = math.exp(phi_self_conv_at(profile, x, quad))
             oracle = oracle_conv_density_at(g, g, x, 1.0, x - 1.0, 1e-4)
             rows.append(_oracle_row(p, "phi-conv", x, adaptive, oracle))
     elif args.case == "mu-local":

@@ -13,16 +13,18 @@ integral, ``log_window_mass_eval(x, -ohi, -olo, w)``, which sets up the
 inner measure's windows over the whole range once and takes offsets from
 x's head and exact remainder, so near x dip phases survive the
 subtraction exactly; a node then costs its closed forms and a bisection
-into the range's structure.  Every such integral takes its cuts from the
-components' one structure query, ``density_cuts``: the outer density's own
-hints and dip centres, and the inner measure's hints reflected through each
-knot of the weight ``x + s - u`` (see :func:`_crossings`).  The dip-density
-self-convolution takes the same cuts of the raw profile from
-:func:`~subexp.measures.dip_pair_cuts`.  A component paired with itself
-folds the outer range at (x + t_lo)/2, x/2 for a window, by the exchange
-symmetry u <-> v (see :func:`_self_pair_window_mass`): every inner weight
-then starts there or beyond, which cut one ``mu*mu`` window at 4^6*3 from
-50,531 integrand evaluations to 3,756 at ``rel_tol = 1e-7``.
+into the range's structure.  A density at a point, such as the dip
+density's self-convolution, is the same integral with the inner density
+``log_density_eval(x)`` in place of the masses (see :func:`_outer_integral`).
+Every such integral takes its cuts from the components' one structure
+query, ``density_cuts``: the outer density's own hints and dip centres, and
+the inner measure's hints reflected through each knot of the weight ``x + s
+- u``, or through x itself for a density (see :func:`_crossings`).  A
+component paired with itself folds the outer range at (x + t_lo)/2, x/2 for
+a window or a point, by the exchange symmetry u <-> v (see
+:func:`_self_pair_window_mass`): every inner weight then starts there or
+beyond, which cut one ``mu*mu`` window at 4^6*3 from 50,531 integrand
+evaluations to 3,756 at ``rel_tol = 1e-7``.
 
 For the dip-density pair at points too large to traverse numerically the
 integral is split at ``L = (log x)^beta``: the two near-edge pieces are
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import ParameterError
 from .logsum import LOG_ZERO, log_add, log_sum
 from .quadrature import QuadratureSpec, integrate_log
-from .scaledcore import ModelParams, PeriodicProfile, ScaledSum, as_point, phi_window_log_eval
+from .scaledcore import ModelParams, PeriodicProfile, ScaledSum, as_point
 from .measures import (
     KernelAC,
     MixtureDistribution,
@@ -53,7 +55,6 @@ from .measures import (
     Weight,
     as_weight,
     dip_cuts,
-    dip_pair_cuts,
 )
 
 
@@ -118,7 +119,9 @@ class ConvPlan:
 
 def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
                      plan: ConvPlan | None = None):
-    """log of (phi (x) phi)(x) = log 2 int_1^{x/2} phi(x-u) phi(u) du.
+    """log of (phi (x) phi)(x) = log 2 int_1^{x/2} phi(x-u) phi(u) du for the
+    raw profile: the density case of the self pair of ``PhiAC(profile,
+    m_log=0)`` (see :func:`_self_pair_density`).
 
     Returns a float for representable points, a :class:`LogBracket` beyond
     the split threshold.
@@ -126,45 +129,25 @@ def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
     p = profile.params
     plan = plan or ConvPlan(p)
     x = as_point(x, p.b)
-    if x.sign() <= 0:
+    if x.sign() <= 0 or x.log_abs() <= math.log(2.0):
         return LOG_ZERO
-    xlog = x.log_abs()
-    if xlog <= math.log(2.0):
-        return LOG_ZERO
+    phi = PhiAC(profile=profile, m_log=0.0)
+    if x.log_abs() > plan.log_split:
+        return _phi_pair_split(phi, phi, x, None, quad)
+    return _self_pair_density(phi, x, 1.0, quad)
 
-    ev = phi_window_log_eval(profile, x)
-    plain = phi_window_log_eval(profile, ScaledSum.zero(p.b))
 
-    def integrand(u):
-        a = plain(u)
-        if a == LOG_ZERO:
-            return LOG_ZERO
-        b = ev(-u)
-        if b == LOG_ZERO:
-            return LOG_ZERO
-        return a + b
-
-    if xlog > plan.log_split:
-        L = xlog ** p.beta
-        if 2.0 * L >= math.exp(min(xlog, 700.0)):
-            raise ParameterError("split point exceeds x/2; point too small for split mode")
-        hints, centres = dip_cuts(p, 1.0, L)
-        numeric = math.log(2.0) + integrate_log(integrand, 1.0, L, quad, hints=hints,
-                                                singular=centres)
-        k_log = math.log(profile.plateau)
-        bound = (math.log(2.0) + 2.0 * k_log
-                 + (1.0 + p.alpha) * (math.log(2.0) - xlog)
-                 - math.log(p.alpha) - p.alpha * p.beta * math.log(xlog))
-        return LogBracket(numeric, log_add(numeric, bound))
-
+def _self_pair_density(comp, x: ScaledSum, lo: float, quad) -> float:
+    """log of 2 int_lo^{x/2} a(u) a(x-u) du, a the component's density: for
+    lo at or below its support, the density (A*A)(x), folded at x/2 by the
+    exchange u <-> x-u.  A point has no diagonal term, unlike a weight (see
+    :func:`_self_pair_window_mass`)."""
     xv = x.value()
     half = 0.5 * xv
-    if half <= 1.0:
+    if half <= lo:
         return LOG_ZERO
-    hints, centres = dip_pair_cuts(p, 1.0, half, xv)
-    hints.append(xlog ** p.beta)
-    return math.log(2.0) + integrate_log(integrand, 1.0, half, quad, hints=hints,
-                                         singular=centres)
+    return math.log(2.0) + _outer_integral(comp, comp, x, xv, lo, half, quad,
+                                           comp.log_density_eval(x, quad), (0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +192,7 @@ def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad, plan):
     if isinstance(c1, PhiAC) and isinstance(c2, PhiAC):
         plan = plan or ConvPlan(c1.params)
         if x.sign() > 0 and x.log_abs() > plan.log_split:
-            return _phi_pair_split(c1, c2, x, w, quad, plan)
+            return _phi_pair_split(c1, c2, x, w, quad)
 
     xv = x.value()
     if c1 == c2 and math.isfinite(xv):
@@ -232,17 +215,22 @@ def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad, plan):
     if ohi <= olo:
         return LOG_ZERO
 
-    return _outer_integral(outer, inner, x, xv, w, olo, ohi, quad)
+    return _outer_integral(outer, inner, x, xv, olo, ohi, quad,
+                           inner.log_window_mass_eval(x, -ohi, -olo, w, quad), w.knots)
 
 
-def _outer_integral(outer, inner, x: ScaledSum, xv: float, w: Weight, olo: float,
-                    ohi: float, quad) -> float:
-    """log of int_olo^ohi a(u) B_w(x-u) du, a the outer density and B_w(z) =
-    int w(t) B(z + dt) the inner measure's weighted mass, cut where the
-    density or a knot of the weight meets structure (see :func:`_crossings`)."""
-    f = _shifted_window_integrand(outer, inner, x, w, olo, ohi, quad)
+def _outer_integral(outer, inner, x: ScaledSum, xv: float, olo: float, ohi: float,
+                    quad, mass, shifts) -> float:
+    """log of int_olo^ohi a(u) B(x-u) du, a the outer density and ``mass(t) =
+    log B(x + t)`` the inner measure's evaluator from the caller: its weighted
+    mass ``B_w(z) = int w(t) B(z + dt)``, from ``log_window_mass_eval(x,
+    -ohi, -olo, w)`` with the weight's knots as ``shifts``, or its density,
+    from ``log_density_eval(x)`` with shifts ``(0.0,)``.  Cut where the
+    density or a shifted point ``x + s - u`` meets structure (see
+    :func:`_crossings`)."""
+    f = _product_integrand(outer, mass, x, quad)
     hints, centres = outer.density_cuts(ScaledSum.zero(x.b), olo, ohi)
-    c_hints, c_centres = _crossings(inner, x, xv, olo, ohi, w.knots)
+    c_hints, c_centres = _crossings(inner, x, xv, olo, ohi, shifts)
     return integrate_log(f, olo, ohi, quad, hints=hints + c_hints,
                          singular=centres + c_centres)
 
@@ -263,12 +251,11 @@ def _crossings(inner, x: ScaledSum, xv: float, olo: float, ohi: float, shifts) -
     return hints, centres
 
 
-def _shifted_window_integrand(outer, inner, x: ScaledSum, w: Weight, olo: float,
-                              ohi: float, quad):
-    """u -> log of a(u) B_w(x-u) for u in [olo, ohi], a the outer density, B_w
-    the inner measure's weighted mass from one evaluator over the span."""
+def _product_integrand(outer, mass, x: ScaledSum, quad):
+    """u -> log of a(u) B(x-u), a the outer density and ``mass(t) = log B(x +
+    t)`` the inner factor: a density, a weighted mass from one evaluator over
+    the span, or a pair's mass.  Every product integrand is this one."""
     dens = outer.log_density_eval(ScaledSum.zero(x.b), quad)
-    mass = inner.log_window_mass_eval(x, -ohi, -olo, w, quad)
 
     def f(u):
         a = dens(u)
@@ -300,29 +287,23 @@ def _self_pair_window_mass(comp, x: ScaledSum, xv: float, w: Weight, quad):
     """
     lo, hi = comp.support_bounds()
     zero = ScaledSum.zero(x.b)
-    dens = comp.log_density_eval(zero, quad)
     terms = []
 
     half = 0.5 * (xv + w.lo)
     n_hi = min(half, hi)
     if n_hi > lo:
-        terms.append(_outer_integral(comp, comp, x, xv, w, lo, n_hi, quad))
+        terms.append(_outer_integral(comp, comp, x, xv, lo, n_hi, quad,
+                                     comp.log_window_mass_eval(x, -n_hi, -lo, w, quad), w.knots))
     d_lo, d_hi = max(half, lo), min(0.5 * (xv + w.hi), hi)
     if d_hi > d_lo:
         # every inner weight lies in (d_lo, x + t_hi - d_lo], one set-up
         mass = comp.log_weight_mass_eval(zero, d_lo, xv + w.hi - d_lo, quad)
 
-        def diagonal(u):
-            inner = w.shift(xv - u, above=u)  # v -> w(u + v - x), v > u
-            if inner is None:
-                return LOG_ZERO
-            a = dens(u)
-            if a == LOG_ZERO:
-                return LOG_ZERO
-            m = mass(inner)
-            if m == LOG_ZERO:
-                return LOG_ZERO
-            return a + m
+        def inner_mass(t):
+            inner = w.shift(xv + t, above=-t)  # at u = -t: v -> w(u + v - x), v > u
+            return LOG_ZERO if inner is None else mass(inner)
+
+        diagonal = _product_integrand(comp, inner_mass, x, quad)
 
         # the inner weight starts at u, on the density's own structure, and
         # its moving knots x+s-u cross the structure reflected
@@ -333,8 +314,9 @@ def _self_pair_window_mass(comp, x: ScaledSum, xv: float, w: Weight, quad):
     return math.log(2.0) + log_sum(terms)
 
 
-def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, w: Weight, quad, plan):
-    """Split-plus-bracket weighted mass for the dip-density pair at huge x.
+def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, w: Weight | None, quad):
+    """Split-plus-bracket weighted mass for the dip-density pair at huge x,
+    or its density at x for ``w = None``.
 
     ``int w(t) (phi1*phi2)(x + dt) = 2 int_1^L f1(u) F2_w(x-u) du + middle``,
     with w supported on ``(t_lo, t_hi]``, ``F2_w(z) = int w(t) F2(z + dt)``
@@ -342,20 +324,24 @@ def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, w: Weight, quad, plan):
     L} contribute symmetrically and cannot overlap where u + v > x + t_lo,
     and ``0 <= middle <= 2 (int w) K^2 (2/(x+t_lo))^(1+alpha) L^(-alpha) /
     alpha`` in normalized units, since the larger of u and v exceeds
-    ``(x+t_lo)/2`` there.
+    ``(x+t_lo)/2`` there.  A point has ``int w = 1`` and ``t_lo = 0``.
     """
     p = c1.params
     xlog = x.log_abs()
     L = xlog ** p.beta
-    if 2.0 * L >= plan.split_threshold:
-        raise ParameterError("split point too large relative to the threshold")
+    if w is None:
+        mass, log_w, log_left = c2.log_density_eval(x, quad), 0.0, xlog
+    else:
+        mass, log_w = c2.log_window_mass_eval(x, -L, -1.0, w, quad), math.log(w.mass())
+        log_left = xlog + math.log1p(w.lo * math.exp(-min(xlog, 700.0)))
+    if math.log(2.0 * L) >= log_left:
+        raise ParameterError("split point exceeds (x + t_lo)/2; point too small for split mode")
 
-    f = _shifted_window_integrand(c1, c2, x, w, 1.0, L, quad)
+    f = _product_integrand(c1, mass, x, quad)
     hints, centres = dip_cuts(p, 1.0, L)
     numeric = math.log(2.0) + integrate_log(f, 1.0, L, quad, hints=hints, singular=centres)
     k_log = math.log(c1.profile.plateau)
-    log_left = xlog + math.log1p(w.lo * math.exp(-min(xlog, 700.0)))
-    bound = (math.log(2.0) + math.log(w.mass()) + 2.0 * k_log - c1.m_log - c2.m_log
+    bound = (math.log(2.0) + log_w + 2.0 * k_log - c1.m_log - c2.m_log
              + (1.0 + p.alpha) * (math.log(2.0) - log_left)
              - math.log(p.alpha) - p.alpha * math.log(L))
     return LogBracket(numeric, log_add(numeric, bound))
@@ -374,6 +360,12 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
     if n == 2:
         return conv_local_mass(dist, dist, x, w, quad, plan)
 
+    def pair(pt):
+        m2 = conv_local_mass(dist, dist, pt, w, quad, plan)
+        if isinstance(m2, LogBracket):
+            raise ParameterError("3-fold masses do not propagate far-tail brackets")
+        return m2
+
     terms = []
     for wt, comp in dist.components:
         if wt == 0.0:
@@ -383,10 +375,7 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
             for loc, aw in comp.atoms():
                 if aw <= 0.0:
                     continue
-                pt = x.sub(loc) if isinstance(loc, ScaledSum) else x.add_offset(-loc)
-                m2 = conv_local_mass(dist, dist, pt, w, quad, plan)
-                if isinstance(m2, LogBracket):
-                    raise ParameterError("3-fold masses do not propagate far-tail brackets")
+                m2 = pair(x.sub(loc) if isinstance(loc, ScaledSum) else x.add_offset(-loc))
                 if m2 != LOG_ZERO:
                     terms.append(lw + math.log(aw) + m2)
         else:
@@ -397,19 +386,7 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
             hi = min(hi, xv + w.hi)
             if hi <= lo:
                 continue
-            dens = comp.log_density_eval(ScaledSum.zero(x.b), quad)
-
-            def f(u):
-                a = dens(u)
-                if a == LOG_ZERO:
-                    return LOG_ZERO
-                m2 = conv_local_mass(dist, dist, x.add_offset(-u), w, quad, plan)
-                if isinstance(m2, LogBracket):
-                    raise ParameterError("3-fold masses do not propagate far-tail brackets")
-                if m2 == LOG_ZERO:
-                    return LOG_ZERO
-                return a + m2
-
+            f = _product_integrand(comp, lambda t: pair(x.add_offset(t)), x, quad)
             # the pair's density changes formula where its argument x + s - u
             # is a cut of the component shifted by its support's lower edge
             hints, centres = comp.density_cuts(ScaledSum.zero(x.b), lo, hi)

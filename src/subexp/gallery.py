@@ -32,7 +32,6 @@ from .scaledcore import (
     as_point,
     make_sequence,
     phi_log_value,
-    phi_window_log_eval,
     point_lambda,
 )
 from .measures import (
@@ -45,7 +44,6 @@ from .measures import (
     PointMass,
     UniformAC,
     Weight,
-    dip_pair_cuts,
     local_density,
     normalizer_M,
     tilt,
@@ -189,34 +187,21 @@ class PhiDensityHandle:
         self.spec = spec
         self.params = spec.params
         mu = mu or build_mu(spec)
-        self.phi: PhiAC = mu.components[0][1]
+        self.component: PhiAC = mu.components[0][1]
         self.mu = mu
-        self.profile = self.phi.profile
+        self.profile = self.component.profile
         self.quad = spec.quad
         self.plan = ConvPlan(spec.params)
-        self._plain = phi_window_log_eval(self.profile, ScaledSum.zero(spec.params.b))
 
     def log_value(self, x) -> float:
-        return phi_log_value(self.profile, x) - self.phi.m_log
-
-    def log_value_plain(self, u: float) -> float:
-        v = self._plain(u)
-        return v if v == LOG_ZERO else v - self.phi.m_log
-
-    def eval_at_base(self, x: ScaledSum):
-        ev = phi_window_log_eval(self.profile, x)
-        m_log = self.phi.m_log
-        return lambda t: (lambda v: v if v == LOG_ZERO else v - m_log)(ev(t))
-
-    def integrand_cuts(self, lo: float, hi: float, xv: float) -> tuple:
-        """(hints, centres) of ``u -> phi(u) phi(xv - u)`` over [lo, hi]."""
-        return dip_pair_cuts(self.params, lo, hi, xv)
+        return phi_log_value(self.profile, x) - self.component.m_log
 
     def log_self_conv(self, x):
         raw = phi_self_conv_at(self.profile, x, self.quad, self.plan)
+        m2 = 2 * self.component.m_log
         if isinstance(raw, LogBracket):
-            return LogBracket(raw.lo - 2 * self.phi.m_log, raw.hi - 2 * self.phi.m_log)
-        return raw if raw == LOG_ZERO else raw - 2 * self.phi.m_log
+            return LogBracket(raw.lo - m2, raw.hi - m2)
+        return raw if raw == LOG_ZERO else raw - m2
 
     def log_sd_denominator(self, x: ScaledSum) -> float:
         return self.mu.log_window_mass(x, 1.0, self.quad)
@@ -238,7 +223,6 @@ class BridgeDensityHandle:
         self.params = spec.params
         self.c = c
         self.mu = mu or build_mu(spec)
-        self.phi: PhiAC = self.mu.components[0][1]
         self.quad = spec.quad
         self.plan = ConvPlan(spec.params)
         # (p * p)(x) = int tri(s) (mu*mu)(x - s) ds = int tri(-t) (mu*mu)(x + dt)
@@ -498,7 +482,7 @@ def lem32_report(spec: GallerySpec) -> Report:
                 pred = -1.0 / (math.log(lam) - info.scale * p.log_b)
             measured = math.exp(mu.log_window_mass(x, 1.0, quad)
                                 + (p.alpha + 1.0) * x.log_abs()
-                                + handle.phi.m_log)
+                                + handle.component.m_log)
             rows.append({"n": int(n), "c": 1.0, "predicted_factor": pred,
                          "measured_factor": measured,
                          "ratio": measured / pred})

@@ -284,14 +284,6 @@ def dip_cuts(params: ModelParams, lo: float, hi: float) -> tuple:
     return hints, centres
 
 
-def dip_pair_cuts(params: ModelParams, lo: float, hi: float, xv: float) -> tuple:
-    """:func:`dip_cuts` of ``u -> phi(u) phi(xv - u)`` over [lo, hi]: the
-    structure of both factors, the second reflected through ``xv / 2``."""
-    hints, centres = dip_cuts(params, lo, hi)
-    r_hints, r_centres = dip_cuts(params, xv - hi, xv - lo)
-    return hints + [xv - t for t in r_hints], centres + [xv - t for t in r_centres]
-
-
 def _scales(params: ModelParams, lo: float, hi: float) -> range:
     """Scales m >= 0 whose period cell [b^m, b^(m+1)) meets [lo, hi] (hi > 0),
     with a margin of 1e-9 in ``log_b`` for the rounding of the logs.  Every

@@ -19,7 +19,7 @@ from .logsum import LOG_ZERO, log_sum
 from .quadrature import QuadratureSpec, integrate_log
 from .scaledcore import ModelParams, ScaledSum, SequenceSpec, as_point, make_sequence
 from .measures import MixtureDistribution, Weight
-from .convolve import LogBracket, _outer_integral
+from .convolve import LogBracket, _outer_integral, _self_pair_density
 
 __all__ = [
     "ProbeEntry", "RatioSeries", "Verdict", "SequenceSpec",
@@ -178,7 +178,9 @@ def is_long_tailed_at(handle, x: ScaledSum, quad: QuadratureSpec,
 def truncated_tail_density(handle, A: float, x: ScaledSum, quad: QuadratureSpec,
                            check_long_tail: bool = True):
     """The truncated self-convolution functional
-    (1/g(x)) * int_A^{x-A} g(x-u) g(u) du  (linear scale).
+    (1/g(x)) * int_A^{x-A} g(x-u) g(u) du  (linear scale), with g the
+    density of ``handle.component``: twice the integral over [A, x/2] by
+    the symmetry u <-> x-u, as for the self pair's density at x.
 
     Membership in the self-convolution class requires this to vanish as
     first x then A grow.  Returns (value, flagged): flagged means the
@@ -197,20 +199,7 @@ def truncated_tail_density(handle, A: float, x: ScaledSum, quad: QuadratureSpec,
         return math.inf, True
     if xv - A <= A:
         return 0.0, flagged
-    ev = handle.eval_at_base(x)
-    plain = handle.log_value_plain
-
-    def f(u):
-        a = plain(u)
-        if a == LOG_ZERO:
-            return LOG_ZERO
-        b = ev(-u)
-        if b == LOG_ZERO:
-            return LOG_ZERO
-        return a + b
-
-    hints, centres = handle.integrand_cuts(A, xv - A, xv)
-    val = integrate_log(f, A, xv - A, quad, hints=hints, singular=centres)
+    val = _self_pair_density(handle.component, x, A, quad)
     return _clip_exp(val - den), flagged
 
 
@@ -245,7 +234,9 @@ def truncated_tail_local(dist: MixtureDistribution, A: float, x: ScaledSum,
                     if m != LOG_ZERO:
                         terms.append(lw + math.log(aw) + m)
         else:
-            terms.append(lw + _outer_integral(comp, dist, x, xv, Weight.window(c), A, xv - A, quad))
+            win = Weight.window(c)
+            mass = dist.log_window_mass_eval(x, A - xv, -A, win, quad)
+            terms.append(lw + _outer_integral(comp, dist, x, xv, A, xv - A, quad, mass, win.knots))
     total = log_sum(terms) if terms else LOG_ZERO
     return _clip_exp(total - den)
 

@@ -137,6 +137,15 @@ class TestCommands:
         idx = header.index("rel_err")
         assert all(float(l.split(",")[idx]) < 1e-9 for l in lines[1:])
 
+    def test_oracle_phi_conv(self, tmp_path):
+        # the dip density's self-convolution against the midpoint-Riemann oracle
+        out = tmp_path / "or.csv"
+        assert run_cli("oracle", "phi-conv", "--out", str(out)) == 0
+        lines = out.read_text().strip().splitlines()
+        idx = lines[0].split(",").index("rel_err")
+        assert len(lines) == 4
+        assert all(float(l.split(",")[idx]) < 1e-5 for l in lines[1:])
+
     def test_probe_long_tail_and_truncated(self, tmp_path):
         out = tmp_path / "lt.csv"
         assert run_cli("probe", "long_tail", "--a", "1.0", "--n-lo", "4",

@@ -13,10 +13,12 @@ from subexp import (
     PointMass,
     QuadratureSpec,
     ScaledSum,
+    SequenceSpec,
     UniformAC,
     brute_force_conv_oracle,
     conv_local_mass,
     local_mass,
+    make_sequence,
     nfold_local_mass,
     phi_self_conv_at,
     smoothed_density,
@@ -86,6 +88,15 @@ class TestSelfConvOracle:
         assert v.hi >= v.lo
         # the bracket stays tight relative to trend tolerances
         assert v.width < 0.05
+
+    def test_gamma_regime_evaluation_count(self, params, profile, quad_fast, eval_count):
+        # lem32's gamma points put a ring edge of one factor 1.3e-10 from a
+        # centre of the other; cut where x - u crosses the inner structure,
+        # they take 3,499 evaluations, where cuts of the rounded x - u took
+        # 6,420 and 5 panels through the exhaustion floor
+        for x in make_sequence(SequenceSpec("gamma", 1.0, (4, 5, 6, 7, 8)), params):
+            phi_self_conv_at(profile, x, quad_fast)
+        assert 0 < eval_count[0] <= 4_000
 
     def test_trend_to_self_conv_limit(self, profile, mu, m_norm, quad):
         # phi(x)phi / (2 M int_x^{x+1} phi) -> 1 along mantissa-3 points

@@ -12,8 +12,9 @@ import math
 import pytest
 
 from subexp import (GallerySpec, KernelAC, MixtureDistribution, ParetoAC, QuadratureSpec,
-                    ScaledSum, UniformAC, build_mu, conv_local_mass, integrate_log,
-                    local_density, local_mass, tilt)
+                    ScaledSum, SequenceSpec, UniformAC, build_mu, conv_local_mass,
+                    integrate_log, local_density, local_mass, make_sequence,
+                    phi_self_conv_at, tilt)
 from subexp import measures
 from subexp.measures import PiecewiseLinearDensity, Weight, exp_e1, phi_integral_log
 from subexp.scaledcore import PointPhase, phi_window_log_eval
@@ -614,3 +615,22 @@ def test_tilted_dip_window(mu, params, quad, monkeypatch, gamma, m, off, weight)
                     * f(u) * mp.exp(gamma * (u - xm)), cuts(a, b))
         ref = float(mp.log(total) + gamma * xm - mp.mpf(phi.m_log))
     assert abs(got - ref) <= _tail_tol(gamma, x)
+
+
+@pytest.mark.parametrize("n, regime", [(4, "gamma"), (5, "gamma"), (4, "anchor")])
+def test_dip_self_convolution(params, profile, quad, n, regime):
+    # (phi*phi)(x) = 2 int_1^{x/2} phi(u) phi(x-u) du at lem32's gamma points,
+    # where a ring edge of one factor lies 1.3e-10 from a centre of the
+    # other, and at the anchor b^n x0, where x - u meets every centre at u = b^m x0
+    if regime == "gamma":
+        x = make_sequence(SequenceSpec("gamma", 1.0, (n,)), params)[0]
+    else:
+        x = ScaledSum.scaled(n, params.x0)
+    got = phi_self_conv_at(profile, x, quad)
+    f, cuts = _mp_raw_dip(params)
+    with mp.workdps(30):
+        xm = mp.mpf(x.value())
+        half = xm / 2
+        pts = sorted(set(cuts(1, half)) | {xm - t for t in cuts(half, xm - 1)})
+        ref = float(mp.log(2 * mp.quad(lambda u: f(u) * f(xm - u), pts)))
+    assert abs(got - ref) <= 1e-9

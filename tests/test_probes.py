@@ -93,46 +93,25 @@ class TestSd:
         assert rs[-1] < 0.25
 
 
+class UniformHandle:
+    """A density handle over a uniform component on [0, width)."""
+
+    def __init__(self, width, params):
+        self.params = params
+        self.component = UniformAC(0.0, width)
+
+    def log_value(self, x):
+        return self.component.log_density(x, None)
+
+
 class TestTruncatedTail:
-    def test_uniform_empty_range(self, quad_fast, spec_default):
-        class UniHandle:
-            params = spec_default.params
-
-            def log_value(self, x):
-                xv = x.value() if hasattr(x, "value") else float(x)
-                return 0.0 if 0.0 <= xv < 1.0 else -math.inf
-
-            log_value_plain = log_value
-
-            def eval_at_base(self, x):
-                xv = x.value()
-                return lambda t: self.log_value_plain(xv + t)
-
-            def integrand_cuts(self, lo, hi, xv):
-                return [], []
-
-        val, flagged = truncated_tail_density(UniHandle(), 2.0,
+    def test_uniform_empty_range(self, quad_fast, params):
+        val, flagged = truncated_tail_density(UniformHandle(1.0, params), 2.0,
                                               ScaledSum.from_float(6.0, 4.0), quad_fast)
         assert val == math.inf and flagged  # denominator vanishes off support
 
-    def test_non_long_tailed_flagged(self, quad_fast, spec_default):
-        class UniHandle:
-            params = spec_default.params
-
-            def log_value(self, x):
-                xv = x.value() if hasattr(x, "value") else float(x)
-                return 0.0 if 0.0 <= xv < 10.0 else -math.inf
-
-            log_value_plain = log_value
-
-            def eval_at_base(self, x):
-                xv = x.value()
-                return lambda t: self.log_value_plain(xv + t)
-
-            def integrand_cuts(self, lo, hi, xv):
-                return [], []
-
-        val, flagged = truncated_tail_density(UniHandle(), 2.0,
+    def test_non_long_tailed_flagged(self, quad_fast, params):
+        val, flagged = truncated_tail_density(UniformHandle(10.0, params), 2.0,
                                               ScaledSum.from_float(9.5, 4.0), quad_fast)
         assert flagged
 
