@@ -254,7 +254,10 @@ def _crossings(inner, x: ScaledSum, xv: float, olo: float, ohi: float, shifts) -
 def _product_integrand(outer, mass, x: ScaledSum, quad):
     """u -> log of a(u) B(x-u), a the outer density and ``mass(t) = log B(x +
     t)`` the inner factor: a density, a weighted mass from one evaluator over
-    the span, or a pair's mass.  Every product integrand is this one."""
+    the span, or a pair's mass.  Every product integrand is this one.  Where
+    the mass carries a batch form ``mass.many``, so does the integrand (see
+    :func:`~subexp.quadrature.integrate_log`): a round takes the masses at
+    once where the density is positive."""
     dens = outer.log_density_eval(ScaledSum.zero(x.b), quad)
 
     def f(u):
@@ -266,6 +269,16 @@ def _product_integrand(outer, mass, x: ScaledSum, quad):
             return LOG_ZERO
         return a + m
 
+    many = getattr(mass, "many", None)
+    if many is not None:
+        def f_many(us):
+            out = [dens(u) for u in us]
+            live = [i for i, a in enumerate(out) if a != LOG_ZERO]
+            for i, m in zip(live, many([-us[i] for i in live])):
+                out[i] = LOG_ZERO if m == LOG_ZERO else out[i] + m
+            return out
+
+        f.many = f_many
     return f
 
 

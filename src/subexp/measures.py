@@ -20,6 +20,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
+import numpy as np
+
 from .errors import DivergentMomentError, ParameterError
 from .logsum import LOG_ZERO, log_add, log_sub, log_sum
 from .quadrature import QuadratureSpec, integrate_log
@@ -64,6 +66,13 @@ _TILT_SERIES_REACH = 1.0 / 16.0
 # A tilted tail is first the window of this many e-folds of its tilt.
 _TILT_TAIL_FOLDS = 44.0
 _LOG_2_56 = 56.0 * math.log(2.0)
+# A round of window nodes with fewer Gauss rows of a kind than this evaluates
+# them one by one (see _GaussRows): numpy's cost per rule size is fixed.  On
+# rows sampled from the reports (2-core Xeon, numpy 2.4, CPython 3.11), the
+# numpy pass cost 8.1 us a row against the scalar rule's 7.1 at 64 weighted
+# dip rows and 5.5 against 6.5 at 96; 2.6 against 2.2 at 64 unit-window dip
+# rows and 1.8 against 2.1 at 96; 1.7 against 2.1 at 64 weighted plateau rows.
+_GAUSS_BATCH_MIN = 80
 
 
 @dataclass(frozen=True)
@@ -484,6 +493,134 @@ def exp_e1(z: float, tol: float = 2e-16) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Gauss rows: the fixed-rule segments of a round of window nodes at once
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _gauss_legendre_arrays(n: int) -> tuple:
+    """:func:`_gauss_legendre` as read-only arrays of nodes and weights."""
+    z, w = (np.array(v) for v in zip(*_gauss_legendre(n)))
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
+def _gauss_nodes_many(ratio: np.ndarray) -> np.ndarray:
+    """:func:`_gauss_nodes` of each ratio."""
+    with np.errstate(over="ignore"):  # a huge ratio takes one node, as in the scalar form
+        rho = ratio + np.sqrt(ratio * ratio - 1.0)
+    return np.maximum(1, np.ceil(28.0 * math.log(2.0) / np.log(rho))).astype(int)
+
+
+def _poly_rows(coeffs: list) -> tuple:
+    """Row polynomials (coefficient tuples, None for the constant 1) as a
+    matrix of coefficients padded with zeros, and each row's extra Gauss
+    nodes, ``ceil(deg/2)``; the matrix is None where every row has 1.  A
+    round takes its polynomials from a few weight pieces, so each distinct
+    one (by identity) is padded once."""
+    ids = list(map(id, coeffs))
+    first = dict(zip(ids, coeffs))
+    if len(first) == 1 and coeffs[0] is None:
+        return None, 0
+    keys, idx = np.unique(np.array(ids), return_inverse=True)
+    keys = [first[k] for k in keys.tolist()]
+    k = max(len(c) for c in keys if c is not None)
+    table = np.array([(1.0,) + (0.0,) * (k - 1) if c is None else c + (0.0,) * (k - len(c))
+                      for c in keys])
+    extra = np.array([0 if c is None else len(c) // 2 for c in keys])
+    return table[idx], extra[idx]
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row's polynomial of ``c`` at that row of ``x``."""
+    p = c[:, -1:]
+    for j in range(c.shape[1] - 2, -1, -1):
+        p = p * x + c[:, j:j + 1]
+    return p
+
+
+def _gauss_sums(n: np.ndarray, cols: tuple, f) -> np.ndarray:
+    """Each row's sum over the Gauss-Legendre rule of ``n[i]`` nodes, one
+    numpy pass per rule size: ``f(z, *cols)`` is the integrand at the nodes
+    ``z`` (a row) of the rows of ``cols`` (columns, or a matrix of them)."""
+    order = np.argsort(n, kind="stable")
+    n = n[order]
+    cols = [c[order] if c.ndim == 2 else c[order, None] for c in cols]
+    cuts = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(n)]
+    total = np.empty(len(n))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        z, wt = _gauss_legendre_arrays(int(n[lo]))
+        total[order[lo:hi]] = f(z, *(c[lo:hi] for c in cols)) @ wt
+    return total
+
+
+def _row_logs(lead: np.ndarray, total: np.ndarray) -> list:
+    """``lead + log(total)``, or log zero where the total is not positive."""
+    out = np.full(len(total), LOG_ZERO)
+    pos = total > 0.0
+    out[pos] = lead[pos] + np.log(total[pos])
+    return out.tolist()
+
+
+class _GaussRows:
+    """The far-dip and weighted-plateau Gauss segments of a round of window
+    nodes of one :class:`PhiAC`, each a row of the arguments of its scalar
+    rule, :meth:`PhiAC._dip_gauss_mass` or :meth:`PhiAC._log_plateau_mass`
+    (untilted): a dip's numbers in one flat list, its weight piece apart.
+
+    :meth:`logs` takes the rows of a kind, where a round has
+    ``_GAUSS_BATCH_MIN`` or more, through one numpy pass per rule size
+    (:meth:`PhiAC._dip_rows`, :meth:`PhiAC._plateau_rows`), and fewer
+    through the scalar rule.  The index of a dip row is its place among the
+    dips, that of a plateau row the complement ``~j`` of its place j, which
+    finds it in :meth:`logs` from the end."""
+
+    __slots__ = ("dip_nums", "dip_pieces", "plateaus", "n")
+
+    def __init__(self):
+        self.dip_nums = []  # (lnbm, bm, d_mid, h, ratio, mid) per row
+        self.dip_pieces = []
+        self.plateaus = []  # (ph, s, a, b, piece) per row
+        self.n = 0  # rows so far
+
+    def dip(self, lnbm: float, bm: float, d_mid: float, h: float, ratio: float, mid: float,
+            piece) -> int:
+        self.dip_nums += (lnbm, bm, d_mid, h, ratio, mid)
+        self.dip_pieces.append(piece)
+        self.n += 1
+        return len(self.dip_pieces) - 1
+
+    def plateau(self, ph, s: float, a: float, b: float, piece) -> int:
+        self.plateaus.append((ph, s, a, b, piece))
+        self.n += 1
+        return ~(len(self.plateaus) - 1)
+
+    def logs(self, phi: "PhiAC") -> list:
+        """The rows' log masses: the dips in order, then the plateaus in
+        reverse."""
+        pieces = self.dip_pieces
+        if len(pieces) >= _GAUSS_BATCH_MIN:
+            dips = phi._dip_rows(np.array(self.dip_nums).reshape(-1, 6).T, pieces)
+        else:
+            rows = zip(*[iter(self.dip_nums)] * 6)  # the flat numbers six at a time
+            dips = [phi._dip_gauss_mass(*row, piece) for row, piece in zip(rows, pieces)]
+        if len(self.plateaus) >= _GAUSS_BATCH_MIN:
+            plateaus = phi._plateau_rows(self.plateaus)
+        else:
+            plateaus = [phi._log_plateau_mass(*row) for row in self.plateaus]
+        return dips + plateaus[::-1]
+
+
+def _settle(term, logs: list) -> float:
+    """A node's log mass from its terms (see :meth:`PhiAC._node_mass`): a
+    float, the index of a row in ``logs``, or a list of terms to add."""
+    if type(term) is list:
+        if len(term) == 1:
+            return _settle(term[0], logs)
+        return log_sum([_settle(v, logs) for v in term])
+    return logs[term] if type(term) is int else term
+
+
+# ---------------------------------------------------------------------------
 # components
 # ---------------------------------------------------------------------------
 
@@ -762,11 +899,17 @@ class PhiAC(Component):
         :func:`_tilted_gauss_nodes`, and near a centre its Taylor polynomial
         joins the weight's.  In a ring whose centre is beyond float range
         the dip distance is the head mantissa's over the whole window.
+
+        The evaluator's batch form ``many(ts)`` takes a round of nodes
+        (:meth:`_node_masses`): their far-dip and weighted-plateau Gauss
+        segments are evaluated together, by rule size (:class:`_GaussRows`).
         """
         plan = self._window_plan(base, lo, hi, w, quad, gamma)
         if plan is None:
             return super().log_window_mass_eval(base, lo, hi, w, quad, gamma)
-        return partial(self._node_mass, plan)
+        ev = partial(self._node_mass, plan)
+        ev.many = partial(self._node_masses, plan)
+        return ev
 
     def log_weight_mass_eval(self, base, lo, hi, quad, gamma=0.0):
         """``w -> log_window_mass(base, w)`` for weights w supported in [lo,
@@ -793,9 +936,15 @@ class PhiAC(Component):
             return None
         return (ph, edges, rings, gamma, w0, c, shape)
 
-    def _node_mass(self, plan, t):
-        """The window mass at ``base + t`` from its evaluator's set-up."""
+    def _node_mass(self, plan, t, rows=None):
+        """The window mass at ``base + t`` from its evaluator's set-up.
+
+        With ``rows`` (a :class:`_GaussRows`), far-dip and weighted-plateau
+        Gauss segments go there as rows, and the mass comes back as its
+        terms, row indices among them, for :func:`_settle`, where it has
+        any."""
         ph, edges, rings, gamma, w0, c, shape = plan
+        n_rows = None if rows is None else rows.n
         s = t + w0
         end = s + c
         tol = _END_SNAP * (1.0 + c)  # for edges that round into the window
@@ -815,6 +964,7 @@ class PhiAC(Component):
         tilt = (gamma, ph.value + s) if gamma != 0.0 else None
         terms = []
         piece = None
+        j = 0  # the weight piece of the segment: cuts take every knot, and ascend
         for a, b in zip(cuts[:-1], cuts[1:]):
             if a == b:  # edges that round together, as the support edge and x0 - delta can
                 continue
@@ -822,18 +972,30 @@ class PhiAC(Component):
             if not in_support and ph.log_point(s + mid) < 0.0:  # below the support edge at 1
                 continue
             if shape is not None:
-                piece = _nearer_end(next(q for q in shape.pieces if mid <= q[1]), mid)
+                while mid > shape.pieces[j][1]:
+                    j += 1
+                piece = _nearer_end(shape.pieces[j], mid)
             for ring in near:
                 if ring[0] < mid < ring[1]:
                     if ring[2] is None:
                         terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt)
                                      + self._far_ring_log(ph))
                     else:
-                        terms.append(self._log_dip_mass(ring, a, b, piece, tilt))
+                        terms.append(self._log_dip_mass(ring, a, b, piece, tilt, rows))
                     break
             else:
-                terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt))
-        return terms[0] if len(terms) == 1 else log_sum(terms)
+                terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt, rows))
+        if len(terms) == 1:
+            return terms[0]
+        return terms if n_rows is not None and rows.n > n_rows else log_sum(terms)
+
+    def _node_masses(self, plan, ts):
+        """``[_node_mass(plan, t) for t in ts]``, a round of nodes at a time:
+        the rows of one walk per node go through one :class:`_GaussRows`."""
+        rows = _GaussRows()
+        terms = [self._node_mass(plan, t, rows) for t in ts]
+        logs = rows.logs(self)
+        return [v if type(v) is float else _settle(v, logs) for v in terms]
 
     def _far_ring_log(self, ph: PointPhase) -> float:
         """log of the dip profile over the plateau at the head mantissa of
@@ -842,7 +1004,8 @@ class PhiAC(Component):
         p = self.params
         return math.log(math.log(p.delta) / math.log(abs(ph.info.mantissa - p.x0)))
 
-    def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None, tilt=None):
+    def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None, tilt=None,
+                      rows=None):
         """log of the mass over (x+a, x+b] inside the dip ring ``ring``, under
         the weight piece ``piece``, as ``(origin, coeffs)`` in offsets from
         ``origin`` (None for the unit weight), and the tilt ``e^(gamma u)``
@@ -856,9 +1019,11 @@ class PhiAC(Component):
         |gamma|)``.  Any other segment is cut at the offsets ``±2^k r0`` from
         its centre: the piece at the centre lies within r0, and every other
         piece lies within ``[2^k r0, 2^(k+1) r0]`` on one side, three
-        half-widths or more from the centre, and takes the rule.
+        half-widths or more from the centre, and takes the rule.  With
+        ``rows``, as for :meth:`_node_mass`.
         """
         _lo, _hi, t0, m = ring
+        n_rows = None if rows is None else rows.n
         lnbm = m * self._log_b
         bm = math.exp(lnbm) if lnbm < 700.0 else math.inf  # |d| at the pole, |s| = 1
         d1, d2 = a - t0, b - t0
@@ -867,7 +1032,8 @@ class PhiAC(Component):
             d_mid = 0.5 * (d1 + d2)
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if ratio >= _DIP_GAUSS_MIN_RATIO:
-                return self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, 0.5 * (a + b), piece, tilt)
+                return self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, 0.5 * (a + b), piece, tilt,
+                                            rows)
         r0 = bm * self.params.x0 * _DIP_SERIES_REACH
         if tilt is not None:
             r0 = min(r0, _TILT_SERIES_REACH / abs(tilt[0]))
@@ -884,13 +1050,15 @@ class PhiAC(Component):
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if q <= -r0 or p >= r0 or (p * q > 0.0 and ratio >= _DIP_GAUSS_MIN_RATIO):
                 terms.append(self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, t0 + d_mid, piece,
-                                                  tilt))
+                                                  tilt, rows))
             else:
                 terms.append(self._dip_series_mass(lnbm, t0, p, q, h, piece, tilt))
+        if n_rows is not None and rows.n > n_rows:
+            return terms
         return log_sum(terms)
 
     def _dip_gauss_mass(self, lnbm: float, bm: float, d_mid: float, h: float, ratio: float,
-                        mid: float, piece, tilt):
+                        mid: float, piece, tilt=None, rows=None):
         """The mass over the offsets ``d_mid ± h`` from the centre, on one side
         of it, by a Gauss-Legendre rule of :func:`_gauss_nodes` nodes for
         ``ratio``, the distance in half-widths to the nearer of the centre and
@@ -898,11 +1066,15 @@ class PhiAC(Component):
         of at least the nodes :func:`_tilted_gauss_nodes` takes for a pole
         there.  The midpoint ``mid`` is in window offsets, where the weight
         piece takes its argument: far from a centre ``t0 + d`` loses it.
+        With ``rows``, an untilted rule goes there as a row of these
+        arguments (see :meth:`_dip_rows`).
 
         A segment within two half-widths of the pole (``delta > 0.8``), or
         too wide for a bounded rule under its tilt, is halved.  Off a
         centre piece the distance to the centre is three half-widths less
         rounding."""
+        if rows is not None and tilt is None and ratio >= 2.0:
+            return rows.dip(lnbm, bm, d_mid, h, ratio, mid, piece)
         n = _gauss_nodes(ratio) if ratio >= 2.0 else None
         if tilt is not None and n is not None:
             n_tilt = _tilted_gauss_nodes(ratio, tilt[0] * h, 1.0)
@@ -913,8 +1085,8 @@ class PhiAC(Component):
             for k in (-g, g):
                 d = d_mid + k
                 halves.append(self._dip_gauss_mass(lnbm, bm, d, g, min(abs(d), bm - abs(d)) / g,
-                                                   mid + k, piece, tilt))
-            return log_add(*halves)
+                                                   mid + k, piece, tilt, rows))
+            return halves if rows is not None and tilt is None else log_add(*halves)
         a1 = self.params.alpha + 1.0
         log_x0 = self._log_x0
         log_q = math.log(abs(d_mid)) - lnbm - log_x0
@@ -943,6 +1115,31 @@ class PhiAC(Component):
                     total += (wt * _poly_value(coeffs, tau + h * z) * math.exp(gh * z)
                               * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
         return head + math.log(h) + math.log(total) if total > 0.0 else LOG_ZERO
+
+    def _dip_rows(self, cols: np.ndarray, pieces: list) -> list:
+        """The untilted :meth:`_dip_gauss_mass` of each row, in one numpy pass
+        per rule size: ``cols`` holds the columns of its numbers, ``(lnbm,
+        bm, d_mid, h, ratio, mid)`` with ``ratio >= 2``.  With ``x + t = b^m
+        (x0 + s)`` and ``s = x0 q d``, the density over ``d_mid + h z`` is
+        ``b^(-m (alpha+1)) x0^(-alpha-1) / M`` times ``(1 + q d)^(-alpha-1) /
+        (m log b - log|d|)``, and the weight piece's polynomial is taken at
+        ``mid + h z`` from its origin."""
+        a1 = self.params.alpha + 1.0
+        lnbm, _bm, d_mid, h, ratio, mid = cols
+        c, extra = _poly_rows([None if p is None else p[1] for p in pieces])
+        tau = mid - np.array([0.0 if p is None else p[0] for p in pieces])
+        ad = np.abs(d_mid)
+        log_q = np.log(ad) - lnbm - self._log_x0
+        q = np.where(log_q > -745.0, np.exp(log_q) / ad, 0.0)
+
+        def f(z, d_mid, h, q, lnbm, tau, *c):
+            d = d_mid + h * z
+            out = (1.0 + q * d) ** -a1 / (lnbm - np.log(np.abs(d)))
+            return out * _horner(c[0], tau + h * z) if c else out
+
+        total = _gauss_sums(_gauss_nodes_many(ratio) + extra,
+                            (d_mid, h, q, lnbm, tau) + (() if c is None else (c,)), f)
+        return _row_logs(-a1 * (lnbm + self._log_x0) - self.m_log + np.log(h), total)
 
     def _dip_series_mass(self, lnbm: float, t0: float, d1: float, d2: float, h: float,
                          piece, tilt):
@@ -1010,7 +1207,7 @@ class PhiAC(Component):
         return out
 
     def _log_plateau_mass(self, ph: PointPhase, s: float, a: float, b: float,
-                          piece=None, tilt=None) -> float:
+                          piece=None, tilt=None, rows=None) -> float:
         """log of the plateau mass over (x+a, x+b] under the weight piece
         ``piece`` and the tilt ``tilt`` (as for :meth:`_log_dip_mass`), for
         the point ``x = base + s`` of the phase ``ph`` of base.
@@ -1018,8 +1215,10 @@ class PhiAC(Component):
         K/M int u^(-alpha-1) du = K/(alpha M) X^-alpha (1 - (1+r)^-alpha) with
         X = x + a and r = (b-a)/X; once r underflows, the bracket is alpha r.
         Under a polynomial weight a Gauss-Legendre rule, with the pole of
-        ``u^(-alpha-1)`` at ``u = 0`` the nearest singularity; under a tilt
-        the tilted power-law rule of :func:`_log_tilted_power`.
+        ``u^(-alpha-1)`` at ``u = 0`` the nearest singularity
+        (with ``rows``, a row of this method's arguments: see
+        :meth:`_plateau_rows`); under a tilt the tilted power-law rule of
+        :func:`_log_tilted_power`.
         """
         alpha = self.params.alpha
         k_log = self._k_log
@@ -1029,6 +1228,8 @@ class PhiAC(Component):
             poly = None if piece is None else (mid - piece[0], piece[1])
             return k_log + _log_tilted_power(alpha + 1.0, gamma, x + mid, x + mid, h, poly)
         if piece is not None:
+            if rows is not None:
+                return rows.plateau(ph, s, a, b, piece)
             h, mid = 0.5 * (b - a), 0.5 * (a + b)
             log_x = ph.log_point(s + mid)
             r = math.exp(max(math.log(h) - log_x, -700.0))  # half-widths per distance to u = 0
@@ -1047,6 +1248,25 @@ class PhiAC(Component):
         else:
             body = log_r
         return k_log - alpha * log_x + body
+
+    def _plateau_rows(self, args: list) -> list:
+        """The weighted untilted :meth:`_log_plateau_mass` of each row of its
+        arguments ``(ph, s, a, b, piece)``, in one numpy pass per rule size:
+        ``K/M X^(-alpha-1)`` times ``(1 + r z)^(-alpha-1)`` over ``u = X + h
+        z``, with X the point at the segment's midpoint and ``r = h/X``."""
+        a1 = self.params.alpha + 1.0
+        s, a, b = np.array([row[1:4] for row in args]).T
+        h, mid = 0.5 * (b - a), 0.5 * (a + b)
+        log_x = np.array([row[0].log_point(v) for row, v in zip(args, (s + mid).tolist())])
+        tau = mid - np.array([row[4][0] for row in args])
+        c, extra = _poly_rows([row[4][1] for row in args])
+        r = np.exp(np.maximum(np.log(h) - log_x, -700.0))
+
+        def f(z, r, h, tau, c):
+            return (1.0 + r * z) ** -a1 * _horner(c, tau + h * z)
+
+        total = _gauss_sums(_gauss_nodes_many(1.0 / r) + extra, (r, h, tau, c), f)
+        return _row_logs(self._k_log - a1 * log_x + np.log(h), total)
 
     def log_tail(self, x, quad, gamma=0.0):
         """Mass above x, a float-representable point.  Untilted, by

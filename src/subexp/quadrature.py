@@ -39,6 +39,22 @@ budget.  Accepted sums are combined with compensated summation in a fixed
 order, so a given integral always returns the same bits.  ``max_depth``
 bounds both rules: the bisection depth of a panel and, less two, the
 tanh-sinh level.
+
+Refinement runs a round at a time, breadth-first: the first pass is one
+round, and round k holds tanh-sinh level k of every singular segment still
+open and the depth-k halves of every panel bisected at depth k - 1.  Each
+segment refines on its own budget, so the rounds take exactly the nodes
+that refining one segment after another would, and the accepted sums are
+added in that order (segment by segment, and within a segment in the
+depth-first order of a bisection stack).  An integrand that carries a batch
+form ``f_log.many(xs)`` takes each round in one call; an outer integral's
+round holds a median of 150-204 nodes on the reports.  The dip density's
+evaluator of inner masses uses it to take the fixed-rule Gauss segments of
+a round's nodes as rows of one numpy pass per rule size, which pays only
+from about 80 rows (``measures._GAUSS_BATCH_MIN``); a panel of 15 nodes
+would hold too few.  A plain function, such as the wrapper a tracer or
+counter puts around the integrand, has no batch form: its rounds run node
+by node through the scalar rules, on the same nodes.
 """
 
 from __future__ import annotations
@@ -46,6 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import ParameterError, QuadratureError
 from .logsum import LOG_ZERO, NeumaierSum
@@ -126,8 +143,8 @@ def _gk_points(a: float, b: float) -> list:
 def _gk_sums(g, hw: float) -> tuple:
     """(K15, |K15 - G7|, largest value) of a panel of half-width ``hw`` from
     its 15 values ``g``, in :func:`_gk_points` order."""
-    k = math.fsum(w * v for w, v in zip(_GK_PAIR_WEIGHTS, g))
-    g7 = math.fsum(w * v for w, v in zip(_G7_PAIR_WEIGHTS, g))
+    k = math.fsum(map(mul, _GK_PAIR_WEIGHTS, g))
+    g7 = math.fsum(map(mul, _G7_PAIR_WEIGHTS, g))
     return hw * k, hw * abs(k - g7), max(g)
 
 
@@ -154,24 +171,26 @@ def _de_nodes(level: int) -> tuple:
     return tuple(nodes)
 
 
-def _de_points(a: float, b: float, level: int) -> list:
-    """(abscissa, weight) of the new nodes of one tanh-sinh level on [a, b].
+def _de_points(a: float, b: float, level: int) -> tuple:
+    """(abscissae, weights) of the new nodes of one tanh-sinh level on [a,
+    b].
 
     Weights are per unit step; the level's step ``2^-level`` is applied by
     the caller.
     """
     hw = 0.5 * (b - a)
     nodes = _de_nodes(level)
-    out = []
+    xs, ws = [], []
     if level == 0:
         _q, w = nodes[0]
-        out.append((a + hw, hw * w))
+        xs.append(a + hw)
+        ws.append(hw * w)
         nodes = nodes[1:]
     for q, w in nodes:
         d = hw * q
-        out.append((a + d, hw * w))
-        out.append((b - d, hw * w))
-    return out
+        xs += (a + d, b - d)
+        ws += (hw * w, hw * w)
+    return xs, ws
 
 
 def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
@@ -182,8 +201,10 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
     (inside the range or at its ends) where the integrand has an unbounded
     derivative; they split the range too, and every segment ending at one is
     integrated with the tanh-sinh rule.  ``f_log`` may return -inf where the
-    integrand vanishes.  Raises :class:`QuadratureError` when the depth budget
-    is exhausted before the error estimate falls below tolerance.
+    integrand vanishes, and may carry a batch form ``f_log.many(xs)``, the
+    list of its values at the abscissae ``xs``, which then takes each round
+    in one call.  Raises :class:`QuadratureError` when the depth budget is
+    exhausted before the error estimate falls below tolerance.
     """
     if not (hi > lo):
         return LOG_ZERO
@@ -199,37 +220,38 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
             if s < hi:
                 cuts.add(float(s))
     pts = sorted(cuts)
+    many = getattr(f_log, "many", None)
+
+    def round_logs(xs):
+        return list(many(xs)) if many is not None else [f_log(x) for x in xs]
 
     # First pass: a Gauss-Kronrod panel on each segment, or tanh-sinh level 0
     # at a singular end; the values stay in log space until the shared scale
     # is known.
-    first = []
-    ref = LOG_ZERO
+    first, xs = [], []
     for a, b in zip(pts[:-1], pts[1:]):
         de = a in ends or b in ends
-        xs, ws = zip(*_de_points(a, b, 0)) if de else (_gk_points(a, b), None)
-        fs = [f_log(x) for x in xs]
-        first.append((a, b, de, ws, fs))
-        m = max(fs)
-        if m > ref:
-            ref = m
+        seg_xs, ws = _de_points(a, b, 0) if de else (_gk_points(a, b), None)
+        first.append((a, b, de, ws, len(xs)))
+        xs += seg_xs
+    fs = round_logs(xs)
+    ref = max(fs)
     if ref == LOG_ZERO:
         return LOG_ZERO
 
-    def f(t):
-        v = f_log(t)
-        return 0.0 if v == LOG_ZERO else math.exp(v - ref)
+    def scaled(vs):
+        return [0.0 if v == LOG_ZERO else math.exp(v - ref) for v in vs]
 
     # each segment's first estimate, and for a panel its error estimate and
     # largest value
+    g = scaled(fs)
     seg_est = []
     total0 = 0.0
-    for a, b, de, ws, fs in first:
-        g = [0.0 if v == LOG_ZERO else math.exp(v - ref) for v in fs]
+    for a, b, de, ws, i in first:
         if de:
-            seg_est.append((math.fsum(w * v for w, v in zip(ws, g)), None))
+            seg_est.append((math.fsum(map(mul, ws, g[i:i + len(ws)])), None))
         else:
-            seg_est.append(_gk_sums(g, 0.5 * (b - a)))
+            seg_est.append(_gk_sums(g[i:i + 15], 0.5 * (b - a)))
         total0 += seg_est[-1][0]
 
     if total0 <= 0.0:
@@ -242,39 +264,43 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
     # no ``singular`` point flags, the panel error only halves per bisection
     # level, as the budget does, so refinement alone would never end.
     floor_abs = budget_total / 64.0
+
+    # Refinement, a round at a time (see the module docstring): each segment
+    # is a generator that yields its next round's abscissae.
+    results = [None] * len(first)
+    live = []
+
+    def advance(j, gen, vals):
+        try:
+            live.append((j, gen, gen.send(vals)))
+        except StopIteration as stop:
+            results[j] = stop.value
+
+    for j, ((a, b, de, _ws, _i), est) in enumerate(zip(first, seg_est)):
+        budget = budget_total * max(est[0] / total0, floor_share)
+        advance(j, _tanh_sinh(a, b, est[0], budget, quad) if de
+                else _bisect(a, b, est, budget, quad, floor_abs), None)
+    while live:
+        requests, live = live, []
+        xs = []
+        for _j, _gen, req in requests:
+            xs += req
+        g = scaled(round_logs(xs))
+        i = 0
+        for j, gen, req in requests:
+            advance(j, gen, g[i:i + len(req)])
+            i += len(req)
+
+    # accepted sums in a fixed order: segment by segment, and within a
+    # segment the depth-first order of a bisection stack
     acc = NeumaierSum()
     err_acc = NeumaierSum()
     failed = False
-
-    for (a, b, de, _ws, _fs), est in zip(first, seg_est):
-        budget = budget_total * max(est[0] / total0, floor_share)
-        if de:
-            s, err, ok = _tanh_sinh(f, a, b, est[0], budget, quad)
-            acc.add(s)
+    for accepted, ok in results:
+        for k, err in accepted:
+            acc.add(k)
             err_acc.add(err)
-            failed = failed or not ok
-            continue
-
-        # Iterative bisection over (a, b, (K15, |K15 - G7|, max value), budget, depth).
-        stack = [(a, b, est, budget, 0)]
-        while stack:
-            a0, b0, (k, err, top), bud, depth = stack.pop()
-            cap = (b0 - a0) * top
-            if err <= bud or err <= quad.abs_floor:
-                acc.add(k)
-                err_acc.add(err)
-            elif cap <= floor_abs:
-                acc.add(k)
-                err_acc.add(cap)
-            elif depth >= quad.max_depth:
-                acc.add(k)
-                err_acc.add(err)
-                failed = True
-            else:
-                m0 = 0.5 * (a0 + b0)
-                for p, q in ((a0, m0), (m0, b0)):
-                    g = [f(x) for x in _gk_points(p, q)]
-                    stack.append((p, q, _gk_sums(g, 0.5 * (q - p)), 0.5 * bud, depth + 1))
+        failed = failed or not ok
 
     total = acc.total
     log_total = LOG_ZERO if total <= 0.0 else ref + math.log(total)
@@ -288,29 +314,83 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
     return log_total
 
 
-def _tanh_sinh(f, a: float, b: float, s0: float, budget: float, quad: QuadratureSpec):
+def _bisect(a: float, b: float, est: tuple, budget: float, quad: QuadratureSpec,
+            floor_abs: float):
+    """Bisect the Gauss-Kronrod panel [a, b] of first sums ``est = (K15,
+    |K15 - G7|, largest value)`` until each piece fits its share of
+    ``budget``, a depth at a time.
+
+    A generator: it yields the abscissae of each depth's new panels and
+    takes their scaled values.  Returns (accepted ``(sum, error)`` pairs in
+    the depth-first order of a bisection stack that takes the upper half
+    first, converged).
+    """
+    root = [a, b, est, budget, 0, None]  # the last: (sum, error) or the two halves
+    level = [root]
+    ok = True
+    while True:
+        opened = []
+        for panel in level:
+            a0, b0, (k, err, top), bud, depth, _ = panel
+            cap = (b0 - a0) * top
+            if err <= bud or err <= quad.abs_floor:
+                panel[5] = (k, err)
+            elif cap <= floor_abs:
+                panel[5] = (k, cap)
+            elif depth >= quad.max_depth:
+                panel[5] = (k, err)
+                ok = False
+            else:
+                opened.append(panel)
+        if not opened:
+            break
+        halves = [pq for a0, b0, *_ in opened
+                  for pq in ((a0, 0.5 * (a0 + b0)), (0.5 * (a0 + b0), b0))]
+        xs = []
+        for p, q in halves:
+            xs += _gk_points(p, q)
+        g = yield xs
+        level = [[p, q, _gk_sums(g[15 * i:15 * i + 15], 0.5 * (q - p)),
+                  0.5 * opened[i // 2][3], opened[i // 2][4] + 1, None]
+                 for i, (p, q) in enumerate(halves)]
+        for i, panel in enumerate(opened):
+            panel[5] = level[2 * i:2 * i + 2]
+    accepted, stack = [], [root]
+    while stack:
+        panel = stack.pop()
+        if type(panel[5]) is tuple:
+            accepted.append(panel[5])
+        else:
+            stack += panel[5]
+    return accepted, ok
+
+
+def _tanh_sinh(a: float, b: float, s0: float, budget: float, quad: QuadratureSpec):
     """Refine a tanh-sinh level-0 sum ``s0`` on [a, b] by halving the step.
 
-    Returns (integral, error estimate, converged).  Level k is accepted when
-    its change ``d_k`` from the previous level fits the budget, which for a
-    double-exponential rule bounds the error of the coarser level, or, from
-    level 2 on, when the changes shrink and ``d_k^2 / d_(k-1)`` fits it: the
-    error of a double-exponential rule falls about quadratically per level,
-    so that ratio estimates the error of level k itself (Bailey, Jeyabalan &
-    Li, Exp. Math. 14, 2005).
+    A generator: it yields the abscissae of each level's new nodes and takes
+    their scaled values.  Returns ([(integral, error estimate)], converged).
+    Level k is accepted when its change ``d_k`` from the previous level fits
+    the budget, which for a double-exponential rule bounds the error of the
+    coarser level, or, from level 2 on, when the changes shrink and ``d_k^2 /
+    d_(k-1)`` fits it: the error of a double-exponential rule falls about
+    quadratically per level, so that ratio estimates the error of level k
+    itself (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).
     """
     raw = s0  # weighted node sum at unit step
     prev, err, d_prev = s0, s0, math.inf
     for level in range(1, min(quad.max_depth - _DE_DEPTH_OFFSET, _DE_MAX_LEVEL) + 1):
-        raw += math.fsum(w * f(x) for x, w in _de_points(a, b, level))
+        xs, ws = _de_points(a, b, level)
+        g = yield xs
+        raw += math.fsum(map(mul, ws, g))
         cur = raw * 2.0 ** -level
         err = abs(cur - prev)
         if err <= budget or err <= quad.abs_floor:
-            return cur, err, True
+            return [(cur, err)], True
         if level >= 2 and err < d_prev and err * err / d_prev <= budget:
-            return cur, err * err / d_prev, True
+            return [(cur, err * err / d_prev)], True
         prev, d_prev = cur, err
-    return prev, err, False
+    return [(prev, err)], False
 
 
 def integrate_linear(f, lo: float, hi: float, quad: QuadratureSpec, hints=(),

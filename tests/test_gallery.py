@@ -140,6 +140,33 @@ class TestReports:
         again = thm12_report(spec_default)
         assert again.rows() == thm12.rows()
 
+    @pytest.mark.parametrize("name", ["thm12", "prop11"])
+    def test_scalar_integrands_give_the_same_rows(self, request, spec_default, monkeypatch,
+                                                  name):
+        # every integrand stripped of its batch form, as a tracer that wraps
+        # it in a plain function does: each quadrature round then runs node
+        # by node through the scalar rules
+        from subexp import convolve, gallery, measures, probes, quadrature
+
+        def plain(f, *args, **kwargs):
+            return quadrature.integrate_log(lambda t: f(t), *args, **kwargs)
+
+        batched = request.getfixturevalue(name)
+        for mod in (convolve, measures, probes):
+            monkeypatch.setattr(mod, "integrate_log", plain)
+        stripped = gallery.REPORTS[name](spec_default)
+        assert ({k: v.classification for k, v in stripped.verdicts.items()}
+                == {k: v.classification for k, v in batched.verdicts.items()})
+        rows, want = stripped.rows(), batched.rows()
+        assert len(rows) == len(want)
+        for row, ref in zip(rows, want):
+            assert row.keys() == ref.keys()
+            for key, v in row.items():
+                if isinstance(v, float) and math.isfinite(v):
+                    assert math.isclose(v, ref[key], rel_tol=1e-12, abs_tol=0.0), (key, v, ref[key])
+                else:
+                    assert v == ref[key] or (v != v and ref[key] != ref[key]), (key, v, ref[key])
+
 
 class TestSmoothedPairWeight:
     """The smoothed pair's self-convolution term as one weighted mass per k."""

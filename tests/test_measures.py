@@ -1,5 +1,6 @@
 import math
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from subexp import (
     tail,
     tilt,
 )
+from subexp import measures
 from subexp.measures import Weight, dip_cuts, phi_integral_log
 from subexp.convolve import conv_local_mass, oracle_window_mass, phi_values
 from subexp.probes import long_tail_probe
@@ -464,6 +466,53 @@ class TestCanonicalBoundary:
         }
         for name, call in calls.items():
             assert call(raw) == call(canon), name
+
+
+class TestGaussRounds:
+    """A round of window nodes through the evaluator's batch form against the
+    scalar walk, node by node."""
+
+    kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
+    g1 = Weight.window(1.0).smoothed(kernel)
+    weights = {"unit": Weight.window(1.0), "G1": g1, "G2": g1.smoothed(kernel),
+               # prop11's reflected triangle of the two window uniforms, c = 1
+               "triangle": Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))}
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 500), in_ring=st.booleans(), u=st.floats(-0.999, 0.999),
+           weight=st.sampled_from(sorted(weights)), size=st.sampled_from([3, 40, 250]),
+           seed=st.integers(0, 2 ** 32 - 1), all_numpy=st.booleans())
+    def test_round_matches_each_node(self, mu, params, quad, n, in_ring, u, weight, size,
+                                     seed, all_numpy):
+        # bases 4^n y in and out of the ring; nodes spread over the span and
+        # nodes that put a centre or ring edge within 2^-39 of a window end
+        # or knot; rounds above and below the crossover, or all numpy
+        phi = mu.components[0][1]
+        w = self.weights[weight]
+        if in_ring:
+            y = params.x0 + u * params.delta
+        elif u >= 0.0:
+            y = params.x0 + params.delta + u * (params.b - params.x0 - params.delta)
+        else:
+            y = 1.0 - u * (params.x0 - params.delta - 1.0)
+        x = ScaledSum.scaled(n, y)
+        span = max(1.0, min(0.5 * x.value(), 4.0 + (n * LN4) ** 2))
+        ev = phi.log_window_mass_eval(x, -span, 0.0, w, quad)
+        rng = random.Random(seed)
+        ts = [-span * rng.random() for _ in range(size)]
+        hints, centres = phi.density_cuts(x, w.lo - span, w.hi)
+        points = hints + centres
+        for _ in range(size // 3 if points else 0):
+            t = rng.choice(points) - rng.choice(w.knots) + rng.choice(
+                (-2.0 ** -39, -2.0 ** -45, 0.0, 2.0 ** -45, 2.0 ** -39))
+            if -span <= t <= 0.0:
+                ts.append(t)
+        batch_min = 1 if all_numpy else measures._GAUSS_BATCH_MIN
+        with patch("subexp.measures._GAUSS_BATCH_MIN", batch_min):
+            got = ev.many(ts)
+        for t, a in zip(ts, got):
+            b = ev(t)
+            assert a == b or abs(a - b) <= 1e-13, (t, a, b)
 
 
 class TestWeight:

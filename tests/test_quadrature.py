@@ -97,3 +97,56 @@ def test_depth_exhaustion_raises():
             integrate_log(f, 0.0, hi, spec, singular=singular)
         assert math.isfinite(exc.value.partial_log)
         assert exc.value.bound_log > -math.inf
+
+
+def _batched(f):
+    """``f`` with a batch form that evaluates it node by node; the list
+    records the length of each batch, one per round."""
+    rounds = []
+
+    def many(xs):
+        rounds.append(len(xs))
+        return [f(x) for x in xs]
+
+    g = lambda t: f(t)
+    g.many = many
+    return g, rounds
+
+
+def _counted(f):
+    n = [0]
+
+    def g(t):
+        n[0] += 1
+        return f(t)
+
+    return g, n
+
+
+_DIP = lambda t: -math.inf if t <= 0 else math.log(-1.0 / math.log(t))
+_WIGGLE = lambda t: math.log(1.0 + math.sin(40.0 * t) ** 2)
+
+
+@pytest.mark.parametrize("f, hi, singular", [(_DIP, 0.5, (0.0, 0.5)), (_WIGGLE, 3.0, ())])
+def test_batch_form_takes_the_same_nodes(f, hi, singular):
+    # one call per round, the same nodes and the same bits: a single
+    # segment refined to tanh-sinh level 3, or bisected to depth 3 and more
+    spec = QuadratureSpec(rel_tol=1e-12)
+    batched, rounds = _batched(f)
+    plain, n = _counted(f)
+    got = integrate_log(batched, 0.0, hi, spec, singular=singular)
+    assert got == integrate_log(plain, 0.0, hi, spec, singular=singular)
+    assert sum(rounds) == n[0]
+    assert len(rounds) >= 4
+
+
+@pytest.mark.parametrize("f, hi, singular, depth", [(_WIGGLE, 3.0, (), 3), (_DIP, 0.5, (0.0,), 4)])
+def test_batch_form_fails_alike(f, hi, singular, depth):
+    spec = QuadratureSpec(rel_tol=1e-12, max_depth=depth)
+    errors = []
+    for g in (_batched(f)[0], f):
+        with pytest.raises(QuadratureError) as exc:
+            integrate_log(g, 0.0, hi, spec, singular=singular)
+        errors.append((exc.value.partial_log, exc.value.bound_log))
+    assert errors[0] == errors[1]
+    assert math.isfinite(errors[0][0])
