@@ -32,6 +32,7 @@ from .scaledcore import (
     ScaledSum,
     _range_fix,
     as_point,
+    dip_distance_eval,
     phi_window_log_eval,
 )
 
@@ -793,9 +794,9 @@ class PhiAC(Component):
         from offset to the scale m of the centre ``b^m x0``; and the dip
         rings, ascending, as (lo, hi, t0, m): the ring's offset range, so
         that a segment between hints lies in a ring exactly when its midpoint
-        does, and the offset t0 and scale m of its centre (both None where
-        the centre is beyond float range).  ``rings`` is None where the
-        structure is not resolved.
+        does, and the offset t0 and scale m of its centre; where the centre
+        is beyond float range, t0 is None and m is :meth:`_far_ring_log` of
+        the point.  ``rings`` is None where the structure is not resolved.
         Offsets are taken from the head term and the exact remainder of x, so
         a centre lands where the evaluator puts it even when the float value
         of x rounds.
@@ -829,9 +830,9 @@ class PhiAC(Component):
             elif math.isfinite(scale):
                 t0 = (p.x0 - info.mantissa) * scale - info.rem
             else:
-                # the window sits at the head mantissa to float precision
-                in_ring = abs(info.mantissa - p.x0) < p.delta
-                return [], {}, [(-math.inf, math.inf, None, None)] if in_ring else []
+                # the window sits at the point's dip distance to float precision
+                h_log = self._far_ring_log(ph)
+                return [], {}, [(-math.inf, math.inf, None, h_log)] if h_log != 0.0 else []
             ring = (t0 - p.delta * scale, t0 + p.delta * scale)
             edges += [ring[0], t0, ring[1]]
             centres[t0] = info.scale
@@ -906,7 +907,9 @@ class PhiAC(Component):
         """
         plan = self._window_plan(base, lo, hi, w, quad, gamma)
         if plan is None:
-            return super().log_window_mass_eval(base, lo, hi, w, quad, gamma)
+            ev = super().log_window_mass_eval(base, lo, hi, w, quad, gamma)
+            ev.many = lambda ts: [ev(t) for t in ts]  # the batch form, a window a node
+            return ev
         ev = partial(self._node_mass, plan)
         ev.many = partial(self._node_masses, plan)
         return ev
@@ -966,9 +969,11 @@ class PhiAC(Component):
         piece = None
         j = 0  # the weight piece of the segment: cuts take every knot, and ascend
         for a, b in zip(cuts[:-1], cuts[1:]):
-            if a == b:  # edges that round together, as the support edge and x0 - delta can
-                continue
             mid = 0.5 * (a + b)
+            # edges that round together (as the support edge and x0 - delta
+            # can) or to within an ulp, where the midpoint falls on an end
+            if not a < mid < b:
+                continue
             if not in_support and ph.log_point(s + mid) < 0.0:  # below the support edge at 1
                 continue
             if shape is not None:
@@ -978,8 +983,7 @@ class PhiAC(Component):
             for ring in near:
                 if ring[0] < mid < ring[1]:
                     if ring[2] is None:
-                        terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt)
-                                     + self._far_ring_log(ph))
+                        terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt) + ring[3])
                     else:
                         terms.append(self._log_dip_mass(ring, a, b, piece, tilt, rows))
                     break
@@ -998,11 +1002,12 @@ class PhiAC(Component):
         return [v if type(v) is float else _settle(v, logs) for v in terms]
 
     def _far_ring_log(self, ph: PointPhase) -> float:
-        """log of the dip profile over the plateau at the head mantissa of
-        ``ph``, in a ring whose centre is beyond float range: over any float
-        offset the dip distance there is constant to rounding."""
-        p = self.params
-        return math.log(math.log(p.delta) / math.log(abs(ph.info.mantissa - p.x0)))
+        """log of the dip profile over the plateau at the point of ``ph``,
+        whose dip centre is beyond float range; 0 outside the ring.  Over any
+        float offset the dip distance there is constant to rounding, so the
+        kernel's at the point holds for every window near it."""
+        h = self.profile.at_distance(dip_distance_eval(ph, self.params.x0)(0.0)[1])
+        return math.log(h / self.profile.plateau) if h else LOG_ZERO
 
     def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None, tilt=None,
                       rows=None):
@@ -1029,7 +1034,7 @@ class PhiAC(Component):
         d1, d2 = a - t0, b - t0
         h = 0.5 * (b - a)
         if d1 * d2 > 0.0:
-            d_mid = 0.5 * (d1 + d2)
+            d_mid = 0.5 * d1 + 0.5 * d2  # halved first: near the float maximum d1 + d2 overflows
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if ratio >= _DIP_GAUSS_MIN_RATIO:
                 return self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, 0.5 * (a + b), piece, tilt,
@@ -1046,7 +1051,7 @@ class PhiAC(Component):
         ends = [d1, *sorted(cuts), d2]
         terms = []
         for p, q in zip(ends[:-1], ends[1:]):
-            h, d_mid = 0.5 * (q - p), 0.5 * (p + q)
+            h, d_mid = 0.5 * (q - p), 0.5 * p + 0.5 * q
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if q <= -r0 or p >= r0 or (p * q > 0.0 and ratio >= _DIP_GAUSS_MIN_RATIO):
                 terms.append(self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, t0 + d_mid, piece,

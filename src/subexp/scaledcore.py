@@ -18,13 +18,16 @@ mantissas plus a small offset,
 
 with the leading term strictly dominant.  The dip distance of the phase is
 then ``|rest| * b^(-m_1)`` whenever ``y_1 == x0`` exactly, which is computable
-in log space without any cancellation.  Dominance threshold: a lesser term
-within 2^-20 of the head is folded into the head mantissa (float64 still has
->30 bits of headroom to represent the perturbed phase).  Dust threshold:
-terms below 2^-70 of the *leading remainder* are dropped; such dust cannot
-move any reported ratio at the 1e-12 level.  The leading remainder itself is
-never dropped, no matter how small relative to the head: when the head
-mantissa sits exactly on the dip center it carries the entire phase signal.
+in log space without any cancellation.  One kernel reads it for every point,
+:func:`dip_distance_eval`, and the profile, ``log phi`` and the window
+masses' far rings all take ``h`` from its log.  Dominance threshold: a
+lesser term within 2^-20 of the head is folded into the head mantissa
+(float64 still has >30 bits of headroom to represent the perturbed phase).
+Dust threshold: terms below 2^-70 of the *leading remainder* are dropped;
+such dust cannot move any reported ratio at the 1e-12 level.  The leading
+remainder itself is never dropped, no matter how small relative to the
+head: when the head mantissa sits exactly on the dip center it carries the
+entire phase signal.
 """
 
 from __future__ import annotations
@@ -395,53 +398,39 @@ class PeriodicProfile:
     def sup_value(self) -> float:
         return self.plateau
 
-    def _eval_phase(self, scale: int, ystar: float):
-        # returns (h, branch) for a mantissa point; wraps into [1, b) first
-        b = self.params.b
-        scale, ystar = _range_fix(scale, ystar, b)
-        d = abs(ystar - self.params.x0)
-        if d == 0.0:
-            return 0.0, "center"
-        if d < self.params.delta:
-            return -1.0 / math.log(d), "dip"
-        return self.plateau, "plateau"
+    def at_distance(self, dlog: float) -> float:
+        """h at the mantissa distance ``e^dlog`` from ``x0``: 0 at the centre,
+        ``-1/dlog`` in the ring, the plateau outside it."""
+        if dlog == _LOG_ZERO:
+            return 0.0
+        return -1.0 / dlog if dlog < math.log(self.params.delta) else self.plateau
 
     def value(self, x) -> float:
         """h(log x) for SupportsFloat or ScaledSum x; x must be positive."""
-        h, _branch = self._value_branch(x)
-        return h
+        return self.at_distance(self._dip_log(x))
 
     def branch(self, x) -> str:
         """Which formula applies at the phase of x: 'center', 'dip', or 'plateau'."""
-        _h, branch = self._value_branch(x)
-        return branch
+        dlog = self._dip_log(x)
+        if dlog == _LOG_ZERO:
+            return "center"
+        return "dip" if dlog < math.log(self.params.delta) else "plateau"
 
-    def _value_branch(self, x):
+    def _dip_log(self, x) -> float:
+        # the dip-distance kernel at the point x itself
+        if isinstance(x, ScaledSum):
+            if not x.is_canonical():
+                raise ContractViolationError("the profile requires a normalized ScaledSum")
+            if not x.terms:
+                x = x.offset
         if not isinstance(x, ScaledSum):
             xf = float(x)
             if xf <= 0.0:
                 raise ParameterError("profile phase undefined for non-positive x")
             x = ScaledSum.from_float(xf, self.params.b)
-        elif not x.is_canonical():
-            raise ContractViolationError("the profile requires a normalized ScaledSum")
-        p = self.params
-        info = x.phase()
-        lnb = p.log_b
-        if info.mantissa == p.x0:
-            if info.rem_sign == 0:
-                return 0.0, "center"
-            dlog = info.rem_log - info.scale * lnb
-            if dlog < math.log(p.delta):
-                return -1.0 / dlog, "dip"
-            # wide remainder: evaluate as an explicit mantissa point
-            ystar = p.x0 + info.rem_sign * math.exp(dlog)
-            return self._eval_phase(info.scale, ystar)
-        rel = 0.0
-        if info.rem_sign != 0:
-            e = info.rem_log - info.scale * lnb
-            if e > -745.0:
-                rel = info.rem_sign * math.exp(e)
-        return self._eval_phase(info.scale, info.mantissa + rel)
+        if x.terms[0][0] < 0:
+            raise ParameterError("profile phase undefined for non-positive x")
+        return dip_distance_eval(PointPhase(x), self.params.x0)(0.0)[1]
 
 
 def as_point(x, b: float) -> ScaledSum:
@@ -465,26 +454,30 @@ class PointPhase:
     """Phase decomposition of a point, made once and shared.
 
     A window mass reads it for the structure points of the window, for the
-    closed-form plateau pieces and to build the ``phi`` evaluator.  ``base``
-    must be canonical and is taken as given: public entry points canonicalize
-    their input with :func:`as_point`, and ``ScaledSum`` arithmetic returns
-    canonical sums.  ``value`` is its float value (+-inf beyond float range)
-    and ``info`` its :class:`PhaseInfo`, or None when the point is not
-    positive-headed.  ``head`` is the head term ``b^scale mantissa`` as a
-    float, None when there is no head or it is beyond float range.
+    closed-form plateau pieces and to build the ``phi`` evaluator, and the
+    dip-distance kernel (:func:`dip_distance_eval`) reads the profile from
+    it.  ``base`` must be canonical and is taken as given: public entry
+    points canonicalize their input with :func:`as_point`, and ``ScaledSum``
+    arithmetic returns canonical sums.  ``value`` is its float value (+-inf
+    beyond float range) and ``info`` its :class:`PhaseInfo`, or None when the
+    point is not positive-headed.  ``head`` is the head term ``b^scale
+    mantissa`` as a float, None when there is no head or it is beyond float
+    range.
     """
 
     __slots__ = ("base", "value", "info", "head", "head_log")
 
     def __init__(self, base: ScaledSum):
         self.base = base
-        self.value = base.value()
         self.info = info = base.phase() if base.terms and base.terms[0][0] > 0 else None
         self.head = self.head_log = None
         if info is not None:
             self.head_log = info.scale * math.log(base.b) + math.log(info.mantissa)
             if self.head_log < 709.0:
                 self.head = base.b ** info.scale * info.mantissa
+        # a canonical remainder is below 2^-19 of the head: past e^710 the
+        # point overflows, and base.value() would find it by an exception
+        self.value = math.inf if info is not None and self.head_log > 710.0 else base.value()
 
     def log_point(self, t: float) -> float:
         """log(base + t); -inf where base + t <= 0.  Within float range the
@@ -509,112 +502,111 @@ class PointPhase:
         return self.head_log + math.log1p(rel) if rel > -1.0 else _LOG_ZERO
 
 
-def phi_window_log_eval(profile: PeriodicProfile, base: ScaledSum,
-                        phase: PointPhase | None = None):
+def dip_distance_eval(ph: PointPhase, x0: float):
+    """The dip-distance kernel: ``t -> (log x, log|y - x0|)`` for ``x = base +
+    t`` and ``y`` its mantissa in ``[1, b)``, where ``ph`` is the phase of a
+    positive-headed base ``b^M y1 + R``.
+
+    The point is carried in mantissa units as ``y1 + (R + t) b^-M``, a float
+    ``ys`` and its rounding error: ``R + t`` is summed with its error, and
+    ``b^-M`` taken as two factors where it is below the normal floats.  The
+    distance is then ``(y - x0)`` plus the error, with ``y`` the range-fixed
+    ``ys`` (``ys`` itself in the head cell), rounded about once.  At an exact
+    anchor (``y1 == x0``) in the head cell its log is ``log|R + t| - M log
+    b``, exact at any scale.  A remainder beyond float range absorbs O(1)
+    offsets ``t``, and its distance in the head cell is the exact sum of its
+    terms, rounded once.  ``log x`` is -inf where ``x <= 0``, and the
+    distance's log is -inf at a centre.  The profile is one rule of that
+    log (:meth:`PeriodicProfile.at_distance`).
+    """
+    info = ph.info
+    base = ph.base
+    b = base.b
+    M, y1, R = info.scale, info.mantissa, info.rem
+    Mlnb = M * math.log(b)
+    dy = y1 - x0
+    # b^-M = binv1 binv2, each a normal float where b^-M is not
+    binv1, binv2 = (b ** -M, 1.0) if Mlnb < 708.0 else (b ** -(M // 2), b ** -(M - M // 2))
+    if R is None:
+        scaled = [s * y * b ** (m - M) for s, m, y in base.terms[1:]]
+        scaled.append(base.offset * binv1 * binv2)
+        far_rel, far_d = math.fsum(scaled), math.fsum([dy, *scaled])
+
+    def kernel(t: float):
+        if R is None:
+            rel, rel_lo = far_rel, 0.0
+        else:
+            v = R + t
+            w = v - R
+            rel = v * binv1 * binv2
+            rel_lo = ((R - (v - w)) + (t - w)) * binv1 * binv2  # (R + t - v) b^-M
+        ys = y1 + rel
+        if 1.0 < ys < b:  # the head cell, its lower end aside
+            xlog = Mlnb + math.log(ys)
+            if dy == 0.0:  # an exact anchor, at any scale
+                if R is None:
+                    return xlog, info.rem_log - Mlnb
+                return xlog, math.log(abs(v)) - Mlnb if v else _LOG_ZERO
+            d = far_d if R is None else (dy + rel) + rel_lo
+        elif ys > 0.0:
+            w = ys - y1
+            y_lo = ((y1 - (ys - w)) + (rel - w)) + rel_lo  # y1 + (R + t) b^-M - ys
+            xlog = Mlnb + (math.log(ys) + y_lo / ys)  # below 0 for x < 1 however near
+            y = _range_fix(M, ys, b)[1]
+            d = (y - x0) + y_lo * (y / ys)
+        else:
+            return _LOG_ZERO, _LOG_ZERO
+        return xlog, math.log(abs(d)) if d else _LOG_ZERO
+
+    return kernel
+
+
+def phi_window_log_eval(profile: PeriodicProfile, base: ScaledSum):
     """Specialized evaluator ``t -> log phi(base + t)``.
 
-    This is the hot kernel behind every window mass and convolution: the
-    phase decomposition of ``base`` is done once (or passed in as ``phase``),
-    after which each call costs a couple of logs.  The remainder of ``base``
-    is carried in absolute units so the dip distance of ``base + t`` is exact
-    for scales far beyond float64 ulp resolution.
+    This is the hot kernel behind every pointwise density and outer
+    integrand: the phase decomposition of ``base`` is made once, after which
+    each call costs a couple of logs.  A plain float point (no positive head)
+    is read in place; any other reads the dip-distance kernel
+    (:func:`dip_distance_eval`), which carries the remainder of ``base`` in
+    absolute units, so the dip distance of ``base + t`` is exact for scales
+    far beyond float64 ulp resolution.
     """
     p = profile.params
-    if phase is None:
-        phase = PointPhase(base)
+    ph = PointPhase(base)
     alpha1 = p.alpha + 1.0
     lnb = p.log_b
-    ln_delta = math.log(p.delta)
-    plateau = profile.plateau
-    x0 = p.x0
-    b = p.b
+    b, x0, delta = p.b, p.x0, p.delta
+    ln_delta = math.log(delta)
+    log_plateau = math.log(profile.plateau)
+    xv = ph.value
+    kernel = None if ph.info is None else dip_distance_eval(ph, x0)
 
-    if phase.info is None:
-        xv = phase.value
-        if xv == -math.inf:
-            return lambda t: _LOG_ZERO  # far below the support for any window offset
-
-        def f_plain(t: float) -> float:
+    def f(t: float) -> float:
+        if kernel is None:
             x = xv + t
             if x < 1.0:
                 return _LOG_ZERO
-            m = int(math.floor(math.log(x) / lnb))
+            xlog = math.log(x)
+            m = int(xlog / lnb)
             y = x / b ** m
-            m, y = _range_fix(m, y, b)
+            if not 1.0 <= y < b:
+                y = _range_fix(m, y, b)[1]
             d = abs(y - x0)
-            if d == 0.0:
+            if d >= delta:
+                return -alpha1 * xlog + log_plateau
+            dlog = math.log(d) if d else _LOG_ZERO
+        else:
+            xlog, dlog = kernel(t)
+            if xlog < 0.0:
                 return _LOG_ZERO
-            h = -1.0 / math.log(d) if d < p.delta else plateau
-            return -alpha1 * math.log(x) + math.log(h)
-
-        return f_plain
-
-    info = phase.info
-    M = info.scale
-    y1 = info.mantissa
-    Mlnb = M * lnb
-    lny1 = math.log(y1)
-    head_log = Mlnb + lny1
-
-    if info.rem is None:
-        # remainder beyond float range; O(1) eval offsets are absorbed exactly
-        rem_sign, rem_log = info.rem_sign, info.rem_log
-
-        def f_absorbed(t: float) -> float:
-            if y1 == x0:
-                if rem_sign == 0:
-                    return _LOG_ZERO
-                dlog = rem_log - Mlnb
-                if dlog < ln_delta:
-                    return -alpha1 * head_log + math.log(-1.0 / dlog)
-            h, _ = profile._eval_phase(M, y1 + rem_sign * math.exp(min(rem_log - Mlnb, 700.0)))
-            if h == 0.0:
-                return _LOG_ZERO
-            return -alpha1 * head_log + math.log(h)
-
-        return f_absorbed
-
-    R = info.rem
-    binvM = b ** (-M) if M < 530 else 0.0
-
-    if y1 == x0:
-
-        def f_dip(t: float) -> float:
-            v = R + t
-            if v == 0.0:
-                return _LOG_ZERO
-            dlog = math.log(abs(v)) - Mlnb
-            if dlog < ln_delta:
-                rel_log = dlog - lny1
-                if rel_log < -40.0:
-                    xlog = head_log
-                else:
-                    xlog = head_log + math.log1p(math.copysign(math.exp(rel_log), v))
-                if xlog < 0.0:
-                    return _LOG_ZERO
-                return -alpha1 * xlog + math.log(-1.0 / dlog)
-            ystar = y1 + v * binvM
-            if ystar <= 0.0:
-                return _LOG_ZERO
-            h, _ = profile._eval_phase(M, ystar)
-            xlog = Mlnb + math.log(ystar)
-            if xlog < 0.0 or h == 0.0:
-                return _LOG_ZERO
-            return -alpha1 * xlog + math.log(h)
-
-        return f_dip
-
-    def f_generic(t: float) -> float:
-        ystar = y1 + (R + t) * binvM
-        if ystar <= 0.0:
+            if dlog >= ln_delta:
+                return -alpha1 * xlog + log_plateau
+        if dlog == _LOG_ZERO:
             return _LOG_ZERO
-        h, _ = profile._eval_phase(M, ystar)
-        xlog = Mlnb + math.log(ystar)
-        if xlog < 0.0 or h == 0.0:
-            return _LOG_ZERO
-        return -alpha1 * xlog + math.log(h)
+        return -alpha1 * xlog + math.log(-1.0 / dlog)
 
-    return f_generic
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,28 @@
 """The segment rules of window masses, and the tails and normalizers built
-from them, against mpmath at 50 digits.
+from them, against mpmath at 50 digits; the profile at a point, against the
+exact point in mpmath.
 
 Dip-centre segments run the tanh-sinh rule, plateau windows take the exact
 power-law antiderivative, and dip segments the exponential-integral one or a
 Gauss-Legendre rule, under a unit window or a polynomial weight and a tilt;
-all must agree with ``mpmath.quad`` to ``rel_tol`` or better.
+all must agree with ``mpmath.quad`` to ``rel_tol`` or better.  ``log phi``
+and the profile's value at points ``4^n y + t`` up to ``n = 1024`` must agree
+to 1e-12 with the same formulas at the exact point.
 """
 
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from subexp import (GallerySpec, KernelAC, MixtureDistribution, ParetoAC, QuadratureSpec,
-                    ScaledSum, SequenceSpec, UniformAC, build_mu, conv_local_mass,
-                    integrate_log, local_density, local_mass, make_sequence,
-                    phi_self_conv_at, tilt)
+from subexp import (GallerySpec, KernelAC, MixtureDistribution, ModelParams, ParetoAC,
+                    PeriodicProfile, QuadratureSpec, ScaledSum, SequenceSpec, UniformAC,
+                    build_mu, conv_local_mass, integrate_log, local_density, local_mass,
+                    make_sequence, phi_self_conv_at, tilt)
 from subexp import measures
 from subexp.measures import PiecewiseLinearDensity, Weight, exp_e1, phi_integral_log
-from subexp.scaledcore import PointPhase, phi_window_log_eval
+from subexp.scaledcore import PointPhase, phi_log_value, phi_window_log_eval
 
 mp = pytest.importorskip("mpmath")
 
@@ -634,3 +639,162 @@ def test_dip_self_convolution(params, profile, quad, n, regime):
         pts = sorted(set(cuts(1, half)) | {xm - t for t in cuts(half, xm - 1)})
         ref = float(mp.log(2 * mp.quad(lambda u: f(u) * f(xm - u), pts)))
     assert abs(got - ref) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the profile at a point, and windows there, beyond 4^500
+# ---------------------------------------------------------------------------
+
+# Bits that hold every point below exactly: b^n y with b = 4 and n <= 1024,
+# a term beyond float range and float offsets, down to 2^-1074, span about
+# 3,130 bits.  Sums, mantissas and dip distances are then exact in mpmath;
+# the logs of exact values are taken at 128 bits.
+EXACT_PREC = 3500
+LOG_PREC = 128
+
+
+def _mp_point(x, t=0.0):
+    """``x + t`` as an exact mpf; call under ``mp.workprec(EXACT_PREC)``."""
+    b = mp.mpf(x.b)
+    return sum((s * mp.mpf(y) * b ** m for s, m, y in x.terms), mp.mpf(x.offset) + mp.mpf(t))
+
+
+def _mp_profile(params, u):
+    """(log h, branch) of the profile at the exact point ``u > 0``."""
+    b = mp.mpf(params.b)
+    with mp.workprec(64):
+        m = int(mp.floor(mp.log(u) / mp.log(b)))
+    y = u / b ** m
+    while y >= b:
+        y /= b
+    while y < 1:
+        y *= b
+    d = abs(y - params.x0)
+    with mp.workprec(LOG_PREC):
+        if d == 0:
+            return -math.inf, "center"
+        if d < params.delta:
+            return mp.log(-1 / mp.log(d)), "dip"
+        return mp.log(-1 / mp.log(mp.mpf(params.delta))), "plateau"
+
+
+def _mp_phi_log(params, u):
+    """log phi at the exact point ``u``."""
+    if u < 1:
+        return -math.inf
+    log_h, _branch = _mp_profile(params, u)
+    with mp.workprec(LOG_PREC):
+        return log_h - (params.alpha + 1) * mp.log(u)
+
+
+def _agree(got, ref, tol=1e-12):
+    return got == ref if ref == -math.inf else abs(got - float(ref)) <= tol
+
+
+def _binary(draw, lo, hi):
+    """A signed float ``m 2^e`` with m in [1, 2) and e in [lo, hi]."""
+    m = draw(st.floats(1.0, 2.0, exclude_max=True))
+    return draw(st.sampled_from([1.0, -1.0])) * math.ldexp(m, draw(st.integers(lo, hi)))
+
+
+@st.composite
+def _far_points(draw):
+    """Canonical ``4^n y + R``, n in [0, 1024]: y a float mantissa, the dip
+    centre x0 = 2 or x0 +- k ulp; R zero or a float, mostly within reach of
+    the dip ring at scale n; and, with n >= 523, maybe a term beyond float
+    range 4^(n-j) y2 in the remainder."""
+    x0 = 2.0
+    head = draw(st.sampled_from(["float", "anchor", "ulp"]))
+    far = draw(st.booleans())
+    n = draw(st.integers(523 if far else 0, 1024))
+    if head == "float":
+        y = draw(st.floats(1.0, 4.0, exclude_max=True))
+    elif head == "anchor":
+        y = x0
+    else:
+        k = draw(st.integers(-2 ** 12, 2 ** 12).filter(bool))
+        y = x0 + k * 2.0 ** (-51 if k > 0 else -52)
+    terms = [(1, n, y)]
+    if far:
+        terms.append((draw(st.sampled_from([1, -1])), n - draw(st.integers(11, n - 512)),
+                      draw(st.floats(1.0, 4.0, exclude_max=True))))
+    rem = draw(st.sampled_from(["none", "any", "ring"]))
+    if rem == "none":
+        off = 0.0
+    elif rem == "any":
+        off = _binary(draw, -1074, 1023)
+    else:  # a dip distance of 2^-1 .. 2^-220 at scale n
+        e = 2 * n - draw(st.integers(1, 220))
+        off = _binary(draw, max(min(e, 1023), -1074), max(min(e, 1023), -1074))
+    x = ScaledSum(b=4.0, terms=tuple(terms), offset=off).normalize()
+    assume(x.sign() > 0)  # a remainder folded into the head may cancel it
+    return x
+
+
+@st.composite
+def _offsets(draw):
+    """0, or a signed float of magnitude 2^-80 .. 2^81."""
+    return 0.0 if draw(st.booleans()) else _binary(draw, -80, 80)
+
+
+_HEAD = 2.0 + 2.0 ** -51  # x0 + 1 ulp
+
+
+@pytest.mark.parametrize("delta", [0.25, 1e-12])
+@example(x=ScaledSum(b=4.0, terms=((1, 520, _HEAD),), offset=1e300), t=0.0)
+@example(x=ScaledSum(b=4.0, terms=((1, 530, _HEAD),), offset=1e308), t=0.0)
+@example(x=ScaledSum(b=4.0, terms=((1, 530, 2.0),), offset=1e308), t=0.0)
+# x0 + 1 ulp less that ulp at scale 530, and the same at 540 by a term
+# beyond float range: each is the centre 4^n x0 itself
+@example(x=ScaledSum(b=4.0, terms=((1, 530, _HEAD),), offset=-2.0 ** 1009), t=0.0)
+@example(x=ScaledSum(b=4.0, terms=((1, 540, _HEAD), (-1, 514, 2.0))), t=0.0)
+# 1e-300 above the centre 4^1024 x0: a dip distance of 1e-300 4^-1024
+@example(x=ScaledSum(b=4.0, terms=((1, 1024, 2.0),)), t=1e-300)
+# offsets that round: 2^53 + 1 beside the centre 4^26 x0, 2^-60 below the
+# float resolution of a remainder that leaves 2^-43 of x0 + 1 ulp at scale
+# 30, and 1 - 2^-54 just below the support edge
+@example(x=ScaledSum(b=4.0, terms=((1, 0, 1.0),)), t=2.0 ** 53)
+@example(x=ScaledSum(b=4.0, terms=((1, 30, _HEAD),), offset=-512.0 + 2.0 ** -43), t=2.0 ** -60)
+@example(x=ScaledSum(b=4.0, terms=((1, 0, 1.0),), offset=-2.0 ** -54), t=0.0)
+@given(x=_far_points(), t=_offsets())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_profile_at_far_points(delta, x, t):
+    # phi_log_value, the evaluator at an offset, and the profile's value and
+    # branch against the exact point; within the ring the dip distance lies
+    # far below one ulp of the point
+    params = ModelParams(delta=delta)
+    profile = PeriodicProfile(params)
+    with mp.workprec(EXACT_PREC):
+        u, ut = _mp_point(x), _mp_point(x, t)
+        log_h, branch = _mp_profile(params, u)
+        assert _agree(phi_log_value(profile, x), _mp_phi_log(params, u))
+        assert _agree(phi_window_log_eval(profile, x)(t), _mp_phi_log(params, ut))
+        h = profile.value(x)
+        assert _agree(math.log(h) if h else -math.inf, log_h)
+        # the branch, where the distance is not within rounding of the ring edge
+        got = profile.branch(x)
+        assert got == branch or ("center" not in (got, branch)
+                                 and abs(math.log(h / profile.plateau)) <= 1e-12)
+        if ut == float(ut):  # a float point: the plain evaluator too
+            plain = phi_window_log_eval(profile, ScaledSum.zero(4.0))(float(ut))
+            assert _agree(plain, _mp_phi_log(params, ut))
+
+
+@pytest.mark.parametrize("n, y, off", [
+    (520, _HEAD, 1e300),  # the remainder is 2^-43.4 in mantissa units, 2^-51 the head's distance
+    (530, _HEAD, 1e308),
+    (530, 2.0, 1e308),  # an anchor: offsets from the centre near the float maximum
+])
+def test_window_near_an_anchor_beyond_float_range(mu, params, quad, monkeypatch, n, y, off):
+    # over (x, x+1] the dip distance moves by 4^-n, far below rounding, so
+    # the density is (x+s)^(-alpha-1) h(x) / M
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    phi = mu.components[0][1]
+    x = ScaledSum(b=params.b, terms=((1, n, y),), offset=off).normalize()
+    got = phi.log_window_mass(x, 1.0, quad)
+    with mp.workprec(EXACT_PREC):
+        u = _mp_point(x)
+        log_h, _branch = _mp_profile(params, u)
+        a = params.alpha
+        ref = log_h + mp.log((u ** -a - (u + 1) ** -a) / a) - mp.mpf(phi.m_log)
+    assert abs(got - float(ref)) <= 1e-12
