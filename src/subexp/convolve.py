@@ -256,9 +256,11 @@ def _product_integrand(outer, mass, x: ScaledSum, quad):
     t)`` the inner factor: a density, a weighted mass from one evaluator over
     the span, or a pair's mass.  Every product integrand is this one.  Where
     the mass carries a batch form ``mass.many``, so does the integrand (see
-    :func:`~subexp.quadrature.integrate_log`): a round takes the masses at
-    once where the density is positive."""
+    :func:`~subexp.quadrature.integrate_log`): a round takes the densities at
+    once where the density has a batch form too, and the masses where the
+    density is positive."""
     dens = outer.log_density_eval(ScaledSum.zero(x.b), quad)
+    dens_many = getattr(dens, "many", None)
 
     def f(u):
         a = dens(u)
@@ -272,7 +274,7 @@ def _product_integrand(outer, mass, x: ScaledSum, quad):
     many = getattr(mass, "many", None)
     if many is not None:
         def f_many(us):
-            out = [dens(u) for u in us]
+            out = dens_many(us) if dens_many is not None else [dens(u) for u in us]
             live = [i for i, a in enumerate(out) if a != LOG_ZERO]
             for i, m in zip(live, many([-us[i] for i in live])):
                 out[i] = LOG_ZERO if m == LOG_ZERO else out[i] + m

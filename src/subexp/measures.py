@@ -67,13 +67,15 @@ _TILT_SERIES_REACH = 1.0 / 16.0
 # A tilted tail is first the window of this many e-folds of its tilt.
 _TILT_TAIL_FOLDS = 44.0
 _LOG_2_56 = 56.0 * math.log(2.0)
-# A round of window nodes with fewer Gauss rows of a kind than this evaluates
-# them one by one (see _GaussRows): numpy's cost per rule size is fixed.  On
-# rows sampled from the reports (2-core Xeon, numpy 2.4, CPython 3.11), the
-# numpy pass cost 8.1 us a row against the scalar rule's 7.1 at 64 weighted
-# dip rows and 5.5 against 6.5 at 96; 2.6 against 2.2 at 64 unit-window dip
-# rows and 1.8 against 2.1 at 96; 1.7 against 2.1 at 64 weighted plateau rows.
-_GAUSS_BATCH_MIN = 80
+# A round of window nodes this large or larger walks as arrays
+# (PhiAC._round_masses), a smaller one node by node.  The array walk's numpy
+# calls cost a fixed time a round: on the rounds of one pass of the reports
+# (2-core Xeon, numpy 2.4, CPython 3.11) it took 0.43 ms plus 1.5 us a node
+# on unit windows and 0.66 ms plus 2.5 us a node on weighted ones, against a
+# median of 4.7 and 41 us a node node by node.  Over that pass the round
+# walks cost 91-94 ms from any crossover up to 50 nodes, 102 ms from 80, and
+# 237 ms node by node; every round of mixtures holds 41 nodes or fewer.
+_GAUSS_BATCH_MIN = 48
 
 
 @dataclass(frozen=True)
@@ -461,7 +463,9 @@ def _times_weight(f, w: Weight, t0: float):
 
 
 def exp_e1(z: float, tol: float = 2e-16) -> float:
-    """``e^z E1(z)`` for z > 0, to about 1e-15 relative.
+    """``e^z E1(z)`` for z > 0: to 2e-15 relative up to z = 1, 1.2e-14 just
+    above it, where the fraction's stop at ``tol`` comes before its value
+    settles, 5e-15 from z = 3 and 1e-15 from z = 10 (against mpmath).
 
     The power series of E1 up to z = 1 (Abramowitz & Stegun 5.1.11) and its
     continued fraction above, by the modified Lentz method (A&S 5.1.22),
@@ -494,8 +498,59 @@ def exp_e1(z: float, tol: float = 2e-16) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss rows: the fixed-rule segments of a round of window nodes at once
+# the round walk: a round of window nodes as arrays
 # ---------------------------------------------------------------------------
+
+def exp_e1_many(z: np.ndarray, tol=2e-16) -> np.ndarray:
+    """:func:`exp_e1` of each z, with the tolerance ``tol`` (one, or one per
+    z), each stopping by the scalar form's rule, so that each value has the
+    scalar form's bits.
+
+    The series runs on the arguments still open.  The continued fraction
+    runs the open arguments in lockstep, eight steps at a time: a value is
+    the running product of the steps' factors (a ``cumprod`` in the scalar
+    order) up to its first step within its tolerance, and the arguments
+    that have met their stop leave after each eight."""
+    z = np.asarray(z, dtype=float)
+    tol = np.zeros(z.shape) + tol
+    out = np.empty(z.shape)
+    idx = np.flatnonzero(z <= 1.0)
+    zs = z[idx]
+    total, term, n = np.zeros(idx.size), np.ones(idx.size), 0
+    while idx.size:
+        n += 1
+        term = term * (-zs / n)
+        total = total + term / n
+        done = np.abs(term) < 1e-17 * n
+        if done.any():  # closed by the scalar form's exp and log
+            out[idx[done]] = [math.exp(v) * (-_EULER_GAMMA - math.log(v) - tail)
+                              for v, tail in zip(zs[done].tolist(), total[done].tolist())]
+            idx, zs, term, total = (v[~done] for v in (idx, zs, term, total))
+    idx = np.flatnonzero(z > 1.0)
+    tol = tol[idx]
+    b = z[idx] + 1.0
+    c = np.full(idx.size, 1e300)
+    d = 1.0 / b
+    h = d  # the value so far: its first factor, times each step's
+    i = 0
+    while idx.size:
+        steps = np.empty((9, idx.size))
+        steps[0] = h
+        for k in range(1, 9):
+            i += 1
+            an = -float(i * i)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            np.multiply(c, d, out=steps[k])
+        stop = np.abs(steps[1:] - 1.0) <= tol
+        done = stop.any(axis=0)
+        np.cumprod(steps, axis=0, out=steps)  # the value after each step, in the scalar order
+        out[idx[done]] = steps[1 + stop[:, done].argmax(axis=0), np.flatnonzero(done)]
+        keep = ~done
+        idx, tol, b, c, d, h = idx[keep], tol[keep], b[keep], c[keep], d[keep], steps[8, keep]
+    return out
+
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_arrays(n: int) -> tuple:
@@ -507,28 +562,23 @@ def _gauss_legendre_arrays(n: int) -> tuple:
 
 def _gauss_nodes_many(ratio: np.ndarray) -> np.ndarray:
     """:func:`_gauss_nodes` of each ratio."""
-    with np.errstate(over="ignore"):  # a huge ratio takes one node, as in the scalar form
-        rho = ratio + np.sqrt(ratio * ratio - 1.0)
+    ratio = np.minimum(ratio, 1e150)  # a huge ratio takes one node, as in the scalar form
+    rho = ratio + np.sqrt(ratio * ratio - 1.0)
     return np.maximum(1, np.ceil(28.0 * math.log(2.0) / np.log(rho))).astype(int)
 
 
-def _poly_rows(coeffs: list) -> tuple:
-    """Row polynomials (coefficient tuples, None for the constant 1) as a
-    matrix of coefficients padded with zeros, and each row's extra Gauss
-    nodes, ``ceil(deg/2)``; the matrix is None where every row has 1.  A
-    round takes its polynomials from a few weight pieces, so each distinct
-    one (by identity) is padded once."""
-    ids = list(map(id, coeffs))
-    first = dict(zip(ids, coeffs))
-    if len(first) == 1 and coeffs[0] is None:
-        return None, 0
-    keys, idx = np.unique(np.array(ids), return_inverse=True)
-    keys = [first[k] for k in keys.tolist()]
-    k = max(len(c) for c in keys if c is not None)
-    table = np.array([(1.0,) + (0.0,) * (k - 1) if c is None else c + (0.0,) * (k - len(c))
-                      for c in keys])
-    extra = np.array([0 if c is None else len(c) // 2 for c in keys])
-    return table[idx], extra[idx]
+def _weight_polys(shape) -> tuple:
+    """The polynomials of a weight's pieces, from each end (see
+    :func:`_nearer_end`): the lower end's of piece j is row 2j and the
+    upper end's row 2j + 1.  As ``(origins, coefficients padded with zeros,
+    extra Gauss nodes ceil(deg/2))``; None for the window itself."""
+    if shape is None:
+        return None
+    polys = [end for lo, hi, coeffs, upper in shape.pieces for end in ((lo, coeffs), (hi, upper))]
+    k = max(len(c) for _o, c in polys)
+    return (np.array([o for o, _c in polys]),
+            np.array([c + (0.0,) * (k - len(c)) for _o, c in polys]),
+            np.array([len(c) // 2 for _o, c in polys]))
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -549,76 +599,59 @@ def _gauss_sums(n: np.ndarray, cols: tuple, f) -> np.ndarray:
     cuts = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(n)]
     total = np.empty(len(n))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        z, wt = _gauss_legendre_arrays(int(n[lo]))
-        total[order[lo:hi]] = f(z, *(c[lo:hi] for c in cols)) @ wt
+        if hi > lo:
+            z, wt = _gauss_legendre_arrays(int(n[lo]))
+            total[order[lo:hi]] = f(z, *(c[lo:hi] for c in cols)) @ wt
     return total
 
 
-def _row_logs(lead: np.ndarray, total: np.ndarray) -> list:
+def _row_logs(lead: np.ndarray, total: np.ndarray) -> np.ndarray:
     """``lead + log(total)``, or log zero where the total is not positive."""
     out = np.full(len(total), LOG_ZERO)
     pos = total > 0.0
     out[pos] = lead[pos] + np.log(total[pos])
-    return out.tolist()
+    return out
 
 
-class _GaussRows:
-    """The far-dip and weighted-plateau Gauss segments of a round of window
-    nodes of one :class:`PhiAC`, each a row of the arguments of its scalar
-    rule, :meth:`PhiAC._dip_gauss_mass` or :meth:`PhiAC._log_plateau_mass`
-    (untilted): a dip's numbers in one flat list, its weight piece apart.
-
-    :meth:`logs` takes the rows of a kind, where a round has
-    ``_GAUSS_BATCH_MIN`` or more, through one numpy pass per rule size
-    (:meth:`PhiAC._dip_rows`, :meth:`PhiAC._plateau_rows`), and fewer
-    through the scalar rule.  The index of a dip row is its place among the
-    dips, that of a plateau row the complement ``~j`` of its place j, which
-    finds it in :meth:`logs` from the end."""
-
-    __slots__ = ("dip_nums", "dip_pieces", "plateaus", "n")
-
-    def __init__(self):
-        self.dip_nums = []  # (lnbm, bm, d_mid, h, ratio, mid) per row
-        self.dip_pieces = []
-        self.plateaus = []  # (ph, s, a, b, piece) per row
-        self.n = 0  # rows so far
-
-    def dip(self, lnbm: float, bm: float, d_mid: float, h: float, ratio: float, mid: float,
-            piece) -> int:
-        self.dip_nums += (lnbm, bm, d_mid, h, ratio, mid)
-        self.dip_pieces.append(piece)
-        self.n += 1
-        return len(self.dip_pieces) - 1
-
-    def plateau(self, ph, s: float, a: float, b: float, piece) -> int:
-        self.plateaus.append((ph, s, a, b, piece))
-        self.n += 1
-        return ~(len(self.plateaus) - 1)
-
-    def logs(self, phi: "PhiAC") -> list:
-        """The rows' log masses: the dips in order, then the plateaus in
-        reverse."""
-        pieces = self.dip_pieces
-        if len(pieces) >= _GAUSS_BATCH_MIN:
-            dips = phi._dip_rows(np.array(self.dip_nums).reshape(-1, 6).T, pieces)
-        else:
-            rows = zip(*[iter(self.dip_nums)] * 6)  # the flat numbers six at a time
-            dips = [phi._dip_gauss_mass(*row, piece) for row, piece in zip(rows, pieces)]
-        if len(self.plateaus) >= _GAUSS_BATCH_MIN:
-            plateaus = phi._plateau_rows(self.plateaus)
-        else:
-            plateaus = [phi._log_plateau_mass(*row) for row in self.plateaus]
-        return dips + plateaus[::-1]
+def _segments(lo: np.ndarray, hi: np.ndarray, group: np.ndarray, cuts: np.ndarray) -> tuple:
+    """The segments from ``lo[g]`` to ``hi[g]`` of each group g, cut at the
+    ``cuts`` of that group (``lo[g] < cut < hi[g]``), as ``(group, a, b)``;
+    a cut repeated makes a segment of zero width."""
+    n = len(lo)
+    g = np.concatenate((np.arange(n), np.arange(n), group))
+    v = np.concatenate((lo, hi, cuts))
+    order = np.lexsort((v, g))
+    g, v = g[order], v[order]
+    same = g[1:] == g[:-1]
+    return g[:-1][same], v[:-1][same], v[1:][same]
 
 
-def _settle(term, logs: list) -> float:
-    """A node's log mass from its terms (see :meth:`PhiAC._node_mass`): a
-    float, the index of a row in ``logs``, or a list of terms to add."""
-    if type(term) is list:
-        if len(term) == 1:
-            return _settle(term[0], logs)
-        return log_sum([_settle(v, logs) for v in term])
-    return logs[term] if type(term) is int else term
+def _log_points(ph: PointPhase, t: np.ndarray) -> np.ndarray:
+    """:meth:`PointPhase.log_point` of each offset t, for a point whose
+    remainder is a float, as a window plan's is."""
+    info = ph.info
+    if info is None or ph.head is not None:
+        u = ph.value + t if info is None else ph.head + (info.rem + t)
+        return np.log(u, out=np.full(u.shape, LOG_ZERO), where=u > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = info.rem + t
+        e = np.log(np.abs(v)) - ph.head_log
+        rel = np.copysign(np.exp(e), v)
+        out = np.where(rel > -1.0, ph.head_log + np.log1p(rel), LOG_ZERO)
+        return np.where((v == 0.0) | (e < -745.0), ph.head_log, out)
+
+
+def _log_sums(n: int, node: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Each of n nodes' log of the sum of ``e^v`` over its values ``vals``
+    (``node`` holds the owner of each), scaled by the node's largest; log
+    zero for a node without a positive one.  A node of one value gets it
+    back unchanged."""
+    live = vals != LOG_ZERO
+    node, vals = node[live], vals[live]
+    top = np.full(n, LOG_ZERO)
+    np.maximum.at(top, node, vals)
+    total = np.bincount(node, np.exp(vals - top[node]), n)
+    return top + np.log(total, out=np.full(n, LOG_ZERO), where=total > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -854,12 +887,41 @@ class PhiAC(Component):
         return self.log_density_eval(x, quad, gamma)(0.0)
 
     def log_density_eval(self, base, quad, gamma=0.0):
+        """``t -> log_density(base + t)``; untilted at a plain float base,
+        as every product integrand takes its outer density, it carries the
+        batch form ``many(ts)`` (:meth:`_log_densities`)."""
         ev = phi_window_log_eval(self.profile, base)
         m_log = self.m_log
         if gamma == 0.0:
-            return lambda t: ev(t) - m_log
+            def f(t):
+                return ev(t) - m_log
+
+            if not base.terms:
+                f.many = partial(self._log_densities, base.offset)
+            return f
         xv = _finite_value(base, "tilted dip density")
         return lambda t: ev(t) - m_log + gamma * (xv + t)
+
+    def _log_densities(self, xv: float, ts) -> list:
+        """The density's log at each ``xv + t``, read as the evaluator of
+        :func:`~subexp.scaledcore.phi_window_log_eval` reads a plain float
+        point: the cell from the log, then the mantissa's distance to x0."""
+        p = self.params
+        x = xv + np.asarray(ts, dtype=float)
+        out = np.full(len(x), LOG_ZERO)
+        on = x >= 1.0
+        xlog = np.log(x[on])
+        y = x[on] / p.b ** (xlog / self._log_b).astype(int)
+        while True:  # the mantissa into [1, b), where the log rounds across a cell edge
+            up, down = y >= p.b, y < 1.0
+            if not (up.any() or down.any()):
+                break
+            y = np.where(up, y / p.b, np.where(down, y * p.b, y))
+        d = np.abs(y - p.x0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # at a centre, and off the ring
+            h_log = np.where(d >= p.delta, math.log(self.profile.plateau), np.log(-1.0 / np.log(d)))
+        out[on] = -(p.alpha + 1.0) * xlog + h_log - self.m_log
+        return out.tolist()
 
     def log_window_mass(self, x, c, quad, gamma=0.0):
         """Mass of (x, x+c], or under a :class:`Weight` in place of c: the
@@ -902,8 +964,9 @@ class PhiAC(Component):
         the dip distance is the head mantissa's over the whole window.
 
         The evaluator's batch form ``many(ts)`` takes a round of nodes
-        (:meth:`_node_masses`): their far-dip and weighted-plateau Gauss
-        segments are evaluated together, by rule size (:class:`_GaussRows`).
+        (:meth:`_node_masses`): from ``_GAUSS_BATCH_MIN`` nodes up, an
+        untilted round whose rings are resolved walks as arrays, every
+        node's segments at once (:meth:`_round_masses`).
         """
         plan = self._window_plan(base, lo, hi, w, quad, gamma)
         if plan is None:
@@ -939,15 +1002,9 @@ class PhiAC(Component):
             return None
         return (ph, edges, rings, gamma, w0, c, shape)
 
-    def _node_mass(self, plan, t, rows=None):
-        """The window mass at ``base + t`` from its evaluator's set-up.
-
-        With ``rows`` (a :class:`_GaussRows`), far-dip and weighted-plateau
-        Gauss segments go there as rows, and the mass comes back as its
-        terms, row indices among them, for :func:`_settle`, where it has
-        any."""
+    def _node_mass(self, plan, t):
+        """The window mass at ``base + t`` from its evaluator's set-up."""
         ph, edges, rings, gamma, w0, c, shape = plan
-        n_rows = None if rows is None else rows.n
         s = t + w0
         end = s + c
         tol = _END_SNAP * (1.0 + c)  # for edges that round into the window
@@ -985,21 +1042,204 @@ class PhiAC(Component):
                     if ring[2] is None:
                         terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt) + ring[3])
                     else:
-                        terms.append(self._log_dip_mass(ring, a, b, piece, tilt, rows))
+                        terms.append(self._log_dip_mass(ring, a, b, piece, tilt))
                     break
             else:
-                terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt, rows))
-        if len(terms) == 1:
-            return terms[0]
-        return terms if n_rows is not None and rows.n > n_rows else log_sum(terms)
+                terms.append(self._log_plateau_mass(ph, s, a, b, piece, tilt))
+        return terms[0] if len(terms) == 1 else log_sum(terms)
 
     def _node_masses(self, plan, ts):
-        """``[_node_mass(plan, t) for t in ts]``, a round of nodes at a time:
-        the rows of one walk per node go through one :class:`_GaussRows`."""
-        rows = _GaussRows()
-        terms = [self._node_mass(plan, t, rows) for t in ts]
-        logs = rows.logs(self)
-        return [v if type(v) is float else _settle(v, logs) for v in terms]
+        """``[_node_mass(plan, t) for t in ts]`` for a round of nodes: by
+        :meth:`_round_masses` where the round has ``_GAUSS_BATCH_MIN`` nodes
+        or more, is untilted and its rings are resolved, else node by
+        node."""
+        _ph, _edges, rings, gamma, *_ = plan
+        if len(ts) < _GAUSS_BATCH_MIN or gamma != 0.0 or (rings and rings[0][2] is None):
+            return [self._node_mass(plan, t) for t in ts]
+        return self._round_masses(plan, np.asarray(ts, dtype=float)).tolist()
+
+    def _round_masses(self, plan, t: np.ndarray) -> np.ndarray:
+        """:meth:`_node_mass` of each node t of an untilted plan whose rings
+        are resolved, as one walk over arrays: every node's cuts, the kinds
+        of its segments and their closed forms, then a log-sum per node.
+
+        The cuts are the span's structure points inside each window, found
+        by ``searchsorted`` with the same snap and filter as a node's
+        bisection, and the weight's inner knots.  A segment is dropped where
+        it has no width or lies below the support edge; it takes its weight
+        piece by its midpoint and its ring by a ``searchsorted`` of its
+        point, checked in window offsets as the scalar walk compares.  Dip
+        segments then split into Gauss rows (halved below a ratio of 2),
+        series rows and the pieces cut at ``±2^k r0`` of :meth:`_log_dip_mass`;
+        plateau segments take the power-law antiderivative or, weighted,
+        Gauss rows.  Each kind is one numpy pass (the Gauss rows one per
+        rule size), and the terms agree with the scalar forms within a few
+        ulps."""
+        ph, edges, rings, _gamma, w0, c, shape = plan
+        n = len(t)
+        s = t + w0
+        end = s + c
+        tol = _END_SNAP * (1.0 + c)  # as in _node_mass
+        e = np.asarray(edges, dtype=float)
+        i0 = np.searchsorted(e, s - tol, "left")
+        cnt = np.searchsorted(e, end + tol, "right") - i0
+        node = np.repeat(np.arange(n), cnt)
+        hint = e[np.arange(node.size) + np.repeat(i0 - (np.cumsum(cnt) - cnt), cnt)] - s[node]
+        inside = (hint > 0.0) & (hint < c)
+        node, hint = node[inside], hint[inside]
+        polys = _weight_polys(shape)
+        if shape is not None:
+            knots = np.asarray(shape.knots[1:-1])
+            node = np.concatenate((node, np.repeat(np.arange(n), knots.size)))
+            hint = np.concatenate((hint, np.tile(knots, n)))
+        node, a, b = _segments(np.zeros(n), np.full(n, c), node, hint)
+        mid = 0.5 * (a + b)
+        keep = (a < mid) & (mid < b)
+        below = keep & (ph.value + s < 1.0)[node]  # may lie below the support edge at 1
+        keep[below] = _log_points(ph, s[node[below]] + mid[below]) >= 0.0
+        node, a, b, mid = node[keep], a[keep], b[keep], mid[keep]
+        sn = s[node]
+        poly = np.zeros(node.size, int)  # the window itself takes no polynomial
+        if shape is not None:  # the piece by the midpoint, from its nearer end
+            lo, hi = (np.array([p[i] for p in shape.pieces]) for i in (0, 1))
+            j = np.searchsorted(hi, mid, "left")
+            poly = 2 * j + (mid - lo[j] > hi[j] - mid)
+        ring = np.full(node.size, -1)
+        if rings:
+            r_lo, r_hi, r_t0 = (np.array([r[i] for r in rings]) for i in range(3))
+            # the ring below the segment's point and the next, as the sum may
+            # round across a ring's lower end; each checked as _node_mass does
+            k = r_lo.searchsorted(sn + mid, "right") - 1
+            cand = np.concatenate((np.maximum(k, 0), np.minimum(k + 1, len(rings) - 1)))
+            cand = cand.reshape(2, -1)
+            lo, hi = r_lo[cand], r_hi[cand]
+            hit = (lo < end[node]) & (hi > sn) & (lo - sn < mid) & (mid < hi - sn)
+            ring = np.where(hit[0], cand[0], np.where(hit[1], cand[1], -1))
+        pl = ring < 0
+        terms = [(node[pl], self._plateau_masses(ph, sn[pl], a[pl], b[pl], poly[pl], polys))]
+        if not pl.all():
+            dp, r = ~pl, ring[~pl]
+            lnbm = np.array([m * self._log_b for *_r, m in rings])
+            bm = np.array([math.exp(v) if v < 700.0 else math.inf for v in lnbm.tolist()])
+            seg = np.array((node[dp], poly[dp], lnbm[r], bm[r], r_t0[r] - sn[dp]))
+            terms += self._dip_masses(seg, a[dp], b[dp], mid[dp], polys)
+        return _log_sums(n, *(np.concatenate(v) for v in zip(*terms)))
+
+    def _plateau_masses(self, ph: PointPhase, s, a, b, poly, polys) -> np.ndarray:
+        """:meth:`_log_plateau_mass` (untilted) of each segment ``(a, b)`` of
+        a node at ``base + s``, under the weight row ``poly`` of ``polys``
+        (see :func:`_weight_polys`)."""
+        alpha = self.params.alpha
+        if polys is None:
+            log_x = _log_points(ph, s + a)
+            log_r = np.log(b - a) - log_x
+            closed = np.log(-np.expm1(-alpha * np.log1p(np.exp(np.maximum(log_r, -700.0)))))
+            body = np.where(log_r > -700.0, closed - math.log(alpha), log_r)
+            return self._k_log - alpha * log_x + body
+        a1 = alpha + 1.0
+        h, mid = 0.5 * (b - a), 0.5 * (a + b)
+        log_x = _log_points(ph, s + mid)
+        r = np.exp(np.maximum(np.log(h) - log_x, -700.0))  # half-widths per distance to u = 0
+        origin, table, extra = polys
+
+        def f(z, r, h, tau, c):
+            return (1.0 + r * z) ** -a1 * _horner(c, tau + h * z)
+
+        total = _gauss_sums(_gauss_nodes_many(1.0 / r) + extra[poly],
+                            (r, h, mid - origin[poly], table[poly]), f)
+        return _row_logs(self._k_log - a1 * log_x + np.log(h), total)
+
+    def _dip_masses(self, seg: np.ndarray, a, b, mid, polys) -> list:
+        """:meth:`_log_dip_mass` (untilted) of each segment ``(a, b)`` in a
+        ring, with ``seg`` the rows ``(node, poly, lnbm, bm, t0)``: its
+        node, weight row, the scale of its ring and the window offset of its
+        centre.  Each segment, or each piece of a segment cut at ``±2^k
+        r0``, becomes a Gauss row or a series piece, in the rows of ``seg``
+        and ``(d1, d2, h, d_mid, ratio, mid)``: its ends' offsets from the
+        centre, half-width, midpoint offset and ratio as there, and its
+        midpoint in window offsets.  Returned as two ``(node, log mass)``
+        pairs of arrays, the Gauss rows' and the series pieces'."""
+        _node, _poly, _lnbm, bm, t0 = seg
+        d1, d2 = a - t0, b - t0
+        h = 0.5 * (b - a)
+        d_mid = 0.5 * d1 + 0.5 * d2
+        with np.errstate(over="ignore"):  # inf for an ulp-wide segment far out, as in floats
+            ratio = np.minimum(np.abs(d_mid), bm - np.abs(d_mid)) / h
+        r0 = bm * self.params.x0 * _DIP_SERIES_REACH
+        reach = np.maximum(-d1, d2)
+        # a segment off a Gauss rule that reaches beyond r0 is cut at
+        # +-2^k r0 from its centre, k from 0 while 2^k r0 < reach
+        one_side = np.sign(d1) * np.sign(d2) > 0.0  # d1 d2 > 0, which may overflow
+        cut = (reach > r0) & ~(one_side & (ratio >= _DIP_GAUSS_MIN_RATIO))
+        whole, cut = np.flatnonzero(~cut), np.flatnonzero(cut)
+        lo, hi, k, top = d1[cut], d2[cut], r0[cut], reach[cut]
+        group, points, live = [np.zeros(0, int)], [np.zeros(0)], np.arange(cut.size)
+        while live.size:
+            kk = k[live]
+            for v in (-kk, kk):
+                inside = (lo[live] < v) & (v < hi[live])
+                group.append(live[inside])
+                points.append(v[inside])
+            k[live] = kk * 2.0
+            live = live[k[live] < top[live]]
+        g, p, q = _segments(lo, hi, np.concatenate(group), np.concatenate(points))
+        # every piece: a whole segment, or one of a cut one's
+        src = np.concatenate((whole, cut[g]))
+        p, q = np.concatenate((d1[whole], p)), np.concatenate((d2[whole], q))
+        h = np.concatenate((h[whole], 0.5 * (q[whole.size:] - p[whole.size:])))
+        d_mid = 0.5 * p + 0.5 * q
+        mid = np.concatenate((mid[whole], t0[src[whole.size:]] + d_mid[whole.size:]))
+        with np.errstate(over="ignore"):
+            ratio = np.minimum(np.abs(d_mid), bm[src] - np.abs(d_mid)) / h
+        one_side = np.sign(p) * np.sign(q) > 0.0
+        gauss = (q <= -r0[src]) | (p >= r0[src]) | (one_side & (ratio >= _DIP_GAUSS_MIN_RATIO))
+        rows = np.concatenate((seg[:, src], np.array((p, q, h, d_mid, ratio, mid))))
+        return [self._dip_gauss_rows(rows[:, gauss], polys),
+                self._dip_series_rows(rows[:, ~gauss], polys)]
+
+    def _dip_gauss_rows(self, rows: np.ndarray, polys) -> tuple:
+        """:meth:`_dip_gauss_mass` (untilted) of each row (see
+        :meth:`_dip_masses`) in one numpy pass per rule size, a row of ratio
+        below 2 first halved, as there, until none is.  With ``x + t = b^m
+        (x0 + s)`` and ``s = x0 q d``, the density over ``d_mid + h z`` is
+        ``b^(-m (alpha+1)) x0^(-alpha-1) / M`` times ``(1 + q d)^(-alpha-1) /
+        (m log b - log|d|)``, and the weight's polynomial is taken at ``mid +
+        h z`` from its origin."""
+        while True:
+            low = rows[9] < 2.0
+            if not low.any():
+                break
+            halves = [rows[:, ~low]]
+            for sign in (-1.0, 1.0):
+                half = rows[:, low]
+                bm, g = half[3], 0.5 * half[7]
+                half[7] = g
+                half[8] += sign * g
+                half[9] = np.minimum(np.abs(half[8]), bm - np.abs(half[8])) / g
+                half[10] += sign * g
+                halves.append(half)
+            rows = np.concatenate(halves, axis=1)
+        node, poly, lnbm, _bm, _t0, _d1, _d2, h, d_mid, ratio, mid = rows
+        poly = poly.astype(int)
+        a1 = self.params.alpha + 1.0
+        ad = np.abs(d_mid)
+        log_q = np.log(ad) - lnbm - self._log_x0
+        q = np.where(log_q > -745.0, np.exp(log_q) / ad, 0.0)
+        n = _gauss_nodes_many(ratio)
+        cols = (d_mid, h, q, lnbm)
+        if polys is not None:
+            origin, table, extra = polys
+            n = n + extra[poly]
+            cols += (mid - origin[poly], table[poly])
+
+        def f(z, d_mid, h, q, lnbm, *weight):
+            d = d_mid + h * z
+            out = (1.0 + q * d) ** -a1 / (lnbm - np.log(np.abs(d)))
+            return out * _horner(weight[1], weight[0] + h * z) if weight else out
+
+        total = _gauss_sums(n, cols, f)
+        return node.astype(int), _row_logs(-a1 * (lnbm + self._log_x0) - self.m_log + np.log(h),
+                                           total)
 
     def _far_ring_log(self, ph: PointPhase) -> float:
         """log of the dip profile over the plateau at the point of ``ph``,
@@ -1009,8 +1249,7 @@ class PhiAC(Component):
         h = self.profile.at_distance(dip_distance_eval(ph, self.params.x0)(0.0)[1])
         return math.log(h / self.profile.plateau) if h else LOG_ZERO
 
-    def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None, tilt=None,
-                      rows=None):
+    def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None, tilt=None):
         """log of the mass over (x+a, x+b] inside the dip ring ``ring``, under
         the weight piece ``piece``, as ``(origin, coeffs)`` in offsets from
         ``origin`` (None for the unit weight), and the tilt ``e^(gamma u)``
@@ -1024,11 +1263,9 @@ class PhiAC(Component):
         |gamma|)``.  Any other segment is cut at the offsets ``±2^k r0`` from
         its centre: the piece at the centre lies within r0, and every other
         piece lies within ``[2^k r0, 2^(k+1) r0]`` on one side, three
-        half-widths or more from the centre, and takes the rule.  With
-        ``rows``, as for :meth:`_node_mass`.
+        half-widths or more from the centre, and takes the rule.
         """
         _lo, _hi, t0, m = ring
-        n_rows = None if rows is None else rows.n
         lnbm = m * self._log_b
         bm = math.exp(lnbm) if lnbm < 700.0 else math.inf  # |d| at the pole, |s| = 1
         d1, d2 = a - t0, b - t0
@@ -1037,8 +1274,7 @@ class PhiAC(Component):
             d_mid = 0.5 * d1 + 0.5 * d2  # halved first: near the float maximum d1 + d2 overflows
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if ratio >= _DIP_GAUSS_MIN_RATIO:
-                return self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, 0.5 * (a + b), piece, tilt,
-                                            rows)
+                return self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, 0.5 * (a + b), piece, tilt)
         r0 = bm * self.params.x0 * _DIP_SERIES_REACH
         if tilt is not None:
             r0 = min(r0, _TILT_SERIES_REACH / abs(tilt[0]))
@@ -1055,15 +1291,13 @@ class PhiAC(Component):
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if q <= -r0 or p >= r0 or (p * q > 0.0 and ratio >= _DIP_GAUSS_MIN_RATIO):
                 terms.append(self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, t0 + d_mid, piece,
-                                                  tilt, rows))
+                                                  tilt))
             else:
                 terms.append(self._dip_series_mass(lnbm, t0, p, q, h, piece, tilt))
-        if n_rows is not None and rows.n > n_rows:
-            return terms
         return log_sum(terms)
 
     def _dip_gauss_mass(self, lnbm: float, bm: float, d_mid: float, h: float, ratio: float,
-                        mid: float, piece, tilt=None, rows=None):
+                        mid: float, piece, tilt=None):
         """The mass over the offsets ``d_mid ± h`` from the centre, on one side
         of it, by a Gauss-Legendre rule of :func:`_gauss_nodes` nodes for
         ``ratio``, the distance in half-widths to the nearer of the centre and
@@ -1071,15 +1305,11 @@ class PhiAC(Component):
         of at least the nodes :func:`_tilted_gauss_nodes` takes for a pole
         there.  The midpoint ``mid`` is in window offsets, where the weight
         piece takes its argument: far from a centre ``t0 + d`` loses it.
-        With ``rows``, an untilted rule goes there as a row of these
-        arguments (see :meth:`_dip_rows`).
 
         A segment within two half-widths of the pole (``delta > 0.8``), or
         too wide for a bounded rule under its tilt, is halved.  Off a
         centre piece the distance to the centre is three half-widths less
         rounding."""
-        if rows is not None and tilt is None and ratio >= 2.0:
-            return rows.dip(lnbm, bm, d_mid, h, ratio, mid, piece)
         n = _gauss_nodes(ratio) if ratio >= 2.0 else None
         if tilt is not None and n is not None:
             n_tilt = _tilted_gauss_nodes(ratio, tilt[0] * h, 1.0)
@@ -1090,8 +1320,8 @@ class PhiAC(Component):
             for k in (-g, g):
                 d = d_mid + k
                 halves.append(self._dip_gauss_mass(lnbm, bm, d, g, min(abs(d), bm - abs(d)) / g,
-                                                   mid + k, piece, tilt, rows))
-            return halves if rows is not None and tilt is None else log_add(*halves)
+                                                   mid + k, piece, tilt))
+            return log_add(*halves)
         a1 = self.params.alpha + 1.0
         log_x0 = self._log_x0
         log_q = math.log(abs(d_mid)) - lnbm - log_x0
@@ -1120,31 +1350,6 @@ class PhiAC(Component):
                     total += (wt * _poly_value(coeffs, tau + h * z) * math.exp(gh * z)
                               * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
         return head + math.log(h) + math.log(total) if total > 0.0 else LOG_ZERO
-
-    def _dip_rows(self, cols: np.ndarray, pieces: list) -> list:
-        """The untilted :meth:`_dip_gauss_mass` of each row, in one numpy pass
-        per rule size: ``cols`` holds the columns of its numbers, ``(lnbm,
-        bm, d_mid, h, ratio, mid)`` with ``ratio >= 2``.  With ``x + t = b^m
-        (x0 + s)`` and ``s = x0 q d``, the density over ``d_mid + h z`` is
-        ``b^(-m (alpha+1)) x0^(-alpha-1) / M`` times ``(1 + q d)^(-alpha-1) /
-        (m log b - log|d|)``, and the weight piece's polynomial is taken at
-        ``mid + h z`` from its origin."""
-        a1 = self.params.alpha + 1.0
-        lnbm, _bm, d_mid, h, ratio, mid = cols
-        c, extra = _poly_rows([None if p is None else p[1] for p in pieces])
-        tau = mid - np.array([0.0 if p is None else p[0] for p in pieces])
-        ad = np.abs(d_mid)
-        log_q = np.log(ad) - lnbm - self._log_x0
-        q = np.where(log_q > -745.0, np.exp(log_q) / ad, 0.0)
-
-        def f(z, d_mid, h, q, lnbm, tau, *c):
-            d = d_mid + h * z
-            out = (1.0 + q * d) ** -a1 / (lnbm - np.log(np.abs(d)))
-            return out * _horner(c[0], tau + h * z) if c else out
-
-        total = _gauss_sums(_gauss_nodes_many(ratio) + extra,
-                            (d_mid, h, q, lnbm, tau) + (() if c is None else (c,)), f)
-        return _row_logs(-a1 * (lnbm + self._log_x0) - self.m_log + np.log(h), total)
 
     def _dip_series_mass(self, lnbm: float, t0: float, d1: float, d2: float, h: float,
                          piece, tilt):
@@ -1211,8 +1416,77 @@ class PhiAC(Component):
             out += pj * total
         return out
 
+    def _dip_series_rows(self, rows: np.ndarray, polys) -> tuple:
+        """:meth:`_dip_series_mass` (untilted) of each row (see
+        :meth:`_dip_masses`), the far and near ends of every row through one
+        :meth:`_dip_series_many`."""
+        node, poly, lnbm, _bm, t0, d1, d2, h = rows[:8]
+        a1 = self.params.alpha + 1.0
+        log_x0 = self._log_x0
+        upper = np.abs(d2) >= np.abs(d1)
+        far, near = np.where(upper, d2, d1), np.where(upper, d1, d2)
+        log_far = np.log(np.abs(far))
+        log_q = log_far - lnbm - log_x0
+        q = np.where(log_q > -745.0, np.copysign(np.exp(log_q), far), 0.0)
+        r = np.abs(near) / np.abs(far)
+        tol = 2.0 ** -54 * np.minimum(1.0, 2.0 * h / np.abs(far))
+        if polys is None:
+            p_far = p_near = np.ones((far.size, 1))
+        else:  # the weight in offsets from the centre
+            origin, table, _extra = polys
+            poly = poly.astype(int)
+            coeffs = table[poly]
+            shift = t0 - origin[poly]
+            for i in range(coeffs.shape[1] - 1):  # _poly_shift, row by row
+                for j in range(coeffs.shape[1] - 2, i - 1, -1):
+                    coeffs[:, j] += shift * coeffs[:, j + 1]
+            powers = np.arange(coeffs.shape[1])
+            p_far, p_near = (coeffs * v[:, None] ** powers for v in (far, near))
+        on = np.flatnonzero(near != 0.0)
+        log_near = np.log(np.abs(near[on]))
+        series = self._dip_series_many(np.concatenate((q, q[on] * (near[on] / far[on]))),
+                                       np.concatenate((lnbm - log_far, lnbm[on] - log_near)),
+                                       np.concatenate((tol, tol[on] / r[on])),
+                                       np.concatenate((p_far, p_near[on])))
+        s_far = np.copysign(1.0, far) * series[:far.size]
+        s_near = np.zeros(far.size)
+        s_near[on] = np.copysign(1.0, near[on]) * series[far.size:]
+        body = np.where(upper, s_far - r * s_near, r * s_near - s_far)
+        return node.astype(int), _row_logs(-a1 * (lnbm + log_x0) - self.m_log + log_far, body)
+
+    def _dip_series_many(self, q, L, tol, p) -> np.ndarray:
+        """:meth:`_dip_series` of each row of ``q``, ``L``, ``tol`` and the
+        matrix ``p``.  The binomial coefficients do not depend on j: they
+        run in lockstep, eight powers at a time, until every row has met
+        its stop, and are zero past it.  Every ``exp_e1`` then goes through
+        one :func:`exp_e1_many`, and the sums accumulate in the scalar
+        order."""
+        if not q.size:
+            return q
+        neg_a1 = -self.params.alpha - 1.0
+        coefs = np.ones((q.size, 1))
+        live = np.ones((q.size, 1), bool)
+        while live[:, -1].any():
+            k = np.arange(coefs.shape[1], coefs.shape[1] + 8)
+            step = q[:, None] * (neg_a1 - (k - 1)) / k
+            more = np.multiply.accumulate(np.concatenate((coefs[:, -1:], step), axis=1), axis=1)
+            coefs = np.concatenate((coefs, more[:, 1:]), axis=1)
+            live = np.concatenate((live, np.logical_and.accumulate(
+                np.concatenate((live[:, -1:], np.abs(more[:, 1:]) > tol[:, None]), axis=1),
+                axis=1)[:, 1:]), axis=1)
+        n_k = live.sum(axis=1).max()
+        coefs = np.where(live, coefs, 0.0)[:, :n_k]
+        z = (np.arange(p.shape[1])[:, None] + np.arange(n_k) + 1) * L[:, None, None]  # (k+j+1) L
+        tols = np.maximum(2e-16, tol[:, None] / np.where(live[:, :n_k], np.abs(coefs), 1.0))
+        tols[:, 0] = 2e-16
+        on = np.repeat(live[:, None, :n_k], p.shape[1], axis=1)
+        e1 = np.zeros(z.shape)
+        e1[on] = exp_e1_many(z[on], np.repeat(tols[:, None, :], p.shape[1], axis=1)[on])
+        total = np.add.accumulate(coefs[:, None, :] * e1, axis=2)[:, :, -1]
+        return np.add.accumulate(p * total, axis=1)[:, -1]
+
     def _log_plateau_mass(self, ph: PointPhase, s: float, a: float, b: float,
-                          piece=None, tilt=None, rows=None) -> float:
+                          piece=None, tilt=None) -> float:
         """log of the plateau mass over (x+a, x+b] under the weight piece
         ``piece`` and the tilt ``tilt`` (as for :meth:`_log_dip_mass`), for
         the point ``x = base + s`` of the phase ``ph`` of base.
@@ -1220,10 +1494,8 @@ class PhiAC(Component):
         K/M int u^(-alpha-1) du = K/(alpha M) X^-alpha (1 - (1+r)^-alpha) with
         X = x + a and r = (b-a)/X; once r underflows, the bracket is alpha r.
         Under a polynomial weight a Gauss-Legendre rule, with the pole of
-        ``u^(-alpha-1)`` at ``u = 0`` the nearest singularity
-        (with ``rows``, a row of this method's arguments: see
-        :meth:`_plateau_rows`); under a tilt the tilted power-law rule of
-        :func:`_log_tilted_power`.
+        ``u^(-alpha-1)`` at ``u = 0`` the nearest singularity; under a tilt
+        the tilted power-law rule of :func:`_log_tilted_power`.
         """
         alpha = self.params.alpha
         k_log = self._k_log
@@ -1233,8 +1505,6 @@ class PhiAC(Component):
             poly = None if piece is None else (mid - piece[0], piece[1])
             return k_log + _log_tilted_power(alpha + 1.0, gamma, x + mid, x + mid, h, poly)
         if piece is not None:
-            if rows is not None:
-                return rows.plateau(ph, s, a, b, piece)
             h, mid = 0.5 * (b - a), 0.5 * (a + b)
             log_x = ph.log_point(s + mid)
             r = math.exp(max(math.log(h) - log_x, -700.0))  # half-widths per distance to u = 0
@@ -1253,25 +1523,6 @@ class PhiAC(Component):
         else:
             body = log_r
         return k_log - alpha * log_x + body
-
-    def _plateau_rows(self, args: list) -> list:
-        """The weighted untilted :meth:`_log_plateau_mass` of each row of its
-        arguments ``(ph, s, a, b, piece)``, in one numpy pass per rule size:
-        ``K/M X^(-alpha-1)`` times ``(1 + r z)^(-alpha-1)`` over ``u = X + h
-        z``, with X the point at the segment's midpoint and ``r = h/X``."""
-        a1 = self.params.alpha + 1.0
-        s, a, b = np.array([row[1:4] for row in args]).T
-        h, mid = 0.5 * (b - a), 0.5 * (a + b)
-        log_x = np.array([row[0].log_point(v) for row, v in zip(args, (s + mid).tolist())])
-        tau = mid - np.array([row[4][0] for row in args])
-        c, extra = _poly_rows([row[4][1] for row in args])
-        r = np.exp(np.maximum(np.log(h) - log_x, -700.0))
-
-        def f(z, r, h, tau, c):
-            return (1.0 + r * z) ** -a1 * _horner(c, tau + h * z)
-
-        total = _gauss_sums(_gauss_nodes_many(1.0 / r) + extra, (r, h, tau, c), f)
-        return _row_logs(self._k_log - a1 * log_x + np.log(h), total)
 
     def log_tail(self, x, quad, gamma=0.0):
         """Mass above x, a float-representable point.  Untilted, by

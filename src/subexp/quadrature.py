@@ -48,13 +48,15 @@ that refining one segment after another would, and the accepted sums are
 added in that order (segment by segment, and within a segment in the
 depth-first order of a bisection stack).  An integrand that carries a batch
 form ``f_log.many(xs)`` takes each round in one call; an outer integral's
-round holds a median of 150-204 nodes on the reports.  The dip density's
-evaluator of inner masses uses it to take the fixed-rule Gauss segments of
-a round's nodes as rows of one numpy pass per rule size, which pays only
-from about 80 rows (``measures._GAUSS_BATCH_MIN``); a panel of 15 nodes
-would hold too few.  A plain function, such as the wrapper a tracer or
-counter puts around the integrand, has no batch form: its rounds run node
-by node through the scalar rules, on the same nodes.
+round holds a median of 193 nodes on the reports.  The product integrand
+reads the dip density at a round's nodes as arrays, and the dip density's
+evaluator of inner masses walks a round's windows as arrays: their cuts,
+the kinds of their segments and each kind's closed form, a numpy pass
+each.  The walk's fixed cost pays from about 48 nodes
+(``measures._GAUSS_BATCH_MIN``); a panel of 15 nodes would hold too few,
+and a smaller round walks node by node.  A plain function, such as the
+wrapper a tracer or counter puts around the integrand, has no batch form:
+its rounds run node by node through the scalar walk, on the same nodes.
 """
 
 from __future__ import annotations

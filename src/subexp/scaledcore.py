@@ -676,15 +676,30 @@ def make_sequence(spec: SequenceSpec, params: ModelParams) -> list:
     return out
 
 
-def point_lambda(x: ScaledSum, params: ModelParams) -> float:
-    """Recover |y - x0| * b^m from a probe point (diagnostic for sequences)."""
+def _log_lambda(x: ScaledSum, params: ModelParams) -> float:
+    """log of |y - x0| * b^m at a probe point x = b^m y + R: at an anchor (y
+    = x0) the remainder's own log, elsewhere the dip-distance kernel's log
+    distance plus ``m log b``; -inf at a centre."""
     info = x.phase()
     if info.mantissa == params.x0:
-        return 0.0 if info.rem_sign == 0 else math.exp(info.rem_log)
-    rel = 0.0 if info.rem is None else info.rem * params.b ** (-info.scale)
-    return abs(info.mantissa + rel - params.x0) * params.b ** info.scale
+        return info.rem_log if info.rem_sign else _LOG_ZERO
+    return dip_distance_eval(PointPhase(x), params.x0)(0.0)[1] + info.scale * params.log_b
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def point_lambda(x: ScaledSum, params: ModelParams) -> float:
+    """Recover |y - x0| * b^m from a probe point (diagnostic for sequences);
+    inf where it exceeds float range."""
+    return _exp_or_inf(_log_lambda(x, params))
 
 
 def point_gamma(x: ScaledSum, params: ModelParams) -> float:
-    """Recover |y - x0| * b^m * (log x)^(-beta) from a probe point."""
-    return point_lambda(x, params) * x.log_abs() ** (-params.beta)
+    """Recover |y - x0| * b^m * (log x)^(-beta) from a probe point, from the
+    logs, so that it is finite wherever it is in float range."""
+    return _exp_or_inf(_log_lambda(x, params) - params.beta * math.log(x.log_abs()))

@@ -512,7 +512,89 @@ class TestGaussRounds:
             got = ev.many(ts)
         for t, a in zip(ts, got):
             b = ev(t)
-            assert a == b or abs(a - b) <= 1e-13, (t, a, b)
+            assert a == b or abs(a - b) <= max(1e-13, 4 * math.ulp(max(abs(a), abs(b)))), (t, a, b)
+
+    # b = 8, x0 = 2.4, delta = 0.9: a ring reaching within two half-widths of
+    # the pole of -1/log|s| at |s| = 1, where a dip piece's Gauss rule halves
+    wide = ModelParams(b=8.0, x0=2.4, delta=0.9, x1=1.0, x2=1.5)
+
+    @pytest.mark.parametrize("weight", sorted(weights))
+    @pytest.mark.parametrize("case", ["series", "cut", "halved", "support"])
+    def test_round_walk_takes_every_segment_kind(self, mu, params, quad, case, weight):
+        # rounds built to reach one kind of segment, all through the round
+        # walk, against the scalar walk node by node; the walk's rows show
+        # the kind was taken: series pieces within 2^-8 x0 b^m of a centre,
+        # pieces cut at +-2^k r0, Gauss rules halved below a ratio of 2, and
+        # windows across the support edge at 1
+        phi = mu.components[0][1]
+        if case == "series":  # around the centre 4^6 x0, within r0 = 32 of it
+            x, lo, hi = ScaledSum.scaled(6, params.x0), -16.0, 16.0
+        elif case == "cut":  # across the centre x0 of cell 0, r0 = 2^-7
+            x, lo, hi = ScaledSum.from_float(1.5), -0.5, 0.5
+        elif case == "halved":  # up to the wide ring's upper edge at 3.3
+            phi = PhiAC(profile=PeriodicProfile(self.wide), m_log=0.0)
+            x, lo, hi = ScaledSum.from_float(2.5, self.wide.b), -0.2, 0.2
+        else:  # windows that start below 1
+            x, lo, hi = ScaledSum.from_float(0.25), 0.0, 1.0
+        w = self.weights[weight]
+        ev = phi.log_window_mass_eval(x, lo, hi, w, quad)
+        ts = [lo + (hi - lo) * (i + 0.5) / 97 for i in range(97)]
+        rows = {"gauss": [], "series": []}
+
+        def spy(kind):
+            original = getattr(PhiAC, f"_dip_{kind}_rows")
+            return lambda self, r, polys: (rows[kind].append(r), original(self, r, polys))[1]
+
+        with patch("subexp.measures._GAUSS_BATCH_MIN", 1), \
+                patch.object(PhiAC, "_dip_gauss_rows", autospec=True, side_effect=spy("gauss")), \
+                patch.object(PhiAC, "_dip_series_rows", autospec=True, side_effect=spy("series")):
+            got = ev.many(ts)
+        for t, a in zip(ts, got):
+            b = ev(t)
+            assert a == b or abs(a - b) <= max(1e-13, 4 * math.ulp(max(abs(a), abs(b)))), (t, a, b)
+        gauss, series = (np.concatenate([np.zeros((11, 0)), *rows[k]], axis=1)
+                         for k in ("gauss", "series"))
+        pieces = np.concatenate((gauss, series), axis=1)
+        if case == "series":
+            assert series.shape[1] > 0
+        elif case == "cut":  # an end at +-2^k r0 from the centre
+            ends = np.abs(pieces[5:7]) / (pieces[3] * phi.params.x0 * measures._DIP_SERIES_REACH)
+            k = np.log2(ends[ends > 0.0])
+            assert np.any(k == np.round(k))
+        elif case == "halved":
+            assert np.any(gauss[9] < 2.0)
+        else:
+            assert x.value() + lo + w.lo < 1.0 < x.value() + hi + w.hi
+
+    @settings(max_examples=60, deadline=None)
+    @given(us=st.lists(st.one_of(
+        st.floats(1.0, 2.0 ** 50, exclude_max=True), st.floats(0.0, 1.0),
+        st.integers(0, 24).map(lambda m: 4.0 ** m),
+        st.tuples(st.integers(0, 24), st.sampled_from([1.75, 2.0, 2.25])).map(
+            lambda my: 4.0 ** my[0] * my[1])), min_size=1, max_size=40))
+    def test_density_many_matches_each(self, mu, quad, us):
+        # the batch form of the outer density against the evaluator point by
+        # point, at cell edges 4^m, ring edges and centres among others
+        dens = mu.components[0][1].log_density_eval(ScaledSum.zero(4.0), quad)
+        for u, a in zip(us, dens.many(us)):
+            b = dens(u)
+            assert a == b or abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b))), (u, a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(zs=st.lists(st.tuples(
+        st.one_of(st.floats(0.0, 745.0, exclude_min=True), st.just(1.0)),
+        st.one_of(st.just(2e-16), st.floats(2e-16, 1e-3))), min_size=1, max_size=30))
+    def test_exp_e1_many_matches_scalar_and_mpmath(self, zs):
+        # bit for bit the scalar form, stop rule and tolerance included; the
+        # scalar form itself is within 1.5e-14 of mpmath at full tolerance
+        # (1.2e-14 just above z = 1, where its fraction stops early)
+        mp = pytest.importorskip("mpmath")
+        z, tol = (np.array(v) for v in zip(*zs))
+        for (zj, tj), v in zip(zs, measures.exp_e1_many(z, tol).tolist()):
+            assert v == measures.exp_e1(zj, tj), (zj, tj)
+            if tj == 2e-16:
+                with mp.workdps(40):
+                    assert abs(v / (mp.exp(zj) * mp.e1(zj)) - 1) <= 1.5e-14, zj
 
 
 class TestWeight:

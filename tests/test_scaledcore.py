@@ -238,6 +238,22 @@ class TestSequences:
         for n, x in zip((6, 8), pts):
             assert math.isclose(point_gamma(x, params), float(n), rel_tol=1e-9)
 
+    @pytest.mark.parametrize("n", [300, 511, 512, 520, 1024])
+    def test_lambda_gamma_off_anchor_at_far_scales(self, params, n):
+        # |y - x0| b^n and its (log x)^-beta form at 4^n 2.1 against mpmath:
+        # inf exactly where the value exceeds float range (lambda from n =
+        # 520 on, gamma only at 1024), else within a few ulps of its log
+        mp = pytest.importorskip("mpmath")
+        x = ScaledSum.scaled(n, 2.1)
+        with mp.workdps(60):
+            lam = abs(mp.mpf(2.1) - params.x0) * mp.mpf(params.b) ** n
+            gam = lam * (n * mp.log(params.b) + mp.log(mp.mpf(2.1))) ** -params.beta
+            for got, want in ((point_lambda(x, params), lam), (point_gamma(x, params), gam)):
+                if want > mp.mpf(2) ** 1024:
+                    assert got == math.inf
+                else:
+                    assert abs(mp.mpf(got) / want - 1) <= 4 * math.ulp(float(mp.log(want)))
+
     def test_mantissa_out_of_cell_rejected(self, params):
         with pytest.raises(ParameterError):
             make_sequence(SequenceSpec("lambda", 1e9, (2,)), params)
