@@ -38,7 +38,6 @@ from .scaledcore import (
 
 _FLOAT_SAFE = 2.0 ** 50
 _END_SNAP = 2.0 ** -40
-_EULER_GAMMA = 0.5772156649015329
 # A dip segment at least one width from its centre, on one side of it, takes
 # a Gauss-Legendre rule: with the nearest singularity of the density (the
 # centre, or the pole of -1/log|s| at |s| = 1) r half-widths from the
@@ -47,14 +46,23 @@ _EULER_GAMMA = 0.5772156649015329
 # nodes one width from the centre, 5 at sixteen.  A segment nearer its
 # centre, within two widths at its far end so that the one-sided difference
 # cancels at most one bit, takes the exponential-integral antiderivative
-# when that end lies within 2^-8 x0 of the centre in mantissa units, where
-# the binomial series shrinks by 2^-8 per term or faster; a segment that
-# reaches further is cut at 2^k times that reach into pieces of these two
-# kinds.  On unit windows at 4^4 and 4^8 the rule took 8 us against the
-# series' 24-44 us one width from the centre, and about as long at half a
-# width.
+# when that end lies within r0 = 2^-8 min(x0, 2) of the centre in mantissa
+# units, where ``L = -log|s|`` is at least 7 log 2; a segment that reaches
+# further is cut at 2^k times that reach into pieces of these two kinds.  On
+# segments one width from the centre, (1, 2] and (1/2, 1] at 4^4 and 4^8, the
+# rule took 4-5 us against the series' 7-11 us (2-core Xeon, CPython 3.11).
 _DIP_GAUSS_MIN_RATIO = 3.0
 _DIP_SERIES_REACH = 2.0 ** -8
+# The antiderivative's series takes, per power j of its weight, a
+# Gauss-Laguerre rule whose size comes from ``z = (j+1) L`` alone: the
+# ``_LAGUERRE_NODES[k]``-node rule, k the number of bounds of ``_LAGUERRE_Z``
+# at or below z (z >= 7 log 2 by the reach).  The integrand's nearest
+# singularity is the pole at ``-z``, so each rule's error falls as z grows;
+# from its bound up it is within 2^-53 of ``int e^-t / (t + z) dt`` (bounds
+# bisected against mpmath), and within 1e-15 under the binomial factor of
+# the end's own ``q = s/x0``, ``|q| = e^-L / x0``.
+_LAGUERRE_Z = (6.8, 9.3, 12.6, 19.7, 31.0, 61.0, 105.0, 218.0, 840.0, 15500.0)
+_LAGUERRE_NODES = (26, 20, 16, 13, 10, 8, 6, 5, 4, 3, 2)
 # A tilted Pareto window takes a Gauss-Legendre rule whose node count comes
 # from the bound of ``_tilted_gauss_nodes``; a window that would need more
 # nodes than this is halved.
@@ -344,6 +352,36 @@ def _gauss_legendre(n: int) -> tuple:
     return tuple(rule)
 
 
+@lru_cache(maxsize=None)
+def _gauss_laguerre(n: int) -> tuple:
+    """The n-node Gauss-Laguerre rule on [0, inf) for the weight e^-t as
+    (node, weight) pairs: Newton's method on the Laguerre polynomial L_n in
+    fixed point at 2^-200, from the guesses of Numerical Recipes' ``gaulag``
+    as floats, so that each node and weight ``1 / (t L_n'(t)^2)`` rounds
+    once."""
+    one = 1 << 200
+    rule = []
+    for i in range(n):
+        if i == 0:
+            t = 3.0 / (1.0 + 2.4 * n)
+        elif i == 1:
+            t = rule[0][0] + 15.0 / (1.0 + 2.5 * n)
+        else:
+            t = rule[-1][0] + (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (rule[-1][0] - rule[-2][0])
+        x = int(t * one)
+        for _ in range(100):
+            p0, p1 = one, one - x  # L_(k-1), L_k by the three-term recurrence
+            for k in range(2, n + 1):
+                p0, p1 = p1, (((2 * k - 1) * one - x) * p1 // one - (k - 1) * p0) // k
+            dp = n * (p1 - p0) * one // x  # L_n' = n (L_n - L_(n-1)) / t
+            step = p1 * one // dp
+            x -= step
+            if abs(step) <= x >> 100:
+                break
+        rule.append((x / one, one ** 3 / (x * dp * dp)))
+    return tuple(rule)
+
+
 def _gauss_nodes(ratio: float) -> int:
     """Nodes of the Gauss-Legendre rule that takes an integrand analytic out
     to ``ratio`` half-widths from the segment's midpoint to 2^-56: its error
@@ -462,100 +500,15 @@ def _times_weight(f, w: Weight, t0: float):
     return lambda s: f(s) + w.log_value(s + t0)
 
 
-def exp_e1(z: float, tol: float = 2e-16) -> float:
-    """``e^z E1(z)`` for z > 0: to 2e-15 relative up to z = 1, 1.2e-14 just
-    above it, where the fraction's stop at ``tol`` comes before its value
-    settles, 5e-15 from z = 3 and 1e-15 from z = 10 (against mpmath).
-
-    The power series of E1 up to z = 1 (Abramowitz & Stegun 5.1.11) and its
-    continued fraction above, by the modified Lentz method (A&S 5.1.22),
-    which stops once a step changes the value by less than ``tol``.  The
-    scaled form stays finite where ``E1(z)`` itself underflows.
-    """
-    if z <= 1.0:
-        total, term, n = 0.0, 1.0, 0
-        while True:
-            n += 1
-            term *= -z / n
-            total += term / n
-            if abs(term) < 1e-17 * n:
-                return math.exp(z) * (-_EULER_GAMMA - math.log(z) - total)
-    b = z + 1.0
-    c = 1e300
-    d = 1.0 / b
-    h = d
-    i = 0
-    while True:
-        i += 1
-        an = -float(i * i)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        step = c * d
-        h *= step
-        if abs(step - 1.0) <= tol:
-            return h
-
-
 # ---------------------------------------------------------------------------
 # the round walk: a round of window nodes as arrays
 # ---------------------------------------------------------------------------
 
-def exp_e1_many(z: np.ndarray, tol=2e-16) -> np.ndarray:
-    """:func:`exp_e1` of each z, with the tolerance ``tol`` (one, or one per
-    z), each stopping by the scalar form's rule, so that each value has the
-    scalar form's bits.
-
-    The series runs on the arguments still open.  The continued fraction
-    runs the open arguments in lockstep, eight steps at a time: a value is
-    the running product of the steps' factors (a ``cumprod`` in the scalar
-    order) up to its first step within its tolerance, and the arguments
-    that have met their stop leave after each eight."""
-    z = np.asarray(z, dtype=float)
-    tol = np.zeros(z.shape) + tol
-    out = np.empty(z.shape)
-    idx = np.flatnonzero(z <= 1.0)
-    zs = z[idx]
-    total, term, n = np.zeros(idx.size), np.ones(idx.size), 0
-    while idx.size:
-        n += 1
-        term = term * (-zs / n)
-        total = total + term / n
-        done = np.abs(term) < 1e-17 * n
-        if done.any():  # closed by the scalar form's exp and log
-            out[idx[done]] = [math.exp(v) * (-_EULER_GAMMA - math.log(v) - tail)
-                              for v, tail in zip(zs[done].tolist(), total[done].tolist())]
-            idx, zs, term, total = (v[~done] for v in (idx, zs, term, total))
-    idx = np.flatnonzero(z > 1.0)
-    tol = tol[idx]
-    b = z[idx] + 1.0
-    c = np.full(idx.size, 1e300)
-    d = 1.0 / b
-    h = d  # the value so far: its first factor, times each step's
-    i = 0
-    while idx.size:
-        steps = np.empty((9, idx.size))
-        steps[0] = h
-        for k in range(1, 9):
-            i += 1
-            an = -float(i * i)
-            b += 2.0
-            d = 1.0 / (an * d + b)
-            c = b + an / c
-            np.multiply(c, d, out=steps[k])
-        stop = np.abs(steps[1:] - 1.0) <= tol
-        done = stop.any(axis=0)
-        np.cumprod(steps, axis=0, out=steps)  # the value after each step, in the scalar order
-        out[idx[done]] = steps[1 + stop[:, done].argmax(axis=0), np.flatnonzero(done)]
-        keep = ~done
-        idx, tol, b, c, d, h = idx[keep], tol[keep], b[keep], c[keep], d[keep], steps[8, keep]
-    return out
-
-
 @lru_cache(maxsize=None)
-def _gauss_legendre_arrays(n: int) -> tuple:
-    """:func:`_gauss_legendre` as read-only arrays of nodes and weights."""
-    z, w = (np.array(v) for v in zip(*_gauss_legendre(n)))
+def _rule_arrays(rule, n: int) -> tuple:
+    """The n-node ``rule`` (:func:`_gauss_legendre` or
+    :func:`_gauss_laguerre`) as read-only arrays of nodes and weights."""
+    z, w = (np.array(v) for v in zip(*rule(n)))
     z.flags.writeable = w.flags.writeable = False
     return z, w
 
@@ -589,10 +542,10 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _gauss_sums(n: np.ndarray, cols: tuple, f) -> np.ndarray:
-    """Each row's sum over the Gauss-Legendre rule of ``n[i]`` nodes, one
-    numpy pass per rule size: ``f(z, *cols)`` is the integrand at the nodes
-    ``z`` (a row) of the rows of ``cols`` (columns, or a matrix of them)."""
+def _gauss_sums(n: np.ndarray, cols: tuple, f, rule=_gauss_legendre) -> np.ndarray:
+    """Each row's sum over the Gauss ``rule`` of ``n[i]`` nodes, one numpy
+    pass per rule size: ``f(z, *cols)`` is the integrand at the nodes ``z``
+    (a row) of the rows of ``cols`` (columns, or a matrix of them)."""
     order = np.argsort(n, kind="stable")
     n = n[order]
     cols = [c[order] if c.ndim == 2 else c[order, None] for c in cols]
@@ -600,7 +553,7 @@ def _gauss_sums(n: np.ndarray, cols: tuple, f) -> np.ndarray:
     total = np.empty(len(n))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi > lo:
-            z, wt = _gauss_legendre_arrays(int(n[lo]))
+            z, wt = _rule_arrays(rule, int(n[lo]))
             total[order[lo:hi]] = f(z, *(c[lo:hi] for c in cols)) @ wt
     return total
 
@@ -639,6 +592,50 @@ def _log_points(ph: PointPhase, t: np.ndarray) -> np.ndarray:
         rel = np.copysign(np.exp(e), v)
         out = np.where(rel > -1.0, ph.head_log + np.log1p(rel), LOG_ZERO)
         return np.where((v == 0.0) | (e < -745.0), ph.head_log, out)
+
+
+def _range_fixed(y: np.ndarray, b: float) -> np.ndarray:
+    """Each mantissa into [1, b), by the divisions of ``_range_fix``."""
+    while True:
+        up, down = y >= b, y < 1.0
+        if not (up.any() or down.any()):
+            return y
+        y = np.where(up, y / b, np.where(down, y * b, y))
+
+
+def _dip_logs(ph: PointPhase, x0: float, t: np.ndarray) -> tuple:
+    """:func:`~subexp.scaledcore.dip_distance_eval` at each offset t, as
+    arrays ``(log x, log|y - x0|)``, for a positive-headed point whose
+    remainder is a float: the same two-sum errors, ``b^-M`` as two factors
+    where it is below the normal floats, the exact anchor in the head cell
+    and the range fix elsewhere, each an array operation in the scalar
+    order."""
+    info = ph.info
+    b = ph.base.b
+    M, y1, R = info.scale, info.mantissa, info.rem
+    Mlnb = M * math.log(b)
+    dy = y1 - x0
+    binv1, binv2 = (b ** -M, 1.0) if Mlnb < 708.0 else (b ** -(M // 2), b ** -(M - M // 2))
+    v = R + t
+    w = v - R
+    rel = v * binv1 * binv2
+    rel_lo = ((R - (v - w)) + (t - w)) * binv1 * binv2  # (R + t - v) b^-M
+    ys = y1 + rel
+    xlog, dlog = np.full((2, len(t)), LOG_ZERO)
+    head = (ys > 1.0) & (ys < b)  # the head cell, its lower end aside
+    xlog[head] = Mlnb + np.log(ys[head])
+    if dy == 0.0:  # an exact anchor, at any scale
+        dlog[head] = np.log(np.abs(v[head])) - Mlnb
+    else:
+        dlog[head] = np.log(np.abs((dy + rel[head]) + rel_lo[head]))
+    off = ~head & (ys > 0.0)
+    ys, rel, rel_lo = ys[off], rel[off], rel_lo[off]
+    w = ys - y1
+    y_lo = ((y1 - (ys - w)) + (rel - w)) + rel_lo  # y1 + (R + t) b^-M - ys
+    xlog[off] = Mlnb + (np.log(ys) + y_lo / ys)
+    y = _range_fixed(ys, b)
+    dlog[off] = np.log(np.abs((y - x0) + y_lo * (y / ys)))
+    return xlog, dlog
 
 
 def _log_sums(n: int, node: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -828,8 +825,8 @@ class PhiAC(Component):
         rings, ascending, as (lo, hi, t0, m): the ring's offset range, so
         that a segment between hints lies in a ring exactly when its midpoint
         does, and the offset t0 and scale m of its centre; where the centre
-        is beyond float range, t0 is None and m is :meth:`_far_ring_log` of
-        the point.  ``rings`` is None where the structure is not resolved.
+        is beyond float range, t0 is None and m is the log of the profile at
+        the point over the plateau (0 outside the ring).  ``rings`` is None where the structure is not resolved.
         Offsets are taken from the head term and the exact remainder of x, so
         a centre lands where the evaluator puts it even when the float value
         of x rounds.
@@ -857,16 +854,21 @@ class PhiAC(Component):
             # a negative point: no structure where no window reaches the support
             return [], {}, [] if xv + hi < 1.0 else None
         else:
-            scale = p.b ** info.scale if info.scale < 500 else math.inf
-            if info.mantissa == p.x0:
-                t0 = -info.rem
-            elif math.isfinite(scale):
-                t0 = (p.x0 - info.mantissa) * scale - info.rem
-            else:
-                # the window sits at the point's dip distance to float precision
-                h_log = self._far_ring_log(ph)
+            # the centre offset (x0 - y1) b^M - R with b^M as two normal
+            # factors: finite where the remainder moves x near the centre at
+            # any scale, and beyond float range from b^M = e^760 however near
+            M = info.scale
+            b1, b2 = ((p.b ** (M // 2), p.b ** (M - M // 2)) if M * self._log_b < 760.0
+                      else (1.0, math.inf))
+            t0 = -info.rem if info.mantissa == p.x0 else (p.x0 - info.mantissa) * b1 * b2 - info.rem
+            if not math.isfinite(t0):
+                # the window sits at the point's dip distance to float
+                # precision: the kernel's at x holds over any float offset
+                h = self.profile.at_distance(dip_distance_eval(ph, p.x0)(0.0)[1])
+                h_log = math.log(h / self.profile.plateau) if h else LOG_ZERO
                 return [], {}, [(-math.inf, math.inf, None, h_log)] if h_log != 0.0 else []
-            ring = (t0 - p.delta * scale, t0 + p.delta * scale)
+            scale, half = b1 * b2, p.delta * b1 * b2  # half overflows only beyond every float t0
+            ring = (t0 - half, t0 + half)
             edges += [ring[0], t0, ring[1]]
             centres[t0] = info.scale
             # only the head cell's ring is resolved here: the next cell's ring
@@ -887,39 +889,52 @@ class PhiAC(Component):
         return self.log_density_eval(x, quad, gamma)(0.0)
 
     def log_density_eval(self, base, quad, gamma=0.0):
-        """``t -> log_density(base + t)``; untilted at a plain float base,
-        as every product integrand takes its outer density, it carries the
-        batch form ``many(ts)`` (:meth:`_log_densities`)."""
+        """``t -> log_density(base + t)``; untilted, it carries the batch form
+        ``many(ts)`` (:meth:`_log_densities`): the outer density of a product
+        integrand takes it at a plain float base, and the inner density of
+        the pointwise self-convolution at a positive head ``b^M y1 + R``."""
         ev = phi_window_log_eval(self.profile, base)
         m_log = self.m_log
         if gamma == 0.0:
             def f(t):
                 return ev(t) - m_log
 
-            if not base.terms:
-                f.many = partial(self._log_densities, base.offset)
+            f.many = partial(self._log_densities, base)
             return f
         xv = _finite_value(base, "tilted dip density")
         return lambda t: ev(t) - m_log + gamma * (xv + t)
 
-    def _log_densities(self, xv: float, ts) -> list:
-        """The density's log at each ``xv + t``, read as the evaluator of
-        :func:`~subexp.scaledcore.phi_window_log_eval` reads a plain float
-        point: the cell from the log, then the mantissa's distance to x0."""
+    def _log_densities(self, base: ScaledSum, ts) -> list:
+        """The density's log at each ``base + t``, read as the evaluator of
+        :func:`~subexp.scaledcore.phi_window_log_eval` reads it: at a point
+        without a positive head in place, the cell from the log and then the
+        mantissa's distance to x0; at a positive head with a float remainder
+        by the arithmetic of :func:`~subexp.scaledcore.dip_distance_eval` as
+        arrays (:func:`_dip_logs`); beyond float range a remainder absorbs
+        every offset, and the evaluator reads each node."""
         p = self.params
-        x = xv + np.asarray(ts, dtype=float)
-        out = np.full(len(x), LOG_ZERO)
-        on = x >= 1.0
-        xlog = np.log(x[on])
-        y = x[on] / p.b ** (xlog / self._log_b).astype(int)
-        while True:  # the mantissa into [1, b), where the log rounds across a cell edge
-            up, down = y >= p.b, y < 1.0
-            if not (up.any() or down.any()):
-                break
-            y = np.where(up, y / p.b, np.where(down, y * p.b, y))
-        d = np.abs(y - p.x0)
+        ph = PointPhase(base)
+        if ph.info is not None and ph.info.rem is None:
+            ev = phi_window_log_eval(self.profile, base)
+            return [ev(t) - self.m_log for t in ts]
+        t = np.asarray(ts, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):  # at a centre, and off the ring
-            h_log = np.where(d >= p.delta, math.log(self.profile.plateau), np.log(-1.0 / np.log(d)))
+            if ph.info is None:
+                x = ph.value + t
+                on = x >= 1.0
+                xlog = np.log(x[on])
+                y = x[on] / p.b ** (xlog / self._log_b).astype(int)
+                y = _range_fixed(y, p.b)  # where the log rounds across a cell edge
+                d = np.abs(y - p.x0)
+                h_log = np.where(d >= p.delta, math.log(self.profile.plateau),
+                                 np.log(-1.0 / np.log(d)))
+            else:
+                xlog, dlog = _dip_logs(ph, p.x0, t)
+                on = xlog >= 0.0
+                xlog, dlog = xlog[on], dlog[on]
+                h_log = np.where(dlog >= math.log(p.delta), math.log(self.profile.plateau),
+                                 np.log(-1.0 / dlog))
+        out = np.full(len(t), LOG_ZERO)
         out[on] = -(p.alpha + 1.0) * xlog + h_log - self.m_log
         return out.tolist()
 
@@ -952,16 +967,19 @@ class PhiAC(Component):
         Every segment integrates in closed form: plateau segments take the
         power-law antiderivative and dip segments the exponential-integral
         one or, a width or more from their centre, a Gauss-Legendre rule
-        exact to rounding (:meth:`_log_dip_mass`).  A weight's polynomial
-        enters each form: a Gauss-Legendre rule with more nodes on plateau
-        segments and far dip segments, and one exponential-integral series
+        exact to rounding (:meth:`_log_dip_mass`).  The antiderivative's
+        series is one Gauss-Laguerre sum per power of the weight, its node
+        count fixed a priori by ``(j+1) L`` (:meth:`_dip_series`).  A
+        weight's polynomial enters each form: a Gauss-Legendre rule with more
+        nodes on plateau segments and far dip segments, and one Laguerre sum
         per power near a centre; a dip segment near its centre that reaches
-        beyond ``2^-8 x0`` of it in mantissa units is cut into pieces of
-        these kinds.  A tilt ``e^(gamma u)`` enters the same forms: the
+        beyond ``2^-8 min(x0, 2)`` of it in mantissa units is cut into pieces
+        of these kinds.  A tilt ``e^(gamma u)`` enters the same forms: the
         Gauss-Legendre rules take it as a factor, with node counts from
         :func:`_tilted_gauss_nodes`, and near a centre its Taylor polynomial
-        joins the weight's.  In a ring whose centre is beyond float range
-        the dip distance is the head mantissa's over the whole window.
+        joins the weight's.  Where the centre offset ``(x0 - y1) b^M - R`` of
+        the head cell is beyond float range, the dip distance is the point's
+        over the whole window.
 
         The evaluator's batch form ``many(ts)`` takes a round of nodes
         (:meth:`_node_masses`): from ``_GAUSS_BATCH_MIN`` nodes up, an
@@ -1165,7 +1183,7 @@ class PhiAC(Component):
         d_mid = 0.5 * d1 + 0.5 * d2
         with np.errstate(over="ignore"):  # inf for an ulp-wide segment far out, as in floats
             ratio = np.minimum(np.abs(d_mid), bm - np.abs(d_mid)) / h
-        r0 = bm * self.params.x0 * _DIP_SERIES_REACH
+        r0 = bm * min(self.params.x0, 2.0) * _DIP_SERIES_REACH
         reach = np.maximum(-d1, d2)
         # a segment off a Gauss rule that reaches beyond r0 is cut at
         # +-2^k r0 from its centre, k from 0 while 2^k r0 < reach
@@ -1241,14 +1259,6 @@ class PhiAC(Component):
         return node.astype(int), _row_logs(-a1 * (lnbm + self._log_x0) - self.m_log + np.log(h),
                                            total)
 
-    def _far_ring_log(self, ph: PointPhase) -> float:
-        """log of the dip profile over the plateau at the point of ``ph``,
-        whose dip centre is beyond float range; 0 outside the ring.  Over any
-        float offset the dip distance there is constant to rounding, so the
-        kernel's at the point holds for every window near it."""
-        h = self.profile.at_distance(dip_distance_eval(ph, self.params.x0)(0.0)[1])
-        return math.log(h / self.profile.plateau) if h else LOG_ZERO
-
     def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None, tilt=None):
         """log of the mass over (x+a, x+b] inside the dip ring ``ring``, under
         the weight piece ``piece``, as ``(origin, coeffs)`` in offsets from
@@ -1258,8 +1268,9 @@ class PhiAC(Component):
         With ``x + t = b^m (x0 + s)`` the density is ``b^(-m alpha)/M (x0 +
         s)^(-alpha-1) (-1/log|s|)`` in ``s``.  A segment a width or more from
         its centre takes a Gauss-Legendre rule (see ``_DIP_GAUSS_MIN_RATIO``),
-        one within ``r0 = 2^-8 x0 b^m`` of it the exponential-integral series
-        (:meth:`_dip_series_mass`); under a tilt r0 is at most ``1/(16
+        one within ``r0 = 2^-8 min(x0, 2) b^m`` of it the exponential-integral
+        series (:meth:`_dip_series_mass`), whose rule then needs at most 26
+        nodes (``L >= 7 log 2``); under a tilt r0 is at most ``1/(16
         |gamma|)``.  Any other segment is cut at the offsets ``±2^k r0`` from
         its centre: the piece at the centre lies within r0, and every other
         piece lies within ``[2^k r0, 2^(k+1) r0]`` on one side, three
@@ -1275,11 +1286,11 @@ class PhiAC(Component):
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
             if ratio >= _DIP_GAUSS_MIN_RATIO:
                 return self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, 0.5 * (a + b), piece, tilt)
-        r0 = bm * self.params.x0 * _DIP_SERIES_REACH
+        r0 = bm * min(self.params.x0, 2.0) * _DIP_SERIES_REACH
         if tilt is not None:
             r0 = min(r0, _TILT_SERIES_REACH / abs(tilt[0]))
         if max(-d1, d2) <= r0:
-            return self._dip_series_mass(lnbm, t0, d1, d2, h, piece, tilt)
+            return self._dip_series_mass(lnbm, t0, d1, d2, piece, tilt)
         cuts, k = [], r0
         while k < max(-d1, d2):
             cuts += [c for c in (-k, k) if d1 < c < d2]
@@ -1293,7 +1304,7 @@ class PhiAC(Component):
                 terms.append(self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, t0 + d_mid, piece,
                                                   tilt))
             else:
-                terms.append(self._dip_series_mass(lnbm, t0, p, q, h, piece, tilt))
+                terms.append(self._dip_series_mass(lnbm, t0, p, q, piece, tilt))
         return log_sum(terms)
 
     def _dip_gauss_mass(self, lnbm: float, bm: float, d_mid: float, h: float, ratio: float,
@@ -1351,24 +1362,23 @@ class PhiAC(Component):
                               * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
         return head + math.log(h) + math.log(total) if total > 0.0 else LOG_ZERO
 
-    def _dip_series_mass(self, lnbm: float, t0: float, d1: float, d2: float, h: float,
-                         piece, tilt):
+    def _dip_series_mass(self, lnbm: float, t0: float, d1: float, d2: float, piece, tilt):
         """The mass over the offsets (d1, d2] from the centre at window offset
-        t0, of half-width h, within ``2^-8 x0 b^m`` of it and within two
-        widths of it at the far end, so that the one-sided difference cancels
-        at most one bit.
+        t0, within r0 of it (see :meth:`_log_dip_mass`) and within two widths
+        of it at the far end, so that the one-sided difference cancels at
+        most one bit.
 
         ``G(s) = x0^(-alpha-1) sum_k C(-alpha-1, k) x0^-k sgn(s)^(k+1)
         E1((k+1) L)`` with ``L = -log|s|`` is an exact antiderivative of the
-        density across the centre.  Writing ``E1(z) = e^-z exp_e1(z)``
-        factors out the far end's ``e^-L = |d| b^-m``; the near end then
-        enters through the exact ratio of the offsets, so neither end's ``L``
-        is exponentiated and nothing underflows up to ``b^1024``.  A weight
-        ``sum_j p_j d^j`` in offsets from the centre turns ``E1((k+1) L)``
-        into ``sum_j p_j d^j E1((k+j+1) L)``; the binomial series shrinks by
-        ``2^-8`` per term or faster.  A tilt ``e^(gamma (x_c + d))`` about
-        the centre ``x_c`` is ``e^(gamma x_c)`` times its Taylor polynomial
-        in d, a factor of the weight.
+        density across the centre.  Writing ``E1(z) = e^-z int_0^inf e^-t /
+        (t + z) dt`` factors out the far end's ``e^-L = |d| b^-m``; the near
+        end then enters through the exact ratio of the offsets, so neither
+        end's ``L`` is exponentiated and nothing underflows up to ``b^1024``.
+        A weight ``sum_j p_j d^j`` in offsets from the centre turns ``E1((k+1)
+        L)`` into ``sum_j p_j d^j E1((k+j+1) L)``, and each power's series
+        over k sums under the integral (:meth:`_dip_series`).  A tilt
+        ``e^(gamma (x_c + d))`` about the centre ``x_c`` is ``e^(gamma x_c)``
+        times its Taylor polynomial in d, a factor of the weight.
         """
         a1 = self.params.alpha + 1.0
         log_x0 = self._log_x0
@@ -1377,7 +1387,6 @@ class PhiAC(Component):
         log_q = log_far - lnbm - log_x0  # log |s_far / x0|
         q = math.copysign(math.exp(log_q), far) if log_q > -745.0 else 0.0
         r = abs(near) / abs(far)
-        tol = 2.0 ** -54 * min(1.0, 2.0 * h / abs(far))
         head = -a1 * (lnbm + log_x0) - self.m_log
         if piece is None and tilt is None:
             p_far = p_near = (1.0,)
@@ -1392,27 +1401,31 @@ class PhiAC(Component):
             p_near = tuple(c * near ** j for j, c in enumerate(coeffs))
         # sgn(d) from G's sgn(s)^(k+1); under a weight of mixed signs the
         # series itself may be negative
-        s_far = math.copysign(1.0, far) * self._dip_series(q, lnbm - log_far, tol, p_far)
+        s_far = math.copysign(1.0, far) * self._dip_series(q, lnbm - log_far, p_far)
         s_near = 0.0 if near == 0.0 else math.copysign(1.0, near) * self._dip_series(
-            q * (near / far), lnbm - math.log(abs(near)), tol / r, p_near)
+            q * (near / far), lnbm - math.log(abs(near)), p_near)
         body = s_far - r * s_near if far == d2 else r * s_near - s_far
         return head + log_far + math.log(body) if body > 0.0 else LOG_ZERO
 
-    def _dip_series(self, q: float, L: float, tol: float, p: tuple) -> float:
-        """``sum_j p_j sum_k C(-alpha-1, k) q^k exp_e1((k+j+1) L)`` for the dip
-        offset ``s = x0 q`` with ``L = -log|s|``, each inner sum taken until a
-        term falls below ``tol`` of its first."""
+    def _dip_series(self, q: float, L: float, p: tuple) -> float:
+        """``sum_j p_j sum_k C(-alpha-1, k) q^k e^z E1(z)``, ``z = (k+j+1)
+        L``, for the dip offset ``s = x0 q`` with ``L = -log|s|``.
+
+        With ``e^z E1(z) = int_0^inf e^-t / (t + z) dt`` and ``t = (k+j+1)
+        v``, the sum over k is the binomial series of ``(1 + q e^-v)^(-alpha-1)``
+        under one integral; in ``t = (j+1) v`` each power's is ``int_0^inf e^-t
+        (1 + q e^(-t/(j+1)))^(-alpha-1) / (t + z) dt``, ``z = (j+1) L``: one
+        Gauss-Laguerre sum, its size from z (``_LAGUERRE_Z``).  The binomial
+        factor's singularities lie at ``|t| >= (j+1) (L + log x0)``, beyond
+        the pole at ``-z``."""
         neg_a1 = -self.params.alpha - 1.0
         out = 0.0
         for j, pj in enumerate(p):
-            total = exp_e1((j + 1) * L)
-            coef, k = 1.0, 0
-            while True:
-                k += 1
-                coef *= q * (neg_a1 - (k - 1)) / k
-                if abs(coef) <= tol:
-                    break
-                total += coef * exp_e1((k + j + 1) * L, max(2e-16, tol / abs(coef)))
+            z = (j + 1) * L
+            c = -1.0 / (j + 1)
+            total = 0.0
+            for t, wt in _gauss_laguerre(_LAGUERRE_NODES[bisect_right(_LAGUERRE_Z, z)]):
+                total += wt * (1.0 + q * math.exp(c * t)) ** neg_a1 / (t + z)
             out += pj * total
         return out
 
@@ -1420,7 +1433,7 @@ class PhiAC(Component):
         """:meth:`_dip_series_mass` (untilted) of each row (see
         :meth:`_dip_masses`), the far and near ends of every row through one
         :meth:`_dip_series_many`."""
-        node, poly, lnbm, _bm, t0, d1, d2, h = rows[:8]
+        node, poly, lnbm, _bm, t0, d1, d2 = rows[:7]
         a1 = self.params.alpha + 1.0
         log_x0 = self._log_x0
         upper = np.abs(d2) >= np.abs(d1)
@@ -1429,7 +1442,6 @@ class PhiAC(Component):
         log_q = log_far - lnbm - log_x0
         q = np.where(log_q > -745.0, np.copysign(np.exp(log_q), far), 0.0)
         r = np.abs(near) / np.abs(far)
-        tol = 2.0 ** -54 * np.minimum(1.0, 2.0 * h / np.abs(far))
         if polys is None:
             p_far = p_near = np.ones((far.size, 1))
         else:  # the weight in offsets from the centre
@@ -1446,7 +1458,6 @@ class PhiAC(Component):
         log_near = np.log(np.abs(near[on]))
         series = self._dip_series_many(np.concatenate((q, q[on] * (near[on] / far[on]))),
                                        np.concatenate((lnbm - log_far, lnbm[on] - log_near)),
-                                       np.concatenate((tol, tol[on] / r[on])),
                                        np.concatenate((p_far, p_near[on])))
         s_far = np.copysign(1.0, far) * series[:far.size]
         s_near = np.zeros(far.size)
@@ -1454,36 +1465,22 @@ class PhiAC(Component):
         body = np.where(upper, s_far - r * s_near, r * s_near - s_far)
         return node.astype(int), _row_logs(-a1 * (lnbm + log_x0) - self.m_log + log_far, body)
 
-    def _dip_series_many(self, q, L, tol, p) -> np.ndarray:
-        """:meth:`_dip_series` of each row of ``q``, ``L``, ``tol`` and the
-        matrix ``p``.  The binomial coefficients do not depend on j: they
-        run in lockstep, eight powers at a time, until every row has met
-        its stop, and are zero past it.  Every ``exp_e1`` then goes through
-        one :func:`exp_e1_many`, and the sums accumulate in the scalar
-        order."""
-        if not q.size:
-            return q
+    def _dip_series_many(self, q, L, p) -> np.ndarray:
+        """:meth:`_dip_series` of each row of ``q``, ``L`` and the matrix
+        ``p``: every power of every row is one Gauss-Laguerre sum, one numpy
+        pass per rule size, and the powers accumulate in the scalar order."""
         neg_a1 = -self.params.alpha - 1.0
-        coefs = np.ones((q.size, 1))
-        live = np.ones((q.size, 1), bool)
-        while live[:, -1].any():
-            k = np.arange(coefs.shape[1], coefs.shape[1] + 8)
-            step = q[:, None] * (neg_a1 - (k - 1)) / k
-            more = np.multiply.accumulate(np.concatenate((coefs[:, -1:], step), axis=1), axis=1)
-            coefs = np.concatenate((coefs, more[:, 1:]), axis=1)
-            live = np.concatenate((live, np.logical_and.accumulate(
-                np.concatenate((live[:, -1:], np.abs(more[:, 1:]) > tol[:, None]), axis=1),
-                axis=1)[:, 1:]), axis=1)
-        n_k = live.sum(axis=1).max()
-        coefs = np.where(live, coefs, 0.0)[:, :n_k]
-        z = (np.arange(p.shape[1])[:, None] + np.arange(n_k) + 1) * L[:, None, None]  # (k+j+1) L
-        tols = np.maximum(2e-16, tol[:, None] / np.where(live[:, :n_k], np.abs(coefs), 1.0))
-        tols[:, 0] = 2e-16
-        on = np.repeat(live[:, None, :n_k], p.shape[1], axis=1)
-        e1 = np.zeros(z.shape)
-        e1[on] = exp_e1_many(z[on], np.repeat(tols[:, None, :], p.shape[1], axis=1)[on])
-        total = np.add.accumulate(coefs[:, None, :] * e1, axis=2)[:, :, -1]
-        return np.add.accumulate(p * total, axis=1)[:, -1]
+        j1 = np.arange(1, p.shape[1] + 1)
+        z = j1 * L[:, None]
+        c = -1.0 / j1
+
+        def f(t, q, z, c):
+            return (1.0 + q * np.exp(c * t)) ** neg_a1 / (t + z)
+
+        n = np.array(_LAGUERRE_NODES)[np.searchsorted(_LAGUERRE_Z, z.ravel(), "right")]
+        total = _gauss_sums(n, (np.repeat(q, p.shape[1]), z.ravel(), np.tile(c, q.size)), f,
+                            _gauss_laguerre)
+        return np.add.accumulate(p * total.reshape(z.shape), axis=1)[:, -1]
 
     def _log_plateau_mass(self, ph: PointPhase, s: float, a: float, b: float,
                           piece=None, tilt=None) -> float:

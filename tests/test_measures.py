@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subexp import (
@@ -32,7 +32,7 @@ from subexp import (
 )
 from subexp import measures
 from subexp.measures import Weight, dip_cuts, phi_integral_log
-from subexp.convolve import conv_local_mass, oracle_window_mass, phi_values
+from subexp.convolve import conv_local_mass, oracle_window_mass, phi_self_conv_at, phi_values
 from subexp.probes import long_tail_probe
 from subexp.scaledcore import phi_log_value
 
@@ -468,6 +468,22 @@ class TestCanonicalBoundary:
             assert call(raw) == call(canon), name
 
 
+@st.composite
+def _scaled_bases(draw):
+    # b^n y + R, n in [0, 1024]: anchors y = x0 (with lambda offsets R),
+    # x0 +- k ulp, mantissas k ulp from a cell edge, and any mantissa
+    ulp = 2.0 ** -51
+    n = draw(st.integers(0, 1024))
+    y = draw(st.one_of(
+        st.just(2.0), st.floats(1.0, 4.0, exclude_max=True),
+        st.builds(lambda k, side: 2.0 + side * k * ulp, st.integers(1, 8), st.sampled_from([-1, 1])),
+        st.builds(lambda k: 1.0 + 0.5 * k * ulp, st.integers(1, 8)),
+        st.builds(lambda k: 4.0 - k * ulp, st.integers(1, 8))))
+    rem = draw(st.one_of(st.just(0.0), st.floats(-2.0 ** 40, 2.0 ** 40),
+                         st.floats(-4.0, 4.0)))
+    return ScaledSum.scaled(n, y, offset=rem)
+
+
 class TestGaussRounds:
     """A round of window nodes through the evaluator's batch form against the
     scalar walk, node by node."""
@@ -580,21 +596,70 @@ class TestGaussRounds:
             b = dens(u)
             assert a == b or abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b))), (u, a, b)
 
+    @settings(max_examples=80, deadline=None)
+    @given(base=_scaled_bases(), ts=st.lists(st.one_of(
+        st.floats(-2.0 ** 40, 2.0 ** 40), st.floats(-4.0, 4.0),
+        st.integers(-60, 60).map(lambda k: math.copysign(2.0 ** abs(k), k))),
+        min_size=1, max_size=40))
+    # a remainder beyond float range, 4^600 * 2, which absorbs every offset
+    @example(base=ScaledSum(4.0, ((1, 1000, 3.0), (1, 600, 2.0))).normalize(), ts=[0.0, -3.5])
+    def test_density_many_matches_each_at_scaled_bases(self, mu, quad, base, ts):
+        # the batch form at a positive head against the scalar kernel point
+        # by point; offsets up to 2^40 move points near a cell edge across it
+        # from n = 26 up, and onto the centre or off it at anchors
+        dens = mu.components[0][1].log_density_eval(base, quad)
+        assert hasattr(dens, "many")
+        _s, n, y = base.terms[0]
+        if n < 500:  # and offsets at, and within rounding of, the head cell's centre
+            centre = (2.0 - y) * 4.0 ** n - base.offset
+            ts = ts + [centre + d for d in (-1.0, -2.0 ** -20, -2.0 ** -40, 0.0, 2.0 ** -30, 1.0)]
+        for t, a in zip(ts, dens.many(ts)):
+            b = dens(t)
+            assert a == b or abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b))), (t, a, b)
+
+    def test_self_convolution_rounds_take_the_batch_density(self, profile, quad):
+        # each round of the pointwise self-convolution reads its inner
+        # density, at the point b^M y1 + R, in one batch call, as it reads
+        # its outer density, and no node by itself
+        calls = []
+        original = PhiAC._log_densities
+
+        def spy(self, base, ts):
+            calls.append((base.sign() > 0 and bool(base.terms), len(ts)))
+            return original(self, base, ts)
+
+        scalar = []
+        plain = measures.phi_window_log_eval
+
+        def counted(profile, base):
+            ev = plain(profile, base)
+            return lambda t: (scalar.append(t), ev(t))[1]
+
+        with patch.object(PhiAC, "_log_densities", spy), \
+                patch("subexp.measures.phi_window_log_eval", counted):
+            got = phi_self_conv_at(profile, ScaledSum.scaled(6, 3.0), quad)
+        ref = phi_self_conv_at(profile, ScaledSum.scaled(6, 3.0), quad)
+        inner = [k for head, k in calls if head]
+        assert got == ref and not scalar
+        assert len(inner) == len(calls) - len(inner) > 0 and max(inner) > 1
+
     @settings(max_examples=60, deadline=None)
-    @given(zs=st.lists(st.tuples(
-        st.one_of(st.floats(0.0, 745.0, exclude_min=True), st.just(1.0)),
-        st.one_of(st.just(2e-16), st.floats(2e-16, 1e-3))), min_size=1, max_size=30))
-    def test_exp_e1_many_matches_scalar_and_mpmath(self, zs):
-        # bit for bit the scalar form, stop rule and tolerance included; the
-        # scalar form itself is within 1.5e-14 of mpmath at full tolerance
-        # (1.2e-14 just above z = 1, where its fraction stops early)
-        mp = pytest.importorskip("mpmath")
-        z, tol = (np.array(v) for v in zip(*zs))
-        for (zj, tj), v in zip(zs, measures.exp_e1_many(z, tol).tolist()):
-            assert v == measures.exp_e1(zj, tj), (zj, tj)
-            if tj == 2e-16:
-                with mp.workdps(40):
-                    assert abs(v / (mp.exp(zj) * mp.e1(zj)) - 1) <= 1.5e-14, zj
+    @given(rows=st.lists(st.tuples(st.floats(7.0 * math.log(2.0), 3e4), st.floats(-1.0, 1.0)),
+                         min_size=1, max_size=30),
+           p=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+    def test_laguerre_series_many_matches_scalar(self, mu, params, rows, p):
+        # the batch form of the dip series against the scalar form, row by
+        # row: L from the reach's least up, q = u e^-L / x0 of either sign,
+        # and weights of up to 6 powers; within 8 ulps of the sum of the
+        # powers' magnitudes, as a weight of mixed signs may cancel
+        phi = mu.components[0][1]
+        L = np.array([v for v, _u in rows])
+        q = np.array([u * math.exp(-v) / params.x0 for v, u in rows])
+        got = phi._dip_series_many(q, L, np.tile(p, (len(rows), 1)))
+        for (lj, qj), a in zip(zip(L.tolist(), q.tolist()), got.tolist()):
+            b = phi._dip_series(qj, lj, tuple(p))
+            scale = phi._dip_series(qj, lj, tuple(abs(v) for v in p))
+            assert abs(a - b) <= 8.0 * 2.0 ** -52 * scale, (lj, qj, a, b)
 
 
 class TestWeight:

@@ -11,17 +11,18 @@ to 1e-12 with the same formulas at the exact point.
 """
 
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subexp import (GallerySpec, KernelAC, MixtureDistribution, ModelParams, ParetoAC,
-                    PeriodicProfile, QuadratureSpec, ScaledSum, SequenceSpec, UniformAC,
+                    PeriodicProfile, PhiAC, QuadratureSpec, ScaledSum, SequenceSpec, UniformAC,
                     build_mu, conv_local_mass, integrate_log, local_density, local_mass,
                     make_sequence, phi_self_conv_at, tilt)
 from subexp import measures
-from subexp.measures import PiecewiseLinearDensity, Weight, exp_e1, phi_integral_log
+from subexp.measures import PiecewiseLinearDensity, Weight, phi_integral_log
 from subexp.scaledcore import PointPhase, phi_log_value, phi_window_log_eval
 
 mp = pytest.importorskip("mpmath")
@@ -113,11 +114,60 @@ def test_normalizer_cell(params, profile, quad_fast):
     assert abs(got - float(ref)) <= 1e-9
 
 
-@pytest.mark.parametrize("z", [1e-8, 0.3, 1.0, 1.5, 4.85, 40.0, 2800.0])
-def test_exp_e1(z):
+def _mp_series_power(q, L, j, a1):
+    """The dip series of one power j, ``sum_k C(-a1, k) q^k e^w E1(w)`` with
+    ``w = (k+j+1) L``, summed until a term is below 10^-40 of the sum."""
     with mp.workdps(DPS):
-        ref = mp.exp(z) * mp.e1(z)
-    assert abs(exp_e1(z) / float(ref) - 1.0) <= 1e-14
+        total, coef, k = mp.mpf(0), mp.mpf(1), 0
+        while True:
+            w = (k + j + 1) * mp.mpf(L)
+            term = coef * mp.exp(w) * mp.e1(w)
+            total += term
+            if abs(term) < mp.mpf(10) ** -40 * abs(total):
+                return total
+            coef *= mp.mpf(q) * (-a1 - k) / (k + 1)
+            k += 1
+
+
+# the least z of each Gauss-Laguerre rule: its bound, or 7 log 2 for the
+# largest rule, where the series' reach puts the least L
+_LAGUERRE_BOUNDS = [(n, z) for n, z in zip(measures._LAGUERRE_NODES,
+                                           (7.0 * math.log(2.0), *measures._LAGUERRE_Z))]
+
+
+@pytest.mark.parametrize("n, z", _LAGUERRE_BOUNDS)
+@pytest.mark.parametrize("model", [{}, {"alpha": 2.5}, {"x0": 1.3}])
+def test_laguerre_series_at_each_rule_bound(n, z, model):
+    # each power j whose L = z/(j+1) the reach allows (|s| <= 2^-8 min(x0, 2)),
+    # with q = s/x0 of both signs, |q| = e^-L/x0, at the least z of each rule
+    params = ModelParams(**model)
+    phi = PhiAC(profile=PeriodicProfile(params), m_log=0.0)
+    assert measures._LAGUERRE_NODES[bisect_right(measures._LAGUERRE_Z, z)] == n
+    least_L = math.log(2.0 ** 8 / min(params.x0, 2.0))
+    for j in (0, 1, 3):
+        L = z / (j + 1)
+        if L < least_L * (1.0 - 1e-15):
+            continue
+        p = (0.0,) * j + (1.0,)
+        for q in (-math.exp(-L) / params.x0, math.exp(-L) / params.x0):
+            ref = _mp_series_power(q, L, j, params.alpha + 1.0)
+            assert abs(phi._dip_series(q, L, p) / float(ref) - 1.0) <= 1e-15, (j, q)
+
+
+@pytest.mark.parametrize("n", sorted(set(measures._LAGUERRE_NODES)))
+def test_laguerre_rule_against_golub_welsch(n):
+    # nodes and weights against the eigen-decomposition of the Jacobi matrix
+    # of the Laguerre polynomials (diagonal 2i+1, off-diagonal i+1) at 50 digits
+    with mp.workdps(DPS):
+        jacobi = mp.matrix(n, n)
+        for i in range(n):
+            jacobi[i, i] = 2 * i + 1
+            if i + 1 < n:
+                jacobi[i, i + 1] = jacobi[i + 1, i] = i + 1
+        nodes, vectors = mp.eigsy(jacobi)
+        ref = sorted((nodes[i], vectors[0, i] ** 2) for i in range(n))
+    for (t, w), (t_ref, w_ref) in zip(measures._gauss_laguerre(n), ref):
+        assert abs(t / t_ref - 1) <= 1e-15 and abs(w / w_ref - 1) <= 1e-15, (t, w)
 
 
 def _mp_dip_window(params, phi, m, off, c):
@@ -798,3 +848,49 @@ def test_window_near_an_anchor_beyond_float_range(mu, params, quad, monkeypatch,
         a = params.alpha
         ref = log_h + mp.log((u ** -a - (u + 1) ** -a) / a) - mp.mpf(phi.m_log)
     assert abs(got - float(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("off", [-2.0 ** 1009, -2.0 ** 1009 - 2.0 ** 990])
+def test_window_where_the_remainder_reaches_a_far_centre(mu, params, quad, monkeypatch, off):
+    # 4^530 (2 + 2^-51) - 2^1009 is the centre 4^530 x0 itself, and 2^990
+    # below it is 2^-70 from it in mantissa units: the window takes the ring
+    # from the centre offset (x0 - y1) b^M - R, which is finite here
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    phi = mu.components[0][1]
+    x = ScaledSum(b=params.b, terms=((1, 530, 2.0 + 2.0 ** -51),), offset=off)
+    assert x.is_canonical()
+    got = phi.log_window_mass(x, 1.0, quad)
+    with mp.workprec(EXACT_PREC):
+        u = _mp_point(x)
+        log_scale = 530 * mp.log(params.b)
+        centre = mp.mpf(params.b) ** 530 * params.x0 - u  # the centre's offset from x, exact
+        log_u, inv_u = mp.log(u), 1 / u
+    with mp.workdps(DPS):
+        a1 = params.alpha + 1
+
+        def f(t):  # the density at x + t over u^-a1, the dip distance |t - centre| / b^530
+            d = abs(t - centre)
+            return mp.mpf(0) if d == 0 else (1 + t * inv_u) ** -a1 * (-1 / (mp.log(d) - log_scale))
+
+        ref = mp.log(mp.quad(f, [0, 1])) - a1 * log_u - mp.mpf(phi.m_log)
+    assert abs(got - float(ref)) <= 1e-12
+    if off == -2.0 ** 1009:  # the same point in its canonical form
+        assert got == phi.log_window_mass(ScaledSum.scaled(530, params.x0), 1.0, quad)
+
+
+@pytest.mark.parametrize("n", [340, 400])
+def test_window_in_base_8_beyond_float_range(quad, monkeypatch, n):
+    # 8^400 overflows a float below scale 500: the ring of 8^n * 3, inside
+    # the wide ring of x0 = 2.4, delta = 0.9, is read at the point's dip
+    # distance, which is constant to rounding over the window
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    params = ModelParams(b=8.0, x0=2.4, delta=0.9, x1=1.0, x2=1.5)
+    phi = PhiAC(profile=PeriodicProfile(params), m_log=0.0)
+    x = ScaledSum.scaled(n, 3.0, b=8.0)
+    got = phi.log_window_mass(x, 1.0, quad)
+    with mp.workprec(EXACT_PREC):
+        u = _mp_point(x)
+        log_h, branch = _mp_profile(params, u)
+        a = params.alpha
+        ref = log_h + mp.log((u ** -a - (u + 1) ** -a) / a)
+    assert branch == "dip" and abs(got - float(ref)) <= 1e-12
