@@ -54,7 +54,6 @@ from .measures import (
     UniformAC,
     Weight,
     as_weight,
-    dip_cuts,
 )
 
 
@@ -353,7 +352,7 @@ def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, w: Weight | None, quad):
         raise ParameterError("split point exceeds (x + t_lo)/2; point too small for split mode")
 
     f = _product_integrand(c1, mass, x, quad)
-    hints, centres = dip_cuts(p, 1.0, L)
+    hints, centres = c1.density_cuts(ScaledSum.zero(x.b), 1.0, L)
     numeric = math.log(2.0) + integrate_log(f, 1.0, L, quad, hints=hints, singular=centres)
     k_log = math.log(c1.profile.plateau)
     bound = (math.log(2.0) + log_w + 2.0 * k_log - c1.m_log - c2.m_log

@@ -36,7 +36,6 @@ from .scaledcore import (
     phi_window_log_eval,
 )
 
-_FLOAT_SAFE = 2.0 ** 50
 _END_SNAP = 2.0 ** -40
 # A dip segment at least one width from its centre, on one side of it, takes
 # a Gauss-Legendre rule: with the nearest singularity of the density (the
@@ -273,46 +272,43 @@ def as_weight(w) -> Weight:
 def phi_integral_log(profile: PeriodicProfile, lo: float, hi: float,
                      quad: QuadratureSpec) -> float:
     """log of the integral of the raw dip density over a finite [lo, hi]."""
-    p = profile.params
-    ev = phi_window_log_eval(profile, ScaledSum.zero(p.b))
-    hints, centres = dip_cuts(p, lo, hi)
-    return integrate_log(ev, lo, hi, quad, hints=hints, singular=centres)
+    zero = ScaledSum.zero(profile.params.b)
+    hints, centres = PhiAC(profile, 0.0).density_cuts(zero, lo, hi)
+    return integrate_log(phi_window_log_eval(profile, zero), lo, hi, quad, hints=hints,
+                         singular=centres)
 
 
-def dip_cuts(params: ModelParams, lo: float, hi: float) -> tuple:
-    """Structure of the raw profile over [lo, hi] in absolute float units, as
-    (hints, centres): the dip boundaries and centres and the support edge 1
-    inside (lo, hi), and the dip centres ``b^m x0`` in [lo, hi].
-
-    Integrals over absolute ranges beyond a single window use this; a window
-    resolves only its head cell beyond 2^50 (see ``PhiAC._window_cuts``).
-    """
-    if not (hi > lo) or hi <= 0:
-        return [], []
-    hints, centres = [], []
-    for m in _scales(params, lo, hi):
-        scale = params.b ** m
-        for y in (params.x0 - params.delta, params.x0, params.x0 + params.delta):
-            u = scale * y
-            if lo < u < hi:
-                hints.append(u)
-        u = scale * params.x0
-        if lo <= u <= hi:
-            centres.append(u)
-    if lo < 1.0 < hi:
-        hints.append(1.0)
-    return hints, centres
+def _scales(params: ModelParams, ph: PointPhase, lo: float, hi: float, bm):
+    """Scales m >= 0 whose cell [b^m, b^(m+1)) may hold structure at the
+    offsets [lo, hi] from the point of ``ph`` (each dip ring lies inside its
+    cell, and none below the support edge 1).  None stands for the head cell
+    alone, where the span stays short of the rings of both cells next to a
+    point ``b^M y1 + R``, counting R, which may move the point towards
+    either; ``bm`` is ``b^M`` (inf beyond float range), None for a point
+    without a head cell of the profile.  Any other span takes the cells
+    between the logs of its ends, clamped at 0, with a margin of 1e-9 in
+    ``log_b`` for their rounding."""
+    b, x0, delta = params.b, params.x0, params.delta
+    if bm is not None:
+        r = ph.info.rem or 0.0  # b^M is beyond float range where the remainder is
+        if hi + r < (x0 - delta - 1.0) * bm * b and -(lo + r) < (b - x0 - delta) * bm / b:
+            return None
+    hi_log = ph.log_point(hi)
+    if not hi_log >= 0.0:
+        return ()
+    log_b = params.log_b
+    m_lo = math.floor(max(ph.log_point(lo), 0.0) / log_b - 1e-9)
+    return range(max(m_lo, 0), math.floor(hi_log / log_b + 1e-9) + 1)
 
 
-def _scales(params: ModelParams, lo: float, hi: float) -> range:
-    """Scales m >= 0 whose period cell [b^m, b^(m+1)) meets [lo, hi] (hi > 0),
-    with a margin of 1e-9 in ``log_b`` for the rounding of the logs.  Every
-    dip ring lies inside its own cell (``delta < min(x0 - 1, b - x0)``), so
-    no other cell can hold structure in [lo, hi]; the profile has none below
-    its support edge 1."""
-    m_lo = math.floor(math.log(max(lo, 1.0)) / params.log_b - 1e-9)
-    m_hi = math.floor(math.log(hi) / params.log_b + 1e-9)
-    return range(max(m_lo, 0), m_hi + 1)
+def _offsets_in_units(ys, y1: float, R, b1: float, b2: float, units) -> list:
+    """``b^M y - x`` for each mantissa y in units of ``b^M``, taken as two
+    normal factors ``b1 b2``, at a point ``x = b^M y1 + R``: ``(y - y1) b^M
+    - R``, or with R beyond float range (None), the ``math.fsum`` of ``y -
+    y1`` less the remainder's ``units`` (:meth:`PointPhase.rem_units`)."""
+    if units is None:
+        return [((y - y1) * b1 * b2 if y != y1 else 0.0) - R for y in ys]
+    return [d * b1 * b2 if d else 0.0 for d in (-math.fsum([-y, y1, *units]) for y in ys)]
 
 
 def normalizer_M(params: ModelParams, quad: QuadratureSpec,
@@ -580,9 +576,10 @@ def _segments(lo: np.ndarray, hi: np.ndarray, group: np.ndarray, cuts: np.ndarra
 
 
 def _log_points(ph: PointPhase, t: np.ndarray) -> np.ndarray:
-    """:meth:`PointPhase.log_point` of each offset t, for a point whose
-    remainder is a float, as a window plan's is."""
+    """:meth:`PointPhase.log_point` of each offset t."""
     info = ph.info
+    if info is not None and info.rem is None:  # the remainder absorbs every offset
+        return np.full(t.shape, ph.log_point(0.0))
     if info is None or ph.head is not None:
         u = ph.value + t if info is None else ph.head + (info.rem + t)
         return np.log(u, out=np.full(u.shape, LOG_ZERO), where=u > 0.0)
@@ -824,59 +821,61 @@ class PhiAC(Component):
         from offset to the scale m of the centre ``b^m x0``; and the dip
         rings, ascending, as (lo, hi, t0, m): the ring's offset range, so
         that a segment between hints lies in a ring exactly when its midpoint
-        does, and the offset t0 and scale m of its centre; where the centre
-        is beyond float range, t0 is None and m is the log of the profile at
-        the point over the plateau (0 outside the ring).  ``rings`` is None where the structure is not resolved.
-        Offsets are taken from the head term and the exact remainder of x, so
-        a centre lands where the evaluator puts it even when the float value
-        of x rounds.
+        does, and the offset t0 and scale m of its centre.
+
+        Every offset ``b^m y - x`` of a point ``x = b^M y1 + R`` is ``(y
+        b^(m-M) - y1) b^M - R`` (:func:`_offsets_in_units`), for every cell
+        the span meets (:func:`_scales`), so a centre lands where the
+        evaluator puts it at any scale; a point without a head cell of the
+        profile (not positive-headed, or below 1) takes ``M = 0``, ``y1 =
+        0`` and its float value for R.  A span within the head cell's reach
+        takes its ring directly, and the support edge only at scale 0.
+        Where that ring's centre offset is beyond float range, the window
+        sits at the point's dip distance to float precision: the one ring is
+        ``(-inf, inf, None, h)``, h the log of the profile there over the
+        plateau, or there is none on a plateau.
         """
         p = self.params
-        xv = ph.value
+        b, x0, delta = p.b, p.x0, p.delta
         info = ph.info
-        if info is not None and info.rem is None:
-            return [], {}, None
-        edges, centres, rings = [], {}, []
-        if math.isfinite(xv) and abs(xv) < _FLOAT_SAFE:
-            origin, shift = (xv, 0.0) if info is None else (ph.head, info.rem)
-            edges.append((1.0 - origin) - shift)  # the support edge, below every ring
-            if xv + hi >= 1.0:
-                # padded by one: xv rounds the remainder
-                for m in _scales(p, xv + lo - 1.0, xv + hi + 1.0):
-                    scale = p.b ** m
-                    centre = (scale * p.x0 - origin) - shift
-                    ring = ((scale * (p.x0 - p.delta) - origin) - shift,
-                            (scale * (p.x0 + p.delta) - origin) - shift)
-                    edges += [ring[0], centre, ring[1]]
-                    centres[centre] = m
-                    rings.append((*ring, centre, m))
-        elif info is None:
-            # a negative point: no structure where no window reaches the support
-            return [], {}, [] if xv + hi < 1.0 else None
+        if info is None or info.scale < 0:
+            M, y1, R, b1, b2, bm = 0, 0.0, ph.value, 1.0, 1.0, None
         else:
-            # the centre offset (x0 - y1) b^M - R with b^M as two normal
-            # factors: finite where the remainder moves x near the centre at
-            # any scale, and beyond float range from b^M = e^760 however near
-            M = info.scale
-            b1, b2 = ((p.b ** (M // 2), p.b ** (M - M // 2)) if M * self._log_b < 760.0
+            M, y1, R = info.scale, info.mantissa, info.rem
+            # b^M as two normal factors: their product overflows only where
+            # every offset but an exact centre's is beyond float range
+            b1, b2 = ((b ** (M // 2), b ** (M - M // 2)) if M * self._log_b < 760.0
                       else (1.0, math.inf))
-            t0 = -info.rem if info.mantissa == p.x0 else (p.x0 - info.mantissa) * b1 * b2 - info.rem
+            bm = b1 * b2
+        units = None if R is not None else ph.rem_units()
+        scales = _scales(p, ph, lo, hi, bm)
+        if scales is None:  # the head cell alone, the usual window
+            if units is None:  # as _offsets_in_units, inline
+                y = x0 - delta
+                r_lo = ((y - y1) * b1 * b2 if y != y1 else 0.0) - R
+                t0 = ((x0 - y1) * b1 * b2 if x0 != y1 else 0.0) - R
+                y = x0 + delta
+                r_hi = ((y - y1) * b1 * b2 if y != y1 else 0.0) - R
+            else:
+                r_lo, t0, r_hi = _offsets_in_units((x0 - delta, x0, x0 + delta),
+                                                   y1, R, b1, b2, units)
             if not math.isfinite(t0):
-                # the window sits at the point's dip distance to float
-                # precision: the kernel's at x holds over any float offset
-                h = self.profile.at_distance(dip_distance_eval(ph, p.x0)(0.0)[1])
+                h = self.profile.at_distance(dip_distance_eval(ph, x0)(0.0)[1])
                 h_log = math.log(h / self.profile.plateau) if h else LOG_ZERO
                 return [], {}, [(-math.inf, math.inf, None, h_log)] if h_log != 0.0 else []
-            scale, half = b1 * b2, p.delta * b1 * b2  # half overflows only beyond every float t0
-            ring = (t0 - half, t0 + half)
-            edges += [ring[0], t0, ring[1]]
-            centres[t0] = info.scale
-            # only the head cell's ring is resolved here: the next cell's ring
-            # starts (x0 - delta - 1) b^(scale+1) above x at the nearest, the
-            # previous one's ends (b - x0 - delta) b^(scale-1) below it
-            near = hi < (p.x0 - p.delta - 1.0) * scale * p.b and -lo < (
-                p.b - p.x0 - p.delta) * scale / p.b
-            rings = [(*ring, t0, info.scale)] if near else None
+            edges = [r_lo, t0, r_hi]
+            if M == 0:  # from M = 1 the support edge lies below the span
+                edges.insert(0, _offsets_in_units((1.0,), y1, R, b1, b2, units)[0])
+            return edges, {t0: M}, [(r_lo, r_hi, t0, M)]
+        edges, centres, rings = _offsets_in_units((b ** -M,), y1, R, b1, b2, units), {}, []
+        for m in scales:
+            k = b ** (m - M)
+            r_lo, t0, r_hi = _offsets_in_units(((x0 - delta) * k, x0 * k, (x0 + delta) * k),
+                                               y1, R, b1, b2, units)
+            if math.isfinite(t0):  # else the ring lies beyond float range of x, and of the span
+                edges += [r_lo, t0, r_hi]
+                centres[t0] = m
+                rings.append((r_lo, r_hi, t0, m))
         return edges, centres, rings
 
     def density_cuts(self, base: ScaledSum, lo: float, hi: float) -> tuple:
@@ -940,12 +939,8 @@ class PhiAC(Component):
 
     def log_window_mass(self, x, c, quad, gamma=0.0):
         """Mass of (x, x+c], or under a :class:`Weight` in place of c: the
-        evaluator of :meth:`log_window_mass_eval` at offset 0, or the
-        density by quadrature where the structure is not resolved."""
-        plan = self._window_plan(x, 0.0, 0.0, c, quad, gamma)
-        if plan is None:
-            return Component._log_weighted_mass(self, x, as_weight(c), quad, gamma)
-        return self._node_mass(plan, 0.0)
+        evaluator of :meth:`log_window_mass_eval` at offset 0."""
+        return self._node_mass(self._window_plan(x, 0.0, 0.0, c, gamma), 0.0)
 
     def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
         """``t -> log_window_mass(base + t, w)`` for t in [lo, hi], by segments
@@ -957,12 +952,10 @@ class PhiAC(Component):
         (0, c], or None for the window itself).  A node then costs a
         bisection into the span's structure and the closed forms.  The
         structure's offsets are taken from the head and exact remainder of
-        base, less t, so near base the dip distance is exact up to
-        ``b^1024``; a node far below a base within float range has each
-        offset rounded at ``ulp(base)``, where ``base.add_offset(t)`` rounds
-        the point itself there.  A span that crosses ``2^50``, where the
-        structure changes form, or whose structure is not resolved (see
-        :meth:`_window_cuts`) takes a window per node.
+        base, less t, for every cell the span meets, so near base the dip
+        distance is exact up to ``b^1024``; a node far below a base within
+        float range has each offset rounded at ``ulp(base)``, where
+        ``base.add_offset(t)`` rounds the point itself there.
 
         Every segment integrates in closed form: plateau segments take the
         power-law antiderivative and dip segments the exponential-integral
@@ -979,18 +972,14 @@ class PhiAC(Component):
         :func:`_tilted_gauss_nodes`, and near a centre its Taylor polynomial
         joins the weight's.  Where the centre offset ``(x0 - y1) b^M - R`` of
         the head cell is beyond float range, the dip distance is the point's
-        over the whole window.
+        over the whole window (see :meth:`_window_cuts`).
 
         The evaluator's batch form ``many(ts)`` takes a round of nodes
         (:meth:`_node_masses`): from ``_GAUSS_BATCH_MIN`` nodes up, an
-        untilted round whose rings are resolved walks as arrays, every
-        node's segments at once (:meth:`_round_masses`).
+        untilted round walks as arrays, every node's segments at once
+        (:meth:`_round_masses`), unless the window sits at one dip distance.
         """
-        plan = self._window_plan(base, lo, hi, w, quad, gamma)
-        if plan is None:
-            ev = super().log_window_mass_eval(base, lo, hi, w, quad, gamma)
-            ev.many = lambda ts: [ev(t) for t in ts]  # the batch form, a window a node
-            return ev
+        plan = self._window_plan(base, lo, hi, w, gamma)
         ev = partial(self._node_mass, plan)
         ev.many = partial(self._node_masses, plan)
         return ev
@@ -999,25 +988,16 @@ class PhiAC(Component):
         """``w -> log_window_mass(base, w)`` for weights w supported in [lo,
         hi], from the set-up of the window (base + lo, base + hi], which
         holds the structure of every such weight."""
-        plan = self._window_plan(base, lo, lo, hi - lo, quad, gamma)
-        if plan is None:
-            return super().log_weight_mass_eval(base, lo, hi, quad, gamma)
-        span = plan[:4]  # (ph, edges, rings, gamma); each weight brings its own (w0, c, shape)
+        span = self._window_plan(base, lo, lo, hi - lo, gamma)[:4]  # a weight adds (w0, c, shape)
         return lambda w: self._node_mass(span + _weight_shape(w), 0.0)
 
-    def _window_plan(self, base, lo, hi, w, quad, gamma):
-        """The set-up of :meth:`log_window_mass_eval` as one tuple; None where
-        the span crosses ``2^50`` or its structure is not resolved."""
-        ph = PointPhase(base)
-        xv = ph.value
+    def _window_plan(self, base, lo, hi, w, gamma):
+        """The set-up of :meth:`log_window_mass_eval` as one tuple."""
         if gamma != 0.0:
             _finite_value(base, "tilted dip density")
-        if (abs(xv + lo) < _FLOAT_SAFE) != (abs(xv + hi) < _FLOAT_SAFE):
-            return None
+        ph = PointPhase(base)
         w0, c, shape = _weight_shape(w)
         edges, _centres, rings = self._window_cuts(ph, hi + w0 + c, lo + w0)
-        if rings is None:
-            return None
         return (ph, edges, rings, gamma, w0, c, shape)
 
     def _node_mass(self, plan, t):
@@ -1069,7 +1049,7 @@ class PhiAC(Component):
     def _node_masses(self, plan, ts):
         """``[_node_mass(plan, t) for t in ts]`` for a round of nodes: by
         :meth:`_round_masses` where the round has ``_GAUSS_BATCH_MIN`` nodes
-        or more, is untilted and its rings are resolved, else node by
+        or more, is untilted and has rings with centres, else node by
         node."""
         _ph, _edges, rings, gamma, *_ = plan
         if len(ts) < _GAUSS_BATCH_MIN or gamma != 0.0 or (rings and rings[0][2] is None):
@@ -1078,7 +1058,7 @@ class PhiAC(Component):
 
     def _round_masses(self, plan, t: np.ndarray) -> np.ndarray:
         """:meth:`_node_mass` of each node t of an untilted plan whose rings
-        are resolved, as one walk over arrays: every node's cuts, the kinds
+        have centres, as one walk over arrays: every node's cuts, the kinds
         of its segments and their closed forms, then a log-sum per node.
 
         The cuts are the span's structure points inside each window, found

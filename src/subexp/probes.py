@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, ProbePreconditionError
 from .logsum import LOG_ZERO, log_sum
-from .quadrature import QuadratureSpec, integrate_log
+from .quadrature import QuadratureSpec
 from .scaledcore import ModelParams, ScaledSum, SequenceSpec, as_point, make_sequence
 from .measures import MixtureDistribution, Weight
 from .convolve import LogBracket, _outer_integral, _self_pair_density
@@ -310,8 +310,12 @@ def sandwich_probe(dist: MixtureDistribution, c: float, c1: float, a: float,
 
     def smoothed(x: ScaledSum, width: float) -> float:
         # P(x < X + U <= x + width) = (1/c) int_0^c dist((x-s, x-s+width]) ds
-        mass = dist.log_window_mass_eval(x, -c, 0.0, width, quad)
-        return integrate_log(lambda s: mass(-s), 0.0, c, quad) - math.log(c)
+        # = int w(t) dist(x + dt), w(t) = |{s in [0, c]: -t <= s < width - t}| / c:
+        # rising from -c, flat at min(width, c)/c, falling to 0 at width
+        rise, fall, top = min(width - c, 0.0), max(width - c, 0.0), min(width, c) / c
+        flat = ((rise, fall, (top,)),) if fall > rise else ()
+        return dist.log_window_mass(x, Weight(((-c, rise, (0.0, 1.0 / c)), *flat, (
+            fall, width, (top, -1.0 / c), (0.0, -1.0 / c)))), quad)
 
     out = []
     for n, x in zip(ns, pts):

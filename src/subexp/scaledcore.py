@@ -479,6 +479,15 @@ class PointPhase:
         # point overflows, and base.value() would find it by an exception
         self.value = math.inf if info is not None and self.head_log > 710.0 else base.value()
 
+    def rem_units(self) -> list:
+        """The remainder's terms in units of the head's ``b^M``, each exact for
+        a power-of-two b: their ``math.fsum`` is the remainder rounded once."""
+        base = self.base
+        b, M = base.b, self.info.scale
+        units = [s * y * b ** (m - M) for s, m, y in base.terms[1:]]
+        units.append(base.offset * b ** -(M // 2) * b ** -(M - M // 2))
+        return units
+
     def log_point(self, t: float) -> float:
         """log(base + t); -inf where base + t <= 0.  Within float range the
         head and remainder are added as floats, so the point is rounded once
@@ -488,7 +497,10 @@ class PointPhase:
             u = self.value + t
             return math.log(u) if u > 0.0 else _LOG_ZERO
         if info.rem is None:
-            return self.head_log  # O(1) offsets are below the remainder's resolution
+            # O(1) offsets are below the remainder's resolution; the
+            # remainder itself is below 2^-19 of the head
+            return self.head_log + math.log1p(
+                info.rem_sign * math.exp(info.rem_log - self.head_log))
         v = info.rem + t
         if self.head is not None:
             u = self.head + v
@@ -528,8 +540,7 @@ def dip_distance_eval(ph: PointPhase, x0: float):
     # b^-M = binv1 binv2, each a normal float where b^-M is not
     binv1, binv2 = (b ** -M, 1.0) if Mlnb < 708.0 else (b ** -(M // 2), b ** -(M - M // 2))
     if R is None:
-        scaled = [s * y * b ** (m - M) for s, m, y in base.terms[1:]]
-        scaled.append(base.offset * binv1 * binv2)
+        scaled = ph.rem_units()
         far_rel, far_d = math.fsum(scaled), math.fsum([dy, *scaled])
 
     def kernel(t: float):

@@ -63,9 +63,8 @@ def mu(profile, m_norm):
 @pytest.fixture
 def eval_count(monkeypatch):
     """A one-item list that counts every integrand evaluation of the
-    integrals run by ``measures``, ``convolve`` and ``probes``, nested ones
-    included."""
-    from subexp import convolve, measures, probes, quadrature
+    integrals run by ``measures`` and ``convolve``, nested ones included."""
+    from subexp import convolve, measures, quadrature
 
     count = [0]
 
@@ -77,7 +76,6 @@ def eval_count(monkeypatch):
 
     monkeypatch.setattr(convolve, "integrate_log", counting)
     monkeypatch.setattr(measures, "integrate_log", counting)
-    monkeypatch.setattr(probes, "integrate_log", counting)
     return count
 
 

@@ -332,7 +332,7 @@ class TestSmoothing:
 def test_no_quadrature_runs_inside_another(mu, quad, uni, monkeypatch):
     # the convolution pairs whose outer integral is a quadrature: the inner
     # masses it asks for are closed forms or fixed rules
-    from subexp import ParetoAC, convolve, measures, probes, quadrature
+    from subexp import ParetoAC, convolve, measures, quadrature
 
     depth, calls = [0], [0]
 
@@ -345,7 +345,7 @@ def test_no_quadrature_runs_inside_another(mu, quad, uni, monkeypatch):
         finally:
             depth[0] -= 1
 
-    for module in (convolve, measures, probes):
+    for module in (convolve, measures):
         monkeypatch.setattr(module, "integrate_log", guarded)
     mix = MixtureDistribution(components=((0.5, UniformAC(0.0, 1.0)), (0.5, PointMass(1.5))))
     tp = tilt(MixtureDistribution.single(ParetoAC(1.0)), -1.0, quad)

@@ -146,13 +146,13 @@ class TestReports:
         # every integrand stripped of its batch form, as a tracer that wraps
         # it in a plain function does: each quadrature round then runs node
         # by node through the scalar rules
-        from subexp import convolve, gallery, measures, probes, quadrature
+        from subexp import convolve, gallery, measures, quadrature
 
         def plain(f, *args, **kwargs):
             return quadrature.integrate_log(lambda t: f(t), *args, **kwargs)
 
         batched = request.getfixturevalue(name)
-        for mod in (convolve, measures, probes):
+        for mod in (convolve, measures):
             monkeypatch.setattr(mod, "integrate_log", plain)
         stripped = gallery.REPORTS[name](spec_default)
         assert ({k: v.classification for k, v in stripped.verdicts.items()}

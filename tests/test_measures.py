@@ -31,7 +31,7 @@ from subexp import (
     tilt,
 )
 from subexp import measures
-from subexp.measures import Weight, dip_cuts, phi_integral_log
+from subexp.measures import Weight, phi_integral_log
 from subexp.convolve import conv_local_mass, oracle_window_mass, phi_self_conv_at, phi_values
 from subexp.probes import long_tail_probe
 from subexp.scaledcore import phi_log_value
@@ -413,12 +413,84 @@ def test_single_level_queries_run_no_quadrature(mu, params, quad, eval_count):
                 local_mass(dist, x, 0.5, quad)
                 tail(dist, x, quad)
     assert eval_count[0] == 0
+    # windows whose structure reaches beyond the head cell or beyond float
+    # range: spans across 2^50, windows 0.5 to 5 times their point wide,
+    # and remainders beyond float range (the centre 4^600 x0 itself, a
+    # plateau point, a ring point), each against mpmath at the exact point
+    phi = mu.components[0][1]
+    ring = params.x0 + 0.5 * params.delta
+    windows = [(ScaledSum.scaled(24, 3.0), 5e14), (ScaledSum.scaled(24, ring), 2e15),
+               (ScaledSum.from_float(2.0 ** 50 - 0.5), 1.0),
+               (ScaledSum.scaled(25, 1.0, offset=-3.0), 4.0)]
+    windows += [(ScaledSum.scaled(n, y), k * params.b ** n * y)
+                for n, y, k in ((26, params.x0, 0.5), (26, 1.3, 5.0), (40, ring, 2.0),
+                                (100, params.x0, 1.0), (300, 1.3, 0.5), (300, ring, 5.0))]
+    for terms in (((1, 600, 2.0 + 2.0 ** -51), (-1, 574, 2.0)), ((1, 600, 3.0), (1, 589, 3.0)),
+                  ((1, 600, ring), (-1, 590, 1.5))):
+        x = ScaledSum(b=params.b, terms=terms)
+        assert x.is_canonical() and x.phase().rem is None
+        windows += [(x, 1.0), (x, 1e300)]
+    for x, c in windows:
+        got = phi.log_window_mass(x, c, quad)
+        ref = _mp_window_log(params, phi.m_log, x, c)
+        assert abs(got - ref) <= 1e-12, (x, c, got, ref)
+    # the same span across 2^50 node by node through one evaluator
+    x = ScaledSum.scaled(24, 3.0)
+    ev = phi.log_window_mass_eval(x, 0.0, 5e14, 1.0, quad)
+    for t in (0.0, 2.5e14, 5e14):
+        assert ev(t) == phi.log_window_mass(x.add_offset(t), 1.0, quad), t
+    assert eval_count[0] == 0
+
+
+def _mp_window_log(params, m_log, x, c):
+    """log mu((x, x+c]) at the exact point of x, by mpmath: the offsets of
+    the support edge and of the centres and ring edges of every cell the
+    window meets, from the exact point at 3500 bits, then the density over
+    the window's offsets at 50 digits, relative to ``u^(-alpha-1)``."""
+    mp = pytest.importorskip("mpmath")
+    a1 = params.alpha + 1
+    with mp.workprec(3500):
+        b = mp.mpf(params.b)
+        u = sum((s * mp.mpf(y) * b ** m for s, m, y in x.terms), mp.mpf(x.offset))
+        with mp.workprec(64):
+            m_lo = int(mp.floor(mp.log(u) / mp.log(b))) - 1
+            m_hi = int(mp.floor(mp.log(u + c) / mp.log(b))) + 1
+        cuts, rings = {1 - u}, []
+        for m in range(max(m_lo, 0), m_hi + 1):
+            centre, half = b ** m * params.x0 - u, b ** m * params.delta
+            cuts |= {centre - half, centre, centre + half}
+            rings.append((centre - half, centre + half, centre, m))
+        cuts = sorted(t for t in cuts if 0 < t < c)
+    with mp.workdps(50):
+        log_b, log_u = mp.log(params.b), mp.log(u)
+        plateau = -1 / mp.log(mp.mpf(params.delta))
+        ends = [mp.mpf(0), *(mp.mpf(t) for t in cuts), mp.mpf(c)]
+        total = 0
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            mid = (lo + hi) / 2
+            if u + mid < 1:
+                continue
+            dip = next(((t0, m) for r_lo, r_hi, t0, m in rings if r_lo < mid < r_hi), None)
+
+            def f(t, dip=dip):
+                if dip is None:
+                    h = plateau
+                elif t == dip[0]:
+                    return mp.mpf(0)
+                else:
+                    h = -1 / (mp.log(abs(t - dip[0])) - dip[1] * log_b)
+                return (1 + t / u) ** -a1 * h
+
+            total += mp.quad(f, [lo, hi])
+        return float(mp.log(total) - a1 * log_u - mp.mpf(m_log))
 
 
 def test_scale_walk_meets_every_ring(mu, params, quad, monkeypatch):
-    # the cells walked by _scales against a walk three cells wider on each
-    # side: windows at anchors, in rings and on plateaus, 4^0 to 4^1024,
-    # widths 1e-6 to 37, and dip_cuts ranges, all bit for bit
+    # the cells walked by _scales, the head cell alone where the span stays
+    # within its reach, against a walk from the logs three cells wider on
+    # each side wherever b^M is a float: windows at anchors, in rings and
+    # on plateaus, 4^0 to 4^1024, widths 1e-6 to 37, and absolute ranges,
+    # all bit for bit
     phi = mu.components[0][1]
     rng = random.Random(11)
     windows = []
@@ -434,16 +506,39 @@ def test_scale_walk_meets_every_ring(mu, params, quad, monkeypatch):
         lo = math.exp(rng.uniform(0.0, 30.0)) * rng.choice([1.0, params.x0, params.b])
         lo += rng.uniform(-3.0, 3.0)
         ranges.append((lo, lo + math.exp(rng.uniform(math.log(1e-6), math.log(1e4)))))
+    for _ in range(300):  # points below the support edge, the window below it or across it
+        x = ScaledSum.from_float(rng.choice([rng.uniform(-3.0, 1.0), rng.uniform(0.0, 1e-3)]))
+        windows.append((x, math.exp(rng.uniform(math.log(1e-6), math.log(37.0)))))
+
+    # evaluator spans that meet a neighbouring cell's ring only because the
+    # point's remainder r moves it out of its head cell towards that ring
+    b, x0, delta = params.b, params.x0, params.delta
+    spans = []
+    for n in (12, 30):
+        r = b ** n * 2.0 ** -22
+        for y, off, edge in ((1.0, -r, (x0 + delta) * b ** (n - 1)),
+                             (b - 2.0 ** -50, r, (x0 - delta) * b ** (n + 1))):
+            x = ScaledSum.scaled(n, y, offset=off)
+            assert x.phase().rem == off
+            t = (edge - b ** n * y) - off  # the ring edge's offset from x
+            spans.append((x, t - 0.5 * r, t + 0.5 * r))
 
     def run():
         return ([phi.log_window_mass(x, c, quad) for x, c in windows],
-                [dip_cuts(params, lo, hi) for lo, hi in ranges])
+                [phi.density_cuts(ScaledSum.zero(params.b), lo, hi) for lo, hi in ranges],
+                [phi.log_window_mass_eval(x, lo, hi, 1.0, quad)(t)
+                 for x, lo, hi in spans for t in (lo, 0.5 * (lo + hi), hi)])
 
     trimmed = run()
 
-    def brute(p, lo, hi):
-        m_lo = math.floor(math.log(max(lo, 1.0)) / p.log_b) - 3
-        return range(max(m_lo, 0), math.floor(math.log(hi) / p.log_b) + 4)
+    def brute(p, ph, lo, hi, bm):
+        if bm == math.inf:  # no cell but the head cell's within float range
+            return None
+        hi_log = ph.log_point(hi)
+        if not hi_log >= 0.0:
+            return ()
+        m_lo = math.floor(max(ph.log_point(lo), 0.0) / p.log_b) - 3
+        return range(max(m_lo, 0), math.floor(hi_log / p.log_b) + 4)
 
     monkeypatch.setattr("subexp.measures._scales", brute)
     assert run() == trimmed
@@ -535,13 +630,14 @@ class TestGaussRounds:
     wide = ModelParams(b=8.0, x0=2.4, delta=0.9, x1=1.0, x2=1.5)
 
     @pytest.mark.parametrize("weight", sorted(weights))
-    @pytest.mark.parametrize("case", ["series", "cut", "halved", "support"])
+    @pytest.mark.parametrize("case", ["series", "cut", "halved", "support", "far"])
     def test_round_walk_takes_every_segment_kind(self, mu, params, quad, case, weight):
         # rounds built to reach one kind of segment, all through the round
         # walk, against the scalar walk node by node; the walk's rows show
         # the kind was taken: series pieces within 2^-8 x0 b^m of a centre,
-        # pieces cut at +-2^k r0, Gauss rules halved below a ratio of 2, and
-        # windows across the support edge at 1
+        # pieces cut at +-2^k r0, Gauss rules halved below a ratio of 2,
+        # windows across the support edge at 1, and around a centre reached
+        # by a remainder beyond float range
         phi = mu.components[0][1]
         if case == "series":  # around the centre 4^6 x0, within r0 = 32 of it
             x, lo, hi = ScaledSum.scaled(6, params.x0), -16.0, 16.0
@@ -550,8 +646,11 @@ class TestGaussRounds:
         elif case == "halved":  # up to the wide ring's upper edge at 3.3
             phi = PhiAC(profile=PeriodicProfile(self.wide), m_log=0.0)
             x, lo, hi = ScaledSum.from_float(2.5, self.wide.b), -0.2, 0.2
-        else:  # windows that start below 1
+        elif case == "support":  # windows that start below 1
             x, lo, hi = ScaledSum.from_float(0.25), 0.0, 1.0
+        else:  # 4^600 (2 + 2^-51) - 4^574 2, the centre 4^600 x0 itself
+            x = ScaledSum(b=4.0, terms=((1, 600, 2.0 + 2.0 ** -51), (-1, 574, 2.0)))
+            lo, hi = -16.0, 16.0
         w = self.weights[weight]
         ev = phi.log_window_mass_eval(x, lo, hi, w, quad)
         ts = [lo + (hi - lo) * (i + 0.5) / 97 for i in range(97)]
@@ -579,8 +678,10 @@ class TestGaussRounds:
             assert np.any(k == np.round(k))
         elif case == "halved":
             assert np.any(gauss[9] < 2.0)
-        else:
+        elif case == "support":
             assert x.value() + lo + w.lo < 1.0 < x.value() + hi + w.hi
+        else:
+            assert x.phase().rem is None and series.shape[1] > 0
 
     @settings(max_examples=60, deadline=None)
     @given(us=st.lists(st.one_of(

@@ -830,6 +830,25 @@ def test_profile_at_far_points(delta, x, t):
             assert _agree(plain, _mp_phi_log(params, ut))
 
 
+@pytest.mark.parametrize("terms", [
+    ((1, 600, 3.0), (1, 589, 3.0)),  # 2^-22 of the head above it
+    ((1, 600, 3.0), (-1, 582, 1.5)),
+    ((1, 1024, 1.5), (-1, 1005, 3.5)),
+    ((1, 560, 2.0 + 2.0 ** -51), (-1, 534, 2.0)),  # the centre 4^560 x0
+])
+def test_log_point_where_the_remainder_is_beyond_float_range(terms):
+    # the remainder absorbs any float offset, and enters log_point through
+    # log1p of its ratio to the head
+    x = ScaledSum(b=4.0, terms=terms)
+    assert x.is_canonical() and x.phase().rem is None
+    ph = PointPhase(x)
+    with mp.workprec(EXACT_PREC):
+        ref = mp.log(_mp_point(x))
+    for t in (0.0, -1.0, 1e300):
+        assert _agree(ph.log_point(t), ref)
+    assert _agree(x.log_abs(), ref)
+
+
 @pytest.mark.parametrize("n, y, off", [
     (520, _HEAD, 1e300),  # the remainder is 2^-43.4 in mantissa units, 2^-51 the head's distance
     (530, _HEAD, 1e308),

@@ -13,6 +13,7 @@ from subexp import (
     SequenceSpec,
     UniformAC,
     classify_limit,
+    integrate_log,
     long_tail_probe,
     sandwich_probe,
     scaling_probe,
@@ -204,6 +205,27 @@ class TestSandwich:
         last = entries[-1]
         assert abs(last.j1 - 0.8) < 0.01
         assert abs(last.j2 - 1.25) < 0.01
+
+
+    @pytest.mark.parametrize("c1", [0.125, 0.25, 1.0])
+    def test_bounds_match_the_smoothing_integral(self, mu, quad, params, c1):
+        # each smoothed window is one weighted mass under a trapezoid weight;
+        # the oracle integrates the window masses over the uniform's shift,
+        # for widths below, equal to and above c
+        c, a = 0.25, 1.0
+        uni = MixtureDistribution.single(UniformAC(0.0, params.b))
+
+        def smoothed(dist, x, width):
+            mass = dist.log_window_mass_eval(x, -c, 0.0, width, quad)
+            return integrate_log(lambda s: mass(-s), 0.0, c, quad) - math.log(c)
+
+        for dist, pts in ((mu, [ScaledSum.scaled(n, 3.0) for n in (3, 6)]),
+                          (uni, [ScaledSum.from_float(1.5, params.b)])):
+            got = sandwich_probe(dist, c, c1, a, pts, quad, params=params)
+            for e, x in zip(got, pts):
+                j1 = math.exp(smoothed(dist, x.add_offset(a), c1) - smoothed(dist, x, c1 + c))
+                j2 = math.exp(smoothed(dist, x.add_offset(a), c1 + c) - smoothed(dist, x, c1))
+                assert e.j1 == pytest.approx(j1, rel=1e-12) and e.j2 == pytest.approx(j2, rel=1e-12)
 
 
 class TestTiltIdentity:
