@@ -48,7 +48,7 @@ from .measures import (
     normalizer_M,
     tilt,
 )
-from .convolve import ConvPlan, LogBracket, bracket_pair, conv_local_mass, phi_self_conv_at
+from .convolve import LogBracket, bracket_pair, conv_local_mass, phi_self_conv_at
 from .probes import (
     RatioSeries,
     _entry,
@@ -191,13 +191,12 @@ class PhiDensityHandle:
         self.mu = mu
         self.profile = self.component.profile
         self.quad = spec.quad
-        self.plan = ConvPlan(spec.params)
 
     def log_value(self, x) -> float:
         return phi_log_value(self.profile, x) - self.component.m_log
 
     def log_self_conv(self, x):
-        raw = phi_self_conv_at(self.profile, x, self.quad, self.plan)
+        raw = phi_self_conv_at(self.profile, x, self.quad)
         m2 = 2 * self.component.m_log
         if isinstance(raw, LogBracket):
             return LogBracket(raw.lo - m2, raw.hi - m2)
@@ -224,7 +223,6 @@ class BridgeDensityHandle:
         self.c = c
         self.mu = mu or build_mu(spec)
         self.quad = spec.quad
-        self.plan = ConvPlan(spec.params)
         # (p * p)(x) = int tri(s) (mu*mu)(x - s) ds = int tri(-t) (mu*mu)(x + dt)
         self.triangle = Weight(((-2.0 * c, -c, (0.0, 1.0 / c ** 2)),
                                 (-c, 0.0, (1.0 / c, -1.0 / c ** 2))))
@@ -233,7 +231,7 @@ class BridgeDensityHandle:
         return local_density(self.mu, x, self.c, self.quad)
 
     def log_self_conv(self, x: ScaledSum):
-        return conv_local_mass(self.mu, self.mu, x, self.triangle, self.quad, self.plan)
+        return conv_local_mass(self.mu, self.mu, x, self.triangle, self.quad)
 
     def log_sd_denominator(self, x: ScaledSum) -> float:
         return self.log_value(x)
@@ -314,8 +312,8 @@ def series_rows(series: RatioSeries, params: ModelParams) -> list:
 # reports
 # ---------------------------------------------------------------------------
 
-def _conv_ratio_series(name, mu, pts, ns, c, quad, plan) -> RatioSeries:
-    entries = tuple(_entry(x, conv_local_mass(mu, mu, x, c, quad, plan),
+def _conv_ratio_series(name, mu, pts, ns, c, quad) -> RatioSeries:
+    entries = tuple(_entry(x, conv_local_mass(mu, mu, x, c, quad),
                            mu.log_window_mass(x, c, quad), n=n, c=c)
                     for n, x in zip(ns, pts))
     return RatioSeries(name=name, entries=entries, meta={"c": c, "target": 2.0})
@@ -337,7 +335,6 @@ def thm11_report(spec: GallerySpec) -> Report:
     """Local self-convolution evidence and the non-uniformity witness."""
     mu = build_mu(spec)
     quad = spec.quad
-    plan = ConvPlan(spec.params)
     p = spec.params
     ns = [int(n) for n in spec.n_range]
 
@@ -354,11 +351,9 @@ def thm11_report(spec: GallerySpec) -> Report:
 
     pts_y3 = make_sequence(SequenceSpec("fixed-y", 3.0, tuple(ns)), p)
     for c in (0.5, 1.0, 2.0):
-        series.append(_conv_ratio_series(f"conv2[y=3,c={c:g}]", mu, pts_y3, ns, c,
-                                         quad, plan))
+        series.append(_conv_ratio_series(f"conv2[y=3,c={c:g}]", mu, pts_y3, ns, c, quad))
     pts_l0 = make_sequence(SequenceSpec("lambda", 0.0, tuple(ns)), p)
-    series.append(_conv_ratio_series("conv2[lam=0,c=1]", mu, pts_l0, ns, 1.0,
-                                     quad, plan))
+    series.append(_conv_ratio_series("conv2[lam=0,c=1]", mu, pts_l0, ns, 1.0, quad))
 
     handle = PhiDensityHandle(spec, mu)
     sd_ns = tuple(range(2, max(ns) + 1))
@@ -381,7 +376,6 @@ def thm12_report(spec: GallerySpec) -> Report:
     """Divergence along the sparse interval family and the smoothed pair."""
     p = spec.params
     quad = spec.quad
-    plan = ConvPlan(p)
     mu = build_mu(spec)
     mu1 = build_mu1(spec)
     fam = interval_family(spec)
@@ -393,9 +387,9 @@ def thm12_report(spec: GallerySpec) -> Report:
         * prof.value(ScaledSum.from_float(p.x0 + mid, p.b)) * p.log_b
 
     def r_k(k, anchor):
-        num = conv_local_mass(mu, mu1, anchor, 1.0, quad, plan)
+        num = conv_local_mass(mu, mu1, anchor, 1.0, quad)
         den = mu.log_window_mass(anchor, 1.0, quad)
-        num_shift = conv_local_mass(mu, mu1, anchor.add_offset(1.0), 1.0, quad, plan)
+        num_shift = conv_local_mass(mu, mu1, anchor.add_offset(1.0), 1.0, quad)
         den_shift = mu.log_window_mass(anchor.add_offset(1.0), 1.0, quad)
         n_k = fam.n_k[k - 1]
         lead = 1.0 + 2.0 ** -k * lead_coeff * n_k
@@ -418,8 +412,8 @@ def thm12_report(spec: GallerySpec) -> Report:
 
     def pair_rows(k, anchor):
         den = mu.log_window_mass(anchor, g1, quad)
-        b = conv_local_mass(mu, mu1, anchor, g2, quad, plan)
-        c_lo, c_hi = bracket_pair(conv_local_mass(mu, mu, anchor, g2, quad, plan))
+        b = conv_local_mass(mu, mu1, anchor, g2, quad)
+        c_lo, c_hi = bracket_pair(conv_local_mass(mu, mu, anchor, g2, quad))
         b1 = mu.log_window_mass(anchor, g2, quad)
 
         half_den = math.log(0.5) + den
@@ -501,12 +495,11 @@ def prop11_report(spec: GallerySpec) -> Report:
     """Window-density bridge checks: dual ratios, smoothing, sandwich."""
     p = spec.params
     quad = spec.quad
-    plan = ConvPlan(p)
     mu = build_mu(spec)
     ns = [int(n) for n in spec.n_range]
     pts = make_sequence(SequenceSpec("fixed-y", 3.0, tuple(ns)), p)
 
-    series = [_conv_ratio_series("window_conv2[c=1]", mu, pts, ns, 1.0, quad, plan)]
+    series = [_conv_ratio_series("window_conv2[c=1]", mu, pts, ns, 1.0, quad)]
 
     bridge = BridgeDensityHandle(spec, 1.0, mu)
     bridge_ns = tuple(n for n in ns if n % 2 == 0) or tuple(ns[-1:])

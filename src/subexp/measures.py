@@ -77,11 +77,14 @@ _LOG_2_56 = 56.0 * math.log(2.0)
 # A round of window nodes this large or larger walks as arrays
 # (PhiAC._round_masses), a smaller one node by node.  The array walk's numpy
 # calls cost a fixed time a round: on the rounds of one pass of the reports
-# (2-core Xeon, numpy 2.4, CPython 3.11) it took 0.43 ms plus 1.5 us a node
-# on unit windows and 0.66 ms plus 2.5 us a node on weighted ones, against a
-# median of 4.7 and 41 us a node node by node.  Over that pass the round
-# walks cost 91-94 ms from any crossover up to 50 nodes, 102 ms from 80, and
-# 237 ms node by node; every round of mixtures holds 41 nodes or fewer.
+# (2-core Xeon, numpy 2.4, CPython 3.11) it took 0.33 ms plus 0.7-0.8 us a
+# node on unit windows and 0.6 ms plus 2.6-3.0 us a node on weighted ones,
+# against a median of 3.8 and 44 us a node node by node.  The benchmark's
+# traffic (seeds 1 and 9): a reports pass sends 126 of its 128 rounds
+# (22,782 nodes) through arrays; mixtures runs 148 rounds of 41 nodes or
+# fewer, and its 64 conv_u_mu operations took 75-77 ms with every round
+# forced through arrays against 51-53 ms node by node; far-windows runs
+# 14,129 single windows and no round.
 _GAUSS_BATCH_MIN = 48
 
 
@@ -351,10 +354,10 @@ def _gauss_legendre(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _gauss_laguerre(n: int) -> tuple:
     """The n-node Gauss-Laguerre rule on [0, inf) for the weight e^-t as
-    (node, weight) pairs: Newton's method on the Laguerre polynomial L_n in
-    fixed point at 2^-200, from the guesses of Numerical Recipes' ``gaulag``
-    as floats, so that each node and weight ``1 / (t L_n'(t)^2)`` rounds
-    once."""
+    (node, weight) pairs: Newton's method on the Laguerre polynomial L_n
+    from the guesses of Numerical Recipes' ``gaulag``, in floats until a
+    step is below 2^-40 of the node, then in fixed point at 2^-200, so that
+    each node and weight ``1 / (t L_n'(t)^2)`` rounds once."""
     one = 1 << 200
     rule = []
     for i in range(n):
@@ -364,6 +367,14 @@ def _gauss_laguerre(n: int) -> tuple:
             t = rule[0][0] + 15.0 / (1.0 + 2.5 * n)
         else:
             t = rule[-1][0] + (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (rule[-1][0] - rule[-2][0])
+        for _ in range(100):
+            p0, p1 = 1.0, 1.0 - t
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1 - t) * p1 - (k - 1) * p0) / k
+            step = p1 * t / (n * (p1 - p0))
+            t -= step
+            if abs(step) <= 2.0 ** -40 * t:
+                break
         x = int(t * one)
         for _ in range(100):
             p0, p1 = one, one - x  # L_(k-1), L_k by the three-term recurrence
@@ -501,10 +512,10 @@ def _times_weight(f, w: Weight, t0: float):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _rule_arrays(rule, n: int) -> tuple:
-    """The n-node ``rule`` (:func:`_gauss_legendre` or
-    :func:`_gauss_laguerre`) as read-only arrays of nodes and weights."""
-    z, w = (np.array(v) for v in zip(*rule(n)))
+def _rule_arrays(n: int) -> tuple:
+    """The n-node :func:`_gauss_legendre` rule as read-only arrays of nodes
+    and weights."""
+    z, w = (np.array(v) for v in zip(*_gauss_legendre(n)))
     z.flags.writeable = w.flags.writeable = False
     return z, w
 
@@ -516,14 +527,20 @@ def _gauss_nodes_many(ratio: np.ndarray) -> np.ndarray:
     return np.maximum(1, np.ceil(28.0 * math.log(2.0) / np.log(rho))).astype(int)
 
 
+def _weight_ends(shape) -> list:
+    """The polynomials of a weight's pieces from each end, as ``(origin,
+    coeffs)`` (see :func:`_nearer_end`): the lower end's of piece j is row 2j
+    and the upper end's row 2j + 1."""
+    return [end for lo, hi, coeffs, upper in shape.pieces for end in ((lo, coeffs), (hi, upper))]
+
+
 def _weight_polys(shape) -> tuple:
-    """The polynomials of a weight's pieces, from each end (see
-    :func:`_nearer_end`): the lower end's of piece j is row 2j and the
-    upper end's row 2j + 1.  As ``(origins, coefficients padded with zeros,
-    extra Gauss nodes ceil(deg/2))``; None for the window itself."""
+    """The rows of :func:`_weight_ends` as ``(origins, coefficients padded
+    with zeros, extra Gauss nodes ceil(deg/2))``; None for the window
+    itself."""
     if shape is None:
         return None
-    polys = [end for lo, hi, coeffs, upper in shape.pieces for end in ((lo, coeffs), (hi, upper))]
+    polys = _weight_ends(shape)
     k = max(len(c) for _o, c in polys)
     return (np.array([o for o, _c in polys]),
             np.array([c + (0.0,) * (k - len(c)) for _o, c in polys]),
@@ -538,8 +555,8 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _gauss_sums(n: np.ndarray, cols: tuple, f, rule=_gauss_legendre) -> np.ndarray:
-    """Each row's sum over the Gauss ``rule`` of ``n[i]`` nodes, one numpy
+def _gauss_sums(n: np.ndarray, cols: tuple, f) -> np.ndarray:
+    """Each row's sum over the Gauss-Legendre rule of ``n[i]`` nodes, one numpy
     pass per rule size: ``f(z, *cols)`` is the integrand at the nodes ``z``
     (a row) of the rows of ``cols`` (columns, or a matrix of them)."""
     order = np.argsort(n, kind="stable")
@@ -549,7 +566,7 @@ def _gauss_sums(n: np.ndarray, cols: tuple, f, rule=_gauss_legendre) -> np.ndarr
     total = np.empty(len(n))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi > lo:
-            z, wt = _rule_arrays(rule, int(n[lo]))
+            z, wt = _rule_arrays(int(n[lo]))
             total[order[lo:hi]] = f(z, *(c[lo:hi] for c in cols)) @ wt
     return total
 
@@ -978,6 +995,9 @@ class PhiAC(Component):
         (:meth:`_node_masses`): from ``_GAUSS_BATCH_MIN`` nodes up, an
         untilted round walks as arrays, every node's segments at once
         (:meth:`_round_masses`), unless the window sits at one dip distance.
+        Its plateau segments and its dip segments far enough to one side of
+        their centre for a Gauss rule take array forms; the few near a
+        centre take :meth:`_log_dip_mass` as a node does.
         """
         plan = self._window_plan(base, lo, hi, w, gamma)
         ev = partial(self._node_mass, plan)
@@ -1066,13 +1086,13 @@ class PhiAC(Component):
         bisection, and the weight's inner knots.  A segment is dropped where
         it has no width or lies below the support edge; it takes its weight
         piece by its midpoint and its ring by a ``searchsorted`` of its
-        point, checked in window offsets as the scalar walk compares.  Dip
-        segments then split into Gauss rows (halved below a ratio of 2),
-        series rows and the pieces cut at ``±2^k r0`` of :meth:`_log_dip_mass`;
-        plateau segments take the power-law antiderivative or, weighted,
-        Gauss rows.  Each kind is one numpy pass (the Gauss rows one per
-        rule size), and the terms agree with the scalar forms within a few
-        ulps."""
+        point, checked in window offsets as the scalar walk compares.  The
+        two bulk kinds are arrays: plateau segments take the power-law
+        antiderivative or, weighted, Gauss rows, and dip segments on one side
+        of their centre at a ratio of ``_DIP_GAUSS_MIN_RATIO`` or more take
+        Gauss rows, one numpy pass per rule size.  Every other dip segment,
+        near a centre, takes the scalar :meth:`_log_dip_mass`.  The terms
+        agree with the scalar forms within a few ulps."""
         ph, edges, rings, _gamma, w0, c, shape = plan
         n = len(t)
         s = t + w0
@@ -1116,11 +1136,9 @@ class PhiAC(Component):
         pl = ring < 0
         terms = [(node[pl], self._plateau_masses(ph, sn[pl], a[pl], b[pl], poly[pl], polys))]
         if not pl.all():
-            dp, r = ~pl, ring[~pl]
-            lnbm = np.array([m * self._log_b for *_r, m in rings])
-            bm = np.array([math.exp(v) if v < 700.0 else math.inf for v in lnbm.tolist()])
-            seg = np.array((node[dp], poly[dp], lnbm[r], bm[r], r_t0[r] - sn[dp]))
-            terms += self._dip_masses(seg, a[dp], b[dp], mid[dp], polys)
+            dp = ~pl
+            terms += self._dip_masses(rings, shape, polys, node[dp], poly[dp], ring[dp],
+                                      r_t0[ring[dp]] - sn[dp], a[dp], b[dp])
         return _log_sums(n, *(np.concatenate(v) for v in zip(*terms)))
 
     def _plateau_masses(self, ph: PointPhase, s, a, b, poly, polys) -> np.ndarray:
@@ -1147,78 +1165,42 @@ class PhiAC(Component):
                             (r, h, mid - origin[poly], table[poly]), f)
         return _row_logs(self._k_log - a1 * log_x + np.log(h), total)
 
-    def _dip_masses(self, seg: np.ndarray, a, b, mid, polys) -> list:
-        """:meth:`_log_dip_mass` (untilted) of each segment ``(a, b)`` in a
-        ring, with ``seg`` the rows ``(node, poly, lnbm, bm, t0)``: its
-        node, weight row, the scale of its ring and the window offset of its
-        centre.  Each segment, or each piece of a segment cut at ``±2^k
-        r0``, becomes a Gauss row or a series piece, in the rows of ``seg``
-        and ``(d1, d2, h, d_mid, ratio, mid)``: its ends' offsets from the
-        centre, half-width, midpoint offset and ratio as there, and its
-        midpoint in window offsets.  Returned as two ``(node, log mass)``
-        pairs of arrays, the Gauss rows' and the series pieces'."""
-        _node, _poly, _lnbm, bm, t0 = seg
+    def _dip_masses(self, rings, shape, polys, node, poly, ring, t0, a, b) -> list:
+        """:meth:`_log_dip_mass` (untilted) of each segment ``(a, b)`` of a
+        node in the ring ``rings[ring]``, whose centre lies at the window
+        offset t0, under the weight row ``poly`` (see :func:`_weight_polys`).
+        A segment on one side of its centre at a ratio of
+        ``_DIP_GAUSS_MIN_RATIO`` or more, the bulk of a round, is a Gauss row
+        (:meth:`_dip_gauss_rows`); every other takes the scalar form, which
+        picks the series or the cut at ``±2^k r0``.  Returned as two ``(node,
+        log mass)`` pairs of arrays."""
+        lnbm = np.array([m * self._log_b for *_r, m in rings])
+        bm = np.array([math.exp(v) if v < 700.0 else math.inf for v in lnbm.tolist()])
+        lnbm, bm = lnbm[ring], bm[ring]
         d1, d2 = a - t0, b - t0
         h = 0.5 * (b - a)
         d_mid = 0.5 * d1 + 0.5 * d2
         with np.errstate(over="ignore"):  # inf for an ulp-wide segment far out, as in floats
             ratio = np.minimum(np.abs(d_mid), bm - np.abs(d_mid)) / h
-        r0 = bm * min(self.params.x0, 2.0) * _DIP_SERIES_REACH
-        reach = np.maximum(-d1, d2)
-        # a segment off a Gauss rule that reaches beyond r0 is cut at
-        # +-2^k r0 from its centre, k from 0 while 2^k r0 < reach
-        one_side = np.sign(d1) * np.sign(d2) > 0.0  # d1 d2 > 0, which may overflow
-        cut = (reach > r0) & ~(one_side & (ratio >= _DIP_GAUSS_MIN_RATIO))
-        whole, cut = np.flatnonzero(~cut), np.flatnonzero(cut)
-        lo, hi, k, top = d1[cut], d2[cut], r0[cut], reach[cut]
-        group, points, live = [np.zeros(0, int)], [np.zeros(0)], np.arange(cut.size)
-        while live.size:
-            kk = k[live]
-            for v in (-kk, kk):
-                inside = (lo[live] < v) & (v < hi[live])
-                group.append(live[inside])
-                points.append(v[inside])
-            k[live] = kk * 2.0
-            live = live[k[live] < top[live]]
-        g, p, q = _segments(lo, hi, np.concatenate(group), np.concatenate(points))
-        # every piece: a whole segment, or one of a cut one's
-        src = np.concatenate((whole, cut[g]))
-        p, q = np.concatenate((d1[whole], p)), np.concatenate((d2[whole], q))
-        h = np.concatenate((h[whole], 0.5 * (q[whole.size:] - p[whole.size:])))
-        d_mid = 0.5 * p + 0.5 * q
-        mid = np.concatenate((mid[whole], t0[src[whole.size:]] + d_mid[whole.size:]))
-        with np.errstate(over="ignore"):
-            ratio = np.minimum(np.abs(d_mid), bm[src] - np.abs(d_mid)) / h
-        one_side = np.sign(p) * np.sign(q) > 0.0
-        gauss = (q <= -r0[src]) | (p >= r0[src]) | (one_side & (ratio >= _DIP_GAUSS_MIN_RATIO))
-        rows = np.concatenate((seg[:, src], np.array((p, q, h, d_mid, ratio, mid))))
-        return [self._dip_gauss_rows(rows[:, gauss], polys),
-                self._dip_series_rows(rows[:, ~gauss], polys)]
+        # d1 d2 > 0 by the signs, as the product may overflow
+        g = (np.sign(d1) * np.sign(d2) > 0.0) & (ratio >= _DIP_GAUSS_MIN_RATIO)
+        ends = None if shape is None else _weight_ends(shape)
+        near = [self._log_dip_mass((None, None, t, rings[r][3]), lo, hi,
+                                   None if ends is None else ends[p])
+                for r, t, lo, hi, p in zip(*(v[~g].tolist() for v in (ring, t0, a, b, poly)))]
+        return [self._dip_gauss_rows(node[g], poly[g], lnbm[g], h[g], d_mid[g], ratio[g],
+                                     0.5 * (a[g] + b[g]), polys),
+                (node[~g], np.array(near))]
 
-    def _dip_gauss_rows(self, rows: np.ndarray, polys) -> tuple:
-        """:meth:`_dip_gauss_mass` (untilted) of each row (see
-        :meth:`_dip_masses`) in one numpy pass per rule size, a row of ratio
-        below 2 first halved, as there, until none is.  With ``x + t = b^m
-        (x0 + s)`` and ``s = x0 q d``, the density over ``d_mid + h z`` is
-        ``b^(-m (alpha+1)) x0^(-alpha-1) / M`` times ``(1 + q d)^(-alpha-1) /
-        (m log b - log|d|)``, and the weight's polynomial is taken at ``mid +
-        h z`` from its origin."""
-        while True:
-            low = rows[9] < 2.0
-            if not low.any():
-                break
-            halves = [rows[:, ~low]]
-            for sign in (-1.0, 1.0):
-                half = rows[:, low]
-                bm, g = half[3], 0.5 * half[7]
-                half[7] = g
-                half[8] += sign * g
-                half[9] = np.minimum(np.abs(half[8]), bm - np.abs(half[8])) / g
-                half[10] += sign * g
-                halves.append(half)
-            rows = np.concatenate(halves, axis=1)
-        node, poly, lnbm, _bm, _t0, _d1, _d2, h, d_mid, ratio, mid = rows
-        poly = poly.astype(int)
+    def _dip_gauss_rows(self, node, poly, lnbm, h, d_mid, ratio, mid, polys) -> tuple:
+        """:meth:`_dip_gauss_mass` (untilted) of each row in one numpy pass
+        per rule size: the offsets ``d_mid ± h`` from the centre of a ring of
+        scale ``lnbm = m log b``, on one side of it at ``ratio`` half-widths
+        (at least ``_DIP_GAUSS_MIN_RATIO``), and the midpoint ``mid`` in
+        window offsets.  With ``x + t = b^m (x0 + s)`` and ``s = x0 q d``,
+        the density over ``d_mid + h z`` is ``b^(-m (alpha+1)) x0^(-alpha-1) /
+        M`` times ``(1 + q d)^(-alpha-1) / (m log b - log|d|)``, and the
+        weight's polynomial is taken at ``mid + h z`` from its origin."""
         a1 = self.params.alpha + 1.0
         ad = np.abs(d_mid)
         log_q = np.log(ad) - lnbm - self._log_x0
@@ -1236,8 +1218,7 @@ class PhiAC(Component):
             return out * _horner(weight[1], weight[0] + h * z) if weight else out
 
         total = _gauss_sums(n, cols, f)
-        return node.astype(int), _row_logs(-a1 * (lnbm + self._log_x0) - self.m_log + np.log(h),
-                                           total)
+        return node, _row_logs(-a1 * (lnbm + self._log_x0) - self.m_log + np.log(h), total)
 
     def _log_dip_mass(self, ring: tuple, a: float, b: float, piece=None, tilt=None):
         """log of the mass over (x+a, x+b] inside the dip ring ``ring``, under
@@ -1408,59 +1389,6 @@ class PhiAC(Component):
                 total += wt * (1.0 + q * math.exp(c * t)) ** neg_a1 / (t + z)
             out += pj * total
         return out
-
-    def _dip_series_rows(self, rows: np.ndarray, polys) -> tuple:
-        """:meth:`_dip_series_mass` (untilted) of each row (see
-        :meth:`_dip_masses`), the far and near ends of every row through one
-        :meth:`_dip_series_many`."""
-        node, poly, lnbm, _bm, t0, d1, d2 = rows[:7]
-        a1 = self.params.alpha + 1.0
-        log_x0 = self._log_x0
-        upper = np.abs(d2) >= np.abs(d1)
-        far, near = np.where(upper, d2, d1), np.where(upper, d1, d2)
-        log_far = np.log(np.abs(far))
-        log_q = log_far - lnbm - log_x0
-        q = np.where(log_q > -745.0, np.copysign(np.exp(log_q), far), 0.0)
-        r = np.abs(near) / np.abs(far)
-        if polys is None:
-            p_far = p_near = np.ones((far.size, 1))
-        else:  # the weight in offsets from the centre
-            origin, table, _extra = polys
-            poly = poly.astype(int)
-            coeffs = table[poly]
-            shift = t0 - origin[poly]
-            for i in range(coeffs.shape[1] - 1):  # _poly_shift, row by row
-                for j in range(coeffs.shape[1] - 2, i - 1, -1):
-                    coeffs[:, j] += shift * coeffs[:, j + 1]
-            powers = np.arange(coeffs.shape[1])
-            p_far, p_near = (coeffs * v[:, None] ** powers for v in (far, near))
-        on = np.flatnonzero(near != 0.0)
-        log_near = np.log(np.abs(near[on]))
-        series = self._dip_series_many(np.concatenate((q, q[on] * (near[on] / far[on]))),
-                                       np.concatenate((lnbm - log_far, lnbm[on] - log_near)),
-                                       np.concatenate((p_far, p_near[on])))
-        s_far = np.copysign(1.0, far) * series[:far.size]
-        s_near = np.zeros(far.size)
-        s_near[on] = np.copysign(1.0, near[on]) * series[far.size:]
-        body = np.where(upper, s_far - r * s_near, r * s_near - s_far)
-        return node.astype(int), _row_logs(-a1 * (lnbm + log_x0) - self.m_log + log_far, body)
-
-    def _dip_series_many(self, q, L, p) -> np.ndarray:
-        """:meth:`_dip_series` of each row of ``q``, ``L`` and the matrix
-        ``p``: every power of every row is one Gauss-Laguerre sum, one numpy
-        pass per rule size, and the powers accumulate in the scalar order."""
-        neg_a1 = -self.params.alpha - 1.0
-        j1 = np.arange(1, p.shape[1] + 1)
-        z = j1 * L[:, None]
-        c = -1.0 / j1
-
-        def f(t, q, z, c):
-            return (1.0 + q * np.exp(c * t)) ** neg_a1 / (t + z)
-
-        n = np.array(_LAGUERRE_NODES)[np.searchsorted(_LAGUERRE_Z, z.ravel(), "right")]
-        total = _gauss_sums(n, (np.repeat(q, p.shape[1]), z.ravel(), np.tile(c, q.size)), f,
-                            _gauss_laguerre)
-        return np.add.accumulate(p * total.reshape(z.shape), axis=1)[:, -1]
 
     def _log_plateau_mass(self, ph: PointPhase, s: float, a: float, b: float,
                           piece=None, tilt=None) -> float:

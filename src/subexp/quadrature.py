@@ -52,9 +52,12 @@ depth-first order of a bisection stack).  An integrand that carries a batch
 form ``f_log.many(xs)`` takes each round in one call; an outer integral's
 round holds a median of 193 nodes on the reports.  The product integrand
 reads the dip density at a round's nodes as arrays, and the dip density's
-evaluator of inner masses walks a round's windows as arrays: their cuts,
-the kinds of their segments and each kind's closed form, a numpy pass
-each.  The walk's fixed cost pays from about 48 nodes
+evaluator of inner masses walks a round's windows as arrays: their cuts
+and the kinds of their segments, then a numpy pass for each bulk kind,
+plateau segments and dip segments far enough to one side of their centre
+for a Gauss rule.  The few dip segments near a centre take the scalar
+closed form, which picks the exponential-integral series or cuts the
+segment.  The walk's fixed cost pays from about 48 nodes
 (``measures._GAUSS_BATCH_MIN``); a panel of 15 nodes would hold too few,
 and a smaller round walks node by node.  A plain function, such as the
 wrapper a tracer or counter puts around the integrand, has no batch form:

@@ -384,19 +384,10 @@ class PeriodicProfile:
     """
 
     params: ModelParams
-    plateau: float = field(default=None)  # type: ignore[assignment]
+    plateau: float = field(init=False)
 
     def __post_init__(self):
-        std = -1.0 / math.log(self.params.delta)
-        if self.plateau is None:
-            object.__setattr__(self, "plateau", std)
-        elif not math.isclose(self.plateau, std, rel_tol=1e-12):
-            raise ContractViolationError(
-                f"plateau {self.plateau} breaks continuity; must be -1/log(delta) = {std}")
-
-    @property
-    def sup_value(self) -> float:
-        return self.plateau
+        object.__setattr__(self, "plateau", -1.0 / math.log(self.params.delta))
 
     def at_distance(self, dlog: float) -> float:
         """h at the mantissa distance ``e^dlog`` from ``x0``: 0 at the centre,

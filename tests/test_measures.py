@@ -633,9 +633,11 @@ class TestGaussRounds:
     @pytest.mark.parametrize("case", ["series", "cut", "halved", "support", "far"])
     def test_round_walk_takes_every_segment_kind(self, mu, params, quad, case, weight):
         # rounds built to reach one kind of segment, all through the round
-        # walk, against the scalar walk node by node; the walk's rows show
-        # the kind was taken: series pieces within 2^-8 x0 b^m of a centre,
-        # pieces cut at +-2^k r0, Gauss rules halved below a ratio of 2,
+        # walk, against the scalar walk node by node.  Its Gauss rows lie on
+        # one side of a centre at a ratio of 3 or more; it hands every other
+        # dip segment to the scalar form, whose calls show the kind was
+        # taken: series segments within r0 = 2^-8 x0 b^m of a centre,
+        # segments cut at +-2^k r0, Gauss rules halved below a ratio of 2,
         # windows across the support edge at 1, and around a centre reached
         # by a remainder beyond float range
         phi = mu.components[0][1]
@@ -654,34 +656,63 @@ class TestGaussRounds:
         w = self.weights[weight]
         ev = phi.log_window_mass_eval(x, lo, hi, w, quad)
         ts = [lo + (hi - lo) * (i + 0.5) / 97 for i in range(97)]
-        rows = {"gauss": [], "series": []}
+        ratios, near, rules, rounds = [], [], [], []
+        gauss_rows, log_dip_mass, gauss_mass, round_masses = (
+            PhiAC._dip_gauss_rows, PhiAC._log_dip_mass, PhiAC._dip_gauss_mass,
+            PhiAC._round_masses)
 
-        def spy(kind):
-            original = getattr(PhiAC, f"_dip_{kind}_rows")
-            return lambda self, r, polys: (rows[kind].append(r), original(self, r, polys))[1]
+        def spy_round(self, plan, t):
+            rounds.append(len(t))
+            return round_masses(self, plan, t)
+
+        def no_node(self, *args):
+            raise AssertionError("a node of the round took the scalar walk")
+
+        def spy_rows(self, *args):
+            ratios.append(args[5])
+            return gauss_rows(self, *args)
+
+        def spy_near(self, ring, a, b, *args):
+            near.append((ring[3], max(ring[2] - a, b - ring[2])))  # scale, reach from the centre
+            return log_dip_mass(self, ring, a, b, *args)
+
+        def spy_rule(self, lnbm, bm, d_mid, h, ratio, *args):
+            rules.append(ratio)
+            return gauss_mass(self, lnbm, bm, d_mid, h, ratio, *args)
 
         with patch("subexp.measures._GAUSS_BATCH_MIN", 1), \
-                patch.object(PhiAC, "_dip_gauss_rows", autospec=True, side_effect=spy("gauss")), \
-                patch.object(PhiAC, "_dip_series_rows", autospec=True, side_effect=spy("series")):
+                patch.object(PhiAC, "_dip_gauss_rows", spy_rows), \
+                patch.object(PhiAC, "_log_dip_mass", spy_near), \
+                patch.object(PhiAC, "_dip_gauss_mass", spy_rule), \
+                patch.object(PhiAC, "_round_masses", spy_round), \
+                patch.object(PhiAC, "_node_mass", no_node):
             got = ev.many(ts)
+        # so every spied call above came from the round walk
+        assert rounds == [len(ts)]
         for t, a in zip(ts, got):
             b = ev(t)
             assert a == b or abs(a - b) <= max(1e-13, 4 * math.ulp(max(abs(a), abs(b)))), (t, a, b)
-        gauss, series = (np.concatenate([np.zeros((11, 0)), *rows[k]], axis=1)
-                         for k in ("gauss", "series"))
-        pieces = np.concatenate((gauss, series), axis=1)
+        rows = np.concatenate([np.zeros(0), *ratios])
+        assert np.all(rows >= 3.0)
+        # every case takes Gauss rows but these four, whose dip segments all
+        # lie too near a centre for a Gauss row, or which meet no ring
+        if (case, weight) not in {("cut", "unit"), ("halved", "G1"), ("halved", "unit"),
+                                  ("support", "triangle")}:
+            assert rows.size > 0
+        p = phi.params
+        # log(reach / r0) of each segment the walk handed to the scalar form
+        reach = [math.log(d) - m * p.log_b - math.log(min(p.x0, 2.0) * measures._DIP_SERIES_REACH)
+                 for m, d in near]
         if case == "series":
-            assert series.shape[1] > 0
-        elif case == "cut":  # an end at +-2^k r0 from the centre
-            ends = np.abs(pieces[5:7]) / (pieces[3] * phi.params.x0 * measures._DIP_SERIES_REACH)
-            k = np.log2(ends[ends > 0.0])
-            assert np.any(k == np.round(k))
+            assert any(v <= 0.0 for v in reach)
+        elif case == "cut":
+            assert any(v > 0.0 for v in reach)
         elif case == "halved":
-            assert np.any(gauss[9] < 2.0)
+            assert near and any(v < 2.0 for v in rules)
         elif case == "support":
             assert x.value() + lo + w.lo < 1.0 < x.value() + hi + w.hi
         else:
-            assert x.phase().rem is None and series.shape[1] > 0
+            assert x.phase().rem is None and near
 
     @settings(max_examples=60, deadline=None)
     @given(us=st.lists(st.one_of(
@@ -743,24 +774,6 @@ class TestGaussRounds:
         inner = [k for head, k in calls if head]
         assert got == ref and not scalar
         assert len(inner) == len(calls) - len(inner) > 0 and max(inner) > 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.tuples(st.floats(7.0 * math.log(2.0), 3e4), st.floats(-1.0, 1.0)),
-                         min_size=1, max_size=30),
-           p=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
-    def test_laguerre_series_many_matches_scalar(self, mu, params, rows, p):
-        # the batch form of the dip series against the scalar form, row by
-        # row: L from the reach's least up, q = u e^-L / x0 of either sign,
-        # and weights of up to 6 powers; within 8 ulps of the sum of the
-        # powers' magnitudes, as a weight of mixed signs may cancel
-        phi = mu.components[0][1]
-        L = np.array([v for v, _u in rows])
-        q = np.array([u * math.exp(-v) / params.x0 for v, u in rows])
-        got = phi._dip_series_many(q, L, np.tile(p, (len(rows), 1)))
-        for (lj, qj), a in zip(zip(L.tolist(), q.tolist()), got.tolist()):
-            b = phi._dip_series(qj, lj, tuple(p))
-            scale = phi._dip_series(qj, lj, tuple(abs(v) for v in p))
-            assert abs(a - b) <= 8.0 * 2.0 ** -52 * scale, (lj, qj, a, b)
 
 
 class TestWeight:

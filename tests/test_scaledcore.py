@@ -167,10 +167,6 @@ class TestProfile:
         with pytest.raises(ContractViolationError):
             profile.value(raw)
 
-    def test_plateau_override_must_match(self, params):
-        with pytest.raises(ContractViolationError):
-            PeriodicProfile(params, plateau=0.5)
-
 
 class TestPhiLog:
     def test_plateau_point(self, profile):
