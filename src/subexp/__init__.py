@@ -34,7 +34,6 @@ from .measures import (
     Tilted,
     UniformAC,
     Weight,
-    WindowSpec,
     exp_moment,
     local_density,
     local_mass,

@@ -20,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import DivergentMomentError, ParameterError, QuadratureError
@@ -36,6 +36,7 @@ from .convolve import (
 )
 from . import probes as probes_mod
 from .gallery import (
+    _COLUMNS,
     REPORTS,
     GallerySpec,
     PhiDensityHandle,
@@ -43,9 +44,7 @@ from .gallery import (
     series_rows,
 )
 
-COLUMNS = ("probe", "n", "m", "c", "log_num", "log_den", "log_ratio", "ratio",
-           "bracket_lo", "bracket_hi", "flag",
-           "b", "x0", "delta", "alpha", "beta", "x1", "x2")
+COLUMNS = _COLUMNS + tuple(f.name for f in fields(ModelParams))
 
 
 @dataclass(frozen=True)

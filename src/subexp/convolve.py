@@ -26,18 +26,20 @@ a window or a point, by the exchange symmetry u <-> v (see
 beyond, which cut one ``mu*mu`` window at 4^6*3 from 50,531 integrand
 evaluations to 3,756 at ``rel_tol = 1e-7``.
 
-For the dip-density pair at points too large to traverse numerically the
-integral is split at ``L = (log x)^beta``: the two near-edge pieces are
-computed numerically (they are equal by symmetry) and the middle piece is
-covered by the envelope bound ``2 (int w) K^2 (2/(x + t_lo))^(1+alpha)
-L^(-alpha) / alpha``, so the result is a certified (lower, upper) bracket
-rather than a point value.  Downstream ratio probes propagate such brackets.
+For the dip-density pair at points above ``ConvPlan.split_threshold``
+(1e8), too large to traverse numerically, the integral is split at ``L =
+(log x)^beta``: the two near-edge pieces are computed numerically (they are
+equal by symmetry) and the middle piece is covered by the envelope bound ``2
+(int w) K^2 (2/(x + t_lo))^(1+alpha) L^(-alpha) / alpha``, so the result is a
+certified (lower, upper) bracket rather than a point value.  Downstream ratio
+probes propagate such brackets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -98,26 +100,23 @@ def _shift_terms(terms, delta: float):
 
 @dataclass(frozen=True)
 class ConvPlan:
-    """Strategy constants for convolution evaluation.
-
-    ``split_threshold`` is the point size beyond which the dip-density pair
-    switches from full numeric integration to the split-plus-bracket form.
-    """
+    """The split rule of the dip-density pair: at points above
+    ``split_threshold`` its window masses and its density switch from full
+    numeric integration to the split-plus-bracket form of
+    :func:`_phi_pair_split`."""
 
     params: ModelParams
-    split_threshold: float = 1e8
+    split_threshold: ClassVar[float] = 1e8
 
-    @property
-    def log_split(self) -> float:
-        return math.log(self.split_threshold)
+    def splits(self, x: ScaledSum) -> bool:
+        return x.sign() > 0 and x.log_abs() > math.log(self.split_threshold)
 
 
 # ---------------------------------------------------------------------------
 # dip-density self-convolution at a point
 # ---------------------------------------------------------------------------
 
-def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
-                     plan: ConvPlan | None = None):
+def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec):
     """log of (phi (x) phi)(x) = log 2 int_1^{x/2} phi(x-u) phi(u) du for the
     raw profile: the density case of the self pair of ``PhiAC(profile,
     m_log=0)`` (see :func:`_self_pair_density`).
@@ -126,12 +125,11 @@ def phi_self_conv_at(profile: PeriodicProfile, x, quad: QuadratureSpec,
     the split threshold.
     """
     p = profile.params
-    plan = plan or ConvPlan(p)
     x = as_point(x, p.b)
     if x.sign() <= 0 or x.log_abs() <= math.log(2.0):
         return LOG_ZERO
     phi = PhiAC(profile=profile, m_log=0.0)
-    if x.log_abs() > plan.log_split:
+    if ConvPlan(p).splits(x):
         return _phi_pair_split(phi, phi, x, None, quad)
     return _self_pair_density(phi, x, 1.0, quad)
 
@@ -154,7 +152,7 @@ def _self_pair_density(comp, x: ScaledSum, lo: float, quad) -> float:
 # ---------------------------------------------------------------------------
 
 def conv_local_mass(d1: MixtureDistribution, d2: MixtureDistribution, x, w,
-                    quad: QuadratureSpec, plan: ConvPlan | None = None):
+                    quad: QuadratureSpec):
     """log of (d1 * d2)((x, x+c]) for a width c, or of ``int w(t) (d1 *
     d2)(x + dt)`` for a :class:`~subexp.measures.Weight` w; LogBracket when a
     far-tail bound is active."""
@@ -167,14 +165,14 @@ def conv_local_mass(d1: MixtureDistribution, d2: MixtureDistribution, x, w,
         for w2, c2 in d2.components:
             if w2 == 0.0:
                 continue
-            pair = _pair_window_mass(c1, c2, x, w, quad, plan)
+            pair = _pair_window_mass(c1, c2, x, w, quad)
             if pair == LOG_ZERO:
                 continue
             terms.append(_shift_terms(pair, math.log(w1) + math.log(w2)))
     return _combine_log_terms(terms) if terms else LOG_ZERO
 
 
-def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad, plan):
+def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad):
     if c1.is_atomic:
         terms = []
         for loc, aw in c1.atoms():
@@ -186,12 +184,10 @@ def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad, plan):
                 terms.append(_shift_terms(m, math.log(aw)))
         return _combine_log_terms(terms) if terms else LOG_ZERO
     if c2.is_atomic:
-        return _pair_window_mass(c2, c1, x, w, quad, plan)
+        return _pair_window_mass(c2, c1, x, w, quad)
 
-    if isinstance(c1, PhiAC) and isinstance(c2, PhiAC):
-        plan = plan or ConvPlan(c1.params)
-        if x.sign() > 0 and x.log_abs() > plan.log_split:
-            return _phi_pair_split(c1, c2, x, w, quad)
+    if isinstance(c1, PhiAC) and isinstance(c2, PhiAC) and ConvPlan(c1.params).splits(x):
+        return _phi_pair_split(c1, c2, x, w, quad)
 
     xv = x.value()
     if c1 == c2 and math.isfinite(xv):
@@ -226,7 +222,7 @@ def _outer_integral(outer, inner, x: ScaledSum, xv: float, olo: float, ohi: floa
     -ohi, -olo, w)`` with the weight's knots as ``shifts``, or its density,
     from ``log_density_eval(x)`` with shifts ``(0.0,)``.  Cut where the
     density or a shifted point ``x + s - u`` meets structure (see
-    :func:`_crossings`)."""
+    :func:`_crossings`); with no shifts, where the density does."""
     f = _product_integrand(outer, mass, x, quad)
     hints, centres = outer.density_cuts(ScaledSum.zero(x.b), olo, ohi)
     c_hints, c_centres = _crossings(inner, x, xv, olo, ohi, shifts)
@@ -317,14 +313,10 @@ def _self_pair_window_mass(comp, x: ScaledSum, xv: float, w: Weight, quad):
             inner = w.shift(xv + t, above=-t)  # at u = -t: v -> w(u + v - x), v > u
             return LOG_ZERO if inner is None else mass(inner)
 
-        diagonal = _product_integrand(comp, inner_mass, x, quad)
-
         # the inner weight starts at u, on the density's own structure, and
         # its moving knots x+s-u cross the structure reflected
-        hints, centres = comp.density_cuts(zero, d_lo, d_hi)
-        c_hints, c_centres = _crossings(comp, x, xv, d_lo, d_hi, w.knots[1:])
-        terms.append(integrate_log(diagonal, d_lo, d_hi, quad, hints=hints + c_hints,
-                                   singular=centres + c_centres))
+        terms.append(_outer_integral(comp, comp, x, xv, d_lo, d_hi, quad, inner_mass,
+                                     w.knots[1:]))
     return math.log(2.0) + log_sum(terms)
 
 
@@ -351,9 +343,7 @@ def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, w: Weight | None, quad):
     if math.log(2.0 * L) >= log_left:
         raise ParameterError("split point exceeds (x + t_lo)/2; point too small for split mode")
 
-    f = _product_integrand(c1, mass, x, quad)
-    hints, centres = c1.density_cuts(ScaledSum.zero(x.b), 1.0, L)
-    numeric = math.log(2.0) + integrate_log(f, 1.0, L, quad, hints=hints, singular=centres)
+    numeric = math.log(2.0) + _outer_integral(c1, c2, x, x.value(), 1.0, L, quad, mass, ())
     k_log = math.log(c1.profile.plateau)
     bound = (math.log(2.0) + log_w + 2.0 * k_log - c1.m_log - c2.m_log
              + (1.0 + p.alpha) * (math.log(2.0) - log_left)
@@ -362,7 +352,7 @@ def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, w: Weight | None, quad):
 
 
 def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
-                     quad: QuadratureSpec, plan: ConvPlan | None = None):
+                     quad: QuadratureSpec):
     """log of dist^{n*}((x, x+c]) for n in {1, 2, 3}, or of its weighted mass
     for a :class:`~subexp.measures.Weight` w."""
     if n not in (1, 2, 3):
@@ -372,10 +362,10 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
     if n == 1:
         return dist.log_window_mass(x, w, quad)
     if n == 2:
-        return conv_local_mass(dist, dist, x, w, quad, plan)
+        return conv_local_mass(dist, dist, x, w, quad)
 
     def pair(pt):
-        m2 = conv_local_mass(dist, dist, pt, w, quad, plan)
+        m2 = conv_local_mass(dist, dist, pt, w, quad)
         if isinstance(m2, LogBracket):
             raise ParameterError("3-fold masses do not propagate far-tail brackets")
         return m2
@@ -467,6 +457,8 @@ def mixture_density_grid(dist: MixtureDistribution, u: np.ndarray) -> np.ndarray
 
 
 _MAX_ORACLE_POINTS = 2e8
+# midpoints summed per numpy pass of an oracle
+_ORACLE_CHUNK = 4_000_000
 
 
 def _check_grid(lo, hi, step):
@@ -478,8 +470,7 @@ def _check_grid(lo, hi, step):
         raise ParameterError("oracle grid exceeds the memory budget")
 
 
-def oracle_window_mass(density_grid, lo: float, hi: float, step: float,
-                       chunk: int = 4_000_000) -> float:
+def oracle_window_mass(density_grid, lo: float, hi: float, step: float) -> float:
     """Midpoint-Riemann integral of a vectorized density over [lo, hi].
 
     Chunk sums are combined with math.fsum, so the summation error stays at
@@ -489,22 +480,22 @@ def oracle_window_mass(density_grid, lo: float, hi: float, step: float,
     n = max(1, int(round((hi - lo) / step)))
     edges = np.linspace(lo, hi, n + 1)
     partials = []
-    for i in range(0, n, chunk):
-        j = min(n, i + chunk)
+    for i in range(0, n, _ORACLE_CHUNK):
+        j = min(n, i + _ORACLE_CHUNK)
         mids = 0.5 * (edges[i:j] + edges[i + 1:j + 1])
         partials.append(float(np.sum(density_grid(mids) * np.diff(edges[i:j + 1]))))
     return math.fsum(partials)
 
 
 def oracle_conv_density_at(grid1, grid2, x: float, lo: float, hi: float,
-                           step: float, chunk: int = 4_000_000) -> float:
+                           step: float) -> float:
     """Midpoint-Riemann value of (f1 (x) f2)(x) over u in [lo, hi]."""
     _check_grid(lo, hi, step)
     n = max(1, int(round((hi - lo) / step)))
     edges = np.linspace(lo, hi, n + 1)
     partials = []
-    for i in range(0, n, chunk):
-        j = min(n, i + chunk)
+    for i in range(0, n, _ORACLE_CHUNK):
+        j = min(n, i + _ORACLE_CHUNK)
         mids = 0.5 * (edges[i:j] + edges[i + 1:j + 1])
         partials.append(float(np.sum(grid1(mids) * grid2(x - mids)
                                      * np.diff(edges[i:j + 1]))))

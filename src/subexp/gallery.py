@@ -31,7 +31,6 @@ from .scaledcore import (
     SequenceSpec,
     as_point,
     make_sequence,
-    phi_log_value,
     point_lambda,
 )
 from .measures import (
@@ -120,16 +119,16 @@ def build_mu(spec: GallerySpec) -> MixtureDistribution:
     return MixtureDistribution.single(PhiAC(profile=profile, m_log=math.log(m)))
 
 
-def build_mu1(spec: GallerySpec, k_max_atoms: int | None = None) -> MixtureDistribution:
+def build_mu1(spec: GallerySpec) -> MixtureDistribution:
     """The negative-side atom series.
 
     One atom per B_k at the midpoint -b^{n_k}(x1+x2)/2 with weight 2^-k;
     the series is truncated one level beyond the reported family depth
-    (default 5 atoms) and the residual tail weight 2^-K is assigned to the
-    last atom so the weights still sum to one exactly.
+    (5 atoms at the default depth) and the residual tail weight 2^-K is
+    assigned to the last atom so the weights still sum to one exactly.
     """
     p = spec.params
-    kk = k_max_atoms if k_max_atoms is not None else spec.k_max + 1
+    kk = spec.k_max + 1
     mid = 0.5 * (p.x1 + p.x2)
     locs = tuple(ScaledSum.scaled(4 ** k, mid, b=p.b, sign=-1) for k in range(1, kk + 1))
     weights = [2.0 ** -k for k in range(1, kk + 1)]
@@ -183,17 +182,16 @@ class PhiDensityHandle:
 
     denominator_form = "unit-window"
 
-    def __init__(self, spec: GallerySpec, mu: MixtureDistribution | None = None):
+    def __init__(self, spec: GallerySpec, mu: MixtureDistribution):
         self.spec = spec
         self.params = spec.params
-        mu = mu or build_mu(spec)
         self.component: PhiAC = mu.components[0][1]
         self.mu = mu
         self.profile = self.component.profile
         self.quad = spec.quad
 
     def log_value(self, x) -> float:
-        return phi_log_value(self.profile, x) - self.component.m_log
+        return self.component.log_density(as_point(x, self.params.b), self.quad)
 
     def log_self_conv(self, x):
         raw = phi_self_conv_at(self.profile, x, self.quad)
@@ -207,28 +205,25 @@ class PhiDensityHandle:
 
 
 class BridgeDensityHandle:
-    """The window density p(x) = c^-1 mu((x-c, x]) as a pointwise object.
+    """The window density p(x) = mu((x-1, x]) as a pointwise object.
 
     Its self-convolution, the density of X1 + X2 + U1 + U2 with U uniform on
-    [0, c], is one weighted mass of ``mu * mu``: the triangle of two window
+    [0, 1], is one weighted mass of ``mu * mu``: the triangle of two window
     uniforms, reflected, as the weight.
     """
 
     denominator_form = "point"
 
-    def __init__(self, spec: GallerySpec, c: float = 1.0,
-                 mu: MixtureDistribution | None = None):
+    def __init__(self, spec: GallerySpec, mu: MixtureDistribution):
         self.spec = spec
         self.params = spec.params
-        self.c = c
-        self.mu = mu or build_mu(spec)
+        self.mu = mu
         self.quad = spec.quad
         # (p * p)(x) = int tri(s) (mu*mu)(x - s) ds = int tri(-t) (mu*mu)(x + dt)
-        self.triangle = Weight(((-2.0 * c, -c, (0.0, 1.0 / c ** 2)),
-                                (-c, 0.0, (1.0 / c, -1.0 / c ** 2))))
+        self.triangle = Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))
 
     def log_value(self, x) -> float:
-        return local_density(self.mu, x, self.c, self.quad)
+        return local_density(self.mu, x, 1.0, self.quad)
 
     def log_self_conv(self, x: ScaledSum):
         return conv_local_mass(self.mu, self.mu, x, self.triangle, self.quad)
@@ -501,7 +496,7 @@ def prop11_report(spec: GallerySpec) -> Report:
 
     series = [_conv_ratio_series("window_conv2[c=1]", mu, pts, ns, 1.0, quad)]
 
-    bridge = BridgeDensityHandle(spec, 1.0, mu)
+    bridge = BridgeDensityHandle(spec, mu)
     bridge_ns = tuple(n for n in ns if n % 2 == 0) or tuple(ns[-1:])
     series.append(RatioSeries(
         name="bridge_sd",
@@ -528,9 +523,11 @@ def prop11_report(spec: GallerySpec) -> Report:
                   verdicts=verdicts, notes=_std_notes(spec))
 
 
-def tilt_report(spec: GallerySpec, gamma: float = 1.0) -> Report:
-    """Exponential-tilt identities: window asymptotic, round trip, convolution."""
+def tilt_report(spec: GallerySpec) -> Report:
+    """Exponential-tilt identities at gamma = 1: window asymptotic, round
+    trip, convolution."""
     p = spec.params
+    gamma = 1.0
     quad = QuadratureSpec(rel_tol=1e-9)
     rho = tilt(MixtureDistribution.single(ParetoAC(1.0)), -gamma, quad)
     series = [tilt_identity_probe(rho, gamma, (0.1, 1.0),
@@ -561,7 +558,7 @@ def tilt_report(spec: GallerySpec, gamma: float = 1.0) -> Report:
 
     diag = [{"n": None, "c": None, "round_trip_max_log_err": rt_err,
              "commute_max_log_err": commute_err}]
-    verdicts = {"tilt_identity": classify_limit(series[0], tol=0.05)}
+    verdicts = {"tilt_identity": classify_limit(series[0])}
     return Report(name="tilt", params=p, series=tuple(series),
                   tables={"tilt_diagnostics": diag}, verdicts=verdicts,
                   notes=_std_notes(spec) + (

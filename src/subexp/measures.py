@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DivergentMomentError, ParameterError
-from .logsum import LOG_ZERO, log_add, log_sub, log_sum
+from .logsum import LOG_ZERO, log_add, log_sum
 from .quadrature import QuadratureSpec, integrate_log
 from .scaledcore import (
     ModelParams,
@@ -88,22 +88,11 @@ _LOG_2_56 = 56.0 * math.log(2.0)
 _GAUSS_BATCH_MIN = 48
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Window convention: mass over (x, x+c]."""
-
-    c: float
-
-    def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ParameterError(f"window width must be positive, got {self.c}")
-
-
 def _as_width(w) -> float:
-    """The width of a :class:`WindowSpec` or a number, checked positive."""
-    c = w.c if isinstance(w, WindowSpec) else float(w)
+    """A window width, checked positive."""
+    c = float(w)
     if not (c > 0.0):
-        raise ParameterError("window width must be positive")
+        raise ParameterError(f"window width must be positive, got {c}")
     return c
 
 
@@ -264,7 +253,7 @@ def _kernel_slopes(kernel: "PiecewiseLinearDensity") -> list:
 
 
 def as_weight(w) -> Weight:
-    """A :class:`Weight` as given; a width or :class:`WindowSpec` as its window."""
+    """A :class:`Weight` as given; a width as its window."""
     return w if isinstance(w, Weight) else Weight.window(w)
 
 
@@ -475,6 +464,15 @@ def _log_tilted_power(a1: float, gamma: float, v: float, e: float, h: float,
     if total <= 0.0:
         return LOG_ZERO
     return gamma * e - a1 * math.log(v) + math.log(h) + math.log(total)
+
+
+def _log_power_bracket(a: float, log_r: float) -> float:
+    """log of ``(1 - (1+r)^-a) / a = int_0^r (1+v)^(-a-1) dv`` from log r:
+    the mass of a power-law window (X, X(1+r)] over ``X^-a``.  Once r
+    underflows, it is log r."""
+    if log_r > -700.0:
+        return math.log(-math.expm1(-a * math.log1p(math.exp(log_r)))) - math.log(a)
+    return log_r
 
 
 def _exp_taylor(gamma: float, reach: float) -> tuple:
@@ -728,7 +726,8 @@ class Component:
 
     def log_density(self, x: ScaledSum, quad: QuadratureSpec,
                     gamma: float = 0.0) -> float:
-        raise ParameterError(f"{type(self).__name__} has no density")
+        """log of the density at x: its evaluator at offset 0."""
+        return self.log_density_eval(x, quad, gamma)(0.0)
 
     def log_density_eval(self, base: ScaledSum, quad: QuadratureSpec,
                          gamma: float = 0.0):
@@ -797,6 +796,12 @@ def _offsets(base: ScaledSum, points, lo: float, hi: float) -> list:
     if not math.isfinite(xv):
         return []
     return [t for t in (p - xv for p in points) if lo < t < hi]
+
+
+def _log1p_point(x: ScaledSum, xv: float) -> float:
+    """log(1 + x) for a point x >= 0 of value xv: beyond float range, x's
+    own log."""
+    return math.log1p(xv) if xv < math.inf else x.log_abs()
 
 
 def _finite_value(x: ScaledSum, what: str) -> float:
@@ -900,9 +905,6 @@ class PhiAC(Component):
         tol = _END_SNAP * (1.0 + (hi - lo))  # as for a window's ends
         snapped = {min(max(t, lo), hi): m for t, m in centres.items() if lo - tol <= t <= hi + tol}
         return [t for t in edges if lo < t < hi], list(snapped)
-
-    def log_density(self, x, quad, gamma=0.0):
-        return self.log_density_eval(x, quad, gamma)(0.0)
 
     def log_density_eval(self, base, quad, gamma=0.0):
         """``t -> log_density(base + t)``; untilted, it carries the batch form
@@ -1397,7 +1399,7 @@ class PhiAC(Component):
         the point ``x = base + s`` of the phase ``ph`` of base.
 
         K/M int u^(-alpha-1) du = K/(alpha M) X^-alpha (1 - (1+r)^-alpha) with
-        X = x + a and r = (b-a)/X; once r underflows, the bracket is alpha r.
+        X = x + a and r = (b-a)/X (:func:`_log_power_bracket`).
         Under a polynomial weight a Gauss-Legendre rule, with the pole of
         ``u^(-alpha-1)`` at ``u = 0`` the nearest singularity; under a tilt
         the tilted power-law rule of :func:`_log_tilted_power`.
@@ -1422,12 +1424,7 @@ class PhiAC(Component):
                 return LOG_ZERO
             return k_log - (alpha + 1.0) * log_x + math.log(h) + math.log(total)
         log_x = ph.log_point(s + a)
-        log_r = math.log(b - a) - log_x
-        if log_r > -700.0:
-            body = math.log(-math.expm1(-alpha * math.log1p(math.exp(log_r)))) - math.log(alpha)
-        else:
-            body = log_r
-        return k_log - alpha * log_x + body
+        return k_log - alpha * log_x + _log_power_bracket(alpha, math.log(b - a) - log_x)
 
     def log_tail(self, x, quad, gamma=0.0):
         """Mass above x, a float-representable point.  Untilted, by
@@ -1505,12 +1502,6 @@ class UniformAC(Component):
             body = gamma * o1 + math.log1p(-math.exp(gamma * (o2 - o1))) - math.log(-gamma)
         return body - math.log(self.width)
 
-    def log_density(self, x, quad, gamma=0.0):
-        xv = _finite_value(x, "uniform density")
-        if self.left <= xv < self.left + self.width:
-            return gamma * xv - math.log(self.width)
-        return LOG_ZERO
-
     def log_density_eval(self, base, quad, gamma=0.0):
         xv = base.value()
         if not math.isfinite(xv):
@@ -1557,31 +1548,38 @@ class ParetoAC(Component):
         return _offsets(base, (0.0,), lo, hi), []
 
     def _log_window_mass(self, x, c, quad, gamma=0.0):
+        """Untilted, ``(1+o)^-a (1 - (1+r)^-a)`` for the window (o, o+w] of
+        the support, with ``r = w/(1+o)`` (:func:`_log_power_bracket`): the
+        window's own width c, or ``x + c`` from 0 for a window that starts
+        below the support.  Tilted, the tilted power-law rule."""
         xv = x.value()
+        a = self.shape
+        if gamma == 0.0:
+            if xv >= 0.0:
+                log_v, w = _log1p_point(x, xv), c
+            else:
+                log_v, w = 0.0, xv + c
+                if not w > 0.0:
+                    return LOG_ZERO
+            return math.log(a) - a * log_v + _log_power_bracket(a, math.log(w) - log_v)
         if not math.isfinite(xv):
             return LOG_ZERO
         o1, o2 = max(xv, 0.0), xv + c
         if o2 <= o1:
             return LOG_ZERO
-        a = self.shape
-        if gamma == 0.0:
-            return log_sub(-a * math.log1p(o1), -a * math.log1p(o2))
         # the tilted power-law rule in v = 1 + u
         h, mid = 0.5 * (o2 - o1), 0.5 * (o1 + o2)
         return math.log(a) + _log_tilted_power(a + 1.0, gamma, 1.0 + mid, mid, h)
 
-    def log_density(self, x, quad, gamma=0.0):
-        xv = _finite_value(x, "pareto density")
-        if xv < 0.0:
-            return LOG_ZERO
-        return math.log(self.shape) - (self.shape + 1.0) * math.log1p(xv) + gamma * xv
-
     def log_density_eval(self, base, quad, gamma=0.0):
         xv = base.value()
-        if not math.isfinite(xv):
-            return lambda t: LOG_ZERO
         a = self.shape
         la = math.log(a)
+        if xv == -math.inf:
+            return lambda t: LOG_ZERO
+        if xv == math.inf:  # an offset leaves such a point as it is
+            v = la - (a + 1.0) * _log1p_point(base, xv) + (gamma * xv if gamma else 0.0)
+            return lambda t: v
 
         def f(t):
             u = xv + t
@@ -1592,19 +1590,15 @@ class ParetoAC(Component):
         return f
 
     def log_tail(self, x, quad, gamma=0.0):
-        xv = x.value()
-        if not math.isfinite(xv):
-            if xv == -math.inf:
-                xv = 0.0
-            else:
-                raise ParameterError("pareto tail needs a float-representable point")
-        xv = max(xv, 0.0)
+        xv = max(x.value(), 0.0)
         a = self.shape
         if gamma > 0.0:
             raise DivergentMomentError(
                 "power-law tail has no positive exponential moment", gamma)
         if gamma == 0.0:
-            return -a * math.log1p(xv)
+            return -a * _log1p_point(x, xv)
+        if xv == math.inf:
+            return LOG_ZERO
         return self._log_tilted_tail(xv, x.b, quad, gamma)
 
     def _log_tail_envelope(self, x, gamma):
@@ -1845,9 +1839,6 @@ class KernelAC(Component):
         ends = self.base.support_bounds()
         return _offsets(base, [e + k for e in ends for k in self.kernel.knots], lo, hi), []
 
-    def log_density(self, x, quad, gamma=0.0):
-        return self.log_density_eval(x, quad, gamma)(0.0)
-
     def log_density_eval(self, base, quad, gamma=0.0):
         r = self._density_weight
 
@@ -1908,9 +1899,6 @@ class Tilted(Component):
         f = self.base.log_window_mass_eval(base, lo, hi, w, quad, gamma=self.gamma + gamma)
         ln = self.log_norm
         return lambda t: f(t) - ln
-
-    def log_density(self, x, quad, gamma=0.0):
-        return self.base.log_density(x, quad, gamma=self.gamma + gamma) - self.log_norm
 
     def log_density_eval(self, base, quad, gamma=0.0):
         f = self.base.log_density_eval(base, quad, gamma=self.gamma + gamma)
@@ -1974,14 +1962,11 @@ class MixtureDistribution:
         return lambda t: log_sum([lw + f(t) for lw, f in evs])
 
     def log_density(self, x, quad, gamma=0.0):
-        return self._combine(lambda comp: comp.log_density(x, quad, gamma))
+        return self.log_density_eval(x, quad, gamma)(0.0)
 
     def log_density_eval(self, base, quad, gamma=0.0):
         evs = [(math.log(w), comp.log_density_eval(base, quad, gamma))
                for w, comp in self.components if w > 0.0]
-        if len(evs) == 1:
-            lw, f = evs[0]
-            return lambda t: lw + f(t)
         return lambda t: log_sum([lw + f(t) for lw, f in evs])
 
     def log_tail(self, x, quad, gamma=0.0):

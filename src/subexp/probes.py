@@ -30,6 +30,8 @@ __all__ = [
 
 # Linear forms of log values are clipped at 1e+-300; the log form is authoritative.
 CLIP = 1e300
+# The residual and intercept tolerance of a converging trend, in log ratio.
+_TREND_TOL = 0.05
 
 
 def _clip_exp(v: float) -> float:
@@ -115,7 +117,7 @@ def _seq_ns(seq, pts) -> list:
 # ---------------------------------------------------------------------------
 
 def long_tail_probe(target, a: float, seq, quad: QuadratureSpec,
-                    params: ModelParams | None = None, c: float = 1.0) -> RatioSeries:
+                    params: ModelParams, c: float = 1.0) -> RatioSeries:
     """Shift-invariance ratios g(x+a)/g(x).
 
     ``target`` is either a mixture (local mode: window masses of width ``c``)
@@ -124,7 +126,6 @@ def long_tail_probe(target, a: float, seq, quad: QuadratureSpec,
     """
     if not (-5.0 <= a <= 5.0):
         raise ParameterError(f"shift must lie in [-5, 5], got {a}")
-    params = params or getattr(target, "params", None) or ModelParams()
     pts = _points(seq, params)
     ns = _seq_ns(seq, pts)
     entries = []
@@ -143,8 +144,7 @@ def long_tail_probe(target, a: float, seq, quad: QuadratureSpec,
                              "mode": "local" if local_mode else "density"})
 
 
-def sd_probe(handle, seq, quad: QuadratureSpec,
-             params: ModelParams | None = None) -> RatioSeries:
+def sd_probe(handle, seq, quad: QuadratureSpec, params: ModelParams) -> RatioSeries:
     """Self-convolution ratios g(x)g(x)/(2 d(x)).
 
     ``handle`` provides ``log_self_conv(x)`` and ``log_sd_denominator(x)``.
@@ -153,7 +153,6 @@ def sd_probe(handle, seq, quad: QuadratureSpec,
     long-tailed objects and the window form stays finite at dip anchors,
     where the pointwise density vanishes.
     """
-    params = params or getattr(handle, "params", None) or ModelParams()
     pts = _points(seq, params)
     ns = _seq_ns(seq, pts)
     entries = []
@@ -165,18 +164,16 @@ def sd_probe(handle, seq, quad: QuadratureSpec,
                        meta={"denominator": getattr(handle, "denominator_form", "point")})
 
 
-def is_long_tailed_at(handle, x: ScaledSum, quad: QuadratureSpec,
-                      window: float = 2.0) -> bool:
-    """Cheap applicability check: g(x+1)/g(x) within a factor of window."""
+def is_long_tailed_at(handle, x: ScaledSum, quad: QuadratureSpec) -> bool:
+    """Cheap applicability check: g(x+1)/g(x) within a factor of 2."""
     num = handle.log_value(x.add_offset(1.0))
     den = handle.log_value(x)
     if den == LOG_ZERO or num == LOG_ZERO:
         return False
-    return abs(num - den) <= math.log(window)
+    return abs(num - den) <= math.log(2.0)
 
 
-def truncated_tail_density(handle, A: float, x: ScaledSum, quad: QuadratureSpec,
-                           check_long_tail: bool = True):
+def truncated_tail_density(handle, A: float, x: ScaledSum, quad: QuadratureSpec):
     """The truncated self-convolution functional
     (1/g(x)) * int_A^{x-A} g(x-u) g(u) du  (linear scale), with g the
     density of ``handle.component``: twice the integral over [A, x/2] by
@@ -193,7 +190,7 @@ def truncated_tail_density(handle, A: float, x: ScaledSum, quad: QuadratureSpec,
     xv = x.value()
     if not math.isfinite(xv):
         raise ParameterError("truncated functionals need float-representable points")
-    flagged = check_long_tail and not is_long_tailed_at(handle, x, quad)
+    flagged = not is_long_tailed_at(handle, x, quad)
     den = handle.log_value(x)
     if den == LOG_ZERO:
         return math.inf, True
@@ -242,14 +239,13 @@ def truncated_tail_local(dist: MixtureDistribution, A: float, x: ScaledSum,
 
 
 def uniformity_probe(dist: MixtureDistribution, n_list, m_list,
-                     quad: QuadratureSpec, params: ModelParams | None = None) -> RatioSeries:
+                     quad: QuadratureSpec, params: ModelParams) -> RatioSeries:
     """Window-density ratios at dip anchors across shrinking window widths.
 
     r(n, m) = [c^-1 mass((x, x+c]) with c = b^-m] / [mass((x, x+1])] at
     x = b^n x0.  Uniform local convergence would force r -> 1 for every
     joint growth of (n, m); along m == n the construction pins r near 1/2.
     """
-    params = params or ModelParams()
     entries = []
     for n in n_list:
         x = ScaledSum.scaled(int(n), params.x0, b=params.b)
@@ -262,9 +258,8 @@ def uniformity_probe(dist: MixtureDistribution, n_list, m_list,
 
 
 def scaling_probe(dist: MixtureDistribution, c_list, seq,
-                  quad: QuadratureSpec, params: ModelParams | None = None) -> RatioSeries:
+                  quad: QuadratureSpec, params: ModelParams) -> RatioSeries:
     """Window rescaling ratios mass((x-c, x]) / (c * mass((x-1, x]))."""
-    params = params or ModelParams()
     pts = _points(seq, params)
     ns = _seq_ns(seq, pts)
     entries = []
@@ -292,8 +287,7 @@ class SandwichEntry:
 
 
 def sandwich_probe(dist: MixtureDistribution, c: float, c1: float, a: float,
-                   seq, quad: QuadratureSpec,
-                   params: ModelParams | None = None) -> list:
+                   seq, quad: QuadratureSpec, params: ModelParams) -> list:
     """Two-sided bounds for shift ratios after uniform smoothing.
 
     With U uniform on [0, c] independent of X ~ dist:
@@ -304,7 +298,6 @@ def sandwich_probe(dist: MixtureDistribution, c: float, c1: float, a: float,
     """
     if not (c > 0.0 and c1 > 0.0):
         raise ParameterError("c and c1 must be positive")
-    params = params or ModelParams()
     pts = _points(seq, params)
     ns = _seq_ns(seq, pts)
 
@@ -359,13 +352,13 @@ def tilt_identity_probe(rho: MixtureDistribution, gamma: float, c_list, x_grid,
 # trend classification
 # ---------------------------------------------------------------------------
 
-def classify_limit(series: RatioSeries, tol: float = 0.05) -> Verdict:
+def classify_limit(series: RatioSeries) -> Verdict:
     """Deterministic trend verdict for a ratio series.
 
     Divergence: the last three ratios each grow by a factor >= 1.3.
     Convergence: least-squares fit of log-ratio against [1, 1/n, 1/log x]
-    over the last half of the entries has RMS residual <= tol and an
-    extrapolated intercept within tol + spread of the last value.  All raw
+    over the last half of the entries has RMS residual <= 0.05 and an
+    extrapolated intercept within 0.05 + spread of the last value.  All raw
     entries remain available, so these thresholds hide nothing.
     """
     entries = [e for e in series.entries if not e.flagged]
@@ -390,6 +383,6 @@ def classify_limit(series: RatioSeries, tol: float = 0.05) -> Verdict:
     rms = float(np.sqrt(np.mean(resid ** 2)))
     limit = float(math.exp(coef[0]))
     spread = float(np.max(logs) - np.min(logs))
-    if rms <= tol and abs(coef[0] - logs[-1]) <= tol + spread:
+    if rms <= _TREND_TOL and abs(coef[0] - logs[-1]) <= _TREND_TOL + spread:
         return Verdict("converges-to", limit, rms)
     return Verdict("inconclusive", limit, rms)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from subexp import (
-    ConvPlan,
     LogBracket,
     MixtureDistribution,
     ParameterError,
@@ -25,10 +24,12 @@ from subexp import (
     tilt,
 )
 from subexp.convolve import (
+    _phi_pair_split,
     oracle_conv_density_at,
     oracle_window_mass,
     phi_values,
 )
+from subexp.measures import PhiAC, Weight
 
 LN4 = math.log(4.0)
 
@@ -115,21 +116,22 @@ def m_norm_window(mu, m_norm, x, quad):
 
 
 class TestSplitBracketsContainFullNumeric:
-    """Split mode forced below its threshold brackets the full-numeric value."""
+    """The split form below its threshold brackets the full-numeric value."""
 
     @pytest.mark.parametrize("n, y", [(7, 3.0), (8, 3.0), (8, 2.0), (9, 2.0)])
-    def test_self_conv(self, params, profile, quad_fast, n, y):
+    def test_self_conv(self, profile, quad_fast, n, y):
         x = ScaledSum.scaled(n, y)
-        split = phi_self_conv_at(profile, x, quad_fast, ConvPlan(params, split_threshold=1e3))
+        phi = PhiAC(profile=profile, m_log=0.0)
+        split = _phi_pair_split(phi, phi, x, None, quad_fast)
         full = phi_self_conv_at(profile, x, quad_fast)
         assert isinstance(split, LogBracket)
         assert split.lo <= full <= split.hi
 
     @pytest.mark.parametrize("y", [3.0, 2.0])
-    def test_conv_window(self, params, mu, quad_fast, y):
+    def test_conv_window(self, mu, quad_fast, y):
         x = ScaledSum.scaled(6, y)
-        split = conv_local_mass(mu, mu, x, 1.0, quad_fast,
-                                ConvPlan(params, split_threshold=1e3))
+        comp = mu.components[0][1]
+        split = _phi_pair_split(comp, comp, x, Weight.window(1.0), quad_fast)
         full = conv_local_mass(mu, mu, x, 1.0, quad_fast)
         assert isinstance(split, LogBracket)
         assert split.lo <= full <= split.hi

@@ -193,12 +193,12 @@ class TestSmoothedPairWeight:
         # per piece of f2 = kernel * kernel, from unit-window masses, against
         # the weighted mass of mu*mu under G2; k = 1 runs full numeric, k = 2
         # the split bracket
-        from subexp.convolve import ConvPlan, bracket_pair, conv_local_mass
+        from subexp.convolve import bracket_pair, conv_local_mass
         from subexp.gallery import default_kernel
         from subexp.logsum import log_sum
         from subexp.measures import Weight, _gauss_legendre
         mu = build_mu(spec_default)
-        quad, plan = spec_default.quad, ConvPlan(spec_default.params)
+        quad = spec_default.quad
         kernel = default_kernel()
         anchor = interval_family(spec_default).d_anchor[k - 1]
         terms_lo, terms_hi = [], []
@@ -206,13 +206,13 @@ class TestSmoothedPairWeight:
             for z, wt in _gauss_legendre(5):
                 v = lo + 0.25 + 0.25 * z
                 m_lo, m_hi = bracket_pair(conv_local_mass(mu, mu, anchor.add_offset(-v), 1.0,
-                                                          quad, plan))
+                                                          quad))
                 base = math.log(wt * 0.25 * kernel.self_convolution_value(v))
                 terms_lo.append(base + m_lo)
                 terms_hi.append(base + m_hi)
         old_lo, old_hi = log_sum(terms_lo), log_sum(terms_hi)
         g2 = Weight.window(1.0).smoothed(kernel).smoothed(kernel)
-        new_lo, new_hi = bracket_pair(conv_local_mass(mu, mu, anchor, g2, quad, plan))
+        new_lo, new_hi = bracket_pair(conv_local_mass(mu, mu, anchor, g2, quad))
         assert abs(new_lo - old_lo) <= 5e-9 and abs(new_hi - old_hi) <= 5e-9
         assert (new_hi > new_lo) == (old_hi > old_lo) == (k > 1)
         if k > 1:

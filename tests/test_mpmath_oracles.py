@@ -12,6 +12,7 @@ to 1e-12 with the same formulas at the exact point.
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,10 +21,11 @@ from hypothesis import strategies as st
 from subexp import (GallerySpec, KernelAC, MixtureDistribution, ModelParams, ParetoAC,
                     PeriodicProfile, PhiAC, QuadratureSpec, ScaledSum, SequenceSpec, UniformAC,
                     build_mu, conv_local_mass, integrate_log, local_density, local_mass,
-                    make_sequence, phi_self_conv_at, tilt)
+                    make_sequence, phi_self_conv_at, tail, tilt)
 from subexp import measures
 from subexp.measures import PiecewiseLinearDensity, Weight, phi_integral_log
-from subexp.scaledcore import PointPhase, phi_log_value, phi_window_log_eval
+from subexp.scaledcore import (PointPhase, _range_fix, phi_log_value, phi_window_log_eval,
+                               point_lambda)
 
 mp = pytest.importorskip("mpmath")
 
@@ -518,6 +520,33 @@ def _mp_pareto_tail(a, gamma, x):
         return float(mp.log(a * mp.exp(g) * g ** a * mp.gammainc(-a, g * (1 + mp.mpf(x)))))
 
 
+# points from just below the support to 1e300, and beyond float range
+_PARETO_POINTS = (-0.3, -2.0 ** -9, 0.0, 0.7, 40.0, 123.4, 1e6, 1e10, 1e14, 1e17, 1e100, 1e300,
+                  (600, 3.0), (1000, 3.0))
+
+
+@pytest.mark.parametrize("a", [1.0, 2.5])
+@pytest.mark.parametrize("c", [2.0 ** -8, 0.5, 1.0, 2.0])
+def test_pareto_window_density_and_tail(a, c, quad, monkeypatch):
+    # the window is (1+o)^-a (1 - (1 + w/(1+o))^-a) for its part (o, o+w]
+    # on the support, of width c where it starts on the support, so it keeps
+    # its digits where x + c rounds; beyond float range log(1+x) is x's log,
+    # for the density and the tail too
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    comp = ParetoAC(a)
+    for v in _PARETO_POINTS:
+        x = ScaledSum.scaled(*v) if isinstance(v, tuple) else ScaledSum.from_float(v)
+        with mp.workprec(EXACT_PREC):
+            u = _mp_point(x)
+            o, hi = max(u, 0), max(u + c, 0)
+            window = mp.log((1 + o) ** -a - (1 + hi) ** -a) if hi > o else -math.inf
+            density = mp.log(a) - (a + 1) * mp.log1p(u) if u >= 0 else -math.inf
+            tail = -a * mp.log1p(o)
+        for got, ref in ((comp.log_window_mass(x, c, quad), window),
+                         (comp.log_density(x, quad), density), (comp.log_tail(x, quad), tail)):
+            assert got == ref or abs(got - float(ref)) <= 1e-15 * max(1.0, abs(float(ref))), v
+
+
 def _mp_raw_dip(params):
     """The raw dip density at any u >= 1, with the breakpoints of a range."""
     b, x0, delta = mp.mpf(params.b), mp.mpf(params.x0), mp.mpf(params.delta)
@@ -913,3 +942,150 @@ def test_window_in_base_8_beyond_float_range(quad, monkeypatch, n):
         a = params.alpha
         ref = log_h + mp.log((u ** -a - (u + 1) ** -a) / a)
     assert branch == "dip" and abs(got - float(ref)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one point in several forms
+# ---------------------------------------------------------------------------
+
+def _mp_cell(params, u):
+    """The scale m of the cell [b^m, b^(m+1)) of an exact point u >= 1."""
+    b = mp.mpf(params.b)
+    with mp.workprec(64):
+        m = int(mp.floor(mp.log(u) / mp.log(b)))
+    return m + (u >= b ** (m + 1)) - (u < b ** m)
+
+
+def _mp_window_at(params, m_log, u, c):
+    """log of the normalized dip mass of (u, u + c] at the exact point u, as
+    pieces between the support edge, the cell and ring edges and the centres:
+    the density relative to u^-(alpha+1), with each dip distance the log of
+    an exact offset from its centre less the cell's scale."""
+    b, x0, delta, a1 = mp.mpf(params.b), params.x0, params.delta, params.alpha + 1
+    with mp.workprec(EXACT_PREC):
+        cell = _mp_cell(params, max(u, mp.mpf(1)))
+        ends = {mp.mpf(0), mp.mpf(c)}
+        for m in range(max(cell - 1, 0), cell + 2):
+            for v in (1, x0 - delta, x0, x0 + delta):
+                t = b ** m * v - u
+                if 0 < t < c:
+                    ends.add(t)
+        ends = sorted(ends)
+        pieces = []
+        for t0, t1 in zip(ends[:-1], ends[1:]):
+            mid = u + (t0 + t1) / 2
+            if mid >= 1:  # on the support
+                m = _mp_cell(params, mid)
+                pieces.append((t0, t1, b ** m * x0 - u, m))
+        with mp.workprec(LOG_PREC):
+            log_u, inv_u = mp.log(u), 1 / u
+    if not pieces:
+        return -math.inf
+    with mp.workdps(DPS):
+        plateau = -1 / mp.log(mp.mpf(delta))
+        total = 0
+        for t0, t1, centre, m in pieces:
+            centre, log_scale = mp.mpf(centre), m * mp.log(b)
+
+            def f(t, centre=centre, log_scale=log_scale):
+                d = abs(t - centre)
+                if d == 0:
+                    return mp.mpf(0)
+                dlog = mp.log(d) - log_scale
+                h = -1 / dlog if dlog < mp.log(delta) else plateau
+                return (1 + t * inv_u) ** -a1 * h
+
+            total += mp.quad(f, [mp.mpf(t0), mp.mpf(t1)])
+        return mp.log(total) - a1 * log_u - mp.mpf(m_log)
+
+
+def _mp_tail_at(params, m_log, u):
+    """log of the normalized dip mass above the exact point u >= 1 by
+    self-similarity: b^(-alpha m) (int_y^b phi + b^-alpha M) / M for u = b^m y."""
+    f, cuts = _mp_raw_dip(params)
+    b = mp.mpf(params.b)
+    with mp.workprec(EXACT_PREC):
+        m = _mp_cell(params, u)
+        y = u / b ** m
+    with mp.workdps(DPS):
+        y, norm = mp.mpf(y), mp.exp(mp.mpf(m_log))
+        cell = mp.quad(f, cuts(y, b)) if y < b else 0
+        return (-params.alpha * m * mp.log(b) + mp.log(cell + b ** -params.alpha * norm)
+                - mp.log(norm))
+
+
+def _log_or_zero(v):
+    return math.log(v) if v else -math.inf
+
+
+@st.composite
+def _point_forms(draw):
+    """One point ``4^n y + R``, n in [0, 1024], in up to three canonical
+    forms: the head and the float remainder R; the head moved by k ulp with
+    R less that move as its remainder, where that is exact; and R as a second
+    term ``4^m y2``.  y is a float, the dip centre x0 = 2 or x0 +- k ulp, and
+    R zero, a short float near the ring's reach at scale n, or any float
+    below 2^-20 of the head."""
+    n = draw(st.integers(0, 1024))
+    head = draw(st.sampled_from(["float", "anchor", "ulp"]))
+    if head == "float":
+        y = draw(st.floats(1.0, 4.0, exclude_max=True))
+    elif head == "anchor":
+        y = 2.0
+    else:
+        k = draw(st.integers(1, 2 ** 12)) * draw(st.sampled_from([1, -1]))
+        y = 2.0 + k * 2.0 ** (-51 if k > 0 else -52)
+    rem = draw(st.sampled_from(["none", "short", "any"]))
+    top = min(2 * n - 21, 1023)  # the remainder stays below 2^-20 of the head
+    if rem == "none" or top < -1074:
+        R = 0.0
+    elif rem == "short":  # a 20-bit mantissa 2^-1 .. 2^-90 of the head
+        e = max(min(2 * n - draw(st.integers(21, 90)), 1023), -1054)
+        R = draw(st.sampled_from([1, -1])) * math.ldexp(draw(st.integers(1, 2 ** 20 - 1)), e - 20)
+    else:
+        R = _binary(draw, -1074, top)
+    forms = [ScaledSum(b=4.0, terms=((1, n, y),), offset=R)]
+    ulp = 2.0 ** -52 if y < 2.0 else 2.0 ** -51
+    k = draw(st.integers(1, 2 ** 12)) * draw(st.sampled_from([1, -1]))
+    y2 = y + k * ulp
+    if 1.0 <= y2 < 4.0 and 2 * n - 40 < 1023:
+        moved = Fraction(R) - k * Fraction(ulp) * 4 ** n
+        R2 = float(moved)
+        if Fraction(y2) == Fraction(y) + k * Fraction(ulp) and Fraction(R2) == moved:
+            forms.append(ScaledSum(b=4.0, terms=((1, n, y2),), offset=R2))
+    if R:
+        m = math.floor(math.log(abs(R)) / math.log(4.0))
+        m, y3 = _range_fix(m, abs(R) / 4.0 ** m, 4.0)
+        forms.append(ScaledSum(b=4.0, terms=((1, n, y), (1 if R > 0 else -1, m, y3))))
+    return forms
+
+
+@given(forms=_point_forms(), c=st.sampled_from([2.0 ** -8, 1.0]))
+@settings(max_examples=40, deadline=None)
+def test_point_forms_read_alike(mu, params, quad, forms, c):
+    # every form of a point gives the window mass, density, tail and
+    # point_lambda of the others, and of mpmath at the exact point
+    phi = mu.components[0][1]
+    with mp.workprec(EXACT_PREC):
+        u = _mp_point(forms[0])
+        assert all(x.is_canonical() and _mp_point(x) == u for x in forms)
+        cell = _mp_cell(params, u)
+        lam = abs(u - mp.mpf(params.b) ** cell * params.x0)
+        with mp.workprec(LOG_PREC):
+            log_lam = mp.log(lam) if lam else -math.inf
+        density = _mp_phi_log(params, u)
+    assume(u >= 1 and cell == forms[0].terms[0][1])  # the head's cell
+    refs = {
+        "window": (lambda x: local_mass(mu, x, c, quad), _mp_window_at(params, phi.m_log, u, c)),
+        "density": (lambda x: mu.log_density(x, quad), density - phi.m_log),
+        "lambda": (lambda x: _log_or_zero(point_lambda(x, params)), log_lam),
+    }
+    if cell <= 500:
+        refs["tail"] = (lambda x: tail(mu, x, quad), _mp_tail_at(params, phi.m_log, u))
+    for name, (query, ref) in refs.items():
+        if name == "lambda" and ref > 709.8:  # beyond float range
+            assert all(point_lambda(x, params) == math.inf for x in forms)
+            continue
+        got = [query(x) for x in forms]
+        assert all(_agree(g, got[0]) for g in got[1:]), (name, got)
+        assert _agree(got[0], ref), (name, got[0], float(ref))
