@@ -496,10 +496,6 @@ def _poly_mul(p: tuple, q: tuple) -> tuple:
     return tuple(out)
 
 
-def _float_point(v: float, b: float) -> ScaledSum:
-    return ScaledSum.from_float(v, b) if v != 0.0 else ScaledSum.zero(b)
-
-
 def _times_weight(f, w: Weight, t0: float):
     """``s -> f(s) + log w(s + t0)``."""
     return lambda s: f(s) + w.log_value(s + t0)
@@ -744,10 +740,10 @@ class Component:
         then windows that double the span until the component's envelope
         (:meth:`_log_tail_envelope`) bounds the rest below 2^-56 of the sum."""
         span = _TILT_TAIL_FOLDS / -gamma
-        total = self.log_window_mass(_float_point(xv, b), span, quad, gamma)
+        total = self.log_window_mass(ScaledSum.from_float(xv, b), span, quad, gamma)
         while self._log_tail_envelope(xv + span, gamma) > total - _LOG_2_56:
-            total = log_add(total, self.log_window_mass(_float_point(xv + span, b), span,
-                                                        quad, gamma))
+            total = log_add(total, self.log_window_mass(ScaledSum.from_float(xv + span, b),
+                                                        span, quad, gamma))
             span *= 2.0
         return total
 
@@ -1518,7 +1514,7 @@ class UniformAC(Component):
         right = self.left + self.width
         if xv >= right:
             return LOG_ZERO
-        return self.log_window_mass(_float_point(xv, x.b), right - xv, quad, gamma)
+        return self.log_window_mass(ScaledSum.from_float(xv, x.b), right - xv, quad, gamma)
 
     def log_exp_moment(self, gamma, quad):
         if gamma == 0.0:

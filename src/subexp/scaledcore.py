@@ -123,8 +123,9 @@ class ScaledSum:
     """Immutable scale-split representation of a real number.
 
     Construct via :meth:`from_float`, :meth:`scaled`, or arithmetic on
-    existing values; those paths return canonical instances.  Hand-built
-    instances can be canonicalized with :meth:`normalize`.
+    existing values, :meth:`add_offset` included: each returns the canonical
+    form, which :meth:`normalize` alone defines, and hand-built instances
+    take it from there too.
     """
 
     b: float
@@ -159,11 +160,23 @@ class ScaledSum:
     # -- canonical form -----------------------------------------------------
 
     def normalize(self) -> "ScaledSum":
+        """The canonical form: terms merged per scale and sorted, lesser terms
+        and an offset at 2^-20 of the head or above folded into it, dust
+        dropped.  One term with a mantissa in ``[1, b)`` skips the merge, and
+        a head within 2^50 takes a larger offset through :meth:`from_float`."""
         b = self.b
         lnb = math.log(b)
 
         def mag(m, y):
             return m * lnb + math.log(y)
+
+        offset = self.offset
+        if len(self.terms) == 1 and 1.0 <= self.terms[0][2] < b:
+            s1, m1, y1 = self.terms[0]
+            if offset == 0.0 or math.log(abs(offset)) - mag(m1, y1) < math.log(DOMINANCE):
+                return self
+            if mag(m1, y1) <= 50.0 * math.log(2.0):
+                return ScaledSum.from_float(s1 * y1 * b ** m1 + offset, b)
 
         # signed mantissas per scale
         acc: dict[int, float] = {}
@@ -195,7 +208,6 @@ class ScaledSum:
             key=lambda t: (t[1], t[2]),
             reverse=True,
         )
-        offset = self.offset
 
         # fold lesser terms within the dominance threshold into the head
         while len(terms) >= 2:
@@ -224,13 +236,11 @@ class ScaledSum:
                     total = math.fsum([s * y * b ** m for s, m, y in terms]) + offset
                     return ScaledSum.from_float(total, b)
                 combined = s1 * y1 + offset * b ** (-m1)
-                m3, y3 = _range_fix(m1, abs(combined), b)
-                terms = sorted(
-                    terms[1:] + [(1 if combined > 0 else -1, m3, y3)],
-                    key=lambda t: (t[1], t[2]),
-                    reverse=True,
-                )
-                offset = 0.0
+                terms, offset = terms[1:], 0.0
+                if combined != 0.0:  # an offset of exactly -head leaves the rest
+                    m3, y3 = _range_fix(m1, abs(combined), b)
+                    terms = sorted(terms + [(1 if combined > 0 else -1, m3, y3)],
+                                   key=lambda t: (t[1], t[2]), reverse=True)
 
         # drop dust relative to the leading remainder (never the remainder head)
         if len(terms) >= 2:
@@ -320,20 +330,7 @@ class ScaledSum:
     # -- arithmetic ----------------------------------------------------------
 
     def add_offset(self, t: float) -> "ScaledSum":
-        offset = self.offset + t
-        if len(self.terms) > 1 or (self.terms and not 1.0 <= self.terms[0][2] < self.b):
-            return ScaledSum(b=self.b, terms=self.terms, offset=offset).normalize()
-        if self.terms and offset != 0.0:
-            # what normalize does to a canonical one-term sum: it keeps an
-            # offset below the dominance threshold of the head, and folds a
-            # larger one into a head within 2^50 through from_float
-            s1, m1, y1 = self.terms[0]
-            head_mag = m1 * math.log(self.b) + math.log(y1)
-            if math.log(abs(offset)) - head_mag >= math.log(DOMINANCE):
-                if head_mag > 50.0 * math.log(2.0):
-                    return ScaledSum(b=self.b, terms=self.terms, offset=offset).normalize()
-                return ScaledSum.from_float(s1 * y1 * self.b ** m1 + offset, self.b)
-        return ScaledSum(b=self.b, terms=self.terms, offset=offset)
+        return ScaledSum(b=self.b, terms=self.terms, offset=self.offset + t).normalize()
 
     def add(self, other: "ScaledSum") -> "ScaledSum":
         if other.b != self.b:
@@ -351,9 +348,10 @@ class ScaledSum:
                          offset=-self.offset)
 
     def scale_pow_b(self, k: int) -> "ScaledSum":
-        """Multiply by b^k (exact on terms)."""
-        return ScaledSum(b=self.b, terms=tuple((s, m + k, y) for s, m, y in self.terms),
-                         offset=self.offset * self.b ** k).normalize()
+        """Multiply by b^k, the offset carried as a term: exact at any k for a
+        power-of-two b."""
+        terms = self.terms + ScaledSum.from_float(self.offset, self.b).terms
+        return ScaledSum(b=self.b, terms=tuple((s, m + k, y) for s, m, y in terms)).normalize()
 
     def describe(self) -> str:
         """Compact human-readable form, e.g. '4^8*2+138.87'."""
@@ -674,7 +672,7 @@ def make_sequence(spec: SequenceSpec, params: ModelParams) -> list:
         if not (1.0 <= y_n <= b):
             raise ParameterError(
                 f"regime {spec.regime} target {spec.target} puts mantissa {y_n} outside [1, {b}] at n={n}")
-        out.append(ScaledSum(b=b, terms=((1, n, x0),), offset=off).normalize())
+        out.append(ScaledSum.scaled(n, x0, b=b, offset=off))
     return out
 
 

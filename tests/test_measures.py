@@ -955,9 +955,9 @@ class TestWindowEvaluator:
         # x0 = 1.7, bases and offsets of full precision: a node far below a
         # float-range base takes each structure point's offset from the base's
         # head, rounded at ulp(base), where base.add_offset(t) rounds the
-        # point itself at ulp(base).  So the node is the window at base + t
-        # to what a move of a few ulp(base) does to that window.  Beyond 2^50
-        # the offsets stay near the base.
+        # point itself at the ulp of the larger of base and base + t.  So the
+        # node is the window at base + t to what a move of a few such ulp does
+        # to that window.  Beyond 2^50 the offsets stay near the base.
         phi = phi_non_dyadic
         p = phi.params
         n = data.draw(st.one_of(st.integers(0, 12), st.integers(13, 1024)), label="n")
@@ -979,7 +979,7 @@ class TestWindowEvaluator:
             lo, hi = t - 40.0, t + 40.0
         got = phi.log_window_mass_eval(base, lo, hi, w, quad)(t)
         want = phi.log_window_mass(base.add_offset(t), w, quad)
-        ulp = math.ulp(xv) if xv < 2.0 ** 50 else 0.0
+        ulp = math.ulp(max(abs(xv), abs(xv + t))) if xv < 2.0 ** 50 else 0.0
         moved = max(abs(phi.log_window_mass(base.add_offset(t + k * ulp), w, quad) - want)
                     for k in (-4, 4))
         assert got == want or abs(got - want) <= 2.0 * quad.rel_tol + 2.0 * moved

@@ -24,8 +24,8 @@ from subexp import (GallerySpec, KernelAC, MixtureDistribution, ModelParams, Par
                     make_sequence, phi_self_conv_at, tail, tilt)
 from subexp import measures
 from subexp.measures import PiecewiseLinearDensity, Weight, phi_integral_log
-from subexp.scaledcore import (PointPhase, _range_fix, phi_log_value, phi_window_log_eval,
-                               point_lambda)
+from subexp.scaledcore import (DOMINANCE, DUST, PointPhase, _range_fix, phi_log_value,
+                               phi_window_log_eval, point_lambda)
 
 mp = pytest.importorskip("mpmath")
 
@@ -1089,3 +1089,107 @@ def test_point_forms_read_alike(mu, params, quad, forms, c):
         got = [query(x) for x in forms]
         assert all(_agree(g, got[0]) for g in got[1:]), (name, got)
         assert _agree(got[0], ref), (name, got[0], float(ref))
+
+
+# ScaledSum arithmetic against the exact value.  Mantissas and offsets have
+# 20 bits, so most folds and merges of these sums are exact.  Every value is
+# a multiple of 2^-270 below 2^2052, times a power of b, which ARITH_PREC
+# (about 720 digits) holds exactly.
+ARITH_PREC = 2400
+
+
+def _bits20(draw, lo, hi):
+    """A signed float with a 20-bit mantissa, of magnitude 2^lo .. 2^(hi+1)."""
+    j = draw(st.integers(2 ** 19, 2 ** 20 - 1))
+    return draw(st.sampled_from([1.0, -1.0])) * math.ldexp(j, draw(st.integers(lo, hi)) - 19)
+
+
+@st.composite
+def _float20(draw):
+    return 0.0 if draw(st.booleans()) else _bits20(draw, -250, 1000)
+
+
+@st.composite
+def _hand_sums(draw):
+    """A hand-built sum of one to three terms ``4^m y``, m in [-8, 1024], the
+    lesser ones a few scales below the head or anywhere, plus an offset: zero,
+    near the head's magnitude (so it may fold), or any of 2^-250 .. 2^1001."""
+    m = draw(st.integers(-8, 1024))
+    terms = []
+    for i in range(draw(st.integers(1, 3))):
+        if i == 0:
+            mi = m
+        elif draw(st.booleans()):
+            mi = m - draw(st.integers(0, 12))
+        else:
+            mi = draw(st.integers(-8, 1024))
+        y = 1.0 + draw(st.integers(0, 3 * 2 ** 20 - 1)) * 2.0 ** -20
+        terms.append((draw(st.sampled_from([1, -1])), mi, y))
+    kind = draw(st.sampled_from(["none", "near", "any"]))
+    if kind == "none":
+        offset = 0.0
+    elif kind == "near":
+        e = max(-250, min(2 * m + draw(st.integers(-70, 2)), 1000))
+        offset = _bits20(draw, e, e)
+    else:
+        offset = _bits20(draw, -250, 1000)
+    return ScaledSum(b=4.0, terms=tuple(terms), offset=offset)
+
+
+def _check_arithmetic(r, exact, ins, offsets, offset_sum=None):
+    """``r`` is canonical and ``exact`` within the dust threshold of its
+    leading remainder, give or take the roundings the form makes: the float
+    ``offset_sum`` once, each term that is not among the input terms ``ins``
+    once, and a head made anew, or a sum collapsed to a float, at float
+    precision of the largest input (terms and ``offsets``)."""
+    b = mp.mpf(4)
+
+    def value(s, m, y):
+        return s * mp.mpf(y) * b ** m
+
+    got = mp.fsum([value(*t) for t in r.terms]) + r.offset
+    tol = mp.mpf(0)
+    if len(r.terms) >= 2:  # terms dropped as dust
+        tol += 8 * DUST * max(abs(value(*r.terms[1])), abs(mp.mpf(r.offset)))
+    if offset_sum is not None:
+        tol += math.ulp(offset_sum) / 2
+    made = [t for t in r.terms if t not in ins]
+    tol += 2.0 ** -51 * mp.fsum([abs(value(*t)) for t in made])
+    if r.terms and (r.terms[0] in made or (len(r.terms) == 1 and not r.offset
+                                           and r.terms[0][1] <= 26)):
+        top = max([abs(value(*t)) for t in ins] + [abs(mp.mpf(o)) for o in offsets])
+        tol += 2.0 ** -50 * top
+    assert abs(got - exact) <= tol, (r, mp.nstr(got - exact, 5), mp.nstr(tol, 5))
+    if r.terms:
+        s1, m1, y1 = r.terms[0]
+        assert all(s in (1, -1) and 1.0 <= y < 4.0 for s, m, y in r.terms)
+        assert list(r.terms) == sorted(r.terms, key=lambda t: (t[1], t[2]), reverse=True)
+        assert abs(mp.mpf(r.offset)) < DOMINANCE * (1 + 1e-12) * value(1, m1, y1)
+
+
+# an offset of exactly minus a head beyond 2^50 leaves the rest of the sum;
+# scaling by b^1000 and b^-1000 carries the offset exactly
+@example(raw=ScaledSum(b=4.0, terms=((1, 30, 1.0), (1, 5, 1.0)), offset=-4.0 ** 30),
+         other=ScaledSum(b=4.0, terms=((1, 30, 1.0),)), t=-4.0 ** 30, k=1000)
+@example(raw=ScaledSum(b=4.0, terms=((1, 600, 2.0),), offset=0.5),
+         other=ScaledSum(b=4.0, terms=((-1, 600, 2.0),), offset=0.25), t=0.0, k=-1000)
+@given(raw=_hand_sums(), other=_hand_sums(), t=_float20(), k=st.integers(-1024, 1024))
+@settings(max_examples=200, deadline=None)
+def test_scaled_sum_arithmetic(raw, other, t, k):
+    # normalize, add, sub, add_offset and scale_pow_b against the exact sums
+    b = mp.mpf(4)
+    with mp.workprec(ARITH_PREC):
+        def exact(z):
+            return mp.fsum([s * mp.mpf(y) * b ** m for s, m, y in z.terms]) + z.offset
+
+        x, y = raw.normalize(), other.normalize()
+        _check_arithmetic(x, exact(raw), raw.terms, [raw.offset])
+        neg = tuple((-s, m, v) for s, m, v in y.terms)
+        _check_arithmetic(x.add(y), exact(x) + exact(y), x.terms + y.terms,
+                          [x.offset, y.offset], x.offset + y.offset)
+        _check_arithmetic(x.sub(y), exact(x) - exact(y), x.terms + neg,
+                          [x.offset, y.offset], x.offset - y.offset)
+        _check_arithmetic(x.add_offset(t), exact(x) + t, x.terms, [x.offset, t], x.offset + t)
+        shifted = tuple((s, m + k, v) for s, m, v in
+                        x.terms + ScaledSum.from_float(x.offset).terms)
+        _check_arithmetic(x.scale_pow_b(k), exact(x) * b ** k, shifted, [])

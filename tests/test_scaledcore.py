@@ -61,10 +61,13 @@ class TestScaledSum:
            st.floats(min_value=-1e300, max_value=1e300))
     @settings(max_examples=300, deadline=None)
     def test_add_offset_is_normalize(self, m, y, sign, offset, t):
+        # a zero-mantissa term is skipped by the merge, so the padded sum
+        # reaches the general path and checks normalize's one-term rule
         for s in (ScaledSum(b=4.0, terms=((sign, m, y),), offset=offset).normalize(),
                   ScaledSum.zero(4.0)):
-            assert s.add_offset(t) == ScaledSum(b=4.0, terms=s.terms,
-                                                offset=s.offset + t).normalize()
+            got = s.add_offset(t)
+            want = ScaledSum(b=4.0, terms=s.terms + ((1, m, 0.0),), offset=s.offset + t).normalize()
+            assert got == want and repr(got) == repr(want)
 
     def test_dominance_invariant(self):
         s = ScaledSum(b=4.0, terms=((1, 10, 2.0), (1, 9, 1.0)), offset=0.0).normalize()
