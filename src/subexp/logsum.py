@@ -62,8 +62,11 @@ def log_sum(values) -> float:
 
     Scaled by the running maximum and compensated; the input order is
     preserved, so results are deterministic for a deterministic input order.
+    A lone value is returned as the sum would return it, ``-0.0`` as ``0.0``.
     """
     vals = [v for v in values if v != LOG_ZERO]
+    if len(vals) == 1:
+        return vals[0] + 0.0
     if not vals:
         return LOG_ZERO
     ref = max(vals)

@@ -833,13 +833,12 @@ class PhiAC(Component):
     def _window_cuts(self, ph: PointPhase, hi: float, lo: float = 0.0):
         """Structure of the offsets [lo, hi] from x, for the windows inside it.
 
-        Returns (edges, centres, rings): the support edge, the ring edges and
-        the dip centres as one list, ascending by construction (the hints of
-        a window are those strictly inside it); the dip centres as a dict
-        from offset to the scale m of the centre ``b^m x0``; and the dip
-        rings, ascending, as (lo, hi, t0, m): the ring's offset range, so
-        that a segment between hints lies in a ring exactly when its midpoint
-        does, and the offset t0 and scale m of its centre.
+        Returns (edges, rings): the support edge, the ring edges and the dip
+        centres as one list, ascending by construction (the hints of a window
+        are those strictly inside it); and the dip rings, ascending, as (lo,
+        hi, t0, m): the ring's offset range, so that a segment between hints
+        lies in a ring exactly when its midpoint does, and the offset t0 and
+        scale m of its centre ``b^m x0``.
 
         Every offset ``b^m y - x`` of a point ``x = b^M y1 + R`` is ``(y
         b^(m-M) - y1) b^M - R`` (:func:`_offsets_in_units`), for every cell
@@ -880,27 +879,27 @@ class PhiAC(Component):
             if not math.isfinite(t0):
                 h = self.profile.at_distance(dip_distance_eval(ph, x0)(0.0)[1])
                 h_log = math.log(h / self.profile.plateau) if h else LOG_ZERO
-                return [], {}, [(-math.inf, math.inf, None, h_log)] if h_log != 0.0 else []
+                return [], [(-math.inf, math.inf, None, h_log)] if h_log != 0.0 else []
             edges = [r_lo, t0, r_hi]
             if M == 0:  # from M = 1 the support edge lies below the span
                 edges.insert(0, _offsets_in_units((1.0,), y1, R, b1, b2, units)[0])
-            return edges, {t0: M}, [(r_lo, r_hi, t0, M)]
-        edges, centres, rings = _offsets_in_units((b ** -M,), y1, R, b1, b2, units), {}, []
+            return edges, [(r_lo, r_hi, t0, M)]
+        edges, rings = _offsets_in_units((b ** -M,), y1, R, b1, b2, units), []
         for m in scales:
             k = b ** (m - M)
             r_lo, t0, r_hi = _offsets_in_units(((x0 - delta) * k, x0 * k, (x0 + delta) * k),
                                                y1, R, b1, b2, units)
             if math.isfinite(t0):  # else the ring lies beyond float range of x, and of the span
                 edges += [r_lo, t0, r_hi]
-                centres[t0] = m
                 rings.append((r_lo, r_hi, t0, m))
-        return edges, centres, rings
+        return edges, rings
 
     def density_cuts(self, base: ScaledSum, lo: float, hi: float) -> tuple:
-        edges, centres, _rings = self._window_cuts(PointPhase(base), hi, lo)
+        edges, rings = self._window_cuts(PointPhase(base), hi, lo)
         tol = _END_SNAP * (1.0 + (hi - lo))  # as for a window's ends
-        snapped = {min(max(t, lo), hi): m for t, m in centres.items() if lo - tol <= t <= hi + tol}
-        return [t for t in edges if lo < t < hi], list(snapped)
+        centres = dict.fromkeys(min(max(t0, lo), hi) for _r_lo, _r_hi, t0, _m in rings
+                                if t0 is not None and lo - tol <= t0 <= hi + tol)
+        return [t for t in edges if lo < t < hi], list(centres)
 
     def log_density_eval(self, base, quad, gamma=0.0):
         """``t -> log_density(base + t)``; untilted, it carries the batch form
@@ -1015,7 +1014,7 @@ class PhiAC(Component):
             _finite_value(base, "tilted dip density")
         ph = PointPhase(base)
         w0, c, shape = _weight_shape(w)
-        edges, _centres, rings = self._window_cuts(ph, hi + w0 + c, lo + w0)
+        edges, rings = self._window_cuts(ph, hi + w0 + c, lo + w0)
         return (ph, edges, rings, gamma, w0, c, shape)
 
     def _node_mass(self, plan, t):
@@ -1024,24 +1023,21 @@ class PhiAC(Component):
         s = t + w0
         end = s + c
         tol = _END_SNAP * (1.0 + c)  # for edges that round into the window
-        hints = [e - s for e in edges[bisect_left(edges, s - tol):bisect_right(edges, end + tol)]
-                 if 0.0 < e - s < c]  # edges ascend, and so do hints
+        hints = [h for e in edges[bisect_left(edges, s - tol):bisect_right(edges, end + tol)]
+                 if 0.0 < (h := e - s) < c]  # edges ascend, and so do hints
         if shape is None:
             cuts = [0.0, *hints, c]
         else:
             cuts = [0.0, *sorted(set(hints).union(shape.knots[1:-1])), c]
-        near = []  # the rings that meet the window, in its offsets
-        for r_lo, r_hi, t0, m in rings:
-            if r_lo >= end:
-                break
-            if r_hi > s:
-                near.append((r_lo - s, r_hi - s, None if t0 is None else t0 - s, m))
+        # the rings that meet the window, in its offsets
+        near = [(r_lo - s, r_hi - s, None if t0 is None else t0 - s, m)
+                for r_lo, r_hi, t0, m in rings if r_lo < end and r_hi > s]
         in_support = ph.value + s >= 1.0
         tilt = (gamma, ph.value + s) if gamma != 0.0 else None
         terms = []
         piece = None
         j = 0  # the weight piece of the segment: cuts take every knot, and ascend
-        for a, b in zip(cuts[:-1], cuts[1:]):
+        for a, b in zip(cuts, cuts[1:]):
             mid = 0.5 * (a + b)
             # edges that round together (as the support edge and x0 - delta
             # can) or to within an ulp, where the midpoint falls on an end
@@ -1920,6 +1916,10 @@ class MixtureDistribution:
     """Weighted mixture of components; weights sum to one."""
 
     components: tuple  # tuple[(weight, Component)]
+    # the point base: the first dip component's b, else 4
+    base: float = field(init=False, repr=False, compare=False)
+    # (log weight, component) of the components with weight
+    _parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -1929,40 +1929,40 @@ class MixtureDistribution:
         total = math.fsum(w for w, _ in self.components)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError(f"mixture weights must sum to 1, got {total}")
+        object.__setattr__(self, "base", next(
+            (c.params.b for _w, c in self.components if isinstance(c, PhiAC)), 4.0))
+        object.__setattr__(self, "_parts", tuple(
+            (math.log(w), c) for w, c in self.components if w > 0.0))
 
     @classmethod
     def single(cls, comp: Component) -> "MixtureDistribution":
         return cls(components=((1.0, comp),))
 
-    @property
-    def base(self) -> float:
-        for _w, comp in self.components:
-            if isinstance(comp, PhiAC):
-                return comp.params.b
-        return 4.0
-
     def support_bounds(self):
-        los, his = zip(*(c.support_bounds() for _w, c in self.components if _w > 0))
+        los, his = zip(*(c.support_bounds() for _lw, c in self._parts))
         return (min(los), max(his))
 
     def _combine(self, fn):
-        return log_sum([math.log(w) + fn(comp)
-                        for w, comp in self.components if w > 0.0])
+        """log of the weighted sum of ``fn(comp)``; one component's value
+        as :func:`log_sum` of it alone returns it."""
+        if len(self._parts) == 1:
+            lw, comp = self._parts[0]
+            return lw + fn(comp) + 0.0
+        return log_sum([lw + fn(comp) for lw, comp in self._parts])
 
     def log_window_mass(self, x, w, quad, gamma=0.0):
         return self._combine(lambda comp: comp.log_window_mass(x, w, quad, gamma))
 
     def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
-        evs = [(math.log(wt), comp.log_window_mass_eval(base, lo, hi, w, quad, gamma))
-               for wt, comp in self.components if wt > 0.0]
+        evs = [(lw, comp.log_window_mass_eval(base, lo, hi, w, quad, gamma))
+               for lw, comp in self._parts]
         return lambda t: log_sum([lw + f(t) for lw, f in evs])
 
     def log_density(self, x, quad, gamma=0.0):
         return self.log_density_eval(x, quad, gamma)(0.0)
 
     def log_density_eval(self, base, quad, gamma=0.0):
-        evs = [(math.log(w), comp.log_density_eval(base, quad, gamma))
-               for w, comp in self.components if w > 0.0]
+        evs = [(lw, comp.log_density_eval(base, quad, gamma)) for lw, comp in self._parts]
         return lambda t: log_sum([lw + f(t) for lw, f in evs])
 
     def log_tail(self, x, quad, gamma=0.0):
@@ -1973,11 +1973,10 @@ class MixtureDistribution:
 
     def density_cuts(self, base, lo, hi):
         hints, centres = [], []
-        for w, comp in self.components:
-            if w > 0.0:
-                h, c = comp.density_cuts(base, lo, hi)
-                hints += h
-                centres += c
+        for _lw, comp in self._parts:
+            h, c = comp.density_cuts(base, lo, hi)
+            hints += h
+            centres += c
         return hints, centres
 
 

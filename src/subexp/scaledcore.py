@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ContractViolationError, ParameterError
 
@@ -41,6 +42,9 @@ DOMINANCE = 2.0 ** -20
 DUST = 2.0 ** -70
 
 _LOG_ZERO = float("-inf")
+_LOG_DOMINANCE = math.log(DOMINANCE)
+_LOG_DUST = math.log(DUST)
+_LOG_2_50 = 50.0 * math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +107,7 @@ def _range_fix(m: int, y: float, b: float):
     return m, y
 
 
-@dataclass(frozen=True)
-class PhaseInfo:
+class PhaseInfo(NamedTuple):
     """Head scale/mantissa of a positive point plus its remainder.
 
     ``rem`` is the remainder in absolute units (``x - b^scale * mantissa``)
@@ -147,7 +150,8 @@ class ScaledSum:
         s = 1 if x > 0 else -1
         ax = abs(x)
         m = int(math.floor(math.log(ax) / math.log(b)))
-        m, y = _range_fix(m, ax / b ** m, b)
+        # b^m as two factors: at the ends of the float range it is beyond it
+        m, y = _range_fix(m, ax / b ** (m // 2) / b ** (m - m // 2), b)
         return cls(b=b, terms=((s, m, y),), offset=0.0)
 
     @classmethod
@@ -163,20 +167,26 @@ class ScaledSum:
         """The canonical form: terms merged per scale and sorted, lesser terms
         and an offset at 2^-20 of the head or above folded into it, dust
         dropped.  One term with a mantissa in ``[1, b)`` skips the merge, and
-        a head within 2^50 takes a larger offset through :meth:`from_float`."""
+        a head within 2^50 takes a larger offset through :meth:`from_float`.
+        A non-finite offset raises :class:`ParameterError`."""
         b = self.b
+        offset = self.offset
+        if not math.isfinite(offset):
+            raise ParameterError(f"cannot represent non-finite offset {offset}")
+        if len(self.terms) == 1 and 1.0 <= self.terms[0][2] < b:
+            if offset == 0.0:
+                return self
+            s1, m1, y1 = self.terms[0]
+            head_mag = m1 * math.log(b) + math.log(y1)
+            if math.log(abs(offset)) - head_mag < _LOG_DOMINANCE:
+                return self
+            if head_mag <= _LOG_2_50:
+                return ScaledSum.from_float(s1 * y1 * b ** m1 + offset, b)
+
         lnb = math.log(b)
 
         def mag(m, y):
             return m * lnb + math.log(y)
-
-        offset = self.offset
-        if len(self.terms) == 1 and 1.0 <= self.terms[0][2] < b:
-            s1, m1, y1 = self.terms[0]
-            if offset == 0.0 or math.log(abs(offset)) - mag(m1, y1) < math.log(DOMINANCE):
-                return self
-            if mag(m1, y1) <= 50.0 * math.log(2.0):
-                return ScaledSum.from_float(s1 * y1 * b ** m1 + offset, b)
 
         # signed mantissas per scale
         acc: dict[int, float] = {}
@@ -203,44 +213,42 @@ class ScaledSum:
                     acc[m2] = prev + math.copysign(y2, v)
                     changed = True
 
-        terms = sorted(
-            ((1 if v > 0 else -1, m, abs(v)) for m, v in acc.items()),
-            key=lambda t: (t[1], t[2]),
-            reverse=True,
-        )
+        terms = sorted(((1 if v > 0 else -1, m, abs(v)) for m, v in acc.items()),
+                       key=lambda t: (t[1], t[2]), reverse=True)
 
-        # fold lesser terms within the dominance threshold into the head
-        while len(terms) >= 2:
-            s1, m1, y1 = terms[0]
-            s2, m2, y2 = terms[1]
-            if mag(m2, y2) - mag(m1, y1) < math.log(DOMINANCE):
+        while True:
+            # fold lesser terms within the dominance threshold into the head
+            while len(terms) >= 2:
+                s1, m1, y1 = terms[0]
+                s2, m2, y2 = terms[1]
+                if mag(m2, y2) - mag(m1, y1) < _LOG_DOMINANCE:
+                    break
+                combined = s1 * y1 + s2 * y2 * b ** (m2 - m1)
+                rest = terms[2:]
+                if combined == 0.0:
+                    terms = rest
+                    continue
+                m3, y3 = _range_fix(m1, abs(combined), b)
+                terms = sorted(rest + [(1 if combined > 0 else -1, m3, y3)],
+                               key=lambda t: (t[1], t[2]), reverse=True)
+
+            # fold a large offset into the terms, then the terms it now
+            # dominates into its head
+            if not terms or offset == 0.0:
                 break
-            combined = s1 * y1 + s2 * y2 * b ** (m2 - m1)
-            rest = terms[2:]
-            if combined == 0.0:
-                terms = rest
-                continue
-            m3, y3 = _range_fix(m1, abs(combined), b)
-            terms = sorted(
-                rest + [(1 if combined > 0 else -1, m3, y3)],
-                key=lambda t: (t[1], t[2]),
-                reverse=True,
-            )
-
-        # fold a large offset into the terms
-        if terms and offset != 0.0:
             s1, m1, y1 = terms[0]
             head_mag = mag(m1, y1)
-            if math.log(abs(offset)) - head_mag >= math.log(DOMINANCE):
-                if head_mag <= 50.0 * math.log(2.0):
-                    total = math.fsum([s * y * b ** m for s, m, y in terms]) + offset
-                    return ScaledSum.from_float(total, b)
-                combined = s1 * y1 + offset * b ** (-m1)
-                terms, offset = terms[1:], 0.0
-                if combined != 0.0:  # an offset of exactly -head leaves the rest
-                    m3, y3 = _range_fix(m1, abs(combined), b)
-                    terms = sorted(terms + [(1 if combined > 0 else -1, m3, y3)],
-                                   key=lambda t: (t[1], t[2]), reverse=True)
+            if math.log(abs(offset)) - head_mag < _LOG_DOMINANCE:
+                break
+            if head_mag <= _LOG_2_50:
+                total = math.fsum([s * y * b ** m for s, m, y in terms]) + offset
+                return ScaledSum.from_float(total, b)
+            combined = s1 * y1 + offset * b ** (-m1)
+            terms, offset = terms[1:], 0.0
+            if combined != 0.0:  # an offset of exactly -head leaves the rest
+                m3, y3 = _range_fix(m1, abs(combined), b)
+                terms = sorted(terms + [(1 if combined > 0 else -1, m3, y3)],
+                               key=lambda t: (t[1], t[2]), reverse=True)
 
         # drop dust relative to the leading remainder (never the remainder head)
         if len(terms) >= 2:
@@ -249,7 +257,7 @@ class ScaledSum:
                 rem_head = max(rem_head, math.log(abs(offset)))
             kept = list(terms[:2])
             for s, m, y in terms[2:]:
-                if mag(m, y) - rem_head >= math.log(DUST):
+                if mag(m, y) - rem_head >= _LOG_DUST:
                     kept.append((s, m, y))
             terms = kept
 
@@ -305,9 +313,8 @@ class ScaledSum:
             x = self.offset
             if x <= 0.0:
                 raise ParameterError("phase undefined for non-positive values")
-            m = int(math.floor(math.log(x) / math.log(self.b)))
-            m, y = _range_fix(m, x / self.b ** m, self.b)
-            return PhaseInfo(scale=m, mantissa=y, rem=0.0, rem_sign=0, rem_log=_LOG_ZERO)
+            _s, m, y = ScaledSum.from_float(x, self.b).terms[0]
+            return PhaseInfo(m, y, 0.0, 0, _LOG_ZERO)
         s1, m1, y1 = self.terms[0]
         if s1 < 0:
             raise ParameterError("phase undefined for negative values")
@@ -321,11 +328,10 @@ class ScaledSum:
                 break
         if overflow or not math.isfinite(rem):
             rest = ScaledSum(b=self.b, terms=self.terms[1:], offset=self.offset)
-            return PhaseInfo(scale=m1, mantissa=y1, rem=None,
-                             rem_sign=rest.sign(), rem_log=rest.log_abs())
+            return PhaseInfo(m1, y1, None, rest.sign(), rest.log_abs())
         rlog = _LOG_ZERO if rem == 0.0 else math.log(abs(rem))
         rsign = 0 if rem == 0.0 else (1 if rem > 0 else -1)
-        return PhaseInfo(scale=m1, mantissa=y1, rem=rem, rem_sign=rsign, rem_log=rlog)
+        return PhaseInfo(m1, y1, rem, rsign, rlog)
 
     # -- arithmetic ----------------------------------------------------------
 

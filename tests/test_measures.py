@@ -33,6 +33,7 @@ from subexp import measures
 from subexp.measures import Weight, phi_integral_log
 from subexp.convolve import conv_local_mass, oracle_window_mass, phi_self_conv_at, phi_values
 from subexp.probes import long_tail_probe
+from subexp import scaledcore
 from subexp.scaledcore import phi_log_value
 
 LN4 = math.log(4.0)
@@ -539,6 +540,37 @@ def test_scale_walk_meets_every_ring(mu, params, quad, monkeypatch):
 
     monkeypatch.setattr("subexp.measures._scales", brute)
     assert run() == trimmed
+
+
+@pytest.mark.parametrize("n, y, t", [(1, 3.0, 0.25), (6, 2.0, -0.5), (30, 2.1, 0.0),
+                                     (600, 2.0, -7.0), (1024, 2.0, 1.0)])
+def test_one_window_reads_its_point_once(mu, quad, monkeypatch, n, y, t):
+    # local_mass canonicalizes its point and builds its phase once;
+    # local_density also moves the point to the window's lower end
+    counts = {"normalize": 0, "phase": 0}
+    normalize = ScaledSum.normalize
+
+    def counted_normalize(self):
+        counts["normalize"] += 1
+        return normalize(self)
+
+    class CountedPhase(scaledcore.PointPhase):
+        __slots__ = ()
+
+        def __init__(self, base):
+            counts["phase"] += 1
+            super().__init__(base)
+
+    monkeypatch.setattr(ScaledSum, "normalize", counted_normalize)
+    monkeypatch.setattr(measures, "PointPhase", CountedPhase)
+    monkeypatch.setattr(scaledcore, "PointPhase", CountedPhase)
+    x = ScaledSum.scaled(n, y, offset=t)
+    counts.update(normalize=0, phase=0)
+    local_mass(mu, x, 0.5, quad)
+    assert counts == {"normalize": 1, "phase": 1}
+    counts.update(normalize=0, phase=0)
+    local_density(mu, x, 0.5, quad)
+    assert counts == {"normalize": 2, "phase": 1}
 
 
 class TestCanonicalBoundary:

@@ -235,7 +235,7 @@ def test_dip_segment_across_a_centre(mu, params, m):
     # one; at scales 0 and 1 it reaches beyond 2^-8 x0 b^m and is cut
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=-0.5).normalize()
-    ring = next(r for r in phi._window_cuts(PointPhase(x), 1.0)[2] if r[0] < 0.5 < r[1])
+    ring = next(r for r in phi._window_cuts(PointPhase(x), 1.0)[1] if r[0] < 0.5 < r[1])
     got = phi._log_dip_mass(ring, 0.0, 1.0)
     assert abs(got - _mp_dip_window(params, phi, m, -0.5, 1.0)) <= 1e-11
 
@@ -1160,6 +1160,7 @@ def _check_arithmetic(r, exact, ins, offsets, offset_sum=None):
         top = max([abs(value(*t)) for t in ins] + [abs(mp.mpf(o)) for o in offsets])
         tol += 2.0 ** -50 * top
     assert abs(got - exact) <= tol, (r, mp.nstr(got - exact, 5), mp.nstr(tol, 5))
+    assert r.normalize() == r and r.is_canonical(), r
     if r.terms:
         s1, m1, y1 = r.terms[0]
         assert all(s in (1, -1) and 1.0 <= y < 4.0 for s, m, y in r.terms)
@@ -1168,7 +1169,10 @@ def _check_arithmetic(r, exact, ins, offsets, offset_sum=None):
 
 
 # an offset of exactly minus a head beyond 2^50 leaves the rest of the sum;
+# one that leaves 2^-20 of it leaves a head the next term must fold into;
 # scaling by b^1000 and b^-1000 carries the offset exactly
+@example(raw=ScaledSum(b=4.0, terms=((1, 30, 1.0), (1, 15, 1.0)), offset=-2.0 ** 60 + 2.0 ** 40),
+         other=ScaledSum(b=4.0, terms=((1, 15, 1.0),)), t=0.0, k=0)
 @example(raw=ScaledSum(b=4.0, terms=((1, 30, 1.0), (1, 5, 1.0)), offset=-4.0 ** 30),
          other=ScaledSum(b=4.0, terms=((1, 30, 1.0),)), t=-4.0 ** 30, k=1000)
 @example(raw=ScaledSum(b=4.0, terms=((1, 600, 2.0),), offset=0.5),

@@ -1,4 +1,6 @@
 import math
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from subexp import (
     make_sequence,
     phi_log_value,
 )
-from subexp.scaledcore import point_gamma, point_lambda
+from subexp.logsum import NeumaierSum, log_sum
+from subexp.scaledcore import PhaseInfo, point_gamma, point_lambda
 
 LN4 = math.log(4.0)
 
@@ -102,6 +105,70 @@ class TestScaledSum:
         s = ScaledSum.scaled(16, 1.5, sign=-1)
         assert s.sign() == -1
         assert s.sub(s).sign() == 0
+
+    def test_offset_fold_folds_the_terms_again(self):
+        # the offset cancels all but 2^-20 of the head 4^30, and the term
+        # 4^15 is within 2^-20 of what is left
+        s = ScaledSum(b=4.0, terms=((1, 30, 1.0), (1, 15, 1.0)),
+                      offset=-2.0 ** 60 + 2.0 ** 40).normalize()
+        assert s.terms == ((1, 20, 1.0 + 2.0 ** -10),) and s.offset == 0.0
+        assert s.is_canonical() and s.normalize() == s
+        assert s.value() == 2.0 ** 40 + 2.0 ** 30
+
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(ParameterError):
+            ScaledSum(b=4.0, terms=((1, 600, 2.0),), offset=offset).normalize()
+        with pytest.raises(ParameterError):
+            ScaledSum.zero(4.0).add_offset(offset)
+
+    def test_offset_overflow_rejected(self):
+        x = ScaledSum.scaled(600, 2.0).add_offset(1e308)
+        with pytest.raises(ParameterError):
+            x.add_offset(1e308)
+
+    @pytest.mark.parametrize("x", [sys.float_info.max, -sys.float_info.max,
+                                   sys.float_info.min, 5e-324])
+    def test_from_float_at_the_float_extremes(self, x):
+        s = ScaledSum.from_float(x, 4.0)
+        assert s.value() == x and s.is_canonical()
+        big = ScaledSum.zero(4.0).add_offset(x)  # an offset alone stays one
+        assert big.offset == x
+        assert big.scale_pow_b(0).value() == x
+        if abs(x) > 1.0:
+            assert big.scale_pow_b(-3).value() == x / 64.0
+
+    def test_phase_info_reads_and_compares(self):
+        x = ScaledSum.scaled(40, 2.5, offset=3.0)
+        info = x.phase()
+        assert (info.scale, info.mantissa, info.rem, info.rem_sign) == (40, 2.5, 3.0, 1)
+        assert info.rem_log == math.log(3.0)
+        assert info == PhaseInfo(scale=40, mantissa=2.5, rem=3.0, rem_sign=1,
+                                 rem_log=math.log(3.0))
+        assert info != ScaledSum.scaled(40, 2.5, offset=2.0).phase()
+        far = ScaledSum(b=4.0, terms=((1, 1000, 2.0), (1, 600, 1.0))).phase()
+        assert far.rem is None and far.rem_sign == 1 and far.rem_log == 600 * LN4
+
+
+def _log_sum_long(values):
+    # the compensated path of log_sum, for any number of values
+    vals = [v for v in values if v != -math.inf]
+    if not vals:
+        return -math.inf
+    ref = max(vals)
+    if ref == math.inf:
+        return ref
+    acc = NeumaierSum()
+    for v in vals:
+        acc.add(math.exp(v - ref))
+    return -math.inf if acc.total <= 0.0 else ref + math.log(acc.total)
+
+
+@pytest.mark.parametrize("v", [-0.0, 0.0, -3.25, 1e300, -745.5, math.inf, -math.inf, math.nan])
+def test_log_sum_of_one_value_is_the_long_path(v):
+    bits = lambda z: struct.pack("<d", z)
+    assert bits(log_sum([v])) == bits(_log_sum_long([v]))
+    assert bits(log_sum([v, -math.inf])) == bits(_log_sum_long([v]))
 
 
 class TestProfile:
