@@ -1943,8 +1943,8 @@ class MixtureDistribution:
         return (min(los), max(his))
 
     def _combine(self, fn):
-        """log of the weighted sum of ``fn(comp)``; one component's value
-        as :func:`log_sum` of it alone returns it."""
+        """log of the weighted sum of ``fn(comp)``; a lone component's value
+        is returned as :func:`log_sum` would return it, without the sum."""
         if len(self._parts) == 1:
             lw, comp = self._parts[0]
             return lw + fn(comp) + 0.0
