@@ -62,9 +62,8 @@ _DIP_SERIES_REACH = 2.0 ** -8
 # the end's own ``q = s/x0``, ``|q| = e^-L / x0``.
 _LAGUERRE_Z = (6.8, 9.3, 12.6, 19.7, 31.0, 61.0, 105.0, 218.0, 840.0, 15500.0)
 _LAGUERRE_NODES = (26, 20, 16, 13, 10, 8, 6, 5, 4, 3, 2)
-# A tilted Pareto window takes a Gauss-Legendre rule whose node count comes
-# from the bound of ``_tilted_gauss_nodes``; a window that would need more
-# nodes than this is halved.
+# Pareto and uniform weighted masses take Gauss-Legendre rules sized by
+# ``_tilted_gauss_nodes``; a span that would need more nodes is halved.
 _TILT_MAX_NODES = 24
 # Under a tilt e^(gamma u) the exponential-integral series reaches at most
 # this over |gamma| from its centre, and takes the tilt's Taylor polynomial in
@@ -181,10 +180,6 @@ class Weight:
                 origin, coeffs = _nearer_end(piece, t)
                 return _poly_value(coeffs, t - origin)
         return 0.0
-
-    def log_value(self, t: float) -> float:
-        v = self.value(t)
-        return math.log(v) if v > 0.0 else LOG_ZERO
 
     def shift(self, s: float, above: float = -math.inf):
         """``t -> w(t - s)`` restricted to ``t > above``; None where nothing is left."""
@@ -496,9 +491,23 @@ def _poly_mul(p: tuple, q: tuple) -> tuple:
     return tuple(out)
 
 
-def _times_weight(f, w: Weight, t0: float):
-    """``s -> f(s) + log w(s + t0)``."""
-    return lambda s: f(s) + w.log_value(s + t0)
+def _log_power_pieces(pieces, xv: float, lo: float, hi: float, a1: float, gamma: float):
+    """log of ``int w(t) (1 + u)^-a1 e^(gamma u) dt``, ``u = xv + t`` in the
+    support [lo, hi], by :func:`_log_tilted_power` on each weight piece
+    clipped to it, with its width and polynomial in offsets.  For ``a1 = 0``
+    the pole is 2^40 half-widths out.  Nothing beyond float range."""
+    if not math.isfinite(xv):
+        return LOG_ZERO
+    terms = []
+    for piece in pieces:
+        t1, t2 = max(piece[0], lo - xv), min(piece[1], hi - xv)
+        h, tm = 0.5 * (t2 - t1), 0.5 * (t1 + t2)
+        if h > 0.0:
+            mid = xv + tm
+            origin, coeffs = _nearer_end(piece, tm)
+            terms.append(_log_tilted_power(a1, gamma, 1.0 + mid if a1 else 2.0 ** 40 * h,
+                                           mid, h, (tm - origin, coeffs)))
+    return log_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -702,23 +711,16 @@ class Component:
 
     def _log_weighted_mass(self, x: ScaledSum, w: Weight, quad: QuadratureSpec,
                            gamma: float = 0.0) -> float:
-        """The plain default: the weight times the density by quadrature (a
-        window's density alone), or summed over the atoms."""
-        if self.is_atomic:
-            terms = []
-            for loc, aw in self.atoms():
-                loc = loc if isinstance(loc, ScaledSum) else ScaledSum.from_float(loc, x.b)
-                v = x.sub(loc).value()  # the atom lies at offset -v
-                wv = w.value(-v) if math.isfinite(v) else 0.0
-                if aw > 0.0 and wv > 0.0:
-                    term = math.log(aw) + math.log(wv)
-                    terms.append(term + gamma * loc.value() if gamma else term)
-            return log_sum(terms)
-        f = self.log_density_eval(x, quad, gamma)
-        hints, centres = self.density_cuts(x, w.lo, w.hi)
-        return integrate_log(f if w.width is not None else _times_weight(f, w, 0.0),
-                             w.lo, w.hi, quad, hints=hints + list(w.knots[1:-1]),
-                             singular=centres)
+        """The weight summed over the atoms."""
+        terms = []
+        for loc, aw in self.atoms():
+            loc = loc if isinstance(loc, ScaledSum) else ScaledSum.from_float(loc, x.b)
+            v = x.sub(loc).value()  # the atom lies at offset -v
+            wv = w.value(-v) if math.isfinite(v) else 0.0
+            if aw > 0.0 and wv > 0.0:
+                term = math.log(aw) + math.log(wv)
+                terms.append(term + gamma * loc.value() if gamma else term)
+        return log_sum(terms)
 
     def log_density(self, x: ScaledSum, quad: QuadratureSpec,
                     gamma: float = 0.0) -> float:
@@ -1494,6 +1496,11 @@ class UniformAC(Component):
             body = gamma * o1 + math.log1p(-math.exp(gamma * (o2 - o1))) - math.log(-gamma)
         return body - math.log(self.width)
 
+    def _log_weighted_mass(self, x, w, quad, gamma=0.0):
+        """:func:`_log_power_pieces` without a power law: exact untilted."""
+        lo, hi = self.support_bounds()
+        return _log_power_pieces(w.pieces, x.value(), lo, hi, 0.0, gamma) - math.log(self.width)
+
     def log_density_eval(self, base, quad, gamma=0.0):
         xv = base.value()
         if not math.isfinite(xv):
@@ -1515,12 +1522,7 @@ class UniformAC(Component):
     def log_exp_moment(self, gamma, quad):
         if gamma == 0.0:
             return 0.0
-        l, r = self.support_bounds()
-        if gamma > 0.0:
-            return gamma * r + math.log1p(-math.exp(gamma * (l - r))) \
-                - math.log(gamma) - math.log(self.width)
-        return gamma * l + math.log1p(-math.exp(gamma * (r - l))) \
-            - math.log(-gamma) - math.log(self.width)
+        return self._log_window_mass(ScaledSum.from_float(self.left), self.width, quad, gamma)
 
 
 @dataclass(frozen=True)
@@ -1562,6 +1564,13 @@ class ParetoAC(Component):
         # the tilted power-law rule in v = 1 + u
         h, mid = 0.5 * (o2 - o1), 0.5 * (o1 + o2)
         return math.log(a) + _log_tilted_power(a + 1.0, gamma, 1.0 + mid, mid, h)
+
+    def _log_weighted_mass(self, x, w, quad, gamma=0.0):
+        """:func:`_log_power_pieces`; beyond float range, untilted, density times mass."""
+        xv, a = x.value(), self.shape
+        if xv == math.inf and not gamma:
+            return self.log_density(x, quad) + math.log(w.mass())
+        return math.log(a) + _log_power_pieces(w.pieces, xv, 0.0, math.inf, a + 1.0, gamma)
 
     def log_density_eval(self, base, quad, gamma=0.0):
         xv = base.value()
@@ -1787,8 +1796,8 @@ class KernelAC(Component):
     under a weight built from the kernel: a window or weight w is
     ``w.smoothed(q1)``, the density is ``R(t) = q1(-t)``, and the tail is
     the base's tail at ``x - n_lo`` plus the base under ``T(t) = 1 -
-    Q1(-t)``, with R and T on ``(-n_hi, -n_lo]``.  Tilted windows integrate
-    the tilted density.
+    Q1(-t)``, with R and T on ``(-n_hi, -n_lo]``.  Tilted windows and tails
+    raise :class:`ParameterError`.
     """
 
     kernel: PiecewiseLinearDensity
@@ -1815,14 +1824,13 @@ class KernelAC(Component):
         return (blo + self.kernel.knots[0], bhi + self.kernel.knots[-1])
 
     def log_window_mass(self, x, w, quad, gamma=0.0):
-        w = as_weight(w)
         if gamma != 0.0:
-            return self._log_weighted_mass(x, w, quad, gamma)
-        return self.base.log_window_mass(x, w.smoothed(self.kernel), quad)
+            raise ParameterError("tilted windows of smoothed measures are not supported")
+        return self.base.log_window_mass(x, as_weight(w).smoothed(self.kernel), quad)
 
     def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
         if gamma != 0.0:
-            return super().log_window_mass_eval(base, lo, hi, w, quad, gamma)
+            raise ParameterError("tilted windows of smoothed measures are not supported")
         return self.base.log_window_mass_eval(base, lo, hi, as_weight(w).smoothed(self.kernel),
                                               quad)
 

@@ -23,13 +23,11 @@ analytic, and each segment gets the rule that fits it:
   exhaustion floor accepts a panel whose whole possible contribution is
   negligible, so a jump or an unflagged singular derivative still ends.
 
-No single-level query of :mod:`measures` comes here: windows, tails and the
-normalizer take closed forms or fixed Gauss-Legendre rules, tilted or not,
-and a dip-density window resolves its structure at every scale.  What runs
-here is the outer integrals of convolutions, the raw profile's integral
-``phi_integral_log`` (an oracle), and the generic ``Component`` default
-(weight times density), which the weighted masses of the uniform, Pareto
-and tilted kernel-smoothed components take.
+No single-level query of :mod:`measures` comes here: windows, weighted
+masses, tails and the normalizer take closed forms or fixed Gauss-Legendre
+rules, tilted or not, and a dip-density window resolves its structure at
+every scale.  What runs here is the outer integrals of convolutions and the
+raw profile's integral ``phi_integral_log`` (an oracle).
 
 The first pass is the first panel of each segment (tanh-sinh level 0 at a
 singular end), and it sets both the shared scale and the budgets: the

@@ -168,7 +168,7 @@ class ScaledSum:
         and an offset at 2^-20 of the head or above folded into it, dust
         dropped.  One term with a mantissa in ``[1, b)`` skips the merge, and
         a head within 2^50 takes a larger offset through :meth:`from_float`.
-        A non-finite offset raises :class:`ParameterError`."""
+        A non-finite offset or mantissa raises :class:`ParameterError`."""
         b = self.b
         offset = self.offset
         if not math.isfinite(offset):
@@ -191,6 +191,8 @@ class ScaledSum:
         # signed mantissas per scale
         acc: dict[int, float] = {}
         for s, m, y in self.terms:
+            if not math.isfinite(y):
+                raise ParameterError(f"cannot represent non-finite mantissa {y}")
             if y == 0.0:
                 continue
             sy = s * y

@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -29,7 +31,7 @@ from subexp import (
     tail,
     tilt,
 )
-from subexp import measures
+from subexp import measures, quadrature
 from subexp.measures import Weight, phi_integral_log
 from subexp.convolve import conv_local_mass, oracle_window_mass, phi_self_conv_at, phi_values
 from subexp.probes import long_tail_probe
@@ -356,15 +358,18 @@ class TestKernelCentres:
         assert eval_count[0] == 0
 
     def test_tilted_window_of_smoothed_atom(self, quad):
-        # int_(0.7)^(1.7) e^(-y/2) q1(y - 0.5) dy with q1 the triangle on [0, 2]
+        # raises, as tilted tails do: no report or workload tilts a smoothed
+        # measure
         tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
         ker = KernelAC(kernel=tri, base=MixtureDistribution.single(PointMass(0.5)))
-        ys = np.linspace(0.7, 1.7, 200_001)
-        mids = 0.5 * (ys[1:] + ys[:-1])
-        want = float(np.sum(np.exp(-0.5 * mids) * np.array([tri.value(y - 0.5) for y in mids])
-                            * np.diff(ys)))
-        got = ker.log_window_mass(ScaledSum.from_float(0.7), 1.0, quad, -0.5)
-        assert abs(got - math.log(want)) < 1e-9
+        x = ScaledSum.from_float(0.7)
+        for query in (lambda: ker.log_window_mass(x, 1.0, quad, -0.5),
+                      lambda: ker.log_window_mass(x, Weight.window(1.0).smoothed(tri), quad, -0.5),
+                      lambda: ker.log_window_mass_eval(x, 0.0, 1.0, 1.0, quad, -0.5),
+                      lambda: ker.log_tail(x, quad, -0.5)):
+            with pytest.raises(ParameterError):
+                query()
+        assert ker.log_window_mass(x, 1.0, quad) > -math.inf
 
     def test_rejects_a_kernel_that_does_not_vanish_at_its_ends(self, mu):
         with pytest.raises(ParameterError):
@@ -438,6 +443,38 @@ def test_single_level_queries_run_no_quadrature(mu, params, quad, eval_count):
     for t in (0.0, 2.5e14, 5e14):
         assert ev(t) == phi.log_window_mass(x.add_offset(t), 1.0, quad), t
     assert eval_count[0] == 0
+
+
+def test_measures_integrates_only_in_its_oracle():
+    # the component layer cannot nest a quadrature: measures refers to
+    # integrate_log only inside phi_integral_log, the dip density's oracle
+    tree = ast.parse(Path(measures.__file__).read_text())
+    users = [getattr(node, "name", None) for node in tree.body
+             if not isinstance(node, ast.ImportFrom) and any(
+                 getattr(n, "id", getattr(n, "attr", None)) == "integrate_log"
+                 for n in ast.walk(node))]
+    assert users == ["phi_integral_log"]
+
+
+def test_weighted_masses_run_no_quadrature(quad, eval_count):
+    # uniform and Pareto weighted masses, tilted and untilted, from below
+    # the support to beyond float range, and atoms under a smoothed window
+    kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
+    g1 = Weight.window(1.0).smoothed(kernel)
+    points = [ScaledSum.from_float(v) for v in (-0.7, 0.3, 2.5, 1e6)] + [ScaledSum.scaled(600, 2.0)]
+    for comp, gammas in ((UniformAC(0.0, 1.0), (0.0, -1.0, 2.0)),
+                         (ParetoAC(1.0), (0.0, -1.0)), (ParetoAC(2.5), (0.0, -0.01))):
+        for w in (g1, g1.smoothed(kernel)):
+            for x in points:
+                for gamma in gammas:
+                    comp.log_window_mass(x, w, quad, gamma)
+    atoms = MixtureDistribution(components=((0.5, PointMass(0.3)), (0.5, AtomSeries(
+        locations=(ScaledSum.from_float(-0.2), ScaledSum.from_float(0.9)), weights=(0.25, 0.75)))))
+    assert local_mass(atoms, 0.0, g1, quad) > -math.inf
+    assert eval_count[0] == 0
+    # untilted beyond float range: the density at x times the weight's mass
+    got = ParetoAC(1.0).log_window_mass(points[-1], g1.smoothed(kernel), quad)
+    assert abs(got + 2.0 * (600 * LN4 + math.log(2.0))) < 1e-12
 
 
 def _mp_window_log(params, m_log, x, c):
@@ -863,7 +900,7 @@ class TestWeight:
             if b > a:
                 exact += sum(cj * ((b - lo) ** (j + 1) - (a - lo) ** (j + 1)) / (j + 1)
                              for j, cj in enumerate(c))
-        assert abs(local_mass(uni, x, g1, quad) - math.log(exact)) < 1e-9
+        assert abs(local_mass(uni, x, g1, quad) - math.log(exact)) < 1e-13
         # atoms: the weight at each atom's offset, tilts included
         atoms = MixtureDistribution(components=((0.5, PointMass(0.3)), (0.5, AtomSeries(
             locations=(ScaledSum.from_float(-0.2), ScaledSum.from_float(0.9)),
@@ -883,15 +920,18 @@ class TestWeight:
     def test_dip_weighted_mass_matches_the_plain_default(self, mu, gamma):
         # closed forms (untilted) and the weighted quadrature runs (tilted, or
         # near a centre at small scales) against weight times density by
-        # quadrature, Component's default
-        from subexp.measures import Component
+        # quadrature, cut at the density's structure and the weight's knots
         phi = mu.components[0][1]
         quad = QuadratureSpec(rel_tol=1e-10)
         g2 = self.g1().smoothed(self.kernel)
         for x in (ScaledSum.scaled(3, 2.0), ScaledSum.scaled(2, 2.0, offset=0.3),
                   ScaledSum.from_float(1.5), ScaledSum.scaled(5, 3.0), ScaledSum.scaled(9, 2.0)):
-            got = phi.log_window_mass(x, g2, quad, gamma)
-            assert abs(got - Component._log_weighted_mass(phi, x, g2, quad, gamma)) < 1e-9, x
+            f = phi.log_density_eval(x, quad, gamma)
+            hints, centres = phi.density_cuts(x, g2.lo, g2.hi)
+            want = quadrature.integrate_log(
+                lambda t: f(t) + math.log(g2.value(t)) if g2.value(t) > 0.0 else -math.inf,
+                g2.lo, g2.hi, quad, hints=hints + list(g2.knots[1:-1]), singular=centres)
+            assert abs(phi.log_window_mass(x, g2, quad, gamma) - want) < 1e-9, x
 
     @pytest.mark.parametrize("times, gamma, x", [
         (times, gamma, x) for times in (1, 2) for gamma in (0.0, -0.01)

@@ -547,6 +547,84 @@ def test_pareto_window_density_and_tail(a, c, quad, monkeypatch):
             assert got == ref or abs(got - float(ref)) <= 1e-15 * max(1.0, abs(float(ref))), v
 
 
+def _mp_power_law_mass(w, x, lo, hi, a1, gamma):
+    """log int w(t) (1 + u)^-a1 e^(gamma u) dt over u = x + t in [lo, hi], at
+    the exact point of x: each weight piece clipped to the support, its
+    integrand over the value of ``(1 + u)^-a1 e^(gamma u)`` at its lower end,
+    in two halves by mpmath's Gauss-Legendre rule at 40 digits."""
+    with mp.workprec(EXACT_PREC):
+        u0 = _mp_point(x)
+    total = mp.mpf(0)
+    with mp.workdps(40):
+        for t_lo, t_hi, coeffs, _upper in w.pieces:
+            t1, t2 = max(mp.mpf(t_lo), lo - u0), min(mp.mpf(t_hi), hi - u0)
+            if t2 <= t1:
+                continue
+            o1 = u0 + t1
+
+            def f(t, t_lo=t_lo, coeffs=coeffs, t1=t1, o1=o1):
+                p = mp.fsum(c * (t - t_lo) ** j for j, c in enumerate(coeffs))
+                return p * ((1 + u0 + t) / (1 + o1)) ** -a1 * mp.exp(gamma * (t - t1))
+
+            part = mp.quad(f, mp.linspace(t1, t2, 3), method="gauss-legendre")
+            total += (1 + o1) ** -a1 * mp.exp(gamma * o1) * part
+        return mp.log(total) if total > 0 else -math.inf
+
+
+_G1 = Weight.window(1.0).smoothed(PiecewiseLinearDensity.triangle(0.0, 1.0))
+# G1, G2, a triangle, a trapezoid with a constant piece of 1/2, and the
+# sandwich probe's trapezoid for c = 0.3 and width 1, flat over (0, 0.7]
+_POWER_LAW_WEIGHTS = (_G1, _G1.smoothed(PiecewiseLinearDensity.triangle(0.0, 1.0)),
+                      Weight(((0.0, 0.5, (0.0, 4.0)), (0.5, 1.0, (2.0, -4.0)))),
+                      Weight(((-0.25, 0.0, (0.0, 2.0)), (0.0, 0.75, (0.5,)),
+                              (0.75, 1.0, (0.5, -2.0)))),
+                      Weight(((-0.3, 0.0, (0.0, 1.0 / 0.3)), (0.0, 0.7, (1.0,)),
+                              (0.7, 1.0, (1.0, -1.0 / 0.3), (0.0, -1.0 / 0.3)))))
+# below both supports to 1e6, where x + t rounds (1e12 + 0.1, 1e16), and
+# beyond float range
+_POWER_LAW_POINTS = (-0.7, -0.2, 0.0, 0.3, 0.55, 1.7, 40.0, 123.4, 1e6, 1e12 + 0.1, 1e16,
+                     (600, 2.0))
+
+
+@pytest.mark.parametrize("comp, gamma", [
+    *((ParetoAC(a), g) for a in (1.0, 2.5) for g in (0.0, -0.01, -1.0, -3.0)),
+    *((UniformAC(-0.25, 1.5), g) for g in (0.0, -0.01, -1.0, -3.0, 2.0))])
+def test_weighted_power_law_mass(comp, gamma, quad, monkeypatch):
+    # Pareto and uniform masses under four weights: one fixed Gauss rule
+    # per weight piece clipped to the support.  Beyond float range an
+    # untilted Pareto mass is the density at x times the weight's mass, and
+    # a tilted one is nothing, as its float value is
+    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+    lo, hi = comp.support_bounds()
+    if isinstance(comp, ParetoAC):
+        a1, log_k = comp.shape + 1.0, math.log(comp.shape)
+    else:
+        a1, log_k = 0.0, -math.log(comp.width)
+    for v in _POWER_LAW_POINTS:
+        x = ScaledSum.scaled(*v) if isinstance(v, tuple) else ScaledSum.from_float(v)
+        for w in _POWER_LAW_WEIGHTS:
+            got = comp.log_window_mass(x, w, quad, gamma)
+            ref = float(_mp_power_law_mass(w, x, lo, hi, a1, gamma) + log_k)
+            assert _agree(got, ref, 1e-13 * max(1.0, abs(ref))), (v, w.knots, got, ref)
+
+
+@pytest.mark.parametrize("comp, v", [
+    (ParetoAC(1.0), 1e6 + 0.1), (UniformAC(1e6, 1.0), 1e6 + 0.1),
+    (ParetoAC(1.0), 1e12 + 0.1), (UniformAC(1e12, 1.0), 1e12 + 0.1)])
+def test_narrow_weight_piece_keeps_its_width(comp, v, quad):
+    # x + t rounds at ulp(1e6) = 2^-33, 1e-4 of these pieces' width, and at
+    # ulp(1e12) = 2^-24, more than it: a piece, linear or constant, takes
+    # its width in offsets, not as (x + t2) - (x + t1)
+    x = ScaledSum.from_float(v)
+    lo, hi = comp.support_bounds()
+    a1 = 2.0 if isinstance(comp, ParetoAC) else 0.0  # unit shape and width
+    for w in (Weight(((0.0, 1.1e-6, (0.0, 1.0)),)), Weight(((0.0, 1.1e-6, (0.7,)),))):
+        for gamma in (0.0, -1.0):
+            ref = float(_mp_power_law_mass(w, x, lo, hi, a1, gamma))
+            got = comp.log_window_mass(x, w, quad, gamma)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (gamma, w.pieces, got, ref)
+
+
 def _mp_raw_dip(params):
     """The raw dip density at any u >= 1, with the breakpoints of a range."""
     b, x0, delta = mp.mpf(params.b), mp.mpf(params.x0), mp.mpf(params.delta)

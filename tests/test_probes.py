@@ -227,6 +227,14 @@ class TestSandwich:
                 j2 = math.exp(smoothed(dist, x.add_offset(a), c1 + c) - smoothed(dist, x, c1))
                 assert e.j1 == pytest.approx(j1, rel=1e-12) and e.j2 == pytest.approx(j2, rel=1e-12)
 
+    def test_uniform_runs_no_quadrature(self, quad, params, eval_count):
+        # a uniform's weighted masses under the trapezoids are a fixed rule
+        uni = MixtureDistribution.single(UniformAC(0.0, params.b))
+        pts = [ScaledSum.from_float(v, params.b) for v in (0.5, 1.5, 2.75)]
+        assert all(e.ordered for e in sandwich_probe(uni, 0.25, 0.5, 1.0, pts, quad,
+                                                     params=params))
+        assert eval_count[0] == 0
+
 
 class TestTiltIdentity:
     def test_ratio_near_one(self, quad):

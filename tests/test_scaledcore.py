@@ -122,6 +122,15 @@ class TestScaledSum:
         with pytest.raises(ParameterError):
             ScaledSum.zero(4.0).add_offset(offset)
 
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_non_finite_mantissa_rejected(self, y):
+        # a hand-built term takes the general path, as does a sum of two
+        bad = ScaledSum(b=4.0, terms=((1, 5, y),))
+        x = ScaledSum.scaled(5, 2.0)
+        for make in (bad.normalize, lambda: x.add(bad), lambda: x.sub(bad)):
+            with pytest.raises(ParameterError):
+                make()
+
     def test_offset_overflow_rejected(self):
         x = ScaledSum.scaled(600, 2.0).add_offset(1e308)
         with pytest.raises(ParameterError):
