@@ -6,10 +6,14 @@ Window masses of a convolution expand bilinearly over component pairs, and
 each takes a :class:`~subexp.measures.Weight` in place of its window: the
 window (x, x+c] is the weight's one-piece constant case, and ``int w(t)
 (A*B)(x + dt)`` is one integral however many shifted windows the weight
-averages.  Atoms shift the weight; absolutely continuous pairs reduce to an
-outer integral of one side's density against the other side's weighted
-masses at the shifted point.  Those come from one evaluator per outer
-integral, ``log_window_mass_eval(x, -ohi, -olo, w)``, which sets up the
+averages.  Atoms shift the weight.  A uniform factor is a weight: for U on
+(l, l+h], ``int w(t) (A*U)(x + dt) = int W(t) A(x + dt)`` with ``W(t) =
+(1/h) int_l^{l+h} w(t+u) du`` (:meth:`~subexp.measures.Weight.averaged`),
+so the pair is one weighted mass of A, with no outer integral.  Other
+absolutely continuous pairs reduce to an outer integral of one side's
+density against the other side's weighted masses at the shifted point.
+Those come from one evaluator per outer integral,
+``log_window_mass_eval(x, -ohi, -olo, w)``, which sets up the
 inner measure's windows over the whole range once and takes offsets from
 x's head and exact remainder, so near x dip phases survive the
 subtraction exactly; a node then costs its closed forms and a bisection
@@ -185,6 +189,10 @@ def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad):
         return _combine_log_terms(terms) if terms else LOG_ZERO
     if c2.is_atomic:
         return _pair_window_mass(c2, c1, x, w, quad)
+    if type(c1) is UniformAC:
+        return c2.log_window_mass(x, w.averaged(c1.left, c1.width), quad)
+    if type(c2) is UniformAC:
+        return c1.log_window_mass(x, w.averaged(c2.left, c2.width), quad)
 
     if isinstance(c1, PhiAC) and isinstance(c2, PhiAC) and ConvPlan(c1.params).splits(x):
         return _phi_pair_split(c1, c2, x, w, quad)

@@ -80,10 +80,11 @@ _LOG_2_56 = 56.0 * math.log(2.0)
 # node on unit windows and 0.6 ms plus 2.6-3.0 us a node on weighted ones,
 # against a median of 3.8 and 44 us a node node by node.  The benchmark's
 # traffic (seeds 1 and 9): a reports pass sends 126 of its 128 rounds
-# (22,782 nodes) through arrays; mixtures runs 148 rounds of 41 nodes or
-# fewer, and its 64 conv_u_mu operations took 75-77 ms with every round
-# forced through arrays against 51-53 ms node by node; far-windows runs
-# 14,129 single windows and no round.
+# (22,782 nodes) through arrays; mixtures runs no outer integral, so no
+# round (its uniform pairs are weighted masses; when they were outer
+# integrals, its 148 rounds of 41 nodes or fewer took 75-77 ms through
+# arrays against 51-53 ms node by node); far-windows runs 14,129 single
+# windows and no round.
 _GAUSS_BATCH_MIN = 48
 
 
@@ -138,6 +139,10 @@ class Weight:
     takes a weight in place of a width and returns ``log int w(t) (x +
     dt)``; the window ``(x, x+c]`` is the one-piece constant case
     :meth:`window`, and passes as its width.
+
+    A smoothing of the measure is a weight too: a kernel turns w into
+    :meth:`smoothed`, and a uniform factor of a convolution into
+    :meth:`averaged`, each one weight against the unsmoothed measure.
     """
 
     pieces: tuple
@@ -219,15 +224,43 @@ class Weight:
                              (r_hi, -mass, *_poly_integral(_poly_integral(upper))[2:])))
             mass, r_hi = tail, r_lo
         r_pieces.append((-math.inf, self.lo, None, (r_hi, -mass)))  # linear below the support
+        return self._shifted_sum(r_pieces, ks, betas)
+
+    def averaged(self, left: float, width: float) -> "Weight":
+        """``t -> (1/h) int_l^{l+h} w(t + u) du`` for ``l = left``, ``h =
+        width``: the weight of ``int w(t) (A*U)(x + dt)``, U uniform on (l,
+        l+h], as one weight against ``A(x + dt)``.
+
+        It is ``(T(t + l) - T(t + l + h)) / h`` with ``T(z) = int_z^inf w``,
+        a polynomial of one degree more on each piece of ``w``, and has the
+        same mass as ``w``.
+        """
+        # T on each piece of w, right to left, as in smoothed
+        t_pieces, mass = [], 0.0
+        for lo, hi, coeffs, upper in reversed(self.pieces):
+            i1 = _poly_integral(coeffs)
+            tail = mass + _poly_value(i1, hi - lo)
+            t_pieces.append((lo, hi, (tail, *[-a for a in i1[1:]]),
+                             (mass, *[-a for a in _poly_integral(upper)[1:]])))
+            mass = tail
+        t_pieces.append((-math.inf, self.lo, None, (mass,)))  # constant below the support
+        return self._shifted_sum(t_pieces, (left, left + width), (1.0 / width, -1.0 / width))
+
+    def _shifted_sum(self, f_pieces: list, ks, betas) -> "Weight":
+        """``t -> sum_i betas[i] F(t + ks[i])``, ks ascending, for F given on
+        ``f_pieces`` as ``(lo, hi, coeffs in z - lo, coeffs in z - hi)`` from
+        the right, zero above w's support: a weight on ``(w.lo - ks[-1], w.hi
+        - ks[0]]`` with knots at w's knots less each k, where the sum
+        vanishes outside that span."""
         lo, hi = self.lo - ks[-1], self.hi - ks[0]
         knots = sorted({t for t in (a - k for a in self.knots for k in ks) if lo <= t <= hi})
-        n_coeffs = max(len(p[3]) for p in r_pieces)
+        n_coeffs = max(len(p[3]) for p in f_pieces)
         pieces = []
         for t0, t1 in zip(knots[:-1], knots[1:]):
             ends = ([0.0] * n_coeffs, [0.0] * n_coeffs)  # in offsets from t0 and from t1
             for k, beta in zip(ks, betas):
                 z_mid = 0.5 * (t0 + t1) + k
-                piece = next((p for p in r_pieces if p[0] < z_mid <= p[1]), None)
+                piece = next((p for p in f_pieces if p[0] < z_mid <= p[1]), None)
                 if piece is None or beta == 0.0:
                     continue
                 for acc, z in zip(ends, (t0 + k, t1 + k)):
@@ -1558,11 +1591,14 @@ class ParetoAC(Component):
             return math.log(a) - a * log_v + _log_power_bracket(a, math.log(w) - log_v)
         if not math.isfinite(xv):
             return LOG_ZERO
-        o1, o2 = max(xv, 0.0), xv + c
-        if o2 <= o1:
-            return LOG_ZERO
+        if xv >= 0.0:  # the width is c, however xv + c rounds
+            h = 0.5 * c
+            mid = xv + h
+        else:
+            h = mid = 0.5 * (xv + c)
+            if not h > 0.0:
+                return LOG_ZERO
         # the tilted power-law rule in v = 1 + u
-        h, mid = 0.5 * (o2 - o1), 0.5 * (o1 + o2)
         return math.log(a) + _log_tilted_power(a + 1.0, gamma, 1.0 + mid, mid, h)
 
     def _log_weighted_mass(self, x, w, quad, gamma=0.0):

@@ -179,10 +179,19 @@ class TestConvWindows:
     @pytest.mark.parametrize("a", [1.0, 2.5])
     @pytest.mark.parametrize("x", [0.7, 3.2, 40.0])
     def test_smooth_pair_takes_few_evaluations(self, uni, eval_count, x, a):
-        # between the kinks of a uniform-Pareto pair the outer integrand is
-        # analytic, so one Gauss-Kronrod panel per segment meets the tolerance
-        conv_local_mass(uni, MixtureDistribution.single(ParetoAC(a)), x, 0.5, QuadratureSpec())
-        assert eval_count[0] <= 60
+        # between the kinks of a Pareto-Pareto pair the outer integrand is
+        # analytic, so a few Gauss-Kronrod panels per segment meet the
+        # tolerance (caps: the counts measured when they were set); a
+        # uniform factor is a weight on the other, with no integral at all
+        cap = {(1.0, 0.7): 30, (1.0, 3.2): 60, (1.0, 40.0): 180,
+               (2.5, 0.7): 30, (2.5, 3.2): 120, (2.5, 40.0): 330}[a, x]
+        pareto = MixtureDistribution.single(ParetoAC(a))
+        conv_local_mass(MixtureDistribution.single(ParetoAC(1.0)), pareto, x, 0.5,
+                        QuadratureSpec())
+        assert 0 < eval_count[0] <= cap
+        eval_count[0] = 0
+        conv_local_mass(uni, pareto, x, 0.5, QuadratureSpec())
+        assert eval_count[0] == 0
 
     def test_ratio_to_two_trend(self, mu, quad_fast):
         rs = []
@@ -332,8 +341,9 @@ class TestSmoothing:
 
 
 def test_no_quadrature_runs_inside_another(mu, quad, uni, monkeypatch):
-    # the convolution pairs whose outer integral is a quadrature: the inner
-    # masses it asks for are closed forms or fixed rules
+    # a uniform factor is a weight on the other, so uniform pairs run no
+    # quadrature; the pairs whose outer integral is a quadrature ask it for
+    # inner masses that are closed forms or fixed rules
     from subexp import ParetoAC, convolve, measures, quadrature
 
     depth, calls = [0], [0]
@@ -357,6 +367,10 @@ def test_no_quadrature_runs_inside_another(mu, quad, uni, monkeypatch):
         conv_local_mass(mix, tp, x, 0.5, quad)
     for n, t in ((1, 0.0), (6, -3.0), (40, 0.0)):
         conv_local_mass(uni, mu, ScaledSum.scaled(n, 1.9, offset=t), 1.0, quad)
+    assert calls[0] == 0
+    for x in (0.7, 3.2, 40.0):
+        conv_local_mass(MixtureDistribution.single(ParetoAC(1.0)), tp, x, 0.5, quad)
+    conv_local_mass(mu, mu, ScaledSum.scaled(2, 3.0), 1.0, quad)
     assert calls[0] > 0
 
 

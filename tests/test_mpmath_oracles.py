@@ -484,6 +484,19 @@ def test_tilted_pareto_window(shape, gamma, quad, monkeypatch):
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (x, c)
 
 
+@pytest.mark.parametrize("x, c, gamma", [
+    (1e6 + 0.1, 1.1e-6, -1.0), (1e6 + 0.1, 1.1e-6, 0.5), (1e6 + 0.1, 0.3, -1.0),
+    (1e12 + 0.1, 1.1e-6, -1e-9), (1e12 + 0.1, 0.3, -1e-9), (1e16, 0.75, -1e-13)])
+def test_tilted_pareto_window_keeps_its_width(x, c, gamma, quad):
+    # x + c rounds at ulp(1e6) = 2^-33, 1e-4 of the narrow width, at
+    # ulp(1e12) = 2^-24, more than it, and at 1e16 + 0.75 == 1e16: the
+    # window takes its width c, not (x + c) - x
+    got = ParetoAC(1.0).log_window_mass(ScaledSum.from_float(x), c, quad, gamma)
+    with mp.workdps(DPS):
+        ref = float(_mp_tilted_pareto(1.0, gamma, mp.mpf(x), mp.mpf(x) + mp.mpf(c)))
+    assert abs(got - ref) <= 4.0 * math.ulp(ref) + 1e-15, (got, ref)
+
+
 @pytest.mark.parametrize("shape", [0.3, 2.5])
 @pytest.mark.parametrize("gamma", [-8.0, -1.0, 0.5])
 def test_wide_tilted_pareto_window(shape, gamma, quad, monkeypatch):
@@ -672,6 +685,131 @@ def test_uniform_dip_convolution(mu, params, quad, n, t, c):
         mass = mp.quad(lambda u: overlap(u) * f(u), pts)
         ref = float(mp.log(mass) - mp.mpf(mu.components[0][1].m_log))
     assert abs(got - ref) <= 1e-9
+
+
+def _mp_tail_integral(w):
+    """z -> int_z^inf w at 50 digits, from the exact antiderivative of each
+    piece's polynomial in offsets from its lower end."""
+    pieces = [(mp.mpf(lo), mp.mpf(hi), [mp.mpf(c) for c in coeffs])
+              for lo, hi, coeffs, _upper in w.pieces]
+
+    def tail(z):
+        total = mp.mpf(0)
+        for lo, hi, coeffs in pieces:
+            a = max(z, lo)
+            if a < hi:
+                total += mp.fsum(c * ((hi - lo) ** (j + 1) - (a - lo) ** (j + 1)) / (j + 1)
+                                 for j, c in enumerate(coeffs))
+        return total
+
+    return tail
+
+
+def _mp_uniform_pair(w, uni, log_dens, cuts=(), method="tanh-sinh"):
+    """log int w(t) (A*U)(x + dt) for U = ``uni``, as ``int W(t) A(x + dt)``
+    with ``W(t) = (1/h) int_l^{l+h} w(t + u) du`` from the exact
+    antiderivative of w, against the density ``exp(log_dens(t))`` of A at x
+    + t (a 50-digit function of the offset t), cut at ``cuts`` and at the
+    knots of W: an analytic density takes mpmath's Gauss-Legendre rule."""
+    tail = _mp_tail_integral(w)
+    with mp.workdps(DPS):
+        l, h = mp.mpf(uni.left), mp.mpf(uni.width)
+        lo, hi = mp.mpf(w.lo) - l - h, mp.mpf(w.hi) - l
+        knots = {mp.mpf(k) - s for k in w.knots for s in (l, l + h)}
+        pts = sorted({lo, hi} | {t for t in knots | {mp.mpf(c) for c in cuts} if lo < t < hi})
+
+        def f(t):
+            return (tail(t + l) - tail(t + l + h)) / h * mp.exp(log_dens(t))
+
+        total = mp.quad(f, pts, method=method)
+        return float(mp.log(total)) if total > 0 else -math.inf
+
+
+_UNIFORM_FACTORS = (UniformAC(0.0, 1.0), UniformAC(1.5, 1.0), UniformAC(-0.25, 0.5))
+_PAIR_WEIGHTS = {"unit": Weight.window(1.0), "g2": _POWER_LAW_WEIGHTS[1]}
+
+
+def _pair_both_ways(uni, other, x, w, quad):
+    """The pair's weighted mass with the uniform factor on either side,
+    which must read alike."""
+    u = MixtureDistribution.single(uni)
+    got = conv_local_mass(u, other, x, w, quad)
+    assert conv_local_mass(other, u, x, w, quad) == got
+    return got
+
+
+@pytest.mark.parametrize("uni", _UNIFORM_FACTORS)
+@pytest.mark.parametrize("weight", sorted(_PAIR_WEIGHTS))
+@pytest.mark.parametrize("a, gamma", [(1.0, 0.0), (2.5, 0.0), (1.0, -1.0)])
+def test_uniform_power_law_pair(uni, weight, a, gamma, quad, monkeypatch):
+    # a uniform factor is a weight on the other: (U * P) under w is P under
+    # the average of w over U, a Pareto or a tilted Pareto, with no quadrature
+    for module in ("measures", "convolve"):
+        monkeypatch.setattr(f"subexp.{module}.integrate_log", _no_quadrature)
+    other = MixtureDistribution.single(ParetoAC(a))
+    log_z = 0.0
+    if gamma:
+        other = tilt(other, gamma, quad)
+        log_z = _mp_pareto_tail(a, gamma, 0.0)
+    w = _PAIR_WEIGHTS[weight]
+    for xv in (-3.0, -0.7, 0.0, 0.7, 3.2, 40.0, 1e6):
+        x = ScaledSum.from_float(xv) if xv else ScaledSum.zero()
+        got = _pair_both_ways(uni, other, x, w, quad)
+        with mp.workdps(DPS):
+            u0 = mp.mpf(xv)
+            scale = mp.log(a) - (a + 1) * mp.log1p(u0) + gamma * u0 - log_z  # at t = 0
+
+            def log_dens(t):  # over its value at x for u0 >= 0
+                if u0 + t < 0:
+                    return -mp.inf
+                return -(a + 1) * mp.log((1 + u0 + t) / (1 + u0)) + gamma * t
+
+            ref = _mp_uniform_pair(w, uni, log_dens, cuts=(-u0,), method="gauss-legendre")
+            ref = ref + float(scale) if ref != -math.inf else ref
+        assert _agree(got, ref, 1e-12 * max(1.0, abs(ref))), (xv, got, ref)
+
+
+@pytest.mark.parametrize("uni", _UNIFORM_FACTORS)
+@pytest.mark.parametrize("weight", sorted(_PAIR_WEIGHTS))
+@pytest.mark.parametrize("n, t", [(1, 0.0), (3, -1.7), (7, 0.0), (7, 0.4)])
+def test_uniform_dip_pair(mu, params, uni, weight, n, t, quad, monkeypatch):
+    # (U * mu) under w as mu under the average of w over U, with no
+    # quadrature, at and near the dip centre 4^n x0
+    for module in ("measures", "convolve"):
+        monkeypatch.setattr(f"subexp.{module}.integrate_log", _no_quadrature)
+    w = _PAIR_WEIGHTS[weight]
+    got = _pair_both_ways(uni, mu, ScaledSum.scaled(n, params.x0).add_offset(t), w, quad)
+    f, cuts = _mp_raw_dip(params)
+    with mp.workdps(DPS):
+        x = mp.mpf(params.b) ** n * params.x0 + t
+        lo, hi = x + w.lo - uni.left - uni.width, x + w.hi - uni.left
+        ref = _mp_uniform_pair(w, uni, lambda s: mp.log(f(x + s)),
+                               cuts=[u - x for u in cuts(lo, hi)])
+        ref -= mu.components[0][1].m_log
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
+
+
+@given(w=st.sampled_from(_POWER_LAW_WEIGHTS + (Weight.window(1.0), Weight.window(0.3))),
+       left=st.floats(-2.0, 2.0), width=st.floats(2.0 ** -6, 4.0), s=st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_averaged_weight(w, left, width, s):
+    # W(t) = (1/h) int_l^{l+h} w(t + u) du, with the mass of w
+    avg = w.averaged(left, width)
+    t = avg.lo + s * (avg.hi - avg.lo)
+    with mp.workdps(DPS):
+        l, h, tm = mp.mpf(left), mp.mpf(width), mp.mpf(t)
+        pts = sorted({l, l + h} | {mp.mpf(k) - tm for k in w.knots if l < k - tm < l + h})
+
+        def f(u):
+            r = tm + u
+            for lo, hi, coeffs, _upper in w.pieces:
+                if lo < r <= hi:
+                    return mp.fsum(mp.mpf(c) * (r - lo) ** j for j, c in enumerate(coeffs))
+            return mp.mpf(0)
+
+        ref = float(mp.quad(f, pts) / h)
+    assert abs(avg.value(t) - ref) <= 1e-13 * max(1.0, w.mass() / width), (t, ref)
+    assert math.isclose(avg.mass(), w.mass(), rel_tol=1e-14)
 
 
 def _mp_dip_tilted_tail(params, phi, gamma, x):
