@@ -186,7 +186,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                "bracket_lo": None, "bracket_hi": None, "flag": "",
                **asdict(cfg.params)}
         if args.window:
-            row["log_num"] = mu.log_window_mass(x, args.window, cfg.quad)
+            row["log_num"] = mu.log_window_mass(x, args.window)
             row["log_ratio"] = row["log_num"]
             row["flag"] = "window-mass"
         rows.append(row)
@@ -207,20 +207,20 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     quad = cfg.quad
     rows: list
     if args.name == "long_tail":
-        s = probes_mod.long_tail_probe(mu, args.a, seq, quad, params=p, c=args.c[0])
+        s = probes_mod.long_tail_probe(mu, args.a, seq, params=p, c=args.c[0])
         rows = series_rows(s, p)
     elif args.name == "sd":
         handle = PhiDensityHandle(spec, mu)
-        rows = series_rows(probes_mod.sd_probe(handle, seq, quad, params=p), p)
+        rows = series_rows(probes_mod.sd_probe(handle, seq, params=p), p)
     elif args.name == "scaling":
-        rows = series_rows(probes_mod.scaling_probe(mu, args.c, seq, quad, params=p), p)
+        rows = series_rows(probes_mod.scaling_probe(mu, args.c, seq, params=p), p)
     elif args.name == "uniformity":
         s = probes_mod.uniformity_probe(mu, ns, tuple(int(round(c)) for c in args.c)
-                                        or (2,), quad, params=p)
+                                        or (2,), params=p)
         rows = series_rows(s, p)
     elif args.name == "sandwich":
         entries = probes_mod.sandwich_probe(mu, args.c[0], args.c1, args.a, seq,
-                                            quad, params=p)
+                                            params=p)
         rows = [{"probe": f"sandwich[j1={e.j1!r}]", "n": e.n, "m": None, "c": args.c[0],
                  "log_num": math.log(e.j1), "log_den": math.log(e.j2),
                  "log_ratio": math.log(e.mid), "ratio": e.mid,
@@ -229,11 +229,10 @@ def cmd_probe(cfg: RunConfig, args) -> int:
                  **asdict(p)} for e in entries]
     elif args.name == "tilt":
         from .measures import ParetoAC, tilt as tilt_op
-        rho = tilt_op(MixtureDistribution.single(ParetoAC(1.0)), -args.gamma, quad)
+        rho = tilt_op(MixtureDistribution.single(ParetoAC(1.0)), -args.gamma)
         s = probes_mod.tilt_identity_probe(rho, args.gamma, args.c,
                                            tuple(float(x) for x in (args.x_grid or
-                                                                    range(20, 61, 10))),
-                                           quad)
+                                                                    range(20, 61, 10))))
         rows = series_rows(s, p)
     elif args.name == "truncated_density":
         handle = PhiDensityHandle(spec, mu)
@@ -310,7 +309,7 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         m_val = math.exp(mu.components[0][1].m_log)
         grid = lambda u: phi_values(profile, u) / m_val
         for x in (32.0, 100.0, 8192.0):
-            adaptive = math.exp(mu.log_window_mass(ScaledSum.from_float(x, p.b), 1.0, quad))
+            adaptive = math.exp(mu.log_window_mass(ScaledSum.from_float(x, p.b), 1.0))
             oracle = oracle_window_mass(grid, x, x + 1.0, 1e-6)
             rows.append(_oracle_row(p, "mu-local", x, adaptive, oracle))
     else:  # normalizer

@@ -148,7 +148,7 @@ def _self_pair_density(comp, x: ScaledSum, lo: float, quad) -> float:
     if half <= lo:
         return LOG_ZERO
     return math.log(2.0) + _outer_integral(comp, comp, x, xv, lo, half, quad,
-                                           comp.log_density_eval(x, quad), (0.0,))
+                                           comp.log_density_eval(x), (0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +183,16 @@ def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad):
             if aw <= 0.0:
                 continue
             pt = x.sub(loc) if isinstance(loc, ScaledSum) else x.add_offset(-loc)
-            m = c2.log_window_mass(pt, w, quad)
+            m = c2.log_window_mass(pt, w)
             if m != LOG_ZERO:
                 terms.append(_shift_terms(m, math.log(aw)))
         return _combine_log_terms(terms) if terms else LOG_ZERO
     if c2.is_atomic:
         return _pair_window_mass(c2, c1, x, w, quad)
     if type(c1) is UniformAC:
-        return c2.log_window_mass(x, w.averaged(c1.left, c1.width), quad)
+        return c2.log_window_mass(x, w.averaged(c1.left, c1.width))
     if type(c2) is UniformAC:
-        return c1.log_window_mass(x, w.averaged(c2.left, c2.width), quad)
+        return c1.log_window_mass(x, w.averaged(c2.left, c2.width))
 
     if isinstance(c1, PhiAC) and isinstance(c2, PhiAC) and ConvPlan(c1.params).splits(x):
         return _phi_pair_split(c1, c2, x, w, quad)
@@ -219,7 +219,7 @@ def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad):
         return LOG_ZERO
 
     return _outer_integral(outer, inner, x, xv, olo, ohi, quad,
-                           inner.log_window_mass_eval(x, -ohi, -olo, w, quad), w.knots)
+                           inner.log_window_mass_eval(x, -ohi, -olo, w), w.knots)
 
 
 def _outer_integral(outer, inner, x: ScaledSum, xv: float, olo: float, ohi: float,
@@ -231,7 +231,7 @@ def _outer_integral(outer, inner, x: ScaledSum, xv: float, olo: float, ohi: floa
     from ``log_density_eval(x)`` with shifts ``(0.0,)``.  Cut where the
     density or a shifted point ``x + s - u`` meets structure (see
     :func:`_crossings`); with no shifts, where the density does."""
-    f = _product_integrand(outer, mass, x, quad)
+    f = _product_integrand(outer, mass, x)
     hints, centres = outer.density_cuts(ScaledSum.zero(x.b), olo, ohi)
     c_hints, c_centres = _crossings(inner, x, xv, olo, ohi, shifts)
     return integrate_log(f, olo, ohi, quad, hints=hints + c_hints,
@@ -254,7 +254,7 @@ def _crossings(inner, x: ScaledSum, xv: float, olo: float, ohi: float, shifts) -
     return hints, centres
 
 
-def _product_integrand(outer, mass, x: ScaledSum, quad):
+def _product_integrand(outer, mass, x: ScaledSum):
     """u -> log of a(u) B(x-u), a the outer density and ``mass(t) = log B(x +
     t)`` the inner factor: a density, a weighted mass from one evaluator over
     the span, or a pair's mass.  Every product integrand is this one.  Where
@@ -262,7 +262,7 @@ def _product_integrand(outer, mass, x: ScaledSum, quad):
     :func:`~subexp.quadrature.integrate_log`): a round takes the densities at
     once where the density has a batch form too, and the masses where the
     density is positive."""
-    dens = outer.log_density_eval(ScaledSum.zero(x.b), quad)
+    dens = outer.log_density_eval(ScaledSum.zero(x.b))
     dens_many = getattr(dens, "many", None)
 
     def f(u):
@@ -311,11 +311,11 @@ def _self_pair_window_mass(comp, x: ScaledSum, xv: float, w: Weight, quad):
     n_hi = min(half, hi)
     if n_hi > lo:
         terms.append(_outer_integral(comp, comp, x, xv, lo, n_hi, quad,
-                                     comp.log_window_mass_eval(x, -n_hi, -lo, w, quad), w.knots))
+                                     comp.log_window_mass_eval(x, -n_hi, -lo, w), w.knots))
     d_lo, d_hi = max(half, lo), min(0.5 * (xv + w.hi), hi)
     if d_hi > d_lo:
         # every inner weight lies in (d_lo, x + t_hi - d_lo], one set-up
-        mass = comp.log_weight_mass_eval(zero, d_lo, xv + w.hi - d_lo, quad)
+        mass = comp.log_weight_mass_eval(zero, d_lo, xv + w.hi - d_lo)
 
         def inner_mass(t):
             inner = w.shift(xv + t, above=-t)  # at u = -t: v -> w(u + v - x), v > u
@@ -344,9 +344,9 @@ def _phi_pair_split(c1: PhiAC, c2: PhiAC, x: ScaledSum, w: Weight | None, quad):
     xlog = x.log_abs()
     L = xlog ** p.beta
     if w is None:
-        mass, log_w, log_left = c2.log_density_eval(x, quad), 0.0, xlog
+        mass, log_w, log_left = c2.log_density_eval(x), 0.0, xlog
     else:
-        mass, log_w = c2.log_window_mass_eval(x, -L, -1.0, w, quad), math.log(w.mass())
+        mass, log_w = c2.log_window_mass_eval(x, -L, -1.0, w), math.log(w.mass())
         log_left = xlog + math.log1p(w.lo * math.exp(-min(xlog, 700.0)))
     if math.log(2.0 * L) >= log_left:
         raise ParameterError("split point exceeds (x + t_lo)/2; point too small for split mode")
@@ -368,7 +368,7 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
     w = as_weight(w)
     x = as_point(x, dist.base)
     if n == 1:
-        return dist.log_window_mass(x, w, quad)
+        return dist.log_window_mass(x, w)
     if n == 2:
         return conv_local_mass(dist, dist, x, w, quad)
 
@@ -398,7 +398,7 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
             hi = min(hi, xv + w.hi)
             if hi <= lo:
                 continue
-            f = _product_integrand(comp, lambda t: pair(x.add_offset(t)), x, quad)
+            f = _product_integrand(comp, lambda t: pair(x.add_offset(t)), x)
             # the pair's density changes formula where its argument x + s - u
             # is a cut of the component shifted by its support's lower edge
             hints, centres = comp.density_cuts(ScaledSum.zero(x.b), lo, hi)
@@ -408,10 +408,9 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
     return log_sum(terms) if terms else LOG_ZERO
 
 
-def smoothed_density(kernel: PiecewiseLinearDensity, base: MixtureDistribution,
-                     x, quad: QuadratureSpec) -> float:
+def smoothed_density(kernel: PiecewiseLinearDensity, base: MixtureDistribution, x) -> float:
     """log q(x) with q(x) = int q1(x-u) base(du) (compact continuous kernel)."""
-    return KernelAC(kernel=kernel, base=base).log_density(as_point(x, base.base), quad)
+    return KernelAC(kernel=kernel, base=base).log_density(as_point(x, base.base))
 
 
 # ---------------------------------------------------------------------------

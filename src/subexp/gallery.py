@@ -115,7 +115,7 @@ def interval_family(spec: GallerySpec) -> IntervalFamily:
 def build_mu(spec: GallerySpec) -> MixtureDistribution:
     """The normalized dip-density measure."""
     profile = spec.profile
-    m = normalizer_M(spec.params, spec.quad, profile)
+    m = normalizer_M(spec.params, profile)
     return MixtureDistribution.single(PhiAC(profile=profile, m_log=math.log(m)))
 
 
@@ -191,7 +191,7 @@ class PhiDensityHandle:
         self.quad = spec.quad
 
     def log_value(self, x) -> float:
-        return self.component.log_density(as_point(x, self.params.b), self.quad)
+        return self.component.log_density(as_point(x, self.params.b))
 
     def log_self_conv(self, x):
         raw = phi_self_conv_at(self.profile, x, self.quad)
@@ -201,7 +201,7 @@ class PhiDensityHandle:
         return raw if raw == LOG_ZERO else raw - m2
 
     def log_sd_denominator(self, x: ScaledSum) -> float:
-        return self.mu.log_window_mass(x, 1.0, self.quad)
+        return self.mu.log_window_mass(x, 1.0)
 
 
 class BridgeDensityHandle:
@@ -223,7 +223,7 @@ class BridgeDensityHandle:
         self.triangle = Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))
 
     def log_value(self, x) -> float:
-        return local_density(self.mu, x, 1.0, self.quad)
+        return local_density(self.mu, x, 1.0)
 
     def log_self_conv(self, x: ScaledSum):
         return conv_local_mass(self.mu, self.mu, x, self.triangle, self.quad)
@@ -242,11 +242,10 @@ class SmoothedDensityHandle:
         self.base = base
         self.spec = spec
         self.params = spec.params
-        self.quad = spec.quad
         self.component = KernelAC(kernel=kernel, base=base)
 
     def log_value(self, x) -> float:
-        return self.component.log_density(as_point(x, self.params.b), self.quad)
+        return self.component.log_density(as_point(x, self.params.b))
 
     def value(self, x) -> float:
         v = self.log_value(x)
@@ -309,7 +308,7 @@ def series_rows(series: RatioSeries, params: ModelParams) -> list:
 
 def _conv_ratio_series(name, mu, pts, ns, c, quad) -> RatioSeries:
     entries = tuple(_entry(x, conv_local_mass(mu, mu, x, c, quad),
-                           mu.log_window_mass(x, c, quad), n=n, c=c)
+                           mu.log_window_mass(x, c), n=n, c=c)
                     for n, x in zip(ns, pts))
     return RatioSeries(name=name, entries=entries, meta={"c": c, "target": 2.0})
 
@@ -340,7 +339,7 @@ def thm11_report(spec: GallerySpec) -> Report:
                ("gam=1", SequenceSpec("gamma", 1.0, tuple(ns))))
     for label, seq in regimes:
         for a in (1.0, -1.0):
-            s = long_tail_probe(mu, a, seq, quad, params=p)
+            s = long_tail_probe(mu, a, seq, params=p)
             series.append(RatioSeries(name=f"long_tail[{label},a={a:+g}]",
                                       entries=s.entries, meta=s.meta))
 
@@ -352,11 +351,11 @@ def thm11_report(spec: GallerySpec) -> Report:
 
     handle = PhiDensityHandle(spec, mu)
     sd_ns = tuple(range(2, max(ns) + 1))
-    series.append(sd_probe(handle, SequenceSpec("fixed-y", 3.0, sd_ns), quad, params=p))
+    series.append(sd_probe(handle, SequenceSpec("fixed-y", 3.0, sd_ns), params=p))
 
-    u_nn = uniformity_probe(mu, ns, lambda n: (n,), quad, params=p)
+    u_nn = uniformity_probe(mu, ns, lambda n: (n,), params=p)
     series.append(RatioSeries(name="uniformity[m=n]", entries=u_nn.entries))
-    u_n2 = uniformity_probe(mu, ns, lambda n: (2,), quad, params=p)
+    u_n2 = uniformity_probe(mu, ns, lambda n: (2,), params=p)
     series.append(RatioSeries(name="uniformity[m=2]", entries=u_n2.entries))
 
     verdicts = {s.name: classify_limit(s) for s in series}
@@ -383,9 +382,9 @@ def thm12_report(spec: GallerySpec) -> Report:
 
     def r_k(k, anchor):
         num = conv_local_mass(mu, mu1, anchor, 1.0, quad)
-        den = mu.log_window_mass(anchor, 1.0, quad)
+        den = mu.log_window_mass(anchor, 1.0)
         num_shift = conv_local_mass(mu, mu1, anchor.add_offset(1.0), 1.0, quad)
-        den_shift = mu.log_window_mass(anchor.add_offset(1.0), 1.0, quad)
+        den_shift = mu.log_window_mass(anchor.add_offset(1.0), 1.0)
         n_k = fam.n_k[k - 1]
         lead = 1.0 + 2.0 ** -k * lead_coeff * n_k
         return {"n": k, "m": n_k, "c": 1.0,
@@ -406,10 +405,10 @@ def thm12_report(spec: GallerySpec) -> Report:
     atom_comp: AtomSeries = mu1.components[0][1]
 
     def pair_rows(k, anchor):
-        den = mu.log_window_mass(anchor, g1, quad)
+        den = mu.log_window_mass(anchor, g1)
         b = conv_local_mass(mu, mu1, anchor, g2, quad)
         c_lo, c_hi = bracket_pair(conv_local_mass(mu, mu, anchor, g2, quad))
-        b1 = mu.log_window_mass(anchor, g2, quad)
+        b1 = mu.log_window_mass(anchor, g2)
 
         half_den = math.log(0.5) + den
         fail_lo = log_sum([math.log(0.5) + b, math.log(0.25) + c_lo]) - half_den
@@ -442,7 +441,6 @@ def thm12_report(spec: GallerySpec) -> Report:
 def lem32_report(spec: GallerySpec) -> Report:
     """Pointwise self-convolution ratios across the three mantissa regimes."""
     p = spec.params
-    quad = spec.quad
     mu = build_mu(spec)
     handle = PhiDensityHandle(spec, mu)
     prof = spec.profile
@@ -457,7 +455,7 @@ def lem32_report(spec: GallerySpec) -> Report:
     tables = {}
     for label, seq in regimes:
         pts = make_sequence(seq, p)
-        s = sd_probe(handle, seq, quad, params=p)
+        s = sd_probe(handle, seq, params=p)
         series.append(RatioSeries(name=f"sd[{label}]", entries=s.entries, meta=s.meta))
         rows = []
         for n, x in zip(seq.m_range, pts):
@@ -469,7 +467,7 @@ def lem32_report(spec: GallerySpec) -> Report:
             else:
                 lam = point_lambda(x, p)
                 pred = -1.0 / (math.log(lam) - info.scale * p.log_b)
-            measured = math.exp(mu.log_window_mass(x, 1.0, quad)
+            measured = math.exp(mu.log_window_mass(x, 1.0)
                                 + (p.alpha + 1.0) * x.log_abs()
                                 + handle.component.m_log)
             rows.append({"n": int(n), "c": 1.0, "predicted_factor": pred,
@@ -500,19 +498,18 @@ def prop11_report(spec: GallerySpec) -> Report:
     bridge_ns = tuple(n for n in ns if n % 2 == 0) or tuple(ns[-1:])
     series.append(RatioSeries(
         name="bridge_sd",
-        entries=sd_probe(bridge, SequenceSpec("fixed-y", 3.0, bridge_ns), quad,
-                         params=p).entries))
+        entries=sd_probe(bridge, SequenceSpec("fixed-y", 3.0, bridge_ns), params=p).entries))
 
     kernel2 = PiecewiseLinearDensity.triangle(0.0, 2.0)
     ker = KernelAC(kernel=kernel2, base=mu)
     entries = []
     for n, x in zip(ns, pts):
-        entries.append(_entry(x, ker.log_density(x, quad),
-                              mu.log_window_mass(x.add_offset(-1.0), 1.0, quad), n=n))
+        entries.append(_entry(x, ker.log_density(x),
+                              mu.log_window_mass(x.add_offset(-1.0), 1.0), n=n))
     series.append(RatioSeries(name="smoothing", entries=tuple(entries)))
 
     sandwich = sandwich_probe(mu, 0.25, 1.0, 1.0,
-                              SequenceSpec("fixed-y", 3.0, tuple(ns)), quad, params=p)
+                              SequenceSpec("fixed-y", 3.0, tuple(ns)), params=p)
     sandwich_rows = [{"n": e.n, "c": 0.25, "j1": e.j1, "mid": e.mid, "j2": e.j2,
                       "_flag": "" if e.ordered else "order-violation"}
                      for e in sandwich]
@@ -528,16 +525,15 @@ def tilt_report(spec: GallerySpec) -> Report:
     trip, convolution."""
     p = spec.params
     gamma = 1.0
-    quad = QuadratureSpec(rel_tol=1e-9)
-    rho = tilt(MixtureDistribution.single(ParetoAC(1.0)), -gamma, quad)
+    rho = tilt(MixtureDistribution.single(ParetoAC(1.0)), -gamma)
     series = [tilt_identity_probe(rho, gamma, (0.1, 1.0),
-                                  tuple(range(20, 61, 10)), quad)]
+                                  tuple(range(20, 61, 10)))]
 
     mix = MixtureDistribution(components=((0.5, UniformAC(0.0, 1.0)),
                                           (0.5, PointMass(1.5))))
-    round_trip = tilt(tilt(mix, gamma, quad), -gamma, quad)
-    rt_err = max(abs(mix.log_window_mass(ScaledSum.from_float(x, p.b), 0.5, quad)
-                     - round_trip.log_window_mass(ScaledSum.from_float(x, p.b), 0.5, quad))
+    round_trip = tilt(tilt(mix, gamma), -gamma)
+    rt_err = max(abs(mix.log_window_mass(ScaledSum.from_float(x, p.b), 0.5)
+                     - round_trip.log_window_mass(ScaledSum.from_float(x, p.b), 0.5))
                  for x in (0.2, 0.9, 1.4))
 
     uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
@@ -545,13 +541,13 @@ def tilt_report(spec: GallerySpec) -> Report:
                                             (0.5, PointMass(1.5))))
     conv_plain = MixtureDistribution(components=((0.5, UniformAC(0.0, 1.0)),
                                                  (0.5, UniformAC(1.5, 1.0))))
-    lhs = tilt(conv_plain, gamma, quad)
-    rhs_u = tilt(uni, gamma, quad)
-    rhs_a = tilt(atoms, gamma, quad)
+    lhs = tilt(conv_plain, gamma)
+    rhs_u = tilt(uni, gamma)
+    rhs_a = tilt(atoms, gamma)
     commute_err = 0.0
     for x in (0.25, 0.75, 1.75, 2.25):
-        a = lhs.log_window_mass(ScaledSum.from_float(x, p.b), 0.2, quad)
-        b = conv_local_mass(rhs_u, rhs_a, ScaledSum.from_float(x, p.b), 0.2, quad)
+        a = lhs.log_window_mass(ScaledSum.from_float(x, p.b), 0.2)
+        b = conv_local_mass(rhs_u, rhs_a, ScaledSum.from_float(x, p.b), 0.2, spec.quad)
         if a == LOG_ZERO and b == LOG_ZERO:
             continue
         commute_err = max(commute_err, abs(a - b))

@@ -8,9 +8,11 @@ integrates to 1 on its own; mixtures carry the weights.
 All masses, tails, and moments are computed and returned in natural-log
 space.  A window mass takes either a width c, for (x, x+c], or a
 piecewise-polynomial :class:`Weight` w, for ``int w(t) (x + dt)``.  Each
-component accepts an extra exponent ``gamma`` so that tilted
-wrappers can delegate ``int e^{gamma u} (du)`` to their base components; the
-plain (untilted) quantities are the ``gamma = 0`` case.
+query takes an extra keyword exponent ``gamma`` so that tilted wrappers can
+delegate ``int e^{gamma u} (du)`` to their base components; the plain
+(untilted) quantities are the ``gamma = 0`` case.  Every query is in closed
+form and takes no quadrature spec: the one adaptive integral here is the
+oracle :func:`phi_integral_log`, and outer integrals live in ``convolve``.
 """
 
 from __future__ import annotations
@@ -331,8 +333,7 @@ def _offsets_in_units(ys, y1: float, R, b1: float, b2: float, units) -> list:
     return [d * b1 * b2 if d else 0.0 for d in (-math.fsum([-y, y1, *units]) for y in ys)]
 
 
-def normalizer_M(params: ModelParams, quad: QuadratureSpec,
-                 profile: PeriodicProfile | None = None) -> float:
+def normalizer_M(params: ModelParams, profile: PeriodicProfile | None = None) -> float:
     """Total integral of the raw dip density over [1, inf).
 
     The raw density is log-periodic, ``phi(b u) = b^(-alpha-1) phi(u)``, so
@@ -343,7 +344,7 @@ def normalizer_M(params: ModelParams, quad: QuadratureSpec,
     """
     profile = profile or PeriodicProfile(params)
     raw = PhiAC(profile=profile, m_log=0.0)
-    log_i1 = raw.log_window_mass(ScaledSum.from_float(1.0, params.b), params.b - 1.0, quad)
+    log_i1 = raw.log_window_mass(ScaledSum.from_float(1.0, params.b), params.b - 1.0)
     return math.exp(log_i1) / -math.expm1(-params.alpha * params.log_b)
 
 
@@ -706,44 +707,40 @@ def _log_sums(n: int, node: np.ndarray, vals: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Component:
-    """Shared primitive queries; every subclass integrates to one."""
+    """Shared primitive queries, in closed form and without a quadrature
+    spec; a tilt ``gamma`` goes by keyword.  Every subclass integrates to one."""
 
     is_atomic = False
 
-    def log_window_mass(self, x: ScaledSum, w, quad: QuadratureSpec,
-                        gamma: float = 0.0) -> float:
+    def log_window_mass(self, x: ScaledSum, w, *, gamma: float = 0.0) -> float:
         """log of the mass of (x, x+c] for a width c, or of ``int w(t) (x +
         dt)`` for a :class:`Weight` w: ``_log_window_mass`` or
         ``_log_weighted_mass`` of the component."""
         if type(w) is Weight:
             c = w.width
             if c is None:
-                return self._log_weighted_mass(x, w, quad, gamma)
+                return self._log_weighted_mass(x, w, gamma=gamma)
             w = c
-        return self._log_window_mass(x, w, quad, gamma)
+        return self._log_window_mass(x, w, gamma=gamma)
 
-    def log_window_mass_eval(self, base: ScaledSum, lo: float, hi: float, w,
-                             quad: QuadratureSpec, gamma: float = 0.0):
+    def log_window_mass_eval(self, base: ScaledSum, lo: float, hi: float, w, *, gamma: float = 0.0):
         """``t -> log_window_mass(base + t, w)`` for offsets t in [lo, hi]: the
         inner masses of an outer integral.  By default each node is a window
         at its own point; :class:`PhiAC` sets up the span once."""
-        return lambda t: self.log_window_mass(base.add_offset(t), w, quad, gamma)
+        return lambda t: self.log_window_mass(base.add_offset(t), w, gamma=gamma)
 
-    def log_weight_mass_eval(self, base: ScaledSum, lo: float, hi: float,
-                             quad: QuadratureSpec, gamma: float = 0.0):
+    def log_weight_mass_eval(self, base: ScaledSum, lo: float, hi: float, *, gamma: float = 0.0):
         """``w -> log_window_mass(base, w)`` for weights w supported in [lo,
         hi]: the inner masses of an integral whose weight moves with its
         variable.  By default each is a window of its own at ``base + w.lo``,
         so a constant weight takes the closed form of a width;
         :class:`PhiAC` sets up the span once."""
-        return lambda w: self.log_window_mass(base.add_offset(w.lo), w.shift(-w.lo), quad, gamma)
+        return lambda w: self.log_window_mass(base.add_offset(w.lo), w.shift(-w.lo), gamma=gamma)
 
-    def _log_window_mass(self, x: ScaledSum, c: float, quad: QuadratureSpec,
-                         gamma: float = 0.0) -> float:
+    def _log_window_mass(self, x: ScaledSum, c: float, *, gamma: float = 0.0) -> float:
         raise NotImplementedError
 
-    def _log_weighted_mass(self, x: ScaledSum, w: Weight, quad: QuadratureSpec,
-                           gamma: float = 0.0) -> float:
+    def _log_weighted_mass(self, x: ScaledSum, w: Weight, *, gamma: float = 0.0) -> float:
         """The weight summed over the atoms."""
         terms = []
         for loc, aw in self.atoms():
@@ -755,30 +752,26 @@ class Component:
                 terms.append(term + gamma * loc.value() if gamma else term)
         return log_sum(terms)
 
-    def log_density(self, x: ScaledSum, quad: QuadratureSpec,
-                    gamma: float = 0.0) -> float:
+    def log_density(self, x: ScaledSum, *, gamma: float = 0.0) -> float:
         """log of the density at x: its evaluator at offset 0."""
-        return self.log_density_eval(x, quad, gamma)(0.0)
+        return self.log_density_eval(x, gamma=gamma)(0.0)
 
-    def log_density_eval(self, base: ScaledSum, quad: QuadratureSpec,
-                         gamma: float = 0.0):
+    def log_density_eval(self, base: ScaledSum, *, gamma: float = 0.0):
         raise ParameterError(f"{type(self).__name__} has no density")
 
-    def log_tail(self, x: ScaledSum, quad: QuadratureSpec,
-                 gamma: float = 0.0) -> float:
+    def log_tail(self, x: ScaledSum, *, gamma: float = 0.0) -> float:
         raise NotImplementedError
 
-    def _log_tilted_tail(self, xv: float, b: float, quad: QuadratureSpec,
-                         gamma: float) -> float:
+    def _log_tilted_tail(self, xv: float, b: float, gamma: float) -> float:
         """log of ``int_xv^inf e^(gamma u) (du)`` for gamma < 0, with xv at or
         above the support's lower end: the window of ``44/|gamma|`` from xv,
         then windows that double the span until the component's envelope
         (:meth:`_log_tail_envelope`) bounds the rest below 2^-56 of the sum."""
         span = _TILT_TAIL_FOLDS / -gamma
-        total = self.log_window_mass(ScaledSum.from_float(xv, b), span, quad, gamma)
+        total = self.log_window_mass(ScaledSum.from_float(xv, b), span, gamma=gamma)
         while self._log_tail_envelope(xv + span, gamma) > total - _LOG_2_56:
             total = log_add(total, self.log_window_mass(ScaledSum.from_float(xv + span, b),
-                                                        span, quad, gamma))
+                                                        span, gamma=gamma))
             span *= 2.0
         return total
 
@@ -786,7 +779,7 @@ class Component:
         """log of a bound on ``int_x^inf e^(gamma u) (du)`` for gamma < 0."""
         raise NotImplementedError
 
-    def log_exp_moment(self, gamma: float, quad: QuadratureSpec) -> float:
+    def log_exp_moment(self, gamma: float) -> float:
         raise NotImplementedError
 
     def support_bounds(self):
@@ -936,7 +929,7 @@ class PhiAC(Component):
                                 if t0 is not None and lo - tol <= t0 <= hi + tol)
         return [t for t in edges if lo < t < hi], list(centres)
 
-    def log_density_eval(self, base, quad, gamma=0.0):
+    def log_density_eval(self, base, *, gamma=0.0):
         """``t -> log_density(base + t)``; untilted, it carries the batch form
         ``many(ts)`` (:meth:`_log_densities`): the outer density of a product
         integrand takes it at a plain float base, and the inner density of
@@ -986,12 +979,12 @@ class PhiAC(Component):
         out[on] = -(p.alpha + 1.0) * xlog + h_log - self.m_log
         return out.tolist()
 
-    def log_window_mass(self, x, c, quad, gamma=0.0):
+    def log_window_mass(self, x, c, *, gamma=0.0):
         """Mass of (x, x+c], or under a :class:`Weight` in place of c: the
         evaluator of :meth:`log_window_mass_eval` at offset 0."""
         return self._node_mass(self._window_plan(x, 0.0, 0.0, c, gamma), 0.0)
 
-    def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
+    def log_window_mass_eval(self, base, lo, hi, w, *, gamma=0.0):
         """``t -> log_window_mass(base + t, w)`` for t in [lo, hi], by segments
         between each window's structure points and the weight's knots.
 
@@ -1036,7 +1029,7 @@ class PhiAC(Component):
         ev.many = partial(self._node_masses, plan)
         return ev
 
-    def log_weight_mass_eval(self, base, lo, hi, quad, gamma=0.0):
+    def log_weight_mass_eval(self, base, lo, hi, *, gamma=0.0):
         """``w -> log_window_mass(base, w)`` for weights w supported in [lo,
         hi], from the set-up of the window (base + lo, base + hi], which
         holds the structure of every such weight."""
@@ -1453,7 +1446,7 @@ class PhiAC(Component):
         log_x = ph.log_point(s + a)
         return k_log - alpha * log_x + _log_power_bracket(alpha, math.log(b - a) - log_x)
 
-    def log_tail(self, x, quad, gamma=0.0):
+    def log_tail(self, x, *, gamma=0.0):
         """Mass above x, a float-representable point.  Untilted, by
         self-similarity: for ``x = b^m y`` with y in [1, b), the mass above x
         is ``b^(-alpha m)`` times the mass above y, which is the window (y, b]
@@ -1467,7 +1460,7 @@ class PhiAC(Component):
         below = x.sign() <= 0 or x.log_abs() < 0.0  # below the support edge at 1
         xv = 1.0 if below else _finite_value(x, "tail")
         if gamma < 0.0:
-            return self._log_tilted_tail(xv, p.b, quad, gamma)
+            return self._log_tilted_tail(xv, p.b, gamma)
         if below:
             return 0.0
         info = x.phase()
@@ -1476,20 +1469,20 @@ class PhiAC(Component):
         head = -p.alpha * m * self._log_b
         if y == 1.0:
             return head
-        window = self.log_window_mass(ScaledSum.from_float(y, p.b), p.b - y, quad)
+        window = self.log_window_mass(ScaledSum.from_float(y, p.b), p.b - y)
         return log_add(head + window, head - p.alpha * self._log_b)
 
     def _log_tail_envelope(self, x, gamma):
         return self._k_log - (self.params.alpha + 1.0) * math.log(x) + gamma * x \
             - math.log(-gamma)
 
-    def log_exp_moment(self, gamma, quad):
+    def log_exp_moment(self, gamma):
         if gamma == 0.0:
             return 0.0
         if gamma > 0.0:
             raise DivergentMomentError(
                 "power-law tail has no positive exponential moment", gamma)
-        return self.log_tail(ScaledSum.from_float(1.0, self.params.b), quad, gamma=gamma)
+        return self.log_tail(ScaledSum.from_float(1.0, self.params.b), gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -1514,7 +1507,7 @@ class UniformAC(Component):
         o2 = min(xv + c, self.left + self.width)
         return o1, o2
 
-    def _log_window_mass(self, x, c, quad, gamma=0.0):
+    def _log_window_mass(self, x, c, *, gamma=0.0):
         xv = x.value()
         if not math.isfinite(xv):
             return LOG_ZERO
@@ -1529,12 +1522,12 @@ class UniformAC(Component):
             body = gamma * o1 + math.log1p(-math.exp(gamma * (o2 - o1))) - math.log(-gamma)
         return body - math.log(self.width)
 
-    def _log_weighted_mass(self, x, w, quad, gamma=0.0):
+    def _log_weighted_mass(self, x, w, *, gamma=0.0):
         """:func:`_log_power_pieces` without a power law: exact untilted."""
         lo, hi = self.support_bounds()
         return _log_power_pieces(w.pieces, x.value(), lo, hi, 0.0, gamma) - math.log(self.width)
 
-    def log_density_eval(self, base, quad, gamma=0.0):
+    def log_density_eval(self, base, *, gamma=0.0):
         xv = base.value()
         if not math.isfinite(xv):
             return lambda t: LOG_ZERO
@@ -1542,7 +1535,7 @@ class UniformAC(Component):
         lo, hi = self.support_bounds()
         return lambda t: (gamma * (xv + t) - lw) if lo <= xv + t < hi else LOG_ZERO
 
-    def log_tail(self, x, quad, gamma=0.0):
+    def log_tail(self, x, *, gamma=0.0):
         xv = x.value()
         if xv == math.inf:
             return LOG_ZERO
@@ -1550,12 +1543,12 @@ class UniformAC(Component):
         right = self.left + self.width
         if xv >= right:
             return LOG_ZERO
-        return self.log_window_mass(ScaledSum.from_float(xv, x.b), right - xv, quad, gamma)
+        return self.log_window_mass(ScaledSum.from_float(xv, x.b), right - xv, gamma=gamma)
 
-    def log_exp_moment(self, gamma, quad):
+    def log_exp_moment(self, gamma):
         if gamma == 0.0:
             return 0.0
-        return self._log_window_mass(ScaledSum.from_float(self.left), self.width, quad, gamma)
+        return self._log_window_mass(ScaledSum.from_float(self.left), self.width, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -1574,7 +1567,7 @@ class ParetoAC(Component):
     def density_cuts(self, base, lo, hi):
         return _offsets(base, (0.0,), lo, hi), []
 
-    def _log_window_mass(self, x, c, quad, gamma=0.0):
+    def _log_window_mass(self, x, c, *, gamma=0.0):
         """Untilted, ``(1+o)^-a (1 - (1+r)^-a)`` for the window (o, o+w] of
         the support, with ``r = w/(1+o)`` (:func:`_log_power_bracket`): the
         window's own width c, or ``x + c`` from 0 for a window that starts
@@ -1601,14 +1594,14 @@ class ParetoAC(Component):
         # the tilted power-law rule in v = 1 + u
         return math.log(a) + _log_tilted_power(a + 1.0, gamma, 1.0 + mid, mid, h)
 
-    def _log_weighted_mass(self, x, w, quad, gamma=0.0):
+    def _log_weighted_mass(self, x, w, *, gamma=0.0):
         """:func:`_log_power_pieces`; beyond float range, untilted, density times mass."""
         xv, a = x.value(), self.shape
         if xv == math.inf and not gamma:
-            return self.log_density(x, quad) + math.log(w.mass())
+            return self.log_density(x) + math.log(w.mass())
         return math.log(a) + _log_power_pieces(w.pieces, xv, 0.0, math.inf, a + 1.0, gamma)
 
-    def log_density_eval(self, base, quad, gamma=0.0):
+    def log_density_eval(self, base, *, gamma=0.0):
         xv = base.value()
         a = self.shape
         la = math.log(a)
@@ -1626,7 +1619,7 @@ class ParetoAC(Component):
 
         return f
 
-    def log_tail(self, x, quad, gamma=0.0):
+    def log_tail(self, x, *, gamma=0.0):
         xv = max(x.value(), 0.0)
         a = self.shape
         if gamma > 0.0:
@@ -1636,19 +1629,19 @@ class ParetoAC(Component):
             return -a * _log1p_point(x, xv)
         if xv == math.inf:
             return LOG_ZERO
-        return self._log_tilted_tail(xv, x.b, quad, gamma)
+        return self._log_tilted_tail(xv, x.b, gamma)
 
     def _log_tail_envelope(self, x, gamma):
         a = self.shape
         return math.log(a) - (a + 1.0) * math.log1p(x) + gamma * x - math.log(-gamma)
 
-    def log_exp_moment(self, gamma, quad):
+    def log_exp_moment(self, gamma):
         if gamma == 0.0:
             return 0.0
         if gamma > 0.0:
             raise DivergentMomentError(
                 "power-law tail has no positive exponential moment", gamma)
-        return self.log_tail(ScaledSum.zero(4.0), quad, gamma=gamma)
+        return self.log_tail(ScaledSum.zero(4.0), gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -1667,17 +1660,17 @@ class PointMass(Component):
     def density_cuts(self, base, lo, hi):
         return _offsets(base, (self.location,), lo, hi), []
 
-    def _log_window_mass(self, x, c, quad, gamma=0.0):
+    def _log_window_mass(self, x, c, *, gamma=0.0):
         below = x.add_offset(-self.location)  # x - loc < 0  <=>  loc > x
         above = x.add_offset(c - self.location)  # x + c - loc >= 0  <=>  loc <= x+c
         if below.sign() < 0 and above.sign() >= 0:
             return gamma * self.location
         return LOG_ZERO
 
-    def log_tail(self, x, quad, gamma=0.0):
+    def log_tail(self, x, *, gamma=0.0):
         return gamma * self.location if x.add_offset(-self.location).sign() < 0 else LOG_ZERO
 
-    def log_exp_moment(self, gamma, quad):
+    def log_exp_moment(self, gamma):
         return gamma * self.location
 
 
@@ -1717,7 +1710,7 @@ class AtomSeries(Component):
                 "exponential weight overflows at a scaled atom", gamma)
         return g + (math.log(w) if w > 0 else LOG_ZERO)
 
-    def _log_window_mass(self, x, c, quad, gamma=0.0):
+    def _log_window_mass(self, x, c, *, gamma=0.0):
         terms = []
         for loc, w in zip(self.locations, self.weights):
             d = loc.sub(x)
@@ -1725,13 +1718,13 @@ class AtomSeries(Component):
                 terms.append(self._gamma_term(loc, w, gamma))
         return log_sum(terms)
 
-    def log_tail(self, x, quad, gamma=0.0):
+    def log_tail(self, x, *, gamma=0.0):
         terms = [self._gamma_term(loc, w, gamma)
                  for loc, w in zip(self.locations, self.weights)
                  if loc.sub(x).sign() > 0]
         return log_sum(terms)
 
-    def log_exp_moment(self, gamma, quad):
+    def log_exp_moment(self, gamma):
         return log_sum([self._gamma_term(loc, w, gamma)
                         for loc, w in zip(self.locations, self.weights)])
 
@@ -1859,44 +1852,43 @@ class KernelAC(Component):
         blo, bhi = self.base.support_bounds()
         return (blo + self.kernel.knots[0], bhi + self.kernel.knots[-1])
 
-    def log_window_mass(self, x, w, quad, gamma=0.0):
+    def log_window_mass(self, x, w, *, gamma=0.0):
         if gamma != 0.0:
             raise ParameterError("tilted windows of smoothed measures are not supported")
-        return self.base.log_window_mass(x, as_weight(w).smoothed(self.kernel), quad)
+        return self.base.log_window_mass(x, as_weight(w).smoothed(self.kernel))
 
-    def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
+    def log_window_mass_eval(self, base, lo, hi, w, *, gamma=0.0):
         if gamma != 0.0:
             raise ParameterError("tilted windows of smoothed measures are not supported")
-        return self.base.log_window_mass_eval(base, lo, hi, as_weight(w).smoothed(self.kernel),
-                                              quad)
+        return self.base.log_window_mass_eval(base, lo, hi, as_weight(w).smoothed(self.kernel))
 
     def density_cuts(self, base, lo, hi):
         # the kernel's knots placed at either end of the base's support
         ends = self.base.support_bounds()
         return _offsets(base, [e + k for e in ends for k in self.kernel.knots], lo, hi), []
 
-    def log_density_eval(self, base, quad, gamma=0.0):
+    def log_density_eval(self, base, *, gamma=0.0):
         r = self._density_weight
 
         def q_log(t):
             pt = base.add_offset(t) if t != 0.0 else base
-            out = self.base.log_window_mass(pt, r, quad)
+            out = self.base.log_window_mass(pt, r)
             if gamma != 0.0 and out != LOG_ZERO:
                 out += gamma * pt.value()
             return out
 
         return q_log
 
-    def log_tail(self, x, quad, gamma=0.0):
+    def log_tail(self, x, *, gamma=0.0):
         if gamma != 0.0:
             raise ParameterError("tilted tails of smoothed measures are not supported")
-        return log_add(self.base.log_tail(x.add_offset(-self.kernel.knots[0]), quad),
-                       self.base.log_window_mass(x, self._tail_weight, quad))
+        return log_add(self.base.log_tail(x.add_offset(-self.kernel.knots[0])),
+                       self.base.log_window_mass(x, self._tail_weight))
 
-    def log_exp_moment(self, gamma, quad):
+    def log_exp_moment(self, gamma):
         if gamma == 0.0:
             return 0.0
-        return self.kernel.log_tilt_integral(gamma) + self.base.log_exp_moment(gamma, quad)
+        return self.kernel.log_tilt_integral(gamma) + self.base.log_exp_moment(gamma)
 
 
 @dataclass(frozen=True)
@@ -1928,24 +1920,24 @@ class Tilted(Component):
     def support_bounds(self):
         return self.base.support_bounds()
 
-    def log_window_mass(self, x, w, quad, gamma=0.0):
-        return self.base.log_window_mass(x, w, quad, gamma=self.gamma + gamma) - self.log_norm
+    def log_window_mass(self, x, w, *, gamma=0.0):
+        return self.base.log_window_mass(x, w, gamma=self.gamma + gamma) - self.log_norm
 
-    def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
-        f = self.base.log_window_mass_eval(base, lo, hi, w, quad, gamma=self.gamma + gamma)
+    def log_window_mass_eval(self, base, lo, hi, w, *, gamma=0.0):
+        f = self.base.log_window_mass_eval(base, lo, hi, w, gamma=self.gamma + gamma)
         ln = self.log_norm
         return lambda t: f(t) - ln
 
-    def log_density_eval(self, base, quad, gamma=0.0):
-        f = self.base.log_density_eval(base, quad, gamma=self.gamma + gamma)
+    def log_density_eval(self, base, *, gamma=0.0):
+        f = self.base.log_density_eval(base, gamma=self.gamma + gamma)
         ln = self.log_norm
         return lambda t: f(t) - ln
 
-    def log_tail(self, x, quad, gamma=0.0):
-        return self.base.log_tail(x, quad, gamma=self.gamma + gamma) - self.log_norm
+    def log_tail(self, x, *, gamma=0.0):
+        return self.base.log_tail(x, gamma=self.gamma + gamma) - self.log_norm
 
-    def log_exp_moment(self, gamma, quad):
-        return self.base.log_exp_moment(self.gamma + gamma, quad) - self.log_norm
+    def log_exp_moment(self, gamma):
+        return self.base.log_exp_moment(self.gamma + gamma) - self.log_norm
 
     def density_cuts(self, base, lo, hi):
         return self.base.density_cuts(base, lo, hi)
@@ -1994,26 +1986,26 @@ class MixtureDistribution:
             return lw + fn(comp) + 0.0
         return log_sum([lw + fn(comp) for lw, comp in self._parts])
 
-    def log_window_mass(self, x, w, quad, gamma=0.0):
-        return self._combine(lambda comp: comp.log_window_mass(x, w, quad, gamma))
+    def log_window_mass(self, x, w, *, gamma=0.0):
+        return self._combine(lambda comp: comp.log_window_mass(x, w, gamma=gamma))
 
-    def log_window_mass_eval(self, base, lo, hi, w, quad, gamma=0.0):
-        evs = [(lw, comp.log_window_mass_eval(base, lo, hi, w, quad, gamma))
+    def log_window_mass_eval(self, base, lo, hi, w, *, gamma=0.0):
+        evs = [(lw, comp.log_window_mass_eval(base, lo, hi, w, gamma=gamma))
                for lw, comp in self._parts]
         return lambda t: log_sum([lw + f(t) for lw, f in evs])
 
-    def log_density(self, x, quad, gamma=0.0):
-        return self.log_density_eval(x, quad, gamma)(0.0)
+    def log_density(self, x, *, gamma=0.0):
+        return self.log_density_eval(x, gamma=gamma)(0.0)
 
-    def log_density_eval(self, base, quad, gamma=0.0):
-        evs = [(lw, comp.log_density_eval(base, quad, gamma)) for lw, comp in self._parts]
+    def log_density_eval(self, base, *, gamma=0.0):
+        evs = [(lw, comp.log_density_eval(base, gamma=gamma)) for lw, comp in self._parts]
         return lambda t: log_sum([lw + f(t) for lw, f in evs])
 
-    def log_tail(self, x, quad, gamma=0.0):
-        return self._combine(lambda comp: comp.log_tail(x, quad, gamma))
+    def log_tail(self, x, *, gamma=0.0):
+        return self._combine(lambda comp: comp.log_tail(x, gamma=gamma))
 
-    def log_exp_moment(self, gamma, quad):
-        return self._combine(lambda comp: comp.log_exp_moment(gamma, quad))
+    def log_exp_moment(self, gamma):
+        return self._combine(lambda comp: comp.log_exp_moment(gamma))
 
     def density_cuts(self, base, lo, hi):
         hints, centres = [], []
@@ -2028,37 +2020,42 @@ class MixtureDistribution:
 # public operations
 # ---------------------------------------------------------------------------
 
-def local_mass(dist: MixtureDistribution, x, w, quad: QuadratureSpec) -> float:
+def local_mass(dist: MixtureDistribution, x, w, quad=None) -> float:
     """log of dist((x, x+c]) for a width c, or of ``int w(t) dist(x + dt)``
-    for a :class:`Weight` w."""
+    for a :class:`Weight` w.  The trailing spec is unread: no single-level
+    query integrates adaptively."""
     w = w if isinstance(w, Weight) else _as_width(w)
-    return dist.log_window_mass(as_point(x, dist.base), w, quad)
+    return dist.log_window_mass(as_point(x, dist.base), w)
 
 
-def local_density(dist: MixtureDistribution, x, c: float, quad: QuadratureSpec) -> float:
-    """log of c^-1 dist((x-c, x]), the window density anchored at x."""
+def local_density(dist: MixtureDistribution, x, c: float, quad=None) -> float:
+    """log of c^-1 dist((x-c, x]), the window density anchored at x.  The
+    trailing spec is unread: no single-level query integrates adaptively."""
     c = _as_width(c)
     pt = as_point(x, dist.base).add_offset(-c)
-    return dist.log_window_mass(pt, c, quad) - math.log(c)
+    return dist.log_window_mass(pt, c) - math.log(c)
 
 
-def tail(dist: MixtureDistribution, x, quad: QuadratureSpec) -> float:
-    """log of dist((x, inf))."""
-    return dist.log_tail(as_point(x, dist.base), quad)
+def tail(dist: MixtureDistribution, x, quad=None) -> float:
+    """log of dist((x, inf)).  The trailing spec is unread: no single-level
+    query integrates adaptively."""
+    return dist.log_tail(as_point(x, dist.base))
 
 
-def exp_moment(dist: MixtureDistribution, gamma: float, quad: QuadratureSpec) -> float:
-    """int e^{gamma u} dist(du); raises DivergentMomentError when infinite."""
+def exp_moment(dist: MixtureDistribution, gamma: float, quad=None) -> float:
+    """int e^{gamma u} dist(du); raises DivergentMomentError when infinite.
+    The trailing spec is unread: no single-level query integrates adaptively."""
     if gamma == 0.0:
         return 1.0
-    lm = dist.log_exp_moment(gamma, quad)
+    lm = dist.log_exp_moment(gamma)
     if lm > 700.0:
         raise DivergentMomentError("exponential moment overflows float64", gamma)
     return math.exp(lm)
 
 
-def tilt(dist: MixtureDistribution, gamma: float, quad: QuadratureSpec) -> MixtureDistribution:
-    """The reweighting e^{gamma u} dist(du) / Z, with Z checked finite.
+def tilt(dist: MixtureDistribution, gamma: float, quad=None) -> MixtureDistribution:
+    """The reweighting e^{gamma u} dist(du) / Z, with Z checked finite.  The
+    trailing spec is unread: no single-level query integrates adaptively.
 
     Tilting a tilted mixture combines the exponents analytically; in
     particular a round trip tilt(tilt(d, g), -g) has total exponent zero and
@@ -2075,7 +2072,7 @@ def tilt(dist: MixtureDistribution, gamma: float, quad: QuadratureSpec) -> Mixtu
         base = dist
     if g_total == 0.0:
         return base
-    log_norm = base.log_exp_moment(g_total, quad)
+    log_norm = base.log_exp_moment(g_total)
     if log_norm > 700.0:
         raise DivergentMomentError("tilt normalizer overflows float64", g_total)
     return MixtureDistribution.single(Tilted(gamma=g_total, base=base, log_norm=log_norm))

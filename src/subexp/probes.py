@@ -116,8 +116,8 @@ def _seq_ns(seq, pts) -> list:
 # probes
 # ---------------------------------------------------------------------------
 
-def long_tail_probe(target, a: float, seq, quad: QuadratureSpec,
-                    params: ModelParams, c: float = 1.0) -> RatioSeries:
+def long_tail_probe(target, a: float, seq, params: ModelParams,
+                    c: float = 1.0) -> RatioSeries:
     """Shift-invariance ratios g(x+a)/g(x).
 
     ``target`` is either a mixture (local mode: window masses of width ``c``)
@@ -132,8 +132,8 @@ def long_tail_probe(target, a: float, seq, quad: QuadratureSpec,
     local_mode = isinstance(target, MixtureDistribution)
     for n, x in zip(ns, pts):
         if local_mode:
-            num = target.log_window_mass(x.add_offset(a), c, quad)
-            den = target.log_window_mass(x, c, quad)
+            num = target.log_window_mass(x.add_offset(a), c)
+            den = target.log_window_mass(x, c)
         else:
             num = target.log_value(x.add_offset(a))
             den = target.log_value(x)
@@ -144,7 +144,7 @@ def long_tail_probe(target, a: float, seq, quad: QuadratureSpec,
                              "mode": "local" if local_mode else "density"})
 
 
-def sd_probe(handle, seq, quad: QuadratureSpec, params: ModelParams) -> RatioSeries:
+def sd_probe(handle, seq, params: ModelParams) -> RatioSeries:
     """Self-convolution ratios g(x)g(x)/(2 d(x)).
 
     ``handle`` provides ``log_self_conv(x)`` and ``log_sd_denominator(x)``.
@@ -164,7 +164,7 @@ def sd_probe(handle, seq, quad: QuadratureSpec, params: ModelParams) -> RatioSer
                        meta={"denominator": getattr(handle, "denominator_form", "point")})
 
 
-def is_long_tailed_at(handle, x: ScaledSum, quad: QuadratureSpec) -> bool:
+def is_long_tailed_at(handle, x: ScaledSum) -> bool:
     """Cheap applicability check: g(x+1)/g(x) within a factor of 2."""
     num = handle.log_value(x.add_offset(1.0))
     den = handle.log_value(x)
@@ -190,7 +190,7 @@ def truncated_tail_density(handle, A: float, x: ScaledSum, quad: QuadratureSpec)
     xv = x.value()
     if not math.isfinite(xv):
         raise ParameterError("truncated functionals need float-representable points")
-    flagged = not is_long_tailed_at(handle, x, quad)
+    flagged = not is_long_tailed_at(handle, x)
     den = handle.log_value(x)
     if den == LOG_ZERO:
         return math.inf, True
@@ -210,7 +210,7 @@ def truncated_tail_local(dist: MixtureDistribution, A: float, x: ScaledSum,
     xv = x.value()
     if not math.isfinite(xv):
         raise ParameterError("truncated functionals need float-representable points")
-    den = dist.log_window_mass(x, c, quad)
+    den = dist.log_window_mass(x, c)
     if den == LOG_ZERO:
         return math.inf
     if xv - A <= A:
@@ -227,19 +227,19 @@ def truncated_tail_local(dist: MixtureDistribution, A: float, x: ScaledSum,
                 lv = loc.value() if isinstance(loc, ScaledSum) else loc
                 if A < lv < xv - A:
                     pt = x.sub(loc) if isinstance(loc, ScaledSum) else x.add_offset(-lv)
-                    m = dist.log_window_mass(pt, c, quad)
+                    m = dist.log_window_mass(pt, c)
                     if m != LOG_ZERO:
                         terms.append(lw + math.log(aw) + m)
         else:
             win = Weight.window(c)
-            mass = dist.log_window_mass_eval(x, A - xv, -A, win, quad)
+            mass = dist.log_window_mass_eval(x, A - xv, -A, win)
             terms.append(lw + _outer_integral(comp, dist, x, xv, A, xv - A, quad, mass, win.knots))
     total = log_sum(terms) if terms else LOG_ZERO
     return _clip_exp(total - den)
 
 
 def uniformity_probe(dist: MixtureDistribution, n_list, m_list,
-                     quad: QuadratureSpec, params: ModelParams) -> RatioSeries:
+                     params: ModelParams) -> RatioSeries:
     """Window-density ratios at dip anchors across shrinking window widths.
 
     r(n, m) = [c^-1 mass((x, x+c]) with c = b^-m] / [mass((x, x+1])] at
@@ -249,16 +249,16 @@ def uniformity_probe(dist: MixtureDistribution, n_list, m_list,
     entries = []
     for n in n_list:
         x = ScaledSum.scaled(int(n), params.x0, b=params.b)
-        den = dist.log_window_mass(x, 1.0, quad)
+        den = dist.log_window_mass(x, 1.0)
         for m in m_list(n) if callable(m_list) else m_list:
             c = params.b ** (-int(m))
-            num = dist.log_window_mass(x, c, quad) - math.log(c)
+            num = dist.log_window_mass(x, c) - math.log(c)
             entries.append(_entry(x, num, den, n=int(n), m=int(m), c=c))
     return RatioSeries(name="uniformity", entries=tuple(entries))
 
 
 def scaling_probe(dist: MixtureDistribution, c_list, seq,
-                  quad: QuadratureSpec, params: ModelParams) -> RatioSeries:
+                  params: ModelParams) -> RatioSeries:
     """Window rescaling ratios mass((x-c, x]) / (c * mass((x-1, x]))."""
     pts = _points(seq, params)
     ns = _seq_ns(seq, pts)
@@ -267,8 +267,8 @@ def scaling_probe(dist: MixtureDistribution, c_list, seq,
         if not (c > 0.0):
             raise ParameterError("window widths must be positive")
         for n, x in zip(ns, pts):
-            num = dist.log_window_mass(x.add_offset(-c), c, quad)
-            den = math.log(c) + dist.log_window_mass(x.add_offset(-1.0), 1.0, quad)
+            num = dist.log_window_mass(x.add_offset(-c), c)
+            den = math.log(c) + dist.log_window_mass(x.add_offset(-1.0), 1.0)
             entries.append(_entry(x, num, den, n=n, c=c))
     return RatioSeries(name="scaling", entries=tuple(entries))
 
@@ -287,7 +287,7 @@ class SandwichEntry:
 
 
 def sandwich_probe(dist: MixtureDistribution, c: float, c1: float, a: float,
-                   seq, quad: QuadratureSpec, params: ModelParams) -> list:
+                   seq, params: ModelParams) -> list:
     """Two-sided bounds for shift ratios after uniform smoothing.
 
     With U uniform on [0, c] independent of X ~ dist:
@@ -308,40 +308,41 @@ def sandwich_probe(dist: MixtureDistribution, c: float, c1: float, a: float,
         rise, fall, top = min(width - c, 0.0), max(width - c, 0.0), min(width, c) / c
         flat = ((rise, fall, (top,)),) if fall > rise else ()
         return dist.log_window_mass(x, Weight(((-c, rise, (0.0, 1.0 / c)), *flat, (
-            fall, width, (top, -1.0 / c), (0.0, -1.0 / c)))), quad)
+            fall, width, (top, -1.0 / c), (0.0, -1.0 / c)))))
 
     out = []
     for n, x in zip(ns, pts):
         j1 = math.exp(smoothed(x.add_offset(a), c1) - smoothed(x, c1 + c))
         j2 = math.exp(smoothed(x.add_offset(a), c1 + c) - smoothed(x, c1))
-        mid = math.exp(dist.log_window_mass(x.add_offset(a), c1, quad)
-                       - dist.log_window_mass(x, c1, quad))
+        mid = math.exp(dist.log_window_mass(x.add_offset(a), c1)
+                       - dist.log_window_mass(x, c1))
         out.append(SandwichEntry(n=n, x_label=x.describe(), j1=j1, mid=mid, j2=j2))
     return out
 
 
 def tilt_identity_probe(rho: MixtureDistribution, gamma: float, c_list, x_grid,
-                        quad: QuadratureSpec) -> RatioSeries:
+                        quad=None) -> RatioSeries:
     """Ratio of tilted window masses to the closed-form tail asymptotic.
 
     For rho with finite gamma-exponential moment, the tilt's local masses
     should satisfy  rho_tilt((x, x+c]) ~ (c gamma / Z) e^{gamma x} tail(x)
-    with Z the moment.  Entries are the LHS/RHS ratios per (x, c).
+    with Z the moment.  Entries are the LHS/RHS ratios per (x, c).  The
+    trailing spec is unread: no single-level query integrates adaptively.
     """
     if gamma <= 0.0:
         raise ParameterError("tilt identity probe needs gamma > 0")
-    log_z = rho.log_exp_moment(gamma, quad)  # raises when divergent
+    log_z = rho.log_exp_moment(gamma)  # raises when divergent
     entries = []
     for c in c_list:
         if not (c > 0.0):
             raise ParameterError("window widths must be positive")
         for xv in x_grid:
             x = ScaledSum.from_float(float(xv), rho.base)
-            log_tail = rho.log_tail(x, quad)
+            log_tail = rho.log_tail(x)
             if log_tail == LOG_ZERO:
                 raise ProbePreconditionError(
                     f"tail vanishes at x={xv}; the identity's right side is zero there")
-            num = rho.log_window_mass(x, c, quad, gamma=gamma) - log_z
+            num = rho.log_window_mass(x, c, gamma=gamma) - log_z
             den = math.log(c) + math.log(gamma) - log_z + gamma * float(xv) + log_tail
             entries.append(_entry(x, num, den, c=c, n=int(round(float(xv)))))
     return RatioSeries(name="tilt_identity", entries=tuple(entries),

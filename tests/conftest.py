@@ -51,8 +51,8 @@ def quad_fast():
 
 
 @pytest.fixture(scope="session")
-def m_norm(params, quad, profile):
-    return normalizer_M(params, quad, profile)
+def m_norm(params, profile):
+    return normalizer_M(params, profile)
 
 
 @pytest.fixture(scope="session")

@@ -146,6 +146,17 @@ class TestCommands:
         assert len(lines) == 4
         assert all(float(l.split(",")[idx]) < 1e-5 for l in lines[1:])
 
+    @pytest.mark.parametrize("case, rows", [("mu-local", 3), ("normalizer", 1)])
+    def test_oracle_single_level(self, tmp_path, case, rows):
+        # mu's unit windows (closed forms) and the dip density's integral over
+        # [1, 1e4] against midpoint-Riemann sums
+        out = tmp_path / "or.csv"
+        assert run_cli("oracle", case, "--out", str(out)) == 0
+        lines = out.read_text().strip().splitlines()
+        idx = lines[0].split(",").index("rel_err")
+        assert len(lines) == rows + 1
+        assert all(float(l.split(",")[idx]) <= 1e-7 for l in lines[1:])
+
     def test_probe_long_tail_and_truncated(self, tmp_path):
         out = tmp_path / "lt.csv"
         assert run_cli("probe", "long_tail", "--a", "1.0", "--n-lo", "4",

@@ -52,7 +52,7 @@ class TestAnalyticCases:
         d0 = MixtureDistribution.single(PointMass(0.0))
         x = ScaledSum.scaled(2, 2.0)
         assert conv_local_mass(d0, mu, x, 1.0, quad) == \
-            local_mass(mu, x, 1.0, quad)
+            local_mass(mu, x, 1.0)
 
     def test_commutativity(self, mu, uni, quad):
         for x in (5.0, 33.0):
@@ -105,14 +105,14 @@ class TestSelfConvOracle:
         for n in (2, 5, 8):
             x = ScaledSum.scaled(n, 3.0)
             num = phi_self_conv_at(profile, x, quad)
-            den = math.log(2.0) + math.log(m_norm) + m_norm_window(mu, m_norm, x, quad)
+            den = math.log(2.0) + math.log(m_norm) + m_norm_window(mu, m_norm, x)
             rs.append(abs(math.exp(num - den) - 1.0))
         assert rs[2] < rs[0]
         assert rs[2] < 0.01
 
 
-def m_norm_window(mu, m_norm, x, quad):
-    return local_mass(mu, x, 1.0, quad) + math.log(m_norm)
+def m_norm_window(mu, m_norm, x):
+    return local_mass(mu, x, 1.0) + math.log(m_norm)
 
 
 class TestSplitBracketsContainFullNumeric:
@@ -198,7 +198,7 @@ class TestConvWindows:
         for n in (4, 8):
             x = ScaledSum.scaled(n, 3.0)
             r = math.exp(conv_local_mass(mu, mu, x, 1.0, quad_fast)
-                         - local_mass(mu, x, 1.0, quad_fast))
+                         - local_mass(mu, x, 1.0))
             rs.append(abs(r / 2.0 - 1.0))
         assert rs[1] < rs[0] < 0.05
         assert rs[1] < 1e-3
@@ -206,7 +206,7 @@ class TestConvWindows:
     def test_split_bracket_contains_two(self, mu, quad_fast):
         x = ScaledSum.scaled(64, 3.0)
         v = conv_local_mass(mu, mu, x, 1.0, quad_fast)
-        den = local_mass(mu, x, 1.0, quad_fast)
+        den = local_mass(mu, x, 1.0)
         assert isinstance(v, LogBracket)
         lo, hi = math.exp(v.lo - den), math.exp(v.hi - den)
         assert lo < 2.0 < hi or abs(lo / 2.0 - 1.0) < 0.02
@@ -283,7 +283,7 @@ class TestSelfPairFold:
 class TestNFold:
     def test_n1_equals_local(self, uni, quad):
         assert nfold_local_mass(uni, 1, 0.25, 0.5, quad) == \
-            local_mass(uni, 0.25, 0.5, quad)
+            local_mass(uni, 0.25, 0.5)
 
     def test_n2_triangle(self, uni, quad):
         assert math.isclose(math.exp(nfold_local_mass(uni, 2, 1.0, 1.0, quad)),
@@ -318,24 +318,24 @@ class TestNFold:
 
 
 class TestSmoothing:
-    def test_kernel_on_delta(self, quad):
+    def test_kernel_on_delta(self):
         tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
         d0 = MixtureDistribution.single(PointMass(0.0))
         for x in (0.4, 1.0, 1.9):
-            got = math.exp(smoothed_density(tri, d0, x, quad))
+            got = math.exp(smoothed_density(tri, d0, x))
             assert math.isclose(got, tri.value(x), rel_tol=1e-12)
 
-    def test_negative_point(self, mu, quad):
+    def test_negative_point(self, mu):
         tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
-        assert smoothed_density(tri, mu, -1.0, quad) == -math.inf
+        assert smoothed_density(tri, mu, -1.0) == -math.inf
 
-    def test_smoothing_tracks_window(self, mu, quad):
+    def test_smoothing_tracks_window(self, mu):
         tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
         rs = []
         for n in (4, 8):
             x = ScaledSum.scaled(n, 3.0)
-            q = smoothed_density(tri, mu, x, quad)
-            w = local_mass(mu, x.add_offset(-1.0), 1.0, quad)
+            q = smoothed_density(tri, mu, x)
+            w = local_mass(mu, x.add_offset(-1.0), 1.0)
             rs.append(abs(math.exp(q - w) - 1.0))
         assert rs[1] < rs[0] < 0.01
 
@@ -360,7 +360,7 @@ def test_no_quadrature_runs_inside_another(mu, quad, uni, monkeypatch):
     for module in (convolve, measures):
         monkeypatch.setattr(module, "integrate_log", guarded)
     mix = MixtureDistribution(components=((0.5, UniformAC(0.0, 1.0)), (0.5, PointMass(1.5))))
-    tp = tilt(MixtureDistribution.single(ParetoAC(1.0)), -1.0, quad)
+    tp = tilt(MixtureDistribution.single(ParetoAC(1.0)), -1.0)
     for x in (0.7, 3.2, 40.0):
         for a in (1.0, 2.5):
             conv_local_mass(uni, MixtureDistribution.single(ParetoAC(a)), x, 0.5, quad)
@@ -403,9 +403,9 @@ class TestTiltConvCommute:
                                                 (0.5, PointMass(1.5))))
         plain_conv = MixtureDistribution(components=((0.5, UniformAC(0.0, 1.0)),
                                                      (0.5, UniformAC(1.5, 1.0))))
-        lhs = tilt(plain_conv, g, quad)
-        tu, ta = tilt(uni, g, quad), tilt(atoms, g, quad)
+        lhs = tilt(plain_conv, g)
+        tu, ta = tilt(uni, g), tilt(atoms, g)
         for x in (0.25, 0.75, 1.75, 2.25):
-            a = local_mass(lhs, x, 0.2, quad)
+            a = local_mass(lhs, x, 0.2)
             b = conv_local_mass(tu, ta, x, 0.2, quad)
             assert abs(a - b) < 1e-8

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import random
 from pathlib import Path
@@ -34,7 +35,7 @@ from subexp import (
 from subexp import measures, quadrature
 from subexp.measures import Weight, phi_integral_log
 from subexp.convolve import conv_local_mass, oracle_window_mass, phi_self_conv_at, phi_values
-from subexp.probes import long_tail_probe
+from subexp.probes import long_tail_probe, tilt_identity_probe
 from subexp import scaledcore
 from subexp.scaledcore import phi_log_value
 
@@ -68,7 +69,7 @@ class TestNormalizer:
         exact = cell / (1.0 - 1.0 / params.b)
         assert abs(m_norm / exact - 1.0) < 1e-7
 
-    def test_closed_form_against_mpmath(self, params, quad, profile):
+    def test_closed_form_against_mpmath(self, params, profile):
         # M = I1 / (1 - b^-alpha) with I1 the cell [1, b], exactly
         mp = pytest.importorskip("mpmath")
         with mp.workdps(50):
@@ -82,145 +83,145 @@ class TestNormalizer:
 
             i1 = mp.quad(raw, [1, x0 - delta, x0, x0 + delta, params.b])
             ref = i1 / (1 - mp.mpf(params.b) ** -params.alpha)
-        assert abs(normalizer_M(params, quad, profile) / float(ref) - 1.0) <= 1e-12
+        assert abs(normalizer_M(params, profile) / float(ref) - 1.0) <= 1e-12
 
-    def test_large_alpha_envelope(self, quad):
+    def test_large_alpha_envelope(self):
         p10 = __import__("subexp").ModelParams(alpha=10.0)
         from subexp import PeriodicProfile
         prof = PeriodicProfile(p10)
-        m10 = normalizer_M(p10, quad, prof)
+        m10 = normalizer_M(p10, prof)
         assert 0.0 < m10 < prof.plateau / p10.alpha * (1.0 + 1e-6)
 
-    def test_unit_total_mass(self, mu, quad):
-        assert abs(math.exp(tail(mu, 1.0, quad)) - 1.0) < 1e-9
+    def test_unit_total_mass(self, mu):
+        assert abs(math.exp(tail(mu, 1.0)) - 1.0) < 1e-9
 
 
 class TestLocalMass:
-    def test_dip_window_vs_oracle(self, mu, profile, m_norm, quad):
+    def test_dip_window_vs_oracle(self, mu, profile, m_norm):
         # windows ending at, straddling, and away from dip structure
         for x in (32.0, 100.0, 511.5, 8192.0, 9999.0):
-            adaptive = math.exp(local_mass(mu, ScaledSum.from_float(x, 4.0), 1.0, quad))
+            adaptive = math.exp(local_mass(mu, ScaledSum.from_float(x, 4.0), 1.0))
             oracle = riemann_cell(profile, x, x + 1.0) / m_norm
             assert abs(adaptive / oracle - 1.0) < 1e-6, x
 
-    def test_leading_order_at_dip_anchor(self, mu, quad, m_norm):
-        got = math.exp(local_mass(mu, ScaledSum.scaled(2, 2.0), 1.0, quad))
+    def test_leading_order_at_dip_anchor(self, mu, m_norm):
+        got = math.exp(local_mass(mu, ScaledSum.scaled(2, 2.0), 1.0))
         lead = 4.0 ** -4 * 2.0 ** -2 / (2 * LN4) / m_norm
         assert 0.5 * lead < got < 1.5 * lead  # leading order only
 
-    def test_atom_window(self, quad):
+    def test_atom_window(self):
         d = MixtureDistribution.single(PointMass(0.0))
-        assert local_mass(d, -0.5, 1.0, quad) == 0.0  # log 1
+        assert local_mass(d, -0.5, 1.0) == 0.0  # log 1
 
-    def test_window_left_of_support(self, mu, quad):
-        assert local_mass(mu, -10.0, 1.0, quad) == -math.inf
+    def test_window_left_of_support(self, mu):
+        assert local_mass(mu, -10.0, 1.0) == -math.inf
 
-    def test_windowspec_and_bad_width(self, mu, quad):
+    def test_windowspec_and_bad_width(self, mu):
         with pytest.raises(ParameterError):
-            local_mass(mu, 100.0, -1.0, quad)
+            local_mass(mu, 100.0, -1.0)
 
-    def test_mixture_additivity(self, quad):
+    def test_mixture_additivity(self):
         u1 = UniformAC(0.0, 1.0)
         u2 = UniformAC(0.5, 2.0)
         mix = MixtureDistribution(components=((0.3, u1), (0.7, u2)))
-        got = math.exp(local_mass(mix, 0.25, 1.0, quad))
-        want = 0.3 * math.exp(u1.log_window_mass(ScaledSum.from_float(0.25, 4.0), 1.0, quad)) \
-            + 0.7 * math.exp(u2.log_window_mass(ScaledSum.from_float(0.25, 4.0), 1.0, quad))
+        got = math.exp(local_mass(mix, 0.25, 1.0))
+        want = 0.3 * math.exp(u1.log_window_mass(ScaledSum.from_float(0.25, 4.0), 1.0)) \
+            + 0.7 * math.exp(u2.log_window_mass(ScaledSum.from_float(0.25, 4.0), 1.0))
         assert math.isclose(got, want, rel_tol=1e-12)
 
-    def test_windows_tile(self, mu, quad):
+    def test_windows_tile(self, mu):
         x0 = 100.0
-        total = math.exp(local_mass(mu, x0, 4.0, quad))
-        parts = sum(math.exp(local_mass(mu, x0 + j * 0.5, 0.5, quad)) for j in range(8))
+        total = math.exp(local_mass(mu, x0, 4.0))
+        parts = sum(math.exp(local_mass(mu, x0 + j * 0.5, 0.5)) for j in range(8))
         assert abs(parts / total - 1.0) < 1e-8
 
 
 class TestLocalDensity:
-    def test_uniform_constant(self, quad):
+    def test_uniform_constant(self):
         uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
-        assert abs(local_density(uni, 0.5, 0.25, quad)) < 1e-12
+        assert abs(local_density(uni, 0.5, 0.25)) < 1e-12
 
-    def test_window_width_consistency(self, mu, quad):
+    def test_window_width_consistency(self, mu):
         # c=1 vs c=0.5 densities approach each other along plateau points
         rs = []
         for n in (4, 8):
             x = ScaledSum.scaled(n, 3.0)
-            r = math.exp(local_density(mu, x, 1.0, quad)
-                         - local_density(mu, x, 0.5, quad))
+            r = math.exp(local_density(mu, x, 1.0)
+                         - local_density(mu, x, 0.5))
             rs.append(abs(r - 1.0))
         assert rs[1] < rs[0] and rs[1] < 1e-4
 
-    def test_atom_in_window(self, quad):
+    def test_atom_in_window(self):
         d0 = MixtureDistribution(components=((0.5, PointMass(0.0)),
                                              (0.5, UniformAC(0.0, 1.0))))
-        got = math.exp(local_density(d0, 0.5, 1.0, quad))
+        got = math.exp(local_density(d0, 0.5, 1.0))
         assert math.isclose(got, 0.5 + 0.5 * 0.5, rel_tol=1e-12)
 
 
 class TestTailAndMoments:
-    def test_uniform_tail(self, quad):
+    def test_uniform_tail(self):
         uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
-        assert math.isclose(math.exp(tail(uni, 0.25, quad)), 0.75, rel_tol=1e-12)
+        assert math.isclose(math.exp(tail(uni, 0.25)), 0.75, rel_tol=1e-12)
 
-    def test_tail_monotone(self, mu, quad):
+    def test_tail_monotone(self, mu):
         xs = [1.0, 2.0, 3.5, 8.0, 31.9, 32.5, 100.0, 1000.0]
-        vals = [tail(mu, x, quad) for x in xs]
+        vals = [tail(mu, x) for x in xs]
         assert all(a >= b - 1e-12 for a, b in zip(vals[:-1], vals[1:]))
 
-    def test_pareto_tail_analytic(self, quad):
+    def test_pareto_tail_analytic(self):
         par = MixtureDistribution.single(ParetoAC(1.0))
-        assert math.isclose(math.exp(tail(par, 3.0, quad)), 0.25, rel_tol=1e-12)
+        assert math.isclose(math.exp(tail(par, 3.0)), 0.25, rel_tol=1e-12)
 
-    def test_moment_at_zero(self, mu, quad):
-        assert exp_moment(mu, 0.0, quad) == 1.0
+    def test_moment_at_zero(self, mu):
+        assert exp_moment(mu, 0.0) == 1.0
 
-    def test_positive_moment_divergent(self, mu, quad):
+    def test_positive_moment_divergent(self, mu):
         with pytest.raises(DivergentMomentError):
-            exp_moment(mu, 0.1, quad)
+            exp_moment(mu, 0.1)
 
-    def test_uniform_moment_analytic(self, quad):
+    def test_uniform_moment_analytic(self):
         uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
         for g in (-2.0, 0.5, 3.0):
             want = (math.exp(g) - 1.0) / g
-            assert math.isclose(exp_moment(uni, g, quad), want, rel_tol=1e-10)
+            assert math.isclose(exp_moment(uni, g), want, rel_tol=1e-10)
 
-    def test_mu_negative_moment(self, mu, quad, profile, m_norm):
-        got = exp_moment(mu, -1.0, quad)
+    def test_mu_negative_moment(self, mu, profile, m_norm):
+        got = exp_moment(mu, -1.0)
         grid = lambda u: np.exp(-u) * phi_values(profile, u) / m_norm
         want = oracle_window_mass(grid, 1.0, 60.0, 1e-5)
         assert abs(got / want - 1.0) < 1e-7
 
 
 class TestTilt:
-    def test_identity_tilt(self, mu, quad):
-        assert tilt(mu, 0.0, quad) is mu
+    def test_identity_tilt(self, mu):
+        assert tilt(mu, 0.0) is mu
 
-    def test_tilted_uniform_window_exact(self, quad):
+    def test_tilted_uniform_window_exact(self):
         uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
-        tu = tilt(uni, 1.3, quad)
-        got = math.exp(local_mass(tu, 0.2, 0.3, quad))
+        tu = tilt(uni, 1.3)
+        got = math.exp(local_mass(tu, 0.2, 0.3))
         want = (math.exp(1.3 * 0.5) - math.exp(1.3 * 0.2)) / (math.exp(1.3) - 1.0)
         assert math.isclose(got, want, rel_tol=1e-12)
 
-    def test_round_trip(self, quad):
+    def test_round_trip(self):
         mix = MixtureDistribution(components=((0.5, UniformAC(0.0, 1.0)),
                                               (0.25, PointMass(0.5)),
                                               (0.25, ParetoAC(2.0))))
-        back = tilt(tilt(mix, -0.7, quad), 0.7, quad)
+        back = tilt(tilt(mix, -0.7), 0.7)
         for x in (0.1, 0.45, 1.5, 3.0):
-            a = local_mass(mix, x, 0.3, quad)
-            b = local_mass(back, x, 0.3, quad)
+            a = local_mass(mix, x, 0.3)
+            b = local_mass(back, x, 0.3)
             assert abs(a - b) < 1e-10
 
-    def test_point_mass_tilt_fixed_point(self, quad):
+    def test_point_mass_tilt_fixed_point(self):
         pm = MixtureDistribution.single(PointMass(2.0))
-        tp = tilt(pm, 0.7, quad)
-        assert local_mass(tp, 1.5, 1.0, quad) == 0.0
-        assert local_mass(tp, 2.0, 1.0, quad) == -math.inf
+        tp = tilt(pm, 0.7)
+        assert local_mass(tp, 1.5, 1.0) == 0.0
+        assert local_mass(tp, 2.0, 1.0) == -math.inf
 
-    def test_divergent_tilt_rejected(self, mu, quad):
+    def test_divergent_tilt_rejected(self, mu):
         with pytest.raises(DivergentMomentError):
-            tilt(mu, 0.5, quad)
+            tilt(mu, 0.5)
 
 
 class TestAtomSeries:
@@ -229,11 +230,11 @@ class TestAtomSeries:
         with pytest.raises(ParameterError):
             AtomSeries(locations=locs, weights=(0.5, 0.4))
 
-    def test_scaled_atom_membership(self, quad):
+    def test_scaled_atom_membership(self):
         locs = (ScaledSum.scaled(16, 1.0, sign=-1), ScaledSum.scaled(4, 1.0, sign=-1))
         series = MixtureDistribution.single(AtomSeries(locations=locs, weights=(0.5, 0.5)))
         x = ScaledSum.scaled(16, 1.0, sign=-1).add_offset(-0.5)
-        assert math.isclose(math.exp(local_mass(series, x, 1.0, quad)), 0.5,
+        assert math.isclose(math.exp(local_mass(series, x, 1.0)), 0.5,
                             rel_tol=1e-12)
 
 
@@ -262,19 +263,19 @@ class TestKernel:
         assert math.isclose(tri.self_convolution_value(0.7),
                             tri.self_convolution_value(1.3), rel_tol=1e-12)
 
-    def test_kernel_of_point_mass_is_kernel(self, quad):
+    def test_kernel_of_point_mass_is_kernel(self):
         tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
         base = MixtureDistribution.single(PointMass(0.0))
         ker = KernelAC(kernel=tri, base=base)
         for x in (0.3, 1.0, 1.7):
-            got = math.exp(ker.log_density(ScaledSum.from_float(x, 4.0), quad))
+            got = math.exp(ker.log_density(ScaledSum.from_float(x, 4.0)))
             assert math.isclose(got, tri.value(x), rel_tol=1e-12)
 
-    def test_kernel_window_mass_is_cdf_difference(self, quad):
+    def test_kernel_window_mass_is_cdf_difference(self):
         tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
         base = MixtureDistribution.single(PointMass(0.5))
         ker = MixtureDistribution.single(KernelAC(kernel=tri, base=base))
-        got = math.exp(local_mass(ker, 1.0, 0.5, quad))
+        got = math.exp(local_mass(ker, 1.0, 0.5))
         want = tri.cdf(1.0) - tri.cdf(0.5)
         assert math.isclose(got, want, rel_tol=1e-12)
 
@@ -287,14 +288,14 @@ class TestDensityHints:
         uni = UniformAC(0.0, 1.0)
         assert uni.density_cuts(ScaledSum.from_float(0.5, 4.0), -1.0, 0.0)[0] == [-0.5]
 
-    def test_density_centres(self, mu, quad):
+    def test_density_centres(self, mu):
         x = ScaledSum.scaled(6, 2.0, offset=0.5)
         phi = mu.components[0][1]
         hints, centres = phi.density_cuts(x, -1.0, 0.0)
         assert centres == [-0.5]
         assert -0.5 in hints
         assert mu.density_cuts(x, -1.0, 0.0)[1] == [-0.5]
-        assert tilt(mu, -0.5, quad).components[0][1].density_cuts(x, -1.0, 0.0)[1] == [-0.5]
+        assert tilt(mu, -0.5).components[0][1].density_cuts(x, -1.0, 0.0)[1] == [-0.5]
         assert UniformAC(0.0, 1.0).density_cuts(x, -1.0, 0.0)[1] == []
         assert phi.density_cuts(ScaledSum.scaled(6, 3.0, offset=0.5), -1.0, 0.0)[1] == []
 
@@ -316,10 +317,10 @@ class TestDensityHints:
         assert hints and min(hints) == 1.0
         assert centres == [2.0]
 
-    def test_tilted_mixture_reports_its_atom(self, mu, quad):
+    def test_tilted_mixture_reports_its_atom(self, mu):
         rho = MixtureDistribution(components=((0.5, PointMass(0.0)),
                                               (0.5, mu.components[0][1])))
-        tilted = tilt(rho, -0.5, quad).components[0][1]
+        tilted = tilt(rho, -0.5).components[0][1]
         hints, _centres = tilted.density_cuts(ScaledSum.from_float(0.5, 4.0), -1.0, 0.0)
         assert -0.5 in hints
 
@@ -335,11 +336,11 @@ class TestKernelCentres:
         ("log_tail", 4.0),
         ("log_density", 4.0),
     ])
-    def test_anchor_cost(self, mu, quad_fast, eval_count, query, bound):
+    def test_anchor_cost(self, mu, eval_count, query, bound):
         base = MixtureDistribution(components=((0.5, PointMass(0.0)),
                                                (0.5, mu.components[0][1])))
         ker = KernelAC(kernel=PiecewiseLinearDensity.triangle(0.0, 1.0), base=base)
-        args = {"log_window_mass": (1.0, quad_fast)}.get(query, (quad_fast,))
+        args = {"log_window_mass": (1.0,)}.get(query, ())
         cost = {}
         for y in (2.0, 3.0):  # the dip centre 4^6*2 lies at offset -0.5
             eval_count[0] = 0
@@ -349,34 +350,34 @@ class TestKernelCentres:
 
     @pytest.mark.parametrize("query", ["log_window_mass", "log_density"])
     @pytest.mark.parametrize("n", [6, 1024])
-    def test_untilted_anchor_runs_no_quadrature(self, mu, quad_fast, eval_count, query, n):
+    def test_untilted_anchor_runs_no_quadrature(self, mu, eval_count, query, n):
         base = MixtureDistribution(components=((0.5, PointMass(0.0)),
                                                (0.5, mu.components[0][1])))
         ker = KernelAC(kernel=PiecewiseLinearDensity.triangle(0.0, 1.0), base=base)
-        args = {"log_window_mass": (1.0, quad_fast)}.get(query, (quad_fast,))
+        args = {"log_window_mass": (1.0,)}.get(query, ())
         assert getattr(ker, query)(ScaledSum.scaled(n, 2.0, offset=0.5), *args) > -math.inf
         assert eval_count[0] == 0
 
-    def test_tilted_window_of_smoothed_atom(self, quad):
+    def test_tilted_window_of_smoothed_atom(self):
         # raises, as tilted tails do: no report or workload tilts a smoothed
         # measure
         tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
         ker = KernelAC(kernel=tri, base=MixtureDistribution.single(PointMass(0.5)))
         x = ScaledSum.from_float(0.7)
-        for query in (lambda: ker.log_window_mass(x, 1.0, quad, -0.5),
-                      lambda: ker.log_window_mass(x, Weight.window(1.0).smoothed(tri), quad, -0.5),
-                      lambda: ker.log_window_mass_eval(x, 0.0, 1.0, 1.0, quad, -0.5),
-                      lambda: ker.log_tail(x, quad, -0.5)):
+        for query in (lambda: ker.log_window_mass(x, 1.0, gamma=-0.5),
+                      lambda: ker.log_window_mass(x, Weight.window(1.0).smoothed(tri), gamma=-0.5),
+                      lambda: ker.log_window_mass_eval(x, 0.0, 1.0, 1.0, gamma=-0.5),
+                      lambda: ker.log_tail(x, gamma=-0.5)):
             with pytest.raises(ParameterError):
                 query()
-        assert ker.log_window_mass(x, 1.0, quad) > -math.inf
+        assert ker.log_window_mass(x, 1.0) > -math.inf
 
     def test_rejects_a_kernel_that_does_not_vanish_at_its_ends(self, mu):
         with pytest.raises(ParameterError):
             KernelAC(kernel=PiecewiseLinearDensity((0.0, 1.0), (1.0, 1.0)), base=mu)
 
 
-def test_untilted_dip_window_runs_no_quadrature(mu, quad, eval_count):
+def test_untilted_dip_window_runs_no_quadrature(mu, eval_count):
     # windows that hold a centre or end beside it: closed form, tilted too.
     # At small scales a segment beside the centre reaches beyond 2^-8 x0 b^m
     # of it: windows across the ring, from the centre, and ending just below
@@ -388,13 +389,13 @@ def test_untilted_dip_window_runs_no_quadrature(mu, quad, eval_count):
         windows += [(m, -ring, 2.0 * ring), (m, 0.0, ring), (m, -0.9 * ring, 0.9 * ring - 1.2e-7)]
     for m, off, c in windows:
         x = ScaledSum.scaled(m, 2.0, offset=off).normalize()
-        phi.log_window_mass(x, c, quad)
+        phi.log_window_mass(x, c)
         assert eval_count[0] == 0, (m, off, c)
-    phi.log_window_mass(ScaledSum.scaled(8, 2.0, offset=-0.5), 1.0, quad, gamma=-0.01)
+    phi.log_window_mass(ScaledSum.scaled(8, 2.0, offset=-0.5), 1.0, gamma=-0.01)
     assert eval_count[0] == 0
 
 
-def test_single_level_queries_run_no_quadrature(mu, params, quad, eval_count):
+def test_single_level_queries_run_no_quadrature(mu, params, eval_count):
     # windows, shifted windows, densities and tails of mu at plateau, anchor,
     # anchor-plus-offset and ring points from 4^1 to 4^1024 (tails while the
     # point is a float), then the tilted laws: normalizers, windows and tails
@@ -404,17 +405,17 @@ def test_single_level_queries_run_no_quadrature(mu, params, quad, eval_count):
     for n, y, t in points:
         x = ScaledSum.scaled(n, y, offset=t)
         for c in (4.0 ** -5, 0.5, 1.0, 2.0):
-            local_mass(mu, x, c, quad)
-            local_mass(mu, x.add_offset(1.0), c, quad)
-            local_density(mu, x, c, quad)
+            local_mass(mu, x, c)
+            local_mass(mu, x.add_offset(1.0), c)
+            local_density(mu, x, c)
         if n < 500:
-            tail(mu, x, quad)
+            tail(mu, x)
     pareto = MixtureDistribution.single(ParetoAC(1.0))
     for g in (0.5, 1.0, 2.0):
-        for dist in (tilt(pareto, -g, quad), tilt(mu, -g, quad)):
+        for dist in (tilt(pareto, -g), tilt(mu, -g)):
             for x in (0.3, 29.06, 1e3):
-                local_mass(dist, x, 0.5, quad)
-                tail(dist, x, quad)
+                local_mass(dist, x, 0.5)
+                tail(dist, x)
     assert eval_count[0] == 0
     # windows whose structure reaches beyond the head cell or beyond float
     # range: spans across 2^50, windows 0.5 to 5 times their point wide,
@@ -434,14 +435,14 @@ def test_single_level_queries_run_no_quadrature(mu, params, quad, eval_count):
         assert x.is_canonical() and x.phase().rem is None
         windows += [(x, 1.0), (x, 1e300)]
     for x, c in windows:
-        got = phi.log_window_mass(x, c, quad)
+        got = phi.log_window_mass(x, c)
         ref = _mp_window_log(params, phi.m_log, x, c)
         assert abs(got - ref) <= 1e-12, (x, c, got, ref)
     # the same span across 2^50 node by node through one evaluator
     x = ScaledSum.scaled(24, 3.0)
-    ev = phi.log_window_mass_eval(x, 0.0, 5e14, 1.0, quad)
+    ev = phi.log_window_mass_eval(x, 0.0, 5e14, 1.0)
     for t in (0.0, 2.5e14, 5e14):
-        assert ev(t) == phi.log_window_mass(x.add_offset(t), 1.0, quad), t
+        assert ev(t) == phi.log_window_mass(x.add_offset(t), 1.0), t
     assert eval_count[0] == 0
 
 
@@ -456,7 +457,43 @@ def test_measures_integrates_only_in_its_oracle():
     assert users == ["phi_integral_log"]
 
 
-def test_weighted_masses_run_no_quadrature(quad, eval_count):
+def test_component_queries_take_no_spec(mu):
+    # a closed form holds no quadrature spec, and a tilt goes by keyword, so
+    # a spec passed where a query once took one raises rather than tilting
+    kinds = [measures.Component, *measures.Component.__subclasses__(), MixtureDistribution]
+    tilts = 0
+    for kind in kinds:
+        for name, fn in inspect.getmembers(kind, inspect.isfunction):
+            if name.startswith("__"):
+                continue
+            params = inspect.signature(fn).parameters
+            assert "quad" not in params, (kind.__name__, name)
+            gamma = params.get("gamma")
+            if gamma is not None and gamma.default is not inspect.Parameter.empty:
+                assert gamma.kind is inspect.Parameter.KEYWORD_ONLY, (kind.__name__, name)
+                tilts += 1
+    assert len(kinds) == 9 and tilts >= 9 * 5
+    with pytest.raises(TypeError):
+        mu.log_window_mass(ScaledSum.from_float(100.0), 1.0, QuadratureSpec())
+
+
+def test_facades_read_no_spec(mu):
+    # the entry points that still take a trailing spec give the same bits
+    # without one as with the coarsest: no single-level query integrates
+    coarse = QuadratureSpec(rel_tol=1e-3, max_depth=1)
+    pareto = MixtureDistribution.single(ParetoAC(1.0))
+    tp = tilt(pareto, -1.0)
+    x = ScaledSum.scaled(6, 2.0, offset=0.5)
+    smooth = Weight.window(1.0).smoothed(PiecewiseLinearDensity.triangle())
+    calls = [(local_mass, (mu, x, 1.0)), (local_mass, (mu, x, smooth)),
+             (local_density, (mu, x, 0.5)), (tail, (mu, x)), (tail, (tp, 30.0)),
+             (exp_moment, (mu, -1.0)), (tilt, (pareto, -1.0)), (tilt, (mu, -0.5)),
+             (tilt_identity_probe, (tp, 1.0, (0.1, 1.0), (20.0, 40.0)))]
+    for fn, args in calls:
+        assert repr(fn(*args)) == repr(fn(*args, coarse)), fn.__name__
+
+
+def test_weighted_masses_run_no_quadrature(eval_count):
     # uniform and Pareto weighted masses, tilted and untilted, from below
     # the support to beyond float range, and atoms under a smoothed window
     kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
@@ -467,13 +504,13 @@ def test_weighted_masses_run_no_quadrature(quad, eval_count):
         for w in (g1, g1.smoothed(kernel)):
             for x in points:
                 for gamma in gammas:
-                    comp.log_window_mass(x, w, quad, gamma)
+                    comp.log_window_mass(x, w, gamma=gamma)
     atoms = MixtureDistribution(components=((0.5, PointMass(0.3)), (0.5, AtomSeries(
         locations=(ScaledSum.from_float(-0.2), ScaledSum.from_float(0.9)), weights=(0.25, 0.75)))))
-    assert local_mass(atoms, 0.0, g1, quad) > -math.inf
+    assert local_mass(atoms, 0.0, g1) > -math.inf
     assert eval_count[0] == 0
     # untilted beyond float range: the density at x times the weight's mass
-    got = ParetoAC(1.0).log_window_mass(points[-1], g1.smoothed(kernel), quad)
+    got = ParetoAC(1.0).log_window_mass(points[-1], g1.smoothed(kernel))
     assert abs(got + 2.0 * (600 * LN4 + math.log(2.0))) < 1e-12
 
 
@@ -520,7 +557,7 @@ def _mp_window_log(params, m_log, x, c):
         return float(mp.log(total) - a1 * log_u - mp.mpf(m_log))
 
 
-def test_scale_walk_meets_every_ring(mu, params, quad, monkeypatch):
+def test_scale_walk_meets_every_ring(mu, params, monkeypatch):
     # the cells walked by _scales, the head cell alone where the span stays
     # within its reach, against a walk from the logs three cells wider on
     # each side wherever b^M is a float: windows at anchors, in rings and
@@ -559,9 +596,9 @@ def test_scale_walk_meets_every_ring(mu, params, quad, monkeypatch):
             spans.append((x, t - 0.5 * r, t + 0.5 * r))
 
     def run():
-        return ([phi.log_window_mass(x, c, quad) for x, c in windows],
+        return ([phi.log_window_mass(x, c) for x, c in windows],
                 [phi.density_cuts(ScaledSum.zero(params.b), lo, hi) for lo, hi in ranges],
-                [phi.log_window_mass_eval(x, lo, hi, 1.0, quad)(t)
+                [phi.log_window_mass_eval(x, lo, hi, 1.0)(t)
                  for x, lo, hi in spans for t in (lo, 0.5 * (lo + hi), hi)])
 
     trimmed = run()
@@ -581,7 +618,7 @@ def test_scale_walk_meets_every_ring(mu, params, quad, monkeypatch):
 
 @pytest.mark.parametrize("n, y, t", [(1, 3.0, 0.25), (6, 2.0, -0.5), (30, 2.1, 0.0),
                                      (600, 2.0, -7.0), (1024, 2.0, 1.0)])
-def test_one_window_reads_its_point_once(mu, quad, monkeypatch, n, y, t):
+def test_one_window_reads_its_point_once(mu, monkeypatch, n, y, t):
     # local_mass canonicalizes its point and builds its phase once;
     # local_density also moves the point to the window's lower end
     counts = {"normalize": 0, "phase": 0}
@@ -603,10 +640,10 @@ def test_one_window_reads_its_point_once(mu, quad, monkeypatch, n, y, t):
     monkeypatch.setattr(scaledcore, "PointPhase", CountedPhase)
     x = ScaledSum.scaled(n, y, offset=t)
     counts.update(normalize=0, phase=0)
-    local_mass(mu, x, 0.5, quad)
+    local_mass(mu, x, 0.5)
     assert counts == {"normalize": 1, "phase": 1}
     counts.update(normalize=0, phase=0)
-    local_density(mu, x, 0.5, quad)
+    local_density(mu, x, 0.5)
     assert counts == {"normalize": 2, "phase": 1}
 
 
@@ -617,13 +654,13 @@ class TestCanonicalBoundary:
         assert canon.terms != raw.terms
         uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
         calls = {
-            "local_mass": lambda x: local_mass(mu, x, 1.0, quad),
-            "local_density": lambda x: local_density(mu, x, 1.0, quad),
-            "tail": lambda x: tail(mu, x, quad),
+            "local_mass": lambda x: local_mass(mu, x, 1.0),
+            "local_density": lambda x: local_density(mu, x, 1.0),
+            "tail": lambda x: tail(mu, x),
             "conv_local_mass": lambda x: conv_local_mass(mu, uni, x, 1.0, quad),
             "phi_log_value": lambda x: phi_log_value(profile, x),
             "long_tail_probe": lambda x: [(e.log_num, e.log_den) for e in
-                                          long_tail_probe(mu, 1.0, [x], quad, profile.params).entries],
+                                          long_tail_probe(mu, 1.0, [x], profile.params).entries],
         }
         for name, call in calls.items():
             assert call(raw) == call(canon), name
@@ -659,7 +696,7 @@ class TestGaussRounds:
     @given(n=st.integers(0, 500), in_ring=st.booleans(), u=st.floats(-0.999, 0.999),
            weight=st.sampled_from(sorted(weights)), size=st.sampled_from([3, 40, 250]),
            seed=st.integers(0, 2 ** 32 - 1), all_numpy=st.booleans())
-    def test_round_matches_each_node(self, mu, params, quad, n, in_ring, u, weight, size,
+    def test_round_matches_each_node(self, mu, params, n, in_ring, u, weight, size,
                                      seed, all_numpy):
         # bases 4^n y in and out of the ring; nodes spread over the span and
         # nodes that put a centre or ring edge within 2^-39 of a window end
@@ -674,7 +711,7 @@ class TestGaussRounds:
             y = 1.0 - u * (params.x0 - params.delta - 1.0)
         x = ScaledSum.scaled(n, y)
         span = max(1.0, min(0.5 * x.value(), 4.0 + (n * LN4) ** 2))
-        ev = phi.log_window_mass_eval(x, -span, 0.0, w, quad)
+        ev = phi.log_window_mass_eval(x, -span, 0.0, w)
         rng = random.Random(seed)
         ts = [-span * rng.random() for _ in range(size)]
         hints, centres = phi.density_cuts(x, w.lo - span, w.hi)
@@ -697,7 +734,7 @@ class TestGaussRounds:
 
     @pytest.mark.parametrize("weight", sorted(weights))
     @pytest.mark.parametrize("case", ["series", "cut", "halved", "support", "far"])
-    def test_round_walk_takes_every_segment_kind(self, mu, params, quad, case, weight):
+    def test_round_walk_takes_every_segment_kind(self, mu, params, case, weight):
         # rounds built to reach one kind of segment, all through the round
         # walk, against the scalar walk node by node.  Its Gauss rows lie on
         # one side of a centre at a ratio of 3 or more; it hands every other
@@ -720,7 +757,7 @@ class TestGaussRounds:
             x = ScaledSum(b=4.0, terms=((1, 600, 2.0 + 2.0 ** -51), (-1, 574, 2.0)))
             lo, hi = -16.0, 16.0
         w = self.weights[weight]
-        ev = phi.log_window_mass_eval(x, lo, hi, w, quad)
+        ev = phi.log_window_mass_eval(x, lo, hi, w)
         ts = [lo + (hi - lo) * (i + 0.5) / 97 for i in range(97)]
         ratios, near, rules, rounds = [], [], [], []
         gauss_rows, log_dip_mass, gauss_mass, round_masses = (
@@ -786,10 +823,10 @@ class TestGaussRounds:
         st.integers(0, 24).map(lambda m: 4.0 ** m),
         st.tuples(st.integers(0, 24), st.sampled_from([1.75, 2.0, 2.25])).map(
             lambda my: 4.0 ** my[0] * my[1])), min_size=1, max_size=40))
-    def test_density_many_matches_each(self, mu, quad, us):
+    def test_density_many_matches_each(self, mu, us):
         # the batch form of the outer density against the evaluator point by
         # point, at cell edges 4^m, ring edges and centres among others
-        dens = mu.components[0][1].log_density_eval(ScaledSum.zero(4.0), quad)
+        dens = mu.components[0][1].log_density_eval(ScaledSum.zero(4.0))
         for u, a in zip(us, dens.many(us)):
             b = dens(u)
             assert a == b or abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b))), (u, a, b)
@@ -801,11 +838,11 @@ class TestGaussRounds:
         min_size=1, max_size=40))
     # a remainder beyond float range, 4^600 * 2, which absorbs every offset
     @example(base=ScaledSum(4.0, ((1, 1000, 3.0), (1, 600, 2.0))).normalize(), ts=[0.0, -3.5])
-    def test_density_many_matches_each_at_scaled_bases(self, mu, quad, base, ts):
+    def test_density_many_matches_each_at_scaled_bases(self, mu, base, ts):
         # the batch form at a positive head against the scalar kernel point
         # by point; offsets up to 2^40 move points near a cell edge across it
         # from n = 26 up, and onto the centre or off it at anchors
-        dens = mu.components[0][1].log_density_eval(base, quad)
+        dens = mu.components[0][1].log_density_eval(base)
         assert hasattr(dens, "many")
         _s, n, y = base.terms[0]
         if n < 500:  # and offsets at, and within rounding of, the head cell's centre
@@ -889,7 +926,7 @@ class TestWeight:
         with pytest.raises(ParameterError):
             Weight.window(1.0).smoothed(PiecewiseLinearDensity((0.0, 1.0), (1.0, 1.0)))
 
-    def test_default_weighted_masses(self, quad):
+    def test_default_weighted_masses(self):
         g1 = self.g1()
         # uniform: the weight's exact integral over the support, t in [-x, 1-x)
         uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
@@ -900,21 +937,21 @@ class TestWeight:
             if b > a:
                 exact += sum(cj * ((b - lo) ** (j + 1) - (a - lo) ** (j + 1)) / (j + 1)
                              for j, cj in enumerate(c))
-        assert abs(local_mass(uni, x, g1, quad) - math.log(exact)) < 1e-13
+        assert abs(local_mass(uni, x, g1) - math.log(exact)) < 1e-13
         # atoms: the weight at each atom's offset, tilts included
         atoms = MixtureDistribution(components=((0.5, PointMass(0.3)), (0.5, AtomSeries(
             locations=(ScaledSum.from_float(-0.2), ScaledSum.from_float(0.9)),
             weights=(0.25, 0.75)))))
         want = 0.5 * g1.value(0.3) + 0.5 * (0.25 * g1.value(-0.2) + 0.75 * g1.value(0.9))
-        assert abs(local_mass(atoms, 0.0, g1, quad) - math.log(want)) < 1e-15
-        tp = tilt(MixtureDistribution.single(PointMass(0.3)), 0.7, quad)
-        assert abs(local_mass(tp, 0.0, g1, quad) - math.log(g1.value(0.3))) < 1e-15
+        assert abs(local_mass(atoms, 0.0, g1) - math.log(want)) < 1e-15
+        tp = tilt(MixtureDistribution.single(PointMass(0.3)), 0.7)
+        assert abs(local_mass(tp, 0.0, g1) - math.log(g1.value(0.3))) < 1e-15
         # a mixture is the weighted sum of its components
         mix = MixtureDistribution(components=((0.4, UniformAC(0.0, 1.0)), (0.6, ParetoAC(1.0))))
-        parts = (0.4 * math.exp(local_mass(uni, 0.5, g1, quad))
+        parts = (0.4 * math.exp(local_mass(uni, 0.5, g1))
                  + 0.6 * math.exp(local_mass(MixtureDistribution.single(ParetoAC(1.0)), 0.5,
-                                             g1, quad)))
-        assert abs(math.exp(local_mass(mix, 0.5, g1, quad)) / parts - 1.0) < 1e-12
+                                             g1)))
+        assert abs(math.exp(local_mass(mix, 0.5, g1)) / parts - 1.0) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, -0.01])
     def test_dip_weighted_mass_matches_the_plain_default(self, mu, gamma):
@@ -926,17 +963,17 @@ class TestWeight:
         g2 = self.g1().smoothed(self.kernel)
         for x in (ScaledSum.scaled(3, 2.0), ScaledSum.scaled(2, 2.0, offset=0.3),
                   ScaledSum.from_float(1.5), ScaledSum.scaled(5, 3.0), ScaledSum.scaled(9, 2.0)):
-            f = phi.log_density_eval(x, quad, gamma)
+            f = phi.log_density_eval(x, gamma=gamma)
             hints, centres = phi.density_cuts(x, g2.lo, g2.hi)
             want = quadrature.integrate_log(
                 lambda t: f(t) + math.log(g2.value(t)) if g2.value(t) > 0.0 else -math.inf,
                 g2.lo, g2.hi, quad, hints=hints + list(g2.knots[1:-1]), singular=centres)
-            assert abs(phi.log_window_mass(x, g2, quad, gamma) - want) < 1e-9, x
+            assert abs(phi.log_window_mass(x, g2, gamma=gamma) - want) < 1e-9, x
 
     @pytest.mark.parametrize("times, gamma, x", [
         (times, gamma, x) for times in (1, 2) for gamma in (0.0, -0.01)
         for x in (2.0 ** -44, 8 * 2.0 ** -44)])
-    def test_weight_vanishing_at_the_support_edge(self, mu, quad, times, gamma, x):
+    def test_weight_vanishing_at_the_support_edge(self, mu, times, gamma, x):
         # G1 and G2 meet the dip density's support only on (1 - x, 1], where
         # they are 2 (t - 1)^2 and (2/3) (t - 1)^4 and the density K/M to O(x):
         # the masses are (2/3) x^3 and (2/15) x^5 times K/M e^gamma, which
@@ -945,14 +982,14 @@ class TestWeight:
         w = self.g1() if times == 1 else self.g1().smoothed(self.kernel)
         mass = 2.0 / 3.0 * x ** 3 if times == 1 else 2.0 / 15.0 * x ** 5
         want = math.log(mass * phi.profile.plateau) - phi.m_log + gamma
-        got = phi.log_window_mass(ScaledSum.from_float(x), w, quad, gamma)
+        got = phi.log_window_mass(ScaledSum.from_float(x), w, gamma=gamma)
         assert abs(got - want) < 1e-11
 
 
 @pytest.fixture(scope="module")
-def phi_non_dyadic(quad):
+def phi_non_dyadic():
     p = ModelParams(x0=1.7, delta=0.3, x1=0.4, x2=1.2)
-    return PhiAC(profile=PeriodicProfile(p), m_log=math.log(normalizer_M(p, quad)))
+    return PhiAC(profile=PeriodicProfile(p), m_log=math.log(normalizer_M(p)))
 
 
 class TestWindowEvaluator:
@@ -964,7 +1001,7 @@ class TestWindowEvaluator:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_node_is_the_window_at_its_point(self, mu, quad, data):
+    def test_node_is_the_window_at_its_point(self, mu, data):
         # bases 4^0 to 4^1024, in and out of the dip ring, below the support
         # edge at 1; nodes that put a dip centre, cell edge or the support
         # edge inside the window or within 2^-39 of one of its ends, down to
@@ -1000,24 +1037,23 @@ class TestWindowEvaluator:
             label="below")  # the last one reaches the support edge at 1
         above = data.draw(st.sampled_from([0.0, 0.125, 40.0]), label="above")
         gamma = data.draw(st.sampled_from([0.0, 0.0, -0.01]), label="gamma") if n <= 8 else 0.0
-        got = phi.log_window_mass_eval(base, t - below, t + above, w, quad, gamma)(t)
-        want = phi.log_window_mass(base.add_offset(t), w, quad, gamma)
+        got = phi.log_window_mass_eval(base, t - below, t + above, w, gamma=gamma)(t)
+        want = phi.log_window_mass(base.add_offset(t), w, gamma=gamma)
         assert got == want or abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("base", [ScaledSum.from_float(-1.0), ScaledSum.from_float(1.5),
                                       ScaledSum.from_float(6.5), ScaledSum.scaled(3, 2.0),
                                       ScaledSum.scaled(640, 2.0)])
-    def test_moving_weight_is_the_window_at_its_lower_end(self, mu, quad, base):
+    def test_moving_weight_is_the_window_at_its_lower_end(self, mu, base):
         # ``log_weight_mass_eval``: one set-up of the span for weights that
         # move through it, as on a self-convolution's diagonal; each is the
         # window at its own lower end, within rounding of the dyadic offsets
         phi = mu.components[0][1]
-        ev = phi.log_weight_mass_eval(base, 0.0, 4.0, quad)
+        ev = phi.log_weight_mass_eval(base, 0.0, 4.0)
         for w in (Weight.window(1.0), self.g1, self.g2):
             for s in (0.0, 0.5, 1.25, 1.5 - 2.0 ** -30):
                 moved = w.shift(s - w.lo - 0.5, above=s)  # cut to (s, s - 0.5 + width]
-                want = phi.log_window_mass(base.add_offset(moved.lo), moved.shift(-moved.lo),
-                                           quad)
+                want = phi.log_window_mass(base.add_offset(moved.lo), moved.shift(-moved.lo))
                 got = ev(moved)
                 assert got == want or abs(got - want) <= 1e-12, (w, s)
 
@@ -1049,43 +1085,43 @@ class TestWindowEvaluator:
         else:
             t = data.draw(st.floats(-40.0, 40.0), label="t")
             lo, hi = t - 40.0, t + 40.0
-        got = phi.log_window_mass_eval(base, lo, hi, w, quad)(t)
-        want = phi.log_window_mass(base.add_offset(t), w, quad)
+        got = phi.log_window_mass_eval(base, lo, hi, w)(t)
+        want = phi.log_window_mass(base.add_offset(t), w)
         ulp = math.ulp(max(abs(xv), abs(xv + t))) if xv < 2.0 ** 50 else 0.0
-        moved = max(abs(phi.log_window_mass(base.add_offset(t + k * ulp), w, quad) - want)
+        moved = max(abs(phi.log_window_mass(base.add_offset(t + k * ulp), w) - want)
                     for k in (-4, 4))
         assert got == want or abs(got - want) <= 2.0 * quad.rel_tol + 2.0 * moved
 
-    def test_plateau_piece_whose_mass_underflows(self, phi_non_dyadic, quad):
+    def test_plateau_piece_whose_mass_underflows(self, phi_non_dyadic):
         # base = 1 - 5.7e-139 and G1 on (-1, 1] at base + 1: the piece from the
         # window's start to the support edge is 5.7e-139 wide under a weight
         # of about 1e-277, so its mass underflows in linear units
         phi = phi_non_dyadic
         base = ScaledSum.scaled(0, 1.0, offset=-5.6715435122405205e-139)
-        got = phi.log_window_mass_eval(base, 0.0, 41.0, self.g1, quad)(1.0)
-        assert got == phi.log_window_mass(base.add_offset(1.0), self.g1, quad)
+        got = phi.log_window_mass_eval(base, 0.0, 41.0, self.g1)(1.0)
+        assert got == phi.log_window_mass(base.add_offset(1.0), self.g1)
 
-    def test_edges_that_round_together(self, quad):
+    def test_edges_that_round_together(self):
         # x0 - delta rounds to the support edge 1: the zero-width segment
         # between them is skipped, and the masses are those of deduplicated
         # cuts
         p = ModelParams(x0=1.5, delta=0.49999999999999994, x1=0.5, x2=1.5)
         assert p.x0 - p.delta == 1.0
-        phi = PhiAC(profile=PeriodicProfile(p), m_log=math.log(normalizer_M(p, quad)))
+        phi = PhiAC(profile=PeriodicProfile(p), m_log=math.log(normalizer_M(p)))
         # (the values agree with mpmath at 40 digits to 7e-16)
         for x, c, want in ((0.5, 1.0, -1.2863902171408386), (0.9, 0.25, -1.8717967955812145),
                            (0.9, 1.0, -1.0225539787913638)):
-            got = phi.log_window_mass(ScaledSum.from_float(x, 4.0), c, quad)
+            got = phi.log_window_mass(ScaledSum.from_float(x, 4.0), c)
             assert abs(got - want) < 1e-12
-            assert phi.log_window_mass_eval(ScaledSum.from_float(1.0, 4.0), -1.0, 0.0, c, quad)(
+            assert phi.log_window_mass_eval(ScaledSum.from_float(1.0, 4.0), -1.0, 0.0, c)(
                 x - 1.0) == got
 
-    def test_span_across_float_range(self, mu, quad):
+    def test_span_across_float_range(self, mu):
         # nodes on both sides of 2^50 = 4^25, where the structure changes
         # form, take a window each
         phi = mu.components[0][1]
         base = ScaledSum.scaled(25, 1.0, offset=0.5)
-        mass = phi.log_window_mass_eval(base, -2.0, 1.0, 1.0, quad)
+        mass = phi.log_window_mass_eval(base, -2.0, 1.0, 1.0)
         for t in (-2.0, -0.5, 0.0, 1.0):
-            assert mass(t) == phi.log_window_mass(base.add_offset(t), 1.0, quad)
+            assert mass(t) == phi.log_window_mass(base.add_offset(t), 1.0)
 

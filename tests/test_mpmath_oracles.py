@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subexp import (GallerySpec, KernelAC, MixtureDistribution, ModelParams, ParetoAC,
-                    PeriodicProfile, PhiAC, QuadratureSpec, ScaledSum, SequenceSpec, UniformAC,
+                    PeriodicProfile, PhiAC, ScaledSum, SequenceSpec, UniformAC,
                     build_mu, conv_local_mass, integrate_log, local_density, local_mass,
                     make_sequence, phi_self_conv_at, tail, tilt)
 from subexp import measures
@@ -65,7 +65,7 @@ def test_plateau_window_closed_form(mu, params, quad, monkeypatch, n):
 
     monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(n, 3.0), 1.0, quad)
+    got = phi.log_window_mass(ScaledSum.scaled(n, 3.0), 1.0)
     with mp.workdps(DPS):
         x = mp.mpf(params.b) ** n * 3
         plateau = -1 / mp.log(mp.mpf(params.delta))
@@ -78,7 +78,7 @@ def test_plateau_window_closed_form(mu, params, quad, monkeypatch, n):
 def test_anchor_window(mu, params, quad, n):
     # the window (b^n x0, b^n x0 + 1] starts at a dip centre: one tanh-sinh segment
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(n, params.x0), 1.0, quad)
+    got = phi.log_window_mass(ScaledSum.scaled(n, params.x0), 1.0)
     with mp.workdps(DPS):
         log_x = n * mp.log(params.b) + mp.log(params.x0)
         a1 = params.alpha + 1
@@ -95,7 +95,7 @@ def test_window_narrower_than_rounding_at_a_centre(mu, params, rel_tol):
     # (x, x+c] holds the centre b^2 x0 = 32 and c is below ulp(x) / rel_tol:
     # in offsets from x the dip distance near the centre rounds to ulp(x)
     x, c = 31.999999999785675, 4.2864911620199564e-10
-    got = local_mass(mu, x, c, QuadratureSpec(rel_tol=rel_tol))
+    got = local_mass(mu, x, c)
     with mp.workdps(DPS):
         scale = mp.mpf(params.b) ** 2
 
@@ -206,22 +206,22 @@ def _mp_dip_window(params, phi, m, off, c):
     (600, 8.848955145648752, 1e-3),
     (200, -39.77310821269575, 1e-3),
 ])
-def test_dip_window_closed_form(mu, params, quad, monkeypatch, m, off, c):
+def test_dip_window_closed_form(mu, params, monkeypatch, m, off, c):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("a dip window near its centre ran a quadrature")
 
     monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
-    got = phi.log_window_mass(x, c, quad)
+    got = phi.log_window_mass(x, c)
     assert abs(got - _mp_dip_window(params, phi, m, off, c)) <= 1e-11
 
 
-def test_narrow_window_far_from_its_centre(mu, params, quad):
+def test_narrow_window_far_from_its_centre(mu, params):
     # 4^499 * 1.9 lies in a ring 3e299 from its centre: the window is
     # 5e309 half-widths from it, and one Gauss node integrates it
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(499, 1.9), 1e-10, quad)
+    got = phi.log_window_mass(ScaledSum.scaled(499, 1.9), 1e-10)
     with mp.workdps(DPS):
         log_x = 499 * mp.log(params.b) + mp.log(mp.mpf(1.9))
         h = -1 / mp.log(abs(mp.mpf(1.9) - params.x0))
@@ -244,7 +244,7 @@ def test_tanh_sinh_stops_when_the_next_level_would_fit(mu, params, quad_fast):
     # the kernel-smoothed density at 4^6 x0 + 0.5 over its centre segment:
     # level 2 (7 + 8 + 14 nodes) already meets the budget, so level 3 does not run
     phi = mu.components[0][1]
-    dens = phi.log_density_eval(ScaledSum.scaled(6, params.x0, offset=0.5), quad_fast)
+    dens = phi.log_density_eval(ScaledSum.scaled(6, params.x0, offset=0.5))
     kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
     nodes = []
 
@@ -333,7 +333,7 @@ _PIECE = (0.3, 1.1, -0.7, 0.4, 0.2)  # positive on [0, 0.5]
     (8, 0.0, (-0.9, -0.4, (0.0, 4.0, -8.0))),
     (64, 0.0, (0.3, 0.8, (0.0, 1.0, 0.5, 0.25))),
 ])
-def test_weighted_dip_mass(mu, params, quad, monkeypatch, m, off, weight):
+def test_weighted_dip_mass(mu, params, monkeypatch, m, off, weight):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("an untilted weighted dip mass ran a quadrature")
 
@@ -342,20 +342,20 @@ def test_weighted_dip_mass(mu, params, quad, monkeypatch, m, off, weight):
     w = {"g1": g1, "g2": g2}.get(weight) or Weight((weight,))
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
-    got = phi.log_window_mass(x, w, quad)
+    got = phi.log_window_mass(x, w)
     assert abs(got - _mp_weighted(params, phi, m, off, w)) <= 1e-11
 
 
-def test_smoothed_density(mu, params, quad):
+def test_smoothed_density(mu, params):
     # the triangle(0, 2) smoothing of mu is mu under R(t) = q1(-t) on (-2, 0]
     phi = mu.components[0][1]
     ker = KernelAC(kernel=PiecewiseLinearDensity.triangle(0.0, 2.0), base=mu)
     x = ScaledSum(b=params.b, terms=((1, 8, params.x0),), offset=-0.7).normalize()
     r = Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))
-    assert abs(ker.log_density(x, quad) - _mp_weighted(params, phi, 8, -0.7, r)) <= 1e-11
+    assert abs(ker.log_density(x) - _mp_weighted(params, phi, 8, -0.7, r)) <= 1e-11
 
 
-def test_weighted_plateau_mass(mu, params, quad, monkeypatch):
+def test_weighted_plateau_mass(mu, params, monkeypatch):
     # 4^8 * 3 + t, t in (-2, 1], lies on the plateau: a Gauss-Legendre rule
     # per piece of G under x^(-alpha-1)
     def no_quadrature(*args, **kwargs):
@@ -364,7 +364,7 @@ def test_weighted_plateau_mass(mu, params, quad, monkeypatch):
     monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
     _g1, g2 = _smoothed_window_weights()
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(8, 3.0), g2, quad)
+    got = phi.log_window_mass(ScaledSum.scaled(8, 3.0), g2)
     with mp.workdps(DPS):
         x = mp.mpf(params.b) ** 8 * 3
         plateau = -1 / mp.log(mp.mpf(params.delta))
@@ -377,11 +377,11 @@ def test_weighted_plateau_mass(mu, params, quad, monkeypatch):
 
 @pytest.mark.parametrize("m, off, c", [(8, 0.25, 1.0), (8, -0.5, 1.0), (40, 0.0, 3.0),
                                        (1024, -14.834430405213574, 1e-3), (8, 3.0, 0.5)])
-def test_unit_weight_is_the_window(mu, params, quad, m, off, c):
+def test_unit_weight_is_the_window(mu, params, m, off, c):
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
-    assert phi.log_window_mass(x, Weight(((0.0, c, (1.0,)),)), quad) == \
-        phi.log_window_mass(x, c, quad)
+    assert phi.log_window_mass(x, Weight(((0.0, c, (1.0,)),))) == \
+        phi.log_window_mass(x, c)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -393,7 +393,7 @@ def test_window_density_ending_beside_a_centre(n):
     p = spec.params
     phi = mu.components[0][1]
     x = 4.0 ** n * 1.9999999696019541
-    got = local_density(mu, x, 1.0, spec.quad)
+    got = local_density(mu, x, 1.0)
     with mp.workdps(DPS):
         centre = mp.mpf(p.b) ** n * p.x0
         plateau = -1 / mp.log(mp.mpf(p.delta))
@@ -431,7 +431,7 @@ def test_window_density_ending_beside_a_centre(n):
     (0, 1.5, "triangle"),
     (1, 0.5, "triangle"),
 ])
-def test_near_centre_dip_window_at_small_scales(mu, params, quad, monkeypatch, m, off, weight):
+def test_near_centre_dip_window_at_small_scales(mu, params, monkeypatch, m, off, weight):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("a dip window near its centre ran a quadrature")
 
@@ -439,13 +439,13 @@ def test_near_centre_dip_window_at_small_scales(mu, params, quad, monkeypatch, m
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
     if isinstance(weight, float):
-        got = phi.log_window_mass(x, weight, quad)
+        got = phi.log_window_mass(x, weight)
         assert abs(got - _mp_dip_window(params, phi, m, off, weight)) <= 1e-11
         return
     g1, g2 = _smoothed_window_weights()
     triangle = Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))
     w = {"g1": g1, "g2": g2, "triangle": triangle}[weight]
-    got = phi.log_window_mass(x, w, quad)
+    got = phi.log_window_mass(x, w)
     assert abs(got - _mp_weighted(params, phi, m, off, w)) <= 1e-11
 
 
@@ -467,7 +467,7 @@ def _mp_tilted_pareto(a, gamma, o1, o2):
 
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 8.0, -0.5, -1.0, -2.0, -8.0])
-def test_tilted_pareto_window(shape, gamma, quad, monkeypatch):
+def test_tilted_pareto_window(shape, gamma, monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("a tilted Pareto window ran a quadrature")
 
@@ -478,7 +478,7 @@ def test_tilted_pareto_window(shape, gamma, quad, monkeypatch):
                (-0.5, 1.0), (-3.0, 5.0)]  # the last two start below 0
     for x, c in windows:
         pt = ScaledSum.from_float(x, 4.0) if x else ScaledSum.zero(4.0)
-        got = comp.log_window_mass(pt, c, quad, gamma)
+        got = comp.log_window_mass(pt, c, gamma=gamma)
         ref = float(_mp_tilted_pareto(shape, gamma, max(x, 0.0), x + c))
         # at 1e6 the log itself is near 8e6, whose ulp is 9e-10
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (x, c)
@@ -487,11 +487,11 @@ def test_tilted_pareto_window(shape, gamma, quad, monkeypatch):
 @pytest.mark.parametrize("x, c, gamma", [
     (1e6 + 0.1, 1.1e-6, -1.0), (1e6 + 0.1, 1.1e-6, 0.5), (1e6 + 0.1, 0.3, -1.0),
     (1e12 + 0.1, 1.1e-6, -1e-9), (1e12 + 0.1, 0.3, -1e-9), (1e16, 0.75, -1e-13)])
-def test_tilted_pareto_window_keeps_its_width(x, c, gamma, quad):
+def test_tilted_pareto_window_keeps_its_width(x, c, gamma):
     # x + c rounds at ulp(1e6) = 2^-33, 1e-4 of the narrow width, at
     # ulp(1e12) = 2^-24, more than it, and at 1e16 + 0.75 == 1e16: the
     # window takes its width c, not (x + c) - x
-    got = ParetoAC(1.0).log_window_mass(ScaledSum.from_float(x), c, quad, gamma)
+    got = ParetoAC(1.0).log_window_mass(ScaledSum.from_float(x), c, gamma=gamma)
     with mp.workdps(DPS):
         ref = float(_mp_tilted_pareto(1.0, gamma, mp.mpf(x), mp.mpf(x) + mp.mpf(c)))
     assert abs(got - ref) <= 4.0 * math.ulp(ref) + 1e-15, (got, ref)
@@ -499,14 +499,14 @@ def test_tilted_pareto_window_keeps_its_width(x, c, gamma, quad):
 
 @pytest.mark.parametrize("shape", [0.3, 2.5])
 @pytest.mark.parametrize("gamma", [-8.0, -1.0, 0.5])
-def test_wide_tilted_pareto_window(shape, gamma, quad, monkeypatch):
+def test_wide_tilted_pareto_window(shape, gamma, monkeypatch):
     # 1e5 wide: a half whose bound falls below 2^-56 of the other half's mass
     # is dropped, so a handful of rules integrate the window, where halving
     # every half took thousands
     rules = []
     rule = measures._gauss_legendre
     monkeypatch.setattr(measures, "_gauss_legendre", lambda n: rules.append(n) or rule(n))
-    got = ParetoAC(shape).log_window_mass(ScaledSum.zero(4.0), 1e5, quad, gamma)
+    got = ParetoAC(shape).log_window_mass(ScaledSum.zero(4.0), 1e5, gamma=gamma)
     assert len(rules) <= 20
     if gamma < 0.0:
         with mp.workdps(DPS):
@@ -540,7 +540,7 @@ _PARETO_POINTS = (-0.3, -2.0 ** -9, 0.0, 0.7, 40.0, 123.4, 1e6, 1e10, 1e14, 1e17
 
 @pytest.mark.parametrize("a", [1.0, 2.5])
 @pytest.mark.parametrize("c", [2.0 ** -8, 0.5, 1.0, 2.0])
-def test_pareto_window_density_and_tail(a, c, quad, monkeypatch):
+def test_pareto_window_density_and_tail(a, c, monkeypatch):
     # the window is (1+o)^-a (1 - (1 + w/(1+o))^-a) for its part (o, o+w]
     # on the support, of width c where it starts on the support, so it keeps
     # its digits where x + c rounds; beyond float range log(1+x) is x's log,
@@ -555,8 +555,8 @@ def test_pareto_window_density_and_tail(a, c, quad, monkeypatch):
             window = mp.log((1 + o) ** -a - (1 + hi) ** -a) if hi > o else -math.inf
             density = mp.log(a) - (a + 1) * mp.log1p(u) if u >= 0 else -math.inf
             tail = -a * mp.log1p(o)
-        for got, ref in ((comp.log_window_mass(x, c, quad), window),
-                         (comp.log_density(x, quad), density), (comp.log_tail(x, quad), tail)):
+        for got, ref in ((comp.log_window_mass(x, c), window),
+                         (comp.log_density(x), density), (comp.log_tail(x), tail)):
             assert got == ref or abs(got - float(ref)) <= 1e-15 * max(1.0, abs(float(ref))), v
 
 
@@ -602,7 +602,7 @@ _POWER_LAW_POINTS = (-0.7, -0.2, 0.0, 0.3, 0.55, 1.7, 40.0, 123.4, 1e6, 1e12 + 0
 @pytest.mark.parametrize("comp, gamma", [
     *((ParetoAC(a), g) for a in (1.0, 2.5) for g in (0.0, -0.01, -1.0, -3.0)),
     *((UniformAC(-0.25, 1.5), g) for g in (0.0, -0.01, -1.0, -3.0, 2.0))])
-def test_weighted_power_law_mass(comp, gamma, quad, monkeypatch):
+def test_weighted_power_law_mass(comp, gamma, monkeypatch):
     # Pareto and uniform masses under four weights: one fixed Gauss rule
     # per weight piece clipped to the support.  Beyond float range an
     # untilted Pareto mass is the density at x times the weight's mass, and
@@ -616,7 +616,7 @@ def test_weighted_power_law_mass(comp, gamma, quad, monkeypatch):
     for v in _POWER_LAW_POINTS:
         x = ScaledSum.scaled(*v) if isinstance(v, tuple) else ScaledSum.from_float(v)
         for w in _POWER_LAW_WEIGHTS:
-            got = comp.log_window_mass(x, w, quad, gamma)
+            got = comp.log_window_mass(x, w, gamma=gamma)
             ref = float(_mp_power_law_mass(w, x, lo, hi, a1, gamma) + log_k)
             assert _agree(got, ref, 1e-13 * max(1.0, abs(ref))), (v, w.knots, got, ref)
 
@@ -624,7 +624,7 @@ def test_weighted_power_law_mass(comp, gamma, quad, monkeypatch):
 @pytest.mark.parametrize("comp, v", [
     (ParetoAC(1.0), 1e6 + 0.1), (UniformAC(1e6, 1.0), 1e6 + 0.1),
     (ParetoAC(1.0), 1e12 + 0.1), (UniformAC(1e12, 1.0), 1e12 + 0.1)])
-def test_narrow_weight_piece_keeps_its_width(comp, v, quad):
+def test_narrow_weight_piece_keeps_its_width(comp, v):
     # x + t rounds at ulp(1e6) = 2^-33, 1e-4 of these pieces' width, and at
     # ulp(1e12) = 2^-24, more than it: a piece, linear or constant, takes
     # its width in offsets, not as (x + t2) - (x + t1)
@@ -634,7 +634,7 @@ def test_narrow_weight_piece_keeps_its_width(comp, v, quad):
     for w in (Weight(((0.0, 1.1e-6, (0.0, 1.0)),)), Weight(((0.0, 1.1e-6, (0.7,)),))):
         for gamma in (0.0, -1.0):
             ref = float(_mp_power_law_mass(w, x, lo, hi, a1, gamma))
-            got = comp.log_window_mass(x, w, quad, gamma)
+            got = comp.log_window_mass(x, w, gamma=gamma)
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (gamma, w.pieces, got, ref)
 
 
@@ -749,7 +749,7 @@ def test_uniform_power_law_pair(uni, weight, a, gamma, quad, monkeypatch):
     other = MixtureDistribution.single(ParetoAC(a))
     log_z = 0.0
     if gamma:
-        other = tilt(other, gamma, quad)
+        other = tilt(other, gamma)
         log_z = _mp_pareto_tail(a, gamma, 0.0)
     w = _PAIR_WEIGHTS[weight]
     for xv in (-3.0, -0.7, 0.0, 0.7, 3.2, 40.0, 1e6):
@@ -823,11 +823,11 @@ def _mp_dip_tilted_tail(params, phi, gamma, x):
 
 
 @pytest.mark.parametrize("gamma", [-0.5, -1.0, -2.0])
-def test_tilted_normalizers(mu, params, quad_fast, monkeypatch, gamma):
+def test_tilted_normalizers(mu, params, monkeypatch, gamma):
     monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
-    pareto = tilt(MixtureDistribution.single(ParetoAC(1.0)), gamma, quad_fast)
+    pareto = tilt(MixtureDistribution.single(ParetoAC(1.0)), gamma)
     assert abs(pareto.components[0][1].log_norm - _mp_pareto_tail(1.0, gamma, 0.0)) <= 1e-12
-    tmu = tilt(mu, gamma, quad_fast)
+    tmu = tilt(mu, gamma)
     want = _mp_dip_tilted_tail(params, mu.components[0][1], gamma, 1.0)
     assert abs(tmu.components[0][1].log_norm - want) <= 1e-12
 
@@ -837,33 +837,33 @@ _TILTED_TAIL_GAMMAS = [-0.01, -0.5, -1.0, -2.0, -8.0]
 
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("gamma", _TILTED_TAIL_GAMMAS)
-def test_tilted_pareto_tail(shape, gamma, quad, monkeypatch):
+def test_tilted_pareto_tail(shape, gamma, monkeypatch):
     monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     comp = ParetoAC(shape)
     for x in (0.0, 0.5, 3.7, 30.0, 1e3, 1e6):
-        got = comp.log_tail(ScaledSum.from_float(x) if x else ScaledSum.zero(), quad, gamma)
+        got = comp.log_tail(ScaledSum.from_float(x) if x else ScaledSum.zero(), gamma=gamma)
         assert abs(got - _mp_pareto_tail(shape, gamma, x)) <= _tail_tol(gamma, x), x
 
 
 @pytest.mark.parametrize("gamma", _TILTED_TAIL_GAMMAS)
-def test_tilted_dip_tail(mu, params, quad, monkeypatch, gamma):
+def test_tilted_dip_tail(mu, params, monkeypatch, gamma):
     monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     phi = mu.components[0][1]
     for x in (0.0, 1.0, 2.0, 3.7, 30.0) + ((1e3,) if gamma != -0.01 else ()):
-        got = phi.log_tail(ScaledSum.from_float(x) if x else ScaledSum.zero(), quad, gamma)
+        got = phi.log_tail(ScaledSum.from_float(x) if x else ScaledSum.zero(), gamma=gamma)
         want = _mp_dip_tilted_tail(params, phi, gamma, x)
         assert abs(got - want) <= _tail_tol(gamma, x), x
 
 
 @pytest.mark.parametrize("n", [1, 64, 256])
 @pytest.mark.parametrize("y", [2.0, 3.0, 2.1, 1.0])  # anchor, plateau, ring, cell edge
-def test_untilted_dip_tail(mu, params, quad, monkeypatch, n, y):
+def test_untilted_dip_tail(mu, params, monkeypatch, n, y):
     # the density at u = b^n v integrated over v up to b^2 relative to
     # b^(-n (alpha+1)) (mp.quad loses digits on integrands near 1e-300), with
     # the mass beyond b^(n+2) b^(-alpha (n+2)) by self-similarity
     monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     phi = mu.components[0][1]
-    got = phi.log_tail(ScaledSum.scaled(n, y), quad)
+    got = phi.log_tail(ScaledSum.scaled(n, y))
     f, cuts = _mp_raw_dip(params)
     with mp.workdps(DPS):
         b = mp.mpf(params.b)
@@ -876,12 +876,12 @@ def test_untilted_dip_tail(mu, params, quad, monkeypatch, n, y):
 
 @pytest.mark.parametrize("n", [500, 700, 1024])
 @pytest.mark.parametrize("y, c", [(2.1, 1.0), (1.8, 1e-3), (2.2, 37.0), (2.0 + 2.0 ** -40, 1.0)])
-def test_window_in_a_ring_beyond_float_range(mu, params, quad, monkeypatch, n, y, c):
+def test_window_in_a_ring_beyond_float_range(mu, params, monkeypatch, n, y, c):
     # the centre is beyond float range: over the window the dip distance is
     # the head mantissa's to far below rounding
     monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(n, y), c, quad)
+    got = phi.log_window_mass(ScaledSum.scaled(n, y), c)
     with mp.workdps(DPS):
         x = mp.mpf(params.b) ** n * mp.mpf(y)
         h = -1 / mp.log(abs(mp.mpf(y) - params.x0))
@@ -894,7 +894,7 @@ def test_window_in_a_ring_beyond_float_range(mu, params, quad, monkeypatch, n, y
 @pytest.mark.parametrize("m, off, weight", [
     (0, 0.0, 1.0), (1, -0.3, 7.0), (3, 1e-9, 0.05), (5, 0.0, 1.0),
     (1, 0.2, "g1"), (3, 0.0, "g2"), (2, -0.3, "g2")])
-def test_tilted_dip_window(mu, params, quad, monkeypatch, gamma, m, off, weight):
+def test_tilted_dip_window(mu, params, monkeypatch, gamma, m, off, weight):
     # plateau segments by the tilted power-law rule, far dip segments by
     # Gauss rules with the tilt as a factor, near-centre pieces by the
     # weighted series with the tilt's Taylor polynomial
@@ -903,7 +903,7 @@ def test_tilted_dip_window(mu, params, quad, monkeypatch, gamma, m, off, weight)
     w = {"g1": g1, "g2": g2}.get(weight, weight)
     phi = mu.components[0][1]
     x = 4.0 ** m * (params.x0 + off)
-    got = phi.log_window_mass(ScaledSum.from_float(x), w, quad, gamma)
+    got = phi.log_window_mass(ScaledSum.from_float(x), w, gamma=gamma)
     f, cuts = _mp_raw_dip(params)
     with mp.workdps(DPS):
         xm, total = mp.mpf(x), 0
@@ -1099,13 +1099,13 @@ def test_log_point_where_the_remainder_is_beyond_float_range(terms):
     (530, _HEAD, 1e308),
     (530, 2.0, 1e308),  # an anchor: offsets from the centre near the float maximum
 ])
-def test_window_near_an_anchor_beyond_float_range(mu, params, quad, monkeypatch, n, y, off):
+def test_window_near_an_anchor_beyond_float_range(mu, params, monkeypatch, n, y, off):
     # over (x, x+1] the dip distance moves by 4^-n, far below rounding, so
     # the density is (x+s)^(-alpha-1) h(x) / M
     monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, n, y),), offset=off).normalize()
-    got = phi.log_window_mass(x, 1.0, quad)
+    got = phi.log_window_mass(x, 1.0)
     with mp.workprec(EXACT_PREC):
         u = _mp_point(x)
         log_h, _branch = _mp_profile(params, u)
@@ -1115,7 +1115,7 @@ def test_window_near_an_anchor_beyond_float_range(mu, params, quad, monkeypatch,
 
 
 @pytest.mark.parametrize("off", [-2.0 ** 1009, -2.0 ** 1009 - 2.0 ** 990])
-def test_window_where_the_remainder_reaches_a_far_centre(mu, params, quad, monkeypatch, off):
+def test_window_where_the_remainder_reaches_a_far_centre(mu, params, monkeypatch, off):
     # 4^530 (2 + 2^-51) - 2^1009 is the centre 4^530 x0 itself, and 2^990
     # below it is 2^-70 from it in mantissa units: the window takes the ring
     # from the centre offset (x0 - y1) b^M - R, which is finite here
@@ -1123,7 +1123,7 @@ def test_window_where_the_remainder_reaches_a_far_centre(mu, params, quad, monke
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, 530, 2.0 + 2.0 ** -51),), offset=off)
     assert x.is_canonical()
-    got = phi.log_window_mass(x, 1.0, quad)
+    got = phi.log_window_mass(x, 1.0)
     with mp.workprec(EXACT_PREC):
         u = _mp_point(x)
         log_scale = 530 * mp.log(params.b)
@@ -1139,11 +1139,11 @@ def test_window_where_the_remainder_reaches_a_far_centre(mu, params, quad, monke
         ref = mp.log(mp.quad(f, [0, 1])) - a1 * log_u - mp.mpf(phi.m_log)
     assert abs(got - float(ref)) <= 1e-12
     if off == -2.0 ** 1009:  # the same point in its canonical form
-        assert got == phi.log_window_mass(ScaledSum.scaled(530, params.x0), 1.0, quad)
+        assert got == phi.log_window_mass(ScaledSum.scaled(530, params.x0), 1.0)
 
 
 @pytest.mark.parametrize("n", [340, 400])
-def test_window_in_base_8_beyond_float_range(quad, monkeypatch, n):
+def test_window_in_base_8_beyond_float_range(monkeypatch, n):
     # 8^400 overflows a float below scale 500: the ring of 8^n * 3, inside
     # the wide ring of x0 = 2.4, delta = 0.9, is read at the point's dip
     # distance, which is constant to rounding over the window
@@ -1151,7 +1151,7 @@ def test_window_in_base_8_beyond_float_range(quad, monkeypatch, n):
     params = ModelParams(b=8.0, x0=2.4, delta=0.9, x1=1.0, x2=1.5)
     phi = PhiAC(profile=PeriodicProfile(params), m_log=0.0)
     x = ScaledSum.scaled(n, 3.0, b=8.0)
-    got = phi.log_window_mass(x, 1.0, quad)
+    got = phi.log_window_mass(x, 1.0)
     with mp.workprec(EXACT_PREC):
         u = _mp_point(x)
         log_h, branch = _mp_profile(params, u)
@@ -1278,7 +1278,7 @@ def _point_forms(draw):
 
 @given(forms=_point_forms(), c=st.sampled_from([2.0 ** -8, 1.0]))
 @settings(max_examples=40, deadline=None)
-def test_point_forms_read_alike(mu, params, quad, forms, c):
+def test_point_forms_read_alike(mu, params, forms, c):
     # every form of a point gives the window mass, density, tail and
     # point_lambda of the others, and of mpmath at the exact point
     phi = mu.components[0][1]
@@ -1292,12 +1292,12 @@ def test_point_forms_read_alike(mu, params, quad, forms, c):
         density = _mp_phi_log(params, u)
     assume(u >= 1 and cell == forms[0].terms[0][1])  # the head's cell
     refs = {
-        "window": (lambda x: local_mass(mu, x, c, quad), _mp_window_at(params, phi.m_log, u, c)),
-        "density": (lambda x: mu.log_density(x, quad), density - phi.m_log),
+        "window": (lambda x: local_mass(mu, x, c), _mp_window_at(params, phi.m_log, u, c)),
+        "density": (lambda x: mu.log_density(x), density - phi.m_log),
         "lambda": (lambda x: _log_or_zero(point_lambda(x, params)), log_lam),
     }
     if cell <= 500:
-        refs["tail"] = (lambda x: tail(mu, x, quad), _mp_tail_at(params, phi.m_log, u))
+        refs["tail"] = (lambda x: tail(mu, x), _mp_tail_at(params, phi.m_log, u))
     for name, (query, ref) in refs.items():
         if name == "lambda" and ref > 709.8:  # beyond float range
             assert all(point_lambda(x, params) == math.inf for x in forms)

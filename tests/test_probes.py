@@ -34,61 +34,59 @@ def phi_handle(spec_default, mu):
 
 
 class TestLongTail:
-    def test_zero_shift_exact(self, mu, quad_fast, params):
-        s = long_tail_probe(mu, 0.0, SequenceSpec("fixed-y", 3.0, (3, 5)), quad_fast,
-                            params=params)
+    def test_zero_shift_exact(self, mu, params):
+        s = long_tail_probe(mu, 0.0, SequenceSpec("fixed-y", 3.0, (3, 5)), params=params)
         for e in s.entries:
             assert e.ratio == 1.0
 
-    def test_shift_bound(self, mu, quad_fast, params):
+    def test_shift_bound(self, mu, params):
         with pytest.raises(ParameterError):
-            long_tail_probe(mu, 6.0, SequenceSpec("fixed-y", 3.0, (3,)), quad_fast,
-                            params=params)
+            long_tail_probe(mu, 6.0, SequenceSpec("fixed-y", 3.0, (3,)), params=params)
 
-    def test_trend_to_one(self, mu, quad_fast, params):
+    def test_trend_to_one(self, mu, params):
         s = long_tail_probe(mu, 1.0, SequenceSpec("fixed-y", 3.0, (4, 5, 6, 7, 8)),
-                            quad_fast, params=params)
+                            params=params)
         assert abs(s.entries[-1].ratio - 1.0) < 1e-4
         assert classify_limit(s).classification == "converges-to"
 
-    def test_zero_denominator_flagged(self, quad_fast, params):
+    def test_zero_denominator_flagged(self, params):
         uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
         pts = [ScaledSum.from_float(5.0, 4.0)]
-        s = long_tail_probe(uni, 1.0, pts, quad_fast, params=params)
+        s = long_tail_probe(uni, 1.0, pts, params=params)
         assert s.entries[0].flagged
 
-    def test_invariant_under_renormalization(self, mu, quad_fast, params):
+    def test_invariant_under_renormalization(self, mu, params):
         x_raw = ScaledSum(b=4.0, terms=((1, 8, 3.0),), offset=0.0)
         x_float = ScaledSum.from_float(4.0 ** 8 * 3.0, 4.0)
-        a = long_tail_probe(mu, 1.0, [x_raw.normalize()], quad_fast, params=params)
-        b = long_tail_probe(mu, 1.0, [x_float], quad_fast, params=params)
+        a = long_tail_probe(mu, 1.0, [x_raw.normalize()], params=params)
+        b = long_tail_probe(mu, 1.0, [x_float], params=params)
         assert a.entries[0].log_ratio == b.entries[0].log_ratio
 
-    def test_tilted_example_decay_rate(self, quad, params):
+    def test_tilted_example_decay_rate(self, params):
         # exponential-class distributions shift by e^{-gamma a}
         gamma = 1.0
-        rho = tilt(MixtureDistribution.single(ParetoAC(1.0)), -gamma, quad)
+        rho = tilt(MixtureDistribution.single(ParetoAC(1.0)), -gamma)
         pts = [ScaledSum.from_float(float(x), 4.0) for x in (30.0, 50.0)]
-        s = long_tail_probe(rho, 1.0, pts, quad, params=params)
+        s = long_tail_probe(rho, 1.0, pts, params=params)
         assert abs(s.entries[-1].ratio / math.exp(-gamma) - 1.0) < 0.05
 
-    def test_density_mode(self, phi_handle, quad_fast, params):
+    def test_density_mode(self, phi_handle, params):
         s = long_tail_probe(phi_handle, 1.0, SequenceSpec("fixed-y", 3.0, (4, 8)),
-                            quad_fast, params=params)
+                            params=params)
         assert s.meta["mode"] == "density"
         assert abs(s.entries[-1].ratio - 1.0) < 1e-4
 
 
 class TestSd:
-    def test_fixed_mantissa_trend(self, phi_handle, quad_fast, params):
+    def test_fixed_mantissa_trend(self, phi_handle, params):
         s = sd_probe(phi_handle, SequenceSpec("fixed-y", 3.0, (2, 4, 6, 8)),
-                     quad_fast, params=params)
+                     params=params)
         assert abs(s.entries[-1].ratio - 1.0) < 1e-3
         assert classify_limit(s).classification == "converges-to"
 
-    def test_anchor_regime_slower(self, phi_handle, quad_fast, params):
+    def test_anchor_regime_slower(self, phi_handle, params):
         s = sd_probe(phi_handle, SequenceSpec("lambda", 0.0, (4, 6, 8)),
-                     quad_fast, params=params)
+                     params=params)
         rs = [abs(e.ratio - 1.0) for e in s.entries]
         assert rs[-1] < rs[0]  # converging, with the slow 1/n-type correction
         assert rs[-1] < 0.25
@@ -102,7 +100,7 @@ class UniformHandle:
         self.component = UniformAC(0.0, width)
 
     def log_value(self, x):
-        return self.component.log_density(x, None)
+        return self.component.log_density(x)
 
 
 class TestTruncatedTail:
@@ -141,21 +139,21 @@ class TestTruncatedTail:
 
 
 class TestUniformity:
-    def test_m_zero_exact(self, mu, quad_fast, params):
-        s = uniformity_probe(mu, (5,), (0,), quad_fast, params=params)
+    def test_m_zero_exact(self, mu, params):
+        s = uniformity_probe(mu, (5,), (0,), params=params)
         assert s.entries[0].ratio == 1.0
 
-    def test_diagonal_near_half(self, mu, quad_fast, params):
-        s = uniformity_probe(mu, (6,), (6,), quad_fast, params=params)
+    def test_diagonal_near_half(self, mu, params):
+        s = uniformity_probe(mu, (6,), (6,), params=params)
         assert abs(s.entries[0].ratio - 0.5) < 0.05
 
-    def test_fixed_m_approaches_one(self, mu, quad_fast, params):
-        s = uniformity_probe(mu, (4, 8), (2,), quad_fast, params=params)
+    def test_fixed_m_approaches_one(self, mu, params):
+        s = uniformity_probe(mu, (4, 8), (2,), params=params)
         r4, r8 = [e.ratio for e in s.entries]
         assert abs(r8 - 8.0 / 10.0) < 0.05
         assert r8 > r4
 
-    def test_oracle_agreement_small_n(self, mu, quad, params, profile, m_norm):
+    def test_oracle_agreement_small_n(self, mu, params, profile, m_norm):
         # direct Riemann quadrature of the shrinking windows at n = 4..6
         from subexp.convolve import oracle_window_mass, phi_values
         for n in (4, 5, 6):
@@ -164,42 +162,40 @@ class TestUniformity:
             grid = lambda u: phi_values(profile, u) / m_norm
             num = oracle_window_mass(grid, x, x + c, c * 1e-6) / c
             den = oracle_window_mass(grid, x, x + 1.0, 1e-6)
-            s = uniformity_probe(mu, (n,), (n,), quad, params=params)
+            s = uniformity_probe(mu, (n,), (n,), params=params)
             assert abs(s.entries[0].ratio / (num / den) - 1.0) < 1e-6
 
 
 class TestScaling:
-    def test_c_one_exact(self, mu, quad_fast, params):
+    def test_c_one_exact(self, mu, params):
         s = scaling_probe(mu, (1.0,), SequenceSpec("fixed-y", 3.0, (4, 6)),
-                          quad_fast, params=params)
+                          params=params)
         for e in s.entries:
             assert e.ratio == 1.0
 
-    def test_fixed_mantissa(self, mu, quad_fast, params):
+    def test_fixed_mantissa(self, mu, params):
         s = scaling_probe(mu, (0.5,), SequenceSpec("fixed-y", 3.0, (4, 8)),
-                          quad_fast, params=params)
+                          params=params)
         assert abs(s.entries[-1].ratio - 1.0) < 1e-4
 
-    def test_anchor_regime_all_widths(self, mu, quad_fast, params):
+    def test_anchor_regime_all_widths(self, mu, params):
         s = scaling_probe(mu, (2.0,), SequenceSpec("lambda", 0.0, (4, 8)),
-                          quad_fast, params=params)
+                          params=params)
         rs = [abs(e.ratio - 1.0) for e in s.entries]
         assert rs[1] < rs[0]
 
 
 class TestSandwich:
-    def test_zero_shift(self, mu, quad_fast, params):
+    def test_zero_shift(self, mu, params):
         entries = sandwich_probe(mu, 0.25, 1.0, 0.0,
-                                 SequenceSpec("fixed-y", 3.0, (5,)), quad_fast,
-                                 params=params)
+                                 SequenceSpec("fixed-y", 3.0, (5,)), params=params)
         e = entries[0]
         assert abs(e.mid - 1.0) < 1e-9
         assert e.j1 <= 1.0 + 1e-9 <= e.j2 + 2e-9
 
-    def test_limits_and_ordering(self, mu, quad_fast, params):
+    def test_limits_and_ordering(self, mu, params):
         entries = sandwich_probe(mu, 0.25, 1.0, 1.0,
-                                 SequenceSpec("fixed-y", 3.0, (4, 6, 8)), quad_fast,
-                                 params=params)
+                                 SequenceSpec("fixed-y", 3.0, (4, 6, 8)), params=params)
         for e in entries:
             assert e.ordered
         last = entries[-1]
@@ -216,41 +212,40 @@ class TestSandwich:
         uni = MixtureDistribution.single(UniformAC(0.0, params.b))
 
         def smoothed(dist, x, width):
-            mass = dist.log_window_mass_eval(x, -c, 0.0, width, quad)
+            mass = dist.log_window_mass_eval(x, -c, 0.0, width)
             return integrate_log(lambda s: mass(-s), 0.0, c, quad) - math.log(c)
 
         for dist, pts in ((mu, [ScaledSum.scaled(n, 3.0) for n in (3, 6)]),
                           (uni, [ScaledSum.from_float(1.5, params.b)])):
-            got = sandwich_probe(dist, c, c1, a, pts, quad, params=params)
+            got = sandwich_probe(dist, c, c1, a, pts, params=params)
             for e, x in zip(got, pts):
                 j1 = math.exp(smoothed(dist, x.add_offset(a), c1) - smoothed(dist, x, c1 + c))
                 j2 = math.exp(smoothed(dist, x.add_offset(a), c1 + c) - smoothed(dist, x, c1))
                 assert e.j1 == pytest.approx(j1, rel=1e-12) and e.j2 == pytest.approx(j2, rel=1e-12)
 
-    def test_uniform_runs_no_quadrature(self, quad, params, eval_count):
+    def test_uniform_runs_no_quadrature(self, params, eval_count):
         # a uniform's weighted masses under the trapezoids are a fixed rule
         uni = MixtureDistribution.single(UniformAC(0.0, params.b))
         pts = [ScaledSum.from_float(v, params.b) for v in (0.5, 1.5, 2.75)]
-        assert all(e.ordered for e in sandwich_probe(uni, 0.25, 0.5, 1.0, pts, quad,
-                                                     params=params))
+        assert all(e.ordered for e in sandwich_probe(uni, 0.25, 0.5, 1.0, pts, params=params))
         assert eval_count[0] == 0
 
 
 class TestTiltIdentity:
-    def test_ratio_near_one(self, quad):
-        rho = tilt(MixtureDistribution.single(ParetoAC(1.0)), -1.0, quad)
-        s = tilt_identity_probe(rho, 1.0, (1.0,), (40.0, 60.0), quad)
+    def test_ratio_near_one(self):
+        rho = tilt(MixtureDistribution.single(ParetoAC(1.0)), -1.0)
+        s = tilt_identity_probe(rho, 1.0, (1.0,), (40.0, 60.0))
         assert abs(s.entries[-1].ratio - 1.0) < 0.02
 
-    def test_point_mass_guard(self, quad):
+    def test_point_mass_guard(self):
         pm = MixtureDistribution.single(PointMass(1.0))
         with pytest.raises(ProbePreconditionError):
-            tilt_identity_probe(pm, 1.0, (1.0,), (5.0,), quad)
+            tilt_identity_probe(pm, 1.0, (1.0,), (5.0,))
 
-    def test_gamma_positive_required(self, quad):
-        rho = tilt(MixtureDistribution.single(ParetoAC(1.0)), -1.0, quad)
+    def test_gamma_positive_required(self):
+        rho = tilt(MixtureDistribution.single(ParetoAC(1.0)), -1.0)
         with pytest.raises(ParameterError):
-            tilt_identity_probe(rho, -1.0, (1.0,), (5.0,), quad)
+            tilt_identity_probe(rho, -1.0, (1.0,), (5.0,))
 
 
 class TestClassify:
