@@ -58,7 +58,11 @@ class RunConfig:
     fmt: str = "csv"
 
     @classmethod
-    def load(cls, path: str | None, out=None, fmt=None) -> "RunConfig":
+    def load(cls, path: str | None, out=None, fmt=None,
+             reads_quadrature: bool = True) -> "RunConfig":
+        """Read the JSON document at ``path``; a command that runs its own
+        tolerance (``reads_quadrature`` false) rejects a quadrature section
+        rather than ignore it."""
         doc = {}
         if path:
             with open(path, "r", encoding="utf-8") as fh:
@@ -68,6 +72,9 @@ class RunConfig:
         unknown = set(doc) - {"model", "quadrature", "probe", "output"}
         if unknown:
             raise ParameterError(f"unknown config sections: {sorted(unknown)}")
+        if "quadrature" in doc and not reads_quadrature:
+            raise ParameterError("this command runs its own rel_tol and reads no "
+                                 "quadrature section")
         params = ModelParams(**doc.get("model", {}))
         qdoc = dict(doc.get("quadrature", {}))
         unknown = set(qdoc) - {"rel_tol", "abs_floor", "max_depth"}
@@ -404,7 +411,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig.load(args.config, out=args.out, fmt=args.fmt)
+        cfg = RunConfig.load(args.config, out=args.out, fmt=args.fmt,
+                             reads_quadrature=args.command != "oracle")
     except (ParameterError, OSError, json.JSONDecodeError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -81,7 +81,7 @@ _LOG_2_56 = 56.0 * math.log(2.0)
 # (2-core Xeon, numpy 2.4, CPython 3.11) it took 0.33 ms plus 0.7-0.8 us a
 # node on unit windows and 0.6 ms plus 2.6-3.0 us a node on weighted ones,
 # against a median of 3.8 and 44 us a node node by node.  The benchmark's
-# traffic (seeds 1 and 9): a reports pass sends 126 of its 128 rounds
+# traffic (seeds 1 and 9): a reports pass sends 94 of its 96 rounds
 # (22,782 nodes) through arrays; mixtures runs no outer integral, so no
 # round (its uniform pairs are weighted masses; when they were outer
 # integrals, its 148 rounds of 41 nodes or fewer took 75-77 ms through

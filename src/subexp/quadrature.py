@@ -30,8 +30,8 @@ every scale.  What runs here is the outer integrals of convolutions and the
 raw profile's integral ``phi_integral_log`` (an oracle).
 
 The first pass is the first panel of each segment (tanh-sinh level 0 at a
-singular end), and it sets both the shared scale and the budgets: the
-total error target ``rel_tol * I`` is distributed over the segments
+singular end), and it alone sets both the shared scale and the budgets:
+the total error target ``rel_tol * I`` is distributed over the segments
 proportionally to their first-pass mass (with a floor so empty-looking
 segments still get attention); each bisection passes half its budget to
 each child, and a tanh-sinh segment stops once its error estimate fits its
@@ -40,22 +40,26 @@ order, so a given integral always returns the same bits.  ``max_depth``
 bounds both rules: the bisection depth of a panel and, less two, the
 tanh-sinh level.
 
-Refinement runs a round at a time, breadth-first: the first pass is one
-round, and round k holds tanh-sinh level k of every singular segment still
-open and the depth-k halves of every panel bisected at depth k - 1.  Each
-segment refines on its own budget, so the rounds take exactly the nodes
-that refining one segment after another would, and the accepted sums are
-added in that order (segment by segment, and within a segment in the
-depth-first order of a bisection stack).  An integrand that carries a batch
-form ``f_log.many(xs)`` takes each round in one call; an outer integral's
-round holds a median of 193 nodes on the reports.  The product integrand
-reads the dip density at a round's nodes as arrays, and the dip density's
-evaluator of inner masses walks a round's windows as arrays: their cuts
-and the kinds of their segments, then a numpy pass for each bulk kind,
-plateau segments and dip segments far enough to one side of their centre
-for a Gauss rule.  The few dip segments near a centre take the scalar
-closed form, which picks the exponential-integral series or cuts the
-segment.  The walk's fixed cost pays from about 48 nodes
+Refinement runs a round at a time, breadth-first.  A tanh-sinh segment
+never stops at level 0, so the first round holds the first pass and level
+1 of every singular segment (where ``max_depth`` allows level 1); round k
+after it holds level k + 1 of every singular segment still open and the
+depth-k halves of every panel bisected at depth k - 1.  Each segment
+refines on its own budget, so the rounds take exactly the nodes that
+refining one segment after another would, and the accepted sums are added
+in that order (segment by segment, and within a segment in the depth-first
+order of a bisection stack).  An integrand that carries a batch form
+``f_log.many(xs)`` takes each round in one call.  On one pass of the five
+reports (counts, the same on any host), the 56 outer integrals with a
+batch form take 170 rounds, and the dip density's evaluator takes 96
+rounds of inner windows, a median of 277 nodes each.  The product
+integrand reads the dip density at a round's nodes as arrays, and the dip
+density's evaluator of inner masses walks a round's windows as arrays:
+their cuts and the kinds of their segments, then a numpy pass for each
+bulk kind, plateau segments and dip segments far enough to one side of
+their centre for a Gauss rule.  The few dip segments near a centre take
+the scalar closed form, which picks the exponential-integral series or
+cuts the segment.  The walk's fixed cost pays from about 48 nodes
 (``measures._GAUSS_BATCH_MIN``); a panel of 15 nodes would hold too few,
 and a smaller round walks node by node.  A plain function, such as the
 wrapper a tracer or counter puts around the integrand, has no batch form:
@@ -208,8 +212,11 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
     integrated with the tanh-sinh rule.  ``f_log`` may return -inf where the
     integrand vanishes, and may carry a batch form ``f_log.many(xs)``, the
     list of its values at the abscissae ``xs``, which then takes each round
-    in one call.  Raises :class:`QuadratureError` when the depth budget is
-    exhausted before the error estimate falls below tolerance.
+    in one call.  The first pass decides whether the integral vanishes: where
+    it samples only zeros the result is log zero, though its round also
+    evaluated tanh-sinh level 1.  Raises :class:`QuadratureError` when the
+    depth budget is exhausted before the error estimate falls below
+    tolerance.
     """
     if not (hi > lo):
         return LOG_ZERO
@@ -232,15 +239,25 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
 
     # First pass: a Gauss-Kronrod panel on each segment, or tanh-sinh level 0
     # at a singular end; the values stay in log space until the shared scale
-    # is known.
+    # is known.  The same round takes level 1 of every singular segment, which
+    # never stops at level 0; its values wait for the scale and the budgets,
+    # which the first pass alone sets.
     first, xs = [], []
     for a, b in zip(pts[:-1], pts[1:]):
         de = a in ends or b in ends
         seg_xs, ws = _de_points(a, b, 0) if de else (_gk_points(a, b), None)
         first.append((a, b, de, ws, len(xs)))
         xs += seg_xs
+    n_first = len(xs)
+    level1 = []  # (weights, slice of the round) of each singular segment
+    if _de_top_level(quad) >= 1:
+        for a, b, de, _ws, _i in first:
+            if de:
+                seg_xs, ws = _de_points(a, b, 1)
+                level1.append((ws, slice(len(xs), len(xs) + len(seg_xs))))
+                xs += seg_xs
     fs = round_logs(xs)
-    ref = max(fs)
+    ref = max(fs[:n_first])
     if ref == LOG_ZERO:
         return LOG_ZERO
 
@@ -281,10 +298,11 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
         except StopIteration as stop:
             results[j] = stop.value
 
+    values1 = iter([(ws, g[sl]) for ws, sl in level1])
     for j, ((a, b, de, _ws, _i), est) in enumerate(zip(first, seg_est)):
         budget = budget_total * max(est[0] / total0, floor_share)
-        advance(j, _tanh_sinh(a, b, est[0], budget, quad) if de
-                else _bisect(a, b, est, budget, quad, floor_abs), None)
+        advance(j, _tanh_sinh(a, b, est[0], next(values1, None), budget, quad)
+                if de else _bisect(a, b, est, budget, quad, floor_abs), None)
     while live:
         requests, live = live, []
         xs = []
@@ -370,11 +388,19 @@ def _bisect(a: float, b: float, est: tuple, budget: float, quad: QuadratureSpec,
     return accepted, ok
 
 
-def _tanh_sinh(a: float, b: float, s0: float, budget: float, quad: QuadratureSpec):
+def _de_top_level(quad: QuadratureSpec) -> int:
+    """The finest tanh-sinh level that ``quad`` allows."""
+    return min(quad.max_depth - _DE_DEPTH_OFFSET, _DE_MAX_LEVEL)
+
+
+def _tanh_sinh(a: float, b: float, s0: float, level1, budget: float, quad: QuadratureSpec):
     """Refine a tanh-sinh level-0 sum ``s0`` on [a, b] by halving the step.
 
-    A generator: it yields the abscissae of each level's new nodes and takes
-    their scaled values.  Returns ([(integral, error estimate)], converged).
+    ``level1`` holds the weights and scaled values of level 1's nodes, taken
+    with the first pass (None where ``quad`` allows no level 1).  A generator:
+    from level 2 on it yields the abscissae of each level's new nodes and
+    takes their scaled values.  Returns ([(integral, error estimate)],
+    converged).
     Level k is accepted when its change ``d_k`` from the previous level fits
     the budget, which for a double-exponential rule bounds the error of the
     coarser level, or, from level 2 on, when the changes shrink and ``d_k^2 /
@@ -384,9 +410,12 @@ def _tanh_sinh(a: float, b: float, s0: float, budget: float, quad: QuadratureSpe
     """
     raw = s0  # weighted node sum at unit step
     prev, err, d_prev = s0, s0, math.inf
-    for level in range(1, min(quad.max_depth - _DE_DEPTH_OFFSET, _DE_MAX_LEVEL) + 1):
-        xs, ws = _de_points(a, b, level)
-        g = yield xs
+    for level in range(1, _de_top_level(quad) + 1):
+        if level == 1:
+            ws, g = level1
+        else:
+            xs, ws = _de_points(a, b, level)
+            g = yield xs
         raw += math.fsum(map(mul, ws, g))
         cur = raw * 2.0 ** -level
         err = abs(cur - prev)
@@ -397,14 +426,3 @@ def _tanh_sinh(a: float, b: float, s0: float, budget: float, quad: QuadratureSpe
         prev, d_prev = cur, err
     return [(prev, err)], False
 
-
-def integrate_linear(f, lo: float, hi: float, quad: QuadratureSpec, hints=(),
-                     singular=()) -> float:
-    """:func:`integrate_log` for plain nonnegative integrands (convenience wrapper)."""
-
-    def f_log(t):
-        v = f(t)
-        return LOG_ZERO if v <= 0.0 else math.log(v)
-
-    r = integrate_log(f_log, lo, hi, quad, hints=hints, singular=singular)
-    return 0.0 if r == LOG_ZERO else math.exp(r)

@@ -75,6 +75,19 @@ class TestConfig:
         assert "reltol" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oracle_rejects_a_quadrature_section(self, tmp_path, capsys):
+        # the oracle runs its own rel_tol = 1e-9; it reads the other sections
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "or.csv"
+        path.write_text(json.dumps({"quadrature": {"rel_tol": 1e-3, "max_depth": 1}}))
+        assert run_cli("oracle", "phi-conv", "--config", str(path),
+                       "--out", str(out)) == 2
+        assert "quadrature section" in capsys.readouterr().err
+        assert not out.exists()
+        path.write_text(json.dumps({"model": {"b": 4.0}}))
+        assert run_cli("oracle", "uniform-conv", "--config", str(path),
+                       "--out", str(out)) == 0
+
     def test_no_partial_output_on_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": {"x0": 9.0}}))

@@ -279,6 +279,35 @@ class TestSelfPairFold:
         assert eval_count[0] >= 500  # outer nodes, each an inner window
         assert built[0] <= 20  # the diagonal's few nodes take a window each
 
+    def test_tanh_sinh_level_one_joins_the_first_round(self, mu, spec_default, monkeypatch):
+        # The first round of an outer integral also takes tanh-sinh level 1
+        # at each centre crossing, so its inner windows walk as arrays in at
+        # most three rounds (four when level 1 had a round of its own); the
+        # value is that of a plain integrand, walked node by node.
+        from subexp import convolve, quadrature
+
+        x, quad = ScaledSum.scaled(3, 3.0), spec_default.quad
+        walks = []
+        round_masses = PhiAC._round_masses
+
+        def counting_walks(self, *args):
+            walks[-1] += 1
+            return round_masses(self, *args)
+
+        def batched(f, *args, **kwargs):
+            walks.append(0)
+            return quadrature.integrate_log(f, *args, **kwargs)
+
+        def plain(f, *args, **kwargs):
+            return quadrature.integrate_log(lambda t: f(t), *args, **kwargs)
+
+        monkeypatch.setattr(PhiAC, "_round_masses", counting_walks)
+        monkeypatch.setattr(convolve, "integrate_log", batched)
+        got = conv_local_mass(mu, mu, x, 1.0, quad)
+        assert 1 <= max(walks) <= 3
+        monkeypatch.setattr(convolve, "integrate_log", plain)
+        assert conv_local_mass(mu, mu, x, 1.0, quad) == got
+
 
 class TestNFold:
     def test_n1_equals_local(self, uni, quad):

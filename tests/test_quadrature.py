@@ -3,7 +3,35 @@ import math
 import pytest
 
 from subexp import ParameterError, QuadratureError, QuadratureSpec, integrate_log
-from subexp.quadrature import integrate_linear
+
+
+def _batched(f):
+    """``f`` with a batch form that evaluates it node by node; the list
+    records the length of each batch, one per round."""
+    rounds = []
+
+    def many(xs):
+        rounds.append(len(xs))
+        return [f(x) for x in xs]
+
+    g = lambda t: f(t)
+    g.many = many
+    return g, rounds
+
+
+def _counted(f):
+    n = [0]
+
+    def g(t):
+        n[0] += 1
+        return f(t)
+
+    return g, n
+
+
+# log of -1/log(t), the dip profile at its centre 0
+_DIP = lambda t: -math.inf if t <= 0 else math.log(-1.0 / math.log(t))
+_WIGGLE = lambda t: math.log(1.0 + math.sin(40.0 * t) ** 2)
 
 
 def test_spec_validation():
@@ -16,8 +44,8 @@ def test_spec_validation():
 def test_polynomial_exact():
     # a Gauss-Kronrod panel integrates polynomials of degree 22 exactly
     spec = QuadratureSpec()
-    val = integrate_linear(lambda t: 3 * t ** 2, 0.0, 2.0, spec)
-    assert math.isclose(val, 8.0, rel_tol=1e-12)
+    val = integrate_log(lambda t: math.log(3 * t ** 2), 0.0, 2.0, spec)
+    assert math.isclose(math.exp(val), 8.0, rel_tol=1e-12)
 
 
 def test_exponential():
@@ -38,8 +66,7 @@ def test_log_singular_derivative_endpoint():
     mids = 0.5 * (edges[:-1] + edges[1:])
     ref = float(np.sum(-1.0 / np.log(mids) * np.diff(edges)))
     for singular in ((), (0.0,)):
-        val = integrate_linear(lambda t: 0.0 if t <= 0 else -1.0 / math.log(t),
-                               0.0, 0.5, spec, singular=singular)
+        val = math.exp(integrate_log(_DIP, 0.0, 0.5, spec, singular=singular))
         assert abs(val / ref - 1.0) < 1e-8, singular
 
 
@@ -48,13 +75,8 @@ def test_singular_end_uses_few_evaluations():
     # crawls toward the singular end
     counts = {}
     for singular in ((), (0.0,)):
-        n = [0]
-
-        def f(t):
-            n[0] += 1
-            return 0.0 if t <= 0 else -1.0 / math.log(t)
-
-        integrate_linear(f, 0.0, 0.5, QuadratureSpec(), singular=singular)
+        f, n = _counted(_DIP)
+        integrate_log(f, 0.0, 0.5, QuadratureSpec(), singular=singular)
         counts[singular] = n[0]
     assert counts[(0.0,)] <= 64
     assert counts[(0.0,)] * 4 < counts[()]
@@ -63,9 +85,9 @@ def test_singular_end_uses_few_evaluations():
 def test_singular_point_inside_range():
     # -1/log|t| on [-0.5, 0.5], singular in the middle: twice the half integral
     spec = QuadratureSpec()
-    f = lambda t: 0.0 if t == 0 else -1.0 / math.log(abs(t))
-    whole = integrate_linear(f, -0.5, 0.5, spec, singular=(0.0,))
-    half = integrate_linear(f, 0.0, 0.5, spec, singular=(0.0,))
+    f = lambda t: -math.inf if t == 0 else math.log(-1.0 / math.log(abs(t)))
+    whole = math.exp(integrate_log(f, -0.5, 0.5, spec, singular=(0.0,)))
+    half = math.exp(integrate_log(f, 0.0, 0.5, spec, singular=(0.0,)))
     assert math.isclose(whole, 2.0 * half, rel_tol=1e-12)
 
 
@@ -99,34 +121,6 @@ def test_depth_exhaustion_raises():
         assert exc.value.bound_log > -math.inf
 
 
-def _batched(f):
-    """``f`` with a batch form that evaluates it node by node; the list
-    records the length of each batch, one per round."""
-    rounds = []
-
-    def many(xs):
-        rounds.append(len(xs))
-        return [f(x) for x in xs]
-
-    g = lambda t: f(t)
-    g.many = many
-    return g, rounds
-
-
-def _counted(f):
-    n = [0]
-
-    def g(t):
-        n[0] += 1
-        return f(t)
-
-    return g, n
-
-
-_DIP = lambda t: -math.inf if t <= 0 else math.log(-1.0 / math.log(t))
-_WIGGLE = lambda t: math.log(1.0 + math.sin(40.0 * t) ** 2)
-
-
 @pytest.mark.parametrize("f, hi, singular", [(_DIP, 0.5, (0.0, 0.5)), (_WIGGLE, 3.0, ())])
 def test_batch_form_takes_the_same_nodes(f, hi, singular):
     # one call per round, the same nodes and the same bits: a single
@@ -137,10 +131,19 @@ def test_batch_form_takes_the_same_nodes(f, hi, singular):
     got = integrate_log(batched, 0.0, hi, spec, singular=singular)
     assert got == integrate_log(plain, 0.0, hi, spec, singular=singular)
     assert sum(rounds) == n[0]
-    assert len(rounds) >= 4
+    if singular:  # levels 0 and 1 in the first round, then 2, then 3
+        assert rounds == [15, 14, 28]
+    else:
+        assert len(rounds) >= 4
 
 
-@pytest.mark.parametrize("f, hi, singular, depth", [(_WIGGLE, 3.0, (), 3), (_DIP, 0.5, (0.0,), 4)])
+@pytest.mark.parametrize("f, hi, singular, depth", [
+    (_WIGGLE, 3.0, (), 3),
+    (_DIP, 0.5, (0.0,), 4),
+    # max_depth 2 and 1 allow no tanh-sinh level beyond 0
+    (_DIP, 0.5, (0.0,), 2),
+    (_DIP, 0.5, (0.0,), 1),
+])
 def test_batch_form_fails_alike(f, hi, singular, depth):
     spec = QuadratureSpec(rel_tol=1e-12, max_depth=depth)
     errors = []
@@ -150,3 +153,17 @@ def test_batch_form_fails_alike(f, hi, singular, depth):
         errors.append((exc.value.partial_log, exc.value.bound_log))
     assert errors[0] == errors[1]
     assert math.isfinite(errors[0][0])
+
+
+def test_zero_first_pass():
+    # The first pass alone decides that an integral vanishes.  This dip lives
+    # between level 0's nodes, where level 1 has two of its nodes; the first
+    # round holds level 1 too, so those 8 nodes are evaluated, and the
+    # integral is still log zero in both forms.
+    f = lambda t: _DIP(t) if 0.05 < t < 0.2 else -math.inf
+    spec = QuadratureSpec()
+    batched, rounds = _batched(f)
+    assert integrate_log(batched, 0.0, 0.5, spec, singular=(0.0,)) == -math.inf
+    assert rounds == [15]
+    assert integrate_log(f, 0.0, 0.5, spec, singular=(0.0,)) == -math.inf
+
