@@ -48,7 +48,6 @@ from .convolve import (
     conv_local_mass,
     nfold_local_mass,
     phi_self_conv_at,
-    smoothed_density,
 )
 from .probes import (
     RatioSeries,

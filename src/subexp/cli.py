@@ -77,7 +77,7 @@ class RunConfig:
                                  "quadrature section")
         params = ModelParams(**doc.get("model", {}))
         qdoc = dict(doc.get("quadrature", {}))
-        unknown = set(qdoc) - {"rel_tol", "abs_floor", "max_depth"}
+        unknown = set(qdoc) - {"rel_tol", "max_depth"}
         if unknown:
             raise ParameterError(f"unknown quadrature keys: {sorted(unknown)}")
         qdoc.setdefault("rel_tol", 1e-7)

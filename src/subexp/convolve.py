@@ -52,11 +52,9 @@ from .logsum import LOG_ZERO, log_add, log_sum
 from .quadrature import QuadratureSpec, integrate_log
 from .scaledcore import ModelParams, PeriodicProfile, ScaledSum, as_point
 from .measures import (
-    KernelAC,
     MixtureDistribution,
     ParetoAC,
     PhiAC,
-    PiecewiseLinearDensity,
     UniformAC,
     Weight,
     as_weight,
@@ -406,11 +404,6 @@ def nfold_local_mass(dist: MixtureDistribution, n: int, x, w,
             terms.append(lw + integrate_log(f, lo, hi, quad, hints=hints + p_hints,
                                             singular=centres))
     return log_sum(terms) if terms else LOG_ZERO
-
-
-def smoothed_density(kernel: PiecewiseLinearDensity, base: MixtureDistribution, x) -> float:
-    """log q(x) with q(x) = int q1(x-u) base(du) (compact continuous kernel)."""
-    return KernelAC(kernel=kernel, base=base).log_density(as_point(x, base.base))
 
 
 # ---------------------------------------------------------------------------

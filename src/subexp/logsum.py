@@ -24,17 +24,6 @@ def log_add(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def log_sub(a: float, b: float) -> float:
-    """log(e^a - e^b) for a >= b; returns -inf when equal."""
-    if b == LOG_ZERO:
-        return a
-    if b > a:
-        raise ValueError("log_sub requires a >= b")
-    if a == b:
-        return LOG_ZERO
-    return a + math.log1p(-math.exp(b - a))
-
-
 class NeumaierSum:
     """Running compensated sum (Neumaier's variant of Kahan summation)."""
 

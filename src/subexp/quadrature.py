@@ -119,6 +119,8 @@ _DE_MAX_LEVEL = 8
 # Level k has about 2^(k+3) nodes, and ``max_depth`` allows levels up to
 # max_depth - 2.
 _DE_DEPTH_OFFSET = 2
+# An error estimate at or below this is accepted whatever the budget.
+_ABS_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,6 @@ class QuadratureSpec:
     """Tolerance and subdivision policy for all adaptive integrals."""
 
     rel_tol: float = 1e-9
-    abs_floor: float = 1e-300
     max_depth: int = 48
 
     def __post_init__(self):
@@ -134,8 +135,6 @@ class QuadratureSpec:
             raise ParameterError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
         if not (0 < self.max_depth <= 60):
             raise ParameterError(f"max_depth must be in [1, 60], got {self.max_depth}")
-        if self.abs_floor < 0.0:
-            raise ParameterError("abs_floor must be nonnegative")
 
 
 def _gk_points(a: float, b: float) -> list:
@@ -356,7 +355,7 @@ def _bisect(a: float, b: float, est: tuple, budget: float, quad: QuadratureSpec,
         for panel in level:
             a0, b0, (k, err, top), bud, depth, _ = panel
             cap = (b0 - a0) * top
-            if err <= bud or err <= quad.abs_floor:
+            if err <= bud or err <= _ABS_FLOOR:
                 panel[5] = (k, err)
             elif cap <= floor_abs:
                 panel[5] = (k, cap)
@@ -419,7 +418,7 @@ def _tanh_sinh(a: float, b: float, s0: float, level1, budget: float, quad: Quadr
         raw += math.fsum(map(mul, ws, g))
         cur = raw * 2.0 ** -level
         err = abs(cur - prev)
-        if err <= budget or err <= quad.abs_floor:
+        if err <= budget or err <= _ABS_FLOOR:
             return [(cur, err)], True
         if level >= 2 and err < d_prev and err * err / d_prev <= budget:
             return [(cur, err * err / d_prev)], True

@@ -355,12 +355,6 @@ class ScaledSum:
         return ScaledSum(b=self.b, terms=tuple((-s, m, y) for s, m, y in self.terms),
                          offset=-self.offset)
 
-    def scale_pow_b(self, k: int) -> "ScaledSum":
-        """Multiply by b^k, the offset carried as a term: exact at any k for a
-        power-of-two b."""
-        terms = self.terms + ScaledSum.from_float(self.offset, self.b).terms
-        return ScaledSum(b=self.b, terms=tuple((s, m + k, y) for s, m, y in terms)).normalize()
-
     def describe(self) -> str:
         """Compact human-readable form, e.g. '4^8*2+138.87'."""
         if not self.terms:
@@ -405,13 +399,6 @@ class PeriodicProfile:
     def value(self, x) -> float:
         """h(log x) for SupportsFloat or ScaledSum x; x must be positive."""
         return self.at_distance(self._dip_log(x))
-
-    def branch(self, x) -> str:
-        """Which formula applies at the phase of x: 'center', 'dip', or 'plateau'."""
-        dlog = self._dip_log(x)
-        if dlog == _LOG_ZERO:
-            return "center"
-        return "dip" if dlog < math.log(self.params.delta) else "plateau"
 
     def _dip_log(self, x) -> float:
         # the dip-distance kernel at the point x itself
@@ -706,8 +693,3 @@ def point_lambda(x: ScaledSum, params: ModelParams) -> float:
     inf where it exceeds float range."""
     return _exp_or_inf(_log_lambda(x, params))
 
-
-def point_gamma(x: ScaledSum, params: ModelParams) -> float:
-    """Recover |y - x0| * b^m * (log x)^(-beta) from a probe point, from the
-    logs, so that it is finite wherever it is in float range."""
-    return _exp_or_inf(_log_lambda(x, params) - params.beta * math.log(x.log_abs()))

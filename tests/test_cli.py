@@ -67,13 +67,15 @@ class TestConfig:
         assert "config error" in capsys.readouterr().err
 
     def test_unknown_quadrature_key_exits_2(self, tmp_path, capsys):
+        # a misspelt key, and abs_floor, which is a fixed constant of the rules
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"quadrature": {"reltol": 1e-12}}))
         out = tmp_path / "out.csv"
-        assert run_cli("eval", "--x", "3", "--config", str(path),
-                       "--out", str(out)) == 2
-        assert "reltol" in capsys.readouterr().err
-        assert not out.exists()
+        for key in ("reltol", "abs_floor"):
+            path.write_text(json.dumps({"quadrature": {key: 1e-12}}))
+            assert run_cli("eval", "--x", "3", "--config", str(path),
+                           "--out", str(out)) == 2
+            assert key in capsys.readouterr().err
+            assert not out.exists()
 
     def test_oracle_rejects_a_quadrature_section(self, tmp_path, capsys):
         # the oracle runs its own rel_tol = 1e-9; it reads the other sections

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subexp import (
+    KernelAC,
     LogBracket,
     MixtureDistribution,
     ParameterError,
@@ -20,7 +21,6 @@ from subexp import (
     make_sequence,
     nfold_local_mass,
     phi_self_conv_at,
-    smoothed_density,
     tilt,
 )
 from subexp.convolve import (
@@ -349,21 +349,21 @@ class TestNFold:
 class TestSmoothing:
     def test_kernel_on_delta(self):
         tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
-        d0 = MixtureDistribution.single(PointMass(0.0))
+        ker = KernelAC(kernel=tri, base=MixtureDistribution.single(PointMass(0.0)))
         for x in (0.4, 1.0, 1.9):
-            got = math.exp(smoothed_density(tri, d0, x))
+            got = math.exp(ker.log_density(ScaledSum.from_float(x)))
             assert math.isclose(got, tri.value(x), rel_tol=1e-12)
 
     def test_negative_point(self, mu):
-        tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
-        assert smoothed_density(tri, mu, -1.0) == -math.inf
+        ker = KernelAC(kernel=PiecewiseLinearDensity.triangle(0.0, 2.0), base=mu)
+        assert ker.log_density(ScaledSum.from_float(-1.0)) == -math.inf
 
     def test_smoothing_tracks_window(self, mu):
-        tri = PiecewiseLinearDensity.triangle(0.0, 2.0)
+        ker = KernelAC(kernel=PiecewiseLinearDensity.triangle(0.0, 2.0), base=mu)
         rs = []
         for n in (4, 8):
             x = ScaledSum.scaled(n, 3.0)
-            q = smoothed_density(tri, mu, x)
+            q = ker.log_density(x)
             w = local_mass(mu, x.add_offset(-1.0), 1.0)
             rs.append(abs(math.exp(q - w) - 1.0))
         assert rs[1] < rs[0] < 0.01

@@ -90,8 +90,8 @@ class TestSmoothedPair:
         anchor = fam.d_anchor[k - 1]
         same = anchor.sub(atom.locations[k - 1])
         smaller = anchor.sub(atom.locations[0])
-        assert profile.branch(same) == "plateau"
-        assert profile.branch(smaller) == "dip"
+        assert profile.value(same) == profile.plateau
+        assert 0.0 < profile.value(smaller) < profile.plateau
 
     def test_unit_mass(self, spec_default):
         p1, p2 = build_p1_p2(spec_default)

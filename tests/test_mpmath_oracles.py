@@ -1,15 +1,18 @@
-"""The segment rules of window masses, and the tails and normalizers built
-from them, against mpmath at 50 digits; the profile at a point, against the
+"""Window masses, tails, normalizers and the pair masses built on them,
+against one mpmath reference for a mass; the profile at a point, against the
 exact point in mpmath.
 
-Dip-centre segments run the tanh-sinh rule, plateau windows take the exact
-power-law antiderivative, and dip segments the exponential-integral one or a
-Gauss-Legendre rule, under a unit window or a polynomial weight and a tilt;
-all must agree with ``mpmath.quad`` to ``rel_tol`` or better.  ``log phi``
-and the profile's value at points ``4^n y + t`` up to ``n = 1024`` must agree
-to 1e-12 with the same formulas at the exact point.
+The reference, ``_mp_mass``, is ``log int w(t) e^(gamma (x+t)) C(x + dt)`` at
+the exact point of x, for C the dip density, a Pareto or a uniform density,
+under a window, a tail or polynomial weight pieces, by mpmath at 50 digits.
+Closed-form queries run under ``no_quadrature`` and must agree with it to
+``rel_tol`` or better, as must the outer integrals that still run a
+quadrature.  ``log phi`` and the profile's value at points ``4^n y + t`` up to
+``n = 1024`` must agree to 1e-12 with the same formulas at the exact point.
 """
 
+import dataclasses
+import functools
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -30,89 +33,273 @@ from subexp.scaledcore import (DOMINANCE, DUST, PointPhase, _range_fix, phi_log_
 mp = pytest.importorskip("mpmath")
 
 DPS = 50
+# Bits that hold every point below exactly: b^n y with b = 4 and n <= 1024,
+# a term beyond float range and float offsets, down to 2^-1074, span about
+# 3,130 bits.  Sums, mantissas and dip distances are then exact in mpmath;
+# the logs of exact values are taken at 128 bits.
+EXACT_PREC = 3500
+LOG_PREC = 128
 
 
-def _mp_phi(params):
-    """Raw dip density u^(-alpha-1) h(u) on the period cell [1, b)."""
-    x0 = mp.mpf(params.x0)
-    delta = mp.mpf(params.delta)
-    plateau = -1 / mp.log(delta)
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    """Fail the test if ``measures`` or ``convolve`` runs a quadrature: the
+    query under test must be a closed form."""
+    def raiser(*args, **kwargs):
+        raise AssertionError("a closed-form query ran a quadrature")
 
-    def f(u):
-        d = abs(u - x0)
-        if d == 0:
-            return mp.mpf(0)
-        h = -1 / mp.log(d) if d < delta else plateau
-        return u ** (-(params.alpha + 1)) * h
+    for module in ("measures", "convolve"):
+        monkeypatch.setattr(f"subexp.{module}.integrate_log", raiser)
 
-    return f
 
+# ---------------------------------------------------------------------------
+# the mass reference
+# ---------------------------------------------------------------------------
+
+def _mp_point(x, t=0.0):
+    """``x + t`` as an exact mpf, for a ScaledSum or a float x; call under
+    ``mp.workprec(EXACT_PREC)``."""
+    if not isinstance(x, ScaledSum):
+        return mp.mpf(x) + mp.mpf(t)
+    b = mp.mpf(x.b)
+    return sum((s * mp.mpf(y) * b ** m for s, m, y in x.terms), mp.mpf(x.offset) + mp.mpf(t))
+
+
+def _mp_cell(params, u):
+    """The scale m of the cell [b^m, b^(m+1)) of an exact point u >= 1."""
+    b = mp.mpf(params.b)
+    with mp.workprec(64):
+        m = int(mp.floor(mp.log(u) / mp.log(b)))
+    return m + (u >= b ** (m + 1)) - (u < b ** m)
+
+
+def _mp_poly(lo, coeffs):
+    """``t -> sum_j coeffs[j] (t - lo)^j``."""
+    lo, coeffs = mp.mpf(lo), [mp.mpf(c) for c in coeffs]
+    return lambda t: mp.fsum(c * (t - lo) ** j for j, c in enumerate(coeffs))
+
+
+def _mp_weight(w):
+    """The pieces ``(lo, hi, f)`` of a weight in offsets t: a width c is the
+    window (0, c], and c = inf the tail; a Weight gives its polynomial pieces,
+    and a list is the pieces themselves."""
+    if isinstance(w, list):
+        return w
+    if not isinstance(w, Weight):
+        return [(mp.mpf(0), mp.mpf(w), lambda t: 1)]
+    return [(mp.mpf(lo), mp.mpf(hi), _mp_poly(lo, c)) for lo, hi, c, _upper in w.pieces]
+
+
+def _mp_averaged(w, left, width):
+    """The pieces of ``W(t) = (1/h) int_l^{l+h} w(t + s) ds``, l = left and
+    h = width, between the knots of w less l and l + h: the weight that a
+    uniform factor U(l, l+h] of a pair puts on the other factor.  W is
+    ``(T(t + l) - T(t + l + h)) / h`` from the exact antiderivative
+    ``T(z) = int_z^inf w``, one function on every piece."""
+    with mp.workdps(DPS):
+        # each piece's ends and antiderivative from its lower end
+        pieces = [(mp.mpf(lo), mp.mpf(hi),
+                   _mp_poly(lo, (0, *(mp.mpf(c) / (j + 1) for j, c in enumerate(q)))))
+                  for lo, hi, q, _upper in w.pieces]
+        # the mass of w at and above each piece
+        above = [mp.fsum(F(hi) for _lo, hi, F in pieces[k:]) for k in range(len(pieces))]
+        l, h = mp.mpf(left), mp.mpf(width)
+        knots = sorted({mp.mpf(k) - s for k in w.knots for s in (l, l + h)})
+
+    def tail(z):
+        k = bisect_right(pieces, z, key=lambda p: p[0]) - 1
+        return above[0] if k < 0 else above[k] - pieces[k][2](min(z, pieces[k][1]))
+
+    def avg(t):
+        return (tail(t + l) - tail(t + l + h)) / h
+
+    return [(a, c, avg) for a, c in zip(knots, knots[1:])]
+
+
+def _mp_segments(comp, u, lo, hi, gamma=0.0):
+    """The density of ``comp``, tilted by ``e^(gamma u)``, at u + t for the
+    offsets t in (lo, hi] on its support, as pieces ``(t0, t1, scale, rel)``:
+    ``scale`` is the density at u + t0 without its dip profile, and ``rel(t)``
+    the density at u + t over ``scale``.  The dip density's pieces end at
+    its cell and ring edges and centres; each takes its dip distance from
+    the exact offset from its centre, over the cell's scale.  u, lo and
+    hi are exact (call under ``mp.workprec(EXACT_PREC)``); the pieces are
+    50-digit mpfs."""
+    dip = isinstance(comp, PhiAC)
+    if dip:
+        p = comp.profile.params
+        b, support = mp.mpf(p.b), (1, mp.inf)
+    elif isinstance(comp, ParetoAC):
+        support = (0, mp.inf)
+    else:
+        support = (mp.mpf(comp.left), mp.mpf(comp.left) + comp.width)
+    lo, hi = max(lo, support[0] - u), min(hi, support[1] - u)
+    if hi <= lo:
+        return []
+    ends = {lo, hi}
+    if dip:
+        for m in range(_mp_cell(p, u + lo), _mp_cell(p, u + hi) + 1):
+            for v in (1, p.x0 - p.delta, p.x0, p.x0 + p.delta):
+                t = b ** m * v - u
+                if lo < t < hi:
+                    ends.add(t)
+    ends = sorted(ends)
+    out = []
+    for t0, t1 in zip(ends, ends[1:]):
+        base = u + t0
+        if dip:
+            m = _mp_cell(p, u + (t0 + t1) / 2)
+            centre = b ** m * p.x0 - u
+        with mp.workdps(DPS):
+            t0, t1, base, g = mp.mpf(t0), mp.mpf(t1), mp.mpf(base), mp.mpf(gamma)
+            if dip:
+                a1, inv = p.alpha + 1, 1 / base
+                scale = base ** -a1 / mp.exp(mp.mpf(comp.m_log))
+                log_delta, plateau = mp.log(p.delta), -1 / mp.log(mp.mpf(p.delta))
+
+                def rel(t, t0=t0, inv=inv, c=mp.mpf(centre), unit=b ** -m):
+                    d = abs(t - c) * unit
+                    if d == 0:
+                        return mp.mpf(0)
+                    dlog = mp.log(d)
+                    h = -1 / dlog if dlog < log_delta else plateau
+                    return (1 + (t - t0) * inv) ** -a1 * h
+            elif isinstance(comp, ParetoAC):
+                a1, inv = mp.mpf(comp.shape) + 1, 1 / (1 + base)
+                scale = comp.shape * (1 + base) ** -a1
+
+                def rel(t, t0=t0, inv=inv):
+                    return (1 + (t - t0) * inv) ** -a1
+            else:
+                scale = 1 / mp.mpf(comp.width)
+
+                def rel(t):
+                    return 1
+            if g:
+                out.append((t0, t1, scale * mp.exp(g * base),
+                            lambda t, rel=rel, t0=t0: rel(t) * mp.exp(g * (t - t0))))
+            else:
+                out.append((t0, t1, scale, rel))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_raw_mass(params):
+    """The raw dip mass above 1: ``int_1^b phi / (1 - b^-alpha)`` by
+    self-similarity."""
+    raw = PhiAC(profile=PeriodicProfile(params), m_log=0.0)
+    cell = _mp_mass(raw, 0.0, Weight(((1.0, params.b, (1.0,)),)))
+    with mp.workdps(DPS):
+        return mp.exp(cell) / (1 - mp.mpf(params.b) ** -params.alpha)
+
+
+def _mp_mass(comp, x, weight=1.0, gamma=0.0):
+    """``log int w(t) e^(gamma (x+t)) C(x + dt)`` at the exact point of x, for
+    C = ``comp``: a PhiAC (the dip density over ``e^m_log``, so the raw one
+    at ``m_log = 0``), a ParetoAC or a UniformAC; w is a weight as
+    ``_mp_weight`` reads it.  Each piece of w is integrated over the
+    density's pieces (``_mp_segments``) by mpmath at 50 digits: Gauss-Legendre
+    where the tilt and the Pareto's scale ``1 + u`` change the density by
+    e^4 or less over the piece, tanh-sinh elsewhere, and in units of that
+    scale on an unbounded piece.
+    A dip tail runs to 60 e-folds of its tilt or, untilted, to the next
+    ``b^K``, beyond which it is ``b^(-alpha K)`` of the raw mass.  -inf where
+    the weight misses the support."""
+    with mp.workprec(EXACT_PREC):
+        u = _mp_point(x)
+        total, parts = mp.mpf(0), []
+        for lo, hi, f in _mp_weight(weight):
+            if isinstance(comp, PhiAC) and hi == mp.inf:
+                p = comp.profile.params
+                start = max(u + lo, 1)
+                if gamma:
+                    hi = start - u + 60 / abs(mp.mpf(gamma)) + 10
+                else:
+                    k = _mp_cell(p, start) + 1
+                    hi = mp.mpf(p.b) ** k - u
+                    with mp.workdps(DPS):
+                        total += (mp.mpf(p.b) ** (-p.alpha * k) * _mp_raw_mass(p)
+                                  / mp.exp(mp.mpf(comp.m_log)))
+            parts += [(seg, f) for seg in _mp_segments(comp, u, lo, hi, gamma)]
+    with mp.workdps(DPS):
+        for (t0, t1, scale, rel), f in parts:
+            def g(t, f=f, rel=rel):
+                return f(t) * rel(t)
+
+            # the length over which the density changes by a factor of about e
+            length = min(1 / abs(mp.mpf(gamma)) if gamma else mp.inf,
+                         1 + mp.mpf(u) + t0 if isinstance(comp, ParetoAC) else mp.inf)
+            # in units of that length or of the piece's width: mpmath's quad
+            # stops on an absolute error
+            if t1 == mp.inf:
+                part = length * mp.quad(lambda s: g(t0 + length * s), [0, 1, mp.inf])
+            else:
+                width = t1 - t0
+                smooth = not isinstance(comp, PhiAC) and width <= 4 * length
+                part = width * mp.quad(lambda s: g(t0 + width * s), [0, 1],
+                                       method="gauss-legendre" if smooth else "tanh-sinh")
+            total += scale * part
+        return mp.log(total) if total > 0 else -math.inf
+
+
+def _agree(got, ref, tol=1e-12):
+    return got == ref if ref == -math.inf else abs(got - float(ref)) <= tol
+
+
+def _tail_tol(gamma, x):
+    """1e-12 plus the conditioning of ``e^(gamma x)`` at a point rounded to
+    its ulp."""
+    return 1e-12 + 4.0 * abs(gamma * x) * 2.0 ** -53
+
+
+_G1 = Weight.window(1.0).smoothed(PiecewiseLinearDensity.triangle(0.0, 1.0))
+_G2 = _G1.smoothed(PiecewiseLinearDensity.triangle(0.0, 1.0))
+# the smoothed-pair weights G1 over (-1, 1] and G2 over (-2, 1], and the
+# triangle(0, 2) kernel reflected, R(t) = q1(-t) on (-2, 0]
+_WEIGHTS = {"g1": _G1, "g2": _G2,
+            "triangle": Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))}
+
+
+# ---------------------------------------------------------------------------
+# window masses, tails and normalizers
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("side", [-1, 1])
 def test_centre_segment_tanh_sinh(params, profile, quad, side):
     lo, hi = sorted((params.x0, params.x0 + side * params.delta))
     ev = phi_window_log_eval(profile, ScaledSum.zero(params.b))
     got = integrate_log(ev, lo, hi, quad, singular=[params.x0])
-    with mp.workdps(DPS):
-        ref = mp.log(mp.quad(_mp_phi(params), [lo, hi]))
+    ref = _mp_mass(PhiAC(profile=profile, m_log=0.0), 0.0, Weight(((lo, hi, (1.0,)),)))
     assert abs(got - float(ref)) <= quad.rel_tol
 
 
 @pytest.mark.parametrize("n", [1, 64, 1024])
-def test_plateau_window_closed_form(mu, params, quad, monkeypatch, n):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("a plateau window ran a quadrature")
-
-    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
+def test_plateau_window_closed_form(mu, quad, no_quadrature, n):
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(n, 3.0), 1.0)
-    with mp.workdps(DPS):
-        x = mp.mpf(params.b) ** n * 3
-        plateau = -1 / mp.log(mp.mpf(params.delta))
-        mass = mp.quad(lambda t: (x + t) ** (-(params.alpha + 1)), [0, 1])
-        ref = mp.log(plateau * mass) - mp.mpf(phi.m_log)
-    assert abs(got - float(ref)) <= quad.rel_tol
+    x = ScaledSum.scaled(n, 3.0)
+    assert abs(phi.log_window_mass(x, 1.0) - float(_mp_mass(phi, x))) <= quad.rel_tol
 
 
 @pytest.mark.parametrize("n", [6, 64, 1024])
 def test_anchor_window(mu, params, quad, n):
     # the window (b^n x0, b^n x0 + 1] starts at a dip centre: one tanh-sinh segment
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(n, params.x0), 1.0)
-    with mp.workdps(DPS):
-        log_x = n * mp.log(params.b) + mp.log(params.x0)
-        a1 = params.alpha + 1
-
-        def f(t):  # density at x + t relative to x^-(alpha+1), as the dip distance t b^-n
-            return (1 + t * mp.exp(-log_x)) ** (-a1) * (-1 / (mp.log(t) - n * mp.log(params.b)))
-
-        ref = mp.log(mp.quad(f, [0, 1])) - a1 * log_x - mp.mpf(phi.m_log)
-    assert abs(got - float(ref)) <= quad.rel_tol
+    x = ScaledSum.scaled(n, params.x0)
+    assert abs(phi.log_window_mass(x, 1.0) - float(_mp_mass(phi, x))) <= quad.rel_tol
 
 
-@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
-def test_window_narrower_than_rounding_at_a_centre(mu, params, rel_tol):
-    # (x, x+c] holds the centre b^2 x0 = 32 and c is below ulp(x) / rel_tol:
+def test_window_narrower_than_rounding_at_a_centre(mu):
+    # (x, x+c] holds the centre b^2 x0 = 32 and c is below ulp(x) / 1e-9:
     # in offsets from x the dip distance near the centre rounds to ulp(x)
     x, c = 31.999999999785675, 4.2864911620199564e-10
-    got = local_mass(mu, x, c)
-    with mp.workdps(DPS):
-        scale = mp.mpf(params.b) ** 2
-
-        def f(u):
-            return u ** (-(params.alpha + 1)) * (-1 / mp.log(abs(u / scale - params.x0)))
-
-        lo = mp.mpf(x)
-        ref = mp.log(mp.quad(f, [lo, scale * params.x0, lo + mp.mpf(c)]))
-    assert abs(got - float(ref - mp.mpf(mu.components[0][1].m_log))) <= rel_tol
+    ref = _mp_mass(mu.components[0][1], x, c)
+    assert abs(local_mass(mu, x, c) - float(ref)) <= 1e-9
 
 
 def test_normalizer_cell(params, profile, quad_fast):
     # the period cell [1, b] holds the dip centre x0, flagged like any other
     got = phi_integral_log(profile, 1.0, params.b, quad_fast)
-    x0, delta = params.x0, params.delta
-    with mp.workdps(DPS):
-        ref = mp.log(mp.quad(_mp_phi(params), [1, x0 - delta, x0, x0 + delta, params.b]))
+    ref = _mp_mass(PhiAC(profile=profile, m_log=0.0), 0.0, Weight(((1.0, params.b, (1.0,)),)))
     assert abs(got - float(ref)) <= 1e-9
 
 
@@ -172,23 +359,6 @@ def test_laguerre_rule_against_golub_welsch(n):
         assert abs(t / t_ref - 1) <= 1e-15 and abs(w / w_ref - 1) <= 1e-15, (t, w)
 
 
-def _mp_dip_window(params, phi, m, off, c):
-    """log mu((x, x+c]) at ``x = b^m x0 + off``, inside one dip ring, as an
-    integral over the offset d from the centre."""
-    with mp.workdps(DPS):
-        lnbm = m * mp.log(params.b)
-        centre = mp.mpf(params.b) ** m * params.x0
-
-        def f(d):
-            if d == 0:
-                return mp.mpf(0)
-            return (centre + d) ** (-(params.alpha + 1)) * (-1 / (mp.log(abs(d)) - lnbm))
-
-        lo, hi = mp.mpf(off), mp.mpf(off) + mp.mpf(c)
-        mass = mp.quad(f, [lo, 0, hi] if lo < 0 < hi else [lo, hi])
-        return float(mp.log(mass) - mp.mpf(phi.m_log))
-
-
 @pytest.mark.parametrize("m, off, c", [
     (8, 0.25, 1.0),  # dip offset s > 0
     (8, -1.25, 1.0),  # s < 0
@@ -206,45 +376,41 @@ def _mp_dip_window(params, phi, m, off, c):
     (600, 8.848955145648752, 1e-3),
     (200, -39.77310821269575, 1e-3),
 ])
-def test_dip_window_closed_form(mu, params, monkeypatch, m, off, c):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("a dip window near its centre ran a quadrature")
-
-    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
+def test_dip_window_closed_form(mu, params, no_quadrature, m, off, c):
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
-    got = phi.log_window_mass(x, c)
-    assert abs(got - _mp_dip_window(params, phi, m, off, c)) <= 1e-11
+    assert abs(phi.log_window_mass(x, c) - float(_mp_mass(phi, x, c))) <= 1e-11
 
 
-def test_narrow_window_far_from_its_centre(mu, params):
+def test_narrow_window_far_from_its_centre(mu):
     # 4^499 * 1.9 lies in a ring 3e299 from its centre: the window is
     # 5e309 half-widths from it, and one Gauss node integrates it
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(499, 1.9), 1e-10)
-    with mp.workdps(DPS):
-        log_x = 499 * mp.log(params.b) + mp.log(mp.mpf(1.9))
-        h = -1 / mp.log(abs(mp.mpf(1.9) - params.x0))
-        ref = mp.log(mp.mpf(1e-10) * h) - (params.alpha + 1) * log_x - mp.mpf(phi.m_log)
-    assert abs(got - float(ref)) <= 1e-11
+    x = ScaledSum.scaled(499, 1.9)
+    assert abs(phi.log_window_mass(x, 1e-10) - float(_mp_mass(phi, x, 1e-10))) <= 1e-11
 
 
 @pytest.mark.parametrize("m", [0, 1, 8, 1024])
 def test_dip_segment_across_a_centre(mu, params, m):
     # window ends are cuts at every centre, so only a direct call straddles
-    # one; at scales 0 and 1 it reaches beyond 2^-8 x0 b^m and is cut
+    # one; at scales 0 and 1 it reaches beyond 2^-8 x0 b^m and is cut.  The
+    # segment takes the ring's formula over the whole window, which at scale
+    # 0 reaches beyond the ring: the density of a ring of half-width 0.6
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=-0.5).normalize()
     ring = next(r for r in phi._window_cuts(PointPhase(x), 1.0)[1] if r[0] < 0.5 < r[1])
     got = phi._log_dip_mass(ring, 0.0, 1.0)
-    assert abs(got - _mp_dip_window(params, phi, m, -0.5, 1.0)) <= 1e-11
+    wide = PeriodicProfile(dataclasses.replace(params, delta=0.6, x1=0.7))
+    ref = _mp_mass(PhiAC(profile=wide, m_log=phi.m_log), x)
+    assert abs(got - float(ref)) <= 1e-11
 
 
 def test_tanh_sinh_stops_when_the_next_level_would_fit(mu, params, quad_fast):
     # the kernel-smoothed density at 4^6 x0 + 0.5 over its centre segment:
     # level 2 (7 + 8 + 14 nodes) already meets the budget, so level 3 does not run
     phi = mu.components[0][1]
-    dens = phi.log_density_eval(ScaledSum.scaled(6, params.x0, offset=0.5))
+    x = ScaledSum.scaled(6, params.x0, offset=0.5)
+    dens = phi.log_density_eval(x)
     kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
     nodes = []
 
@@ -254,56 +420,9 @@ def test_tanh_sinh_stops_when_the_next_level_would_fit(mu, params, quad_fast):
 
     got = integrate_log(f, -0.5, 0.0, quad_fast, singular=[-0.5])
     assert len(nodes) == 29
-    with mp.workdps(DPS):
-        centre = mp.mpf(params.b) ** 6 * params.x0
-        scale = mp.mpf(params.b) ** 6
-
-        def g(u):  # u = x + s from the centre to x = centre + 0.5; kernel(-s) = 4 (x - u)
-            if u == centre:
-                return mp.mpf(0)
-            h = -1 / mp.log(abs(u / scale - params.x0))
-            return u ** (-(params.alpha + 1)) * h * 4 * (centre + mp.mpf(0.5) - u)
-
-        ref = mp.log(mp.quad(g, [centre, centre + mp.mpf(0.5)])) - mp.mpf(phi.m_log)
+    # kernel(-s) = -4 s = 2 - 4 (s + 1/2) on (-1/2, 0]
+    ref = _mp_mass(phi, x, Weight(((-0.5, 0.0, (2.0, -4.0)),)))
     assert abs(got - float(ref)) <= 1e-9
-
-
-def _mp_weighted(params, phi, m, off, weight):
-    """log int w(t) mu(x + dt) at ``x = b^m x0 + off`` as an integral over the
-    offset d = t + off from the centre ``b^m x0``, plateau included, relative
-    to the density's scale ``centre^(-alpha-1)`` (mp.quad loses digits on
-    integrands near 1e-300)."""
-    with mp.workdps(DPS):
-        lnbm = m * mp.log(params.b)
-        centre = mp.mpf(params.b) ** m * params.x0
-        plateau = -1 / mp.log(mp.mpf(params.delta))
-        off = mp.mpf(off)
-        a1 = params.alpha + 1
-
-        def dens(d):
-            if d == 0:
-                return mp.mpf(0)
-            s = abs(d) / mp.exp(lnbm)  # mantissa distance
-            h = -1 / mp.log(s) if s < params.delta else plateau
-            return (1 + d / centre) ** -a1 * h
-
-        total = 0
-        for lo, hi, coeffs, _upper in weight.pieces:
-            a, b = off + lo, off + hi
-
-            def f(d, lo=lo, coeffs=coeffs):
-                tau = d - off - lo
-                return sum(mp.mpf(c) * tau ** j for j, c in enumerate(coeffs)) * dens(d)
-
-            ring = params.delta * mp.exp(lnbm)  # where the profile meets the plateau
-            total += mp.quad(f, [a, *(t for t in (-ring, 0, ring) if a < t < b), b])
-        return float(mp.log(total) - a1 * mp.log(centre) - mp.mpf(phi.m_log))
-
-
-def _smoothed_window_weights():
-    kernel = PiecewiseLinearDensity.triangle(0.0, 1.0)
-    g1 = Weight.window(1.0).smoothed(kernel)
-    return g1, g1.smoothed(kernel)
 
 
 _PIECE = (0.3, 1.1, -0.7, 0.4, 0.2)  # positive on [0, 0.5]
@@ -333,46 +452,27 @@ _PIECE = (0.3, 1.1, -0.7, 0.4, 0.2)  # positive on [0, 0.5]
     (8, 0.0, (-0.9, -0.4, (0.0, 4.0, -8.0))),
     (64, 0.0, (0.3, 0.8, (0.0, 1.0, 0.5, 0.25))),
 ])
-def test_weighted_dip_mass(mu, params, monkeypatch, m, off, weight):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("an untilted weighted dip mass ran a quadrature")
-
-    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
-    g1, g2 = _smoothed_window_weights()
-    w = {"g1": g1, "g2": g2}.get(weight) or Weight((weight,))
+def test_weighted_dip_mass(mu, params, no_quadrature, m, off, weight):
+    w = _WEIGHTS.get(weight) or Weight((weight,))
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
-    got = phi.log_window_mass(x, w)
-    assert abs(got - _mp_weighted(params, phi, m, off, w)) <= 1e-11
+    assert abs(phi.log_window_mass(x, w) - float(_mp_mass(phi, x, w))) <= 1e-11
 
 
 def test_smoothed_density(mu, params):
     # the triangle(0, 2) smoothing of mu is mu under R(t) = q1(-t) on (-2, 0]
-    phi = mu.components[0][1]
     ker = KernelAC(kernel=PiecewiseLinearDensity.triangle(0.0, 2.0), base=mu)
     x = ScaledSum(b=params.b, terms=((1, 8, params.x0),), offset=-0.7).normalize()
-    r = Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))
-    assert abs(ker.log_density(x) - _mp_weighted(params, phi, 8, -0.7, r)) <= 1e-11
+    ref = _mp_mass(mu.components[0][1], x, _WEIGHTS["triangle"])
+    assert abs(ker.log_density(x) - float(ref)) <= 1e-11
 
 
-def test_weighted_plateau_mass(mu, params, monkeypatch):
+def test_weighted_plateau_mass(mu, no_quadrature):
     # 4^8 * 3 + t, t in (-2, 1], lies on the plateau: a Gauss-Legendre rule
     # per piece of G under x^(-alpha-1)
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("a weighted plateau mass ran a quadrature")
-
-    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
-    _g1, g2 = _smoothed_window_weights()
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(8, 3.0), g2)
-    with mp.workdps(DPS):
-        x = mp.mpf(params.b) ** 8 * 3
-        plateau = -1 / mp.log(mp.mpf(params.delta))
-        mass = sum(mp.quad(lambda t, lo=lo, c=c: sum(
-            mp.mpf(a) * (t - lo) ** j for j, a in enumerate(c)) * (x + t) ** (-(params.alpha + 1)),
-            [lo, hi]) for lo, hi, c, _upper in g2.pieces)
-        ref = mp.log(plateau * mass) - mp.mpf(phi.m_log)
-    assert abs(got - float(ref)) <= 1e-11
+    x = ScaledSum.scaled(8, 3.0)
+    assert abs(phi.log_window_mass(x, _G2) - float(_mp_mass(phi, x, _G2))) <= 1e-11
 
 
 @pytest.mark.parametrize("m, off, c", [(8, 0.25, 1.0), (8, -0.5, 1.0), (40, 0.0, 3.0),
@@ -388,25 +488,10 @@ def test_unit_weight_is_the_window(mu, params, m, off, c):
 def test_window_density_ending_beside_a_centre(n):
     # the window (x - 1, x] ends 1.2e-7 b^(n-1) below the centre b^n x0: its
     # segment beside the centre reaches beyond 2^-8 x0 b^n of it for n < 4
-    spec = GallerySpec()
-    mu = build_mu(spec)
-    p = spec.params
-    phi = mu.components[0][1]
+    mu = build_mu(GallerySpec())
     x = 4.0 ** n * 1.9999999696019541
-    got = local_density(mu, x, 1.0)
-    with mp.workdps(DPS):
-        centre = mp.mpf(p.b) ** n * p.x0
-        plateau = -1 / mp.log(mp.mpf(p.delta))
-
-        def f(u):
-            s = abs(u - centre) / mp.mpf(p.b) ** n
-            h = -1 / mp.log(s) if s < p.delta else plateau
-            return u ** (-(p.alpha + 1)) * h
-
-        lo, ring_lo = mp.mpf(x) - 1, centre - p.delta * mp.mpf(p.b) ** n
-        cuts = [lo, ring_lo, mp.mpf(x)] if lo < ring_lo else [lo, mp.mpf(x)]
-        ref = mp.log(mp.quad(f, cuts)) - mp.mpf(phi.m_log)
-    assert abs(got - float(ref)) <= 1e-12
+    ref = _mp_mass(mu.components[0][1], x, Weight(((-1.0, 0.0, (1.0,)),)))
+    assert abs(local_density(mu, x, 1.0) - float(ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("m, off, weight", [
@@ -431,47 +516,16 @@ def test_window_density_ending_beside_a_centre(n):
     (0, 1.5, "triangle"),
     (1, 0.5, "triangle"),
 ])
-def test_near_centre_dip_window_at_small_scales(mu, params, monkeypatch, m, off, weight):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("a dip window near its centre ran a quadrature")
-
-    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
+def test_near_centre_dip_window_at_small_scales(mu, params, no_quadrature, m, off, weight):
+    w = _WEIGHTS.get(weight, weight)
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, m, params.x0),), offset=off).normalize()
-    if isinstance(weight, float):
-        got = phi.log_window_mass(x, weight)
-        assert abs(got - _mp_dip_window(params, phi, m, off, weight)) <= 1e-11
-        return
-    g1, g2 = _smoothed_window_weights()
-    triangle = Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))
-    w = {"g1": g1, "g2": g2, "triangle": triangle}[weight]
-    got = phi.log_window_mass(x, w)
-    assert abs(got - _mp_weighted(params, phi, m, off, w)) <= 1e-11
-
-
-def _mp_tilted_pareto(a, gamma, o1, o2):
-    """log int_o1^o2 a (1+u)^(-a-1) e^(gamma u) du at 30 digits, with the
-    integrand scaled at the midpoint.  For gamma < 0 and shapes 0.3 and 2.5
-    it agrees with the incomplete gamma function ``a e^-gamma (-gamma)^a
-    Gamma(-a, -gamma (1 + o1), -gamma (1 + o2))`` to 1e-16 on the windows
-    below 1e6."""
-    with mp.workdps(30):
-        o1, o2 = mp.mpf(o1), mp.mpf(o2)
-        mid = (o1 + o2) / 2
-
-        def f(u):
-            return a * ((1 + u) / (1 + mid)) ** (-a - 1) * mp.exp(gamma * (u - mid))
-
-        return mp.log(mp.quad(f, [o1, o2])) - (a + 1) * mp.log1p(mid) + gamma * mid
+    assert abs(phi.log_window_mass(x, w) - float(_mp_mass(phi, x, w))) <= 1e-11
 
 
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 8.0, -0.5, -1.0, -2.0, -8.0])
-def test_tilted_pareto_window(shape, gamma, monkeypatch):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("a tilted Pareto window ran a quadrature")
-
-    monkeypatch.setattr("subexp.measures.integrate_log", no_quadrature)
+def test_tilted_pareto_window(shape, gamma, no_quadrature):
     comp = ParetoAC(shape)
     windows = [(0.0, 2.0 ** -20), (0.0, 40.0), (0.2, 2.0), (3.7, 40.0), (10.0, 0.5),
                (123.4, 7.0), (1e6, 2.0 ** -20), (1e6, 40.0),
@@ -479,7 +533,7 @@ def test_tilted_pareto_window(shape, gamma, monkeypatch):
     for x, c in windows:
         pt = ScaledSum.from_float(x, 4.0) if x else ScaledSum.zero(4.0)
         got = comp.log_window_mass(pt, c, gamma=gamma)
-        ref = float(_mp_tilted_pareto(shape, gamma, max(x, 0.0), x + c))
+        ref = float(_mp_mass(comp, pt, c, gamma))
         # at 1e6 the log itself is near 8e6, whose ulp is 9e-10
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (x, c)
 
@@ -492,8 +546,7 @@ def test_tilted_pareto_window_keeps_its_width(x, c, gamma):
     # ulp(1e12) = 2^-24, more than it, and at 1e16 + 0.75 == 1e16: the
     # window takes its width c, not (x + c) - x
     got = ParetoAC(1.0).log_window_mass(ScaledSum.from_float(x), c, gamma=gamma)
-    with mp.workdps(DPS):
-        ref = float(_mp_tilted_pareto(1.0, gamma, mp.mpf(x), mp.mpf(x) + mp.mpf(c)))
+    ref = float(_mp_mass(ParetoAC(1.0), x, c, gamma))
     assert abs(got - ref) <= 4.0 * math.ulp(ref) + 1e-15, (got, ref)
 
 
@@ -509,28 +562,7 @@ def test_wide_tilted_pareto_window(shape, gamma, monkeypatch):
     got = ParetoAC(shape).log_window_mass(ScaledSum.zero(4.0), 1e5, gamma=gamma)
     assert len(rules) <= 20
     if gamma < 0.0:
-        with mp.workdps(DPS):
-            ref = mp.log(shape * mp.exp(-gamma) * (-gamma) ** shape
-                         * mp.gammainc(-shape, -gamma, -gamma * (1 + mp.mpf(1e5))))
-        assert abs(got - float(ref)) <= 1e-12
-
-
-def _no_quadrature(*args, **kwargs):
-    raise AssertionError("a single-level query ran a quadrature")
-
-
-def _tail_tol(gamma, x):
-    """1e-12 plus the conditioning of ``e^(gamma x)`` at a point rounded to
-    its ulp."""
-    return 1e-12 + 4.0 * abs(gamma * x) * 2.0 ** -53
-
-
-def _mp_pareto_tail(a, gamma, x):
-    """log int_x^inf a (1+u)^(-a-1) e^(gamma u) du for gamma < 0, by the
-    upper incomplete gamma function."""
-    with mp.workdps(DPS):
-        g = -mp.mpf(gamma)
-        return float(mp.log(a * mp.exp(g) * g ** a * mp.gammainc(-a, g * (1 + mp.mpf(x)))))
+        assert abs(got - float(_mp_mass(ParetoAC(shape), 0.0, 1e5, gamma))) <= 1e-12
 
 
 # points from just below the support to 1e300, and beyond float range
@@ -540,54 +572,26 @@ _PARETO_POINTS = (-0.3, -2.0 ** -9, 0.0, 0.7, 40.0, 123.4, 1e6, 1e10, 1e14, 1e17
 
 @pytest.mark.parametrize("a", [1.0, 2.5])
 @pytest.mark.parametrize("c", [2.0 ** -8, 0.5, 1.0, 2.0])
-def test_pareto_window_density_and_tail(a, c, monkeypatch):
+def test_pareto_window_density_and_tail(a, c, no_quadrature):
     # the window is (1+o)^-a (1 - (1 + w/(1+o))^-a) for its part (o, o+w]
     # on the support, of width c where it starts on the support, so it keeps
     # its digits where x + c rounds; beyond float range log(1+x) is x's log,
     # for the density and the tail too
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     comp = ParetoAC(a)
     for v in _PARETO_POINTS:
         x = ScaledSum.scaled(*v) if isinstance(v, tuple) else ScaledSum.from_float(v)
         with mp.workprec(EXACT_PREC):
             u = _mp_point(x)
-            o, hi = max(u, 0), max(u + c, 0)
-            window = mp.log((1 + o) ** -a - (1 + hi) ** -a) if hi > o else -math.inf
             density = mp.log(a) - (a + 1) * mp.log1p(u) if u >= 0 else -math.inf
-            tail = -a * mp.log1p(o)
-        for got, ref in ((comp.log_window_mass(x, c), window),
-                         (comp.log_density(x), density), (comp.log_tail(x), tail)):
+        for got, ref in ((comp.log_window_mass(x, c), _mp_mass(comp, x, c)),
+                         (comp.log_density(x), density),
+                         (comp.log_tail(x), _mp_mass(comp, x, math.inf))):
             assert got == ref or abs(got - float(ref)) <= 1e-15 * max(1.0, abs(float(ref))), v
 
 
-def _mp_power_law_mass(w, x, lo, hi, a1, gamma):
-    """log int w(t) (1 + u)^-a1 e^(gamma u) dt over u = x + t in [lo, hi], at
-    the exact point of x: each weight piece clipped to the support, its
-    integrand over the value of ``(1 + u)^-a1 e^(gamma u)`` at its lower end,
-    in two halves by mpmath's Gauss-Legendre rule at 40 digits."""
-    with mp.workprec(EXACT_PREC):
-        u0 = _mp_point(x)
-    total = mp.mpf(0)
-    with mp.workdps(40):
-        for t_lo, t_hi, coeffs, _upper in w.pieces:
-            t1, t2 = max(mp.mpf(t_lo), lo - u0), min(mp.mpf(t_hi), hi - u0)
-            if t2 <= t1:
-                continue
-            o1 = u0 + t1
-
-            def f(t, t_lo=t_lo, coeffs=coeffs, t1=t1, o1=o1):
-                p = mp.fsum(c * (t - t_lo) ** j for j, c in enumerate(coeffs))
-                return p * ((1 + u0 + t) / (1 + o1)) ** -a1 * mp.exp(gamma * (t - t1))
-
-            part = mp.quad(f, mp.linspace(t1, t2, 3), method="gauss-legendre")
-            total += (1 + o1) ** -a1 * mp.exp(gamma * o1) * part
-        return mp.log(total) if total > 0 else -math.inf
-
-
-_G1 = Weight.window(1.0).smoothed(PiecewiseLinearDensity.triangle(0.0, 1.0))
 # G1, G2, a triangle, a trapezoid with a constant piece of 1/2, and the
 # sandwich probe's trapezoid for c = 0.3 and width 1, flat over (0, 0.7]
-_POWER_LAW_WEIGHTS = (_G1, _G1.smoothed(PiecewiseLinearDensity.triangle(0.0, 1.0)),
+_POWER_LAW_WEIGHTS = (_G1, _G2,
                       Weight(((0.0, 0.5, (0.0, 4.0)), (0.5, 1.0, (2.0, -4.0)))),
                       Weight(((-0.25, 0.0, (0.0, 2.0)), (0.0, 0.75, (0.5,)),
                               (0.75, 1.0, (0.5, -2.0)))),
@@ -602,22 +606,16 @@ _POWER_LAW_POINTS = (-0.7, -0.2, 0.0, 0.3, 0.55, 1.7, 40.0, 123.4, 1e6, 1e12 + 0
 @pytest.mark.parametrize("comp, gamma", [
     *((ParetoAC(a), g) for a in (1.0, 2.5) for g in (0.0, -0.01, -1.0, -3.0)),
     *((UniformAC(-0.25, 1.5), g) for g in (0.0, -0.01, -1.0, -3.0, 2.0))])
-def test_weighted_power_law_mass(comp, gamma, monkeypatch):
+def test_weighted_power_law_mass(comp, gamma, no_quadrature):
     # Pareto and uniform masses under four weights: one fixed Gauss rule
     # per weight piece clipped to the support.  Beyond float range an
     # untilted Pareto mass is the density at x times the weight's mass, and
     # a tilted one is nothing, as its float value is
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
-    lo, hi = comp.support_bounds()
-    if isinstance(comp, ParetoAC):
-        a1, log_k = comp.shape + 1.0, math.log(comp.shape)
-    else:
-        a1, log_k = 0.0, -math.log(comp.width)
     for v in _POWER_LAW_POINTS:
         x = ScaledSum.scaled(*v) if isinstance(v, tuple) else ScaledSum.from_float(v)
         for w in _POWER_LAW_WEIGHTS:
             got = comp.log_window_mass(x, w, gamma=gamma)
-            ref = float(_mp_power_law_mass(w, x, lo, hi, a1, gamma) + log_k)
+            ref = float(_mp_mass(comp, x, w, gamma))
             assert _agree(got, ref, 1e-13 * max(1.0, abs(ref))), (v, w.knots, got, ref)
 
 
@@ -629,41 +627,16 @@ def test_narrow_weight_piece_keeps_its_width(comp, v):
     # ulp(1e12) = 2^-24, more than it: a piece, linear or constant, takes
     # its width in offsets, not as (x + t2) - (x + t1)
     x = ScaledSum.from_float(v)
-    lo, hi = comp.support_bounds()
-    a1 = 2.0 if isinstance(comp, ParetoAC) else 0.0  # unit shape and width
     for w in (Weight(((0.0, 1.1e-6, (0.0, 1.0)),)), Weight(((0.0, 1.1e-6, (0.7,)),))):
         for gamma in (0.0, -1.0):
-            ref = float(_mp_power_law_mass(w, x, lo, hi, a1, gamma))
+            ref = float(_mp_mass(comp, x, w, gamma))
             got = comp.log_window_mass(x, w, gamma=gamma)
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (gamma, w.pieces, got, ref)
 
 
-def _mp_raw_dip(params):
-    """The raw dip density at any u >= 1, with the breakpoints of a range."""
-    b, x0, delta = mp.mpf(params.b), mp.mpf(params.x0), mp.mpf(params.delta)
-    plateau = -1 / mp.log(delta)
-
-    def f(u):
-        m = int(mp.floor(mp.log(u) / mp.log(b)))
-        y = u / b ** m
-        if y >= b:
-            y, m = y / b, m + 1
-        elif y < 1:
-            y, m = y * b, m - 1
-        d = abs(y - x0)
-        if d == 0:
-            return mp.mpf(0)
-        return u ** -(params.alpha + 1) * (-1 / mp.log(d) if d < delta else plateau)
-
-    def cuts(lo, hi):
-        pts, m = [lo], 0
-        while b ** m < hi:
-            pts += [u for u in (b ** m * y for y in (x0 - delta, x0, x0 + delta, b)) if lo < u < hi]
-            m += 1
-        return pts + [hi]
-
-    return f, cuts
-
+# ---------------------------------------------------------------------------
+# uniform pairs: a uniform factor is a weight on the other
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 3, 7, 20])
 @pytest.mark.parametrize("t", [0.0, -1.7])
@@ -673,60 +646,14 @@ def test_uniform_dip_convolution(mu, params, quad, n, t, c):
     # ends cross the dip centre, where the inner mass has an unbounded
     # second derivative; in mpmath the overlap of the two windows weights mu
     uni = MixtureDistribution.single(UniformAC(0.0, 1.0))
-    got = conv_local_mass(uni, mu, ScaledSum.scaled(n, params.x0).add_offset(t), c, quad)
-    f, cuts = _mp_raw_dip(params)
-    with mp.workdps(DPS):
-        x = mp.mpf(params.b) ** n * params.x0 + t
-
-        def overlap(u):  # length of {s in [0, 1]: x - s < u <= x - s + c}
-            return max(0, min(1, x + c - u) - max(0, x - u))
-
-        pts = sorted(set(cuts(x - 1, x + c)) | {x, x + c - 1})
-        mass = mp.quad(lambda u: overlap(u) * f(u), pts)
-        ref = float(mp.log(mass) - mp.mpf(mu.components[0][1].m_log))
-    assert abs(got - ref) <= 1e-9
-
-
-def _mp_tail_integral(w):
-    """z -> int_z^inf w at 50 digits, from the exact antiderivative of each
-    piece's polynomial in offsets from its lower end."""
-    pieces = [(mp.mpf(lo), mp.mpf(hi), [mp.mpf(c) for c in coeffs])
-              for lo, hi, coeffs, _upper in w.pieces]
-
-    def tail(z):
-        total = mp.mpf(0)
-        for lo, hi, coeffs in pieces:
-            a = max(z, lo)
-            if a < hi:
-                total += mp.fsum(c * ((hi - lo) ** (j + 1) - (a - lo) ** (j + 1)) / (j + 1)
-                                 for j, c in enumerate(coeffs))
-        return total
-
-    return tail
-
-
-def _mp_uniform_pair(w, uni, log_dens, cuts=(), method="tanh-sinh"):
-    """log int w(t) (A*U)(x + dt) for U = ``uni``, as ``int W(t) A(x + dt)``
-    with ``W(t) = (1/h) int_l^{l+h} w(t + u) du`` from the exact
-    antiderivative of w, against the density ``exp(log_dens(t))`` of A at x
-    + t (a 50-digit function of the offset t), cut at ``cuts`` and at the
-    knots of W: an analytic density takes mpmath's Gauss-Legendre rule."""
-    tail = _mp_tail_integral(w)
-    with mp.workdps(DPS):
-        l, h = mp.mpf(uni.left), mp.mpf(uni.width)
-        lo, hi = mp.mpf(w.lo) - l - h, mp.mpf(w.hi) - l
-        knots = {mp.mpf(k) - s for k in w.knots for s in (l, l + h)}
-        pts = sorted({lo, hi} | {t for t in knots | {mp.mpf(c) for c in cuts} if lo < t < hi})
-
-        def f(t):
-            return (tail(t + l) - tail(t + l + h)) / h * mp.exp(log_dens(t))
-
-        total = mp.quad(f, pts, method=method)
-        return float(mp.log(total)) if total > 0 else -math.inf
+    x = ScaledSum.scaled(n, params.x0).add_offset(t)
+    got = conv_local_mass(uni, mu, x, c, quad)
+    ref = _mp_mass(mu.components[0][1], x, _mp_averaged(Weight.window(c), 0.0, 1.0))
+    assert abs(got - float(ref)) <= 1e-9
 
 
 _UNIFORM_FACTORS = (UniformAC(0.0, 1.0), UniformAC(1.5, 1.0), UniformAC(-0.25, 0.5))
-_PAIR_WEIGHTS = {"unit": Weight.window(1.0), "g2": _POWER_LAW_WEIGHTS[1]}
+_PAIR_WEIGHTS = {"unit": Weight.window(1.0), "g2": _G2}
 
 
 def _pair_both_ways(uni, other, x, w, quad):
@@ -741,51 +668,33 @@ def _pair_both_ways(uni, other, x, w, quad):
 @pytest.mark.parametrize("uni", _UNIFORM_FACTORS)
 @pytest.mark.parametrize("weight", sorted(_PAIR_WEIGHTS))
 @pytest.mark.parametrize("a, gamma", [(1.0, 0.0), (2.5, 0.0), (1.0, -1.0)])
-def test_uniform_power_law_pair(uni, weight, a, gamma, quad, monkeypatch):
-    # a uniform factor is a weight on the other: (U * P) under w is P under
-    # the average of w over U, a Pareto or a tilted Pareto, with no quadrature
-    for module in ("measures", "convolve"):
-        monkeypatch.setattr(f"subexp.{module}.integrate_log", _no_quadrature)
+def test_uniform_power_law_pair(uni, weight, a, gamma, quad, no_quadrature):
+    # (U * P) under w is P under the average of w over U, a Pareto or a
+    # tilted Pareto, with no quadrature
     other = MixtureDistribution.single(ParetoAC(a))
     log_z = 0.0
     if gamma:
         other = tilt(other, gamma)
-        log_z = _mp_pareto_tail(a, gamma, 0.0)
+        log_z = _mp_mass(ParetoAC(a), 0.0, math.inf, gamma)
     w = _PAIR_WEIGHTS[weight]
+    avg = _mp_averaged(w, uni.left, uni.width)
     for xv in (-3.0, -0.7, 0.0, 0.7, 3.2, 40.0, 1e6):
         x = ScaledSum.from_float(xv) if xv else ScaledSum.zero()
         got = _pair_both_ways(uni, other, x, w, quad)
-        with mp.workdps(DPS):
-            u0 = mp.mpf(xv)
-            scale = mp.log(a) - (a + 1) * mp.log1p(u0) + gamma * u0 - log_z  # at t = 0
-
-            def log_dens(t):  # over its value at x for u0 >= 0
-                if u0 + t < 0:
-                    return -mp.inf
-                return -(a + 1) * mp.log((1 + u0 + t) / (1 + u0)) + gamma * t
-
-            ref = _mp_uniform_pair(w, uni, log_dens, cuts=(-u0,), method="gauss-legendre")
-            ref = ref + float(scale) if ref != -math.inf else ref
+        ref = float(_mp_mass(ParetoAC(a), x, avg, gamma) - log_z)
         assert _agree(got, ref, 1e-12 * max(1.0, abs(ref))), (xv, got, ref)
 
 
 @pytest.mark.parametrize("uni", _UNIFORM_FACTORS)
 @pytest.mark.parametrize("weight", sorted(_PAIR_WEIGHTS))
 @pytest.mark.parametrize("n, t", [(1, 0.0), (3, -1.7), (7, 0.0), (7, 0.4)])
-def test_uniform_dip_pair(mu, params, uni, weight, n, t, quad, monkeypatch):
+def test_uniform_dip_pair(mu, params, uni, weight, n, t, quad, no_quadrature):
     # (U * mu) under w as mu under the average of w over U, with no
     # quadrature, at and near the dip centre 4^n x0
-    for module in ("measures", "convolve"):
-        monkeypatch.setattr(f"subexp.{module}.integrate_log", _no_quadrature)
     w = _PAIR_WEIGHTS[weight]
-    got = _pair_both_ways(uni, mu, ScaledSum.scaled(n, params.x0).add_offset(t), w, quad)
-    f, cuts = _mp_raw_dip(params)
-    with mp.workdps(DPS):
-        x = mp.mpf(params.b) ** n * params.x0 + t
-        lo, hi = x + w.lo - uni.left - uni.width, x + w.hi - uni.left
-        ref = _mp_uniform_pair(w, uni, lambda s: mp.log(f(x + s)),
-                               cuts=[u - x for u in cuts(lo, hi)])
-        ref -= mu.components[0][1].m_log
+    x = ScaledSum.scaled(n, params.x0).add_offset(t)
+    got = _pair_both_ways(uni, mu, x, w, quad)
+    ref = float(_mp_mass(mu.components[0][1], x, _mp_averaged(w, uni.left, uni.width)))
     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
 
 
@@ -796,39 +705,24 @@ def test_averaged_weight(w, left, width, s):
     # W(t) = (1/h) int_l^{l+h} w(t + u) du, with the mass of w
     avg = w.averaged(left, width)
     t = avg.lo + s * (avg.hi - avg.lo)
+    _lo, _hi, ref = _mp_averaged(w, left, width)[0]  # one function on every piece
     with mp.workdps(DPS):
-        l, h, tm = mp.mpf(left), mp.mpf(width), mp.mpf(t)
-        pts = sorted({l, l + h} | {mp.mpf(k) - tm for k in w.knots if l < k - tm < l + h})
-
-        def f(u):
-            r = tm + u
-            for lo, hi, coeffs, _upper in w.pieces:
-                if lo < r <= hi:
-                    return mp.fsum(mp.mpf(c) * (r - lo) ** j for j, c in enumerate(coeffs))
-            return mp.mpf(0)
-
-        ref = float(mp.quad(f, pts) / h)
+        ref = float(ref(mp.mpf(t)))
     assert abs(avg.value(t) - ref) <= 1e-13 * max(1.0, w.mass() / width), (t, ref)
     assert math.isclose(avg.mass(), w.mass(), rel_tol=1e-14)
 
 
-def _mp_dip_tilted_tail(params, phi, gamma, x):
-    """log int_x^inf e^(gamma u) mu(du), taken to 60 e-folds of the tilt."""
-    f, cuts = _mp_raw_dip(params)
-    with mp.workdps(DPS):
-        x = mp.mpf(max(x, 1.0))
-        hi = x + 60 / abs(mp.mpf(gamma)) + 10
-        mass = mp.quad(lambda u: f(u) * mp.exp(gamma * (u - x)), cuts(x, hi))
-        return float(mp.log(mass) + gamma * x - mp.mpf(phi.m_log))
-
+# ---------------------------------------------------------------------------
+# tilts and tails
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("gamma", [-0.5, -1.0, -2.0])
-def test_tilted_normalizers(mu, params, monkeypatch, gamma):
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+def test_tilted_normalizers(mu, no_quadrature, gamma):
     pareto = tilt(MixtureDistribution.single(ParetoAC(1.0)), gamma)
-    assert abs(pareto.components[0][1].log_norm - _mp_pareto_tail(1.0, gamma, 0.0)) <= 1e-12
+    ref = _mp_mass(ParetoAC(1.0), 0.0, math.inf, gamma)
+    assert abs(pareto.components[0][1].log_norm - float(ref)) <= 1e-12
     tmu = tilt(mu, gamma)
-    want = _mp_dip_tilted_tail(params, mu.components[0][1], gamma, 1.0)
+    want = float(_mp_mass(mu.components[0][1], 0.0, math.inf, gamma))
     assert abs(tmu.components[0][1].log_norm - want) <= 1e-12
 
 
@@ -837,122 +731,79 @@ _TILTED_TAIL_GAMMAS = [-0.01, -0.5, -1.0, -2.0, -8.0]
 
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("gamma", _TILTED_TAIL_GAMMAS)
-def test_tilted_pareto_tail(shape, gamma, monkeypatch):
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+def test_tilted_pareto_tail(shape, gamma, no_quadrature):
     comp = ParetoAC(shape)
     for x in (0.0, 0.5, 3.7, 30.0, 1e3, 1e6):
         got = comp.log_tail(ScaledSum.from_float(x) if x else ScaledSum.zero(), gamma=gamma)
-        assert abs(got - _mp_pareto_tail(shape, gamma, x)) <= _tail_tol(gamma, x), x
+        assert abs(got - float(_mp_mass(comp, x, math.inf, gamma))) <= _tail_tol(gamma, x), x
 
 
 @pytest.mark.parametrize("gamma", _TILTED_TAIL_GAMMAS)
-def test_tilted_dip_tail(mu, params, monkeypatch, gamma):
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+def test_tilted_dip_tail(mu, no_quadrature, gamma):
     phi = mu.components[0][1]
     for x in (0.0, 1.0, 2.0, 3.7, 30.0) + ((1e3,) if gamma != -0.01 else ()):
         got = phi.log_tail(ScaledSum.from_float(x) if x else ScaledSum.zero(), gamma=gamma)
-        want = _mp_dip_tilted_tail(params, phi, gamma, x)
+        want = float(_mp_mass(phi, x, math.inf, gamma))
         assert abs(got - want) <= _tail_tol(gamma, x), x
 
 
 @pytest.mark.parametrize("n", [1, 64, 256])
 @pytest.mark.parametrize("y", [2.0, 3.0, 2.1, 1.0])  # anchor, plateau, ring, cell edge
-def test_untilted_dip_tail(mu, params, monkeypatch, n, y):
-    # the density at u = b^n v integrated over v up to b^2 relative to
-    # b^(-n (alpha+1)) (mp.quad loses digits on integrands near 1e-300), with
-    # the mass beyond b^(n+2) b^(-alpha (n+2)) by self-similarity
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
+def test_untilted_dip_tail(mu, no_quadrature, n, y):
+    # up to the next power of b, and beyond it by self-similarity
     phi = mu.components[0][1]
-    got = phi.log_tail(ScaledSum.scaled(n, y))
-    f, cuts = _mp_raw_dip(params)
-    with mp.workdps(DPS):
-        b = mp.mpf(params.b)
-        scale = b ** (n * (params.alpha + 1))
-        mass = mp.quad(lambda v: f(b ** n * v) * scale, cuts(mp.mpf(y), b ** 2)) * b ** -(
-            n * params.alpha)
-        ref = mp.log(mass / mp.exp(mp.mpf(phi.m_log)) + b ** (-params.alpha * (n + 2)))
-    assert abs(got - float(ref)) <= 1e-12
+    x = ScaledSum.scaled(n, y)
+    assert abs(phi.log_tail(x) - float(_mp_mass(phi, x, math.inf))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [500, 700, 1024])
 @pytest.mark.parametrize("y, c", [(2.1, 1.0), (1.8, 1e-3), (2.2, 37.0), (2.0 + 2.0 ** -40, 1.0)])
-def test_window_in_a_ring_beyond_float_range(mu, params, monkeypatch, n, y, c):
+def test_window_in_a_ring_beyond_float_range(mu, no_quadrature, n, y, c):
     # the centre is beyond float range: over the window the dip distance is
     # the head mantissa's to far below rounding
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     phi = mu.components[0][1]
-    got = phi.log_window_mass(ScaledSum.scaled(n, y), c)
-    with mp.workdps(DPS):
-        x = mp.mpf(params.b) ** n * mp.mpf(y)
-        h = -1 / mp.log(abs(mp.mpf(y) - params.x0))
-        mass = mp.quad(lambda t: (x + t) ** -(params.alpha + 1), [0, c])
-        ref = mp.log(h * mass) - mp.mpf(phi.m_log)
-    assert abs(got - float(ref)) <= 1e-12
+    x = ScaledSum.scaled(n, y)
+    assert abs(phi.log_window_mass(x, c) - float(_mp_mass(phi, x, c))) <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", [-0.01, -0.5, -8.0])
 @pytest.mark.parametrize("m, off, weight", [
     (0, 0.0, 1.0), (1, -0.3, 7.0), (3, 1e-9, 0.05), (5, 0.0, 1.0),
     (1, 0.2, "g1"), (3, 0.0, "g2"), (2, -0.3, "g2")])
-def test_tilted_dip_window(mu, params, monkeypatch, gamma, m, off, weight):
+def test_tilted_dip_window(mu, params, no_quadrature, gamma, m, off, weight):
     # plateau segments by the tilted power-law rule, far dip segments by
     # Gauss rules with the tilt as a factor, near-centre pieces by the
     # weighted series with the tilt's Taylor polynomial
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
-    g1, g2 = _smoothed_window_weights()
-    w = {"g1": g1, "g2": g2}.get(weight, weight)
+    w = _WEIGHTS.get(weight, weight)
     phi = mu.components[0][1]
     x = 4.0 ** m * (params.x0 + off)
     got = phi.log_window_mass(ScaledSum.from_float(x), w, gamma=gamma)
-    f, cuts = _mp_raw_dip(params)
-    with mp.workdps(DPS):
-        xm, total = mp.mpf(x), 0
-        for lo, hi, coeffs, _upper in (w if isinstance(w, Weight) else Weight.window(w)).pieces:
-            a, b = max(xm + lo, mp.mpf(1)), xm + hi
-            if b > a:
-                total += mp.quad(lambda u, lo=lo, coeffs=coeffs: sum(
-                    mp.mpf(c) * (u - xm - lo) ** j for j, c in enumerate(coeffs))
-                    * f(u) * mp.exp(gamma * (u - xm)), cuts(a, b))
-        ref = float(mp.log(total) + gamma * xm - mp.mpf(phi.m_log))
-    assert abs(got - ref) <= _tail_tol(gamma, x)
+    assert abs(got - float(_mp_mass(phi, x, w, gamma))) <= _tail_tol(gamma, x)
 
 
 @pytest.mark.parametrize("n, regime", [(4, "gamma"), (5, "gamma"), (4, "anchor")])
 def test_dip_self_convolution(params, profile, quad, n, regime):
     # (phi*phi)(x) = 2 int_1^{x/2} phi(u) phi(x-u) du at lem32's gamma points,
     # where a ring edge of one factor lies 1.3e-10 from a centre of the
-    # other, and at the anchor b^n x0, where x - u meets every centre at u = b^m x0
+    # other, and at the anchor b^n x0, where x - u meets every centre at u =
+    # b^m x0: the mass of phi under the weight phi(x - u), cut where it is
     if regime == "gamma":
         x = make_sequence(SequenceSpec("gamma", 1.0, (n,)), params)[0]
     else:
         x = ScaledSum.scaled(n, params.x0)
     got = phi_self_conv_at(profile, x, quad)
-    f, cuts = _mp_raw_dip(params)
-    with mp.workdps(30):
-        xm = mp.mpf(x.value())
-        half = xm / 2
-        pts = sorted(set(cuts(1, half)) | {xm - t for t in cuts(half, xm - 1)})
-        ref = float(mp.log(2 * mp.quad(lambda u: f(u) * f(xm - u), pts)))
+    raw = PhiAC(profile=profile, m_log=0.0)
+    with mp.workprec(EXACT_PREC):
+        u = _mp_point(x)
+        other = [(-t1, -t0, lambda v, scale=scale, rel=rel: scale * rel(-v))
+                 for t0, t1, scale, rel in _mp_segments(raw, u, -u / 2, -1)]
+    ref = float(mp.log(2) + _mp_mass(raw, 0.0, other))
     assert abs(got - ref) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
 # the profile at a point, and windows there, beyond 4^500
 # ---------------------------------------------------------------------------
-
-# Bits that hold every point below exactly: b^n y with b = 4 and n <= 1024,
-# a term beyond float range and float offsets, down to 2^-1074, span about
-# 3,130 bits.  Sums, mantissas and dip distances are then exact in mpmath;
-# the logs of exact values are taken at 128 bits.
-EXACT_PREC = 3500
-LOG_PREC = 128
-
-
-def _mp_point(x, t=0.0):
-    """``x + t`` as an exact mpf; call under ``mp.workprec(EXACT_PREC)``."""
-    b = mp.mpf(x.b)
-    return sum((s * mp.mpf(y) * b ** m for s, m, y in x.terms), mp.mpf(x.offset) + mp.mpf(t))
-
 
 def _mp_profile(params, u):
     """(log h, branch) of the profile at the exact point ``u > 0``."""
@@ -980,10 +831,6 @@ def _mp_phi_log(params, u):
     log_h, _branch = _mp_profile(params, u)
     with mp.workprec(LOG_PREC):
         return log_h - (params.alpha + 1) * mp.log(u)
-
-
-def _agree(got, ref, tol=1e-12):
-    return got == ref if ref == -math.inf else abs(got - float(ref)) <= tol
 
 
 def _binary(draw, lo, hi):
@@ -1066,8 +913,8 @@ def test_profile_at_far_points(delta, x, t):
         assert _agree(phi_window_log_eval(profile, x)(t), _mp_phi_log(params, ut))
         h = profile.value(x)
         assert _agree(math.log(h) if h else -math.inf, log_h)
-        # the branch, where the distance is not within rounding of the ring edge
-        got = profile.branch(x)
+        # the formula, where the distance is not within rounding of the ring edge
+        got = "center" if h == 0.0 else "plateau" if h == profile.plateau else "dip"
         assert got == branch or ("center" not in (got, branch)
                                  and abs(math.log(h / profile.plateau)) <= 1e-12)
         if ut == float(ut):  # a float point: the plain evaluator too
@@ -1099,136 +946,45 @@ def test_log_point_where_the_remainder_is_beyond_float_range(terms):
     (530, _HEAD, 1e308),
     (530, 2.0, 1e308),  # an anchor: offsets from the centre near the float maximum
 ])
-def test_window_near_an_anchor_beyond_float_range(mu, params, monkeypatch, n, y, off):
+def test_window_near_an_anchor_beyond_float_range(mu, params, no_quadrature, n, y, off):
     # over (x, x+1] the dip distance moves by 4^-n, far below rounding, so
     # the density is (x+s)^(-alpha-1) h(x) / M
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, n, y),), offset=off).normalize()
-    got = phi.log_window_mass(x, 1.0)
-    with mp.workprec(EXACT_PREC):
-        u = _mp_point(x)
-        log_h, _branch = _mp_profile(params, u)
-        a = params.alpha
-        ref = log_h + mp.log((u ** -a - (u + 1) ** -a) / a) - mp.mpf(phi.m_log)
-    assert abs(got - float(ref)) <= 1e-12
+    assert abs(phi.log_window_mass(x, 1.0) - float(_mp_mass(phi, x))) <= 1e-12
 
 
 @pytest.mark.parametrize("off", [-2.0 ** 1009, -2.0 ** 1009 - 2.0 ** 990])
-def test_window_where_the_remainder_reaches_a_far_centre(mu, params, monkeypatch, off):
+def test_window_where_the_remainder_reaches_a_far_centre(mu, params, no_quadrature, off):
     # 4^530 (2 + 2^-51) - 2^1009 is the centre 4^530 x0 itself, and 2^990
     # below it is 2^-70 from it in mantissa units: the window takes the ring
     # from the centre offset (x0 - y1) b^M - R, which is finite here
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     phi = mu.components[0][1]
     x = ScaledSum(b=params.b, terms=((1, 530, 2.0 + 2.0 ** -51),), offset=off)
     assert x.is_canonical()
     got = phi.log_window_mass(x, 1.0)
-    with mp.workprec(EXACT_PREC):
-        u = _mp_point(x)
-        log_scale = 530 * mp.log(params.b)
-        centre = mp.mpf(params.b) ** 530 * params.x0 - u  # the centre's offset from x, exact
-        log_u, inv_u = mp.log(u), 1 / u
-    with mp.workdps(DPS):
-        a1 = params.alpha + 1
-
-        def f(t):  # the density at x + t over u^-a1, the dip distance |t - centre| / b^530
-            d = abs(t - centre)
-            return mp.mpf(0) if d == 0 else (1 + t * inv_u) ** -a1 * (-1 / (mp.log(d) - log_scale))
-
-        ref = mp.log(mp.quad(f, [0, 1])) - a1 * log_u - mp.mpf(phi.m_log)
-    assert abs(got - float(ref)) <= 1e-12
+    assert abs(got - float(_mp_mass(phi, x))) <= 1e-12
     if off == -2.0 ** 1009:  # the same point in its canonical form
         assert got == phi.log_window_mass(ScaledSum.scaled(530, params.x0), 1.0)
 
 
 @pytest.mark.parametrize("n", [340, 400])
-def test_window_in_base_8_beyond_float_range(monkeypatch, n):
+def test_window_in_base_8_beyond_float_range(no_quadrature, n):
     # 8^400 overflows a float below scale 500: the ring of 8^n * 3, inside
     # the wide ring of x0 = 2.4, delta = 0.9, is read at the point's dip
     # distance, which is constant to rounding over the window
-    monkeypatch.setattr("subexp.measures.integrate_log", _no_quadrature)
     params = ModelParams(b=8.0, x0=2.4, delta=0.9, x1=1.0, x2=1.5)
     phi = PhiAC(profile=PeriodicProfile(params), m_log=0.0)
     x = ScaledSum.scaled(n, 3.0, b=8.0)
     got = phi.log_window_mass(x, 1.0)
     with mp.workprec(EXACT_PREC):
-        u = _mp_point(x)
-        log_h, branch = _mp_profile(params, u)
-        a = params.alpha
-        ref = log_h + mp.log((u ** -a - (u + 1) ** -a) / a)
-    assert branch == "dip" and abs(got - float(ref)) <= 1e-12
+        _log_h, branch = _mp_profile(params, _mp_point(x))
+    assert branch == "dip" and abs(got - float(_mp_mass(phi, x))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # one point in several forms
 # ---------------------------------------------------------------------------
-
-def _mp_cell(params, u):
-    """The scale m of the cell [b^m, b^(m+1)) of an exact point u >= 1."""
-    b = mp.mpf(params.b)
-    with mp.workprec(64):
-        m = int(mp.floor(mp.log(u) / mp.log(b)))
-    return m + (u >= b ** (m + 1)) - (u < b ** m)
-
-
-def _mp_window_at(params, m_log, u, c):
-    """log of the normalized dip mass of (u, u + c] at the exact point u, as
-    pieces between the support edge, the cell and ring edges and the centres:
-    the density relative to u^-(alpha+1), with each dip distance the log of
-    an exact offset from its centre less the cell's scale."""
-    b, x0, delta, a1 = mp.mpf(params.b), params.x0, params.delta, params.alpha + 1
-    with mp.workprec(EXACT_PREC):
-        cell = _mp_cell(params, max(u, mp.mpf(1)))
-        ends = {mp.mpf(0), mp.mpf(c)}
-        for m in range(max(cell - 1, 0), cell + 2):
-            for v in (1, x0 - delta, x0, x0 + delta):
-                t = b ** m * v - u
-                if 0 < t < c:
-                    ends.add(t)
-        ends = sorted(ends)
-        pieces = []
-        for t0, t1 in zip(ends[:-1], ends[1:]):
-            mid = u + (t0 + t1) / 2
-            if mid >= 1:  # on the support
-                m = _mp_cell(params, mid)
-                pieces.append((t0, t1, b ** m * x0 - u, m))
-        with mp.workprec(LOG_PREC):
-            log_u, inv_u = mp.log(u), 1 / u
-    if not pieces:
-        return -math.inf
-    with mp.workdps(DPS):
-        plateau = -1 / mp.log(mp.mpf(delta))
-        total = 0
-        for t0, t1, centre, m in pieces:
-            centre, log_scale = mp.mpf(centre), m * mp.log(b)
-
-            def f(t, centre=centre, log_scale=log_scale):
-                d = abs(t - centre)
-                if d == 0:
-                    return mp.mpf(0)
-                dlog = mp.log(d) - log_scale
-                h = -1 / dlog if dlog < mp.log(delta) else plateau
-                return (1 + t * inv_u) ** -a1 * h
-
-            total += mp.quad(f, [mp.mpf(t0), mp.mpf(t1)])
-        return mp.log(total) - a1 * log_u - mp.mpf(m_log)
-
-
-def _mp_tail_at(params, m_log, u):
-    """log of the normalized dip mass above the exact point u >= 1 by
-    self-similarity: b^(-alpha m) (int_y^b phi + b^-alpha M) / M for u = b^m y."""
-    f, cuts = _mp_raw_dip(params)
-    b = mp.mpf(params.b)
-    with mp.workprec(EXACT_PREC):
-        m = _mp_cell(params, u)
-        y = u / b ** m
-    with mp.workdps(DPS):
-        y, norm = mp.mpf(y), mp.exp(mp.mpf(m_log))
-        cell = mp.quad(f, cuts(y, b)) if y < b else 0
-        return (-params.alpha * m * mp.log(b) + mp.log(cell + b ** -params.alpha * norm)
-                - mp.log(norm))
-
 
 def _log_or_zero(v):
     return math.log(v) if v else -math.inf
@@ -1292,12 +1048,12 @@ def test_point_forms_read_alike(mu, params, forms, c):
         density = _mp_phi_log(params, u)
     assume(u >= 1 and cell == forms[0].terms[0][1])  # the head's cell
     refs = {
-        "window": (lambda x: local_mass(mu, x, c), _mp_window_at(params, phi.m_log, u, c)),
+        "window": (lambda x: local_mass(mu, x, c), _mp_mass(phi, forms[0], c)),
         "density": (lambda x: mu.log_density(x), density - phi.m_log),
         "lambda": (lambda x: _log_or_zero(point_lambda(x, params)), log_lam),
     }
     if cell <= 500:
-        refs["tail"] = (lambda x: tail(mu, x), _mp_tail_at(params, phi.m_log, u))
+        refs["tail"] = (lambda x: tail(mu, x), _mp_mass(phi, forms[0], math.inf))
     for name, (query, ref) in refs.items():
         if name == "lambda" and ref > 709.8:  # beyond float range
             assert all(point_lambda(x, params) == math.inf for x in forms)
@@ -1309,7 +1065,7 @@ def test_point_forms_read_alike(mu, params, forms, c):
 
 # ScaledSum arithmetic against the exact value.  Mantissas and offsets have
 # 20 bits, so most folds and merges of these sums are exact.  Every value is
-# a multiple of 2^-270 below 2^2052, times a power of b, which ARITH_PREC
+# a multiple of 2^-270 below 2^2052, which ARITH_PREC
 # (about 720 digits) holds exactly.
 ARITH_PREC = 2400
 
@@ -1386,17 +1142,17 @@ def _check_arithmetic(r, exact, ins, offsets, offset_sum=None):
 
 # an offset of exactly minus a head beyond 2^50 leaves the rest of the sum;
 # one that leaves 2^-20 of it leaves a head the next term must fold into;
-# scaling by b^1000 and b^-1000 carries the offset exactly
+# a sum less its own head beyond float range leaves the offsets
 @example(raw=ScaledSum(b=4.0, terms=((1, 30, 1.0), (1, 15, 1.0)), offset=-2.0 ** 60 + 2.0 ** 40),
-         other=ScaledSum(b=4.0, terms=((1, 15, 1.0),)), t=0.0, k=0)
+         other=ScaledSum(b=4.0, terms=((1, 15, 1.0),)), t=0.0)
 @example(raw=ScaledSum(b=4.0, terms=((1, 30, 1.0), (1, 5, 1.0)), offset=-4.0 ** 30),
-         other=ScaledSum(b=4.0, terms=((1, 30, 1.0),)), t=-4.0 ** 30, k=1000)
+         other=ScaledSum(b=4.0, terms=((1, 30, 1.0),)), t=-4.0 ** 30)
 @example(raw=ScaledSum(b=4.0, terms=((1, 600, 2.0),), offset=0.5),
-         other=ScaledSum(b=4.0, terms=((-1, 600, 2.0),), offset=0.25), t=0.0, k=-1000)
-@given(raw=_hand_sums(), other=_hand_sums(), t=_float20(), k=st.integers(-1024, 1024))
+         other=ScaledSum(b=4.0, terms=((-1, 600, 2.0),), offset=0.25), t=0.0)
+@given(raw=_hand_sums(), other=_hand_sums(), t=_float20())
 @settings(max_examples=200, deadline=None)
-def test_scaled_sum_arithmetic(raw, other, t, k):
-    # normalize, add, sub, add_offset and scale_pow_b against the exact sums
+def test_scaled_sum_arithmetic(raw, other, t):
+    # normalize, add, sub and add_offset against the exact sums
     b = mp.mpf(4)
     with mp.workprec(ARITH_PREC):
         def exact(z):
@@ -1410,6 +1166,3 @@ def test_scaled_sum_arithmetic(raw, other, t, k):
         _check_arithmetic(x.sub(y), exact(x) - exact(y), x.terms + neg,
                           [x.offset, y.offset], x.offset - y.offset)
         _check_arithmetic(x.add_offset(t), exact(x) + t, x.terms, [x.offset, t], x.offset + t)
-        shifted = tuple((s, m + k, v) for s, m, v in
-                        x.terms + ScaledSum.from_float(x.offset).terms)
-        _check_arithmetic(x.scale_pow_b(k), exact(x) * b ** k, shifted, [])

@@ -17,7 +17,7 @@ from subexp import (
     phi_log_value,
 )
 from subexp.logsum import NeumaierSum, log_sum
-from subexp.scaledcore import PhaseInfo, point_gamma, point_lambda
+from subexp.scaledcore import PhaseInfo, point_lambda
 
 LN4 = math.log(4.0)
 
@@ -97,10 +97,6 @@ class TestScaledSum:
         assert math.isclose(s.log_abs(), expect + math.log1p(1.0 / (4.0 ** 64 * 2)),
                             rel_tol=1e-15)
 
-    def test_scale_pow(self):
-        s = ScaledSum.scaled(3, 2.5)
-        assert s.scale_pow_b(2).value() == 4.0 ** 5 * 2.5
-
     def test_negative_and_sign(self):
         s = ScaledSum.scaled(16, 1.5, sign=-1)
         assert s.sign() == -1
@@ -143,9 +139,6 @@ class TestScaledSum:
         assert s.value() == x and s.is_canonical()
         big = ScaledSum.zero(4.0).add_offset(x)  # an offset alone stays one
         assert big.offset == x
-        assert big.scale_pow_b(0).value() == x
-        if abs(x) > 1.0:
-            assert big.scale_pow_b(-3).value() == x / 64.0
 
     def test_phase_info_reads_and_compares(self):
         x = ScaledSum.scaled(40, 2.5, offset=3.0)
@@ -194,10 +187,9 @@ class TestProfile:
 
     def test_periodicity_scaled_points(self, profile):
         # exact at representable points across ten scales
-        base = ScaledSum.from_float(2.1, 4.0)
-        ref = profile.value(base)
+        ref = profile.value(ScaledSum.from_float(2.1, 4.0))
         for k in range(1, 11):
-            v = profile.value(base.scale_pow_b(k))
+            v = profile.value(ScaledSum.scaled(k, 2.1))
             assert abs(v / ref - 1.0) < 1e-12
 
     def test_huge_scale_dip_distance(self, profile):
@@ -235,11 +227,6 @@ class TestProfile:
         for bp in boundary_phases:
             keep &= np.abs(mid - bp) > 1e-4
         assert float(np.max(dh[keep])) < 1e-3
-
-    def test_branch_reporting(self, profile):
-        assert profile.branch(ScaledSum.from_float(3.0, 4.0)) == "plateau"
-        assert profile.branch(ScaledSum.from_float(2.1, 4.0)) == "dip"
-        assert profile.branch(ScaledSum.scaled(2, 2.0)) == "center"
 
     def test_non_normalized_rejected(self, profile):
         raw = ScaledSum(b=4.0, terms=((1, 3, 2.0), (1, 3, 1.0)), offset=0.0)
@@ -282,6 +269,11 @@ class TestPhiLog:
                 assert abs(via_scaled - naive) < 1e-10 * max(1.0, abs(naive))
 
 
+def _gamma(x, params):
+    """The gamma regime's target |y - x0| b^m (log x)^-beta at a probe point."""
+    return point_lambda(x, params) * x.log_abs() ** -params.beta
+
+
 class TestSequences:
     def test_fixed_y(self, params):
         pts = make_sequence(SequenceSpec("fixed-y", 3.0, (1, 2, 3)), params)
@@ -306,28 +298,26 @@ class TestSequences:
     def test_gamma_target_recompute(self, params):
         pts = make_sequence(SequenceSpec("gamma", 1.0, (4, 6, 8, 12, 40)), params)
         for x in pts:
-            assert abs(point_gamma(x, params) - 1.0) < 1e-9
+            assert abs(_gamma(x, params) - 1.0) < 1e-9
 
     def test_gamma_inf(self, params):
         pts = make_sequence(SequenceSpec("gamma", math.inf, (6, 8)), params)
         for n, x in zip((6, 8), pts):
-            assert math.isclose(point_gamma(x, params), float(n), rel_tol=1e-9)
+            assert math.isclose(_gamma(x, params), float(n), rel_tol=1e-9)
 
     @pytest.mark.parametrize("n", [300, 511, 512, 520, 1024])
     def test_lambda_gamma_off_anchor_at_far_scales(self, params, n):
-        # |y - x0| b^n and its (log x)^-beta form at 4^n 2.1 against mpmath:
-        # inf exactly where the value exceeds float range (lambda from n =
-        # 520 on, gamma only at 1024), else within a few ulps of its log
+        # |y - x0| b^n at 4^n 2.1 against mpmath: inf exactly where the value
+        # exceeds float range (from n = 520 on), else within a few ulps of its log
         mp = pytest.importorskip("mpmath")
         x = ScaledSum.scaled(n, 2.1)
         with mp.workdps(60):
-            lam = abs(mp.mpf(2.1) - params.x0) * mp.mpf(params.b) ** n
-            gam = lam * (n * mp.log(params.b) + mp.log(mp.mpf(2.1))) ** -params.beta
-            for got, want in ((point_lambda(x, params), lam), (point_gamma(x, params), gam)):
-                if want > mp.mpf(2) ** 1024:
-                    assert got == math.inf
-                else:
-                    assert abs(mp.mpf(got) / want - 1) <= 4 * math.ulp(float(mp.log(want)))
+            want = abs(mp.mpf(2.1) - params.x0) * mp.mpf(params.b) ** n
+            got = point_lambda(x, params)
+            if want > mp.mpf(2) ** 1024:
+                assert got == math.inf
+            else:
+                assert abs(mp.mpf(got) / want - 1) <= 4 * math.ulp(float(mp.log(want)))
 
     def test_mantissa_out_of_cell_rejected(self, params):
         with pytest.raises(ParameterError):
