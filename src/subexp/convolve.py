@@ -9,7 +9,10 @@ window (x, x+c] is the weight's one-piece constant case, and ``int w(t)
 averages.  Atoms shift the weight.  A uniform factor is a weight: for U on
 (l, l+h], ``int w(t) (A*U)(x + dt) = int W(t) A(x + dt)`` with ``W(t) =
 (1/h) int_l^{l+h} w(t+u) du`` (:meth:`~subexp.measures.Weight.averaged`),
-so the pair is one weighted mass of A, with no outer integral.  Other
+so the pair is one weighted mass of A, with no outer integral.  A kernel
+factor is a weight as well: for K = q * B, ``int w(t) (K*C)(x + dt) = int
+W(t) (B*C)(x + dt)`` with ``W = w.smoothed(q)``, so the pair is the pair of
+its base with C (:meth:`~subexp.measures.Weight.smoothed`).  Other
 absolutely continuous pairs reduce to an outer integral of one side's
 density against the other side's weighted masses at the shifted point.
 Those come from one evaluator per outer integral,
@@ -52,6 +55,7 @@ from .logsum import LOG_ZERO, log_add, log_sum
 from .quadrature import QuadratureSpec, integrate_log
 from .scaledcore import ModelParams, PeriodicProfile, ScaledSum, as_point
 from .measures import (
+    KernelAC,
     MixtureDistribution,
     ParetoAC,
     PhiAC,
@@ -191,6 +195,10 @@ def _pair_window_mass(c1, c2, x: ScaledSum, w: Weight, quad):
         return c2.log_window_mass(x, w.averaged(c1.left, c1.width))
     if type(c2) is UniformAC:
         return c1.log_window_mass(x, w.averaged(c2.left, c2.width))
+    for k, other in ((c1, c2), (c2, c1)):
+        if type(k) is KernelAC:
+            return conv_local_mass(k.base, MixtureDistribution.single(other), x,
+                                   w.smoothed(k.kernel), quad)
 
     if isinstance(c1, PhiAC) and isinstance(c2, PhiAC) and ConvPlan(c1.params).splits(x):
         return _phi_pair_split(c1, c2, x, w, quad)

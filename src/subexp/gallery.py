@@ -219,8 +219,8 @@ class BridgeDensityHandle:
         self.params = spec.params
         self.mu = mu
         self.quad = spec.quad
-        # (p * p)(x) = int tri(s) (mu*mu)(x - s) ds = int tri(-t) (mu*mu)(x + dt)
-        self.triangle = Weight(((-2.0, -1.0, (0.0, 1.0)), (-1.0, 0.0, (1.0, -1.0))))
+        # p(x) is the weight of the window (-1, 0]; p * p averages it over U2
+        self.triangle = Weight.window(1.0).shift(-1.0).averaged(0.0, 1.0)
 
     def log_value(self, x) -> float:
         return local_density(self.mu, x, 1.0)
@@ -405,6 +405,8 @@ def thm12_report(spec: GallerySpec) -> Report:
     atom_comp: AtomSeries = mu1.components[0][1]
 
     def pair_rows(k, anchor):
+        # (q * rho) * (q * rho) is rho * rho under G2, expanded here by hand
+        # so that p1's and p2's rows share one mu * mu
         den = mu.log_window_mass(anchor, g1)
         b = conv_local_mass(mu, mu1, anchor, g2, quad)
         c_lo, c_hi = bracket_pair(conv_local_mass(mu, mu, anchor, g2, quad))

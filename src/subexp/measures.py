@@ -142,9 +142,10 @@ class Weight:
     dt)``; the window ``(x, x+c]`` is the one-piece constant case
     :meth:`window`, and passes as its width.
 
-    A smoothing of the measure is a weight too: a kernel turns w into
-    :meth:`smoothed`, and a uniform factor of a convolution into
-    :meth:`averaged`, each one weight against the unsmoothed measure.
+    A smoothing of the measure is a weight too: a kernel, or a kernel factor
+    of a convolution, turns w into :meth:`smoothed`, and a uniform factor
+    into :meth:`averaged`, each one weight against the unsmoothed measure
+    whose pieces keep no top coefficient that is zero at both ends.
     """
 
     pieces: tuple
@@ -253,7 +254,7 @@ class Weight:
         ``f_pieces`` as ``(lo, hi, coeffs in z - lo, coeffs in z - hi)`` from
         the right, zero above w's support: a weight on ``(w.lo - ks[-1], w.hi
         - ks[0]]`` with knots at w's knots less each k, where the sum
-        vanishes outside that span."""
+        vanishes outside that span, and no top coefficient zero at both ends."""
         lo, hi = self.lo - ks[-1], self.hi - ks[0]
         knots = sorted({t for t in (a - k for a in self.knots for k in ks) if lo <= t <= hi})
         n_coeffs = max(len(p[3]) for p in f_pieces)
@@ -269,6 +270,8 @@ class Weight:
                     origin, coeffs = _nearer_end(piece, z)
                     for j, a in enumerate(_poly_shift(coeffs, z - origin)):
                         acc[j] += beta * a
+            while len(ends[0]) > 1 and ends[0][-1] == ends[1][-1] == 0.0:
+                del ends[0][-1], ends[1][-1]
             pieces.append((t0, t1, *map(tuple, ends)))
         return Weight(tuple(pieces))
 
@@ -1825,7 +1828,8 @@ class KernelAC(Component):
     under a weight built from the kernel: a window or weight w is
     ``w.smoothed(q1)``, the density is ``R(t) = q1(-t)``, and the tail is
     the base's tail at ``x - n_lo`` plus the base under ``T(t) = 1 -
-    Q1(-t)``, with R and T on ``(-n_hi, -n_lo]``.  Tilted windows and tails
+    Q1(-t)``, with R and T on ``(-n_hi, -n_lo]``.  A convolution pair takes
+    its base's pair (see :mod:`subexp.convolve`).  Tilted windows and tails
     raise :class:`ParameterError`.
     """
 
@@ -1856,11 +1860,6 @@ class KernelAC(Component):
         if gamma != 0.0:
             raise ParameterError("tilted windows of smoothed measures are not supported")
         return self.base.log_window_mass(x, as_weight(w).smoothed(self.kernel))
-
-    def log_window_mass_eval(self, base, lo, hi, w, *, gamma=0.0):
-        if gamma != 0.0:
-            raise ParameterError("tilted windows of smoothed measures are not supported")
-        return self.base.log_window_mass_eval(base, lo, hi, as_weight(w).smoothed(self.kernel))
 
     def density_cuts(self, base, lo, hi):
         # the kernel's knots placed at either end of the base's support

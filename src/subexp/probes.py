@@ -302,13 +302,8 @@ def sandwich_probe(dist: MixtureDistribution, c: float, c1: float, a: float,
     ns = _seq_ns(seq, pts)
 
     def smoothed(x: ScaledSum, width: float) -> float:
-        # P(x < X + U <= x + width) = (1/c) int_0^c dist((x-s, x-s+width]) ds
-        # = int w(t) dist(x + dt), w(t) = |{s in [0, c]: -t <= s < width - t}| / c:
-        # rising from -c, flat at min(width, c)/c, falling to 0 at width
-        rise, fall, top = min(width - c, 0.0), max(width - c, 0.0), min(width, c) / c
-        flat = ((rise, fall, (top,)),) if fall > rise else ()
-        return dist.log_window_mass(x, Weight(((-c, rise, (0.0, 1.0 / c)), *flat, (
-            fall, width, (top, -1.0 / c), (0.0, -1.0 / c)))))
+        # P(x < X + U <= x + width): the window averaged over U, a trapezoid
+        return dist.log_window_mass(x, Weight.window(width).averaged(0.0, c))
 
     out = []
     for n, x in zip(ns, pts):

@@ -351,10 +351,6 @@ class ScaledSum:
         return ScaledSum(b=self.b, terms=self.terms + neg,
                          offset=self.offset - other.offset).normalize()
 
-    def neg(self) -> "ScaledSum":
-        return ScaledSum(b=self.b, terms=tuple((-s, m, y) for s, m, y in self.terms),
-                         offset=-self.offset)
-
     def describe(self) -> str:
         """Compact human-readable form, e.g. '4^8*2+138.87'."""
         if not self.terms:

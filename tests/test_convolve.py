@@ -16,7 +16,10 @@ from subexp import (
     SequenceSpec,
     UniformAC,
     brute_force_conv_oracle,
+    build_mu,
+    build_rho1_rho2,
     conv_local_mass,
+    interval_family,
     local_mass,
     make_sequence,
     nfold_local_mass,
@@ -25,10 +28,12 @@ from subexp import (
 )
 from subexp.convolve import (
     _phi_pair_split,
+    bracket_pair,
     oracle_conv_density_at,
     oracle_window_mass,
     phi_values,
 )
+from subexp.gallery import default_kernel
 from subexp.measures import PhiAC, Weight
 
 LN4 = math.log(4.0)
@@ -367,6 +372,72 @@ class TestSmoothing:
             w = local_mass(mu, x.add_offset(-1.0), 1.0)
             rs.append(abs(math.exp(q - w) - 1.0))
         assert rs[1] < rs[0] < 0.01
+
+
+class TestKernelFactor:
+    """A kernel factor is a weight: for K = q * B, the pair of K with C is
+    the pair of B with C under ``w.smoothed(q)``, with the same integrals."""
+
+    @pytest.fixture(scope="class")
+    def bases(self, spec_default):
+        rho1, rho2 = build_rho1_rho2(spec_default)
+        return {"mu": build_mu(spec_default), "rho1": rho1, "rho2": rho2}
+
+    @pytest.mark.parametrize("other, kernel_first", [
+        ("same", True), ("mu", True), ("mu", False), ("pareto", True), ("pareto", False)])
+    @pytest.mark.parametrize("base", ["mu", "rho1", "rho2"])
+    def test_pair_is_the_base_pair_under_the_smoothed_weight(
+            self, bases, spec_default, eval_count, base, other, kernel_first):
+        q, quad = default_kernel(), spec_default.quad
+        smoothed = MixtureDistribution.single(KernelAC(kernel=q, base=bases[base]))
+        c = {"same": smoothed, "mu": bases["mu"],
+             "pareto": MixtureDistribution.single(ParetoAC(1.0))}[other]
+        x, w = ScaledSum.scaled(3, 3.0), Weight.window(1.0)
+        got = conv_local_mass(*((smoothed, c) if kernel_first else (c, smoothed)), x, w, quad)
+        got_count, eval_count[0] = eval_count[0], 0
+        want = conv_local_mass(bases[base], c, x, w.smoothed(q), quad)
+        assert got == want
+        assert got_count == eval_count[0]
+
+    @pytest.mark.parametrize("n, count", [(3, 852), (5, 1084)])
+    def test_smoothed_dip_pair_takes_the_dip_pair_count(self, bases, spec_default,
+                                                       eval_count, n, count):
+        # an outer integral over the smoothed density took 2,550 and 5,550
+        smoothed = MixtureDistribution.single(KernelAC(kernel=default_kernel(), base=bases["mu"]))
+        conv_local_mass(smoothed, smoothed, ScaledSum.scaled(n, 3.0), 1.0, spec_default.quad)
+        assert eval_count[0] == count
+
+    def test_self_pair_of_the_atom_series_twin(self, bases, spec_default):
+        # p2 = q * rho2: its deepest atom, -4^(4^5) (x1 + x2)/2, lies beyond
+        # float range, and so does the lower end of its support
+        p2 = MixtureDistribution.single(KernelAC(kernel=default_kernel(), base=bases["rho2"]))
+        for anchor in interval_family(spec_default).d_anchor:
+            lo, hi = bracket_pair(conv_local_mass(p2, p2, anchor, 1.0, spec_default.quad))
+            assert -math.inf < lo <= hi < 0.0
+
+    @pytest.mark.parametrize("x", [0.3, 1.7, 6.0])
+    @pytest.mark.parametrize("other", ["pareto", "uniform"])
+    @pytest.mark.parametrize("base", ["point", "uniform"])
+    def test_small_points_against_mpmath(self, quad, base, other, x):
+        # the smoothed density from the kernel's own value and cdf, never
+        # through a weight: q for an atom at 0, Q(y) - Q(y - 1) for U(0, 1)
+        mp = pytest.importorskip("mpmath")
+        q = PiecewiseLinearDensity.triangle(0.0, 1.0)
+        dens, knots = {"point": (q.value, (0.0, 0.5, 1.0)),
+                       "uniform": (lambda y: q.cdf(y) - q.cdf(y - 1.0),
+                                   (0.0, 0.5, 1.0, 1.5, 2.0))}[base]
+        cdf = {"pareto": lambda z: z / (1 + z) if z > 0 else 0,
+               "uniform": lambda z: min(max(z, 0), 1)}[other]
+        single = MixtureDistribution.single
+        comps = {"point": PointMass(0.0), "uniform": UniformAC(0.0, 1.0),
+                 "pareto": ParetoAC(1.0)}
+        smoothed = single(KernelAC(kernel=q, base=single(comps[base])))
+        got = conv_local_mass(smoothed, single(comps[other]), x, 1.0, quad)
+        # the window's ends x - y and x + 1 - y cross the other's kinks at 0 and 1
+        cuts = sorted({*knots, *(v for v in (x - 1.0, x, x + 1.0) if knots[0] < v < knots[-1])})
+        with mp.workdps(30):
+            ref = mp.quad(lambda y: dens(y) * (cdf(x + 1.0 - y) - cdf(x - y)), cuts)
+        assert math.isclose(math.exp(got), float(ref), rel_tol=1e-12)
 
 
 def test_no_quadrature_runs_inside_another(mu, quad, uni, monkeypatch):

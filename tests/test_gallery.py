@@ -184,6 +184,20 @@ class TestSmoothedPairWeight:
         assert len(report.tables["smoothed_pair"]) == spec_default.k_max == 4
         assert len(calls) == 4  # one per k; the 5-node f2 rule took 20 per k
 
+    def test_rows_equal_the_direct_pairs(self, spec_default, thm12):
+        # pair_rows expands (q * rho) * (q * rho) by hand; the pair asked for
+        # directly gives the same columns, in another order of summation
+        from subexp.convolve import bracket_pair, conv_local_mass
+        from subexp.measures import MixtureDistribution
+        p1, p2 = (MixtureDistribution.single(h.component) for h in build_p1_p2(spec_default))
+        anchors = interval_family(spec_default).d_anchor
+        for row, anchor in zip(thm12.tables["smoothed_pair"], anchors):
+            for dist, col, shift in ((p2, "p2_fail", 0.0), (p1, "p1_sd", math.log(2.0))):
+                den = dist.log_window_mass(anchor, 1.0) + shift
+                pair = bracket_pair(conv_local_mass(dist, dist, anchor, 1.0, spec_default.quad))
+                for end, v in zip(("lo", "hi"), pair):
+                    assert math.isclose(row[f"{col}_{end}"], math.exp(v - den), rel_tol=1e-12)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_weighted_term_matches_the_f2_rule(self, spec_default, k):
         # int f2(v) (mu*mu)((x-v, x-v+1]) dv by the 5-node Gauss-Legendre rule

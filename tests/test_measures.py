@@ -366,7 +366,7 @@ class TestKernelCentres:
         x = ScaledSum.from_float(0.7)
         for query in (lambda: ker.log_window_mass(x, 1.0, gamma=-0.5),
                       lambda: ker.log_window_mass(x, Weight.window(1.0).smoothed(tri), gamma=-0.5),
-                      lambda: ker.log_window_mass_eval(x, 0.0, 1.0, 1.0, gamma=-0.5),
+                      lambda: ker.log_window_mass_eval(x, 0.0, 1.0, 1.0, gamma=-0.5)(0.0),
                       lambda: ker.log_tail(x, gamma=-0.5)):
             with pytest.raises(ParameterError):
                 query()
