@@ -81,8 +81,8 @@ _LOG_2_56 = 56.0 * math.log(2.0)
 # (2-core Xeon, numpy 2.4, CPython 3.11) it took 0.33 ms plus 0.7-0.8 us a
 # node on unit windows and 0.6 ms plus 2.6-3.0 us a node on weighted ones,
 # against a median of 3.8 and 44 us a node node by node.  The benchmark's
-# traffic (seeds 1 and 9): a reports pass sends 94 of its 96 rounds
-# (22,782 nodes) through arrays; mixtures runs no outer integral, so no
+# traffic (seeds 1 and 9): a reports pass sends all 64 of its rounds
+# (22,251 nodes) through arrays; mixtures runs no outer integral, so no
 # round (its uniform pairs are weighted masses; when they were outer
 # integrals, its 148 rounds of 41 nodes or fewer took 75-77 ms through
 # arrays against 51-53 ms node by node); far-windows runs 14,129 single
@@ -408,6 +408,14 @@ def _gauss_laguerre(n: int) -> tuple:
                 break
         rule.append((x / one, one ** 3 / (x * dp * dp)))
     return tuple(rule)
+
+
+@lru_cache(maxsize=None)
+def _laguerre_decays(n: int, j: int) -> tuple:
+    """The n-node Gauss-Laguerre rule as (node t, weight, ``e^(-t/(j+1))``)
+    triples, the factor :meth:`PhiAC._dip_series` takes for the power j."""
+    c = -1.0 / (j + 1)
+    return tuple((t, wt, math.exp(c * t)) for t, wt in _gauss_laguerre(n))
 
 
 def _gauss_nodes(ratio: float) -> int:
@@ -1408,10 +1416,9 @@ class PhiAC(Component):
         out = 0.0
         for j, pj in enumerate(p):
             z = (j + 1) * L
-            c = -1.0 / (j + 1)
             total = 0.0
-            for t, wt in _gauss_laguerre(_LAGUERRE_NODES[bisect_right(_LAGUERRE_Z, z)]):
-                total += wt * (1.0 + q * math.exp(c * t)) ** neg_a1 / (t + z)
+            for t, wt, e in _laguerre_decays(_LAGUERRE_NODES[bisect_right(_LAGUERRE_Z, z)], j):
+                total += wt * (1.0 + q * e) ** neg_a1 / (t + z)
             out += pj * total
         return out
 

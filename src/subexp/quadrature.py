@@ -41,18 +41,24 @@ bounds both rules: the bisection depth of a panel and, less two, the
 tanh-sinh level.
 
 Refinement runs a round at a time, breadth-first.  A tanh-sinh segment
-never stops at level 0, so the first round holds the first pass and level
-1 of every singular segment (where ``max_depth`` allows level 1); round k
-after it holds level k + 1 of every singular segment still open and the
-depth-k halves of every panel bisected at depth k - 1.  Each segment
-refines on its own budget, so the rounds take exactly the nodes that
-refining one segment after another would, and the accepted sums are added
-in that order (segment by segment, and within a segment in the depth-first
-order of a bisection stack).  An integrand that carries a batch form
-``f_log.many(xs)`` takes each round in one call.  On one pass of the five
-reports (counts, the same on any host), the 56 outer integrals with a
-batch form take 170 rounds, and the dip density's evaluator takes 96
-rounds of inner windows, a median of 277 nodes each.  The product
+never stops at level 0, and seldom at level 1 (16 of the 776 on one pass
+of the five reports), so the first round holds the first pass and levels 1
+and 2 of every singular segment (as far as ``max_depth`` allows them);
+round k after it holds level k + 2 of every singular segment still open
+and the depth-k halves of every panel bisected at depth k - 1.  A tanh-sinh
+node whose abscissa rounds onto its segment's end is that end, and the
+first round evaluates each such end once; each node's product with the
+end's value still enters its level's sum.  Level 1's last node lies
+nearest the ends, so no later level reaches an end the first round has
+not.  Each segment refines on its own budget, so the rounds take the nodes
+that refining one segment after another would, less the repeated ends and
+plus level 2 of a segment that stops at level 1, and the accepted sums are
+added in that order (segment by segment, and within a segment in the
+depth-first order of a bisection stack).  An integrand that carries a
+batch form ``f_log.many(xs)`` takes each round in one call.  On one pass
+of the five reports (counts, the same on any host), the 56 outer integrals
+with a batch form take 115 rounds, and the dip density's evaluator takes
+64 rounds of inner windows, a median of 273 nodes each.  The product
 integrand reads the dip density at a round's nodes as arrays, and the dip
 density's evaluator of inner masses walks a round's windows as arrays:
 their cuts and the kinds of their segments, then a numpy pass for each
@@ -71,6 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 
 from .errors import ParameterError, QuadratureError
@@ -180,15 +187,20 @@ def _de_nodes(level: int) -> tuple:
 
 
 def _de_points(a: float, b: float, level: int) -> tuple:
-    """(abscissae, weights) of the new nodes of one tanh-sinh level on [a,
-    b].
+    """(abscissae, weights, ends) of the new nodes of one tanh-sinh level on
+    [a, b].
 
+    A node whose abscissa rounds onto its segment's end (``a + d == a`` or
+    ``b - d == b``) is that end: it goes into ``ends`` as (end, weight), and
+    the others into the abscissae and their weights.  The nodes crowd the
+    ends as t grows, so the node at ``t = _DE_T`` (level 1's last) lies
+    nearest either end, and any end a level reaches, level 1 reaches too.
     Weights are per unit step; the level's step ``2^-level`` is applied by
     the caller.
     """
     hw = 0.5 * (b - a)
     nodes = _de_nodes(level)
-    xs, ws = [], []
+    xs, ws, ends = [], [], []
     if level == 0:
         _q, w = nodes[0]
         xs.append(a + hw)
@@ -196,9 +208,25 @@ def _de_points(a: float, b: float, level: int) -> tuple:
         nodes = nodes[1:]
     for q, w in nodes:
         d = hw * q
-        xs += (a + d, b - d)
-        ws += (hw * w, hw * w)
-    return xs, ws
+        w = hw * w
+        lo, hi = a + d, b - d
+        if lo == a:
+            ends.append((a, w))
+        else:
+            xs.append(lo)
+            ws.append(w)
+        if hi == b:
+            ends.append((b, w))
+        else:
+            xs.append(hi)
+            ws.append(w)
+    return xs, ws, ends
+
+
+def _de_sum(ws, g, ends, end_g) -> float:
+    """The weighted sum of one tanh-sinh level's scaled values: ``g`` at its
+    abscissae, and ``end_g`` (by end) at its nodes that round onto an end."""
+    return math.fsum(chain(map(mul, ws, g), [w * end_g[e] for e, w in ends]))
 
 
 def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
@@ -213,8 +241,9 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
     list of its values at the abscissae ``xs``, which then takes each round
     in one call.  The first pass decides whether the integral vanishes: where
     it samples only zeros the result is log zero, though its round also
-    evaluated tanh-sinh level 1.  Raises :class:`QuadratureError` when the
-    depth budget is exhausted before the error estimate falls below
+    evaluated tanh-sinh levels 1 and 2.  Each segment end that a tanh-sinh
+    node rounds onto is evaluated once.  Raises :class:`QuadratureError`
+    when the depth budget is exhausted before the error estimate falls below
     tolerance.
     """
     if not (hi > lo):
@@ -234,29 +263,41 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
     many = getattr(f_log, "many", None)
 
     def round_logs(xs):
+        # a round whose every node rounds onto an end (on segments one ulp
+        # wide) asks for no abscissa
+        if not xs:
+            return []
         return list(many(xs)) if many is not None else [f_log(x) for x in xs]
 
     # First pass: a Gauss-Kronrod panel on each segment, or tanh-sinh level 0
     # at a singular end; the values stay in log space until the shared scale
-    # is known.  The same round takes level 1 of every singular segment, which
-    # never stops at level 0; its values wait for the scale and the budgets,
-    # which the first pass alone sets.
+    # is known.  The same round takes levels 1 and 2 of every singular
+    # segment, which never stops at level 0; their values wait for the scale
+    # and the budgets, which the first pass alone sets.  It also takes each
+    # end that a tanh-sinh node rounds onto, once: level 1 reaches every end
+    # a later level does (see _de_points).
     first, xs = [], []
+    rounded = {}  # those ends, in the order the round takes them
     for a, b in zip(pts[:-1], pts[1:]):
         de = a in ends or b in ends
-        seg_xs, ws = _de_points(a, b, 0) if de else (_gk_points(a, b), None)
-        first.append((a, b, de, ws, len(xs)))
+        seg_xs, ws, seg_ends = _de_points(a, b, 0) if de else (_gk_points(a, b), None, ())
+        first.append((a, b, de, ws, seg_ends, len(xs)))
         xs += seg_xs
-    n_first = len(xs)
-    level1 = []  # (weights, slice of the round) of each singular segment
-    if _de_top_level(quad) >= 1:
-        for a, b, de, _ws, _i in first:
-            if de:
-                seg_xs, ws = _de_points(a, b, 1)
-                level1.append((ws, slice(len(xs), len(xs) + len(seg_xs))))
+        rounded.update((e, None) for e, _w in seg_ends)
+    n_first, n_first_ends = len(xs), len(rounded)
+    early = []  # per singular segment and level: (weights, slice of the round, ends)
+    for a, b, de, *_ in first:
+        if de:
+            levels = []
+            for level in range(1, min(_de_top_level(quad), 2) + 1):
+                seg_xs, ws, seg_ends = _de_points(a, b, level)
+                levels.append((ws, slice(len(xs), len(xs) + len(seg_xs)), seg_ends))
                 xs += seg_xs
-    fs = round_logs(xs)
-    ref = max(fs[:n_first])
+                rounded.update((e, None) for e, _w in seg_ends)
+            early.append(levels)
+    n_xs = len(xs)
+    fs = round_logs(xs + list(rounded))
+    ref = max(fs[:n_first] + fs[n_xs:n_xs + n_first_ends])
     if ref == LOG_ZERO:
         return LOG_ZERO
 
@@ -266,11 +307,12 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
     # each segment's first estimate, and for a panel its error estimate and
     # largest value
     g = scaled(fs)
+    end_g = dict(zip(rounded, g[n_xs:]))
     seg_est = []
     total0 = 0.0
-    for a, b, de, ws, i in first:
+    for a, b, de, ws, seg_ends, i in first:
         if de:
-            seg_est.append((math.fsum(map(mul, ws, g[i:i + len(ws)])), None))
+            seg_est.append((_de_sum(ws, g[i:i + len(ws)], seg_ends, end_g), None))
         else:
             seg_est.append(_gk_sums(g[i:i + 15], 0.5 * (b - a)))
         total0 += seg_est[-1][0]
@@ -297,10 +339,11 @@ def integrate_log(f_log, lo: float, hi: float, quad: QuadratureSpec, hints=(),
         except StopIteration as stop:
             results[j] = stop.value
 
-    values1 = iter([(ws, g[sl]) for ws, sl in level1])
-    for j, ((a, b, de, _ws, _i), est) in enumerate(zip(first, seg_est)):
+    early_g = iter([[(ws, g[sl], seg_ends) for ws, sl, seg_ends in levels]
+                    for levels in early])
+    for j, ((a, b, de, *_), est) in enumerate(zip(first, seg_est)):
         budget = budget_total * max(est[0] / total0, floor_share)
-        advance(j, _tanh_sinh(a, b, est[0], next(values1, None), budget, quad)
+        advance(j, _tanh_sinh(a, b, est[0], next(early_g), end_g, budget, quad)
                 if de else _bisect(a, b, est, budget, quad, floor_abs), None)
     while live:
         requests, live = live, []
@@ -392,14 +435,16 @@ def _de_top_level(quad: QuadratureSpec) -> int:
     return min(quad.max_depth - _DE_DEPTH_OFFSET, _DE_MAX_LEVEL)
 
 
-def _tanh_sinh(a: float, b: float, s0: float, level1, budget: float, quad: QuadratureSpec):
+def _tanh_sinh(a: float, b: float, s0: float, early, end_g, budget: float,
+               quad: QuadratureSpec):
     """Refine a tanh-sinh level-0 sum ``s0`` on [a, b] by halving the step.
 
-    ``level1`` holds the weights and scaled values of level 1's nodes, taken
-    with the first pass (None where ``quad`` allows no level 1).  A generator:
-    from level 2 on it yields the abscissae of each level's new nodes and
-    takes their scaled values.  Returns ([(integral, error estimate)],
-    converged).
+    ``early`` holds the weights, scaled values and rounded ends (see
+    :func:`_de_points`) of levels 1 and 2, taken with the first pass (as far
+    as ``quad`` allows them), and ``end_g`` the scaled value at each end.  A
+    generator: from level 3 on it yields the abscissae of each level's new
+    nodes and takes their scaled values.  Returns ([(integral, error
+    estimate)], converged).
     Level k is accepted when its change ``d_k`` from the previous level fits
     the budget, which for a double-exponential rule bounds the error of the
     coarser level, or, from level 2 on, when the changes shrink and ``d_k^2 /
@@ -410,12 +455,12 @@ def _tanh_sinh(a: float, b: float, s0: float, level1, budget: float, quad: Quadr
     raw = s0  # weighted node sum at unit step
     prev, err, d_prev = s0, s0, math.inf
     for level in range(1, _de_top_level(quad) + 1):
-        if level == 1:
-            ws, g = level1
+        if level <= len(early):
+            ws, g, ends = early[level - 1]
         else:
-            xs, ws = _de_points(a, b, level)
+            xs, ws, ends = _de_points(a, b, level)
             g = yield xs
-        raw += math.fsum(map(mul, ws, g))
+        raw += _de_sum(ws, g, ends, end_g)
         cur = raw * 2.0 ** -level
         err = abs(cur - prev)
         if err <= budget or err <= _ABS_FLOOR:
@@ -424,4 +469,3 @@ def _tanh_sinh(a: float, b: float, s0: float, level1, budget: float, quad: Quadr
             return [(cur, err * err / d_prev)], True
         prev, d_prev = cur, err
     return [(prev, err)], False
-

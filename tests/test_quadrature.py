@@ -131,8 +131,10 @@ def test_batch_form_takes_the_same_nodes(f, hi, singular):
     got = integrate_log(batched, 0.0, hi, spec, singular=singular)
     assert got == integrate_log(plain, 0.0, hi, spec, singular=singular)
     assert sum(rounds) == n[0]
-    if singular:  # levels 0 and 1 in the first round, then 2, then 3
-        assert rounds == [15, 14, 28]
+    # levels 0 to 2 in the first round, then 3; one node of levels 1, 2 and 3
+    # each rounds onto the end 0.5, which the first round evaluates once
+    if singular:
+        assert rounds == [28, 27]
     else:
         assert len(rounds) >= 4
 
@@ -158,12 +160,49 @@ def test_batch_form_fails_alike(f, hi, singular, depth):
 def test_zero_first_pass():
     # The first pass alone decides that an integral vanishes.  This dip lives
     # between level 0's nodes, where level 1 has two of its nodes; the first
-    # round holds level 1 too, so those 8 nodes are evaluated, and the
-    # integral is still log zero in both forms.
+    # round holds levels 1 and 2 too, so their 22 nodes are evaluated (less
+    # the one of each that rounds onto the end 0.5, evaluated once), and the
+    # integral is still log zero in both forms.  Level 2's 14 nodes are what
+    # taking it in the first round costs an integral that vanishes.
     f = lambda t: _DIP(t) if 0.05 < t < 0.2 else -math.inf
     spec = QuadratureSpec()
     batched, rounds = _batched(f)
     assert integrate_log(batched, 0.0, 0.5, spec, singular=(0.0,)) == -math.inf
-    assert rounds == [15]
+    assert rounds == [28]
     assert integrate_log(f, 0.0, 0.5, spec, singular=(0.0,)) == -math.inf
 
+
+
+def test_each_segment_end_is_evaluated_once():
+    # Near ends as large as 4^6, tanh-sinh nodes from level 0's t = 3 on
+    # round onto their segment's end.  Each end, the dip centre shared by
+    # the two segments too, is evaluated once per integral, in either form,
+    # and both forms return the same bits.
+    centre = 4.0 ** 6
+    lo, hi = centre - 0.5, centre + 0.75
+    got = []
+    for batch in (False, True):
+        seen = []
+        spy = lambda t: seen.append(t) or _DIP(abs(t - centre))
+        f = _batched(spy)[0] if batch else spy
+        got.append(integrate_log(f, lo, hi, QuadratureSpec(rel_tol=1e-12), singular=(centre,)))
+        assert [seen.count(e) for e in (lo, centre, hi)] == [1, 1, 1]
+    assert got[0] == got[1]
+
+
+def test_segment_one_ulp_wide():
+    # On a segment one ulp wide every tanh-sinh node rounds onto an end, so
+    # the first round takes the centre and the two ends, and the later rounds
+    # ask for no abscissa: the batch form is not called with an empty round.
+    # A jump at the end keeps the levels apart, and both forms fail alike.
+    a = 1.0
+    f = lambda t: -math.inf if t == a else 0.0
+    spec = QuadratureSpec(rel_tol=1e-12)
+    batched, rounds = _batched(f)
+    errors = []
+    for g in (batched, f):
+        with pytest.raises(QuadratureError) as exc:
+            integrate_log(g, a, math.nextafter(a, 2.0), spec, singular=(a,))
+        errors.append((exc.value.partial_log, exc.value.bound_log))
+    assert rounds == [3]
+    assert errors[0] == errors[1]
