@@ -45,13 +45,20 @@ _END_SNAP = 2.0 ** -40
 # segment's midpoint, the n-node rule's error falls like rho^-2n with
 # rho = r + sqrt(r^2 - 1), and n is the least that takes it to 2^-56: 12
 # nodes one width from the centre, 5 at sixteen.  A segment nearer its
-# centre, within two widths at its far end so that the one-sided difference
-# cancels at most one bit, takes the exponential-integral antiderivative
-# when that end lies within r0 = 2^-8 min(x0, 2) of the centre in mantissa
-# units, where ``L = -log|s|`` is at least 7 log 2; a segment that reaches
-# further is cut at 2^k times that reach into pieces of these two kinds.  On
-# segments one width from the centre, (1, 2] and (1/2, 1] at 4^4 and 4^8, the
-# rule took 4-5 us against the series' 7-11 us (2-core Xeon, CPython 3.11).
+# centre is cut at r0 = 2^-8 min(x0, 2) from it in mantissa units, where
+# ``L = -log|s|`` is at least 7 log 2.  Within r0 it takes the
+# exponential-integral antiderivative (within two widths of the centre at
+# its far end, so that the one-sided difference cancels at most one bit, or
+# else the rule).  Its run beyond r0 on either side takes one
+# Gauss-Legendre rule in ``v = log|s|`` (``PhiAC._dip_log_mass``), whose
+# node count comes from a Bernstein-ellipse bound (``_dip_log_nodes``).  On
+# segments one width from the centre, (1, 2] and (1/2, 1] at 4^4 and 4^8,
+# the rule took 4.7-5.3 us and the series 3.8-5.0 us, but the series'
+# one-sided difference would cancel digits there.  The window from x0 to
+# the ring's edge at scale 0, (0, 1/4] beyond x0, took 17 us with its run
+# from r0 = 2^-7 in one 24-node rule, against 34-36 us for pieces cut at
+# 2^k r0 (60 nodes); tilted by e^(-2u), 37 us against 92-95 us (2-core
+# Xeon, CPython 3.11).
 _DIP_GAUSS_MIN_RATIO = 3.0
 _DIP_SERIES_REACH = 2.0 ** -8
 # The antiderivative's series takes, per power j of its weight, a
@@ -72,6 +79,12 @@ _TILT_MAX_NODES = 24
 # the offset d as a factor of the weight: its piece is at most 1/(8 |gamma|)
 # wide, and the polynomial's terms shrink by 2^-4 per power or faster.
 _TILT_SERIES_REACH = 1.0 / 16.0
+# Under a tilt the log-scale rule of a dip run reaches at most this over
+# |gamma| from its centre, where the tilt has changed by e^2 at most; beyond
+# it the run is cut at 2^k times that reach, into Gauss-Legendre pieces.
+_TILT_LOG_REACH = 2.0
+# A dip run whose log-scale rule would need more nodes is halved in log|d|.
+_DIP_LOG_MAX_NODES = 32
 # A tilted tail is first the window of this many e-folds of its tilt.
 _TILT_TAIL_FOLDS = 44.0
 _LOG_2_56 = 56.0 * math.log(2.0)
@@ -234,20 +247,50 @@ class Weight:
         width``: the weight of ``int w(t) (A*U)(x + dt)``, U uniform on (l,
         l+h], as one weight against ``A(x + dt)``.
 
-        It is ``(T(t + l) - T(t + l + h)) / h`` with ``T(z) = int_z^inf w``,
-        a polynomial of one degree more on each piece of ``w``, and has the
-        same mass as ``w``.
+        It is a polynomial of one degree more on each piece of ``w``, with
+        knots at w's knots less l and less l + h, and has the same mass as
+        ``w``.  Between two knots the window ``(t + l, t + l + h]`` meets each
+        piece of w in one way for every t: whole, or cut at its lower end, its
+        upper end or both.  Each piece adds its mass, or its integral from the
+        end the window cuts, expanded about that end or, cut at both ends, as
+        ``int_0^h p(t + l + s) ds`` term by term, so that nothing is taken
+        as a difference of two tails of w and no digits cancel.
         """
-        # T on each piece of w, right to left, as in smoothed
-        t_pieces, mass = [], 0.0
-        for lo, hi, coeffs, upper in reversed(self.pieces):
-            i1 = _poly_integral(coeffs)
-            tail = mass + _poly_value(i1, hi - lo)
-            t_pieces.append((lo, hi, (tail, *[-a for a in i1[1:]]),
-                             (mass, *[-a for a in _poly_integral(upper)[1:]])))
-            mass = tail
-        t_pieces.append((-math.inf, self.lo, None, (mass,)))  # constant below the support
-        return self._shifted_sum(t_pieces, (left, left + width), (1.0 / width, -1.0 / width))
+        h = width
+        ks = (left, left + h)
+        lo, hi = self.lo - ks[1], self.hi - ks[0]
+        knots = sorted({t for t in (a - k for a in self.knots for k in ks) if lo <= t <= hi})
+        n_coeffs = max(len(p[2]) for p in self.pieces) + 1
+        pieces = []
+        for t0, t1 in zip(knots[:-1], knots[1:]):
+            u_mid = 0.5 * (t0 + t1) + left  # the window's lower end in the middle
+            ends = []
+            for te in (t0, t1):
+                u = te + left
+                cut, whole = [0.0] * n_coeffs, [0.0] * n_coeffs  # over h, and as they are
+                for piece in self.pieces:
+                    p_lo, p_hi, coeffs, upper = piece
+                    if p_hi <= u_mid or p_lo >= u_mid + h:
+                        continue
+                    if p_lo > u_mid and p_hi < u_mid + h:  # whole
+                        cut[0] += _poly_value(_poly_integral(coeffs), p_hi - p_lo)
+                    elif p_lo > u_mid:  # int_p_lo^(u+h) p
+                        for j, a in enumerate(_poly_shift(_poly_integral(coeffs), (u - p_lo) + h)):
+                            cut[j] += a
+                    elif p_hi < u_mid + h:  # int_u^p_hi p
+                        for j, a in enumerate(_poly_shift(_poly_integral(upper), u - p_hi)):
+                            cut[j] -= a
+                    else:  # (1/h) int_0^h p(u + tau + s) ds, by powers of tau
+                        origin, c = _nearer_end(piece, u_mid + 0.5 * h)
+                        c = _poly_shift(c, u - origin)
+                        for k in range(len(c)):
+                            whole[k] += sum(c[j] * math.comb(j, k) * h ** (j - k) / (j - k + 1)
+                                            for j in range(k, len(c)))
+                ends.append([a / h + b for a, b in zip(cut, whole)])
+            while len(ends[0]) > 1 and ends[0][-1] == ends[1][-1] == 0.0:
+                del ends[0][-1], ends[1][-1]
+            pieces.append((t0, t1, *map(tuple, ends)))
+        return Weight(tuple(pieces))
 
     def _shifted_sum(self, f_pieces: list, ks, betas) -> "Weight":
         """``t -> sum_i betas[i] F(t + ks[i])``, ks ascending, for F given on
@@ -454,6 +497,59 @@ def _tilted_gauss_nodes(ratio: float, gh: float, a1: float):
         best = n
     n = max(1, math.ceil(best))
     return n if n <= _TILT_MAX_NODES else None
+
+
+def _dip_log_nodes(zeta: float, H: float, x0: float, a1: float, g: float, poly=None):
+    """Nodes of the Gauss-Legendre rule that takes a one-sided dip run in
+    ``v = log|d|`` to 2^-56 of its mass; None where that takes more than
+    ``_DIP_LOG_MAX_NODES``.  Counts are rounded up to a multiple of 4, so
+    that few rule sizes are built.
+
+    The run is ``v = vm + H z`` for z in [-1, 1], ``zeta = (m log b -
+    vm) / H`` half-widths below the pole of ``1/(m log b - v)`` at ``|d| =
+    b^m``, and the integrand is ``e^v (1 + q d)^(-a1) / (m log b - v)``
+    with ``q d = ±e^(v - m log b) / x0``, times ``e^(gamma d)`` and a
+    weight's polynomial ``p(d)``.  On the Bernstein ellipse ``rho = e^eta``,
+    ``cosh eta < zeta``, where ``Re v <= vm + H cosh eta``: ``|e^v|`` grows
+    by at most ``e^(H cosh eta)`` over ``e^vm``; the pole's factor is at
+    most ``1/(H (zeta - cosh eta))``; the binomial factor at most ``(1 -
+    e^(-H (zeta - cosh eta)) / x0)^-a1``; with ``R = e^vm (e^(H cosh eta)
+    - 1)`` bounding ``|d - d_m|``, ``d_m = ±e^vm``, the tilt's growth over
+    its value at ``d_m`` at most ``e^(|gamma| R)`` and the polynomial at
+    most ``sum_j |p_j| R^j`` in its Taylor coefficients at ``d_m``.  The
+    integral in z is at least ``(1 + e^(H (1 - zeta)) / x0)^-a1 / (H (zeta
+    + 1))`` times ``e^(-|gamma| e^vm (e^H - 1))`` times ``int e^v p dz``,
+    which is ``e^vm 2 sinh(H) / H`` times the run's mean of p.  The n-node
+    rule then errs by at most ``64 M / (15 (1 - rho^-2) rho^2n)`` (see
+    :func:`_tilted_gauss_nodes`) over that integral; the least n over the
+    ellipses ``eta = j/8`` of the pole's, j = 7 down to 1, is taken.
+
+    ``g`` is ``|gamma| e^vm`` (0 untilted), and ``poly`` None for the unit
+    weight, else ``(growth, log_mean)``: ``growth[j] = |p_j| e^(j vm)``, so
+    that the polynomial's bound is ``sum_j growth[j] (e^(H cosh eta) -
+    1)^j``, and the log of the run's mean of p.
+    """
+    eta_pole = math.acosh(zeta)
+    fixed = (_LOG_2_56 + math.log(64.0 / 15.0) + math.log(zeta + 1.0)
+             + a1 * math.log1p(math.exp(H * (1.0 - zeta)) / x0)
+             - math.log(2.0 * math.sinh(H) / H) + g * math.expm1(H))
+    if poly is not None:
+        fixed -= poly[1]
+    best = math.inf
+    for j in range(7, 0, -1):
+        eta = eta_pole * (j / 8.0)
+        hc = H * math.cosh(eta)
+        grow = math.expm1(hc)
+        n = (fixed - math.log(zeta - hc / H) - a1 * math.log1p(-math.exp(hc - H * zeta) / x0)
+             + hc + g * grow - math.log(-math.expm1(-2.0 * eta)))
+        if poly is not None:
+            n += math.log(_poly_value(poly[0], grow))
+        n /= 2.0 * eta
+        if n >= best:  # past the best ellipse: the growth on it takes over
+            break
+        best = n
+    n = 4 * math.ceil(best / 4.0)
+    return n if n <= _DIP_LOG_MAX_NODES else None
 
 
 def _log_tilted_power(a1: float, gamma: float, v: float, e: float, h: float,
@@ -1015,17 +1111,21 @@ class PhiAC(Component):
         one or, a width or more from their centre, a Gauss-Legendre rule
         exact to rounding (:meth:`_log_dip_mass`).  The antiderivative's
         series is one Gauss-Laguerre sum per power of the weight, its node
-        count fixed a priori by ``(j+1) L`` (:meth:`_dip_series`).  A
-        weight's polynomial enters each form: a Gauss-Legendre rule with more
-        nodes on plateau segments and far dip segments, and one Laguerre sum
-        per power near a centre; a dip segment near its centre that reaches
-        beyond ``2^-8 min(x0, 2)`` of it in mantissa units is cut into pieces
-        of these kinds.  A tilt ``e^(gamma u)`` enters the same forms: the
-        Gauss-Legendre rules take it as a factor, with node counts from
-        :func:`_tilted_gauss_nodes`, and near a centre its Taylor polynomial
-        joins the weight's.  Where the centre offset ``(x0 - y1) b^M - R`` of
-        the head cell is beyond float range, the dip distance is the point's
-        over the whole window (see :meth:`_window_cuts`).
+        count fixed a priori by ``(j+1) L`` (:meth:`_dip_series`).  A dip
+        segment near its centre that reaches beyond ``r0 = 2^-8 min(x0, 2)``
+        of it in mantissa units takes the series within r0 and, on each side
+        beyond r0, one Gauss-Legendre rule in ``log|d|`` whose node count a
+        Bernstein-ellipse bound fixes (:func:`_dip_log_nodes`).  A weight's
+        polynomial enters each form: a Gauss-Legendre rule with more nodes on
+        plateau segments and far dip segments, its growth in the log-scale
+        rule's bound, and one Laguerre sum per power near a centre.  A tilt
+        ``e^(gamma u)`` enters the same forms: the Gauss-Legendre rules take
+        it as a factor, with node counts from :func:`_tilted_gauss_nodes` or
+        the log-scale bound, whose run ends at ``2/|gamma|`` (beyond it, Gauss
+        pieces cut at ``2^k`` times that), and near a centre its Taylor
+        polynomial joins the weight's.  Where the centre offset ``(x0 - y1)
+        b^M - R`` of the head cell is beyond float range, the dip distance is
+        the point's over the whole window (see :meth:`_window_cuts`).
 
         The evaluator's batch form ``many(ts)`` takes a round of nodes
         (:meth:`_node_masses`): from ``_GAUSS_BATCH_MIN`` nodes up, an
@@ -1124,8 +1224,9 @@ class PhiAC(Component):
         antiderivative or, weighted, Gauss rows, and dip segments on one side
         of their centre at a ratio of ``_DIP_GAUSS_MIN_RATIO`` or more take
         Gauss rows, one numpy pass per rule size.  Every other dip segment,
-        near a centre, takes the scalar :meth:`_log_dip_mass`.  The terms
-        agree with the scalar forms within a few ulps."""
+        near a centre, takes the scalar :meth:`_log_dip_mass`: the series
+        near the centre and a log-scale rule over each run beyond its reach.
+        The terms agree with the scalar forms within a few ulps."""
         ph, edges, rings, _gamma, w0, c, shape = plan
         n = len(t)
         s = t + w0
@@ -1205,8 +1306,9 @@ class PhiAC(Component):
         A segment on one side of its centre at a ratio of
         ``_DIP_GAUSS_MIN_RATIO`` or more, the bulk of a round, is a Gauss row
         (:meth:`_dip_gauss_rows`); every other takes the scalar form, which
-        picks the series or the cut at ``±2^k r0``.  Returned as two ``(node,
-        log mass)`` pairs of arrays."""
+        takes the series within ``r0 = 2^-8 min(x0, 2) b^m`` of the centre
+        and one log-scale rule (:meth:`_dip_log_mass`) over each side's run
+        beyond it.  Returned as two ``(node, log mass)`` pairs of arrays."""
         lnbm = np.array([m * self._log_b for *_r, m in rings])
         bm = np.array([math.exp(v) if v < 700.0 else math.inf for v in lnbm.tolist()])
         lnbm, bm = lnbm[ring], bm[ring]
@@ -1265,10 +1367,15 @@ class PhiAC(Component):
         one within ``r0 = 2^-8 min(x0, 2) b^m`` of it the exponential-integral
         series (:meth:`_dip_series_mass`), whose rule then needs at most 26
         nodes (``L >= 7 log 2``); under a tilt r0 is at most ``1/(16
-        |gamma|)``.  Any other segment is cut at the offsets ``±2^k r0`` from
-        its centre: the piece at the centre lies within r0, and every other
-        piece lies within ``[2^k r0, 2^(k+1) r0]`` on one side, three
-        half-widths or more from the centre, and takes the rule.
+        |gamma|)``.  Any other segment is cut at the offsets ``±r0`` from its
+        centre: the piece within r0 takes the series (or, one width or more
+        from the centre, the rule), and the run beyond r0 on each side one
+        Gauss-Legendre rule in ``log|d|`` (:meth:`_dip_log_mass`), unless it
+        is a width or more from the centre.  Under a tilt that run ends at
+        ``r1 = 2/|gamma|``, where the tilt has changed by ``e^2`` at most;
+        beyond r1 the segment is cut at ``±2^k r1``, and each piece, within
+        ``[2^k r1, 2^(k+1) r1]`` on one side and three half-widths or more
+        from the centre, takes the rule.
         """
         _lo, _hi, t0, m = ring
         lnbm = m * self._log_b
@@ -1281,25 +1388,87 @@ class PhiAC(Component):
             if ratio >= _DIP_GAUSS_MIN_RATIO:
                 return self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, 0.5 * (a + b), piece, tilt)
         r0 = bm * min(self.params.x0, 2.0) * _DIP_SERIES_REACH
+        r1 = math.inf
         if tilt is not None:
             r0 = min(r0, _TILT_SERIES_REACH / abs(tilt[0]))
+            r1 = _TILT_LOG_REACH / abs(tilt[0])
         if max(-d1, d2) <= r0:
             return self._dip_series_mass(lnbm, t0, d1, d2, piece, tilt)
-        cuts, k = [], r0
+        cuts, k = [-r0, r0], r1
         while k < max(-d1, d2):
-            cuts += [c for c in (-k, k) if d1 < c < d2]
+            cuts += [-k, k]
             k *= 2.0
-        ends = [d1, *sorted(cuts), d2]
+        ends = [d1, *sorted(c for c in cuts if d1 < c < d2), d2]
         terms = []
         for p, q in zip(ends[:-1], ends[1:]):
             h, d_mid = 0.5 * (q - p), 0.5 * p + 0.5 * q
             ratio = min(abs(d_mid), bm - abs(d_mid)) / h
-            if q <= -r0 or p >= r0 or (p * q > 0.0 and ratio >= _DIP_GAUSS_MIN_RATIO):
-                terms.append(self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, t0 + d_mid, piece,
-                                                  tilt))
+            if q <= -r1 or p >= r1 or (p * q > 0.0 and ratio >= _DIP_GAUSS_MIN_RATIO):
+                terms.append(self._dip_gauss_mass(lnbm, bm, d_mid, h, ratio, t0 + d_mid,
+                                                  piece, tilt))
+            elif p >= r0:
+                terms.append(self._dip_log_mass(lnbm, t0, math.log(p), math.log(q), 1.0,
+                                                piece, tilt))
+            elif q <= -r0:
+                terms.append(self._dip_log_mass(lnbm, t0, math.log(-q), math.log(-p), -1.0,
+                                                piece, tilt))
             else:
                 terms.append(self._dip_series_mass(lnbm, t0, p, q, piece, tilt))
         return log_sum(terms)
+
+    def _dip_log_mass(self, lnbm: float, t0: float, va: float, vb: float, sign: float,
+                      piece, tilt):
+        """The mass over the offsets ``d = sign e^v`` from the centre at window
+        offset t0, for ``v = log|d|`` in [va, vb], one side of the centre
+        beyond the series' reach: one Gauss-Legendre rule in v of
+        :func:`_dip_log_nodes` nodes, or the two halves in v of a run that
+        would need more.
+
+        With ``dd = e^v dv`` the integrand is ``e^v (1 + q d)^(-alpha-1) / (m
+        log b - v)`` over the head of :meth:`_dip_gauss_mass`, times the
+        weight piece's polynomial at ``t0 + d`` and the tilt ``e^(gamma
+        d)``, whose ``e^(gamma (x + t0))`` joins the head."""
+        H, vm = 0.5 * (vb - va), 0.5 * (va + vb)
+        em = math.exp(vm)
+        a1 = self.params.alpha + 1.0
+        g = 0.0 if tilt is None else abs(tilt[0]) * em
+        poly = None
+        if piece is not None:
+            origin, coeffs = piece
+            tau = t0 - origin
+            # the polynomial's growth from d_m = sign e^vm, and its mean on the run
+            growth = tuple(abs(c) * em ** j
+                           for j, c in enumerate(_poly_shift(coeffs, tau + sign * em)))
+            ra, rb = math.exp(va), math.exp(vb)
+            dm, hd = 0.5 * (ra + rb), 0.5 * (rb - ra)
+            mean = 0.5 * sum(wt * _poly_value(coeffs, tau + sign * (dm + hd * z))
+                             for z, wt in _gauss_legendre(len(coeffs) // 2 + 1))
+            if mean > 0.0:
+                poly = (growth, math.log(mean))
+        n = _dip_log_nodes((lnbm - vm) / H, H, self.params.x0, a1, g, poly)
+        if piece is not None and poly is None:  # no bound holds for a weight without mass here
+            n = _DIP_LOG_MAX_NODES
+        if n is None:
+            return log_add(self._dip_log_mass(lnbm, t0, va, vm, sign, piece, tilt),
+                           self._dip_log_mass(lnbm, t0, vm, vb, sign, piece, tilt))
+        log_x0 = self._log_x0
+        sq = sign * math.exp(-lnbm - log_x0)  # q d = sq |d|
+        head = -a1 * (lnbm + log_x0) - self.m_log
+        gamma = 0.0
+        if tilt is not None:
+            gamma, x = tilt
+            head += gamma * (x + t0)
+        total = 0.0
+        for z, wt in _gauss_legendre(n):
+            v = vm + H * z
+            e = math.exp(v)
+            f = wt * e * (1.0 + sq * e) ** -a1 / (lnbm - v)
+            if piece is not None:
+                f *= _poly_value(coeffs, tau + sign * e)
+            if gamma:
+                f *= math.exp(gamma * sign * e)
+            total += f
+        return head + math.log(H) + math.log(total) if total > 0.0 else LOG_ZERO
 
     def _dip_gauss_mass(self, lnbm: float, bm: float, d_mid: float, h: float, ratio: float,
                         mid: float, piece, tilt=None):
@@ -1311,8 +1480,10 @@ class PhiAC(Component):
         there.  The midpoint ``mid`` is in window offsets, where the weight
         piece takes its argument: far from a centre ``t0 + d`` loses it.
 
-        A segment within two half-widths of the pole (``delta > 0.8``), or
-        too wide for a bounded rule under its tilt, is halved.  Off a
+        A segment too wide for a bounded rule under its tilt is halved, and
+        so is one within two half-widths of the pole (``delta > 0.8``),
+        which only a tilted piece beyond ``2/|gamma|`` reaches: every other
+        caller keeps three half-widths from the pole and the centre.  Off a
         centre piece the distance to the centre is three half-widths less
         rounding."""
         n = _gauss_nodes(ratio) if ratio >= 2.0 else None
@@ -1333,12 +1504,22 @@ class PhiAC(Component):
         q = math.exp(log_q) / abs(d_mid) if log_q > -745.0 else 0.0  # s / (x0 d)
         head = -a1 * (lnbm + log_x0) - self.m_log
         total = 0.0
-        if piece is None and tilt is None:
-            for z, wt in _gauss_legendre(n):
-                d = d_mid + h * z
-                total += wt * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d)))
+        if tilt is not None:
+            gamma, x = tilt
+            gh = gamma * h
+            head += gamma * (x + mid)
+        if piece is None:
+            if tilt is None:
+                for z, wt in _gauss_legendre(n):
+                    d = d_mid + h * z
+                    total += wt * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d)))
+            else:
+                for z, wt in _gauss_legendre(n):
+                    d = d_mid + h * z
+                    total += (wt * math.exp(gh * z)
+                              * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
         else:
-            origin, coeffs = (0.0, (1.0,)) if piece is None else piece
+            origin, coeffs = piece
             tau = mid - origin
             rule = _gauss_legendre(n + len(coeffs) // 2)
             if tilt is None:
@@ -1347,9 +1528,6 @@ class PhiAC(Component):
                     total += (wt * _poly_value(coeffs, tau + h * z)
                               * (1.0 + q * d) ** -a1 / (lnbm - math.log(abs(d))))
             else:
-                gamma, x = tilt
-                gh = gamma * h
-                head += gamma * (x + mid)
                 for z, wt in rule:
                     d = d_mid + h * z
                     total += (wt * _poly_value(coeffs, tau + h * z) * math.exp(gh * z)

@@ -64,8 +64,9 @@ density's evaluator of inner masses walks a round's windows as arrays:
 their cuts and the kinds of their segments, then a numpy pass for each
 bulk kind, plateau segments and dip segments far enough to one side of
 their centre for a Gauss rule.  The few dip segments near a centre take
-the scalar closed form, which picks the exponential-integral series or
-cuts the segment.  The walk's fixed cost pays from about 48 nodes
+the scalar closed form: the exponential-integral series near the centre,
+and one Gauss-Legendre rule in log-distance over each run beyond its
+reach.  The walk's fixed cost pays from about 48 nodes
 (``measures._GAUSS_BATCH_MIN``); a panel of 15 nodes would hold too few,
 and a smaller round walks node by node.  A plain function, such as the
 wrapper a tracer or counter puts around the integrand, has no batch form:

@@ -728,8 +728,8 @@ class TestGaussRounds:
             b = ev(t)
             assert a == b or abs(a - b) <= max(1e-13, 4 * math.ulp(max(abs(a), abs(b)))), (t, a, b)
 
-    # b = 8, x0 = 2.4, delta = 0.9: a ring reaching within two half-widths of
-    # the pole of -1/log|s| at |s| = 1, where a dip piece's Gauss rule halves
+    # b = 8, x0 = 2.4, delta = 0.9: a ring reaching within 0.11 in log|d| of
+    # the pole of -1/log|s| at |s| = 1, where a run's log-scale rule halves
     wide = ModelParams(b=8.0, x0=2.4, delta=0.9, x1=1.0, x2=1.5)
 
     @pytest.mark.parametrize("weight", sorted(weights))
@@ -740,9 +740,10 @@ class TestGaussRounds:
         # one side of a centre at a ratio of 3 or more; it hands every other
         # dip segment to the scalar form, whose calls show the kind was
         # taken: series segments within r0 = 2^-8 x0 b^m of a centre,
-        # segments cut at +-2^k r0, Gauss rules halved below a ratio of 2,
-        # windows across the support edge at 1, and around a centre reached
-        # by a remainder beyond float range
+        # segments that reach beyond r0 and take the log-scale rule over
+        # their runs, runs whose rule would pass its cap and halve in
+        # log|d|, windows across the support edge at 1, and around a centre
+        # reached by a remainder beyond float range
         phi = mu.components[0][1]
         if case == "series":  # around the centre 4^6 x0, within r0 = 32 of it
             x, lo, hi = ScaledSum.scaled(6, params.x0), -16.0, 16.0
@@ -759,10 +760,10 @@ class TestGaussRounds:
         w = self.weights[weight]
         ev = phi.log_window_mass_eval(x, lo, hi, w)
         ts = [lo + (hi - lo) * (i + 0.5) / 97 for i in range(97)]
-        ratios, near, rules, rounds = [], [], [], []
-        gauss_rows, log_dip_mass, gauss_mass, round_masses = (
-            PhiAC._dip_gauss_rows, PhiAC._log_dip_mass, PhiAC._dip_gauss_mass,
-            PhiAC._round_masses)
+        ratios, near, runs, counts, rounds = [], [], [], [], []
+        gauss_rows, log_dip_mass, log_rule, log_nodes, round_masses = (
+            PhiAC._dip_gauss_rows, PhiAC._log_dip_mass, PhiAC._dip_log_mass,
+            measures._dip_log_nodes, PhiAC._round_masses)
 
         def spy_round(self, plan, t):
             rounds.append(len(t))
@@ -779,14 +780,19 @@ class TestGaussRounds:
             near.append((ring[3], max(ring[2] - a, b - ring[2])))  # scale, reach from the centre
             return log_dip_mass(self, ring, a, b, *args)
 
-        def spy_rule(self, lnbm, bm, d_mid, h, ratio, *args):
-            rules.append(ratio)
-            return gauss_mass(self, lnbm, bm, d_mid, h, ratio, *args)
+        def spy_rule(self, lnbm, t0, va, vb, *args):
+            runs.append(vb - va)
+            return log_rule(self, lnbm, t0, va, vb, *args)
+
+        def spy_nodes(*args):
+            counts.append(log_nodes(*args))
+            return counts[-1]
 
         with patch("subexp.measures._GAUSS_BATCH_MIN", 1), \
                 patch.object(PhiAC, "_dip_gauss_rows", spy_rows), \
                 patch.object(PhiAC, "_log_dip_mass", spy_near), \
-                patch.object(PhiAC, "_dip_gauss_mass", spy_rule), \
+                patch.object(PhiAC, "_dip_log_mass", spy_rule), \
+                patch("subexp.measures._dip_log_nodes", spy_nodes), \
                 patch.object(PhiAC, "_round_masses", spy_round), \
                 patch.object(PhiAC, "_node_mass", no_node):
             got = ev.many(ts)
@@ -809,9 +815,9 @@ class TestGaussRounds:
         if case == "series":
             assert any(v <= 0.0 for v in reach)
         elif case == "cut":
-            assert any(v > 0.0 for v in reach)
+            assert any(v > 0.0 for v in reach) and runs
         elif case == "halved":
-            assert near and any(v < 2.0 for v in rules)
+            assert near and None in counts
         elif case == "support":
             assert x.value() + lo + w.lo < 1.0 < x.value() + hi + w.hi
         else:

@@ -525,6 +525,68 @@ def test_near_centre_dip_window_at_small_scales(mu, params, no_quadrature, m, of
     assert abs(phi.log_window_mass(x, w) - float(_mp_mass(phi, x, w))) <= 1e-11
 
 
+# b = 8, x0 = 2.4, delta = 0.9: a ring whose runs reach within 0.11 in log|d|
+# of the pole of 1/(m log b - log|d|) at |d| = b^m
+_WIDE_RING = ModelParams(b=8.0, x0=2.4, delta=0.9, x1=1.0, x2=1.5)
+
+
+@pytest.mark.parametrize("wide, m, off, gamma, weight, nodes, graded", [
+    # windows across the centre b^m x0 to both sides, beyond r0 = 2^-8 x0
+    # b^m (1/(16 |gamma|) or less under a tilt), and under a tilt beyond
+    # 2/|gamma|, where the run's log-scale rule ends
+    *((False, m, off, g, c, n, k) for m, off, c, runs in (
+        (0, -0.24, 0.48, ((0.0, 48, 118), (-0.5, 48, 140), (-2.0, 48, 140), (-8.0, 56, 140))),
+        (3, -12.0, 24.0, ((0.0, 40, 114), (-0.5, 48, 142), (-2.0, 48, 142), (-8.0, 48, 142))),
+        (6, -100.0, 200.0, ((0.0, 24, 42), (-0.5, 48, 142), (-2.0, 48, 142), (-8.0, 48, 142))))
+      for g, n, k in runs),
+    # G2 over (-2, 1] and the reflected triangle over (-2, 0] at b^m x0 + 0.5
+    (False, 0, 0.5, 0.0, "g2", 48, 140),
+    (False, 0, 0.5, -2.0, "g2", 48, 160),
+    (False, 3, 0.5, -2.0, "g2", 40, 128),
+    (False, 6, 0.5, -2.0, "g2", 40, 128),
+    (False, 0, 0.5, 0.0, "triangle", 48, 130),
+    (False, 0, 0.5, -2.0, "triangle", 48, 150),
+    (False, 3, 0.5, 0.0, "triangle", 12, 27),
+    (False, 3, 0.5, -2.0, "triangle", 40, 136),
+    (False, 6, 0.5, -2.0, "triangle", 40, 136),
+    # the wide ring to both its edges: runs near the pole, halved in log|d|
+    (True, 0, -0.9, 0.0, 1.8, 160, 194),
+    (True, 0, -0.9, -0.5, 1.8, 160, 230),
+    (True, 1, -7.0, 0.0, 14.0, 152, 192),
+    # and beyond 2/|gamma| = 4, where Gauss pieces within two half-widths of
+    # the pole halve
+    (True, 1, -7.0, -0.5, 14.0, 88, 170),
+    # an anchor beyond float range: r0 lies beyond every float offset, so
+    # the series takes the whole ring, and no run is left
+    (False, 600, -0.5, 0.0, 1.0, 0, 0),
+    (False, 600, 0.0, 0.0, "g2", 0, 0),
+])
+def test_dip_run_in_log_scale(mu, no_quadrature, monkeypatch, wide, m, off, gamma, weight,
+                              nodes, graded):
+    # a one-sided dip run beyond the series' reach takes one Gauss-Legendre
+    # rule in v = log|d| with a node count from its Bernstein-ellipse bound,
+    # and is halved in v above 32 nodes; its nodes are pinned, and below the
+    # `graded` nodes that the pieces cut at +-2^k r0 took, each a rule of its
+    # own, before this rule replaced them
+    phi = PhiAC(profile=PeriodicProfile(_WIDE_RING), m_log=0.0) if wide else mu.components[0][1]
+    p = phi.params
+    counts = []
+    rule = measures._dip_log_nodes
+    monkeypatch.setattr(measures, "_dip_log_nodes",
+                        lambda *args: counts.append(rule(*args)) or counts[-1])
+    w = _WEIGHTS.get(weight, weight)
+    if m < 600:
+        x = ScaledSum.from_float(p.b ** m * p.x0 + off, p.b)
+    else:
+        x = ScaledSum.scaled(m, p.x0, offset=off)
+    got = phi.log_window_mass(x, w, gamma=gamma)
+    assert sum(n for n in counts if n is not None) == nodes
+    assert nodes < graded or nodes == graded == 0
+    assert (None in counts) == wide  # only the wide ring's runs are halved
+    tol = _tail_tol(gamma, x.value()) if gamma else 1e-12
+    assert abs(got - float(_mp_mass(phi, x, w, gamma))) <= tol
+
+
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 8.0, -0.5, -1.0, -2.0, -8.0])
 def test_tilted_pareto_window(shape, gamma, no_quadrature):
@@ -700,6 +762,9 @@ def test_uniform_dip_pair(mu, params, uni, weight, n, t, quad, no_quadrature):
     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
 
 
+# G2 averaged over h = 1/64: a difference of two tails of G2 scaled by 1/h
+# reads its mass 1.5e-14 off
+@example(w=_G2, left=1.9999999999999998, width=0.015625, s=0.5)
 @given(w=st.sampled_from(_POWER_LAW_WEIGHTS + (Weight.window(1.0), Weight.window(0.3))),
        left=st.floats(-2.0, 2.0), width=st.floats(2.0 ** -6, 4.0), s=st.floats(0.0, 1.0))
 @settings(max_examples=100, deadline=None)
